@@ -158,11 +158,3 @@ def segment_poses(params, state: VehicleState) -> SegmentPoses:
         semitrailer=(state.x3, state.y3, state.theta3),
     )
 
-
-def hitch_point(params, state: VehicleState):
-    """Position of the tractor's off-axle hitch and the tractor heading."""
-    theta2 = state.theta3 + state.beta3
-    theta1 = theta2 + state.beta2
-    x2 = state.x3 + params.L3 * math.cos(state.theta3)
-    y2 = state.y3 + params.L3 * math.sin(state.theta3)
-    return (x2 + params.L2 * math.cos(theta2), y2 + params.L2 * math.sin(theta2), theta1)

@@ -21,7 +21,8 @@ from .exceptions import (NominalOutsidePolytope, PathExhausted, RiccatiDiverged,
                          SingularConfiguration)
 from .model import SINGULAR_TOL, VehicleState, speed_ratio
 from .paths import NominalPath, PathSample, extend_for_horizon, interpolate
-from .qp import DenseQpSolver, PreparedQp, QpStatus
+from .qp import (DenseQpSolver, PreparedQp, QpSolution, QpStatus, kkt_residuals,
+                 primal_active_set_solve, row_structure, soft_qp_solve)
 
 
 @dataclass
@@ -239,7 +240,6 @@ class _QpStructure:
         self.n_slack = n_slack
         self.row_slew0 = row_slew0
         self.soft_rows = soft_rows
-        from .qp import row_structure
         self.single_col = row_structure(A)
         self.single_col_in = row_structure(A[:2 * n_inputs, :n_inputs])
 
@@ -453,9 +453,6 @@ class MpcController:
         return struct.prep.solve(q, l, u, y0=y0, lam0=lam0, polish=True)
 
     def _solve_reduced(self, struct, q, l, u, y0, lam0):
-        from .qp import (QpSolution, kkt_residuals, primal_active_set_solve,
-                         soft_qp_solve)
-
         N, ns = struct.n_inputs, struct.n_slack
         tol = self.solver.tol
         A_in = struct.A[:2 * N, :N]
@@ -471,9 +468,9 @@ class MpcController:
                                           struct.single_col_in)
             if res is None:
                 return None
-            y, lam, (rp, rd, rc) = res
+            y, lam, (rp, rd, rc), iters = res
             obj = float(0.5 * y @ Pu @ y + qu @ y)
-            return QpSolution(y, lam, QpStatus.OPTIMAL, 1, obj, rp, rd, rc)
+            return QpSolution(y, lam, QpStatus.OPTIMAL, iters, obj, rp, rd, rc)
         G = struct.A[struct.soft_rows, :N]
         b = u[struct.soft_rows]
         res = soft_qp_solve(Pu, qu, A_in, l_in, u_in, G, b, float(q[N]),
@@ -483,14 +480,14 @@ class MpcController:
         if res is None:
             self._warm_sets = None
             return None
-        x, eps, mu, lam_soft, nu, self._warm_sets = res
+        x, eps, mu, lam_soft, nu, self._warm_sets, iters = res
         y = np.concatenate([x, eps])
         lam = np.concatenate([mu, lam_soft, nu])
         rp, rd, rc = kkt_residuals(struct.P, q, struct.A, l, u, y, lam)
         if max(rp, rd, rc) > tol:
             return None
         obj = float(0.5 * y @ struct.P @ y + q @ y)
-        return QpSolution(y, lam, QpStatus.OPTIMAL, 1, obj, rp, rd, rc)
+        return QpSolution(y, lam, QpStatus.OPTIMAL, iters, obj, rp, rd, rc)
 
     @staticmethod
     def _feasible_inputs(struct, l_in, u_in, guess):
@@ -498,20 +495,26 @@ class MpcController:
         clipping the guess forward through the chain; None if a link of the
         chain closes (left to the fallback solver)."""
         N = struct.n_inputs
-        ut = np.zeros(N)
         r0 = struct.row_slew0
-        lo = max(l_in[0], l_in[r0])
-        hi = min(u_in[0], u_in[r0])
+        # plain floats: the chain is sequential, and scalar numpy indexing
+        # costs more than the arithmetic
+        lo_box, hi_box = l_in[:N].tolist(), u_in[:N].tolist()
+        lo_slew, hi_slew = l_in[N:2 * N].tolist(), u_in[N:2 * N].tolist()
+        g = guess.tolist() if guess is not None else [0.0] * N
+        lo = max(lo_box[0], float(l_in[r0]))
+        hi = min(hi_box[0], float(u_in[r0]))
         if lo > hi:
             return None
-        ut[0] = min(max(guess[0] if guess is not None else 0.0, lo), hi)
+        prev = min(max(g[0], lo), hi)
+        ut = [prev]
         for k in range(1, N):
-            lo = max(l_in[k], ut[k - 1] + l_in[N + k])
-            hi = min(u_in[k], ut[k - 1] + u_in[N + k])
+            lo = max(lo_box[k], prev + lo_slew[k])
+            hi = min(hi_box[k], prev + hi_slew[k])
             if lo > hi:
                 return None
-            ut[k] = min(max(guess[k] if guess is not None else 0.0, lo), hi)
-        return ut
+            prev = min(max(g[k], lo), hi)
+            ut.append(prev)
+        return np.array(ut)
 
     def _shift_warm(self, ctrl, base, N, n_slack):
         if ctrl.warm_y is None:

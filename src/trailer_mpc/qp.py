@@ -1,25 +1,31 @@
-"""Dense convex QP solver.
+"""Dense convex QP solvers.
 
 Solves problems of the form
 
     minimize    0.5 * y'Py + q'y
     subject to  l <= Ay <= u
 
-with P symmetric positive semidefinite, via operator splitting (ADMM) with
-Ruiz equilibration, over-relaxation, warm starting and an optional active-set
-polish step.  Sized for the MPC's dense problems (tens to a few hundred
-variables); a prepared mode reuses the equilibration and factorization across
-solves that share (P, A), including batched solves with many simultaneous
-right-hand sides.
+with P symmetric positive semidefinite.  The controller's main path is
+:func:`soft_qp_solve`, a warm-started primal active-set method that keeps
+one-sided soft rows in the x space and certifies its answer with exact KKT
+solves; :func:`primal_active_set_solve` is its variant without soft rows.
+When it gives up, an operator-splitting (ADMM) solver takes over as the
+fallback: Ruiz equilibration, over-relaxation, warm starting and an optional
+active-set polish step, with a prepared mode that reuses the equilibration
+and factorization across solves that share (P, A), including batched solves
+with many simultaneous right-hand sides.  :func:`solve_qp` and
+:class:`DenseQpSolver` run the ADMM solver on one-shot problems.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, cho_factor, cho_solve
+from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
 
 from .exceptions import TrailerMpcError
 
@@ -75,78 +81,108 @@ def row_structure(A):
     return np.where(counts == 1, cols, -1)
 
 
-def _solve_active(P, q, A, b_act, act_rows, single_col):
-    """Equality-constrained solve on a candidate active set.
+def lu_factor(K):
+    """LU factorization of the square KKT matrix ``K``: (lu, piv) for
+    ``getrs``.  A thin ``getrf`` call: at the active-set method's sizes
+    scipy's ``lu_factor`` wrapper costs more than the factorization itself.
+    ``K`` is overwritten when it is Fortran-ordered."""
+    lu, piv, info = _getrf(K, overwrite_a=True)
+    if info > 0:
+        warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
+                      LinAlgWarning, stacklevel=2)
+    return lu, piv
 
-    Variables pinned by active single-entry rows are eliminated, which keeps
-    the KKT system small even when many simple bounds are active.  Redundant
-    bounds on an already-pinned variable and rows touching only pinned
-    variables are left inactive (dual 0).  Returns (x, lam) or None.
+
+def _solve_active(P, q, A_w, b_w, sc_w):
+    """Equality-constrained solve on a working set.
+
+    ``A_w`` holds the working rows (C-ordered), ``b_w`` their right-hand
+    sides and ``sc_w`` their single nonzero column (-1 for a general row, as
+    in :func:`row_structure`).  Variables pinned by single-entry rows are
+    eliminated, which keeps the KKT system small even when many simple
+    bounds are active.  Redundant bounds on an already-pinned variable and
+    rows touching only pinned variables are left inactive (dual 0).
+    Returns (x, lam) with the working rows' duals, or None.
     """
-    m, n = A.shape
-    act_rows = np.asarray(act_rows, dtype=int)
-    sc_act = single_col[act_rows]
-    pin = sc_act >= 0
-    fix_row = np.full(n, -1, dtype=int)
+    # Called once per exchange on small systems, where numpy's per-call
+    # overhead rivals the arithmetic: index sets come from nonzero(), the
+    # KKT diagonal is a strided view, and the refinement writes into
+    # preallocated slices.  Every product keeps its operands and layout, so
+    # the rounding, and with it the exchange sequence, stays fixed.
+    n = len(q)
+    pin_rows = (sc_w >= 0).nonzero()[0][::-1]
+    fix_row = np.full(n, -1, dtype=np.intp)
     # reversed assignment so the first pinning row of a column wins
-    fix_row[sc_act[pin][::-1]] = act_rows[pin][::-1]
+    fix_row[sc_w[pin_rows]] = pin_rows
     fixed = fix_row >= 0
-    fj = np.where(fixed)[0]
+    fj = fixed.nonzero()[0]
     fr = fix_row[fj]
-    free = np.where(~fixed)[0]
-    x = np.zeros(n)
-    x[fj] = b_act[fr] / A[fr, fj]
-    other_rows = act_rows[~pin]
-    if len(other_rows):
-        A_O = A[other_rows]
-        keep = (A_O[:, free] != 0.0).any(axis=1)
-        other_rows = other_rows[keep]
-        A_O = A_O[keep]
-
+    free = (~fixed).nonzero()[0]
     nf = len(free)
-    k = len(other_rows)
-    reg = 1e-9
-    Pff = P[np.ix_(free, free)]
-    Kmat = np.zeros((nf + k, nf + k))
-    Kmat[:nf, :nf] = Pff
-    rng = np.arange(nf)
-    Kmat[rng, rng] += reg
-    rhs = np.empty(nf + k)
-    rhs[:nf] = -q[free] - P[np.ix_(free, fj)] @ x[fj]
-    if k:
+    if nf == 0:
+        # Every variable is pinned, so no KKT system is left.  This returns
+        # None, as the solve always has (it used to fail on the max of an
+        # empty right-hand side); see the FOUND line on the all-pinned KKT
+        # in CHANGES.md.
+        return None
+    x = np.zeros(n)
+    a_fix = A_w[fr, fj]
+    x[fj] = b_w[fr] / a_fix
+    other = (sc_w < 0).nonzero()[0]
+    k = 0
+    if len(other):
+        A_O = A_w[other]
+        # A_R stays Fortran-ordered as this gather makes it: BLAS rounds a
+        # matvec differently for another layout
         A_R = A_O[:, free]
+        keep = (A_R != 0.0).any(axis=1)
+        if not keep.all():
+            other = other[keep]
+            A_O = A_O[keep]
+            A_R = A_O[:, free]
+        k = len(other)
+
+    reg = 1e-9
+    nk = nf + k
+    free_col = free[:, None]
+    Pff = P[free_col, free]
+    Kmat = np.zeros((nk, nk), order="F")
+    Kmat[:nf, :nf] = Pff
+    diag = Kmat.reshape(-1, order="F")[::nk + 1]   # a view
+    diag[:nf] += reg
+    rhs = np.empty(nk)
+    rhs_f, rhs_k = rhs[:nf], rhs[nf:]
+    np.subtract(-q[free], P[free_col, fj] @ x[fj], out=rhs_f)
+    if k:
         Kmat[:nf, nf:] = A_R.T
         Kmat[nf:, :nf] = A_R
-        rng = np.arange(nf, nf + k)
-        Kmat[rng, rng] -= reg
-        rhs[nf:] = b_act[other_rows] - A_O @ x
-    try:
-        lu = lu_factor(Kmat, check_finite=False)
-        sol = lu_solve(lu, rhs, check_finite=False)
-        # iterative refinement against the unregularized system; the extra
-        # passes matter when large soft-penalty folds make Pff ill-conditioned
-        # and active rows carry duals of ~1e3
-        scale = 1.0 + np.max(np.abs(rhs))
-        resid = np.empty_like(rhs)
-        for _ in range(3):
-            resid[:nf] = rhs[:nf] - Pff @ sol[:nf]
-            if k:
-                resid[:nf] -= A_R.T @ sol[nf:]
-                resid[nf:] = rhs[nf:] - A_R @ sol[:nf]
-            if np.max(np.abs(resid)) <= 1e-13 * scale:
-                break
-            sol = sol + lu_solve(lu, resid, check_finite=False)
-    except (np.linalg.LinAlgError, ValueError):
-        return None
-    if not np.all(np.isfinite(sol)):
+        diag[nf:] -= reg
+        np.subtract(b_w[other], A_O @ x, out=rhs_k)
+    lu, piv = lu_factor(Kmat)
+    sol = _getrs(lu, piv, rhs)[0]
+    # iterative refinement against the unregularized system; the extra
+    # passes matter when large soft-penalty folds make Pff ill-conditioned
+    # and active rows carry duals of ~1e3
+    tol = 1e-13 * (1.0 + np.abs(rhs).max())
+    resid = np.empty(nk)
+    resid_f, resid_k = resid[:nf], resid[nf:]
+    for _ in range(3):
+        np.subtract(rhs_f, Pff @ sol[:nf], out=resid_f)
+        if k:
+            resid_f -= A_R.T @ sol[nf:]
+            np.subtract(rhs_k, A_R @ sol[:nf], out=resid_k)
+        if np.abs(resid).max() <= tol:
+            break
+        sol = sol + _getrs(lu, piv, resid)[0]
+    if not np.isfinite(sol).all():
         return None
     x[free] = sol[:nf]
-    lam = np.zeros(m)
-    lam[other_rows] = sol[nf:]
+    lam = np.zeros(len(sc_w))
+    lam[other] = sol[nf:]
     # duals of the pinning bound rows from stationarity
-    grad = P @ x + q + A[act_rows].T @ lam[act_rows]
+    grad = P @ x + q + A_w.T @ lam
     if len(fj):
-        lam[fr] = -grad[fj] / A[fr, fj]
+        lam[fr] = -grad[fj] / a_fix
     return x, lam
 
 
@@ -158,60 +194,19 @@ def polish_solution(P, q, A, l, u, y, lam, z, tol, single_col=None):
     with np.errstate(invalid="ignore"):
         low = np.isfinite(l) & (z <= l + 1e-9 * (1.0 + np.abs(l)))
         up = np.isfinite(u) & (z >= u - 1e-9 * (1.0 + np.abs(u)))
-    act = np.where(low | up)[0]
+    act = (low | up).nonzero()[0]
     b_act = np.where(up, u, l)
     if single_col is None:
         single_col = row_structure(A)
-    res = _solve_active(P, q, A, b_act, act, single_col)
+    res = _solve_active(P, q, A[act], b_act[act], single_col[act])
     if res is None:
         return None
-    x, lam_new = res
+    x, lam_act = res
+    lam_new = np.zeros(A.shape[0])
+    lam_new[act] = lam_act
     kkt = kkt_residuals(P, q, A, l, u, x, lam_new)
     if max(kkt) <= tol:
         return x, lam_new, kkt
-    return None
-
-
-def active_set_solve(P, q, A, l, u, act_low, act_up, tol, single_col=None,
-                     max_changes=40):
-    """Primal-dual active-set iteration from a warm-started active set.
-
-    Alternates equality-constrained solves with set updates (add violated
-    rows, drop wrong-signed duals) until the KKT conditions hold.  Very fast
-    when the starting guess is close (one or two changes per control cycle);
-    returns None if it fails to settle, in which case the caller should fall
-    back to the operator-splitting solver.
-    """
-    m = A.shape[0]
-    if single_col is None:
-        single_col = row_structure(A)
-    act_low = act_low.copy()
-    act_up = act_up.copy()
-    for _ in range(max_changes):
-        b_act = np.where(act_up, u, l)
-        act = np.where(act_low | act_up)[0]
-        res = _solve_active(P, q, A, b_act, act, single_col)
-        if res is None:
-            return None
-        x, lam = res
-        v = A @ x
-        with np.errstate(invalid="ignore"):
-            tol_u = 1e-9 * (1.0 + np.abs(np.where(np.isfinite(u), u, 0.0)))
-            tol_l = 1e-9 * (1.0 + np.abs(np.where(np.isfinite(l), l, 0.0)))
-            viol_up = np.isfinite(u) & (v > u + tol_u) & ~act_up
-            viol_low = np.isfinite(l) & (v < l - tol_l) & ~act_low
-        wrong_up = act_up & (lam < -1e-9)
-        wrong_low = act_low & (lam > 1e-9)
-        if not (viol_up.any() or viol_low.any() or wrong_up.any() or wrong_low.any()):
-            kkt = kkt_residuals(P, q, A, l, u, x, lam)
-            if max(kkt) <= tol:
-                return x, lam, kkt
-            return None
-        act_up = (act_up & ~wrong_up) | viol_up
-        act_low = (act_low & ~wrong_low) | viol_low
-        # a row cannot be active on both sides unless it is an equality
-        both = act_up & act_low & (u - l > 1e-12)
-        act_low &= ~both
     return None
 
 
@@ -225,6 +220,10 @@ def primal_active_set_solve(P, q, A, l, u, x0, tol, single_col=None,
     dual once the subproblem optimum is reached.  Monotone descent, so it
     terminates; returns None on an infeasible start, a degenerate working
     set, or when the iteration cap is hit.
+
+    Returns (x, lam, kkt, iterations): the number of iterations is the
+    number of equality-constrained solves, the last one certifying the
+    optimum.
     """
     n = P.shape[0]
     m = A.shape[0]
@@ -234,31 +233,34 @@ def primal_active_set_solve(P, q, A, l, u, x0, tol, single_col=None,
         max_iter = 3 * (n + m) + 10
     x = np.asarray(x0, dtype=float).copy()
     v = A @ x
-    with np.errstate(invalid="ignore"):
-        su = np.where(np.isfinite(u), u, 0.0)
-        sl = np.where(np.isfinite(l), l, 0.0)
-        if np.any(v > u + 1e-7 * (1.0 + np.abs(su))) or \
-           np.any(v < l - 1e-7 * (1.0 + np.abs(sl))):
-            return None
-        act_up = np.isfinite(u) & (v >= u - 1e-9 * (1.0 + np.abs(su)))
-        act_low = np.isfinite(l) & (v <= l + 1e-9 * (1.0 + np.abs(sl))) & ~act_up
+    fin_u = np.isfinite(u)
+    fin_l = np.isfinite(l)
+    su = np.where(fin_u, u, 0.0)
+    sl = np.where(fin_l, l, 0.0)
+    if np.any(v > u + 1e-7 * (1.0 + np.abs(su))) or \
+       np.any(v < l - 1e-7 * (1.0 + np.abs(sl))):
+        return None
+    act_up = fin_u & (v >= u - 1e-9 * (1.0 + np.abs(su)))
+    act_low = fin_l & (v <= l + 1e-9 * (1.0 + np.abs(sl))) & ~act_up
 
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         b_act = np.where(act_up, u, l)
-        act = np.where(act_up | act_low)[0]
-        res = _solve_active(P, q, A, b_act, act, single_col)
+        act = (act_up | act_low).nonzero()[0]
+        res = _solve_active(P, q, A[act], b_act[act], single_col[act])
         if res is None:
             return None
-        x_new, lam = res
+        x_new, lam_act = res
+        lam = np.zeros(m)
+        lam[act] = lam_act
         p = x_new - x
-        if np.max(np.abs(p), initial=0.0) <= 1e-11 * (1.0 + np.max(np.abs(x))):
+        if np.abs(p).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(x).max()):
             wrong = np.where(act_up, np.maximum(-lam, 0.0), 0.0) \
                 + np.where(act_low, np.maximum(lam, 0.0), 0.0)
             drop = wrong > 1e-9
             if not drop.any():
                 kkt = kkt_residuals(P, q, A, l, u, x_new, lam)
                 if max(kkt) <= tol:
-                    return x_new, lam, kkt
+                    return x_new, lam, kkt, it
                 return None
             # dropping everything wrong-signed at once is safe here: the
             # ratio test keeps the iterate feasible either way, and it cuts
@@ -270,23 +272,22 @@ def primal_active_set_solve(P, q, A, l, u, x0, tol, single_col=None,
         alpha = 1.0
         block = -1
         block_up = False
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cand_u = np.isfinite(u) & ~act_up & (Ap > 1e-13)
-            if cand_u.any():
-                r = (u[cand_u] - v[cand_u]) / Ap[cand_u]
-                j = int(np.argmin(r))
-                if r[j] < alpha:
-                    alpha = max(r[j], 0.0)
-                    block = np.where(cand_u)[0][j]
-                    block_up = True
-            cand_l = np.isfinite(l) & ~act_low & (Ap < -1e-13)
-            if cand_l.any():
-                r = (l[cand_l] - v[cand_l]) / Ap[cand_l]
-                j = int(np.argmin(r))
-                if r[j] < alpha:
-                    alpha = max(r[j], 0.0)
-                    block = np.where(cand_l)[0][j]
-                    block_up = False
+        cand = (fin_u & ~act_up & (Ap > 1e-13)).nonzero()[0]
+        if len(cand):
+            r = (u[cand] - v[cand]) / Ap[cand]
+            j = int(r.argmin())
+            if r[j] < alpha:
+                alpha = max(r[j], 0.0)
+                block = cand[j]
+                block_up = True
+        cand = (fin_l & ~act_low & (Ap < -1e-13)).nonzero()[0]
+        if len(cand):
+            r = (l[cand] - v[cand]) / Ap[cand]
+            j = int(r.argmin())
+            if r[j] < alpha:
+                alpha = max(r[j], 0.0)
+                block = cand[j]
+                block_up = False
         x = x + alpha * p
         v = v + alpha * Ap
         if block >= 0:
@@ -318,21 +319,25 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, tol=1e-6,
     point is feasible the iteration starts there, which usually finishes in
     a handful of exchanges when the data changed only slightly.
 
-    Returns (x, eps, mu, lam, nu, sets) -- duals of the hard, soft and
-    nonnegativity rows plus the final masks (act_low, act_up, soft_act,
-    nn_act) -- or None on failure.
+    Returns (x, eps, mu, lam, nu, sets, iterations) -- duals of the hard,
+    soft and nonnegativity rows, the final masks (act_low, act_up, soft_act,
+    nn_act) and the number of exchange-loop iterations, each one
+    equality-constrained solve (a step, an exchange, or the final optimality
+    check; the warm start's trial solve is not counted) -- or None on
+    failure.
     """
-    nx = P.shape[0]
     mh = A.shape[0]
     ms = G.shape[0]
     if single_col is None:
         single_col = row_structure(A)
     btol = 1e-9 * (1.0 + np.abs(b))
-    with np.errstate(invalid="ignore"):
-        su = np.where(np.isfinite(u), u, 0.0)
-        sl = np.where(np.isfinite(l), l, 0.0)
+    fin_u = np.isfinite(u)
+    fin_l = np.isfinite(l)
+    su = np.where(fin_u, u, 0.0)
+    sl = np.where(fin_l, l, 0.0)
     htol_u = 1e-9 * (1.0 + np.abs(su))
     htol_l = 1e-9 * (1.0 + np.abs(sl))
+    no_kink_sc = np.full(ms, -1, dtype=single_col.dtype)
 
     def fold(soft_m, nn_m):
         GE = G[soft_m & ~nn_m]
@@ -341,19 +346,20 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, tol=1e-6,
                     q + GE.T @ (sig1 - 2.0 * sig2 * b[soft_m & ~nn_m]))
         return P.copy(), q.copy()
 
-    def eq_point(low_m, up_m, soft_m, nn_m, P_f, q_f):
-        kink_m = soft_m & nn_m
-        nk = int(kink_m.sum())
-        b_act = np.where(up_m, u, l)
-        rows_h = np.where(up_m | low_m)[0]
-        if nk:
-            A_c = np.vstack([A, G[kink_m]])
-            b_c = np.concatenate([b_act, b[kink_m]])
-            act_rows = np.concatenate([rows_h, mh + np.arange(nk)])
-            sc = np.concatenate([single_col, np.full(nk, -1, dtype=int)])
-        else:
-            A_c, b_c, act_rows, sc = A, b_act, rows_h, single_col
-        return _solve_active(P_f, q_f, A_c, b_c, act_rows, sc)
+    def eq_point(low_m, up_m, kink_m, P_f, q_f):
+        """Solve on the working set: active hard rows, then kink rows.
+        Returns ((x, duals), active hard rows) or None."""
+        rows_h = (up_m | low_m).nonzero()[0]
+        A_w = A[rows_h]
+        b_w = np.where(up_m, u, l)[rows_h]
+        sc_w = single_col[rows_h]
+        if kink_m.any():
+            kr = kink_m.nonzero()[0]
+            A_w = np.concatenate([A_w, G[kr]])
+            b_w = np.concatenate([b_w, b[kr]])
+            sc_w = np.concatenate([sc_w, no_kink_sc[:len(kr)]])
+        res = _solve_active(P_f, q_f, A_w, b_w, sc_w)
+        return None if res is None else (res, rows_h)
 
     started = False
     if warm is not None and all(len(m) == n for m, n in
@@ -361,9 +367,9 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, tol=1e-6,
         w_low, w_up, w_soft, w_nn = (np.array(m, dtype=bool) for m in warm)
         elim_w = w_soft & ~w_nn
         P_w, q_w = fold(w_soft, w_nn)
-        res = eq_point(w_low, w_up, w_soft, w_nn, P_w, q_w)
+        res = eq_point(w_low, w_up, w_soft & w_nn, P_w, q_w)
         if res is not None:
-            x_w = res[0]
+            x_w = res[0][0]
             vw = A @ x_w
             gw = G @ x_w - b
             with np.errstate(invalid="ignore"):
@@ -384,8 +390,8 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, tol=1e-6,
             if np.any(vh > u + 1e-7 * (1.0 + np.abs(su))) or \
                np.any(vh < l - 1e-7 * (1.0 + np.abs(sl))):
                 return None
-            act_up = np.isfinite(u) & (vh >= u - htol_u)
-            act_low = np.isfinite(l) & (vh <= l + htol_l) & ~act_up
+        act_up = fin_u & (vh >= u - htol_u)
+        act_low = fin_l & (vh <= l + htol_l) & ~act_up
         g = G @ x - b
         soft_act = g >= -btol
         nn_act = g <= btol
@@ -402,26 +408,28 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, tol=1e-6,
         P_eff[:] -= (2.0 * sig2) * np.outer(G[i], G[i])
         q_eff[:] -= G[i] * (sig1 - 2.0 * sig2 * b[i])
 
-    for _ in range(max_iter):
+    # without soft rows (the region sweep) the slack bookkeeping is skipped
+    for it in range(1, max_iter + 1):
         elim = soft_act & ~nn_act
         kink = soft_act & nn_act
-        res = eq_point(act_low, act_up, soft_act, nn_act, P_eff, q_eff)
+        res = eq_point(act_low, act_up, kink, P_eff, q_eff)
         if res is None:
             return None
-        x_new, lam_c = res
-        mu = lam_c[:mh]
-        kap = lam_c[mh:]
-        gx_new = G @ x_new - b
-        eps_new = np.where(elim, gx_new, 0.0)
+        (x_new, lam_w), rows_h = res
         px = x_new - x
-        pe = eps_new - eps
-        step = max(np.max(np.abs(px), initial=0.0), np.max(np.abs(pe), initial=0.0))
-        if step <= 1e-11 * (1.0 + np.max(np.abs(x), initial=0.0)):
+        step = np.abs(px).max(initial=0.0)
+        if ms:
+            pe = np.where(elim, G @ x_new - b, 0.0) - eps
+            step = max(step, np.abs(pe).max(initial=0.0))
+        if step <= 1e-11 * (1.0 + np.abs(x).max(initial=0.0)):
+            nh = len(rows_h)
+            mu = np.zeros(mh)
+            mu[rows_h] = lam_w[:nh]
             wrong_h = np.where(act_up, np.maximum(-mu, 0.0), 0.0) \
                 + np.where(act_low, np.maximum(mu, 0.0), 0.0)
             drop_h = wrong_h > 1e-9
             kap_full = np.zeros(ms)
-            kap_full[kink] = kap
+            kap_full[kink] = lam_w[nh:]
             kink_below = kink & (kap_full < -1e-9)     # leave the soft row
             kink_above = kink & (kap_full > sig1 + 1e-9)  # release the slack
             if not (drop_h.any() or kink_below.any() or kink_above.any()):
@@ -429,7 +437,7 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, tol=1e-6,
                 nu = np.where(kink, kap_full - sig1,
                               np.where(nn_act, -sig1, 0.0))
                 return x_new, eps, mu, lam, nu, (act_low, act_up,
-                                                 soft_act, nn_act)
+                                                 soft_act, nn_act), it
             # release one row at a time (most negative dual): mass drops at
             # degenerate vertices trigger long chains of zero-length re-adds
             j = np.argmax(np.concatenate([
@@ -444,36 +452,41 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, tol=1e-6,
                 nn_act[j - mh - ms] = False
                 elim_add(j - mh - ms)  # the kink row rejoins the penalty
             continue
-        # ratio test over the inactive rows
+        # ratio test over the inactive rows, in a fixed order of kinds
+        # (upper, lower, soft, slack) so that ties go to the earlier kind
         Ap = A @ px
-        Gp = G @ px
-        ds = Gp - pe
-        vs = g - eps
+        cands = [fin_u & ~act_up & (Ap > 1e-13),
+                 fin_l & ~act_low & (Ap < -1e-13)]
+        if ms:
+            Gp = G @ px
+            cands += [~soft_act & (Gp - pe > 1e-13), ~nn_act & (pe < -1e-13)]
         alpha = 1.0
         kind = row = None
         # the small slack added to each gap lets the step pass through rows
         # that are tight only to rounding error; the next equality solve pins
         # the added row back onto its bound exactly
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for cand, num, den, kd in (
-                (np.isfinite(u) & ~act_up & (Ap > 1e-13),
-                 u - vh + 1e-9 * (1.0 + np.abs(su)), Ap, 0),
-                (np.isfinite(l) & ~act_low & (Ap < -1e-13),
-                 l - vh - 1e-9 * (1.0 + np.abs(sl)), Ap, 1),
-                (~soft_act & (ds > 1e-13), -vs + btol, ds, 2),
-                (~nn_act & (pe < -1e-13), -eps - 1e-9, pe, 3),
-            ):
-                if cand.any():
-                    r = num[cand] / den[cand]
-                    j = int(np.argmin(r))
-                    if r[j] < alpha:
-                        alpha = max(r[j], 0.0)
-                        kind = kd
-                        row = np.where(cand)[0][j]
+        for kd, cand in enumerate(cands):
+            idx = cand.nonzero()[0]
+            if not len(idx):
+                continue
+            if kd == 0:
+                r = (u[idx] - vh[idx] + htol_u[idx]) / Ap[idx]
+            elif kd == 1:
+                r = (l[idx] - vh[idx] - htol_l[idx]) / Ap[idx]
+            elif kd == 2:
+                r = (-(g[idx] - eps[idx]) + btol[idx]) / (Gp[idx] - pe[idx])
+            else:
+                r = (-eps[idx] - 1e-9) / pe[idx]
+            j = int(r.argmin())
+            if r[j] < alpha:
+                alpha = max(r[j], 0.0)
+                kind = kd
+                row = idx[j]
         x = x + alpha * px
-        eps = eps + alpha * pe
         vh = vh + alpha * Ap
-        g = g + alpha * Gp
+        if ms:
+            eps = eps + alpha * pe
+            g = g + alpha * Gp
         if kind == 0:
             act_up[row] = True
             act_low[row] = False
@@ -729,19 +742,11 @@ class DenseQpSolver:
         self.sigma = sigma
         self.alpha = alpha
         self.polish = polish
-        self._cache_key = None
-        self._prepared = None
 
-    def prepare(self, P, A, eq_mask=None, cache_key=None, **kw) -> PreparedQp:
-        """Build (or fetch) the equilibrated workspace for a fixed (P, A)."""
-        if cache_key is not None and cache_key == self._cache_key:
-            return self._prepared
-        prep = PreparedQp(P, A, eq_mask=eq_mask, rho=self.rho, sigma=self.sigma,
+    def prepare(self, P, A, eq_mask=None, **kw) -> PreparedQp:
+        """Build the equilibrated workspace for a fixed (P, A)."""
+        return PreparedQp(P, A, eq_mask=eq_mask, rho=self.rho, sigma=self.sigma,
                           alpha=self.alpha, tol=self.tol, max_iter=self.max_iter, **kw)
-        if cache_key is not None:
-            self._cache_key = cache_key
-            self._prepared = prep
-        return prep
 
     def solve(self, prob: QpProblem, tol=None) -> QpSolution:
         prob.validate()

@@ -194,9 +194,10 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
                 warm_sets[col] = None
                 u_cmd[c] = -float(K_gain @ err_a[:, c])
             else:
-                warm_y[:, col] = res[0]
-                warm_sets[col] = (res[5][0], res[5][1], no_soft, no_soft)
-                u_cmd[c] = res[0][0]
+                x, _, _, _, _, (act_low, act_up, _, _), _ = res
+                warm_y[:, col] = x
+                warm_sets[col] = (act_low, act_up, no_soft, no_soft)
+                u_cmd[c] = x[0]
         u_cmd = np.clip(u_cmd, -u_max, u_max)
         u_cmd = np.clip(u_cmd, u_prev[a] - delta_cycle, u_prev[a] + delta_cycle)
         u_prev[a] = u_cmd

@@ -219,3 +219,27 @@ def test_mpc_command_within_limits_under_large_error(params, straight_back):
         u_prev = u_cmd
         assert max(diag.primal_residual, diag.dual_residual,
                    diag.comp_residual) < 1e-6
+
+
+@pytest.mark.parametrize("use_polytope", [True, False])
+def test_step_reports_the_active_set_iterations(params, straight_back,
+                                                monkeypatch, use_polytope):
+    import trailer_mpc.mpc as mpc_mod
+
+    counts = []
+    for name in ("soft_qp_solve", "primal_active_set_solve"):
+        solver = getattr(mpc_mod, name)
+
+        def counted(*args, _solver=solver, **kwargs):
+            res = _solver(*args, **kwargs)
+            counts.append(res[-1])
+            return res
+
+        monkeypatch.setattr(mpc_mod, name, counted)
+    controller = MpcController(params, straight_back, MpcConfig(),
+                               use_polytope=use_polytope)
+    ctrl = ControllerState(s_prev=0.0)
+    state = VehicleState(0.0, 1.5, 0.0, 0.0, 0.0)
+    iters = [controller.step(state, ctrl)[1].qp_iterations for _ in range(3)]
+    assert iters == counts
+    assert iters[0] > 1   # a cold start takes exchanges

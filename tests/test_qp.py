@@ -131,8 +131,9 @@ def test_primal_active_set_matches_oracle(rng):
         u = c + rng.uniform(0.1, 1.0, m)
         res = primal_active_set_solve(P, q, A, l, u, xf, 1e-8)
         assert res is not None, trial
-        x, lam, kkt = res
+        x, lam, kkt, iters = res
         assert max(kkt) < 1e-8
+        assert iters >= 1
         ref, obj_ref = brute_force_active_set(P, q, A, l, u)
         assert np.allclose(x, ref, atol=1e-6), trial
 
@@ -176,8 +177,9 @@ def test_soft_qp_matches_lifted_oracle(rng):
         x0 = np.linalg.lstsq(A, 0.5 * (l + u), rcond=None)[0]
         res = soft_qp_solve(P, q, A, l, u, G, b, s1, s2, x0, tol=1e-8)
         assert res is not None, trial
-        x, eps, mu, lam, nu, sets = res
+        x, eps, mu, lam, nu, sets, iters = res
         assert np.all(eps >= -1e-9)
+        assert iters >= 1
         Pl, ql, Al, ll, ul = _lifted(P, q, A, l, u, G, b, s1, s2)
         _, obj_ref = brute_force_active_set(Pl, ql, Al, ll, ul)
         obj = 0.5 * x @ P @ x + q @ x + s1 * eps.sum() + s2 * (eps ** 2).sum()
@@ -217,3 +219,19 @@ def test_dense_solver_polish_gives_exact_active_set(rng):
     if sol.status == QpStatus.OPTIMAL:
         assert max(sol.primal_residual, sol.dual_residual,
                    sol.comp_residual) < 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason="the equality solve gives up when every "
+                   "variable is pinned, so an optimum at a vertex of the box "
+                   "returns None (FOUND line in CHANGES.md)")
+def test_soft_qp_all_inputs_at_box_bounds():
+    P = np.eye(2)
+    q = np.array([-10.0, 10.0])   # unconstrained optimum (10, -10)
+    A = np.eye(2)
+    l = -np.ones(2)
+    u = np.ones(2)
+    G = np.zeros((0, 2))
+    b = np.zeros(0)
+    res = soft_qp_solve(P, q, A, l, u, G, b, 0.0, 1.0, np.zeros(2))
+    assert res is not None
+    np.testing.assert_allclose(res[0], [1.0, -1.0], atol=1e-12)
