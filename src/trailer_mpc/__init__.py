@@ -16,14 +16,14 @@ from .exceptions import (EmptyRegion, InfeasiblePath, InvalidState,
 from .model import (ControlInput, SegmentPoses, VehicleState, derivatives,
                     integrate_step, segment_poses, speed_ratio)
 from .mpc import (ControllerState, CostMatrices, JointAnglePolytope,
-                  LqController, MpcConfig, MpcController, build_output_matrix,
-                  default_joint_polytope, design_cost, shift_joint_polytope,
-                  slew_bound)
+                  LqController, MpcConfig, MpcController, actuator_limits,
+                  build_output_matrix, default_joint_polytope, design_cost,
+                  shift_joint_polytope, slew_bound)
 from .params import VehicleParams
 from .paths import (NominalPath, PathSample, eq_residuals, generate_figure_eight,
                     generate_straight, interpolate, project, reverse_path)
 from .qp import (DenseQpSolver, PreparedQp, QpProblem, QpSolution, QpStatus,
-                 kkt_residuals, soft_qp_solve, solve_qp)
+                 kkt_residuals, soft_ipm_solve, soft_qp_solve, solve_qp)
 from .regions import (RegionGrid, fit_inner_polytope, make_axes, merge,
                       sensing_region, stability_sweep)
 from .sim import ExperimentSpec, RunLog, initial_state, paper_suite, run, run_suite

@@ -10,6 +10,7 @@ rows are softened with linearly+quadratically penalized slacks.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -17,12 +18,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .error_model import PathError, compute_error, linearize
-from .exceptions import (NominalOutsidePolytope, PathExhausted, RiccatiDiverged,
-                         SingularConfiguration)
+from .exceptions import (InfeasiblePath, NominalOutsidePolytope, PathExhausted,
+                         RiccatiDiverged, SingularConfiguration)
 from .model import SINGULAR_TOL, VehicleState, speed_ratio
 from .paths import NominalPath, PathSample, extend_for_horizon, interpolate
-from .qp import (DenseQpSolver, PreparedQp, QpSolution, QpStatus, kkt_residuals,
-                 primal_active_set_solve, row_structure, soft_qp_solve)
+from .qp import (QpSolution, QpStatus, kkt_residuals, row_structure,
+                 soft_ipm_solve, soft_qp_solve)
+
+logger = logging.getLogger(__name__)
+
+# KKT tolerance every QP answer the controller uses must meet.
+QP_TOL = 1e-6
+# Exchange cap of each active-set try (the warm-started solve and the
+# crossover after the IPM).  Uncapped, at seed 0, 279 of the 3050 solves of
+# the straight paper runs and 351 of the 2379 of the figure-eight runs 1-2
+# needed more than 10 exchanges (up to the 3000 cap), against 1 at the
+# median; each exchange refactors a KKT matrix.
+EXCHANGE_CAP = 10
 
 
 @dataclass
@@ -184,21 +196,30 @@ def shift_joint_polytope(poly: JointAnglePolytope, sample: PathSample):
     return poly.H, hbar
 
 
-def slew_bound(sample: PathSample, params, v_abs=1.0) -> float:
-    """Curvature-rate bound per meter of semitrailer travel at this sample."""
+def actuator_limits(params, cfg: MpcConfig):
+    """(u_max, udot_max) the controllers enforce: the tighter of the
+    vehicle's limits and the controller configuration's."""
+    return min(params.u_max, cfg.u_max), min(params.udot_max, cfg.udot_max)
+
+
+def slew_bound(sample: PathSample, params, udot_max, v_abs=1.0) -> float:
+    """Curvature-rate bound per meter of semitrailer travel at this sample,
+    for the curvature-rate limit ``udot_max`` (the controllers pass the one
+    from :func:`actuator_limits`)."""
     c1 = speed_ratio(params, sample.beta2r, sample.beta3r, sample.ur)
     if c1 <= SINGULAR_TOL:
         raise SingularConfiguration(f"nominal C1 = {c1:.3e} at s={sample.s:.2f}")
-    return params.udot_max / (v_abs * c1)
+    return udot_max / (v_abs * c1)
 
 
 @dataclass
 class ControllerState:
     u_prev: float = None
     s_prev: float = 0.0
-    warm_y: np.ndarray = None
-    warm_lam: np.ndarray = None
+    warm_y: np.ndarray = None     # input plan of the last certified answer
     warm_base: int = None
+    # working-set masks of the last certified QP answer (soft_qp_solve's)
+    warm_sets: tuple = None
 
 
 @dataclass
@@ -215,21 +236,23 @@ class StepDiagnostics:
     slack_max: float
     solve_time_ms: float
     fallback: bool
+    # which path gave the command: "active_set" (the capped warm-started
+    # active set), "ipm" (the interior point, or its crossover) or
+    # "lq_fallback" (no certified answer); the LQ baseline reports "lq"
+    solver_path: str
 
 
 class _QpStructure:
     """Per-grid-base condensed QP pieces that survive across control cycles."""
 
-    __slots__ = ("P", "A", "single_col", "_prep", "_prep_args", "W", "HsPhi",
-                 "hbar", "l", "u", "ur0", "n_inputs", "n_slack", "row_slew0",
-                 "soft_rows", "single_col_in")
+    __slots__ = ("P", "A", "single_col", "W", "HsPhi", "hbar", "l", "u", "ur0",
+                 "n_inputs", "n_slack", "row_slew0", "soft_rows",
+                 "single_col_in")
 
-    def __init__(self, P, A, prep_args, W, HsPhi, hbar, l, u, ur0, n_inputs,
-                 n_slack, row_slew0, soft_rows):
+    def __init__(self, P, A, W, HsPhi, hbar, l, u, ur0, n_inputs, n_slack,
+                 row_slew0, soft_rows):
         self.P = P
         self.A = A
-        self._prep = None
-        self._prep_args = prep_args
         self.W = W
         self.HsPhi = HsPhi
         self.hbar = hbar
@@ -243,43 +266,39 @@ class _QpStructure:
         self.single_col = row_structure(A)
         self.single_col_in = row_structure(A[:2 * n_inputs, :n_inputs])
 
-    @property
-    def prep(self):
-        """ADMM workspace, built on first use: scaling and factorizing the
-        full problem is far more expensive than the active-set fast path."""
-        if self._prep is None:
-            self._prep = PreparedQp(self.P, self.A, **self._prep_args)
-        return self._prep
-
 
 class MpcController:
     """Closed-loop MPC: project, linearize along the horizon, condense, solve.
 
     The prediction grid is snapped to the path's sample grid so that the QP
-    matrices (and the solver's scaling + factorization) are reused across the
-    several control cycles spent between two grid stations.
+    matrices are reused across the several control cycles spent between two
+    grid stations.
     """
 
     def __init__(self, params, path: NominalPath, cfg: MpcConfig = None,
                  polytope: JointAnglePolytope = None, cost: CostMatrices = None,
-                 use_polytope=True, solver: DenseQpSolver = None):
+                 use_polytope=True):
         from .error_model import analytic_straight_model
 
         self.params = params
         self.cfg = cfg or MpcConfig()
         if self.cfg.delta_s != path.delta_s:
             raise ValueError("prediction grid spacing must equal the path spacing")
+        self.u_max, self.udot_max = actuator_limits(params, self.cfg)
         self.polytope = (polytope or default_joint_polytope()) if use_polytope else None
         self.cost = cost or design_cost(
             params, self.cfg, analytic_straight_model(params, path.direction,
                                                       self.cfg.delta_s))
         margin = 1.2 * self.cfg.horizon * self.cfg.delta_s
         self.path = extend_for_horizon(params, path, margin)
+        if np.max(np.abs(self.path.u)) > self.u_max:
+            raise InfeasiblePath(
+                f"nominal curvature {np.max(np.abs(self.path.u)):.3f} exceeds "
+                f"the curvature limit {self.u_max}")
         if self.polytope is not None:
             # every nominal sample must sit strictly inside the polytope
             for i in range(len(self.path)):
                 shift_joint_polytope(self.polytope, self.path.sample(i))
-        self.solver = solver or DenseQpSolver(polish=False)
         self._station_models = {}
         self._structs = {}
 
@@ -342,8 +361,8 @@ class MpcController:
         u = np.full(n_rows, np.inf)
         # curvature box rows
         A[np.arange(N), np.arange(N)] = 1.0
-        l[:N] = -cfg.u_max - ur[:N]
-        u[:N] = cfg.u_max - ur[:N]
+        l[:N] = -self.u_max - ur[:N]
+        u[:N] = self.u_max - ur[:N]
         # slew rows: row N is the per-cycle bound on the first command
         # (filled in per cycle from u_prev); rows N+1..2N-1 chain the
         # predicted inputs with the distance-based bound
@@ -352,7 +371,7 @@ class MpcController:
         for k in range(1, N):
             A[N + k, k] = 1.0
             A[N + k, k - 1] = -1.0
-            c_k = slew_bound(samples[k], params) * ds
+            c_k = slew_bound(samples[k], params, self.udot_max) * ds
             dur = ur[k] - ur[k - 1]
             l[N + k] = -dur - c_k
             u[N + k] = -dur + c_k
@@ -376,10 +395,8 @@ class MpcController:
             A[pos, N:] = np.eye(N * m_poly)
             l[pos] = 0.0
 
-        prep_args = dict(tol=self.solver.tol, max_iter=self.solver.max_iter,
-                         scaling_iters=5)
-        struct = _QpStructure(P_qp, A, prep_args, W, HsPhi, hbar, l, u,
-                              float(ur[0]), N, N * m_poly, row_slew0, soft_rows)
+        struct = _QpStructure(P_qp, A, W, HsPhi, hbar, l, u, float(ur[0]), N,
+                              N * m_poly, row_slew0, soft_rows)
         self._structs[base] = struct
         if len(self._structs) > 4:
             self._structs.pop(next(iter(self._structs)))
@@ -394,7 +411,7 @@ class MpcController:
         s0, err = compute_error(state, self.path, ctrl.s_prev)
         ur_exact = float(interpolate(self.path, s0).ur)
         if ctrl.u_prev is None:
-            ctrl.u_prev = min(max(ur_exact, -cfg.u_max), cfg.u_max)
+            ctrl.u_prev = min(max(ur_exact, -self.u_max), self.u_max)
         base = int(round(s0 / cfg.delta_s))
         if (base + cfg.horizon) * cfg.delta_s > self.path.s_end + 1e-9:
             raise PathExhausted(f"horizon from s={s0:.2f} leaves the path data")
@@ -405,23 +422,24 @@ class MpcController:
         q = np.concatenate([struct.W @ x0, np.full(n_slack, cfg.slack_linear)])
         l = struct.l.copy()
         u = struct.u.copy()
-        delta_cycle = cfg.udot_max / cfg.f_s
+        delta_cycle = self.udot_max / cfg.f_s
         l[struct.row_slew0] = ctrl.u_prev - delta_cycle - struct.ur0
         u[struct.row_slew0] = ctrl.u_prev + delta_cycle - struct.ur0
         if n_slack:
             u[struct.soft_rows] = struct.hbar - struct.HsPhi @ x0
 
-        y0, lam0 = self._shift_warm(ctrl, base, N, n_slack)
-        sol = self._solve_qp(struct, q, l, u, y0, lam0)
-        fallback = sol.status != QpStatus.OPTIMAL
+        sol, path = self._solve_qp(struct, q, l, u,
+                                   self._shift_warm(ctrl, base, N), ctrl)
+        fallback = path == "lq_fallback"
         if fallback:
+            logger.warning("no certified QP answer at s = %.2f m after %d "
+                           "solver iterations; LQ fallback", s0, sol.iterations)
             u_cmd = ur_exact - float(self.cost.K @ x0)
         else:
             u_cmd = ur_exact + float(sol.y[0])
-            ctrl.warm_y = sol.y
-            ctrl.warm_lam = sol.duals
+            ctrl.warm_y = sol.y[:N]
             ctrl.warm_base = base
-        u_cmd = min(max(u_cmd, -cfg.u_max), cfg.u_max)
+        u_cmd = min(max(u_cmd, -self.u_max), self.u_max)
         u_cmd = min(max(u_cmd, ctrl.u_prev - delta_cycle), ctrl.u_prev + delta_cycle)
 
         slack_max = float(np.max(sol.y[N:], initial=0.0)) if (n_slack and not fallback) else 0.0
@@ -431,69 +449,90 @@ class MpcController:
             primal_residual=sol.primal_residual, dual_residual=sol.dual_residual,
             comp_residual=sol.comp_residual, slack_max=slack_max,
             solve_time_ms=(time.perf_counter() - t0) * 1e3, fallback=fallback,
+            solver_path=path,
         )
         ctrl.u_prev = u_cmd
         ctrl.s_prev = s0
         return u_cmd, diag
 
-    def _solve_qp(self, struct, q, l, u, y0, lam0):
-        """Warm-started primal active-set solve with an operator-splitting
-        fallback.
+    def _solve_qp(self, struct, q, l, u, guess, ctrl):
+        """Capped active set, then interior point and crossover.
 
-        A feasible start is always available: clip the shifted previous input
-        plan through the box/slew chain and set every slack to its violation.
-        The rows tight at that point are a good guess of the optimal active
-        set (exact after a couple of exchanges once the loop settles), so the
-        primal method finishes in a few exact KKT solves per cycle.  On any
-        failure the prepared ADMM solver (with polishing) takes over.
+        The QP is solved in the input space, the soft joint-angle rows' slacks
+        handled inside the solvers.  A feasible start comes from clipping the
+        shifted previous input plan (``guess``) through the box/slew chain.
+        Each answer is certified with the KKT residuals of the full lifted
+        problem; the first that passes ``QP_TOL`` is taken:
+
+        1. :func:`soft_qp_solve`, warm-started from the last certified working
+           set, capped at ``EXCHANGE_CAP`` exchanges; most cycles end here
+           after one or two;
+        2. else :func:`soft_ipm_solve` (at most ``IPM_MAX_ITER`` Newton
+           steps), followed by a crossover: :func:`soft_qp_solve` again,
+           warm-started from the interior point's working set, with the same
+           cap, which lands on the exact vertex;
+        3. else the interior point itself.
+
+        Returns (QpSolution, solver path); its iterations count the exchanges
+        plus the IPM's iterations.  A try that gives up (``soft_qp_solve``
+        returns None) counts its full cap, also when it stopped before its
+        first exchange (an infeasible start or a singular first equality
+        solve), since None does not say how far it got.  When
+        nothing passes, the path is "lq_fallback" and the solution is the
+        interior point, with its residuals and a status other than Optimal.
         """
-        sol = self._solve_reduced(struct, q, l, u, y0, lam0)
-        if sol is not None:
-            return sol
-        return struct.prep.solve(q, l, u, y0=y0, lam0=lam0, polish=True)
-
-    def _solve_reduced(self, struct, q, l, u, y0, lam0):
-        N, ns = struct.n_inputs, struct.n_slack
-        tol = self.solver.tol
+        N = struct.n_inputs
         A_in = struct.A[:2 * N, :N]
         l_in, u_in = l[:2 * N], u[:2 * N]
-        ut = self._feasible_inputs(struct, l_in, u_in,
-                                   y0[:N] if y0 is not None else None)
-        if ut is None:
-            return None
-        Pu = struct.P[:N, :N]
-        qu = q[:N]
-        if ns == 0:
-            res = primal_active_set_solve(Pu, qu, A_in, l_in, u_in, ut, tol,
-                                          struct.single_col_in)
-            if res is None:
-                return None
-            y, lam, (rp, rd, rc), iters = res
-            obj = float(0.5 * y @ Pu @ y + qu @ y)
-            return QpSolution(y, lam, QpStatus.OPTIMAL, iters, obj, rp, rd, rc)
-        G = struct.A[struct.soft_rows, :N]
-        b = u[struct.soft_rows]
-        res = soft_qp_solve(Pu, qu, A_in, l_in, u_in, G, b, float(q[N]),
-                            0.5 * float(struct.P[N, N]), ut, tol,
-                            struct.single_col_in,
-                            warm=getattr(self, "_warm_sets", None))
-        if res is None:
-            self._warm_sets = None
-            return None
-        x, eps, mu, lam_soft, nu, self._warm_sets, iters = res
-        y = np.concatenate([x, eps])
-        lam = np.concatenate([mu, lam_soft, nu])
-        rp, rd, rc = kkt_residuals(struct.P, q, struct.A, l, u, y, lam)
-        if max(rp, rd, rc) > tol:
-            return None
+        soft = (struct.P[:N, :N], q[:N], A_in, l_in, u_in,
+                struct.A[struct.soft_rows, :N], u[struct.soft_rows],
+                self.cfg.slack_linear, self.cfg.slack_quad)
+        iterations = 0
+
+        def active_set(x0, warm):
+            nonlocal iterations
+            res = soft_qp_solve(*soft, x0, QP_TOL, struct.single_col_in,
+                                max_iter=EXCHANGE_CAP, warm=warm)
+            iterations += EXCHANGE_CAP if res is None else res[6]
+            return res
+
+        def answers():
+            """(solver path, answer) in order of preference, solved lazily."""
+            nonlocal iterations
+            ut = self._feasible_inputs(struct, l_in, u_in, guess)
+            if ut is not None:
+                res = active_set(ut, ctrl.warm_sets)
+                if res is not None:
+                    yield "active_set", res
+            ipm = soft_ipm_solve(*soft, ut, QP_TOL)
+            iterations += ipm[6]
+            cross = active_set(ipm[0], ipm[5])
+            if cross is not None:
+                yield "ipm", cross
+            yield "ipm", ipm
+
+        for path, res in answers():
+            x, eps, mu, lam_soft, nu = res[:5]
+            y = np.concatenate([x, eps])
+            lam = np.concatenate([mu, lam_soft, nu])
+            rp, rd, rc = kkt_residuals(struct.P, q, struct.A, l, u, y, lam)
+            if max(rp, rd, rc) <= QP_TOL:
+                status = QpStatus.OPTIMAL
+                ctrl.warm_sets = res[5]
+                break
+        else:
+            # the interior point failed the check as well
+            status = QpStatus.MAX_ITER
+            ctrl.warm_sets = None
+            path = "lq_fallback"
         obj = float(0.5 * y @ struct.P @ y + q @ y)
-        return QpSolution(y, lam, QpStatus.OPTIMAL, iters, obj, rp, rd, rc)
+        return QpSolution(y, lam, status, iterations, obj, rp, rd, rc), path
 
     @staticmethod
     def _feasible_inputs(struct, l_in, u_in, guess):
         """A point satisfying the box rows and the slew chain, built by
         clipping the guess forward through the chain; None if a link of the
-        chain closes (left to the fallback solver)."""
+        chain closes (the interior point needs no feasible start)."""
         N = struct.n_inputs
         r0 = struct.row_slew0
         # plain floats: the chain is sequential, and scalar numpy indexing
@@ -516,30 +555,16 @@ class MpcController:
             ut.append(prev)
         return np.array(ut)
 
-    def _shift_warm(self, ctrl, base, N, n_slack):
+    @staticmethod
+    def _shift_warm(ctrl, base, N):
+        """The last certified input plan moved to this cycle's grid base
+        (its last input repeated), or None."""
         if ctrl.warm_y is None:
-            return None, None
+            return None
         d = base - ctrl.warm_base
-        if d == 0:
-            return ctrl.warm_y, ctrl.warm_lam
         if d < 0 or d >= N:
-            return None, None
-        y = ctrl.warm_y
-        lam = ctrl.warm_lam
-        idx = np.minimum(np.arange(N) + d, N - 1)
-        y_new = np.empty_like(y)
-        y_new[:N] = y[idx]
-        lam_new = np.empty_like(lam)
-        lam_new[:N] = lam[idx]          # box rows
-        lam_new[N:2 * N] = lam[N + idx]  # slew rows
-        if n_slack:
-            m_poly = n_slack // N
-            sl = np.minimum(np.arange(N) + d, N - 1)
-            blk = (sl[:, None] * m_poly + np.arange(m_poly)[None, :]).ravel()
-            y_new[N:] = y[N:][blk]
-            lam_new[2 * N:2 * N + n_slack] = lam[2 * N:2 * N + n_slack][blk]
-            lam_new[2 * N + n_slack:] = lam[2 * N + n_slack:][blk]
-        return y_new, lam_new
+            return None
+        return ctrl.warm_y[np.minimum(np.arange(N) + d, N - 1)]
 
 
 class LqController:
@@ -557,18 +582,20 @@ class LqController:
                                                       self.cfg.delta_s))
         self.path = extend_for_horizon(params, path,
                                        1.2 * self.cfg.horizon * self.cfg.delta_s)
+        self.u_max = actuator_limits(params, self.cfg)[0]
 
     def step(self, state: VehicleState, ctrl: ControllerState):
         t0 = time.perf_counter()
         s0, err = compute_error(state, self.path, ctrl.s_prev)
         ur = float(interpolate(self.path, s0).ur)
         raw = ur - float(self.cost.K @ err.as_array())
-        u_cmd = min(max(raw, -self.cfg.u_max), self.cfg.u_max)
+        u_cmd = min(max(raw, -self.u_max), self.u_max)
         diag = StepDiagnostics(
             s=s0, error=err, u_cmd=u_cmd, qp_status="LQ", qp_objective=0.0,
             qp_iterations=0, primal_residual=0.0, dual_residual=0.0,
             comp_residual=0.0, slack_max=0.0,
             solve_time_ms=(time.perf_counter() - t0) * 1e3, fallback=False,
+            solver_path="lq",
         )
         ctrl.u_prev = u_cmd
         ctrl.s_prev = s0

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import EmptyRegion
 from .model import derivatives_batch
-from .mpc import JointAnglePolytope, MpcConfig, MpcController
+from .mpc import QP_TOL, JointAnglePolytope, MpcConfig, MpcController
 from .paths import generate_straight
 
 JACKKNIFE_ANGLE = math.pi / 2.0 - 0.05
@@ -128,9 +128,8 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
     N = struct.n_inputs
     K_gain = controller.cost.K
     dt = 1.0 / cfg.f_s
-    delta_cycle = cfg.udot_max / cfg.f_s
-    u_max = cfg.u_max
-    qp_tol = controller.solver.tol
+    delta_cycle = controller.udot_max / cfg.f_s
+    u_max = controller.u_max
     A_qp = struct.A
     Pu = struct.P
     G_empty = np.zeros((0, N))
@@ -188,7 +187,7 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
             res = None
             if ut is not None:
                 res = soft_qp_solve(Pu, q[:, c], A_qp, l_c, u_c, G_empty,
-                                    b_empty, 0.0, 1.0, ut, qp_tol,
+                                    b_empty, 0.0, 1.0, ut, QP_TOL,
                                     struct.single_col, warm=warm_sets[col])
             if res is None:
                 warm_sets[col] = None

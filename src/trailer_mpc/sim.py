@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +47,10 @@ class ExperimentSpec:
     noise_std: tuple = None   # optional per-state measurement noise (5 values)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.noise_std is not None and len(self.noise_std) != 5:
+            raise ValueError("noise_std must have 5 entries, one per state")
+
     def build_path(self, delta_s=0.2, params=None) -> NominalPath:
         if self.path_kind == "straight":
             return generate_straight(self.path_size, self.v, delta_s)
@@ -70,6 +74,8 @@ class RunLog:
     slack_max: np.ndarray
     solve_ms: np.ndarray
     kkt_max: np.ndarray   # worst KKT residual per cycle (MPC only)
+    solver_path: list     # StepDiagnostics.solver_path per cycle
+    qp_iterations: np.ndarray  # exchanges + IPM iterations per cycle
 
     def __len__(self):
         return len(self.t)
@@ -91,6 +97,8 @@ class RunLog:
             "mean_solve_ms": float(self.solve_ms.mean()) if len(self) else 0.0,
             "max_solve_ms": float(self.solve_ms.max()) if len(self) else 0.0,
             "max_kkt": float(self.kkt_max.max()) if len(self) else 0.0,
+            "n_ipm": self.solver_path.count("ipm"),
+            "n_lq_fallback": self.solver_path.count("lq_fallback"),
         }
 
     def write_csv(self, path):
@@ -98,7 +106,8 @@ class RunLog:
             writer = csv.writer(fh)
             writer.writerow(["t_s", "s_m", "x3", "y3", "theta3", "beta3", "beta2",
                              "z3t", "theta3t", "beta3t", "beta2t", "u_cmd",
-                             "qp_status", "qp_obj", "slack_max", "solve_ms"])
+                             "qp_status", "qp_obj", "slack_max", "solve_ms",
+                             "solver_path", "qp_iterations"])
             for k in range(len(self)):
                 writer.writerow([
                     repr(float(self.t[k])), repr(float(self.s[k])),
@@ -106,7 +115,8 @@ class RunLog:
                     *[repr(float(v)) for v in self.errors[k]],
                     repr(float(self.u_cmd[k])), self.qp_status[k],
                     repr(float(self.qp_obj[k])), repr(float(self.slack_max[k])),
-                    repr(float(self.solve_ms[k])),
+                    repr(float(self.solve_ms[k])), self.solver_path[k],
+                    int(self.qp_iterations[k]),
                 ])
 
 
@@ -160,7 +170,7 @@ def run(spec: ExperimentSpec, params, cfg: MpcConfig = None, controller=None,
         3.0 * (path.s_end_true - spec.start_s) + 30.0
 
     rows = {k: [] for k in ("t", "s", "state", "err", "u", "status", "obj",
-                            "slack", "ms", "kkt")}
+                            "slack", "ms", "kkt", "path", "iters")}
     status = None
     conv_anchor = None
     t = 0.0
@@ -189,6 +199,8 @@ def run(spec: ExperimentSpec, params, cfg: MpcConfig = None, controller=None,
         rows["ms"].append(diag.solve_time_ms)
         rows["kkt"].append(max(diag.primal_residual, diag.dual_residual,
                                diag.comp_residual))
+        rows["path"].append(diag.solver_path)
+        rows["iters"].append(diag.qp_iterations)
 
         # convergence bookkeeping (sustained small error over distance)
         if diag.error.inf_norm() < CONV_TOL:
@@ -231,6 +243,8 @@ def run(spec: ExperimentSpec, params, cfg: MpcConfig = None, controller=None,
         u_cmd=np.array(rows["u"]), qp_status=rows["status"],
         qp_obj=np.array(rows["obj"]), slack_max=np.array(rows["slack"]),
         solve_ms=np.array(rows["ms"]), kkt_max=np.array(rows["kkt"]),
+        solver_path=rows["path"],
+        qp_iterations=np.array(rows["iters"], dtype=int),
     )
 
 

@@ -11,6 +11,7 @@ from trailer_mpc import (ControllerState, JointAnglePolytope, LqController,
 from trailer_mpc.exceptions import (NominalOutsidePolytope, PathExhausted,
                                     RiccatiDiverged)
 from trailer_mpc.paths import generate_straight, interpolate
+from trailer_mpc.qp import IPM_MAX_ITER
 
 
 def test_output_matrix_tractor_row(params):
@@ -96,7 +97,8 @@ def test_shift_joint_polytope(straight_back):
 
 def test_slew_bound_zero_angles(params, straight_back):
     # C1 = 1 on the straight nominal: the bound is udot_max per meter
-    assert slew_bound(straight_back.sample(0), params) == pytest.approx(0.13)
+    assert slew_bound(straight_back.sample(0), params,
+                      params.udot_max) == pytest.approx(0.13)
 
 
 def test_config_validation():
@@ -166,7 +168,8 @@ def test_constraint_row_counts(params, straight_back):
     # box rows then slew rows then soft rows then slack nonnegativity
     assert np.allclose(struct.u[:N], cfg.u_max)
     assert np.allclose(struct.l[:N], -cfg.u_max)
-    c = slew_bound(straight_back.sample(1), params) * cfg.delta_s
+    c = slew_bound(straight_back.sample(1), params,
+                   controller.udot_max) * cfg.delta_s
     assert np.allclose(struct.u[N + 1:2 * N], c)
     assert np.all(struct.l[2 * N + N * m_poly:] == 0.0)
 
@@ -226,13 +229,15 @@ def test_step_reports_the_active_set_iterations(params, straight_back,
                                                 monkeypatch, use_polytope):
     import trailer_mpc.mpc as mpc_mod
 
+    # per step: exchanges of each active-set try (its cap when it gives up,
+    # however far it got) plus the IPM's iterations
     counts = []
-    for name in ("soft_qp_solve", "primal_active_set_solve"):
+    for name in ("soft_qp_solve", "soft_ipm_solve"):
         solver = getattr(mpc_mod, name)
 
         def counted(*args, _solver=solver, **kwargs):
             res = _solver(*args, **kwargs)
-            counts.append(res[-1])
+            counts[-1] += mpc_mod.EXCHANGE_CAP if res is None else res[-1]
             return res
 
         monkeypatch.setattr(mpc_mod, name, counted)
@@ -240,6 +245,75 @@ def test_step_reports_the_active_set_iterations(params, straight_back,
                                use_polytope=use_polytope)
     ctrl = ControllerState(s_prev=0.0)
     state = VehicleState(0.0, 1.5, 0.0, 0.0, 0.0)
-    iters = [controller.step(state, ctrl)[1].qp_iterations for _ in range(3)]
+    iters = []
+    for _ in range(3):
+        counts.append(0)
+        iters.append(controller.step(state, ctrl)[1].qp_iterations)
     assert iters == counts
     assert iters[0] > 1   # a cold start takes exchanges
+
+
+def test_step_hands_over_to_the_ipm(params, straight_back):
+    import trailer_mpc.mpc as mpc_mod
+
+    controller = MpcController(params, straight_back, MpcConfig())
+    ctrl = ControllerState(s_prev=0.0)
+    # a cold start this far off the path needs more exchanges than the cap
+    u_cmd, diag = controller.step(VehicleState(0.0, 5.6, 0.0, 0.0, 0.0), ctrl)
+    assert diag.solver_path == "ipm"
+    assert diag.qp_status == "Optimal"
+    assert not diag.fallback
+    assert max(diag.primal_residual, diag.dual_residual,
+               diag.comp_residual) <= mpc_mod.QP_TOL
+    assert mpc_mod.EXCHANGE_CAP < diag.qp_iterations <= \
+        2 * mpc_mod.EXCHANGE_CAP + IPM_MAX_ITER
+    # the certified working set carries over: the next cycle starts warm
+    assert ctrl.warm_sets is not None
+
+
+def test_lq_fallback_is_reported_and_logged(params, straight_back, monkeypatch,
+                                            caplog):
+    import trailer_mpc.mpc as mpc_mod
+
+    # no answer passes the KKT check
+    monkeypatch.setattr(mpc_mod, "kkt_residuals", lambda *a: (1.0, 1.0, 1.0))
+    cfg = MpcConfig()
+    controller = MpcController(params, straight_back, cfg)
+    ctrl = ControllerState(s_prev=0.0)
+    state = VehicleState(0.0, 0.5, 0.0, 0.0, 0.0)
+    with caplog.at_level("WARNING", logger="trailer_mpc.mpc"):
+        u_cmd, diag = controller.step(state, ctrl)
+    assert diag.solver_path == "lq_fallback" and diag.fallback
+    assert diag.qp_status != "Optimal"
+    assert diag.primal_residual == 1.0
+    assert 1 <= diag.qp_iterations <= \
+        2 * mpc_mod.EXCHANGE_CAP + IPM_MAX_ITER
+    assert ctrl.warm_sets is None and ctrl.warm_y is None
+    assert "LQ fallback" in caplog.text
+    # the LQ command, within the first cycle's slew window
+    assert abs(u_cmd) <= cfg.udot_max / cfg.f_s + 1e-12
+
+
+def test_controller_limits_are_the_tighter_of_vehicle_and_config(straight_back):
+    from trailer_mpc import VehicleParams, actuator_limits
+
+    tight = VehicleParams(u_max=0.1, udot_max=0.05)
+    cfg = MpcConfig()
+    assert actuator_limits(tight, cfg) == (0.1, 0.05)
+    assert actuator_limits(VehicleParams(), MpcConfig(u_max=0.12)) == (0.12, 0.13)
+    controller = MpcController(tight, straight_back, cfg)
+    struct = controller._structure(0)
+    N = cfg.horizon
+    assert np.allclose(struct.u[:N], 0.1)
+    assert np.allclose(struct.u[N + 1:2 * N], 0.05 * cfg.delta_s)
+    assert LqController(tight, straight_back, cfg).u_max == 0.1
+
+
+def test_controller_rejects_a_nominal_path_beyond_its_curvature_limit(
+        params, eight_back):
+    from trailer_mpc.exceptions import InfeasiblePath
+
+    # the 20 m figure-eight's nominal curvature reaches 0.071 1/m
+    MpcController(params, eight_back, MpcConfig(u_max=0.08))
+    with pytest.raises(InfeasiblePath):
+        MpcController(params, eight_back, MpcConfig(u_max=0.06))

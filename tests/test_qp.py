@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trailer_mpc import QpProblem, QpStatus, solve_qp
 from trailer_mpc.qp import (DenseQpSolver, PreparedQp, brute_force_active_set,
-                            kkt_residuals, primal_active_set_solve,
-                            row_structure, soft_qp_solve)
+                            kkt_residuals, row_structure, soft_ipm_solve,
+                            soft_qp_solve)
 
 
 def _random_qp(rng, n, m):
@@ -129,10 +131,12 @@ def test_primal_active_set_matches_oracle(rng):
         c = A @ xf
         l = c - rng.uniform(0.1, 1.0, m)
         u = c + rng.uniform(0.1, 1.0, m)
-        res = primal_active_set_solve(P, q, A, l, u, xf, 1e-8)
+        # without soft rows soft_qp_solve is the plain primal active set
+        res = soft_qp_solve(P, q, A, l, u, np.zeros((0, n)), np.zeros(0),
+                            0.0, 1.0, xf, 1e-8)
         assert res is not None, trial
-        x, lam, kkt, iters = res
-        assert max(kkt) < 1e-8
+        x, _, lam, _, _, _, iters = res
+        assert max(kkt_residuals(P, q, A, l, u, x, lam)) < 1e-8
         assert iters >= 1
         ref, obj_ref = brute_force_active_set(P, q, A, l, u)
         assert np.allclose(x, ref, atol=1e-6), trial
@@ -188,6 +192,39 @@ def test_soft_qp_matches_lifted_oracle(rng):
         y = np.concatenate([x, eps])
         lam_l = np.concatenate([mu, lam, nu])
         assert max(kkt_residuals(Pl, ql, Al, ll, ul, y, lam_l)) < 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ms=st.integers(0, 4),
+       sig=st.sampled_from([(10.0, 50.0), (1e3, 1e4), (0.5, 0.01)]))
+def test_soft_ipm_matches_lifted_oracle(seed, ms, sig):
+    rng = np.random.default_rng(seed)
+    P, q, A, l, u, G, b = _random_soft_qp(rng)
+    G, b = G[:ms], b[:ms]
+    s1, s2 = sig
+    res = soft_ipm_solve(P, q, A, l, u, G, b, s1, s2, None, 1e-6)
+    assert res is not None
+    x, eps, mu, lam, nu, sets, iters = res
+    assert iters >= 1
+    assert np.all(eps > 0.0)
+    assert not np.any(sets[0] & sets[1])
+    Pl, ql, Al, ll, ul = _lifted(P, q, A, l, u, G, b, s1, s2)
+    y_ref, obj_ref = brute_force_active_set(Pl, ql, Al, ll, ul)
+    y = np.concatenate([x, eps])
+    duals = np.concatenate([mu, lam, nu])
+    # stationarity is accurate relative to the multipliers, which reach 4e4
+    # on some draws: one in 3000 points misses the absolute 1e-6
+    assert max(kkt_residuals(Pl, ql, Al, ll, ul, y, duals)) <= \
+        1e-6 * (1.0 + np.abs(duals).max(initial=0.0))
+    # an interior point is off the optimum by O(sqrt(mu)) where a row is
+    # weakly active, but its cost agrees
+    obj = 0.5 * y @ Pl @ y + ql @ y
+    assert abs(obj - obj_ref) <= 1e-6 * (1.0 + abs(obj_ref))
+    # the crossover from its working set lands on the oracle's vertex
+    cross = soft_qp_solve(P, q, A, l, u, G, b, s1, s2, x, warm=sets)
+    assert cross is not None
+    np.testing.assert_allclose(np.concatenate(cross[:2]), y_ref, rtol=0.0,
+                               atol=1e-6)
 
 
 def test_soft_qp_warm_start_consistent(rng):

@@ -1,8 +1,9 @@
 """Pinned decisions of the active-set kernel on the controller's own QPs.
 
-Each case solves a QP built from a real condensed structure: the plain
-straight-path structure (box and slew rows only, as in the region sweep) and
-the default-polytope one (400 soft joint-angle rows, as in the paper runs).
+Each case solves a QP built from a real condensed structure with
+``soft_qp_solve``: the plain straight-path structure (box and slew rows
+only, as in the region sweep) and the default-polytope one (400 soft
+joint-angle rows, as in the paper runs).
 A cold solve from a clipped random plan is followed by a warm solve of a
 nearby problem.  ``data/qp_kernel_pins.json`` holds each case's iteration
 count and solution.  The kernel's arithmetic is meant to stay fixed, so
@@ -21,10 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trailer_mpc import MpcConfig, MpcController, VehicleParams
+from trailer_mpc import ControllerState, MpcConfig, MpcController, VehicleParams
+from trailer_mpc.mpc import EXCHANGE_CAP, QP_TOL
 from trailer_mpc.paths import generate_straight
-from trailer_mpc.qp import (_solve_active, primal_active_set_solve,
-                            soft_qp_solve)
+from trailer_mpc.qp import IPM_MAX_ITER, _solve_active, soft_qp_solve
 
 PINS = pathlib.Path(__file__).parent / "data" / "qp_kernel_pins.json"
 
@@ -35,27 +36,47 @@ ERR_HI = -ERR_LO
 ERR_NUDGE = np.array([0.05, 0.01, 0.01, 0.01])
 
 
-def _structures():
+def _controllers():
     params, cfg = VehicleParams(), MpcConfig()
     path = generate_straight(40.0, -1.0, cfg.delta_s)
-    plain = MpcController(params, path, cfg, use_polytope=False)._structure(0)
-    soft = MpcController(params, path, cfg)._structure(0)
-    return cfg, plain, soft
+    return (cfg, MpcController(params, path, cfg, use_polytope=False),
+            MpcController(params, path, cfg))
 
 
-def _problem(cfg, struct, x0, u_prev, guess):
-    """The reduced QP of one control cycle, as MpcController builds it."""
+def _structures():
+    cfg, plain, soft = _controllers()
+    return cfg, plain._structure(0), soft._structure(0)
+
+
+def _bounds(cfg, struct, x0, u_prev):
+    """(q, l, u) of the full lifted QP of one control cycle, as
+    MpcController.step builds them."""
     N, ns = struct.n_inputs, struct.n_slack
     delta = cfg.udot_max / cfg.f_s
+    q = np.concatenate([struct.W @ x0, np.full(ns, cfg.slack_linear)])
     l = struct.l.copy()
     u = struct.u.copy()
     l[struct.row_slew0] = u_prev - delta - struct.ur0
     u[struct.row_slew0] = u_prev + delta - struct.ur0
     if ns:
         u[struct.soft_rows] = struct.hbar - struct.HsPhi @ x0
+    return q, l, u
+
+
+def _draw(seed, n_inputs):
+    """(error state, previous command, input-plan guess) of a case."""
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(ERR_LO, ERR_HI), float(rng.uniform(-0.15, 0.15)),
+            rng.uniform(-0.2, 0.2, n_inputs), rng)
+
+
+def _problem(cfg, struct, x0, u_prev, guess):
+    """The reduced QP of one control cycle, as MpcController builds it."""
+    N, ns = struct.n_inputs, struct.n_slack
+    q, l, u = _bounds(cfg, struct, x0, u_prev)
     l_in, u_in = l[:2 * N], u[:2 * N]
     ut = MpcController._feasible_inputs(struct, l_in, u_in, guess)
-    return dict(P=struct.P[:N, :N], q=(struct.W @ x0)[:N],
+    return dict(P=struct.P[:N, :N], q=q[:N],
                 A=struct.A[:2 * N, :N], l=l_in, u=u_in,
                 G=struct.A[struct.soft_rows, :N], b=u[struct.soft_rows],
                 # the region sweep passes (0, 1) when there is no soft row
@@ -65,40 +86,24 @@ def _problem(cfg, struct, x0, u_prev, guess):
 
 
 def cases():
-    """(name, solver, problem, warm_from) for every pinned case; warm_from
-    names the case whose final working set starts this one."""
+    """(name, problem, warm_from) for every pinned case; warm_from names
+    the case whose final working set starts this one."""
     cfg, plain, soft = _structures()
     out = []
     for label, struct, seeds in (("plain", plain, range(6)),
                                  ("soft", soft, range(4))):
         for seed in seeds:
-            rng = np.random.default_rng(seed)
-            x0 = rng.uniform(ERR_LO, ERR_HI)
-            u_prev = float(rng.uniform(-0.15, 0.15))
-            guess = rng.uniform(-0.2, 0.2, struct.n_inputs)
+            x0, u_prev, guess, rng = _draw(seed, struct.n_inputs)
             cold = f"{label}{seed}"
-            out.append((cold, "soft", _problem(cfg, struct, x0, u_prev, guess),
-                        None))
+            out.append((cold, _problem(cfg, struct, x0, u_prev, guess), None))
             nudged = x0 + ERR_NUDGE * rng.uniform(-1.0, 1.0, 4)
-            out.append((cold + "w", "soft",
+            out.append((cold + "w",
                         _problem(cfg, struct, nudged, u_prev, guess), cold))
-    for seed in range(4):
-        rng = np.random.default_rng(100 + seed)
-        x0 = rng.uniform(ERR_LO, ERR_HI)
-        guess = rng.uniform(-0.2, 0.2, plain.n_inputs)
-        out.append((f"primal{seed}", "primal",
-                    _problem(cfg, plain, x0, float(rng.uniform(-0.15, 0.15)),
-                             guess), None))
     return out
 
 
-def solve(solver, prob, warm=None):
+def solve(prob, warm=None):
     """(x, working set, iterations) of one case, or None."""
-    if solver == "primal":
-        res = primal_active_set_solve(prob["P"], prob["q"], prob["A"], prob["l"],
-                                      prob["u"], prob["x0"], 1e-6,
-                                      prob["single_col"])
-        return None if res is None else (res[0], None, res[3])
     if warm is not None and not len(prob["b"]):
         # the region sweep carries over only the hard-row masks
         empty = np.zeros(0, dtype=bool)
@@ -113,17 +118,15 @@ def record(result):
     if result is None:
         return None
     x, sets, iters = result
-    entry = {"iterations": int(iters), "x": [float(v) for v in x]}
-    if sets is not None:
-        entry["sets"] = [np.flatnonzero(m).tolist() for m in sets]
-    return entry
+    return {"iterations": int(iters), "x": [float(v) for v in x],
+            "sets": [np.flatnonzero(m).tolist() for m in sets]}
 
 
 def run_cases():
     done, records = {}, {}
-    for name, solver, prob, warm_from in cases():
+    for name, prob, warm_from in cases():
         warm = done[warm_from][1] if warm_from and done.get(warm_from) else None
-        done[name] = solve(solver, prob, warm)
+        done[name] = solve(prob, warm)
         records[name] = record(done[name])
     return records
 
@@ -156,6 +159,25 @@ def test_pinned_cases_exercise_the_kernel():
     assert max(v["iterations"] for v in solved.values()) >= 10
     assert min(v["iterations"] for k, v in solved.items() if k.endswith("w")) <= 3
     assert any(v["sets"][2] for k, v in solved.items() if k.startswith("soft"))
+
+
+@pytest.mark.parametrize("name", ["soft1", "soft2"])
+def test_controller_answers_the_cold_cases_the_active_set_gives_up_on(name):
+    # soft_qp_solve alone runs these two to its 3000-exchange cap (their
+    # pins are None); the controller's capped path hands them to the IPM
+    assert json.loads(PINS.read_text())[name] is None
+    cfg, _, controller = _controllers()
+    struct = controller._structure(0)
+    x0, u_prev, guess, _ = _draw(int(name[-1]), struct.n_inputs)
+    q, l, u = _bounds(cfg, struct, x0, u_prev)
+    ctrl = ControllerState()
+    sol, path = controller._solve_qp(struct, q, l, u, guess, ctrl)
+    assert path == "ipm"
+    assert sol.status == "Optimal"
+    assert max(sol.primal_residual, sol.dual_residual,
+               sol.comp_residual) <= QP_TOL
+    assert sol.iterations <= 2 * EXCHANGE_CAP + IPM_MAX_ITER
+    assert ctrl.warm_sets is not None
 
 
 @settings(max_examples=60, deadline=None)

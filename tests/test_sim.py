@@ -102,3 +102,47 @@ def test_build_path_rejects_unknown_kind():
                           controller="lq")
     with pytest.raises(ValueError):
         spec.build_path()
+
+
+def test_noise_std_needs_one_entry_per_state():
+    with pytest.raises(ValueError):
+        ExperimentSpec(name="n", path_kind="straight", path_size=40.0,
+                       controller="lq", noise_std=(0.01,))
+
+
+def test_reused_controller_runs_like_fresh_ones(params):
+    from trailer_mpc.sim import make_controller
+
+    cfg = MpcConfig()
+    # the first run stops after two cycles, near the second run's start, so
+    # a working set carried over from it would be a feasible warm start and
+    # the second run's first cycle would skip the cold start's handover
+    specs = [ExperimentSpec(name=f"r{k}", path_kind="straight", path_size=40.0,
+                            controller="mpc", perturbation=(1.5, 0.0, 0.0, 0.0),
+                            max_time=max_time)
+             for k, max_time in enumerate([0.05, 0.5])]
+    shared = make_controller(specs[0], params, cfg)
+    reused = [run(spec, params, cfg, controller=shared) for spec in specs]
+    fresh = [run(spec, params, cfg) for spec in specs]
+    for a, b in zip(reused, fresh):
+        assert a.status == b.status
+        assert np.array_equal(a.u_cmd, b.u_cmd)
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.qp_iterations, b.qp_iterations)
+        assert a.solver_path == b.solver_path
+
+
+def test_vehicle_curvature_limit_binds_the_mpc():
+    from trailer_mpc import VehicleParams
+
+    params = VehicleParams(u_max=0.1)
+    spec = ExperimentSpec(name="tight", path_kind="straight", path_size=40.0,
+                          controller="mpc", perturbation=(3.0, 0.0, 0.0, 0.0),
+                          max_time=10.0)
+    log = run(spec, params, MpcConfig())
+    summary = log.summary()
+    # the unconstrained recovery from 3 m asks for more than 0.1
+    assert summary["max_abs_u"] == pytest.approx(0.1)
+    assert np.abs(log.u_cmd).max() <= 0.1 + 1e-12
+    assert summary["n_lq_fallback"] == 0
+    assert summary["n_ipm"] == log.solver_path.count("ipm") >= 1
