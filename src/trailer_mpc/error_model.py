@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import SingularConfiguration, ValidityViolated
 from .model import SINGULAR_TOL, VehicleState
-from .paths import NominalPath, interpolate, project
+from .paths import NominalPath, PathSample, interpolate, project
 
 # Margins tightening the Frenet-transform validity conditions
 # 1 - kappa3r * z3t > 0 and |theta3t| < pi/2 to keep the dynamics
@@ -124,9 +124,14 @@ def error_dynamics_s(params, path: NominalPath, s, e, u_tilde) -> np.ndarray:
     is an equilibrium for every station of every consistent path.
     """
     e_arr = e.as_array() if isinstance(e, PathError) else np.asarray(e, dtype=float)
-    nominal = interpolate(path, s)
-    _check_validity(e_arr[0], e_arr[1], nominal.kappa3r)
-    rates, ds_per_v3 = _rates_per_v3(params, nominal, e_arr, u_tilde)
+    return _dynamics_at(params, interpolate(path, s), e_arr, u_tilde)
+
+
+def _dynamics_at(params, nominal: PathSample, e, u_tilde) -> np.ndarray:
+    """:func:`error_dynamics_s` at the interpolated station ``nominal``."""
+    e = e.tolist()   # the scalar arithmetic is cheaper on Python floats
+    _check_validity(e[0], e[1], nominal.kappa3r)
+    rates, ds_per_v3 = _rates_per_v3(params, nominal, e, u_tilde)
     return np.array(rates) / ds_per_v3
 
 
@@ -138,9 +143,10 @@ def linearize(params, path: NominalPath, s, delta_s) -> LinearizedModel:
     single source of truth so the linearization can never drift from them.
     """
     h = 2e-5
+    nominal = interpolate(path, s)
 
     def f(e, ut):
-        return error_dynamics_s(params, path, s, e, ut)
+        return _dynamics_at(params, nominal, e, ut)
 
     A = np.zeros((4, 4))
     for j in range(4):

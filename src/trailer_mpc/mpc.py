@@ -22,8 +22,8 @@ from .exceptions import (InfeasiblePath, NominalOutsidePolytope, PathExhausted,
                          RiccatiDiverged, SingularConfiguration)
 from .model import SINGULAR_TOL, VehicleState, speed_ratio
 from .paths import NominalPath, PathSample, extend_for_horizon, interpolate
-from .qp import (QpSolution, QpStatus, kkt_residuals, row_structure,
-                 soft_ipm_solve, soft_qp_solve)
+from .qp import (QpSolution, QpStatus, row_structure, soft_ipm_solve,
+                 soft_kkt_residuals, soft_qp_solve)
 
 logger = logging.getLogger(__name__)
 
@@ -240,31 +240,43 @@ class StepDiagnostics:
     # active set), "ipm" (the interior point, or its crossover) or
     # "lq_fallback" (no certified answer); the LQ baseline reports "lq"
     solver_path: str
+    # phases of solve_time_ms: projection and error (compute_error and the
+    # reference curvature), the condensed structure (linearizing and
+    # condensing the horizon, cached per grid base), and the QP with its
+    # certificate; the LQ baseline has no structure or QP
+    t_project_ms: float
+    t_structure_ms: float
+    t_solve_ms: float
 
 
 class _QpStructure:
-    """Per-grid-base condensed QP pieces that survive across control cycles."""
+    """Per-grid-base condensed QP pieces that survive across control cycles.
 
-    __slots__ = ("P", "A", "single_col", "W", "HsPhi", "hbar", "l", "u", "ur0",
-                 "n_inputs", "n_slack", "row_slew0", "soft_rows",
-                 "single_col_in")
+    The QP over the N inputs x and the soft rows' slacks eps is kept in its
+    blocks: cost ``0.5 x'P_uu x + (W x0)'x`` plus the slack penalties of the
+    configuration; hard rows ``l <= A_in x <= u`` (N box rows, then the
+    per-cycle slew row ``row_slew0`` and the N - 1 rows of the slew chain);
+    soft rows ``G x - eps <= hbar - HsPhi x0`` (the joint-angle polytope at
+    stages 1..N, ``n_slack`` of them, none without a polytope) and eps >= 0.
+    """
 
-    def __init__(self, P, A, W, HsPhi, hbar, l, u, ur0, n_inputs, n_slack,
-                 row_slew0, soft_rows):
-        self.P = P
-        self.A = A
+    __slots__ = ("P_uu", "A_in", "single_col", "G", "W", "HsPhi", "hbar",
+                 "l", "u", "ur0", "n_inputs", "n_slack", "row_slew0")
+
+    def __init__(self, P_uu, A_in, G, W, HsPhi, hbar, l, u, ur0, row_slew0):
+        self.P_uu = P_uu
+        self.A_in = A_in
+        self.single_col = row_structure(A_in)
+        self.G = G
         self.W = W
         self.HsPhi = HsPhi
         self.hbar = hbar
         self.l = l
         self.u = u
         self.ur0 = ur0
-        self.n_inputs = n_inputs
-        self.n_slack = n_slack
+        self.n_inputs = A_in.shape[1]
+        self.n_slack = G.shape[0]
         self.row_slew0 = row_slew0
-        self.soft_rows = soft_rows
-        self.single_col = row_structure(A)
-        self.single_col_in = row_structure(A[:2 * n_inputs, :n_inputs])
 
 
 class MpcController:
@@ -319,7 +331,6 @@ class MpcController:
         cfg, params = self.cfg, self.params
         N = cfg.horizon
         m_poly = self.polytope.m if self.polytope is not None else 0
-        n = N + N * m_poly
         ds = cfg.delta_s
 
         F = np.empty((N, 4, 4))
@@ -346,19 +357,15 @@ class MpcController:
         Qt[4 * (N - 1):, 4 * (N - 1):] = self.cost.P
         QG = Qt @ Gam
         P_uu = 2.0 * (Gam.T @ QG + np.eye(N))
+        P_uu = 0.5 * (P_uu + P_uu.T)
         W = 2.0 * QG.T @ Phi.reshape(4 * N, 4)
-        P_qp = np.zeros((n, n))
-        P_qp[:N, :N] = 0.5 * (P_uu + P_uu.T)
-        if m_poly:
-            P_qp[N:, N:] = 2.0 * cfg.slack_quad * np.eye(N * m_poly)
 
         ur = np.array([self.path.u[base + k] for k in range(N + 1)])
         samples = [self.path.sample(base + k) for k in range(N + 1)]
 
-        n_rows = 2 * N + 2 * N * m_poly
-        A = np.zeros((n_rows, n))
-        l = np.full(n_rows, -np.inf)
-        u = np.full(n_rows, np.inf)
+        A = np.zeros((2 * N, N))
+        l = np.full(2 * N, -np.inf)
+        u = np.full(2 * N, np.inf)
         # curvature box rows
         A[np.arange(N), np.arange(N)] = 1.0
         l[:N] = -self.u_max - ur[:N]
@@ -375,8 +382,8 @@ class MpcController:
             dur = ur[k] - ur[k - 1]
             l[N + k] = -dur - c_k
             u[N + k] = -dur + c_k
-        # soft joint-angle rows (stages 1..N) and slack nonnegativity
-        soft_rows = slice(2 * N, 2 * N + N * m_poly)
+        # soft joint-angle rows, stages 1..N
+        G_soft = np.zeros((N * m_poly, N))
         HsPhi = np.zeros((N * m_poly, 4))
         hbar = np.zeros(N * m_poly)
         if m_poly:
@@ -384,19 +391,13 @@ class MpcController:
             Hs[:, 2] = self.polytope.H[:, 0]
             Hs[:, 3] = self.polytope.H[:, 1]
             for k in range(1, N + 1):
-                rows = slice(2 * N + (k - 1) * m_poly, 2 * N + k * m_poly)
-                A[rows, :N] = Hs @ Gam[4 * (k - 1):4 * k, :]
-                cols = slice(N + (k - 1) * m_poly, N + k * m_poly)
-                A[rows, cols] = -np.eye(m_poly)
-                HsPhi[(k - 1) * m_poly:k * m_poly] = Hs @ Phi[k - 1]
-                _, hb = shift_joint_polytope(self.polytope, samples[k])
-                hbar[(k - 1) * m_poly:k * m_poly] = hb
-            pos = slice(2 * N + N * m_poly, n_rows)
-            A[pos, N:] = np.eye(N * m_poly)
-            l[pos] = 0.0
+                rows = slice((k - 1) * m_poly, k * m_poly)
+                G_soft[rows] = Hs @ Gam[4 * (k - 1):4 * k, :]
+                HsPhi[rows] = Hs @ Phi[k - 1]
+                hbar[rows] = shift_joint_polytope(self.polytope, samples[k])[1]
 
-        struct = _QpStructure(P_qp, A, W, HsPhi, hbar, l, u, float(ur[0]), N,
-                              N * m_poly, row_slew0, soft_rows)
+        struct = _QpStructure(P_uu, A, G_soft, W, HsPhi, hbar, l, u,
+                              float(ur[0]), row_slew0)
         self._structs[base] = struct
         if len(self._structs) > 4:
             self._structs.pop(next(iter(self._structs)))
@@ -410,26 +411,28 @@ class MpcController:
         cfg = self.cfg
         s0, err = compute_error(state, self.path, ctrl.s_prev)
         ur_exact = float(interpolate(self.path, s0).ur)
+        t_project = time.perf_counter()
         if ctrl.u_prev is None:
             ctrl.u_prev = min(max(ur_exact, -self.u_max), self.u_max)
         base = int(round(s0 / cfg.delta_s))
         if (base + cfg.horizon) * cfg.delta_s > self.path.s_end + 1e-9:
             raise PathExhausted(f"horizon from s={s0:.2f} leaves the path data")
         struct = self._structure(base)
+        t_structure = time.perf_counter()
 
         x0 = err.as_array()
         N, n_slack = struct.n_inputs, struct.n_slack
-        q = np.concatenate([struct.W @ x0, np.full(n_slack, cfg.slack_linear)])
+        q = struct.W @ x0
         l = struct.l.copy()
         u = struct.u.copy()
         delta_cycle = self.udot_max / cfg.f_s
         l[struct.row_slew0] = ctrl.u_prev - delta_cycle - struct.ur0
         u[struct.row_slew0] = ctrl.u_prev + delta_cycle - struct.ur0
-        if n_slack:
-            u[struct.soft_rows] = struct.hbar - struct.HsPhi @ x0
+        b = struct.hbar - struct.HsPhi @ x0
 
-        sol, path = self._solve_qp(struct, q, l, u,
+        sol, path = self._solve_qp(struct, q, l, u, b,
                                    self._shift_warm(ctrl, base, N), ctrl)
+        t_solve = time.perf_counter()
         fallback = path == "lq_fallback"
         if fallback:
             logger.warning("no certified QP answer at s = %.2f m after %d "
@@ -449,20 +452,25 @@ class MpcController:
             primal_residual=sol.primal_residual, dual_residual=sol.dual_residual,
             comp_residual=sol.comp_residual, slack_max=slack_max,
             solve_time_ms=(time.perf_counter() - t0) * 1e3, fallback=fallback,
-            solver_path=path,
+            solver_path=path, t_project_ms=(t_project - t0) * 1e3,
+            t_structure_ms=(t_structure - t_project) * 1e3,
+            t_solve_ms=(t_solve - t_structure) * 1e3,
         )
         ctrl.u_prev = u_cmd
         ctrl.s_prev = s0
         return u_cmd, diag
 
-    def _solve_qp(self, struct, q, l, u, guess, ctrl):
+    def _solve_qp(self, struct, q, l, u, b, guess, ctrl):
         """Capped active set, then interior point and crossover.
 
-        The QP is solved in the input space, the soft joint-angle rows' slacks
-        handled inside the solvers.  A feasible start comes from clipping the
-        shifted previous input plan (``guess``) through the box/slew chain.
-        Each answer is certified with the KKT residuals of the full lifted
-        problem; the first that passes ``QP_TOL`` is taken:
+        The QP is the block form of :class:`_QpStructure` with this cycle's
+        linear cost ``q``, hard-row bounds ``l``/``u`` and soft-row bounds
+        ``b``; the soft rows' slacks are handled inside the solvers.  A
+        feasible start comes from clipping the shifted previous input plan
+        (``guess``) through the box/slew chain.  Each answer is certified
+        with :func:`soft_kkt_residuals`, the KKT residuals of the lifted
+        problem over (inputs, slacks) computed block by block; the first
+        that passes ``QP_TOL`` is taken:
 
         1. :func:`soft_qp_solve`, warm-started from the last certified working
            set, capped at ``EXCHANGE_CAP`` exchanges; most cycles end here
@@ -473,25 +481,23 @@ class MpcController:
            cap, which lands on the exact vertex;
         3. else the interior point itself.
 
-        Returns (QpSolution, solver path); its iterations count the exchanges
-        plus the IPM's iterations.  A try that gives up (``soft_qp_solve``
-        returns None) counts its full cap, also when it stopped before its
-        first exchange (an infeasible start or a singular first equality
-        solve), since None does not say how far it got.  When
-        nothing passes, the path is "lq_fallback" and the solution is the
-        interior point, with its residuals and a status other than Optimal.
+        Returns (QpSolution, solver path); the solution's ``y`` is (inputs,
+        slacks) and its duals those of the hard, soft and slack rows, and
+        its iterations count the exchanges plus the IPM's iterations.  A try
+        that gives up (``soft_qp_solve`` returns None) counts its full cap,
+        also when it stopped before its first exchange (an infeasible start
+        or a singular first equality solve), since None does not say how
+        far it got.  When nothing passes, the path is "lq_fallback" and the
+        solution is the interior point, with its residuals and a status
+        other than Optimal.
         """
-        N = struct.n_inputs
-        A_in = struct.A[:2 * N, :N]
-        l_in, u_in = l[:2 * N], u[:2 * N]
-        soft = (struct.P[:N, :N], q[:N], A_in, l_in, u_in,
-                struct.A[struct.soft_rows, :N], u[struct.soft_rows],
-                self.cfg.slack_linear, self.cfg.slack_quad)
+        sig1, sig2 = self.cfg.slack_linear, self.cfg.slack_quad
+        soft = (struct.P_uu, q, struct.A_in, l, u, struct.G, b, sig1, sig2)
         iterations = 0
 
         def active_set(x0, warm):
             nonlocal iterations
-            res = soft_qp_solve(*soft, x0, QP_TOL, struct.single_col_in,
+            res = soft_qp_solve(*soft, x0, QP_TOL, struct.single_col,
                                 max_iter=EXCHANGE_CAP, warm=warm)
             iterations += EXCHANGE_CAP if res is None else res[6]
             return res
@@ -499,7 +505,7 @@ class MpcController:
         def answers():
             """(solver path, answer) in order of preference, solved lazily."""
             nonlocal iterations
-            ut = self._feasible_inputs(struct, l_in, u_in, guess)
+            ut = self._feasible_inputs(struct, l, u, guess)
             if ut is not None:
                 res = active_set(ut, ctrl.warm_sets)
                 if res is not None:
@@ -513,9 +519,7 @@ class MpcController:
 
         for path, res in answers():
             x, eps, mu, lam_soft, nu = res[:5]
-            y = np.concatenate([x, eps])
-            lam = np.concatenate([mu, lam_soft, nu])
-            rp, rd, rc = kkt_residuals(struct.P, q, struct.A, l, u, y, lam)
+            rp, rd, rc = soft_kkt_residuals(*soft, x, eps, mu, lam_soft, nu)
             if max(rp, rd, rc) <= QP_TOL:
                 status = QpStatus.OPTIMAL
                 ctrl.warm_sets = res[5]
@@ -525,8 +529,11 @@ class MpcController:
             status = QpStatus.MAX_ITER
             ctrl.warm_sets = None
             path = "lq_fallback"
-        obj = float(0.5 * y @ struct.P @ y + q @ y)
-        return QpSolution(y, lam, status, iterations, obj, rp, rd, rc), path
+        obj = float(0.5 * x @ struct.P_uu @ x + q @ x
+                    + sig2 * (eps @ eps) + sig1 * eps.sum())
+        return QpSolution(np.concatenate([x, eps]),
+                          np.concatenate([mu, lam_soft, nu]), status,
+                          iterations, obj, rp, rd, rc), path
 
     @staticmethod
     def _feasible_inputs(struct, l_in, u_in, guess):
@@ -588,6 +595,7 @@ class LqController:
         t0 = time.perf_counter()
         s0, err = compute_error(state, self.path, ctrl.s_prev)
         ur = float(interpolate(self.path, s0).ur)
+        t_project = time.perf_counter()
         raw = ur - float(self.cost.K @ err.as_array())
         u_cmd = min(max(raw, -self.u_max), self.u_max)
         diag = StepDiagnostics(
@@ -595,7 +603,8 @@ class LqController:
             qp_iterations=0, primal_residual=0.0, dual_residual=0.0,
             comp_residual=0.0, slack_max=0.0,
             solve_time_ms=(time.perf_counter() - t0) * 1e3, fallback=False,
-            solver_path="lq",
+            solver_path="lq", t_project_ms=(t_project - t0) * 1e3,
+            t_structure_ms=0.0, t_solve_ms=0.0,
         )
         ctrl.u_prev = u_cmd
         ctrl.s_prev = s0

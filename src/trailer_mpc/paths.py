@@ -9,6 +9,7 @@ the direction of travel).
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
@@ -40,7 +41,11 @@ class PathSample:
 
 @dataclass
 class NominalPath:
-    """Uniformly sampled nominal path. Immutable after construction."""
+    """Uniformly sampled nominal path.
+
+    Immutable after construction: scalar station queries read plain-float
+    copies of the arrays taken once in ``__post_init__``.
+    """
 
     s: np.ndarray
     x: np.ndarray
@@ -57,10 +62,16 @@ class NominalPath:
     def __post_init__(self):
         if self.s_end_true is None:
             self.s_end_true = float(self.s[-1])
+        # (x, y, theta3, beta3, beta2, u, kappa3) as lists, the order of
+        # fields_at
+        self._columns = tuple(a.tolist() for a in (
+            self.x, self.y, self.theta3, self.beta3, self.beta2, self.u,
+            self.kappa3))
+        self._s_end = float(self.s[-1])
 
     @property
     def s_end(self) -> float:
-        return float(self.s[-1])
+        return self._s_end
 
     def __len__(self):
         return len(self.s)
@@ -87,6 +98,22 @@ class NominalPath:
         for arr in (self.x, self.y, self.theta3, self.beta3, self.beta2, self.u, self.kappa3):
             out.append((1.0 - t) * arr[i] + t * arr[i + 1])
         return out
+
+    def _interp(self, s, columns):
+        """Values of the cached ``columns`` at the scalar station s.
+
+        The arithmetic of :meth:`fields_at` on Python floats, which round
+        as numpy's float64 scalars do, so the results are the same bits at
+        a fraction of numpy's per-call cost.
+        """
+        last = len(self._columns[0]) - 1
+        if s < -1e-9 or s > self._s_end + 1e-9:
+            raise OutOfDomain(f"station outside [0, {self._s_end:.3f}]")
+        # np.clip's argument order, which decides the sign of a zero
+        pos = min(float(last), max(0.0, s / self.delta_s))
+        i = min(int(pos), last - 1)
+        t = pos - i
+        return [(1.0 - t) * c[i] + t * c[i + 1] for c in columns]
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -124,9 +151,9 @@ class NominalPath:
 
 def interpolate(path: NominalPath, s) -> PathSample:
     """PathSample at station s by linear interpolation (angles stored unwrapped)."""
-    x, y, th, b3, b2, u, k3 = path.fields_at(float(s))
-    return PathSample(float(s), float(x), float(y), float(th), float(b3), float(b2),
-                      float(u), path.direction, float(k3))
+    s = float(s)
+    x, y, th, b3, b2, u, k3 = path._interp(s, path._columns)
+    return PathSample(s, x, y, th, b3, b2, u, path.direction, k3)
 
 
 def unit_flow(params, state5, u):
@@ -178,18 +205,20 @@ def _smoothstep_profile(breaks, levels):
     [s_i, s_{i+1}] and ramps from levels[i] to levels[i+1] (equal levels give
     a constant segment).  Returns (value_fn, slope_fn).
     """
-    breaks = np.asarray(breaks, dtype=float)
-    levels = np.asarray(levels, dtype=float)
+    # plain floats: the profile is evaluated point by point, where numpy's
+    # per-call cost exceeds the arithmetic
+    breaks = np.asarray(breaks, dtype=float).tolist()
+    levels = np.asarray(levels, dtype=float).tolist()
 
     def value(s):
-        i = min(max(np.searchsorted(breaks, s, side="right") - 1, 0), len(levels) - 2)
+        i = min(max(bisect.bisect_right(breaks, s) - 1, 0), len(levels) - 2)
         a, b = levels[i], levels[i + 1]
         length = breaks[i + 1] - breaks[i]
         t = min(max((s - breaks[i]) / length, 0.0), 1.0)
         return a + (b - a) * t * t * (3.0 - 2.0 * t)
 
     def slope(s):
-        i = min(max(np.searchsorted(breaks, s, side="right") - 1, 0), len(levels) - 2)
+        i = min(max(bisect.bisect_right(breaks, s) - 1, 0), len(levels) - 2)
         a, b = levels[i], levels[i + 1]
         length = breaks[i + 1] - breaks[i]
         t = min(max((s - breaks[i]) / length, 0.0), 1.0)
@@ -385,11 +414,20 @@ def project(path: NominalPath, p, s_prev, window=2.0, tol=1e-4) -> float:
     if hi <= lo:
         raise ProjectionLost("projection window collapsed at the path end")
 
-    grid = np.arange(math.floor(lo / path.delta_s), math.ceil(hi / path.delta_s) + 1)
-    grid_s = np.clip(grid * path.delta_s, lo, hi)
-    gx, gy = path.fields_at(grid_s)[:2]
-    d2 = (gx - px) ** 2 + (gy - py) ** 2
-    i_best = int(np.argmin(d2))
+    # Python floats throughout, with the rounding of the numpy expressions
+    # this replaced: ``dx * dx`` where an array was squared (numpy squares
+    # by multiplying) and ``** 2`` where a scalar was (both call pow)
+    ds = path.delta_s
+    xy = path._columns[:2]
+    grid_s = [min(hi, max(lo, k * ds))
+              for k in range(math.floor(lo / ds), math.ceil(hi / ds) + 1)]
+    d2 = []
+    for s in grid_s:
+        dx, dy = path._interp(s, xy)
+        dx -= px
+        dy -= py
+        d2.append(dx * dx + dy * dy)
+    i_best = d2.index(min(d2))
     if i_best == len(grid_s) - 1 and hi < path.s_end - 1e-9 and hi > s_prev + 1e-9:
         raise ProjectionLost("nearest point is at the forward edge of the search window")
 
@@ -397,7 +435,7 @@ def project(path: NominalPath, p, s_prev, window=2.0, tol=1e-4) -> float:
     b = grid_s[min(i_best + 1, len(grid_s) - 1)]
 
     def dist2(s):
-        x, y = path.fields_at(s)[:2]
+        x, y = path._interp(s, xy)
         return (x - px) ** 2 + (y - py) ** 2
 
     c = b - GOLDEN * (b - a)

@@ -12,7 +12,10 @@ certifies its answer with exact KKT solves, runs under a small exchange cap;
 when it gives up, :func:`soft_ipm_solve`, a dense Mehrotra predictor-corrector
 interior-point method with a fixed iteration cap, takes over, and a second
 capped active-set solve warm-started from the interior point's working set
-(a crossover) recovers the exact vertex.  The region sweep calls
+(a crossover) recovers the exact vertex.  The controller certifies each
+answer with :func:`soft_kkt_residuals`, the residuals of
+:func:`kkt_residuals` on the lifted problem over (x, slacks), computed from
+the blocks without forming the lifted matrices.  The region sweep calls
 :func:`soft_qp_solve` alone, without soft rows.
 
 :func:`solve_qp` and :class:`DenseQpSolver` solve one-shot problems with an
@@ -563,14 +566,11 @@ def soft_ipm_solve(P, q, A, l, u, G, b, sig1, sig2, x0, tol):
     return x, eps, mu_h, w, -v, (act_low, act_up, soft_act, nn_act), it
 
 
-def kkt_residuals(P, q, A, l, u, y, lam):
-    """(primal, dual, complementarity) infinity-norm KKT residuals."""
-    if A.shape[0] == 0:
-        dual = float(np.max(np.abs(P @ y + q))) if len(q) else 0.0
-        return 0.0, dual, 0.0
-    Ay = A @ y
-    prim = float(np.max(np.maximum(Ay - u, 0.0) + np.maximum(l - Ay, 0.0)))
-    dual = float(np.max(np.abs(P @ y + q + A.T @ lam)))
+def _row_residuals(Ay, l, u, lam):
+    """(primal, complementarity) residuals of the rows l <= Ay <= u with
+    duals lam, the row part of :func:`kkt_residuals`."""
+    prim = float(np.max(np.maximum(Ay - u, 0.0) + np.maximum(l - Ay, 0.0),
+                        initial=0.0))
     lam_pos = np.maximum(lam, 0.0)
     lam_neg = np.minimum(lam, 0.0)
     # a positive dual must pair with a tight finite upper bound (and the
@@ -581,7 +581,37 @@ def kkt_residuals(P, q, A, l, u, y, lam):
     gap_u = np.where(fin_u, np.abs(np.where(fin_u, u, 0.0) - Ay), 1.0)
     gap_l = np.where(fin_l, np.abs(Ay - np.where(fin_l, l, 0.0)), 1.0)
     comp = float(np.max(lam_pos * gap_u - lam_neg * gap_l, initial=0.0))
+    return prim, comp
+
+
+def kkt_residuals(P, q, A, l, u, y, lam):
+    """(primal, dual, complementarity) infinity-norm KKT residuals."""
+    prim, comp = _row_residuals(A @ y, l, u, lam)
+    dual = float(np.max(np.abs(P @ y + q + A.T @ lam), initial=0.0))
     return prim, dual, comp
+
+
+def soft_kkt_residuals(P, q, A, l, u, G, b, sig1, sig2, x, eps, mu, lam, nu):
+    """:func:`kkt_residuals` of the soft QP of :func:`soft_qp_solve` in its
+    lifted form, over y = (x, eps) with duals (mu, lam, nu),
+
+        min  0.5 x'Px + q'x + sig2 eps'eps + sig1 sum(eps)
+        s.t. l <= Ax <= u,   Gx - eps <= b,   eps >= 0,
+
+    computed block by block: the lifted matrices, mostly the slack identity
+    blocks and zeros, are never formed.  The three row blocks follow the
+    finite/infinite-side rules of :func:`kkt_residuals`, and stationarity
+    covers the x rows and the slack rows.
+    """
+    ms = len(b)
+    prim, comp = _row_residuals(
+        np.concatenate([A @ x, G @ x - eps, eps]),
+        np.concatenate([l, np.full(ms, -np.inf), np.zeros(ms)]),
+        np.concatenate([u, b, np.full(ms, np.inf)]),
+        np.concatenate([mu, lam, nu]))
+    dual = np.concatenate([P @ x + q + A.T @ mu + G.T @ lam,
+                           2.0 * sig2 * eps + sig1 - lam + nu])
+    return prim, float(np.max(np.abs(dual), initial=0.0)), comp
 
 
 class PreparedQp:

@@ -130,8 +130,8 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
     dt = 1.0 / cfg.f_s
     delta_cycle = controller.udot_max / cfg.f_s
     u_max = controller.u_max
-    A_qp = struct.A
-    Pu = struct.P
+    A_qp = struct.A_in
+    Pu = struct.P_uu
     G_empty = np.zeros((0, N))
     b_empty = np.zeros(0)
     no_soft = np.zeros(0, dtype=bool)

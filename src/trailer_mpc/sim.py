@@ -76,6 +76,11 @@ class RunLog:
     kkt_max: np.ndarray   # worst KKT residual per cycle (MPC only)
     solver_path: list     # StepDiagnostics.solver_path per cycle
     qp_iterations: np.ndarray  # exchanges + IPM iterations per cycle
+    # phases of solve_ms per cycle (StepDiagnostics.t_*_ms)
+    t_project_ms: np.ndarray
+    t_structure_ms: np.ndarray
+    t_solve_ms: np.ndarray
+    period_ms: float      # control period 1000 / MpcConfig.f_s
 
     def __len__(self):
         return len(self.t)
@@ -99,6 +104,8 @@ class RunLog:
             "max_kkt": float(self.kkt_max.max()) if len(self) else 0.0,
             "n_ipm": self.solver_path.count("ipm"),
             "n_lq_fallback": self.solver_path.count("lq_fallback"),
+            # cycles whose command took longer than the control period
+            "deadline_misses": int(np.count_nonzero(self.solve_ms > self.period_ms)),
         }
 
     def write_csv(self, path):
@@ -107,7 +114,8 @@ class RunLog:
             writer.writerow(["t_s", "s_m", "x3", "y3", "theta3", "beta3", "beta2",
                              "z3t", "theta3t", "beta3t", "beta2t", "u_cmd",
                              "qp_status", "qp_obj", "slack_max", "solve_ms",
-                             "solver_path", "qp_iterations"])
+                             "solver_path", "qp_iterations", "t_project_ms",
+                             "t_structure_ms", "t_solve_ms"])
             for k in range(len(self)):
                 writer.writerow([
                     repr(float(self.t[k])), repr(float(self.s[k])),
@@ -116,7 +124,9 @@ class RunLog:
                     repr(float(self.u_cmd[k])), self.qp_status[k],
                     repr(float(self.qp_obj[k])), repr(float(self.slack_max[k])),
                     repr(float(self.solve_ms[k])), self.solver_path[k],
-                    int(self.qp_iterations[k]),
+                    int(self.qp_iterations[k]), repr(float(self.t_project_ms[k])),
+                    repr(float(self.t_structure_ms[k])),
+                    repr(float(self.t_solve_ms[k])),
                 ])
 
 
@@ -170,7 +180,8 @@ def run(spec: ExperimentSpec, params, cfg: MpcConfig = None, controller=None,
         3.0 * (path.s_end_true - spec.start_s) + 30.0
 
     rows = {k: [] for k in ("t", "s", "state", "err", "u", "status", "obj",
-                            "slack", "ms", "kkt", "path", "iters")}
+                            "slack", "ms", "kkt", "path", "iters",
+                            "t_project", "t_structure", "t_solve")}
     status = None
     conv_anchor = None
     t = 0.0
@@ -201,6 +212,9 @@ def run(spec: ExperimentSpec, params, cfg: MpcConfig = None, controller=None,
                                diag.comp_residual))
         rows["path"].append(diag.solver_path)
         rows["iters"].append(diag.qp_iterations)
+        rows["t_project"].append(diag.t_project_ms)
+        rows["t_structure"].append(diag.t_structure_ms)
+        rows["t_solve"].append(diag.t_solve_ms)
 
         # convergence bookkeeping (sustained small error over distance)
         if diag.error.inf_norm() < CONV_TOL:
@@ -245,6 +259,9 @@ def run(spec: ExperimentSpec, params, cfg: MpcConfig = None, controller=None,
         solve_ms=np.array(rows["ms"]), kkt_max=np.array(rows["kkt"]),
         solver_path=rows["path"],
         qp_iterations=np.array(rows["iters"], dtype=int),
+        t_project_ms=np.array(rows["t_project"]),
+        t_structure_ms=np.array(rows["t_structure"]),
+        t_solve_ms=np.array(rows["t_solve"]), period_ms=1e3 / cfg.f_s,
     )
 
 

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trailer_mpc import (PathError, VehicleState, analytic_straight_model,
                          compute_error, error_dynamics_s, linearize)
 from trailer_mpc.error_model import wrap_angle
 from trailer_mpc.exceptions import ValidityViolated
+from trailer_mpc.paths import generate_straight
 from trailer_mpc.sim import initial_state
 
 
@@ -32,9 +35,12 @@ def test_origin_is_equilibrium_eight(params, eight_back):
         assert np.max(np.abs(de)) < 1e-12
 
 
-def test_linearize_matches_analytic_on_straight(params, straight_back):
-    num = linearize(params, straight_back, 5.0, 0.2)
-    ana = analytic_straight_model(params, -1.0, 0.2)
+@settings(max_examples=40, deadline=None)
+@given(direction=st.sampled_from([-1.0, 1.0]), s=st.floats(0.0, 38.0))
+def test_linearize_matches_analytic_on_straight(params, direction, s):
+    path = generate_straight(40.0, direction, 0.2)
+    num = linearize(params, path, s, 0.2)
+    ana = analytic_straight_model(params, direction, 0.2)
     assert np.max(np.abs(num.A - ana.A)) < 1e-7
     assert np.max(np.abs(num.B - ana.B)) < 1e-7
     assert np.max(np.abs(num.F - ana.F)) < 1e-7

@@ -147,7 +147,7 @@ def test_condensing_equivalence_small_horizon(params):
             cost_ref += x @ Wk @ x
         cost_ref += ut @ ut
         q = struct.W @ x0
-        cost_qp = 0.5 * ut @ struct.P @ ut + q @ ut
+        cost_qp = 0.5 * ut @ struct.P_uu @ ut + q @ ut
         offset = cost_ref - cost_qp  # constant term dropped by condensing
         x = x0.copy()
         cost0 = sum((np.linalg.matrix_power(F, k + 1) @ x0) @
@@ -163,15 +163,21 @@ def test_constraint_row_counts(params, straight_back):
     struct = controller._structure(0)
     N = cfg.horizon
     m_poly = controller.polytope.m
-    assert struct.A.shape == (2 * N + 2 * N * m_poly, N + N * m_poly)
-    assert struct.P.shape[0] == N + N * m_poly
-    # box rows then slew rows then soft rows then slack nonnegativity
+    # the QP stays in its blocks: inputs, hard rows, soft rows
+    assert struct.P_uu.shape == (N, N)
+    assert struct.A_in.shape == (2 * N, N)
+    assert struct.l.shape == struct.u.shape == (2 * N,)
+    assert struct.n_slack == N * m_poly
+    assert struct.G.shape == (N * m_poly, N)
+    assert struct.HsPhi.shape == (N * m_poly, 4)
+    # box rows then slew rows
     assert np.allclose(struct.u[:N], cfg.u_max)
     assert np.allclose(struct.l[:N], -cfg.u_max)
     c = slew_bound(straight_back.sample(1), params,
                    controller.udot_max) * cfg.delta_s
     assert np.allclose(struct.u[N + 1:2 * N], c)
-    assert np.all(struct.l[2 * N + N * m_poly:] == 0.0)
+    # soft rows: the polytope at stages 1..N around the zero nominal angles
+    assert np.array_equal(struct.hbar, np.tile(controller.polytope.h, N))
 
 
 def test_first_cycle_slew_window(params, straight_back):
@@ -276,7 +282,8 @@ def test_lq_fallback_is_reported_and_logged(params, straight_back, monkeypatch,
     import trailer_mpc.mpc as mpc_mod
 
     # no answer passes the KKT check
-    monkeypatch.setattr(mpc_mod, "kkt_residuals", lambda *a: (1.0, 1.0, 1.0))
+    monkeypatch.setattr(mpc_mod, "soft_kkt_residuals",
+                        lambda *a: (1.0, 1.0, 1.0))
     cfg = MpcConfig()
     controller = MpcController(params, straight_back, cfg)
     ctrl = ControllerState(s_prev=0.0)

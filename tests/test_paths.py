@@ -129,3 +129,88 @@ def test_read_csv_rejects_nonuniform(tmp_path):
                  "0.5,0,0,0,0,0,0,-1.0,0\n")
     with pytest.raises(InfeasiblePath):
         NominalPath.read_csv(f)
+
+
+def _stations(path, rng, n=200):
+    """Random stations plus the sample grid's ends and a few grid points."""
+    return np.concatenate([rng.uniform(0.0, path.s_end, n),
+                           path.s[[0, 1, len(path) // 2, -2, -1]]])
+
+
+@pytest.mark.parametrize("kind", ["straight", "eight"])
+def test_interpolate_is_fields_at_bit_for_bit(straight_back, eight_back, kind, rng):
+    path = straight_back if kind == "straight" else eight_back
+    for s in _stations(path, rng):
+        ref = interpolate(path, s)
+        got = (ref.x3r, ref.y3r, ref.theta3r, ref.beta3r, ref.beta2r, ref.ur,
+               ref.kappa3r)
+        want = tuple(float(v) for v in path.fields_at(float(s)))
+        # compared as bytes, which also tells a signed zero apart
+        assert np.array(got).tobytes() == np.array(want).tobytes(), s
+        assert ref.s == float(s) and ref.v3r_sign == path.direction
+    with pytest.raises(OutOfDomain):
+        interpolate(path, path.s_end + 0.01)
+    with pytest.raises(OutOfDomain):
+        interpolate(path, -0.01)
+
+
+def _project_oracle(path, p, s_prev, window=2.0, tol=1e-4):
+    """project's search written on path.fields_at, on numpy values."""
+    px, py = float(p[0]), float(p[1])
+    lo = max(0.0, s_prev - window)
+    hi = min(path.s_end, s_prev + window)
+    if hi <= lo:
+        raise ProjectionLost("window collapsed")
+    grid = np.arange(math.floor(lo / path.delta_s), math.ceil(hi / path.delta_s) + 1)
+    grid_s = np.clip(grid * path.delta_s, lo, hi)
+    gx, gy = path.fields_at(grid_s)[:2]
+    d2 = (gx - px) ** 2 + (gy - py) ** 2
+    i_best = int(np.argmin(d2))
+    if i_best == len(grid_s) - 1 and hi < path.s_end - 1e-9 and hi > s_prev + 1e-9:
+        raise ProjectionLost("forward edge")
+    a = grid_s[max(i_best - 1, 0)]
+    b = grid_s[min(i_best + 1, len(grid_s) - 1)]
+
+    def dist2(s):
+        x, y = path.fields_at(s)[:2]
+        return (x - px) ** 2 + (y - py) ** 2
+
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - golden * (b - a)
+    d = a + golden * (b - a)
+    fc, fd = dist2(c), dist2(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = dist2(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = dist2(d)
+    return max(float(0.5 * (a + b)), float(s_prev))
+
+
+@pytest.mark.parametrize("kind", ["straight", "eight"])
+def test_project_matches_a_fields_at_oracle_bit_for_bit(straight_back, eight_back,
+                                                        kind, rng):
+    path = straight_back if kind == "straight" else eight_back
+    stations = _stations(path, rng)
+    lost = 0
+    for s in stations:
+        ref = interpolate(path, s)
+        # up to 3 m to the side and 0.5 m along the path, searched from up
+        # to 1.2 m behind
+        z, a = rng.uniform(-3.0, 3.0), rng.uniform(-0.5, 0.5)
+        c, sn = math.cos(ref.theta3r), math.sin(ref.theta3r)
+        p = (ref.x3r - z * sn + a * c, ref.y3r + z * c + a * sn)
+        s_prev = max(0.0, float(s) - rng.uniform(0.0, 1.2))
+        try:
+            want = _project_oracle(path, p, s_prev)
+        except ProjectionLost:
+            lost += 1
+            with pytest.raises(ProjectionLost):
+                project(path, p, s_prev)
+            continue
+        assert project(path, p, s_prev) == want, (s, p, s_prev)
+    assert lost < len(stations) // 10

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from trailer_mpc import QpProblem, QpStatus, solve_qp
 from trailer_mpc.qp import (DenseQpSolver, PreparedQp, brute_force_active_set,
                             kkt_residuals, row_structure, soft_ipm_solve,
-                            soft_qp_solve)
+                            soft_kkt_residuals, soft_qp_solve)
 
 
 def _random_qp(rng, n, m):
@@ -172,6 +172,36 @@ def _lifted(P, q, A, l, u, G, b, s1, s2):
     ll = np.concatenate([l, np.full(ms, -np.inf), np.zeros(ms)])
     ul = np.concatenate([u, b, np.full(ms, np.inf)])
     return Pl, ql, Al, ll, ul
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ms=st.integers(0, 3),
+       infinite=st.booleans())
+def test_soft_kkt_residuals_match_the_lifted_problem(seed, ms, infinite):
+    rng = np.random.default_rng(seed)
+    P, q, A, l, u, G, b = _random_soft_qp(rng)
+    G, b = G[:ms], b[:ms]
+    if infinite:
+        # one-sided and free hard rows, and a soft row that never binds
+        l[rng.random(len(l)) < 0.5] = -np.inf
+        u[rng.random(len(u)) < 0.5] = np.inf
+        b[rng.random(ms) < 0.3] = np.inf
+    s1, s2 = rng.uniform(0.1, 100.0, 2)
+    # any point and duals of either sign, so every residual term is live
+    x = rng.normal(size=len(q))
+    eps = rng.normal(size=ms)
+    mu, lam, nu = (rng.normal(size=k) for k in (A.shape[0], ms, ms))
+    got = soft_kkt_residuals(P, q, A, l, u, G, b, s1, s2, x, eps, mu, lam, nu)
+    Pl, ql, Al, ll, ul = _lifted(P, q, A, l, u, G, b, s1, s2)
+    y = np.concatenate([x, eps])
+    duals = np.concatenate([mu, lam, nu])
+    want = kkt_residuals(Pl, ql, Al, ll, ul, y, duals)
+    bounds = np.concatenate([ll, ul])
+    mag = 1.0 + max(np.abs(y).max(), np.abs(duals).max(initial=0.0),
+                    np.abs(Pl).max(), np.abs(Al).max(), np.abs(ql).max(),
+                    np.abs(bounds[np.isfinite(bounds)]).max(initial=0.0))
+    # the products summed differ only in rounding order
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * mag ** 3)
 
 
 def test_soft_qp_matches_lifted_oracle(rng):

@@ -49,18 +49,15 @@ def _structures():
 
 
 def _bounds(cfg, struct, x0, u_prev):
-    """(q, l, u) of the full lifted QP of one control cycle, as
-    MpcController.step builds them."""
-    N, ns = struct.n_inputs, struct.n_slack
+    """(q, l, u, b) of one control cycle's QP: the linear cost, the hard
+    rows' bounds and the soft rows' bounds, as MpcController.step builds
+    them."""
     delta = cfg.udot_max / cfg.f_s
-    q = np.concatenate([struct.W @ x0, np.full(ns, cfg.slack_linear)])
     l = struct.l.copy()
     u = struct.u.copy()
     l[struct.row_slew0] = u_prev - delta - struct.ur0
     u[struct.row_slew0] = u_prev + delta - struct.ur0
-    if ns:
-        u[struct.soft_rows] = struct.hbar - struct.HsPhi @ x0
-    return q, l, u
+    return struct.W @ x0, l, u, struct.hbar - struct.HsPhi @ x0
 
 
 def _draw(seed, n_inputs):
@@ -72,17 +69,14 @@ def _draw(seed, n_inputs):
 
 def _problem(cfg, struct, x0, u_prev, guess):
     """The reduced QP of one control cycle, as MpcController builds it."""
-    N, ns = struct.n_inputs, struct.n_slack
-    q, l, u = _bounds(cfg, struct, x0, u_prev)
-    l_in, u_in = l[:2 * N], u[:2 * N]
-    ut = MpcController._feasible_inputs(struct, l_in, u_in, guess)
-    return dict(P=struct.P[:N, :N], q=q[:N],
-                A=struct.A[:2 * N, :N], l=l_in, u=u_in,
-                G=struct.A[struct.soft_rows, :N], b=u[struct.soft_rows],
+    ns = struct.n_slack
+    q, l, u, b = _bounds(cfg, struct, x0, u_prev)
+    ut = MpcController._feasible_inputs(struct, l, u, guess)
+    return dict(P=struct.P_uu, q=q, A=struct.A_in, l=l, u=u, G=struct.G, b=b,
                 # the region sweep passes (0, 1) when there is no soft row
                 sig1=cfg.slack_linear if ns else 0.0,
-                sig2=0.5 * float(struct.P[N, N]) if ns else 1.0,
-                x0=ut, single_col=struct.single_col_in)
+                sig2=cfg.slack_quad if ns else 1.0,
+                x0=ut, single_col=struct.single_col)
 
 
 def cases():
@@ -169,9 +163,9 @@ def test_controller_answers_the_cold_cases_the_active_set_gives_up_on(name):
     cfg, _, controller = _controllers()
     struct = controller._structure(0)
     x0, u_prev, guess, _ = _draw(int(name[-1]), struct.n_inputs)
-    q, l, u = _bounds(cfg, struct, x0, u_prev)
+    q, l, u, b = _bounds(cfg, struct, x0, u_prev)
     ctrl = ControllerState()
-    sol, path = controller._solve_qp(struct, q, l, u, guess, ctrl)
+    sol, path = controller._solve_qp(struct, q, l, u, b, guess, ctrl)
     assert path == "ipm"
     assert sol.status == "Optimal"
     assert max(sol.primal_residual, sol.dual_residual,

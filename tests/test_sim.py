@@ -146,3 +146,45 @@ def test_vehicle_curvature_limit_binds_the_mpc():
     assert np.abs(log.u_cmd).max() <= 0.1 + 1e-12
     assert summary["n_lq_fallback"] == 0
     assert summary["n_ipm"] == log.solver_path.count("ipm") >= 1
+
+
+@pytest.mark.parametrize("controller", ["mpc", "lq"])
+def test_run_log_phase_timings_and_deadline_misses(tmp_path, params, controller):
+    spec = ExperimentSpec(name="phases", path_kind="straight", path_size=40.0,
+                          controller=controller,
+                          perturbation=(1.0, 0.0, 0.0, 0.0), max_time=3.0)
+    log = run(spec, params, MpcConfig())
+    phases = (log.t_project_ms, log.t_structure_ms, log.t_solve_ms)
+    for t in phases:
+        assert t.shape == log.solve_ms.shape
+        assert np.all(t >= 0.0)
+    # the phases are disjoint parts of the whole step
+    assert np.all(sum(phases) <= log.solve_ms + 1e-9)
+    if controller == "mpc":
+        # the first cycle builds the horizon's structure; later cycles at
+        # the same grid base reuse it
+        assert log.t_structure_ms[0] > 0.0
+        assert np.all(log.t_solve_ms > 0.0)
+    else:
+        assert not np.any(log.t_structure_ms) and not np.any(log.t_solve_ms)
+    assert log.period_ms == 50.0
+    assert log.summary()["deadline_misses"] == int(np.sum(log.solve_ms > 50.0))
+    f = tmp_path / "log.csv"
+    log.write_csv(f)
+    header = f.read_text().splitlines()[0].split(",")
+    assert header[-3:] == ["t_project_ms", "t_structure_ms", "t_solve_ms"]
+    data = np.genfromtxt(f, delimiter=",", names=True,
+                         usecols=("t_project_ms", "t_structure_ms", "t_solve_ms"))
+    for name, t in zip(data.dtype.names, phases):
+        assert np.array_equal(data[name], t)
+
+
+def test_deadline_misses_count_against_the_configured_rate(params):
+    # at 1 MHz every cycle overruns its 1 microsecond period
+    cfg = MpcConfig(f_s=1e6)
+    spec = ExperimentSpec(name="fast", path_kind="straight", path_size=40.0,
+                          controller="lq", perturbation=(1.0, 0.0, 0.0, 0.0),
+                          max_time=1e-5)
+    log = run(spec, params, cfg)
+    assert log.period_ms == pytest.approx(1e-3)
+    assert log.summary()["deadline_misses"] == len(log) > 1
