@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SingularConfiguration, ValidityViolated
-from .model import SINGULAR_TOL, VehicleState
+from .model import SINGULAR_TOL, VehicleState, chain_terms
 from .paths import NominalPath, PathSample, interpolate, project
 
 # Margins tightening the Frenet-transform validity conditions
@@ -94,24 +94,20 @@ def _rates_per_v3(params, nominal, e, u_tilde):
     u = ur + u_tilde
     if abs(b3) >= _HALF_PI:
         raise SingularConfiguration(f"|beta3| = {abs(b3):.4f} >= pi/2")
-    c1p = math.cos(b3) * (math.cos(b2) + params.M1 * math.sin(b2) * u)
-    c1r = math.cos(b3r) * (math.cos(b2r) + params.M1 * math.sin(b2r) * ur)
+    c1p, n3p, n2p = chain_terms(params, math.sin(b2), math.cos(b2), math.cos(b3), u)
+    c1r, n3r, n2r = chain_terms(params, math.sin(b2r), math.cos(b2r), math.cos(b3r), ur)
     if c1p <= SINGULAR_TOL or c1r <= SINGULAR_TOL:
         raise SingularConfiguration("C1 not strictly positive")
     one_minus = 1.0 - k3r * z
     proj = math.cos(th) / one_minus
 
-    L2, L3, M1 = params.L2, params.L3, params.M1
-    r1p = (math.sin(b2) - M1 * math.cos(b2) * u) / (L2 * c1p)
-    r1r = (math.sin(b2r) - M1 * math.cos(b2r) * ur) / (L2 * c1r)
-    r2p = (u - math.sin(b2) / L2 + M1 / L2 * math.cos(b2) * u) / c1p
-    r2r = (ur - math.sin(b2r) / L2 + M1 / L2 * math.cos(b2r) * ur) / c1r
-
+    L2, L3 = params.L2, params.L3
+    t3 = math.tan(b3) / L3
     rates = (
         math.sin(th),
-        math.tan(b3) / L3 - k3r * proj,
-        r1p - math.tan(b3) / L3 - proj * (r1r - k3r),
-        r2p - proj * r2r,
+        t3 - k3r * proj,
+        n3p / (L2 * c1p) - t3 - proj * (n3r / (L2 * c1r) - k3r),
+        n2p / c1p - proj * (n2r / c1r),
     )
     ds_per_v3 = nominal.v3r_sign * proj
     return rates, ds_per_v3

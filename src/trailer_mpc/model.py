@@ -20,6 +20,10 @@ SINGULAR_TOL = 1e-6
 
 _HALF_PI = math.pi / 2.0
 
+# closed-loop limits: jackknife joint angle, converged error infinity norm
+JACKKNIFE_ANGLE = _HALF_PI - 0.05
+CONV_TOL = 0.02
+
 
 @dataclass
 class VehicleState:
@@ -56,30 +60,43 @@ class SegmentPoses:
     semitrailer: tuple
 
 
-def speed_ratio(params, beta2, beta3, u):
-    """Ratio v3/v between semitrailer-axle speed and tractor rear-axle speed.
+def chain_terms(params, sb2, cb2, cb3, u):
+    """(C1, n3, n2) of the chain kinematics from sin/cos of beta2, cos of
+    beta3 and the tractor curvature u.
 
-    Equals cos(beta3) * (cos(beta2) + M1 * sin(beta2) * u).  Zero means the
-    kinematic chain is singular (semitrailer axle does not move).
+    C1 = v3/v is the speed ratio; per unit of semitrailer speed the joint
+    angles move at n3 / (L2 C1) - tan(beta3) / L3 and n2 / C1.  Arithmetic
+    only, so floats and numpy arrays give the same bits; callers take the
+    trig functions once.
     """
-    return math.cos(beta3) * (math.cos(beta2) + params.M1 * math.sin(beta2) * u)
+    c1 = cb3 * (cb2 + params.M1 * sb2 * u)
+    n3 = sb2 - params.M1 * cb2 * u
+    n2 = u - sb2 / params.L2 + params.M1 / params.L2 * cb2 * u
+    return c1, n3, n2
+
+
+def speed_ratio(params, beta2, beta3, u):
+    """Ratio C1 = v3/v between semitrailer-axle speed and tractor rear-axle
+    speed.  Zero means the kinematic chain is singular (semitrailer axle
+    does not move)."""
+    return chain_terms(params, math.sin(beta2), math.cos(beta2), math.cos(beta3), u)[0]
 
 
 def _derivatives_checked(params, x, inp_u, inp_v):
     theta3, beta3, beta2 = x[2], x[3], x[4]
     if abs(beta3) >= _HALF_PI:
         raise InvalidState(f"|beta3| = {abs(beta3):.4f} >= pi/2")
-    c1 = speed_ratio(params, beta2, beta3, inp_u)
+    c1, n3, n2 = chain_terms(params, math.sin(beta2), math.cos(beta2),
+                             math.cos(beta3), inp_u)
     if c1 <= SINGULAR_TOL:
         raise SingularConfiguration(f"C1 = {c1:.3e} <= {SINGULAR_TOL}")
     v3 = inp_v * c1
-    sb2, cb2 = math.sin(beta2), math.cos(beta2)
     tb3 = math.tan(beta3)
     dx3 = v3 * math.cos(theta3)
     dy3 = v3 * math.sin(theta3)
     dtheta3 = v3 * tb3 / params.L3
-    dbeta3 = v3 * ((sb2 - params.M1 * cb2 * inp_u) / (params.L2 * c1) - tb3 / params.L3)
-    dbeta2 = v3 * (inp_u - sb2 / params.L2 + params.M1 / params.L2 * cb2 * inp_u) / c1
+    dbeta3 = v3 * (n3 / (params.L2 * c1) - tb3 / params.L3)
+    dbeta2 = v3 * n2 / c1
     return (dx3, dy3, dtheta3, dbeta3, dbeta2)
 
 
@@ -101,17 +118,17 @@ def derivatives_batch(params, x, u, v):
     array of shape (5, K) together with the C1 values.
     """
     theta3, beta3, beta2 = x[2], x[3], x[4]
-    sb2, cb2 = np.sin(beta2), np.cos(beta2)
-    c1 = np.cos(beta3) * (cb2 + params.M1 * sb2 * u)
+    c1, n3, n2 = chain_terms(params, np.sin(beta2), np.cos(beta2), np.cos(beta3), u)
     v3 = v * c1
     tb3 = np.tan(beta3)
     out = np.empty_like(x)
     out[0] = v3 * np.cos(theta3)
     out[1] = v3 * np.sin(theta3)
     out[2] = v3 * tb3 / params.L3
-    # v3 / (L2 * c1) = v / L2 exactly; written out to mirror the scalar path
-    out[3] = v * (sb2 - params.M1 * cb2 * u) / params.L2 - out[2]
-    out[4] = v * (u - sb2 / params.L2 + params.M1 / params.L2 * cb2 * u)
+    # the scalar path's rates with v3 / c1 = v cancelled, which keeps
+    # singular columns finite; chain_terms gives both paths c1, n3 and n2
+    out[3] = v * n3 / params.L2 - out[2]
+    out[4] = v * n2
     return out, c1
 
 

@@ -106,10 +106,11 @@ class JointAnglePolytope:
                    np.asarray(data["h"], dtype=float))
 
 
-# Symmetric octagon fitted (with 0.05 rad margin) inside the intersection of
-# the simulated closed-loop stability region and the LIDAR sensing region for
-# the default vehicle, computed by regions.fit_inner_polytope on a 2-degree
-# joint-angle grid with a 150 m recovery budget.
+# Symmetric octagon meant to lie inside the intersection of the simulated
+# closed-loop stability region and the LIDAR sensing region for the default
+# vehicle.  regions.fit_inner_polytope (0.05 rad margin, 2-degree grid, 150 m
+# recovery budget) does not reproduce it: its beta3 support is 0.663 and its
+# diagonal one 0.4196, so this set is larger than the fitted safe set.
 _SQ2 = math.sqrt(2.0)
 _DEFAULT_H = np.array([
     [1.0, 0.0], [-1.0, 0.0],
@@ -497,7 +498,7 @@ class MpcController:
 
         def active_set(x0, warm):
             nonlocal iterations
-            res = soft_qp_solve(*soft, x0, QP_TOL, struct.single_col,
+            res = soft_qp_solve(*soft, x0, struct.single_col,
                                 max_iter=EXCHANGE_CAP, warm=warm)
             iterations += EXCHANGE_CAP if res is None else res[6]
             return res

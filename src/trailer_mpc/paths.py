@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .exceptions import InfeasiblePath, OutOfDomain, ProjectionLost
-from .model import VehicleState
+from .model import VehicleState, chain_terms
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -156,31 +156,18 @@ def interpolate(path: NominalPath, s) -> PathSample:
     return PathSample(s, x, y, th, b3, b2, u, path.direction, k3)
 
 
-def unit_flow(params, state5, u):
-    """Per-unit-v3 flow f(x, u): dx/ds for a forward path with unit direction."""
-    theta3, beta3, beta2 = state5[2], state5[3], state5[4]
-    sb2, cb2 = math.sin(beta2), math.cos(beta2)
-    tb3 = math.tan(beta3)
-    c1 = math.cos(beta3) * (cb2 + params.M1 * sb2 * u)
-    return np.array([
-        math.cos(theta3),
-        math.sin(theta3),
-        tb3 / params.L3,
-        (sb2 - params.M1 * cb2 * u) / (params.L2 * c1) - tb3 / params.L3,
-        (u - sb2 / params.L2 + params.M1 / params.L2 * cb2 * u) / c1,
-    ])
-
-
 def eq_residuals(params, path: NominalPath) -> np.ndarray:
-    """Per-interval residual of x_{k+1} - x_k - delta_s * dir * f(x_k, u_k)."""
-    n = len(path)
-    res = np.empty(n - 1)
-    for k in range(n - 1):
-        xk = np.array([path.x[k], path.y[k], path.theta3[k], path.beta3[k], path.beta2[k]])
-        xk1 = np.array([path.x[k + 1], path.y[k + 1], path.theta3[k + 1],
-                        path.beta3[k + 1], path.beta2[k + 1]])
-        f = unit_flow(params, xk, float(path.u[k]))
-        res[k] = np.linalg.norm(xk1 - xk - path.delta_s * path.direction * f)
+    """Per-interval residual of x_{k+1} - x_k - delta_s * dir * f(x_k, u_k),
+    f the flow per unit of semitrailer travel."""
+    X = np.vstack([path.x, path.y, path.theta3, path.beta3, path.beta2])
+    res = np.empty(len(path) - 1)
+    for k in range(len(res)):
+        th, b3, b2 = X[2:, k]
+        c1, n3, n2 = chain_terms(params, math.sin(b2), math.cos(b2), math.cos(b3),
+                                 float(path.u[k]))
+        t3 = math.tan(b3) / params.L3
+        f = np.array([math.cos(th), math.sin(th), t3, n3 / (params.L2 * c1) - t3, n2 / c1])
+        res[k] = np.linalg.norm(X[:, k + 1] - X[:, k] - path.delta_s * path.direction * f)
     return res
 
 
@@ -263,7 +250,7 @@ def generate_figure_eight(radius, direction, delta_s=0.2, blend_length=16.0,
     total = float(breaks[-1])
 
     vbar = -1.0  # internal joint dynamics are stable when built in this direction
-    L2, L3, M1 = params.L2, params.L3, params.M1
+    L3 = params.L3
 
     def beta3_of(s):
         return math.atan(L3 * vbar * g_of(s))
@@ -276,9 +263,8 @@ def generate_figure_eight(radius, direction, delta_s=0.2, blend_length=16.0,
         x, y, th, b2 = state
         b3 = beta3_of(s)
         u = _tractor_curvature(params, b3, b2, w_of(s))
-        sb2, cb2 = math.sin(b2), math.cos(b2)
-        c1 = math.cos(b3) * (cb2 + M1 * sb2 * u)
-        db2 = vbar * (u - sb2 / L2 + M1 / L2 * cb2 * u) / c1
+        c1, _, n2 = chain_terms(params, math.sin(b2), math.cos(b2), math.cos(b3), u)
+        db2 = vbar * n2 / c1
         return (vbar * math.cos(th), vbar * math.sin(th), vbar * math.tan(b3) / L3, db2)
 
     n = int(round(total / delta_s)) + 1
@@ -313,7 +299,7 @@ def generate_figure_eight(radius, direction, delta_s=0.2, blend_length=16.0,
             f"implied tractor curvature {np.max(np.abs(us)):.3f} exceeds {params.u_max}")
     # nominal curvature rate must leave room for the controller's slew constraint
     du_ds = np.abs(np.diff(us)) / delta_s
-    c1_nom = np.cos(b3s) * (np.cos(b2s) + M1 * np.sin(b2s) * us)
+    c1_nom = chain_terms(params, np.sin(b2s), np.cos(b2s), np.cos(b3s), us)[0]
     c_max = params.udot_max / np.maximum(c1_nom[:-1], 1e-9)
     if np.any(du_ds > c_max):
         raise InfeasiblePath("implied nominal curvature rate exceeds the slew limit")
@@ -347,11 +333,13 @@ def equilibrium_joint(params, beta3):
     joint angles constant.
     """
     target = math.tan(beta3) / params.L3
+    cb3 = math.cos(beta3)
 
     def resid(b2):
-        u = math.sin(b2) / (params.L2 + params.M1 * math.cos(b2))
-        c1 = math.cos(beta3) * (math.cos(b2) + params.M1 * math.sin(b2) * u)
-        return (math.sin(b2) - params.M1 * math.cos(b2) * u) / (params.L2 * c1) - target
+        sb2, cb2 = math.sin(b2), math.cos(b2)
+        u = sb2 / (params.L2 + params.M1 * cb2)
+        c1, n3, _ = chain_terms(params, sb2, cb2, cb3, u)
+        return n3 / (params.L2 * c1) - target
 
     hi = math.pi / 2.0 - 0.05
     b2 = brentq(resid, -hi, hi, xtol=1e-14)

@@ -220,8 +220,8 @@ def polish_solution(P, q, A, l, u, y, lam, z, tol, single_col=None):
     return None
 
 
-def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, tol=1e-6,
-                  single_col=None, max_iter=3000, warm=None):
+def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
+                  max_iter=3000, warm=None):
     """Primal active-set solve of a QP with one-sided soft rows,
 
         min  0.5 x'Px + q'x + sum_i (sig1 eps_i + sig2 eps_i^2)

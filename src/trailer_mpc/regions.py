@@ -15,13 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .error_model import VALIDITY_MARGIN
 from .exceptions import EmptyRegion
-from .model import derivatives_batch
-from .mpc import QP_TOL, JointAnglePolytope, MpcConfig, MpcController
+from .model import CONV_TOL, JACKKNIFE_ANGLE, SINGULAR_TOL, derivatives_batch
+from .mpc import JointAnglePolytope, MpcConfig, MpcController
 from .paths import generate_straight
-
-JACKKNIFE_ANGLE = math.pi / 2.0 - 0.05
-CONV_TOL = 0.02
 
 
 @dataclass
@@ -167,7 +165,7 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
         conv = np.abs(err).max(axis=0) < CONV_TOL
         stable_flat[a[conv]] = True
         alive[a[conv]] = False
-        invalid = np.abs(err[1]) >= math.pi / 2.0 - 0.05
+        invalid = np.abs(err[1]) >= math.pi / 2.0 - VALIDITY_MARGIN
         alive[a[invalid]] = False
         done = (-X[0, a]) >= distance
         alive[a[done]] = False
@@ -187,8 +185,8 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
             res = None
             if ut is not None:
                 res = soft_qp_solve(Pu, q[:, c], A_qp, l_c, u_c, G_empty,
-                                    b_empty, 0.0, 1.0, ut, QP_TOL,
-                                    struct.single_col, warm=warm_sets[col])
+                                    b_empty, 0.0, 1.0, ut, struct.single_col,
+                                    warm=warm_sets[col])
             if res is None:
                 warm_sets[col] = None
                 u_cmd[c] = -float(K_gain @ err_a[:, c])
@@ -212,7 +210,7 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
             k3, _ = derivatives_batch(params, Xa + 0.5 * h * k2, u_cmd, -1.0)
             k4, _ = derivatives_batch(params, Xa + h * k3, u_cmd, -1.0)
             Xa = Xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            singular |= c1 <= 1e-6
+            singular |= c1 <= SINGULAR_TOL
         X[:, a] = Xa
         jack = singular | (np.abs(Xa[3]) > JACKKNIFE_ANGLE) | \
             (np.abs(Xa[4]) > JACKKNIFE_ANGLE) | ~np.all(np.isfinite(Xa), axis=0)

@@ -17,7 +17,8 @@ import numpy as np
 from .error_model import VALIDITY_MARGIN, compute_error
 from .exceptions import (InvalidState, OutOfDomain, ProjectionLost,
                          SingularConfiguration, ValidityViolated)
-from .model import ControlInput, VehicleState, integrate_step, speed_ratio
+from .model import (CONV_TOL, JACKKNIFE_ANGLE, SINGULAR_TOL, ControlInput,
+                    VehicleState, integrate_step, speed_ratio)
 from .mpc import (ControllerState, LqController, MpcConfig, MpcController)
 from .paths import NominalPath, generate_figure_eight, generate_straight, interpolate
 
@@ -26,10 +27,8 @@ JACKKNIFED = "Jackknifed"
 VALIDITY_LOST = "ValidityLost"
 TIMEOUT = "Timeout"
 
-# convergence: error infinity norm below this, sustained over 5 m of travel
-CONV_TOL = 0.02
+# convergence: error infinity norm below CONV_TOL, sustained over 5 m of travel
 CONV_SUSTAIN_M = 5.0
-JACKKNIFE_ANGLE = math.pi / 2.0 - 0.05
 
 
 @dataclass
@@ -245,7 +244,7 @@ def run(spec: ExperimentSpec, params, cfg: MpcConfig = None, controller=None,
             break
         t += dt
         if abs(state.beta3) > JACKKNIFE_ANGLE or abs(state.beta2) > JACKKNIFE_ANGLE \
-                or speed_ratio(params, state.beta2, state.beta3, u_cmd) <= 1e-6:
+                or speed_ratio(params, state.beta2, state.beta3, u_cmd) <= SINGULAR_TOL:
             status = status or JACKKNIFED
             break
 

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trailer_mpc import (ControlInput, VehicleState, derivatives,
                          integrate_step, segment_poses, speed_ratio)
 from trailer_mpc.exceptions import InvalidState, SingularConfiguration
-from trailer_mpc.model import derivatives_batch
+from trailer_mpc.model import chain_terms, derivatives_batch
+
+# M = diag(1, -1, -1, -1, -1): the chain mirrored about the path's x axis
+MIRROR = np.array([1.0, -1.0, -1.0, -1.0, -1.0])
 
 
 def test_speed_ratio_frozen_value(params):
@@ -117,3 +122,47 @@ def test_derivatives_batch_matches_scalar(params, rng):
         assert np.allclose(out[:, k], dx, atol=1e-12)
         assert c1[k] == pytest.approx(
             speed_ratio(params, X[4, k], X[3, k], u[k]), abs=1e-14)
+
+
+def _random_chains(seed, k):
+    rng = np.random.default_rng(seed)
+    X = np.vstack([rng.uniform(-50.0, 50.0, (2, k)), rng.uniform(-4.0, 4.0, k),
+                   rng.uniform(-1.6, 1.6, (2, k))])
+    return X, rng.uniform(-0.3, 0.3, k)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), v=st.sampled_from([-1.0, 1.0]))
+def test_flow_is_exactly_odd_symmetric(params, seed, v):
+    # f(M x, -u) = M f(x, u) exactly: the region sweep simulates half the
+    # joint-angle grid and mirrors its labels onto the other half
+    X, u = _random_chains(seed, 40)
+    for k in range(X.shape[1]):
+        inp, inp_m = ControlInput(float(u[k]), v), ControlInput(float(-u[k]), v)
+        state_m = VehicleState.from_array(MIRROR * X[:, k])
+        try:
+            f = derivatives(params, VehicleState.from_array(X[:, k]), inp)
+        except (InvalidState, SingularConfiguration) as exc:
+            with pytest.raises(type(exc)):
+                derivatives(params, state_m, inp_m)
+            continue
+        assert np.array_equal(derivatives(params, state_m, inp_m), MIRROR * f)
+    out, c1 = derivatives_batch(params, X, u, v)
+    out_m, c1_m = derivatives_batch(params, MIRROR[:, None] * X, -u, v)
+    assert np.array_equal(out_m, MIRROR[:, None] * out)
+    assert np.array_equal(c1_m, c1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_chain_terms_on_arrays_equal_its_float_results(params, seed):
+    # one implementation for the plant (floats) and the sweep (arrays)
+    X, u = _random_chains(seed, 30)
+    sb2, cb2, cb3 = np.sin(X[4]), np.cos(X[4]), np.cos(X[3])
+    for u_arg in (u, float(u[0])):
+        terms = chain_terms(params, sb2, cb2, cb3, u_arg)
+        for k in range(X.shape[1]):
+            u_k = float(u[k]) if isinstance(u_arg, np.ndarray) else u_arg
+            scalar = chain_terms(params, float(sb2[k]), float(cb2[k]),
+                                 float(cb3[k]), u_k)
+            assert [float(t[k]) for t in terms] == list(scalar)

@@ -133,7 +133,7 @@ def test_primal_active_set_matches_oracle(rng):
         u = c + rng.uniform(0.1, 1.0, m)
         # without soft rows soft_qp_solve is the plain primal active set
         res = soft_qp_solve(P, q, A, l, u, np.zeros((0, n)), np.zeros(0),
-                            0.0, 1.0, xf, 1e-8)
+                            0.0, 1.0, xf)
         assert res is not None, trial
         x, _, lam, _, _, _, iters = res
         assert max(kkt_residuals(P, q, A, l, u, x, lam)) < 1e-8
@@ -209,7 +209,7 @@ def test_soft_qp_matches_lifted_oracle(rng):
     for trial in range(40):
         P, q, A, l, u, G, b = _random_soft_qp(rng)
         x0 = np.linalg.lstsq(A, 0.5 * (l + u), rcond=None)[0]
-        res = soft_qp_solve(P, q, A, l, u, G, b, s1, s2, x0, tol=1e-8)
+        res = soft_qp_solve(P, q, A, l, u, G, b, s1, s2, x0)
         assert res is not None, trial
         x, eps, mu, lam, nu, sets, iters = res
         assert np.all(eps >= -1e-9)
@@ -262,12 +262,12 @@ def test_soft_qp_warm_start_consistent(rng):
     for trial in range(20):
         P, q, A, l, u, G, b = _random_soft_qp(rng)
         x0 = np.linalg.lstsq(A, 0.5 * (l + u), rcond=None)[0]
-        res = soft_qp_solve(P, q, A, l, u, G, b, s1, s2, x0, tol=1e-8)
+        res = soft_qp_solve(P, q, A, l, u, G, b, s1, s2, x0)
         assert res is not None
         q2 = q + 0.05 * rng.normal(size=len(q))
-        warm = soft_qp_solve(P, q2, A, l, u, G, b, s1, s2, x0, tol=1e-8,
+        warm = soft_qp_solve(P, q2, A, l, u, G, b, s1, s2, x0,
                              warm=res[5])
-        cold = soft_qp_solve(P, q2, A, l, u, G, b, s1, s2, x0, tol=1e-8)
+        cold = soft_qp_solve(P, q2, A, l, u, G, b, s1, s2, x0)
         assert warm is not None and cold is not None
         assert np.allclose(warm[0], cold[0], atol=1e-6), trial
 

@@ -104,7 +104,7 @@ def solve(prob, warm=None):
         warm = (warm[0], warm[1], empty, empty)
     res = soft_qp_solve(prob["P"], prob["q"], prob["A"], prob["l"], prob["u"],
                         prob["G"], prob["b"], prob["sig1"], prob["sig2"],
-                        prob["x0"], 1e-6, prob["single_col"], warm=warm)
+                        prob["x0"], prob["single_col"], warm=warm)
     return None if res is None else (res[0], res[5], res[6])
 
 
