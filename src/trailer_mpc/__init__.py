@@ -22,9 +22,8 @@ from .mpc import (ControllerState, CostMatrices, JointAnglePolytope,
 from .params import VehicleParams
 from .paths import (NominalPath, PathSample, eq_residuals, generate_figure_eight,
                     generate_straight, interpolate, project, reverse_path)
-from .qp import (DenseQpSolver, PreparedQp, QpProblem, QpSolution, QpStatus,
-                 kkt_residuals, soft_ipm_solve, soft_kkt_residuals,
-                 soft_qp_solve, solve_qp)
+from .qp import (QpProblem, QpSolution, QpStatus, kkt_residuals,
+                 soft_ipm_solve, soft_kkt_residuals, soft_qp_solve, solve_qp)
 from .regions import (RegionGrid, fit_inner_polytope, make_axes, merge,
                       sensing_region, stability_sweep)
 from .sim import ExperimentSpec, RunLog, initial_state, paper_suite, run, run_suite

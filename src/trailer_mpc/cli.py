@@ -138,25 +138,24 @@ def cmd_run(args) -> int:
 
 
 def cmd_region(args) -> int:
+    # --fit alone computes both grids
+    both = args.fit and not (args.sensing or args.stability)
+    sensing, stability = args.sensing or both, args.stability or both
+    if not (sensing or stability):
+        print("nothing to do: pass --sensing, --stability and/or --fit",
+              file=sys.stderr)
+        return USAGE_ERROR
     params = _load_params(args.params)
     b3_axis, b2_axis = make_axes(args.spacing_deg)
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     grid = None
-    if args.sensing:
+    if sensing:
         grid = sensing_region(params, b3_axis, b2_axis)
-    if args.stability:
+    if stability:
         stab = stability_sweep(params, MpcConfig(), b3_axis, b2_axis,
                                distance=args.distance)
         grid = merge(grid, stab) if grid is not None else stab
-    if grid is None and args.fit:
-        grid = merge(sensing_region(params, b3_axis, b2_axis),
-                     stability_sweep(params, MpcConfig(), b3_axis, b2_axis,
-                                     distance=args.distance))
-    if grid is None:
-        print("nothing to do: pass --sensing, --stability and/or --fit",
-              file=sys.stderr)
-        return USAGE_ERROR
     grid_file = os.path.join(out_dir, "region_grid.csv")
     grid.write_csv(grid_file)
     print(f"wrote {grid_file}")

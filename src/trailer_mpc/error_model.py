@@ -62,9 +62,9 @@ def wrap_angle(a):
     return w - math.pi
 
 
-def compute_error(state: VehicleState, path: NominalPath, s_prev, window=2.0):
+def compute_error(state: VehicleState, path: NominalPath, s_prev):
     """Project the semitrailer axle onto the path and return (s, PathError)."""
-    s = project(path, (state.x3, state.y3), s_prev, window=window)
+    s = project(path, (state.x3, state.y3), s_prev)
     ref = interpolate(path, s)
     dx = state.x3 - ref.x3r
     dy = state.y3 - ref.y3r

@@ -22,19 +22,12 @@ from .exceptions import (InfeasiblePath, NominalOutsidePolytope, PathExhausted,
                          RiccatiDiverged, SingularConfiguration)
 from .model import SINGULAR_TOL, VehicleState, speed_ratio
 from .paths import NominalPath, PathSample, extend_for_horizon, interpolate
-from .qp import (QpSolution, QpStatus, row_structure, soft_ipm_solve,
-                 soft_kkt_residuals, soft_qp_solve)
+from .qp import certified_solve, row_structure
 
 logger = logging.getLogger(__name__)
 
 # KKT tolerance every QP answer the controller uses must meet.
 QP_TOL = 1e-6
-# Exchange cap of each active-set try (the warm-started solve and the
-# crossover after the IPM).  Uncapped, at seed 0, 279 of the 3050 solves of
-# the straight paper runs and 351 of the 2379 of the figure-eight runs 1-2
-# needed more than 10 exchanges (up to the 3000 cap), against 1 at the
-# median; each exchange refactors a KKT matrix.
-EXCHANGE_CAP = 10
 
 
 @dataclass
@@ -203,14 +196,14 @@ def actuator_limits(params, cfg: MpcConfig):
     return min(params.u_max, cfg.u_max), min(params.udot_max, cfg.udot_max)
 
 
-def slew_bound(sample: PathSample, params, udot_max, v_abs=1.0) -> float:
+def slew_bound(sample: PathSample, params, udot_max) -> float:
     """Curvature-rate bound per meter of semitrailer travel at this sample,
     for the curvature-rate limit ``udot_max`` (the controllers pass the one
     from :func:`actuator_limits`)."""
     c1 = speed_ratio(params, sample.beta2r, sample.beta3r, sample.ur)
     if c1 <= SINGULAR_TOL:
         raise SingularConfiguration(f"nominal C1 = {c1:.3e} at s={sample.s:.2f}")
-    return udot_max / (v_abs * c1)
+    return udot_max / c1
 
 
 @dataclass
@@ -289,8 +282,7 @@ class MpcController:
     """
 
     def __init__(self, params, path: NominalPath, cfg: MpcConfig = None,
-                 polytope: JointAnglePolytope = None, cost: CostMatrices = None,
-                 use_polytope=True):
+                 polytope: JointAnglePolytope = None, use_polytope=True):
         from .error_model import analytic_straight_model
 
         self.params = params
@@ -299,7 +291,7 @@ class MpcController:
             raise ValueError("prediction grid spacing must equal the path spacing")
         self.u_max, self.udot_max = actuator_limits(params, self.cfg)
         self.polytope = (polytope or default_joint_polytope()) if use_polytope else None
-        self.cost = cost or design_cost(
+        self.cost = design_cost(
             params, self.cfg, analytic_straight_model(params, path.direction,
                                                       self.cfg.delta_s))
         margin = 1.2 * self.cfg.horizon * self.cfg.delta_s
@@ -462,79 +454,21 @@ class MpcController:
         return u_cmd, diag
 
     def _solve_qp(self, struct, q, l, u, b, guess, ctrl):
-        """Capped active set, then interior point and crossover.
+        """This cycle's QP by :func:`qp.certified_solve` at ``QP_TOL``.
 
         The QP is the block form of :class:`_QpStructure` with this cycle's
         linear cost ``q``, hard-row bounds ``l``/``u`` and soft-row bounds
-        ``b``; the soft rows' slacks are handled inside the solvers.  A
-        feasible start comes from clipping the shifted previous input plan
-        (``guess``) through the box/slew chain.  Each answer is certified
-        with :func:`soft_kkt_residuals`, the KKT residuals of the lifted
-        problem over (inputs, slacks) computed block by block; the first
-        that passes ``QP_TOL`` is taken:
-
-        1. :func:`soft_qp_solve`, warm-started from the last certified working
-           set, capped at ``EXCHANGE_CAP`` exchanges; most cycles end here
-           after one or two;
-        2. else :func:`soft_ipm_solve` (at most ``IPM_MAX_ITER`` Newton
-           steps), followed by a crossover: :func:`soft_qp_solve` again,
-           warm-started from the interior point's working set, with the same
-           cap, which lands on the exact vertex;
-        3. else the interior point itself.
-
-        Returns (QpSolution, solver path); the solution's ``y`` is (inputs,
-        slacks) and its duals those of the hard, soft and slack rows, and
-        its iterations count the exchanges plus the IPM's iterations.  A try
-        that gives up (``soft_qp_solve`` returns None) counts its full cap,
-        also when it stopped before its first exchange (an infeasible start
-        or a singular first equality solve), since None does not say how
-        far it got.  When nothing passes, the path is "lq_fallback" and the
-        solution is the interior point, with its residuals and a status
-        other than Optimal.
+        ``b``.  The active-set start comes from clipping the shifted
+        previous input plan (``guess``) through the box/slew chain, and the
+        warm start is the last certified working set.  Returns (QpSolution,
+        solver path); the path is "lq_fallback" when no answer passes.
         """
-        sig1, sig2 = self.cfg.slack_linear, self.cfg.slack_quad
-        soft = (struct.P_uu, q, struct.A_in, l, u, struct.G, b, sig1, sig2)
-        iterations = 0
-
-        def active_set(x0, warm):
-            nonlocal iterations
-            res = soft_qp_solve(*soft, x0, struct.single_col,
-                                max_iter=EXCHANGE_CAP, warm=warm)
-            iterations += EXCHANGE_CAP if res is None else res[6]
-            return res
-
-        def answers():
-            """(solver path, answer) in order of preference, solved lazily."""
-            nonlocal iterations
-            ut = self._feasible_inputs(struct, l, u, guess)
-            if ut is not None:
-                res = active_set(ut, ctrl.warm_sets)
-                if res is not None:
-                    yield "active_set", res
-            ipm = soft_ipm_solve(*soft, ut, QP_TOL)
-            iterations += ipm[6]
-            cross = active_set(ipm[0], ipm[5])
-            if cross is not None:
-                yield "ipm", cross
-            yield "ipm", ipm
-
-        for path, res in answers():
-            x, eps, mu, lam_soft, nu = res[:5]
-            rp, rd, rc = soft_kkt_residuals(*soft, x, eps, mu, lam_soft, nu)
-            if max(rp, rd, rc) <= QP_TOL:
-                status = QpStatus.OPTIMAL
-                ctrl.warm_sets = res[5]
-                break
-        else:
-            # the interior point failed the check as well
-            status = QpStatus.MAX_ITER
-            ctrl.warm_sets = None
-            path = "lq_fallback"
-        obj = float(0.5 * x @ struct.P_uu @ x + q @ x
-                    + sig2 * (eps @ eps) + sig1 * eps.sum())
-        return QpSolution(np.concatenate([x, eps]),
-                          np.concatenate([mu, lam_soft, nu]), status,
-                          iterations, obj, rp, rd, rc), path
+        sol, path, ctrl.warm_sets = certified_solve(
+            struct.P_uu, q, struct.A_in, l, u, struct.G, b,
+            self.cfg.slack_linear, self.cfg.slack_quad,
+            self._feasible_inputs(struct, l, u, guess), QP_TOL,
+            warm=ctrl.warm_sets, single_col=struct.single_col)
+        return sol, path or "lq_fallback"
 
     @staticmethod
     def _feasible_inputs(struct, l_in, u_in, guess):
@@ -579,13 +513,12 @@ class LqController:
     """Saturated LQ baseline: curvature feedforward plus state feedback, with
     pure saturation and no slew or joint-angle constraint handling."""
 
-    def __init__(self, params, path: NominalPath, cfg: MpcConfig = None,
-                 cost: CostMatrices = None):
+    def __init__(self, params, path: NominalPath, cfg: MpcConfig = None):
         from .error_model import analytic_straight_model
 
         self.params = params
         self.cfg = cfg or MpcConfig()
-        self.cost = cost or design_cost(
+        self.cost = design_cost(
             params, self.cfg, analytic_straight_model(params, path.direction,
                                                       self.cfg.delta_s))
         self.path = extend_for_horizon(params, path,

@@ -2,35 +2,25 @@
 
 Solves problems of the form
 
-    minimize    0.5 * y'Py + q'y
-    subject to  l <= Ay <= u
+    minimize    0.5 * x'Px + q'x + sum_i (sig1 eps_i + sig2 eps_i^2)
+    subject to  l <= Ax <= u,   Gx - eps <= b,   eps >= 0,
 
-with P symmetric positive semidefinite.  The controller solves its QP with
-one-sided soft rows kept in the x space in three bounded steps:
-:func:`soft_qp_solve`, a warm-started primal active-set method that
-certifies its answer with exact KKT solves, runs under a small exchange cap;
-when it gives up, :func:`soft_ipm_solve`, a dense Mehrotra predictor-corrector
-interior-point method with a fixed iteration cap, takes over, and a second
-capped active-set solve warm-started from the interior point's working set
-(a crossover) recovers the exact vertex.  The controller certifies each
-answer with :func:`soft_kkt_residuals`, the residuals of
-:func:`kkt_residuals` on the lifted problem over (x, slacks), computed from
-the blocks without forming the lifted matrices.  The region sweep calls
-:func:`soft_qp_solve` alone, without soft rows.
-
-:func:`solve_qp` and :class:`DenseQpSolver` solve one-shot problems with an
-operator-splitting (ADMM) solver: Ruiz equilibration, over-relaxation, warm
-starting and an optional active-set polish step, with a prepared mode
-(:class:`PreparedQp`) that reuses the equilibration and factorization across
-solves that share (P, A), including batched solves with many simultaneous
-right-hand sides.  The controller does not use it.
+with P symmetric positive semidefinite and one-sided soft rows ``G`` whose
+slacks ``eps`` stay out of the x space.  :func:`certified_solve` is the one
+solve entry, used by the controller and by :func:`solve_qp` (no soft rows):
+a capped warm-started active set (:func:`soft_qp_solve`), then a capped
+Mehrotra interior point (:func:`soft_ipm_solve`) and an active-set crossover
+from its working set, each answer certified by :func:`soft_kkt_residuals`
+on the lifted problem over (x, slacks) without forming it.  The region sweep
+calls :func:`soft_qp_solve` alone.  :class:`PreparedQp`, an ADMM solver with
+batched right-hand sides, is used by no solve path.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, cho_factor, cho_solve
@@ -53,8 +43,6 @@ class QpProblem:
     A: np.ndarray
     l: np.ndarray
     u: np.ndarray
-    y0: np.ndarray = None     # optional primal warm start
-    lam0: np.ndarray = None   # optional dual warm start
 
     def validate(self):
         n = len(self.q)
@@ -425,6 +413,12 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
 # MPC runs at seed 0 the IPM took 15.5 iterations at the median, 18 at the
 # 90th percentile and 22 at most.
 IPM_MAX_ITER = 30
+# Exchange cap of each active-set try of certified_solve (the warm-started
+# solve and the crossover after the IPM).  Uncapped, at seed 0, 279 of the
+# 3050 solves of the straight paper runs and 351 of the 2379 of the
+# figure-eight runs 1-2 needed more than 10 exchanges (up to the 3000 cap),
+# against 1 at the median; each exchange refactors a KKT matrix.
+EXCHANGE_CAP = 10
 
 
 def _step_to_boundary(v, dv):
@@ -543,7 +537,9 @@ def soft_ipm_solve(P, q, A, l, u, G, b, sig1, sig2, x0, tol):
         # predictor: the affine-scaling direction and the centering it needs
         _, dy, dlam = newton(prod)
         mu_aff = step(dy, dlam, 1.0)[1]
-        smu = (mu_aff / mu) ** 3 * mu
+        # mu is 0 only without inequalities (no finite row side, no soft
+        # row), where the Newton step needs no centring
+        smu = (mu_aff / mu) ** 3 * mu if mu > 0.0 else 0.0
         # corrector: centred, with the predictor's second-order term
         dx, dy, dlam = newton(prod + dy * dlam - smu)
         alpha, mu_new = step(dy, dlam, 0.99)
@@ -612,6 +608,98 @@ def soft_kkt_residuals(P, q, A, l, u, G, b, sig1, sig2, x, eps, mu, lam, nu):
     dual = np.concatenate([P @ x + q + A.T @ mu + G.T @ lam,
                            2.0 * sig2 * eps + sig1 - lam + nu])
     return prim, float(np.max(np.abs(dual), initial=0.0)), comp
+
+
+def _farkas(A, l, u, mu):
+    """Whether the hard-row duals ``mu`` certify that no x satisfies
+    l <= Ax <= u: moved onto the null space of A' (the interior point stops
+    with A'mu ~ 1 beside |mu| ~ 1e3), they must have a negative support
+    u'max(y, 0) + l'min(y, 0) and no weight on an infinite side."""
+    y = mu - np.linalg.lstsq(A.T, A.T @ mu, rcond=None)[0]
+    rel = 1e-8 * np.abs(y).max(initial=0.0)
+    fin_u, fin_l = np.isfinite(u), np.isfinite(l)
+    sup = np.where(fin_u, u, 0.0) @ np.maximum(y, 0.0) \
+        + np.where(fin_l, l, 0.0) @ np.minimum(y, 0.0)
+    return bool(np.abs(A.T @ y).max(initial=0.0) <= rel and sup < -rel
+                and not np.any(~fin_u & (y > rel) | ~fin_l & (y < -rel)))
+
+
+def certified_solve(P, q, A, l, u, G, b, sig1, sig2, x0, tol, warm=None,
+                    single_col=None):
+    """The package's QP solve: the soft QP of :func:`soft_qp_solve` by a
+    capped active set, then interior point and crossover.
+
+    ``x0`` is a start that satisfies the hard rows, or None; ``warm`` is the
+    working set of a certified answer to a problem with the same rows.  The
+    first answer whose :func:`soft_kkt_residuals` pass ``tol`` is taken:
+
+    1. :func:`soft_qp_solve` from ``x0`` and ``warm``, capped at
+       ``EXCHANGE_CAP`` exchanges (skipped without ``x0``);
+    2. else :func:`soft_ipm_solve` (at most ``IPM_MAX_ITER`` Newton steps)
+       and a crossover, :func:`soft_qp_solve` warm-started from the interior
+       point's working set with the same cap, which lands on the vertex;
+    3. else the interior point itself.
+
+    Returns (QpSolution, solver path "active_set" or "ipm", working set).
+    The solution's ``y`` is (x, slacks) and its duals those of the hard,
+    soft and slack rows.  Its iterations count the exchanges plus the IPM's
+    iterations; a try that gives up counts its full cap, also when it
+    stopped before its first exchange, since None does not say how far it
+    got.  When nothing passes, the solution is the interior point, the path
+    and working set are None, and the status is PrimalInfeasible when its
+    duals are a Farkas certificate, else MaxIter.
+    """
+    soft = (P, q, A, l, u, G, b, sig1, sig2)
+    iterations = 0
+
+    def active_set(start, warm_sets):
+        nonlocal iterations
+        res = soft_qp_solve(*soft, start, single_col, max_iter=EXCHANGE_CAP,
+                            warm=warm_sets)
+        iterations += EXCHANGE_CAP if res is None else res[6]
+        return res
+
+    def answers():
+        """(solver path, answer) in order of preference, solved lazily."""
+        nonlocal iterations
+        if x0 is not None:
+            res = active_set(x0, warm)
+            if res is not None:
+                yield "active_set", res
+        ipm = soft_ipm_solve(*soft, x0, tol)
+        iterations += ipm[6]
+        cross = active_set(ipm[0], ipm[5])
+        if cross is not None:
+            yield "ipm", cross
+        yield "ipm", ipm
+
+    for path, res in answers():
+        x, eps, mu, lam_soft, nu = res[:5]
+        rp, rd, rc = soft_kkt_residuals(*soft, x, eps, mu, lam_soft, nu)
+        if max(rp, rd, rc) <= tol:
+            status = QpStatus.OPTIMAL
+            sets = res[5]
+            break
+    else:
+        # the interior point failed the check as well
+        status = QpStatus.PRIMAL_INFEASIBLE if _farkas(A, l, u, mu) \
+            else QpStatus.MAX_ITER
+        path = sets = None
+    obj = float(0.5 * x @ P @ x + q @ x + sig2 * (eps @ eps) + sig1 * eps.sum())
+    return QpSolution(np.concatenate([x, eps]),
+                      np.concatenate([mu, lam_soft, nu]), status,
+                      iterations, obj, rp, rd, rc), path, sets
+
+
+def solve_qp(prob: QpProblem, tol=1e-6) -> QpSolution:
+    """One-shot solve of ``prob`` by :func:`certified_solve`, without soft
+    rows or a start: the interior point, its crossover, and the interior
+    point itself, the first that passes the KKT check at ``tol``."""
+    prob.validate()
+    n = len(prob.q)
+    return certified_solve(prob.P, prob.q, prob.A, prob.l, prob.u,
+                           np.zeros((0, n)), np.zeros(0), 0.0, 0.0, None,
+                           tol)[0]
 
 
 class PreparedQp:
@@ -821,42 +909,6 @@ class PreparedQp:
         sup = np.where(np.isfinite(U), U, 0.0) * dp + np.where(np.isfinite(L), L, 0.0) * dn
         sup = sup.sum(axis=0)
         return at_norm & ~bad_inf & (atv <= eps * norm) & (sup < -eps * norm)
-
-
-class DenseQpSolver:
-    """Front end: one-shot solves with validation and active-set polishing."""
-
-    def __init__(self, tol=1e-6, max_iter=4000, rho=0.1, sigma=1e-6, alpha=1.6,
-                 polish=True):
-        self.tol = tol
-        self.max_iter = max_iter
-        self.rho = rho
-        self.sigma = sigma
-        self.alpha = alpha
-        self.polish = polish
-
-    def prepare(self, P, A, eq_mask=None, **kw) -> PreparedQp:
-        """Build the equilibrated workspace for a fixed (P, A)."""
-        return PreparedQp(P, A, eq_mask=eq_mask, rho=self.rho, sigma=self.sigma,
-                          alpha=self.alpha, tol=self.tol, max_iter=self.max_iter, **kw)
-
-    def solve(self, prob: QpProblem, tol=None) -> QpSolution:
-        prob.validate()
-        tol = self.tol if tol is None else tol
-        if prob.A.shape[0] == 0:
-            y = np.linalg.solve(prob.P + self.sigma * np.eye(len(prob.q)), -prob.q)
-            obj = float(0.5 * y @ prob.P @ y + prob.q @ y)
-            _, d, _ = kkt_residuals(prob.P, prob.q, prob.A, prob.l, prob.u, y, np.zeros(0))
-            return QpSolution(y, np.zeros(0), QpStatus.OPTIMAL, 1, obj, 0.0, d, 0.0)
-        eq_mask = np.isfinite(prob.l) & np.isfinite(prob.u) & (prob.u - prob.l < 1e-12)
-        prep = self.prepare(prob.P, prob.A, eq_mask=eq_mask)
-        return prep.solve(prob.q, prob.l, prob.u, y0=prob.y0, lam0=prob.lam0,
-                          tol=tol, polish=self.polish)
-
-
-def solve_qp(prob: QpProblem, tol=1e-6, **kw) -> QpSolution:
-    """Convenience one-shot solve."""
-    return DenseQpSolver(tol=tol, **kw).solve(prob, tol=tol)
 
 
 def brute_force_active_set(P, q, A, l, u, tol=1e-9):

@@ -56,9 +56,9 @@ class RegionGrid:
         return cls(b3, b2, stable, visible)
 
 
-def make_axes(spacing_deg=2.0, extent_deg=90.0):
-    """Symmetric grid axes covering [-extent, extent] in both joint angles."""
-    n = int(round(extent_deg / spacing_deg))
+def make_axes(spacing_deg=2.0):
+    """Symmetric grid axes covering [-90, 90] degrees in both joint angles."""
+    n = int(round(90.0 / spacing_deg))
     axis = np.arange(-n, n + 1) * math.radians(spacing_deg)
     return axis, axis.copy()
 

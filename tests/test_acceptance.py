@@ -1,0 +1,75 @@
+"""End-to-end gate on the paper's headline outcome.
+
+Runs the 12-run replication suite (``sim.paper_suite()`` at its default
+path lengths and perturbations, each run stopped on convergence as
+``trailer-mpc run --preset paper`` does) and checks that the MPC recovers
+in every experiment while the saturated-LQ baseline jackknifes in every one
+but ``exp3_straight``, with every MPC command inside the actuator limits and
+backed by a certified QP answer.  Prints one PASS/FAIL line per check.
+Takes about half a minute; also runs as a script:
+
+    PYTHONPATH=src python tests/test_acceptance.py
+"""
+
+import sys
+
+from trailer_mpc import MpcConfig, VehicleParams
+from trailer_mpc.mpc import QP_TOL
+from trailer_mpc.sim import CONVERGED, JACKKNIFED, paper_suite, run_suite
+
+# the one paper experiment whose LQ run recovers
+LQ_CONVERGES = {"exp3_straight"}
+
+
+def acceptance_checks():
+    """[(check, passed, detail)] for the paper suite."""
+    params, cfg = VehicleParams(), MpcConfig()
+    summaries = run_suite(paper_suite(), params, cfg)
+    mpc = [s for s in summaries if s["controller"] == "mpc"]
+    lq = [s for s in summaries if s["controller"] == "lq"]
+    u_lim = min(params.u_max, cfg.u_max) + 1e-12
+    slew_lim = min(params.udot_max, cfg.udot_max) / cfg.f_s + 1e-12
+
+    def over(key, limit):
+        """(passed, detail) of ``key`` <= ``limit`` on every MPC run."""
+        worst = max(mpc, key=lambda s: s[key])
+        bad = [s["name"] for s in mpc if not s[key] <= limit]
+        return not bad, (f"worst {worst[key]:.6g} ({worst['name']}), "
+                         f"limit {limit:.6g}" + (f"; over: {bad}" if bad else ""))
+
+    checks = []
+    converged = [s["name"] for s in mpc if s["status"] == CONVERGED]
+    checks.append(("mpc converges in every run",
+                   len(mpc) == 6 and len(converged) == len(mpc),
+                   f"{len(converged)} of {len(mpc)}"))
+    wrong = [f"{s['name']}: {s['status']}" for s in lq
+             if s["status"] != (CONVERGED if s["name"] in LQ_CONVERGES
+                                else JACKKNIFED)]
+    checks.append(("lq jackknifes in every run but exp3_straight, which "
+                   "converges", len(lq) == 6 and not wrong,
+                   f"{len(lq) - len(wrong)} of {len(lq)} as expected"
+                   + (f"; {wrong}" if wrong else "")))
+    checks.append(("mpc |u| within the curvature limit",
+                   *over("max_abs_u", u_lim)))
+    checks.append(("mpc per-cycle slew within the rate limit",
+                   *over("max_cycle_slew", slew_lim)))
+    checks.append(("mpc never falls back to the LQ gain",
+                   *over("n_lq_fallback", 0)))
+    checks.append(("mpc KKT residual within QP_TOL", *over("max_kkt", QP_TOL)))
+    return checks
+
+
+def report(checks):
+    for name, passed, detail in checks:
+        print(f"{'PASS' if passed else 'FAIL'}: {name} ({detail})")
+    return all(passed for _, passed, _ in checks)
+
+
+def test_paper_outcome():
+    checks = acceptance_checks()
+    report(checks)
+    assert [c for c in checks if not c[1]] == []
+
+
+if __name__ == "__main__":
+    sys.exit(0 if report(acceptance_checks()) else 1)

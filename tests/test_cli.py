@@ -93,6 +93,23 @@ def test_region_fit_empty_margin(tmp_path, capsys):
     assert code == 1
 
 
+def test_region_fit_alone_computes_both_grids(tmp_path, capsys):
+    from trailer_mpc import (MpcConfig, VehicleParams, make_axes,
+                             sensing_region, stability_sweep)
+
+    main(["region", "--fit", "--spacing-deg", "30", "--distance", "20",
+          "--out-dir", str(tmp_path)])
+    data = np.genfromtxt(tmp_path / "region_grid.csv", delimiter=",", names=True)
+    b3, b2 = make_axes(30.0)
+    params = VehicleParams()
+    visible = sensing_region(params, b3, b2).visible
+    stable = stability_sweep(params, MpcConfig(), b3, b2, distance=20.0).stable
+    # the CSV lists the cells row by row (beta3 outer, beta2 inner)
+    assert np.array_equal(data["visible"].astype(bool), visible.ravel())
+    assert np.array_equal(data["stable"].astype(bool), stable.ravel())
+    assert stable.any() and visible.any()
+
+
 def test_region_requires_some_work(capsys):
     assert main(["region"]) == 2
 

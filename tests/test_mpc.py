@@ -233,20 +233,20 @@ def test_mpc_command_within_limits_under_large_error(params, straight_back):
 @pytest.mark.parametrize("use_polytope", [True, False])
 def test_step_reports_the_active_set_iterations(params, straight_back,
                                                 monkeypatch, use_polytope):
-    import trailer_mpc.mpc as mpc_mod
+    import trailer_mpc.qp as qp_mod
 
     # per step: exchanges of each active-set try (its cap when it gives up,
     # however far it got) plus the IPM's iterations
     counts = []
     for name in ("soft_qp_solve", "soft_ipm_solve"):
-        solver = getattr(mpc_mod, name)
+        solver = getattr(qp_mod, name)
 
         def counted(*args, _solver=solver, **kwargs):
             res = _solver(*args, **kwargs)
-            counts[-1] += mpc_mod.EXCHANGE_CAP if res is None else res[-1]
+            counts[-1] += qp_mod.EXCHANGE_CAP if res is None else res[-1]
             return res
 
-        monkeypatch.setattr(mpc_mod, name, counted)
+        monkeypatch.setattr(qp_mod, name, counted)
     controller = MpcController(params, straight_back, MpcConfig(),
                                use_polytope=use_polytope)
     ctrl = ControllerState(s_prev=0.0)
@@ -261,6 +261,7 @@ def test_step_reports_the_active_set_iterations(params, straight_back,
 
 def test_step_hands_over_to_the_ipm(params, straight_back):
     import trailer_mpc.mpc as mpc_mod
+    import trailer_mpc.qp as qp_mod
 
     controller = MpcController(params, straight_back, MpcConfig())
     ctrl = ControllerState(s_prev=0.0)
@@ -271,18 +272,18 @@ def test_step_hands_over_to_the_ipm(params, straight_back):
     assert not diag.fallback
     assert max(diag.primal_residual, diag.dual_residual,
                diag.comp_residual) <= mpc_mod.QP_TOL
-    assert mpc_mod.EXCHANGE_CAP < diag.qp_iterations <= \
-        2 * mpc_mod.EXCHANGE_CAP + IPM_MAX_ITER
+    assert qp_mod.EXCHANGE_CAP < diag.qp_iterations <= \
+        2 * qp_mod.EXCHANGE_CAP + IPM_MAX_ITER
     # the certified working set carries over: the next cycle starts warm
     assert ctrl.warm_sets is not None
 
 
 def test_lq_fallback_is_reported_and_logged(params, straight_back, monkeypatch,
                                             caplog):
-    import trailer_mpc.mpc as mpc_mod
+    import trailer_mpc.qp as qp_mod
 
     # no answer passes the KKT check
-    monkeypatch.setattr(mpc_mod, "soft_kkt_residuals",
+    monkeypatch.setattr(qp_mod, "soft_kkt_residuals",
                         lambda *a: (1.0, 1.0, 1.0))
     cfg = MpcConfig()
     controller = MpcController(params, straight_back, cfg)
@@ -294,7 +295,7 @@ def test_lq_fallback_is_reported_and_logged(params, straight_back, monkeypatch,
     assert diag.qp_status != "Optimal"
     assert diag.primal_residual == 1.0
     assert 1 <= diag.qp_iterations <= \
-        2 * mpc_mod.EXCHANGE_CAP + IPM_MAX_ITER
+        2 * qp_mod.EXCHANGE_CAP + IPM_MAX_ITER
     assert ctrl.warm_sets is None and ctrl.warm_y is None
     assert "LQ fallback" in caplog.text
     # the LQ command, within the first cycle's slew window

@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trailer_mpc import QpProblem, QpStatus, solve_qp
-from trailer_mpc.qp import (DenseQpSolver, PreparedQp, brute_force_active_set,
-                            kkt_residuals, row_structure, soft_ipm_solve,
-                            soft_kkt_residuals, soft_qp_solve)
+from trailer_mpc.qp import (PreparedQp, brute_force_active_set, kkt_residuals,
+                            row_structure, soft_ipm_solve, soft_kkt_residuals,
+                            soft_qp_solve)
 
 
 def _random_qp(rng, n, m):
@@ -59,6 +61,39 @@ def test_status_primal_infeasible():
     u = np.array([-1.0, np.inf])
     sol = solve_qp(QpProblem(P, q, A, l, u))
     assert sol.status == QpStatus.PRIMAL_INFEASIBLE
+
+
+def test_status_primal_infeasible_without_symmetry():
+    # x1 + x2 >= 2 and 2 x1 + 2 x2 <= 1 cannot both hold; the interior
+    # point's duals leave A'mu ~ 1 beside |mu| ~ 1e3, so the certificate
+    # needs them moved onto the null space of A'
+    A = np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]])
+    l = np.array([2.0, -np.inf, -1.0])
+    u = np.array([np.inf, 1.0, 1.0])
+    sol = solve_qp(QpProblem(np.eye(2), np.ones(2), A, l, u))
+    assert sol.status == QpStatus.PRIMAL_INFEASIBLE
+    # a feasible neighbour is solved, not certified infeasible
+    u[1] = 5.0
+    assert solve_qp(QpProblem(np.eye(2), np.ones(2), A, l, u)).status == \
+        QpStatus.OPTIMAL
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_no_finite_row_side_gives_the_unconstrained_minimum(rng, m):
+    # m = 0 rows, or rows with every bound infinite: the interior point has
+    # no inequality and its complementarity is 0/0 unless guarded
+    n = 3
+    M = rng.normal(size=(n, n))
+    P = M @ M.T + np.eye(n)
+    q = rng.normal(size=n)
+    A = rng.normal(size=(m, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_qp(QpProblem(P, q, A, np.full(m, -np.inf),
+                                 np.full(m, np.inf)))
+    assert sol.status == QpStatus.OPTIMAL
+    np.testing.assert_allclose(sol.y, -np.linalg.solve(P, q), rtol=0.0,
+                               atol=1e-9)
 
 
 def test_validate_catches_shape_and_bound_errors():
@@ -276,16 +311,6 @@ def test_soft_qp_rejects_infeasible_start(rng):
     P, q, A, l, u, G, b = _random_soft_qp(rng)
     bad = np.full(len(q), 1e6)
     assert soft_qp_solve(P, q, A, l, u, G, b, 1.0, 1.0, bad) is None
-
-
-def test_dense_solver_polish_gives_exact_active_set(rng):
-    n, m = 6, 9
-    P, q, A, l, u = _random_qp(rng, n, m)
-    solver = DenseQpSolver(tol=1e-9, polish=True)
-    sol = solver.solve(QpProblem(P, q, A, l, u))
-    if sol.status == QpStatus.OPTIMAL:
-        assert max(sol.primal_residual, sol.dual_residual,
-                   sol.comp_residual) < 1e-8
 
 
 @pytest.mark.xfail(strict=True, reason="the equality solve gives up when every "

@@ -23,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trailer_mpc import ControllerState, MpcConfig, MpcController, VehicleParams
-from trailer_mpc.mpc import EXCHANGE_CAP, QP_TOL
+from trailer_mpc.mpc import QP_TOL
 from trailer_mpc.paths import generate_straight
-from trailer_mpc.qp import IPM_MAX_ITER, _solve_active, soft_qp_solve
+from trailer_mpc.qp import (EXCHANGE_CAP, IPM_MAX_ITER, _solve_active,
+                            soft_qp_solve)
 
 PINS = pathlib.Path(__file__).parent / "data" / "qp_kernel_pins.json"
 
