@@ -82,7 +82,7 @@ def _specs_from_config(cfg_dict):
             perturbation=tuple(entry.get("perturbation", (0.0, 0.0, 0.0, 0.0))),
             start_s=float(entry.get("start_s", 0.0)),
             max_time=entry.get("max_time"),
-            noise_std=tuple(entry["noise_std"]) if entry.get("noise_std") else None,
+            noise_std=entry.get("noise_std"),
             seed=int(entry.get("seed", 0)),
         )
         if spec.path_kind not in ("straight", "eight"):

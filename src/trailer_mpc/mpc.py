@@ -22,7 +22,7 @@ from .exceptions import (InfeasiblePath, NominalOutsidePolytope, PathExhausted,
                          RiccatiDiverged, SingularConfiguration)
 from .model import SINGULAR_TOL, VehicleState, speed_ratio
 from .paths import NominalPath, PathSample, extend_for_horizon, interpolate
-from .qp import certified_solve, row_structure
+from .qp import HotStart, certified_solve, row_structure
 
 logger = logging.getLogger(__name__)
 
@@ -214,6 +214,9 @@ class ControllerState:
     warm_base: int = None
     # working-set masks of the last certified QP answer (soft_qp_solve's)
     warm_sets: tuple = None
+    # the last certified QP answer with its parameters, at grid base
+    # warm_base: the next cycle at that base hot-starts from it
+    hot: HotStart = None
 
 
 @dataclass
@@ -230,9 +233,11 @@ class StepDiagnostics:
     slack_max: float
     solve_time_ms: float
     fallback: bool
-    # which path gave the command: "active_set" (the capped warm-started
-    # active set), "ipm" (the interior point, or its crossover) or
-    # "lq_fallback" (no certified answer); the LQ baseline reports "lq"
+    # which path gave the command: "parametric" (the hot start from the
+    # last cycle's answer at the same grid base), "active_set" (the capped
+    # warm-started active set at a new base), "ipm" (the interior point, or
+    # its crossover) or "lq_fallback" (no certified answer); the LQ
+    # baseline reports "lq"
     solver_path: str
     # phases of solve_time_ms: projection and error (compute_error and the
     # reference curvature), the condensed structure (linearizing and
@@ -423,8 +428,11 @@ class MpcController:
         u[struct.row_slew0] = ctrl.u_prev + delta_cycle - struct.ur0
         b = struct.hbar - struct.HsPhi @ x0
 
-        sol, path = self._solve_qp(struct, q, l, u, b,
-                                   self._shift_warm(ctrl, base, N), ctrl)
+        # at the base of the last certified answer the rows are the same,
+        # and only q, b and the row_slew0 bounds moved
+        sol, path = self._solve_qp(
+            struct, q, l, u, b, self._shift_warm(ctrl, base, N), ctrl,
+            hot=ctrl.hot if ctrl.warm_base == base else None)
         t_solve = time.perf_counter()
         fallback = path == "lq_fallback"
         if fallback:
@@ -453,21 +461,25 @@ class MpcController:
         ctrl.s_prev = s0
         return u_cmd, diag
 
-    def _solve_qp(self, struct, q, l, u, b, guess, ctrl):
+    def _solve_qp(self, struct, q, l, u, b, guess, ctrl, hot=None):
         """This cycle's QP by :func:`qp.certified_solve` at ``QP_TOL``.
 
         The QP is the block form of :class:`_QpStructure` with this cycle's
         linear cost ``q``, hard-row bounds ``l``/``u`` and soft-row bounds
-        ``b``.  The active-set start comes from clipping the shifted
-        previous input plan (``guess``) through the box/slew chain, and the
-        warm start is the last certified working set.  Returns (QpSolution,
-        solver path); the path is "lq_fallback" when no answer passes.
+        ``b``.  With ``hot``, the last certified answer on the same rows, the
+        solve hot-starts from it.  Otherwise the active-set start comes from
+        clipping the shifted previous input plan (``guess``) through the
+        box/slew chain, and the warm start is the last certified working
+        set.  Keeps this answer in ``ctrl.hot`` for the next cycle.  Returns
+        (QpSolution, solver path); the path is "lq_fallback" when no answer
+        passes.
         """
         sol, path, ctrl.warm_sets = certified_solve(
             struct.P_uu, q, struct.A_in, l, u, struct.G, b,
             self.cfg.slack_linear, self.cfg.slack_quad,
             self._feasible_inputs(struct, l, u, guess), QP_TOL,
-            warm=ctrl.warm_sets, single_col=struct.single_col)
+            warm=ctrl.warm_sets, single_col=struct.single_col, hot=hot)
+        ctrl.hot = HotStart(q, l, u, b, sol, ctrl.warm_sets) if path else None
         return sol, path or "lq_fallback"
 
     @staticmethod

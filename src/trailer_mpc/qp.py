@@ -7,13 +7,16 @@ Solves problems of the form
 
 with P symmetric positive semidefinite and one-sided soft rows ``G`` whose
 slacks ``eps`` stay out of the x space.  :func:`certified_solve` is the one
-solve entry, used by the controller and by :func:`solve_qp` (no soft rows):
-a capped warm-started active set (:func:`soft_qp_solve`), then a capped
+solve entry, used by the controller and by :func:`solve_qp` (no soft rows).
+It first tries a parametric hot start (:func:`parametric_solve`), which
+follows the optimum from the previous answer on the same rows, or else a
+capped warm-started active set (:func:`soft_qp_solve`).  Then come a capped
 Mehrotra interior point (:func:`soft_ipm_solve`) and an active-set crossover
-from its working set, each answer certified by :func:`soft_kkt_residuals`
-on the lifted problem over (x, slacks) without forming it.  The region sweep
-calls :func:`soft_qp_solve` alone.  :class:`PreparedQp`, an ADMM solver with
-batched right-hand sides, is used by no solve path.
+from its working set.  Each answer is certified by :func:`soft_kkt_residuals`
+on the lifted problem over (x, slacks) without forming it; when none passes,
+the status says whether the problem is primal or dual infeasible.  The
+region sweep calls :func:`soft_qp_solve` alone.  :class:`PreparedQp`, an
+ADMM solver with batched right-hand sides, is used by no solve path.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, cho_factor, cho_solve
@@ -34,6 +38,7 @@ class QpStatus:
     OPTIMAL = "Optimal"
     MAX_ITER = "MaxIter"
     PRIMAL_INFEASIBLE = "PrimalInfeasible"
+    DUAL_INFEASIBLE = "DualInfeasible"
 
 
 @dataclass
@@ -208,8 +213,37 @@ def polish_solution(P, q, A, l, u, y, lam, z, tol, single_col=None):
     return None
 
 
+def _fold(P, q, G, b, sig1, sig2, elim):
+    """(P, q) with the penalty of the eliminated soft rows ``elim`` folded
+    in: each such slack is substituted by its violation G_i x - b_i.
+    Always returns new arrays."""
+    GE = G[elim]
+    if len(GE):
+        return (P + (2.0 * sig2) * (GE.T @ GE),
+                q + GE.T @ (sig1 - 2.0 * sig2 * b[elim]))
+    return P.copy(), q.copy()
+
+
+def _working_point(P_f, q_f, A, l, u, G, b, single_col, low_m, up_m, kink_m):
+    """:func:`_solve_active` on a soft QP's working set: the hard rows
+    active at their lower (``low_m``) or upper (``up_m``) side, then the
+    kink rows ``G x = b``, on the folded objective (P_f, q_f).  Returns
+    ((x, duals), active hard rows) or None."""
+    rows_h = (up_m | low_m).nonzero()[0]
+    A_w = A[rows_h]
+    b_w = np.where(up_m, u, l)[rows_h]
+    sc_w = single_col[rows_h]
+    if kink_m.any():
+        kr = kink_m.nonzero()[0]
+        A_w = np.concatenate([A_w, G[kr]])
+        b_w = np.concatenate([b_w, b[kr]])
+        sc_w = np.concatenate([sc_w, np.full(len(kr), -1, dtype=sc_w.dtype)])
+    res = _solve_active(P_f, q_f, A_w, b_w, sc_w)
+    return None if res is None else (res, rows_h)
+
+
 def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
-                  max_iter=3000, warm=None):
+                  max_iter=3000, warm=None, hot=None):
     """Primal active-set solve of a QP with one-sided soft rows,
 
         min  0.5 x'Px + q'x + sum_i (sig1 eps_i + sig2 eps_i^2)
@@ -227,6 +261,11 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     point is feasible the iteration starts there, which usually finishes in
     a handful of exchanges when the data changed only slightly.
 
+    ``hot`` takes a :class:`HotStart`, the optimum of a problem with the
+    same P, A and G.  The solve then follows the optimum's path from it
+    (:func:`parametric_solve`, at most ``max_iter`` breakpoints, each counted
+    as an iteration), and x0 and warm are not used.
+
     Returns (x, eps, mu, lam, nu, sets, iterations) -- duals of the hard,
     soft and nonnegativity rows, the final masks (act_low, act_up, soft_act,
     nn_act) and the number of exchange-loop iterations, each one
@@ -234,6 +273,9 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     check; the warm start's trial solve is not counted) -- or None on
     failure.
     """
+    if hot is not None:
+        return parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
+                                single_col, max_iter)[0]
     mh = A.shape[0]
     ms = G.shape[0]
     if single_col is None:
@@ -245,29 +287,13 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     sl = np.where(fin_l, l, 0.0)
     htol_u = 1e-9 * (1.0 + np.abs(su))
     htol_l = 1e-9 * (1.0 + np.abs(sl))
-    no_kink_sc = np.full(ms, -1, dtype=single_col.dtype)
 
     def fold(soft_m, nn_m):
-        GE = G[soft_m & ~nn_m]
-        if len(GE):
-            return (P + (2.0 * sig2) * (GE.T @ GE),
-                    q + GE.T @ (sig1 - 2.0 * sig2 * b[soft_m & ~nn_m]))
-        return P.copy(), q.copy()
+        return _fold(P, q, G, b, sig1, sig2, soft_m & ~nn_m)
 
     def eq_point(low_m, up_m, kink_m, P_f, q_f):
-        """Solve on the working set: active hard rows, then kink rows.
-        Returns ((x, duals), active hard rows) or None."""
-        rows_h = (up_m | low_m).nonzero()[0]
-        A_w = A[rows_h]
-        b_w = np.where(up_m, u, l)[rows_h]
-        sc_w = single_col[rows_h]
-        if kink_m.any():
-            kr = kink_m.nonzero()[0]
-            A_w = np.concatenate([A_w, G[kr]])
-            b_w = np.concatenate([b_w, b[kr]])
-            sc_w = np.concatenate([sc_w, no_kink_sc[:len(kr)]])
-        res = _solve_active(P_f, q_f, A_w, b_w, sc_w)
-        return None if res is None else (res, rows_h)
+        return _working_point(P_f, q_f, A, l, u, G, b, single_col, low_m,
+                              up_m, kink_m)
 
     started = False
     if warm is not None and all(len(m) == n for m, n in
@@ -413,12 +439,210 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
 # MPC runs at seed 0 the IPM took 15.5 iterations at the median, 18 at the
 # 90th percentile and 22 at most.
 IPM_MAX_ITER = 30
-# Exchange cap of each active-set try of certified_solve (the warm-started
-# solve and the crossover after the IPM).  Uncapped, at seed 0, 279 of the
-# 3050 solves of the straight paper runs and 351 of the 2379 of the
-# figure-eight runs 1-2 needed more than 10 exchanges (up to the 3000 cap),
-# against 1 at the median; each exchange refactors a KKT matrix.
+# Exchange cap of each active-set try of certified_solve (the hot start's
+# breakpoints, the warm-started solve and the crossover after the IPM).
+# Uncapped, at seed 0, 279 of the 3050 warm solves of the straight paper runs
+# and 351 of the 2379 of the figure-eight runs 1-2 needed more than 10
+# exchanges (up to the 3000 cap), against 1 at the median; each exchange
+# refactors a KKT matrix.
 EXCHANGE_CAP = 10
+
+
+class HotStart(NamedTuple):
+    """A certified answer of :func:`certified_solve` with the parameters it
+    answered: the linear cost ``q``, the hard-row bounds ``l``/``u`` and the
+    soft-row bounds ``b`` of a problem with the same P, A and G as the one it
+    hot-starts, the :class:`QpSolution` and its working set."""
+
+    q: np.ndarray
+    l: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
+    solution: QpSolution
+    sets: tuple
+
+
+def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot, single_col=None,
+                     max_iter=EXCHANGE_CAP):
+    """Hot start of the soft QP of :func:`soft_qp_solve` from the optimum of
+    a neighbouring problem, the online active-set strategy (Ferreau, Bock &
+    Diehl, Int. J. Robust Nonlinear Control 2008).
+
+    ``hot`` (a :class:`HotStart`) holds an optimum and its working set for
+    the parameters (q0, l0, u0, b0); P, A and G are shared.  As tau goes
+    from 0 to 1 the parameters move along the segment to (q, l, u, b).  On a
+    fixed working set the optimum and its duals are affine in tau, so each
+    piece of the path costs one equality solve, at tau = 1, through
+    :func:`_solve_active`.  A piece ends at a breakpoint, where one row
+    changes state: an inactive hard row reaches a bound, or a soft row its
+    kink (primal ratio test); a working row's dual reaches zero, or a kink
+    row's dual reaches sig1 (dual ratio test); an eliminated slack reaches
+    zero.  The soft rows' three states follow the rules of
+    :func:`soft_qp_solve`.
+
+    Returns (answer, breakpoints).  The answer is the 7-tuple of
+    :func:`soft_qp_solve` at tau = 1, its iterations the breakpoints, or
+    None when the path needs more than ``max_iter`` breakpoints, when an
+    equality solve fails, when the end point violates a working row, or
+    when l, u and b do not keep their finite entries; breakpoints counts
+    those passed either way.
+    """
+    n, mh, ms = len(q), A.shape[0], G.shape[0]
+    fin_u, fin_l = np.isfinite(u), np.isfinite(l)
+    if not (np.array_equal(fin_u, np.isfinite(hot.u))
+            and np.array_equal(fin_l, np.isfinite(hot.l))
+            and np.isfinite(b).all() and np.isfinite(hot.b).all()):
+        return None, 0
+    if single_col is None:
+        single_col = row_structure(A)
+    su, sl = np.where(fin_u, u, 0.0), np.where(fin_l, l, 0.0)
+    htol_u = 1e-9 * (1.0 + np.abs(su))
+    htol_l = 1e-9 * (1.0 + np.abs(sl))
+    btol = 1e-9 * (1.0 + np.abs(b))
+    act_low, act_up, soft_act, nn_act = (np.array(m, dtype=bool)
+                                         for m in hot.sets)
+    nn_act |= ~soft_act    # an inactive soft row's slack sits at zero
+    # the point at tau: the working rows' duals (mu, kink duals kap) and the
+    # quantities the ratio tests watch, each nonnegative while its row keeps
+    # its state: the hard rows' distances to their bounds (hu, hl) and the
+    # soft rows' violations gs
+    x = hot.solution.y[:n]
+    mu = np.where(act_low | act_up, hot.solution.duals[:mh], 0.0)
+    kap = np.where(soft_act & nn_act, hot.solution.duals[mh:mh + ms], 0.0)
+    vh = A @ x
+    hu = np.where(fin_u, hot.u, 0.0) - vh
+    hl = vh - np.where(fin_l, hot.l, 0.0)
+    gs = G @ x - hot.b
+    P_eff, q_eff = _fold(P, q, G, b, sig1, sig2, soft_act & ~nn_act)
+
+    def change(kind, row):
+        """Change the state of ``row`` as the ratio test's ``kind`` says."""
+        if kind == 0:
+            act_up[row], act_low[row] = True, False
+        elif kind == 1:
+            act_low[row], act_up[row] = True, False
+        elif kind == 2:
+            soft_act[row] = True     # reaches the kink
+        elif kind == 3:
+            nn_act[row] = True       # eliminated slack reached zero -> kink
+            P_eff[:] -= (2.0 * sig2) * np.outer(G[row], G[row])
+            q_eff[:] -= G[row] * (sig1 - 2.0 * sig2 * b[row])
+        elif kind in (4, 5):
+            act_up[row] = act_low[row] = False
+            mu[row] = 0.0
+        elif kind == 6:
+            soft_act[row] = False    # leaves the soft row
+            kap[row] = 0.0
+        else:
+            nn_act[row] = False      # releases the slack -> eliminated
+            kap[row] = 0.0
+            P_eff[:] += (2.0 * sig2) * np.outer(G[row], G[row])
+            q_eff[:] += G[row] * (sig1 - 2.0 * sig2 * b[row])
+
+    for breakpoints in range(max_iter + 1):
+        elim = soft_act & ~nn_act
+        kink = soft_act & nn_act
+        res = _working_point(P_eff, q_eff, A, l, u, G, b, single_col,
+                             act_low, act_up, kink)
+        if res is None:
+            return None, breakpoints
+        (x1, lam_w), rows_h = res
+        nh = len(rows_h)
+        mu1 = np.zeros(mh)
+        mu1[rows_h] = lam_w[:nh]
+        kap1 = np.zeros(ms)
+        kap1[kink] = lam_w[nh:]
+        vh1 = A @ x1
+        hu1, hl1, gs1 = su - vh1, vh1 - sl, G @ x1 - b
+        # (rows watched, value at the piece's start, at its end, tolerance),
+        # in a fixed order of kinds so that ties go to the earlier kind
+        watch = ((fin_u & ~act_up, hu, hu1, htol_u),
+                 (fin_l & ~act_low, hl, hl1, htol_l),
+                 (~soft_act, -gs, -gs1, btol),
+                 (elim, gs, gs1, btol),
+                 (act_up, mu, mu1, 1e-9),
+                 (act_low, -mu, -mu1, 1e-9),
+                 (kink, kap, kap1, 1e-9),
+                 (kink, sig1 - kap, sig1 - kap1, 1e-9))
+        sigma, kind = 1.0, None
+        for kd, (rows, v0, v1, tol) in enumerate(watch):
+            idx = (rows & (v1 < -tol)).nonzero()[0]
+            if not len(idx):
+                continue
+            a0 = v0[idx]
+            # a value already below zero at the start changes state at once
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = np.where(a0 > 0.0, a0 / (a0 - v1[idx]), 0.0)
+            j = int(r.argmin())
+            if r[j] < sigma:
+                sigma, kind, row = r[j], kd, idx[j]
+        if kind is None:
+            # a working row that depends on the others, as the previous
+            # answer's working set may hold, is left out of the equality
+            # solve; an end point that violates it is no answer
+            if (gs1[kink] > btol[kink]).any() or \
+                    (hu1[act_up] < -htol_u[act_up]).any() or \
+                    (hl1[act_low] < -htol_l[act_low]).any():
+                return None, breakpoints
+            eps = np.where(elim, gs1, 0.0)
+            lam = np.where(elim, sig1 + 2.0 * sig2 * eps, kap1)
+            nu = np.where(kink, kap1 - sig1, np.where(nn_act, -sig1, 0.0))
+            return (x1, eps, mu1, lam, nu,
+                    (act_low, act_up, soft_act, nn_act), breakpoints), \
+                breakpoints
+        if breakpoints == max_iter:
+            break
+        # move to the breakpoint and change the row's state there
+        mu = mu + sigma * (mu1 - mu)
+        kap = kap + sigma * (kap1 - kap)
+        hu = hu + sigma * (hu1 - hu)
+        hl = hl + sigma * (hl1 - hl)
+        gs = gs + sigma * (gs1 - gs)
+        if kind < 4:
+            # the entering row's dual starts at 0 (sig1 for a slack that
+            # reached zero) and moves by s t, t >= 0
+            s = -1.0 if kind in (1, 3) else 1.0
+            lam_r = sig1 if kind == 3 else 0.0
+            kr = kink.nonzero()[0]
+            W = np.concatenate([A[rows_h], G[kr]])
+            a_r = A[row] if kind < 2 else G[row]
+            c = np.linalg.lstsq(W.T, a_r, rcond=None)[0]
+            if len(W) and np.abs(W.T @ c - a_r).max() <= \
+                    1e-9 * np.abs(a_r).max():
+                # The entering row's normal is a combination c of the
+                # working rows' normals, so it cannot be added as it is:
+                # along t, stationarity moves their duals by -s t c, and the
+                # first of them to reach a bound leaves for it.
+                lam_w = np.concatenate([mu[rows_h], kap[kr]])
+                up_h = act_up[rows_h]
+                lo = np.concatenate([np.where(up_h, 0.0, -np.inf),
+                                     np.zeros(len(kr))])
+                hi = np.concatenate([np.where(up_h, np.inf, 0.0),
+                                     np.full(len(kr), sig1)])
+                d = -s * c
+                dmin = 1e-12 * np.abs(d).max()
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    t = np.where(d > dmin, (hi - lam_w) / d,
+                                 np.where(d < -dmin, (lo - lam_w) / d, np.inf))
+                j = int(t.argmin())
+                t_j = max(t[j], 0.0)
+                # no working dual limits t, or the entering soft row's own
+                # dual leaves [0, sig1] first
+                if not np.isfinite(t_j) or (kind >= 2 and t_j > sig1):
+                    return None, breakpoints
+                lam_w = lam_w + t_j * d
+                mu[rows_h], kap[kr] = lam_w[:nh], lam_w[nh:]
+                lam_r += s * t_j
+                if j < nh:
+                    change(4, rows_h[j])
+                else:
+                    change(6 if d[j] < 0.0 else 7, kr[j - nh])
+        change(kind, row)
+        if kind < 2:
+            mu[row] = lam_r
+        elif kind < 4:
+            kap[row] = lam_r
+    return None, max_iter
 
 
 def _step_to_boundary(v, dv):
@@ -624,48 +848,64 @@ def _farkas(A, l, u, mu):
                 and not np.any(~fin_u & (y > rel) | ~fin_l & (y < -rel)))
 
 
+def _unbounded(P, q, A, G):
+    """Whether a direction d with P d = 0, A d = 0, G d = 0 and q'd < 0
+    exists, to 1e-8 relative: the cost then falls without bound along d from
+    any feasible point, which certifies dual infeasibility.  d = -N N'q
+    over the null space N of the stacked rows, from one SVD."""
+    _, s, vt = np.linalg.svd(np.vstack([P, A, G]))
+    rank = int(np.count_nonzero(s > 1e-8 * s.max(initial=0.0)))
+    return bool(np.linalg.norm(vt[rank:] @ q) > 1e-8 * np.linalg.norm(q))
+
+
 def certified_solve(P, q, A, l, u, G, b, sig1, sig2, x0, tol, warm=None,
-                    single_col=None):
+                    single_col=None, hot=None):
     """The package's QP solve: the soft QP of :func:`soft_qp_solve` by a
-    capped active set, then interior point and crossover.
+    parametric hot start or a capped active set, then interior point and
+    crossover.
 
     ``x0`` is a start that satisfies the hard rows, or None; ``warm`` is the
-    working set of a certified answer to a problem with the same rows.  The
-    first answer whose :func:`soft_kkt_residuals` pass ``tol`` is taken:
+    working set of a certified answer to a problem with the same rows;
+    ``hot`` is a :class:`HotStart`, the previous certified answer on the
+    same P, A and G.  The first answer whose :func:`soft_kkt_residuals` pass
+    ``tol`` is taken:
 
-    1. :func:`soft_qp_solve` from ``x0`` and ``warm``, capped at
-       ``EXCHANGE_CAP`` exchanges (skipped without ``x0``);
+    1. :func:`soft_qp_solve` capped at ``EXCHANGE_CAP`` iterations: with
+       ``hot``, its parametric hot start from it; without, from ``x0`` and
+       ``warm`` (skipped without ``x0``);
     2. else :func:`soft_ipm_solve` (at most ``IPM_MAX_ITER`` Newton steps)
        and a crossover, :func:`soft_qp_solve` warm-started from the interior
        point's working set with the same cap, which lands on the vertex;
     3. else the interior point itself.
 
-    Returns (QpSolution, solver path "active_set" or "ipm", working set).
-    The solution's ``y`` is (x, slacks) and its duals those of the hard,
-    soft and slack rows.  Its iterations count the exchanges plus the IPM's
-    iterations; a try that gives up counts its full cap, also when it
-    stopped before its first exchange, since None does not say how far it
-    got.  When nothing passes, the solution is the interior point, the path
-    and working set are None, and the status is PrimalInfeasible when its
-    duals are a Farkas certificate, else MaxIter.
+    Returns (QpSolution, solver path "parametric", "active_set" or "ipm",
+    working set).  The solution's ``y`` is (x, slacks) and its duals those
+    of the hard, soft and slack rows.  Its iterations count the hot start's
+    breakpoints, the exchanges and the IPM's iterations; an active-set try
+    (the hot start included) that gives up counts its full cap, also when
+    it stopped earlier, since None does not say how far it got.  When
+    nothing passes, the solution is the interior point, the path and
+    working set are None, and the status is PrimalInfeasible when its duals
+    are a Farkas certificate, else DualInfeasible when a direction of
+    unbounded descent exists (:func:`_unbounded`), else MaxIter.
     """
     soft = (P, q, A, l, u, G, b, sig1, sig2)
     iterations = 0
 
-    def active_set(start, warm_sets):
+    def active_set(start, warm_sets, hot_start=None):
         nonlocal iterations
         res = soft_qp_solve(*soft, start, single_col, max_iter=EXCHANGE_CAP,
-                            warm=warm_sets)
+                            warm=warm_sets, hot=hot_start)
         iterations += EXCHANGE_CAP if res is None else res[6]
         return res
 
     def answers():
         """(solver path, answer) in order of preference, solved lazily."""
         nonlocal iterations
-        if x0 is not None:
-            res = active_set(x0, warm)
+        if hot is not None or x0 is not None:
+            res = active_set(x0, warm, hot)
             if res is not None:
-                yield "active_set", res
+                yield ("active_set" if hot is None else "parametric"), res
         ipm = soft_ipm_solve(*soft, x0, tol)
         iterations += ipm[6]
         cross = active_set(ipm[0], ipm[5])
@@ -682,8 +922,12 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, x0, tol, warm=None,
             break
     else:
         # the interior point failed the check as well
-        status = QpStatus.PRIMAL_INFEASIBLE if _farkas(A, l, u, mu) \
-            else QpStatus.MAX_ITER
+        if _farkas(A, l, u, mu):
+            status = QpStatus.PRIMAL_INFEASIBLE
+        elif _unbounded(P, q, A, G):
+            status = QpStatus.DUAL_INFEASIBLE
+        else:
+            status = QpStatus.MAX_ITER
         path = sets = None
     obj = float(0.5 * x @ P @ x + q @ x + sig2 * (eps @ eps) + sig1 * eps.sum())
     return QpSolution(np.concatenate([x, eps]),

@@ -31,6 +31,21 @@ TIMEOUT = "Timeout"
 CONV_SUSTAIN_M = 5.0
 
 
+def _noise_std(value) -> tuple:
+    """``value`` as the 5 per-state measurement-noise standard deviations;
+    a ValueError that names ``noise_std`` unless it is a list of 5 finite,
+    non-negative numbers."""
+    try:
+        std = () if isinstance(value, (str, bytes)) else \
+            tuple(float(v) for v in value)
+    except (TypeError, ValueError):
+        std = ()
+    if len(std) != 5 or not all(math.isfinite(v) and v >= 0.0 for v in std):
+        raise ValueError(f"noise_std must be a list of 5 finite, non-negative "
+                         f"numbers, one per state; got {value!r}")
+    return std
+
+
 @dataclass
 class ExperimentSpec:
     """One closed-loop experiment: path, controller and initial perturbation."""
@@ -47,8 +62,8 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_std is not None and len(self.noise_std) != 5:
-            raise ValueError("noise_std must have 5 entries, one per state")
+        if self.noise_std is not None:
+            self.noise_std = _noise_std(self.noise_std)
 
     def build_path(self, delta_s=0.2, params=None) -> NominalPath:
         if self.path_kind == "straight":
@@ -101,6 +116,9 @@ class RunLog:
             "mean_solve_ms": float(self.solve_ms.mean()) if len(self) else 0.0,
             "max_solve_ms": float(self.solve_ms.max()) if len(self) else 0.0,
             "max_kkt": float(self.kkt_max.max()) if len(self) else 0.0,
+            # cycles answered by the hot start from the last cycle's answer,
+            # and cycles handed over to the interior point
+            "n_parametric": self.solver_path.count("parametric"),
             "n_ipm": self.solver_path.count("ipm"),
             "n_lq_fallback": self.solver_path.count("lq_fallback"),
             # cycles whose command took longer than the control period

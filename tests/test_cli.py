@@ -77,6 +77,17 @@ def test_run_bad_config(tmp_path, capsys):
     assert main(["run", "--config", str(f3)]) == 2
 
 
+@pytest.mark.parametrize("noise_std", [0, [], 0.1, [-1, 0, 0, 0, 0]])
+def test_run_config_rejects_a_bad_noise_std(tmp_path, capsys, noise_std):
+    f = tmp_path / "noise.json"
+    f.write_text(json.dumps({"experiments": [
+        {"name": "n", "controller": "lq", "path_kind": "straight",
+         "path_size": 40.0, "noise_std": noise_std}]}))
+    assert main(["run", "--config", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "noise_std" in err
+
+
 def test_region_sensing_only(tmp_path, capsys):
     code = main(["region", "--sensing", "--spacing-deg", "10",
                  "--out-dir", str(tmp_path)])
@@ -124,6 +135,14 @@ def test_qp_text_round_trip(tmp_path, capsys):
     assert out["status"] == "Optimal"
     assert np.allclose(out["y"], [0.5, 1.5], atol=1e-6)
     assert max(out["kkt"]) < 1e-6
+
+
+def test_qp_reports_an_unbounded_problem(tmp_path, capsys):
+    # min x1 s.t. -1 <= x2 <= 1: P = 0 and nothing bounds x1
+    f = tmp_path / "unbounded.qp"
+    f.write_text("2 1\n0 0\n0 0\n1 0\n0 1\n-1\n1\n")
+    assert main(["qp", str(f)]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "DualInfeasible"
 
 
 def test_qp_malformed_file(tmp_path, capsys):

@@ -259,6 +259,29 @@ def test_step_reports_the_active_set_iterations(params, straight_back,
     assert iters[0] > 1   # a cold start takes exchanges
 
 
+def test_second_cycle_at_the_same_base_hot_starts(params, straight_back):
+    import trailer_mpc.mpc as mpc_mod
+
+    controller = MpcController(params, straight_back, MpcConfig())
+    ctrl = ControllerState(s_prev=0.0)
+    state = VehicleState(0.0, 1.5, 0.0, 0.0, 0.0)
+    diags = [controller.step(state, ctrl)[1] for _ in range(2)]
+    # the same state, so the same grid base; only the slew row moved with
+    # the first command
+    assert round(diags[0].s / 0.2) == round(diags[1].s / 0.2)
+    # the first cycle has no previous answer to start from
+    assert diags[0].solver_path != "parametric"
+    assert diags[1].solver_path == "parametric"
+    assert diags[1].qp_status == "Optimal"
+    assert max(diags[1].primal_residual, diags[1].dual_residual,
+               diags[1].comp_residual) <= mpc_mod.QP_TOL
+    # the hot start's answer is this cycle's optimum: a cold solve agrees
+    cold = MpcController(params, straight_back, MpcConfig())
+    cold_ctrl = ControllerState(s_prev=0.0, u_prev=diags[0].u_cmd)
+    assert cold.step(state, cold_ctrl)[0] == pytest.approx(diags[1].u_cmd,
+                                                          abs=1e-9)
+
+
 def test_step_hands_over_to_the_ipm(params, straight_back):
     import trailer_mpc.mpc as mpc_mod
     import trailer_mpc.qp as qp_mod

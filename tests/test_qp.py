@@ -2,13 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trailer_mpc import QpProblem, QpStatus, solve_qp
-from trailer_mpc.qp import (PreparedQp, brute_force_active_set, kkt_residuals,
-                            row_structure, soft_ipm_solve, soft_kkt_residuals,
-                            soft_qp_solve)
+from trailer_mpc.qp import (EXCHANGE_CAP, HotStart, PreparedQp,
+                            brute_force_active_set, certified_solve,
+                            kkt_residuals, parametric_solve, row_structure,
+                            soft_ipm_solve, soft_kkt_residuals, soft_qp_solve)
 
 
 def _random_qp(rng, n, m):
@@ -305,6 +306,80 @@ def test_soft_qp_warm_start_consistent(rng):
         cold = soft_qp_solve(P, q2, A, l, u, G, b, s1, s2, x0)
         assert warm is not None and cold is not None
         assert np.allclose(warm[0], cold[0], atol=1e-6), trial
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ms=st.integers(0, 3),
+       sig=st.sampled_from([(10.0, 50.0), (1e3, 1e4)]),
+       scale=st.sampled_from([0.01, 0.1, 1.0]))
+def test_parametric_hot_start_reaches_the_optimum_or_gives_up(seed, ms, sig,
+                                                              scale):
+    rng = np.random.default_rng(seed)
+    P, q, A, l, u, G, b = _random_soft_qp(rng)
+    G, b = G[:ms], b[:ms]
+    s1, s2 = sig
+    x0 = np.linalg.lstsq(A, 0.5 * (l + u), rcond=None)[0]
+    sol, path, sets = certified_solve(P, q, A, l, u, G, b, s1, s2, x0, 1e-6)
+    assume(path is not None)
+    # the next problem: q, b and the bounds of one hard row move
+    q2 = q + scale * rng.normal(size=len(q))
+    b2 = b + scale * rng.normal(size=ms)
+    l2, u2 = l.copy(), u.copy()
+    i = rng.integers(len(l))
+    shift = scale * rng.normal()
+    l2[i] += shift
+    u2[i] += shift
+    soft2 = (P, q2, A, l2, u2, G, b2, s1, s2)
+    hot = HotStart(q, l, u, b, sol, sets)
+    res, breakpoints = parametric_solve(*soft2, hot)
+    assert 0 <= breakpoints <= EXCHANGE_CAP
+    certified = res is not None and \
+        max(soft_kkt_residuals(*soft2, *res[:5])) <= 1e-6
+    # certified_solve takes the hot start's answer exactly when it passes the
+    # certificate, and never returns an uncertified point as "parametric"
+    sol2, path2, _ = certified_solve(*soft2, None, 1e-6, hot=hot)
+    assert (path2 == "parametric") == certified
+    if not certified:
+        return
+    assert res[6] == breakpoints == sol2.iterations
+    assert max(sol2.primal_residual, sol2.dual_residual,
+               sol2.comp_residual) <= 1e-6
+    _, obj_ref = brute_force_active_set(*_lifted(*soft2))
+    assert abs(sol2.objective - obj_ref) <= 1e-6 * (1.0 + abs(obj_ref))
+
+
+def test_parametric_hot_start_exchanges_a_dependent_row():
+    # min 0.5 |x|^2 - 10 x1 with x1 <= u_0 and x1 <= u_1: as u_0 goes from 1
+    # to 3, x1 follows it up to the second bound, which depends on the first
+    # (same normal), so the bounds trade places in one breakpoint
+    P, q = np.eye(2), np.array([-10.0, 0.0])
+    A = np.array([[1.0, 0.0], [1.0, 0.0]])
+    l = np.full(2, -np.inf)
+    G, b = np.zeros((0, 2)), np.zeros(0)
+    u0, u1 = np.array([1.0, 2.0]), np.array([3.0, 2.0])
+    sol, path, sets = certified_solve(P, q, A, l, u0, G, b, 0.0, 0.0,
+                                      np.zeros(2), 1e-9)
+    assert path == "active_set" and sets[1].tolist() == [True, False]
+    res, breakpoints = parametric_solve(P, q, A, l, u1, G, b, 0.0, 0.0,
+                                        HotStart(q, l, u0, b, sol, sets))
+    assert breakpoints == 1
+    x, _, mu, _, _, (act_low, act_up, _, _), _ = res
+    np.testing.assert_allclose(x, [2.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(mu, [0.0, 8.0], atol=1e-9)
+    assert act_up.tolist() == [False, True] and not act_low.any()
+
+
+def test_status_dual_infeasible():
+    # P = 0, q = (1, 0) and one row bounding x2 only: the cost falls
+    # without bound along -x1
+    prob = QpProblem(np.zeros((2, 2)), np.array([1.0, 0.0]),
+                     np.array([[0.0, 1.0]]), np.array([-1.0]), np.array([1.0]))
+    assert solve_qp(prob).status == QpStatus.DUAL_INFEASIBLE
+    # bounding x1 from below as well makes it solvable
+    prob = QpProblem(prob.P, prob.q, np.eye(2), -np.ones(2), np.ones(2))
+    sol = solve_qp(prob)
+    assert sol.status == QpStatus.OPTIMAL
+    np.testing.assert_allclose(sol.y[0], -1.0, atol=1e-6)
 
 
 def test_soft_qp_rejects_infeasible_start(rng):

@@ -1,3 +1,6 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 
@@ -177,6 +180,35 @@ def test_run_log_phase_timings_and_deadline_misses(tmp_path, params, controller)
                          usecols=("t_project_ms", "t_structure_ms", "t_solve_ms"))
     for name, t in zip(data.dtype.names, phases):
         assert np.array_equal(data[name], t)
+
+
+def test_run_log_counts_the_hot_started_cycles(tmp_path, params):
+    spec = ExperimentSpec(name="hot", path_kind="straight", path_size=40.0,
+                          controller="mpc", perturbation=(1.0, 0.0, 0.0, 0.0),
+                          max_time=3.0)
+    log = run(spec, params, MpcConfig())
+    summary = log.summary()
+    # at 1 m/s and 20 Hz the grid base (0.2 m) holds for about four cycles,
+    # and every cycle after the first at a base hot-starts
+    assert summary["n_parametric"] == log.solver_path.count("parametric")
+    assert summary["n_parametric"] >= len(log) // 2
+    assert log.solver_path[0] != "parametric"
+    f = tmp_path / "log.csv"
+    log.write_csv(f)
+    with open(f, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["solver_path"] for r in rows] == log.solver_path
+
+
+def test_noise_std_must_be_five_finite_non_negative_numbers():
+    spec = dict(name="n", path_kind="straight", path_size=40.0,
+                controller="mpc")
+    assert ExperimentSpec(**spec, noise_std=[0, 0.1, 0, 0, 0]).noise_std == \
+        (0.0, 0.1, 0.0, 0.0, 0.0)
+    for bad in (0, [], 0.1, [-1, 0, 0, 0, 0], [0, 0, 0, 0, math.inf],
+                [0, 0, 0, 0], "01234"):
+        with pytest.raises(ValueError, match="noise_std"):
+            ExperimentSpec(**spec, noise_std=bad)
 
 
 def test_deadline_misses_count_against_the_configured_rate(params):
