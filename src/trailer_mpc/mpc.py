@@ -214,9 +214,11 @@ class ControllerState:
     warm_base: int = None
     # working-set masks of the last certified QP answer (soft_qp_solve's)
     warm_sets: tuple = None
-    # the last certified QP answer with its parameters, at grid base
-    # warm_base: the next cycle at that base hot-starts from it
+    # the last certified QP answer with its parameters, on the condensed
+    # structure hot_struct: the next cycle on that structure hot-starts
+    # from it, whatever its grid base
     hot: HotStart = None
+    hot_struct: object = None
 
 
 @dataclass
@@ -234,14 +236,17 @@ class StepDiagnostics:
     solve_time_ms: float
     fallback: bool
     # which path gave the command: "parametric" (the hot start from the
-    # last cycle's answer at the same grid base), "active_set" (the capped
-    # warm-started active set at a new base), "ipm" (the interior point, or
-    # its crossover) or "lq_fallback" (no certified answer); the LQ
-    # baseline reports "lq"
+    # last cycle's answer on the same condensed structure), "active_set"
+    # (the capped warm-started active set on a new structure), "ipm" (the
+    # interior point, or its crossover) or "lq_fallback" (no certified
+    # answer); the LQ baseline reports "lq"
     solver_path: str
+    # whether this cycle built its condensed structure (False when a cached
+    # one with the same content served it; the LQ baseline builds none)
+    structure_built: bool
     # phases of solve_time_ms: projection and error (compute_error and the
     # reference curvature), the condensed structure (linearizing and
-    # condensing the horizon, cached per grid base), and the QP with its
+    # condensing the horizon, cached by content), and the QP with its
     # certificate; the LQ baseline has no structure or QP
     t_project_ms: float
     t_structure_ms: float
@@ -249,7 +254,8 @@ class StepDiagnostics:
 
 
 class _QpStructure:
-    """Per-grid-base condensed QP pieces that survive across control cycles.
+    """Condensed QP pieces that survive across control cycles, shared by
+    every grid base whose horizon has the same content.
 
     The QP over the N inputs x and the soft rows' slacks eps is kept in its
     blocks: cost ``0.5 x'P_uu x + (W x0)'x`` plus the slack penalties of the
@@ -278,12 +284,22 @@ class _QpStructure:
         self.row_slew0 = row_slew0
 
 
+def _remember(cache, key, value, size=4):
+    """Put ``value`` in the insertion-ordered ``cache``, dropping the
+    oldest entry beyond ``size``."""
+    cache[key] = value
+    if len(cache) > size:
+        cache.pop(next(iter(cache)))
+
+
 class MpcController:
     """Closed-loop MPC: project, linearize along the horizon, condense, solve.
 
     The prediction grid is snapped to the path's sample grid so that the QP
     matrices are reused across the several control cycles spent between two
-    grid stations.
+    grid stations.  Station models and condensed structures are also cached
+    by content, the exact bits of the path data they read, so that every
+    grid base of a straight stretch shares one structure.
     """
 
     def __init__(self, params, path: NominalPath, cfg: MpcConfig = None,
@@ -309,23 +325,58 @@ class MpcController:
             # every nominal sample must sit strictly inside the polytope
             for i in range(len(self.path)):
                 shift_joint_polytope(self.polytope, self.path.sample(i))
+        # per grid index and per grid base, then by content (see _model_at
+        # and _structure)
         self._station_models = {}
+        self._models_by_content = {}
         self._structs = {}
+        self._structs_by_content = {}
+        self.n_structure_builds = 0
 
     # -- building blocks -------------------------------------------------
 
     def _model_at(self, idx):
+        """The linearization at grid index ``idx``.  Stations whose
+        interpolated fields that the error dynamics read have the same bits
+        share one model; the key is bits, not float equality, since
+        0.0 == -0.0 would merge stations the arithmetic tells apart."""
         model = self._station_models.get(idx)
         if model is None:
-            model = linearize(self.params, self.path, idx * self.cfg.delta_s,
-                              self.cfg.delta_s)
+            s = idx * self.cfg.delta_s
+            nom = interpolate(self.path, s)
+            key = np.array([nom.beta3r, nom.beta2r, nom.ur, nom.kappa3r,
+                            nom.v3r_sign]).tobytes()
+            model = self._models_by_content.get(key)
+            if model is None:
+                model = linearize(self.params, self.path, s, self.cfg.delta_s)
+                self._models_by_content[key] = model
             self._station_models[idx] = model
         return model
 
     def _structure(self, base) -> _QpStructure:
+        """The condensed structure of the horizon from grid base ``base``.
+
+        Keyed by content: the identities of the N station models (one
+        object per distinct model, kept for the controller's life) and the
+        bits of the path samples that the box, slew and polytope rows read.
+        """
         struct = self._structs.get(base)
-        if struct is not None:
-            return struct
+        if struct is None:
+            N = self.cfg.horizon
+            models = [self._model_at(base + k) for k in range(N)]
+            path = self.path
+            key = (tuple(map(id, models)), path.u[base:base + N + 1].tobytes(),
+                   path.beta3[base + 1:base + N + 1].tobytes(),
+                   path.beta2[base + 1:base + N + 1].tobytes())
+            struct = self._structs_by_content.get(key)
+            if struct is None:
+                struct = self._build_structure(base, models)
+                self.n_structure_builds += 1
+                _remember(self._structs_by_content, key, struct)
+            _remember(self._structs, base, struct)
+        return struct
+
+    def _build_structure(self, base, models) -> _QpStructure:
         cfg, params = self.cfg, self.params
         N = cfg.horizon
         m_poly = self.polytope.m if self.polytope is not None else 0
@@ -333,8 +384,7 @@ class MpcController:
 
         F = np.empty((N, 4, 4))
         G = np.empty((N, 4))
-        for k in range(N):
-            mdl = self._model_at(base + k)
+        for k, mdl in enumerate(models):
             F[k] = mdl.F
             G[k] = mdl.G
         # condensing: x_k = Phi[k-1] x0 + Gam[(k-1) block] u for k = 1..N
@@ -394,12 +444,8 @@ class MpcController:
                 HsPhi[rows] = Hs @ Phi[k - 1]
                 hbar[rows] = shift_joint_polytope(self.polytope, samples[k])[1]
 
-        struct = _QpStructure(P_uu, A, G_soft, W, HsPhi, hbar, l, u,
-                              float(ur[0]), row_slew0)
-        self._structs[base] = struct
-        if len(self._structs) > 4:
-            self._structs.pop(next(iter(self._structs)))
-        return struct
+        return _QpStructure(P_uu, A, G_soft, W, HsPhi, hbar, l, u,
+                            float(ur[0]), row_slew0)
 
     # -- control cycle ----------------------------------------------------
 
@@ -415,6 +461,7 @@ class MpcController:
         base = int(round(s0 / cfg.delta_s))
         if (base + cfg.horizon) * cfg.delta_s > self.path.s_end + 1e-9:
             raise PathExhausted(f"horizon from s={s0:.2f} leaves the path data")
+        builds = self.n_structure_builds
         struct = self._structure(base)
         t_structure = time.perf_counter()
 
@@ -428,11 +475,11 @@ class MpcController:
         u[struct.row_slew0] = ctrl.u_prev + delta_cycle - struct.ur0
         b = struct.hbar - struct.HsPhi @ x0
 
-        # at the base of the last certified answer the rows are the same,
-        # and only q, b and the row_slew0 bounds moved
+        # on the structure of the last certified answer the rows are the
+        # same, and only q, b and the row_slew0 bounds moved
         sol, path = self._solve_qp(
             struct, q, l, u, b, self._shift_warm(ctrl, base, N), ctrl,
-            hot=ctrl.hot if ctrl.warm_base == base else None)
+            hot=ctrl.hot if ctrl.hot_struct is struct else None)
         t_solve = time.perf_counter()
         fallback = path == "lq_fallback"
         if fallback:
@@ -453,7 +500,9 @@ class MpcController:
             primal_residual=sol.primal_residual, dual_residual=sol.dual_residual,
             comp_residual=sol.comp_residual, slack_max=slack_max,
             solve_time_ms=(time.perf_counter() - t0) * 1e3, fallback=fallback,
-            solver_path=path, t_project_ms=(t_project - t0) * 1e3,
+            solver_path=path,
+            structure_built=self.n_structure_builds > builds,
+            t_project_ms=(t_project - t0) * 1e3,
             t_structure_ms=(t_structure - t_project) * 1e3,
             t_solve_ms=(t_solve - t_structure) * 1e3,
         )
@@ -466,11 +515,12 @@ class MpcController:
 
         The QP is the block form of :class:`_QpStructure` with this cycle's
         linear cost ``q``, hard-row bounds ``l``/``u`` and soft-row bounds
-        ``b``.  With ``hot``, the last certified answer on the same rows, the
-        solve hot-starts from it.  Otherwise the active-set start comes from
-        clipping the shifted previous input plan (``guess``) through the
-        box/slew chain, and the warm start is the last certified working
-        set.  Keeps this answer in ``ctrl.hot`` for the next cycle.  Returns
+        ``b``.  With ``hot``, the last certified answer on the same
+        structure, the solve hot-starts from it.  Otherwise the active-set
+        start comes from clipping the shifted previous input plan
+        (``guess``) through the box/slew chain, and the warm start is the
+        last certified working set.  Keeps this answer and its structure in
+        ``ctrl.hot`` and ``ctrl.hot_struct`` for the next cycle.  Returns
         (QpSolution, solver path); the path is "lq_fallback" when no answer
         passes.
         """
@@ -480,6 +530,7 @@ class MpcController:
             self._feasible_inputs(struct, l, u, guess), QP_TOL,
             warm=ctrl.warm_sets, single_col=struct.single_col, hot=hot)
         ctrl.hot = HotStart(q, l, u, b, sol, ctrl.warm_sets) if path else None
+        ctrl.hot_struct = struct if path else None
         return sol, path or "lq_fallback"
 
     @staticmethod
@@ -549,7 +600,8 @@ class LqController:
             qp_iterations=0, primal_residual=0.0, dual_residual=0.0,
             comp_residual=0.0, slack_max=0.0,
             solve_time_ms=(time.perf_counter() - t0) * 1e3, fallback=False,
-            solver_path="lq", t_project_ms=(t_project - t0) * 1e3,
+            solver_path="lq", structure_built=False,
+            t_project_ms=(t_project - t0) * 1e3,
             t_structure_ms=0.0, t_solve_ms=0.0,
         )
         ctrl.u_prev = u_cmd

@@ -90,6 +90,7 @@ class RunLog:
     kkt_max: np.ndarray   # worst KKT residual per cycle (MPC only)
     solver_path: list     # StepDiagnostics.solver_path per cycle
     qp_iterations: np.ndarray  # exchanges + IPM iterations per cycle
+    structure_built: np.ndarray  # StepDiagnostics.structure_built per cycle
     # phases of solve_ms per cycle (StepDiagnostics.t_*_ms)
     t_project_ms: np.ndarray
     t_structure_ms: np.ndarray
@@ -121,6 +122,8 @@ class RunLog:
             "n_parametric": self.solver_path.count("parametric"),
             "n_ipm": self.solver_path.count("ipm"),
             "n_lq_fallback": self.solver_path.count("lq_fallback"),
+            # cycles that built a condensed structure rather than reusing one
+            "n_structure_builds": int(np.count_nonzero(self.structure_built)),
             # cycles whose command took longer than the control period
             "deadline_misses": int(np.count_nonzero(self.solve_ms > self.period_ms)),
         }
@@ -131,8 +134,8 @@ class RunLog:
             writer.writerow(["t_s", "s_m", "x3", "y3", "theta3", "beta3", "beta2",
                              "z3t", "theta3t", "beta3t", "beta2t", "u_cmd",
                              "qp_status", "qp_obj", "slack_max", "solve_ms",
-                             "solver_path", "qp_iterations", "t_project_ms",
-                             "t_structure_ms", "t_solve_ms"])
+                             "solver_path", "qp_iterations", "structure_built",
+                             "t_project_ms", "t_structure_ms", "t_solve_ms"])
             for k in range(len(self)):
                 writer.writerow([
                     repr(float(self.t[k])), repr(float(self.s[k])),
@@ -141,7 +144,8 @@ class RunLog:
                     repr(float(self.u_cmd[k])), self.qp_status[k],
                     repr(float(self.qp_obj[k])), repr(float(self.slack_max[k])),
                     repr(float(self.solve_ms[k])), self.solver_path[k],
-                    int(self.qp_iterations[k]), repr(float(self.t_project_ms[k])),
+                    int(self.qp_iterations[k]), int(self.structure_built[k]),
+                    repr(float(self.t_project_ms[k])),
                     repr(float(self.t_structure_ms[k])),
                     repr(float(self.t_solve_ms[k])),
                 ])
@@ -197,7 +201,7 @@ def run(spec: ExperimentSpec, params, cfg: MpcConfig = None, controller=None,
         3.0 * (path.s_end_true - spec.start_s) + 30.0
 
     rows = {k: [] for k in ("t", "s", "state", "err", "u", "status", "obj",
-                            "slack", "ms", "kkt", "path", "iters",
+                            "slack", "ms", "kkt", "path", "iters", "built",
                             "t_project", "t_structure", "t_solve")}
     status = None
     conv_anchor = None
@@ -229,6 +233,7 @@ def run(spec: ExperimentSpec, params, cfg: MpcConfig = None, controller=None,
                                diag.comp_residual))
         rows["path"].append(diag.solver_path)
         rows["iters"].append(diag.qp_iterations)
+        rows["built"].append(diag.structure_built)
         rows["t_project"].append(diag.t_project_ms)
         rows["t_structure"].append(diag.t_structure_ms)
         rows["t_solve"].append(diag.t_solve_ms)
@@ -276,6 +281,7 @@ def run(spec: ExperimentSpec, params, cfg: MpcConfig = None, controller=None,
         solve_ms=np.array(rows["ms"]), kkt_max=np.array(rows["kkt"]),
         solver_path=rows["path"],
         qp_iterations=np.array(rows["iters"], dtype=int),
+        structure_built=np.array(rows["built"], dtype=bool),
         t_project_ms=np.array(rows["t_project"]),
         t_structure_ms=np.array(rows["t_structure"]),
         t_solve_ms=np.array(rows["t_solve"]), period_ms=1e3 / cfg.f_s,

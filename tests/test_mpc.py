@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from trailer_mpc import (ControllerState, JointAnglePolytope, LqController,
                          MpcConfig, MpcController, VehicleState,
                          analytic_straight_model, build_output_matrix,
-                         default_joint_polytope, design_cost,
+                         default_joint_polytope, design_cost, linearize,
                          shift_joint_polytope, slew_bound)
 from trailer_mpc.exceptions import (NominalOutsidePolytope, PathExhausted,
                                     RiccatiDiverged)
-from trailer_mpc.paths import generate_straight, interpolate
+from trailer_mpc.paths import NominalPath, generate_straight, interpolate
 from trailer_mpc.qp import IPM_MAX_ITER
 
 
@@ -266,8 +269,8 @@ def test_second_cycle_at_the_same_base_hot_starts(params, straight_back):
     ctrl = ControllerState(s_prev=0.0)
     state = VehicleState(0.0, 1.5, 0.0, 0.0, 0.0)
     diags = [controller.step(state, ctrl)[1] for _ in range(2)]
-    # the same state, so the same grid base; only the slew row moved with
-    # the first command
+    # the same state, so the same grid base and structure; only the slew
+    # row moved with the first command
     assert round(diags[0].s / 0.2) == round(diags[1].s / 0.2)
     # the first cycle has no previous answer to start from
     assert diags[0].solver_path != "parametric"
@@ -280,6 +283,65 @@ def test_second_cycle_at_the_same_base_hot_starts(params, straight_back):
     cold_ctrl = ControllerState(s_prev=0.0, u_prev=diags[0].u_cmd)
     assert cold.step(state, cold_ctrl)[0] == pytest.approx(diags[1].u_cmd,
                                                           abs=1e-9)
+
+
+def test_straight_bases_share_one_structure(params, straight_back):
+    controller = MpcController(params, straight_back, MpcConfig())
+    assert controller._structure(0) is controller._structure(7)
+    assert controller.n_structure_builds == 1
+    # one linearization serves every station of the straight line
+    assert len({id(controller._model_at(i)) for i in range(60)}) == 1
+
+
+def test_curved_bases_get_their_own_structures(params, eight_back):
+    controller = MpcController(params, eight_back, MpcConfig())
+    assert controller._structure(100) is not controller._structure(101)
+    assert controller.n_structure_builds == 2
+    # the per-base memo answers a known base without a new build
+    assert controller._structure(100) is controller._structure(100)
+    assert controller.n_structure_builds == 2
+
+
+@pytest.mark.parametrize("column", ["u", "beta3", "beta2"])
+@pytest.mark.parametrize("value", [np.nextafter(0.0, 1.0), -0.0])
+def test_a_sample_one_ulp_off_gets_its_own_structure(params, straight_back,
+                                                    column, value):
+    import dataclasses
+
+    data = getattr(straight_back, column).copy()
+    data[30] = value   # 1 ulp above +0.0, or -0.0, which equals 0.0
+    path = dataclasses.replace(straight_back, **{column: data})
+    controller = MpcController(params, path, MpcConfig())
+    # the horizon from base 0 reads sample 30; those from 60 and 61 do not
+    assert controller._structure(0) is not controller._structure(60)
+    assert controller._structure(60) is controller._structure(61)
+    assert controller.n_structure_builds == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(direction=st.sampled_from([-1.0, 1.0]),
+       key=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+                     st.floats(-0.1, 0.1)),
+       pose=st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6),
+       t=st.floats(0.0, 1.0))
+def test_linearization_reads_only_the_cache_key_fields(params, direction, key,
+                                                       pose, t):
+    # two paths that agree in beta3, beta2, u, kappa3 and direction but not
+    # in x3, y3 or theta3 give the same bits: the station-model cache keys
+    # on the former only
+    beta3, beta2, u = (np.full(2, v) for v in key)
+    kappa3 = np.tan(beta3) / params.L3
+
+    def path(x, y, theta3):
+        return NominalPath(s=np.array([0.0, 0.2]), x=np.array(x),
+                           y=np.array(y), theta3=np.array(theta3),
+                           beta3=beta3, beta2=beta2, u=u, kappa3=kappa3,
+                           direction=direction, delta_s=0.2)
+
+    a = linearize(params, path([0.0, 0.2], [0.0, 0.0], [0.0, 0.0]), 0.2 * t, 0.2)
+    b = linearize(params, path(pose[:2], pose[2:4], pose[4:]), 0.2 * t, 0.2)
+    assert a.F.tobytes() == b.F.tobytes()
+    assert a.G.tobytes() == b.G.tobytes()
 
 
 def test_step_hands_over_to_the_ipm(params, straight_back):

@@ -164,18 +164,21 @@ def test_run_log_phase_timings_and_deadline_misses(tmp_path, params, controller)
     # the phases are disjoint parts of the whole step
     assert np.all(sum(phases) <= log.solve_ms + 1e-9)
     if controller == "mpc":
-        # the first cycle builds the horizon's structure; later cycles at
-        # the same grid base reuse it
+        # the first cycle builds the horizon's structure; on a straight
+        # line every later cycle reuses it, whatever its grid base
         assert log.t_structure_ms[0] > 0.0
+        assert log.structure_built[0] and not np.any(log.structure_built[1:])
         assert np.all(log.t_solve_ms > 0.0)
     else:
         assert not np.any(log.t_structure_ms) and not np.any(log.t_solve_ms)
+        assert not np.any(log.structure_built)
     assert log.period_ms == 50.0
     assert log.summary()["deadline_misses"] == int(np.sum(log.solve_ms > 50.0))
     f = tmp_path / "log.csv"
     log.write_csv(f)
     header = f.read_text().splitlines()[0].split(",")
-    assert header[-3:] == ["t_project_ms", "t_structure_ms", "t_solve_ms"]
+    assert header[-4:] == ["structure_built", "t_project_ms",
+                           "t_structure_ms", "t_solve_ms"]
     data = np.genfromtxt(f, delimiter=",", names=True,
                          usecols=("t_project_ms", "t_structure_ms", "t_solve_ms"))
     for name, t in zip(data.dtype.names, phases):
@@ -188,16 +191,19 @@ def test_run_log_counts_the_hot_started_cycles(tmp_path, params):
                           max_time=3.0)
     log = run(spec, params, MpcConfig())
     summary = log.summary()
-    # at 1 m/s and 20 Hz the grid base (0.2 m) holds for about four cycles,
-    # and every cycle after the first at a base hot-starts
+    # every grid base of a straight line has the same condensed structure,
+    # so the run builds one and every cycle after the first hot-starts on it
+    assert summary["n_structure_builds"] == 1
     assert summary["n_parametric"] == log.solver_path.count("parametric")
-    assert summary["n_parametric"] >= len(log) // 2
     assert log.solver_path[0] != "parametric"
+    assert log.solver_path[1:] == ["parametric"] * (len(log) - 1)
     f = tmp_path / "log.csv"
     log.write_csv(f)
     with open(f, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["solver_path"] for r in rows] == log.solver_path
+    assert [int(r["structure_built"]) for r in rows] == \
+        log.structure_built.astype(int).tolist()
 
 
 def test_noise_std_must_be_five_finite_non_negative_numbers():
