@@ -85,12 +85,6 @@ def _specs_from_config(cfg_dict):
             noise_std=entry.get("noise_std"),
             seed=int(entry.get("seed", 0)),
         )
-        if spec.path_kind not in ("straight", "eight"):
-            raise ValueError(f"unknown path_kind {spec.path_kind!r}")
-        if spec.controller not in ("mpc", "lq"):
-            raise ValueError(f"unknown controller {spec.controller!r}")
-        if len(spec.perturbation) != 4:
-            raise ValueError("perturbation must have 4 entries")
         specs.append(spec)
     return specs
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ from .exceptions import (InfeasiblePath, NominalOutsidePolytope, PathExhausted,
                          RiccatiDiverged, SingularConfiguration)
 from .model import SINGULAR_TOL, VehicleState, speed_ratio
 from .paths import NominalPath, PathSample, extend_for_horizon, interpolate
-from .qp import HotStart, certified_solve, row_structure
+from .qp import HotStart, auxiliary_hot, certified_solve, row_structure
 
 logger = logging.getLogger(__name__)
 
@@ -46,8 +47,14 @@ class MpcConfig:
 
     def __post_init__(self):
         self.qbar = np.asarray(self.qbar, dtype=float)
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if not isinstance(self.horizon, numbers.Integral) or self.horizon < 1:
+            raise ValueError("horizon must be an integer >= 1")
+        for name in ("delta_s", "f_s", "u_max", "udot_max"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be strictly positive")
+        for name in ("slack_linear", "slack_quad"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be nonnegative")
         if len(self.qbar) != 8 or np.any(self.qbar < 0.0):
             raise ValueError("qbar must be 8 nonnegative weights")
 
@@ -210,15 +217,12 @@ def slew_bound(sample: PathSample, params, udot_max) -> float:
 class ControllerState:
     u_prev: float = None
     s_prev: float = 0.0
-    warm_y: np.ndarray = None     # input plan of the last certified answer
-    warm_base: int = None
-    # working-set masks of the last certified QP answer (soft_qp_solve's)
-    warm_sets: tuple = None
     # the last certified QP answer with its parameters, on the condensed
-    # structure hot_struct: the next cycle on that structure hot-starts
-    # from it, whatever its grid base
+    # structure hot_struct at grid base hot_base: the next cycle starts
+    # from it, shifted to its own base when its structure is another
     hot: HotStart = None
     hot_struct: object = None
+    hot_base: int = None
 
 
 @dataclass
@@ -236,10 +240,9 @@ class StepDiagnostics:
     solve_time_ms: float
     fallback: bool
     # which path gave the command: "parametric" (the hot start from the
-    # last cycle's answer on the same condensed structure), "active_set"
-    # (the capped warm-started active set on a new structure), "ipm" (the
-    # interior point, or its crossover) or "lq_fallback" (no certified
-    # answer); the LQ baseline reports "lq"
+    # last cycle's answer, on its condensed structure or shifted to a new
+    # one), "ipm" (the interior point, or its crossover) or "lq_fallback"
+    # (no certified answer); the LQ baseline reports "lq"
     solver_path: str
     # whether this cycle built its condensed structure (False when a cached
     # one with the same content served it; the LQ baseline builds none)
@@ -476,20 +479,26 @@ class MpcController:
         b = struct.hbar - struct.HsPhi @ x0
 
         # on the structure of the last certified answer the rows are the
-        # same, and only q, b and the row_slew0 bounds moved
-        sol, path = self._solve_qp(
-            struct, q, l, u, b, self._shift_warm(ctrl, base, N), ctrl,
-            hot=ctrl.hot if ctrl.hot_struct is struct else None)
+        # same, and only q, b and the row_slew0 bounds moved; on another
+        # one the answer moves with the grid base
+        hot = ctrl.hot
+        if hot is not None and ctrl.hot_struct is not struct:
+            d = base - ctrl.hot_base
+            hot = self._shifted_hot(hot, d, struct, l, u, b) \
+                if 0 < d < N else None
+        sol, path, sets = certified_solve(
+            struct.P_uu, q, struct.A_in, l, u, struct.G, b, cfg.slack_linear,
+            cfg.slack_quad, QP_TOL, single_col=struct.single_col, hot=hot)
+        ctrl.hot = HotStart(l, u, b, sol, sets) if path else None
+        ctrl.hot_struct, ctrl.hot_base = struct, base
         t_solve = time.perf_counter()
-        fallback = path == "lq_fallback"
+        fallback = path is None
         if fallback:
             logger.warning("no certified QP answer at s = %.2f m after %d "
                            "solver iterations; LQ fallback", s0, sol.iterations)
             u_cmd = ur_exact - float(self.cost.K @ x0)
         else:
             u_cmd = ur_exact + float(sol.y[0])
-            ctrl.warm_y = sol.y[:N]
-            ctrl.warm_base = base
         u_cmd = min(max(u_cmd, -self.u_max), self.u_max)
         u_cmd = min(max(u_cmd, ctrl.u_prev - delta_cycle), ctrl.u_prev + delta_cycle)
 
@@ -500,7 +509,7 @@ class MpcController:
             primal_residual=sol.primal_residual, dual_residual=sol.dual_residual,
             comp_residual=sol.comp_residual, slack_max=slack_max,
             solve_time_ms=(time.perf_counter() - t0) * 1e3, fallback=fallback,
-            solver_path=path,
+            solver_path=path or "lq_fallback",
             structure_built=self.n_structure_builds > builds,
             t_project_ms=(t_project - t0) * 1e3,
             t_structure_ms=(t_structure - t_project) * 1e3,
@@ -510,66 +519,33 @@ class MpcController:
         ctrl.s_prev = s0
         return u_cmd, diag
 
-    def _solve_qp(self, struct, q, l, u, b, guess, ctrl, hot=None):
-        """This cycle's QP by :func:`qp.certified_solve` at ``QP_TOL``.
+    def _shifted_hot(self, hot, d, struct, l, u, b) -> HotStart:
+        """The hot start ``hot``, a certified answer at grid base base - d
+        (0 < d < N), moved onto ``struct`` at base by :func:`auxiliary_hot`
+        for this cycle's bounds (l, u, b).  The inputs, the box and chain
+        rows and the polytope's stage blocks move by d, and the last input
+        repeats.  The per-cycle slew row and the d new stages at the
+        horizon's end start inactive, their duals and slacks at 0."""
+        N, ms = struct.n_inputs, struct.n_slack
+        m = ms // N   # soft rows per stage
+        # for each row of struct, the answer's row it continues, or -1
+        hard = np.full(2 * N, -1)
+        hard[:N - d] = np.arange(d, N)
+        hard[N + 1:2 * N - d] = np.arange(N + 1 + d, 2 * N)
+        soft = np.full(ms, -1)
+        soft[:ms - d * m] = np.arange(d * m, ms)
 
-        The QP is the block form of :class:`_QpStructure` with this cycle's
-        linear cost ``q``, hard-row bounds ``l``/``u`` and soft-row bounds
-        ``b``.  With ``hot``, the last certified answer on the same
-        structure, the solve hot-starts from it.  Otherwise the active-set
-        start comes from clipping the shifted previous input plan
-        (``guess``) through the box/slew chain, and the warm start is the
-        last certified working set.  Keeps this answer and its structure in
-        ``ctrl.hot`` and ``ctrl.hot_struct`` for the next cycle.  Returns
-        (QpSolution, solver path); the path is "lq_fallback" when no answer
-        passes.
-        """
-        sol, path, ctrl.warm_sets = certified_solve(
-            struct.P_uu, q, struct.A_in, l, u, struct.G, b,
-            self.cfg.slack_linear, self.cfg.slack_quad,
-            self._feasible_inputs(struct, l, u, guess), QP_TOL,
-            warm=ctrl.warm_sets, single_col=struct.single_col, hot=hot)
-        ctrl.hot = HotStart(q, l, u, b, sol, ctrl.warm_sets) if path else None
-        ctrl.hot_struct = struct if path else None
-        return sol, path or "lq_fallback"
+        def moved(v, rows):
+            return np.where(rows >= 0, v[rows], v.dtype.type(0))
 
-    @staticmethod
-    def _feasible_inputs(struct, l_in, u_in, guess):
-        """A point satisfying the box rows and the slew chain, built by
-        clipping the guess forward through the chain; None if a link of the
-        chain closes (the interior point needs no feasible start)."""
-        N = struct.n_inputs
-        r0 = struct.row_slew0
-        # plain floats: the chain is sequential, and scalar numpy indexing
-        # costs more than the arithmetic
-        lo_box, hi_box = l_in[:N].tolist(), u_in[:N].tolist()
-        lo_slew, hi_slew = l_in[N:2 * N].tolist(), u_in[N:2 * N].tolist()
-        g = guess.tolist() if guess is not None else [0.0] * N
-        lo = max(lo_box[0], float(l_in[r0]))
-        hi = min(hi_box[0], float(u_in[r0]))
-        if lo > hi:
-            return None
-        prev = min(max(g[0], lo), hi)
-        ut = [prev]
-        for k in range(1, N):
-            lo = max(lo_box[k], prev + lo_slew[k])
-            hi = min(hi_box[k], prev + hi_slew[k])
-            if lo > hi:
-                return None
-            prev = min(max(g[k], lo), hi)
-            ut.append(prev)
-        return np.array(ut)
-
-    @staticmethod
-    def _shift_warm(ctrl, base, N):
-        """The last certified input plan moved to this cycle's grid base
-        (its last input repeated), or None."""
-        if ctrl.warm_y is None:
-            return None
-        d = base - ctrl.warm_base
-        if d < 0 or d >= N:
-            return None
-        return ctrl.warm_y[np.minimum(np.arange(N) + d, N - 1)]
+        y, duals = hot.solution.y, hot.solution.duals
+        low, up, soft_act, nn_act = hot.sets
+        return auxiliary_hot(
+            struct.A_in, struct.G, l, u, b, self.cfg.slack_linear,
+            y[np.minimum(np.arange(N) + d, N - 1)], moved(y[N:], soft),
+            moved(duals[:2 * N], hard), moved(duals[2 * N:2 * N + ms], soft),
+            (moved(low, hard), moved(up, hard), moved(soft_act, soft),
+             moved(nn_act, soft)))
 
 
 class LqController:

@@ -8,15 +8,15 @@ Solves problems of the form
 with P symmetric positive semidefinite and one-sided soft rows ``G`` whose
 slacks ``eps`` stay out of the x space.  :func:`certified_solve` is the one
 solve entry, used by the controller and by :func:`solve_qp` (no soft rows).
-It first tries a parametric hot start (:func:`parametric_solve`), which
-follows the optimum from the previous answer on the same rows, or else a
-capped warm-started active set (:func:`soft_qp_solve`).  Then come a capped
-Mehrotra interior point (:func:`soft_ipm_solve`) and an active-set crossover
-from its working set.  Each answer is certified by :func:`soft_kkt_residuals`
-on the lifted problem over (x, slacks) without forming it; when none passes,
-the status says whether the problem is primal or dual infeasible.  The
-region sweep calls :func:`soft_qp_solve` alone.  :class:`PreparedQp`, an
-ADMM solver with batched right-hand sides, is used by no solve path.
+Its one active-set method, the parametric homotopy (:func:`parametric_solve`),
+runs from the caller's hot start, then as the crossover after a capped
+Mehrotra interior point (:func:`soft_ipm_solve`) from its working set
+(:func:`auxiliary_hot`).  Each answer is certified by
+:func:`soft_kkt_residuals` on the lifted problem over (x, slacks) without
+forming it; when none passes, the status says whether the problem is
+primal or dual infeasible.  The region sweep calls the exchange loop of
+:func:`soft_qp_solve` alone.  :class:`PreparedQp`, an ADMM solver with
+batched right-hand sides, is used by no solve path.
 """
 
 from __future__ import annotations
@@ -262,7 +262,8 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     a handful of exchanges when the data changed only slightly.
 
     ``hot`` takes a :class:`HotStart`, the optimum of a problem with the
-    same P, A and G.  The solve then follows the optimum's path from it
+    same P, A and G (an answer, or :func:`auxiliary_hot` of a guess).  The
+    solve then follows the optimum's path from it
     (:func:`parametric_solve`, at most ``max_iter`` breakpoints, each counted
     as an iteration), and x0 and warm are not used.
 
@@ -439,27 +440,49 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
 # MPC runs at seed 0 the IPM took 15.5 iterations at the median, 18 at the
 # 90th percentile and 22 at most.
 IPM_MAX_ITER = 30
-# Exchange cap of each active-set try of certified_solve (the hot start's
-# breakpoints, the warm-started solve and the crossover after the IPM).
-# Uncapped, at seed 0, 279 of the 3050 warm solves of the straight paper runs
-# and 351 of the 2379 of the figure-eight runs 1-2 needed more than 10
-# exchanges (up to the 3000 cap), against 1 at the median; each exchange
-# refactors a KKT matrix.
+# Breakpoint cap of each homotopy of certified_solve: the hot start (on the
+# last answer's structure or shifted onto a new one) and the crossover after
+# the IPM.  Uncapped, at seed 0, 5 of the 5983 same-structure hot starts of
+# the six paper MPC runs and 70 of their 835 shifted ones needed more than
+# 10 breakpoints (up to 22 and 28), against 0 at the median, and no
+# crossover more than 1; each breakpoint refactors a KKT matrix.
 EXCHANGE_CAP = 10
 
 
 class HotStart(NamedTuple):
-    """A certified answer of :func:`certified_solve` with the parameters it
-    answered: the linear cost ``q``, the hard-row bounds ``l``/``u`` and the
-    soft-row bounds ``b`` of a problem with the same P, A and G as the one it
-    hot-starts, the :class:`QpSolution` and its working set."""
+    """The start of :func:`parametric_solve`: the hard-row bounds ``l``/``u``
+    and soft-row bounds ``b`` of a problem with the same P, A and G as the
+    one it hot-starts, its optimum (:class:`QpSolution`) and working set; a
+    certified answer, or :func:`auxiliary_hot` of a guess."""
 
-    q: np.ndarray
     l: np.ndarray
     u: np.ndarray
     b: np.ndarray
     solution: QpSolution
     sets: tuple
+
+
+def auxiliary_hot(A, G, l, u, b, sig1, x, eps, mu, lam, sets) -> HotStart:
+    """A :class:`HotStart` that makes a guess -- x, slacks eps, duals mu and
+    lam, and working set ``sets`` as :func:`soft_qp_solve` returns them --
+    the optimum of an auxiliary problem near (l, u, b), as in the hot start
+    with varying matrices (Ferreau et al., Math. Prog. Comp. 2014).  Working
+    rows are made tight at x (Ax, Gx on a kink row, Gx - eps on an
+    eliminated one), every other bound widens to x, and the duals are
+    clipped to their rows' signs (a kink row's to [0, sig1])."""
+    act_low, act_up, soft_act, nn_act = sets
+    vh, gx = A @ x, G @ x
+    kink, elim = soft_act & nn_act, soft_act & ~nn_act
+    l_aux = np.where(act_low, vh, np.minimum(l, vh))
+    u_aux = np.where(act_up, vh, np.maximum(u, vh))
+    b_aux = np.where(kink, gx, np.where(elim, gx - eps, np.maximum(b, gx)))
+    mu = np.where(act_up, np.maximum(mu, 0.0),
+                  np.where(act_low, np.minimum(mu, 0.0), 0.0))
+    lam = np.where(kink, np.clip(lam, 0.0, sig1), 0.0)
+    # parametric_solve reads only y and the duals; the cost is left unset
+    start = QpSolution(np.concatenate([x, eps]), np.concatenate([mu, lam]),
+                       QpStatus.OPTIMAL, 0, math.nan, 0.0, 0.0, 0.0)
+    return HotStart(l_aux, u_aux, b_aux, start, sets)
 
 
 def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot, single_col=None,
@@ -579,10 +602,14 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot, single_col=None,
         if kind is None:
             # a working row that depends on the others, as the previous
             # answer's working set may hold, is left out of the equality
-            # solve; an end point that violates it is no answer
-            if (gs1[kink] > btol[kink]).any() or \
-                    (hu1[act_up] < -htol_u[act_up]).any() or \
-                    (hl1[act_low] < -htol_l[act_low]).any():
+            # solve; an end point that violates it is no answer.  The solve
+            # holds the others to 1e-13 (1 + |rhs|), |rhs| near |Px| + |q|.
+            etol = 1e-12 * (1.0 + np.abs(P_eff @ x1).max(initial=0.0)
+                            + np.abs(q_eff).max(initial=0.0))
+            tu, tl, tb = (np.maximum(t, etol) for t in (htol_u, htol_l, btol))
+            if (gs1[kink] > tb[kink]).any() or \
+                    (hu1[act_up] < -tu[act_up]).any() or \
+                    (hl1[act_low] < -tl[act_low]).any():
                 return None, breakpoints
             eps = np.where(elim, gs1, 0.0)
             lam = np.where(elim, sig1 + 2.0 * sig2 * eps, kap1)
@@ -653,7 +680,7 @@ def _step_to_boundary(v, dv):
     return min(1.0, float((-v[neg] / dv[neg]).min()))
 
 
-def soft_ipm_solve(P, q, A, l, u, G, b, sig1, sig2, x0, tol):
+def soft_ipm_solve(P, q, A, l, u, G, b, sig1, sig2, tol):
     """Dense primal-dual interior-point solve of the soft QP of
     :func:`soft_qp_solve`, with Mehrotra's predictor-corrector steps
     (Mehrotra, SIAM J. Optim. 1992).
@@ -663,8 +690,7 @@ def soft_ipm_solve(P, q, A, l, u, G, b, sig1, sig2, x0, tol):
     Newton system is reduced per row in closed form
     (as in Wang & Boyd, "Fast MPC using online optimization", 2010), so an
     iteration factors one n x n matrix, ``P + A'D_h A + G'D_g G``, with
-    diagonal D_h and D_g.  x0 need not be feasible, or may be None (start
-    at zero); it only seeds the start.
+    diagonal D_h and D_g.  The iterates start at x = 0.
 
     Stops when every KKT residual and every complementarity product is below
     ``tol / 10``, so the point passes :func:`kkt_residuals` at ``tol`` on the
@@ -699,7 +725,7 @@ def soft_ipm_solve(P, q, A, l, u, G, b, sig1, sig2, x0, tol):
 
     # start: slacks at least 1e-2 from zero, unit hard duals, and the linear
     # penalty split between the two duals of each soft row
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n)
     g = G @ x - b
     eps = np.maximum(g, 0.0) + 1e-2
     y = np.concatenate([np.maximum(d - hard(x), 1e-2), eps - g, eps])
@@ -858,57 +884,52 @@ def _unbounded(P, q, A, G):
     return bool(np.linalg.norm(vt[rank:] @ q) > 1e-8 * np.linalg.norm(q))
 
 
-def certified_solve(P, q, A, l, u, G, b, sig1, sig2, x0, tol, warm=None,
-                    single_col=None, hot=None):
+def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, single_col=None,
+                    hot=None):
     """The package's QP solve: the soft QP of :func:`soft_qp_solve` by a
-    parametric hot start or a capped active set, then interior point and
-    crossover.
+    parametric hot start, then interior point and crossover.
 
-    ``x0`` is a start that satisfies the hard rows, or None; ``warm`` is the
-    working set of a certified answer to a problem with the same rows;
-    ``hot`` is a :class:`HotStart`, the previous certified answer on the
-    same P, A and G.  The first answer whose :func:`soft_kkt_residuals` pass
-    ``tol`` is taken:
+    ``hot`` is a :class:`HotStart` on the same P, A and G, or None.  The
+    first answer whose :func:`soft_kkt_residuals` pass ``tol`` is taken:
 
-    1. :func:`soft_qp_solve` capped at ``EXCHANGE_CAP`` iterations: with
-       ``hot``, its parametric hot start from it; without, from ``x0`` and
-       ``warm`` (skipped without ``x0``);
+    1. with ``hot``, the parametric homotopy from it (:func:`soft_qp_solve`
+       with ``hot``, capped at ``EXCHANGE_CAP`` breakpoints);
     2. else :func:`soft_ipm_solve` (at most ``IPM_MAX_ITER`` Newton steps)
-       and a crossover, :func:`soft_qp_solve` warm-started from the interior
-       point's working set with the same cap, which lands on the vertex;
+       and a crossover, the same capped homotopy from
+       :func:`auxiliary_hot` of the interior point and its working set,
+       which lands on the vertex;
     3. else the interior point itself.
 
-    Returns (QpSolution, solver path "parametric", "active_set" or "ipm",
-    working set).  The solution's ``y`` is (x, slacks) and its duals those
-    of the hard, soft and slack rows.  Its iterations count the hot start's
-    breakpoints, the exchanges and the IPM's iterations; an active-set try
-    (the hot start included) that gives up counts its full cap, also when
-    it stopped earlier, since None does not say how far it got.  When
-    nothing passes, the solution is the interior point, the path and
-    working set are None, and the status is PrimalInfeasible when its duals
-    are a Farkas certificate, else DualInfeasible when a direction of
-    unbounded descent exists (:func:`_unbounded`), else MaxIter.
+    Returns (QpSolution, solver path "parametric" or "ipm", working set).
+    The solution's ``y`` is (x, slacks) and its duals those of the hard,
+    soft and slack rows.  Its iterations count the breakpoints and the IPM's
+    iterations; a homotopy that gives up counts its full cap, also when it
+    stopped earlier, since None does not say how far it got.  When nothing
+    passes, the solution is the interior point, the path and working set
+    are None, and the status is PrimalInfeasible when its duals are a
+    Farkas certificate, else DualInfeasible when a direction of unbounded
+    descent exists (:func:`_unbounded`), else MaxIter.
     """
     soft = (P, q, A, l, u, G, b, sig1, sig2)
     iterations = 0
 
-    def active_set(start, warm_sets, hot_start=None):
+    def homotopy(hot_start):
         nonlocal iterations
-        res = soft_qp_solve(*soft, start, single_col, max_iter=EXCHANGE_CAP,
-                            warm=warm_sets, hot=hot_start)
+        res = soft_qp_solve(*soft, None, single_col, max_iter=EXCHANGE_CAP,
+                            hot=hot_start)
         iterations += EXCHANGE_CAP if res is None else res[6]
         return res
 
     def answers():
         """(solver path, answer) in order of preference, solved lazily."""
         nonlocal iterations
-        if hot is not None or x0 is not None:
-            res = active_set(x0, warm, hot)
+        if hot is not None:
+            res = homotopy(hot)
             if res is not None:
-                yield ("active_set" if hot is None else "parametric"), res
-        ipm = soft_ipm_solve(*soft, x0, tol)
+                yield "parametric", res
+        ipm = soft_ipm_solve(*soft, tol)
         iterations += ipm[6]
-        cross = active_set(ipm[0], ipm[5])
+        cross = homotopy(auxiliary_hot(A, G, l, u, b, sig1, *ipm[:4], ipm[5]))
         if cross is not None:
             yield "ipm", cross
         yield "ipm", ipm
@@ -937,13 +958,12 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, x0, tol, warm=None,
 
 def solve_qp(prob: QpProblem, tol=1e-6) -> QpSolution:
     """One-shot solve of ``prob`` by :func:`certified_solve`, without soft
-    rows or a start: the interior point, its crossover, and the interior
+    rows or a hot start: the interior point, its crossover, and the interior
     point itself, the first that passes the KKT check at ``tol``."""
     prob.validate()
     n = len(prob.q)
     return certified_solve(prob.P, prob.q, prob.A, prob.l, prob.u,
-                           np.zeros((0, n)), np.zeros(0), 0.0, 0.0, None,
-                           tol)[0]
+                           np.zeros((0, n)), np.zeros(0), 0.0, 0.0, tol)[0]
 
 
 class PreparedQp:

@@ -181,7 +181,7 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
             u_c = struct.u.copy()
             l_c[struct.row_slew0] = u_prev[col] - delta_cycle
             u_c[struct.row_slew0] = u_prev[col] + delta_cycle
-            ut = MpcController._feasible_inputs(struct, l_c, u_c, warm_y[:, col])
+            ut = _feasible_inputs(struct, l_c, u_c, warm_y[:, col])
             res = None
             if ut is not None:
                 res = soft_qp_solve(Pu, q[:, c], A_qp, l_c, u_c, G_empty,
@@ -223,6 +223,34 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
     stable |= stable[::-1, ::-1]
     return RegionGrid(np.asarray(beta3_axis, float), np.asarray(beta2_axis, float),
                       stable, np.zeros_like(stable))
+
+
+def _feasible_inputs(struct, l_in, u_in, guess):
+    """A point satisfying the box rows and the slew chain of the condensed
+    structure ``struct`` under the bounds (l_in, u_in), built by clipping
+    the guess forward through the chain; None if a link of the chain
+    closes."""
+    N = struct.n_inputs
+    r0 = struct.row_slew0
+    # plain floats: the chain is sequential, and scalar numpy indexing
+    # costs more than the arithmetic
+    lo_box, hi_box = l_in[:N].tolist(), u_in[:N].tolist()
+    lo_slew, hi_slew = l_in[N:2 * N].tolist(), u_in[N:2 * N].tolist()
+    g = guess.tolist()
+    lo = max(lo_box[0], float(l_in[r0]))
+    hi = min(hi_box[0], float(u_in[r0]))
+    if lo > hi:
+        return None
+    prev = min(max(g[0], lo), hi)
+    ut = [prev]
+    for k in range(1, N):
+        lo = max(lo_box[k], prev + lo_slew[k])
+        hi = min(hi_box[k], prev + hi_slew[k])
+        if lo > hi:
+            return None
+        prev = min(max(g[k], lo), hi)
+        ut.append(prev)
+    return np.array(ut)
 
 
 def _wrap(a):

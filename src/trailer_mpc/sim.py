@@ -62,6 +62,12 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.path_kind not in ("straight", "eight"):
+            raise ValueError(f"unknown path_kind {self.path_kind!r}")
+        if self.controller not in ("mpc", "lq"):
+            raise ValueError(f"unknown controller {self.controller!r}")
+        if len(self.perturbation) != 4:
+            raise ValueError("perturbation must have 4 entries")
         if self.noise_std is not None:
             self.noise_std = _noise_std(self.noise_std)
 

@@ -72,9 +72,25 @@ def test_run_bad_config(tmp_path, capsys):
     f2.write_text(json.dumps({"experiments": []}))
     assert main(["run", "--config", str(f2)]) == 2
     f3 = tmp_path / "unk.json"
-    f3.write_text(json.dumps({"experiments": [
-        {"name": "x", "controller": "pid", "path_kind": "straight"}]}))
-    assert main(["run", "--config", str(f3)]) == 2
+    for bad in (dict(controller="pid"), dict(path_kind="circle"),
+                dict(perturbation=[0.5, 0.0])):
+        entry = {"name": "x", "controller": "lq", "path_kind": "straight",
+                 **bad}
+        f3.write_text(json.dumps({"experiments": [entry]}))
+        assert main(["run", "--config", str(f3)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("mpc", [{"f_s": 0}, {"udot_max": -0.1},
+                                 {"horizon": 2.5}, {"slack_quad": -1.0}])
+def test_run_config_rejects_a_bad_mpc_setting(tmp_path, capsys, mpc):
+    f = tmp_path / "mpc.json"
+    f.write_text(json.dumps({"mpc": mpc, "experiments": [
+        {"name": "m", "controller": "mpc", "path_kind": "straight",
+         "path_size": 40.0}]}))
+    assert main(["run", "--config", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and next(iter(mpc)) in err
 
 
 @pytest.mark.parametrize("noise_std", [0, [], 0.1, [-1, 0, 0, 0, 0]])

@@ -105,10 +105,14 @@ def test_slew_bound_zero_angles(params, straight_back):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        MpcConfig(horizon=0)
-    with pytest.raises(ValueError):
-        MpcConfig(qbar=np.ones(5))
+    for bad in (dict(horizon=0), dict(horizon=2.5), dict(horizon=50.0),
+                dict(qbar=np.ones(5)), dict(delta_s=0.0), dict(f_s=0),
+                dict(f_s=-20.0), dict(f_s=math.nan), dict(u_max=0.0),
+                dict(udot_max=-0.1), dict(slack_linear=-1.0),
+                dict(slack_quad=-1e4)):
+        with pytest.raises(ValueError):
+            MpcConfig(**bad)
+    MpcConfig(slack_linear=0.0, slack_quad=0.0)   # only negative ones fail
 
 
 def test_controller_requires_matching_grid(params, straight_back):
@@ -238,7 +242,7 @@ def test_step_reports_the_active_set_iterations(params, straight_back,
                                                 monkeypatch, use_polytope):
     import trailer_mpc.qp as qp_mod
 
-    # per step: exchanges of each active-set try (its cap when it gives up,
+    # per step: breakpoints of each homotopy (its cap when it gives up,
     # however far it got) plus the IPM's iterations
     counts = []
     for name in ("soft_qp_solve", "soft_ipm_solve"):
@@ -259,7 +263,7 @@ def test_step_reports_the_active_set_iterations(params, straight_back,
         counts.append(0)
         iters.append(controller.step(state, ctrl)[1].qp_iterations)
     assert iters == counts
-    assert iters[0] > 1   # a cold start takes exchanges
+    assert iters[0] > 1   # the first cycle, without a hot start, hands over
 
 
 def test_second_cycle_at_the_same_base_hot_starts(params, straight_back):
@@ -283,6 +287,66 @@ def test_second_cycle_at_the_same_base_hot_starts(params, straight_back):
     cold_ctrl = ControllerState(s_prev=0.0, u_prev=diags[0].u_cmd)
     assert cold.step(state, cold_ctrl)[0] == pytest.approx(diags[1].u_cmd,
                                                           abs=1e-9)
+
+
+def test_cycle_after_a_base_change_hot_starts(params, eight_back):
+    from trailer_mpc.sim import ExperimentSpec, run
+
+    spec = ExperimentSpec(name="shift", path_kind="eight", path_size=20.0,
+                          controller="mpc", perturbation=(0.5, 0.0, 0.0, 0.0),
+                          max_time=2.0)
+    log = run(spec, params, MpcConfig(), path=eight_back)
+    bases = np.round(log.s / 0.2).astype(int)
+    moved = np.flatnonzero(np.diff(bases)) + 1
+    # every base of the figure-eight has its own structure; the cycle on
+    # it starts from the last answer shifted by the base change
+    assert len(moved) >= 10 and log.structure_built[moved].all()
+    assert [log.solver_path[k] for k in moved] == ["parametric"] * len(moved)
+
+
+def test_shifted_hot_start_moves_rows_by_the_base_change(params, eight_back):
+    from trailer_mpc.qp import HotStart, QpSolution
+
+    cfg = MpcConfig()
+    controller = MpcController(params, eight_back, cfg)
+    struct = controller._structure(101)
+    N, ms = cfg.horizon, struct.n_slack
+    m = ms // N
+    # an answer at base 100 with every hard row at its upper bound and
+    # every soft row at its kink; distinct values show where each row went
+    y = np.arange(1.0, N + ms + 1)
+    duals = np.concatenate([np.arange(1.0, 2 * N + 1),
+                            np.linspace(1.0, 900.0, ms), np.zeros(ms)])
+    every = (np.zeros(2 * N, bool), np.ones(2 * N, bool), np.ones(ms, bool),
+             np.ones(ms, bool))
+    hot = HotStart(struct.l, struct.u, struct.hbar,
+                   QpSolution(y, duals, "Optimal", 0, 0.0, 0.0, 0.0, 0.0),
+                   every)
+    l, u = struct.l.copy(), struct.u.copy()
+    l[N], u[N] = -0.01, 0.01
+    got = controller._shifted_hot(hot, 1, struct, l, u, struct.hbar)
+    # rows of base 101 and the rows of base 100 they continue (-1: new)
+    hard = np.r_[1:N, -1, -1, N + 2:2 * N, -1]
+    soft = np.r_[m:ms, np.full(m, -1)]
+    low, up, soft_act, nn_act = got.sets
+    assert not low.any() and np.array_equal(up, hard >= 0)
+    assert np.array_equal(soft_act, soft >= 0)
+    assert np.array_equal(nn_act, soft >= 0)
+    x, eps = got.solution.y[:N], got.solution.y[N:]
+    np.testing.assert_array_equal(x, np.r_[y[1:N], y[N - 1]])
+    np.testing.assert_array_equal(eps, np.where(soft >= 0, y[N:][soft], 0.0))
+    mu, lam = got.solution.duals[:2 * N], got.solution.duals[2 * N:]
+    np.testing.assert_array_equal(mu, np.where(hard >= 0, duals[hard], 0.0))
+    np.testing.assert_array_equal(lam, np.where(soft >= 0,
+                                                duals[2 * N:][soft], 0.0))
+    # the working rows are tight at the shifted inputs and the others,
+    # the slew row among them, hold them
+    Ax, Gx = struct.A_in @ x, struct.G @ x
+    np.testing.assert_array_equal(got.u[up], Ax[up])
+    np.testing.assert_array_equal(got.l, np.minimum(l, Ax))
+    assert got.u[N] == max(u[N], Ax[N])
+    np.testing.assert_array_equal(got.b, np.where(soft >= 0, Gx,
+                                                  np.maximum(struct.hbar, Gx)))
 
 
 def test_straight_bases_share_one_structure(params, straight_back):
@@ -350,17 +414,16 @@ def test_step_hands_over_to_the_ipm(params, straight_back):
 
     controller = MpcController(params, straight_back, MpcConfig())
     ctrl = ControllerState(s_prev=0.0)
-    # a cold start this far off the path needs more exchanges than the cap
+    # the first cycle has no answer to hot-start from
     u_cmd, diag = controller.step(VehicleState(0.0, 5.6, 0.0, 0.0, 0.0), ctrl)
     assert diag.solver_path == "ipm"
     assert diag.qp_status == "Optimal"
     assert not diag.fallback
     assert max(diag.primal_residual, diag.dual_residual,
                diag.comp_residual) <= mpc_mod.QP_TOL
-    assert qp_mod.EXCHANGE_CAP < diag.qp_iterations <= \
-        2 * qp_mod.EXCHANGE_CAP + IPM_MAX_ITER
-    # the certified working set carries over: the next cycle starts warm
-    assert ctrl.warm_sets is not None
+    assert 1 <= diag.qp_iterations <= qp_mod.EXCHANGE_CAP + IPM_MAX_ITER
+    # the certified answer carries over: the next cycle hot-starts from it
+    assert ctrl.hot is not None and ctrl.hot_base == round(diag.s / 0.2)
 
 
 def test_lq_fallback_is_reported_and_logged(params, straight_back, monkeypatch,
@@ -379,9 +442,8 @@ def test_lq_fallback_is_reported_and_logged(params, straight_back, monkeypatch,
     assert diag.solver_path == "lq_fallback" and diag.fallback
     assert diag.qp_status != "Optimal"
     assert diag.primal_residual == 1.0
-    assert 1 <= diag.qp_iterations <= \
-        2 * qp_mod.EXCHANGE_CAP + IPM_MAX_ITER
-    assert ctrl.warm_sets is None and ctrl.warm_y is None
+    assert 1 <= diag.qp_iterations <= qp_mod.EXCHANGE_CAP + IPM_MAX_ITER
+    assert ctrl.hot is None
     assert "LQ fallback" in caplog.text
     # the LQ command, within the first cycle's slew window
     assert abs(u_cmd) <= cfg.udot_max / cfg.f_s + 1e-12

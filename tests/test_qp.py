@@ -2,14 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trailer_mpc import QpProblem, QpStatus, solve_qp
 from trailer_mpc.qp import (EXCHANGE_CAP, HotStart, PreparedQp,
-                            brute_force_active_set, certified_solve,
-                            kkt_residuals, parametric_solve, row_structure,
-                            soft_ipm_solve, soft_kkt_residuals, soft_qp_solve)
+                            auxiliary_hot, brute_force_active_set,
+                            certified_solve, kkt_residuals, parametric_solve,
+                            row_structure, soft_ipm_solve, soft_kkt_residuals,
+                            soft_qp_solve)
 
 
 def _random_qp(rng, n, m):
@@ -263,12 +264,15 @@ def test_soft_qp_matches_lifted_oracle(rng):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), ms=st.integers(0, 4),
        sig=st.sampled_from([(10.0, 50.0), (1e3, 1e4), (0.5, 0.01)]))
+# multipliers near 4e4, where the homotopy crossover's end check must allow
+# the equality solve's rounding
+@example(seed=193, ms=4, sig=(1e3, 1e4))
 def test_soft_ipm_matches_lifted_oracle(seed, ms, sig):
     rng = np.random.default_rng(seed)
     P, q, A, l, u, G, b = _random_soft_qp(rng)
     G, b = G[:ms], b[:ms]
     s1, s2 = sig
-    res = soft_ipm_solve(P, q, A, l, u, G, b, s1, s2, None, 1e-6)
+    res = soft_ipm_solve(P, q, A, l, u, G, b, s1, s2, 1e-6)
     assert res is not None
     x, eps, mu, lam, nu, sets, iters = res
     assert iters >= 1
@@ -288,6 +292,14 @@ def test_soft_ipm_matches_lifted_oracle(seed, ms, sig):
     assert abs(obj - obj_ref) <= 1e-6 * (1.0 + abs(obj_ref))
     # the crossover from its working set lands on the oracle's vertex
     cross = soft_qp_solve(P, q, A, l, u, G, b, s1, s2, x, warm=sets)
+    assert cross is not None
+    np.testing.assert_allclose(np.concatenate(cross[:2]), y_ref, rtol=0.0,
+                               atol=1e-6)
+    # and so does certified_solve's crossover, the homotopy from the
+    # interior point and its working set
+    cross = parametric_solve(P, q, A, l, u, G, b, s1, s2,
+                             auxiliary_hot(A, G, l, u, b, s1, x, eps, mu, lam,
+                                           sets))[0]
     assert cross is not None
     np.testing.assert_allclose(np.concatenate(cross[:2]), y_ref, rtol=0.0,
                                atol=1e-6)
@@ -318,8 +330,7 @@ def test_parametric_hot_start_reaches_the_optimum_or_gives_up(seed, ms, sig,
     P, q, A, l, u, G, b = _random_soft_qp(rng)
     G, b = G[:ms], b[:ms]
     s1, s2 = sig
-    x0 = np.linalg.lstsq(A, 0.5 * (l + u), rcond=None)[0]
-    sol, path, sets = certified_solve(P, q, A, l, u, G, b, s1, s2, x0, 1e-6)
+    sol, path, sets = certified_solve(P, q, A, l, u, G, b, s1, s2, 1e-6)
     assume(path is not None)
     # the next problem: q, b and the bounds of one hard row move
     q2 = q + scale * rng.normal(size=len(q))
@@ -330,14 +341,14 @@ def test_parametric_hot_start_reaches_the_optimum_or_gives_up(seed, ms, sig,
     l2[i] += shift
     u2[i] += shift
     soft2 = (P, q2, A, l2, u2, G, b2, s1, s2)
-    hot = HotStart(q, l, u, b, sol, sets)
+    hot = HotStart(l, u, b, sol, sets)
     res, breakpoints = parametric_solve(*soft2, hot)
     assert 0 <= breakpoints <= EXCHANGE_CAP
     certified = res is not None and \
         max(soft_kkt_residuals(*soft2, *res[:5])) <= 1e-6
     # certified_solve takes the hot start's answer exactly when it passes the
     # certificate, and never returns an uncertified point as "parametric"
-    sol2, path2, _ = certified_solve(*soft2, None, 1e-6, hot=hot)
+    sol2, path2, _ = certified_solve(*soft2, 1e-6, hot=hot)
     assert (path2 == "parametric") == certified
     if not certified:
         return
@@ -346,6 +357,40 @@ def test_parametric_hot_start_reaches_the_optimum_or_gives_up(seed, ms, sig,
                sol2.comp_residual) <= 1e-6
     _, obj_ref = brute_force_active_set(*_lifted(*soft2))
     assert abs(sol2.objective - obj_ref) <= 1e-6 * (1.0 + abs(obj_ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ms=st.integers(0, 3),
+       sig=st.sampled_from([(10.0, 50.0), (1e3, 1e4)]))
+def test_auxiliary_hot_start_reaches_the_optimum_or_gives_up(seed, ms, sig):
+    rng = np.random.default_rng(seed)
+    P, q, A, l, u, G, b = _random_soft_qp(rng)
+    G, b = G[:ms], b[:ms]
+    s1, s2 = sig
+    soft = (P, q, A, l, u, G, b, s1, s2)
+    _, obj_ref = brute_force_active_set(*_lifted(*soft))
+    # any guess: a point, slacks, duals of either sign and a working set
+    mh, n = A.shape
+    act, up = rng.random(mh) < 0.5, rng.random(mh) < 0.5
+    sets = (act & ~up, act & up, rng.random(ms) < 0.5, rng.random(ms) < 0.5)
+    guess = (rng.normal(size=n), rng.uniform(0.0, 1.0, ms),
+             10.0 * rng.normal(size=mh), rng.uniform(-s1, 2.0 * s1, ms))
+    res, breakpoints = parametric_solve(
+        *soft, auxiliary_hot(A, G, l, u, b, s1, *guess, sets))
+    assert 0 <= breakpoints <= EXCHANGE_CAP
+    if res is not None:
+        x, eps = res[:2]
+        obj = 0.5 * x @ P @ x + q @ x + s1 * eps.sum() + s2 * (eps @ eps)
+        assert abs(obj - obj_ref) <= 1e-6 * (1.0 + abs(obj_ref))
+    # from an optimum and its working set the path has no breakpoint
+    x0 = np.linalg.lstsq(A, 0.5 * (l + u), rcond=None)[0]
+    opt = soft_qp_solve(*soft, x0)
+    assume(opt is not None
+           and max(soft_kkt_residuals(*soft, *opt[:5])) <= 1e-6)
+    res, breakpoints = parametric_solve(
+        *soft, auxiliary_hot(A, G, l, u, b, s1, *opt[:4], opt[5]))
+    assert breakpoints == 0
+    np.testing.assert_allclose(res[0], opt[0], rtol=0.0, atol=1e-9)
 
 
 def test_parametric_hot_start_exchanges_a_dependent_row():
@@ -357,11 +402,10 @@ def test_parametric_hot_start_exchanges_a_dependent_row():
     l = np.full(2, -np.inf)
     G, b = np.zeros((0, 2)), np.zeros(0)
     u0, u1 = np.array([1.0, 2.0]), np.array([3.0, 2.0])
-    sol, path, sets = certified_solve(P, q, A, l, u0, G, b, 0.0, 0.0,
-                                      np.zeros(2), 1e-9)
-    assert path == "active_set" and sets[1].tolist() == [True, False]
+    sol, path, sets = certified_solve(P, q, A, l, u0, G, b, 0.0, 0.0, 1e-9)
+    assert path == "ipm" and sets[1].tolist() == [True, False]
     res, breakpoints = parametric_solve(P, q, A, l, u1, G, b, 0.0, 0.0,
-                                        HotStart(q, l, u0, b, sol, sets))
+                                        HotStart(l, u0, b, sol, sets))
     assert breakpoints == 1
     x, _, mu, _, _, (act_low, act_up, _, _), _ = res
     np.testing.assert_allclose(x, [2.0, 0.0], atol=1e-12)

@@ -22,11 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trailer_mpc import ControllerState, MpcConfig, MpcController, VehicleParams
+from trailer_mpc import MpcConfig, MpcController, VehicleParams
 from trailer_mpc.mpc import QP_TOL
 from trailer_mpc.paths import generate_straight
 from trailer_mpc.qp import (EXCHANGE_CAP, IPM_MAX_ITER, _solve_active,
-                            soft_qp_solve)
+                            certified_solve, soft_qp_solve)
+from trailer_mpc.regions import _feasible_inputs
 
 PINS = pathlib.Path(__file__).parent / "data" / "qp_kernel_pins.json"
 
@@ -72,7 +73,7 @@ def _problem(cfg, struct, x0, u_prev, guess):
     """The reduced QP of one control cycle, as MpcController builds it."""
     ns = struct.n_slack
     q, l, u, b = _bounds(cfg, struct, x0, u_prev)
-    ut = MpcController._feasible_inputs(struct, l, u, guess)
+    ut = _feasible_inputs(struct, l, u, guess)
     return dict(P=struct.P_uu, q=q, A=struct.A_in, l=l, u=u, G=struct.G, b=b,
                 # the region sweep passes (0, 1) when there is no soft row
                 sig1=cfg.slack_linear if ns else 0.0,
@@ -159,20 +160,22 @@ def test_pinned_cases_exercise_the_kernel():
 @pytest.mark.parametrize("name", ["soft1", "soft2"])
 def test_controller_answers_the_cold_cases_the_active_set_gives_up_on(name):
     # soft_qp_solve alone runs these two to its 3000-exchange cap (their
-    # pins are None); the controller's capped path hands them to the IPM
+    # pins are None); the controller's chain, without a hot start, answers
+    # them by the IPM and its crossover
     assert json.loads(PINS.read_text())[name] is None
     cfg, _, controller = _controllers()
     struct = controller._structure(0)
-    x0, u_prev, guess, _ = _draw(int(name[-1]), struct.n_inputs)
+    x0, u_prev, _, _ = _draw(int(name[-1]), struct.n_inputs)
     q, l, u, b = _bounds(cfg, struct, x0, u_prev)
-    ctrl = ControllerState()
-    sol, path = controller._solve_qp(struct, q, l, u, b, guess, ctrl)
+    sol, path, sets = certified_solve(
+        struct.P_uu, q, struct.A_in, l, u, struct.G, b, cfg.slack_linear,
+        cfg.slack_quad, QP_TOL, single_col=struct.single_col)
     assert path == "ipm"
     assert sol.status == "Optimal"
     assert max(sol.primal_residual, sol.dual_residual,
                sol.comp_residual) <= QP_TOL
-    assert sol.iterations <= 2 * EXCHANGE_CAP + IPM_MAX_ITER
-    assert ctrl.warm_sets is not None
+    assert sol.iterations <= EXCHANGE_CAP + IPM_MAX_ITER
+    assert sets is not None
 
 
 @settings(max_examples=60, deadline=None)

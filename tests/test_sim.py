@@ -101,9 +101,9 @@ def test_timeout_status(params):
 
 
 def test_build_path_rejects_unknown_kind():
-    spec = ExperimentSpec(name="x", path_kind="circle", path_size=10.0,
-                          controller="lq")
     with pytest.raises(ValueError):
+        spec = ExperimentSpec(name="x", path_kind="circle", path_size=10.0,
+                              controller="lq")
         spec.build_path()
 
 
@@ -118,8 +118,8 @@ def test_reused_controller_runs_like_fresh_ones(params):
 
     cfg = MpcConfig()
     # the first run stops after two cycles, near the second run's start, so
-    # a working set carried over from it would be a feasible warm start and
-    # the second run's first cycle would skip the cold start's handover
+    # an answer carried over from it would hot-start the second run's first
+    # cycle, which would then skip the handover to the interior point
     specs = [ExperimentSpec(name=f"r{k}", path_kind="straight", path_size=40.0,
                             controller="mpc", perturbation=(1.5, 0.0, 0.0, 0.0),
                             max_time=max_time)
