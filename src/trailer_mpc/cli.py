@@ -31,11 +31,24 @@ USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 
 
+class _ConfigError(Exception):
+    """A bad parameter file or option value; main reports it with exit 2."""
+
+
 def _load_params(path):
-    return VehicleParams.from_file(path) if path else VehicleParams()
+    try:
+        return VehicleParams.from_file(path) if path else VehicleParams()
+    except (OSError, ValueError) as exc:
+        raise _ConfigError(exc) from exc
+
+
+def _require_positive(option, value):
+    if not (math.isfinite(value) and value > 0.0):
+        raise _ConfigError(f"{option} must be a positive number, got {value}")
 
 
 def cmd_path(args) -> int:
+    _require_positive("--delta-s", args.delta_s)
     params = _load_params(args.params)
     direction = -1.0 if args.reverse else 1.0
     try:
@@ -139,8 +152,12 @@ def cmd_region(args) -> int:
         print("nothing to do: pass --sensing, --stability and/or --fit",
               file=sys.stderr)
         return USAGE_ERROR
+    _require_positive("--distance", args.distance)
     params = _load_params(args.params)
-    b3_axis, b2_axis = make_axes(args.spacing_deg)
+    try:
+        b3_axis, b2_axis = make_axes(args.spacing_deg)
+    except ValueError as exc:
+        raise _ConfigError(f"--spacing-deg: {exc}") from exc
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     grid = None
@@ -259,6 +276,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except TrailerMpcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR

@@ -63,7 +63,7 @@ class NominalPath:
         if self.s_end_true is None:
             self.s_end_true = float(self.s[-1])
         # (x, y, theta3, beta3, beta2, u, kappa3) as lists, the order of
-        # fields_at
+        # interpolate's fields
         self._columns = tuple(a.tolist() for a in (
             self.x, self.y, self.theta3, self.beta3, self.beta2, self.u,
             self.kappa3))
@@ -83,28 +83,14 @@ class NominalPath:
             self.direction, float(self.kappa3[i]),
         )
 
-    def fields_at(self, s):
-        """Linear interpolation of (x, y, theta3, beta3, beta2, u, kappa3) at stations s.
-
-        Accepts a scalar or an array; raises OutOfDomain outside [0, s_end].
-        """
-        s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr < -1e-9) or np.any(s_arr > self.s_end + 1e-9):
-            raise OutOfDomain(f"station outside [0, {self.s_end:.3f}]")
-        pos = np.clip(s_arr / self.delta_s, 0.0, len(self.s) - 1.0)
-        i = np.minimum(pos.astype(int), len(self.s) - 2)
-        t = pos - i
-        out = []
-        for arr in (self.x, self.y, self.theta3, self.beta3, self.beta2, self.u, self.kappa3):
-            out.append((1.0 - t) * arr[i] + t * arr[i + 1])
-        return out
-
     def _interp(self, s, columns):
-        """Values of the cached ``columns`` at the scalar station s.
+        """Values of the cached ``columns`` at the scalar station s, by
+        linear interpolation between the two samples around it; raises
+        OutOfDomain outside [0, s_end].
 
-        The arithmetic of :meth:`fields_at` on Python floats, which round
-        as numpy's float64 scalars do, so the results are the same bits at
-        a fraction of numpy's per-call cost.
+        Plain Python floats round as numpy's float64 scalars do, so the
+        results are the bits of the same arithmetic on numpy arrays at a
+        fraction of numpy's per-call cost.
         """
         last = len(self._columns[0]) - 1
         if s < -1e-9 or s > self._s_end + 1e-9:

@@ -6,17 +6,18 @@ Solves problems of the form
     subject to  l <= Ax <= u,   Gx - eps <= b,   eps >= 0,
 
 with P symmetric positive semidefinite and one-sided soft rows ``G`` whose
-slacks ``eps`` stay out of the x space.  :func:`certified_solve` is the one
-solve entry, used by the controller and by :func:`solve_qp` (no soft rows).
-Its one active-set method, the parametric homotopy (:func:`parametric_solve`),
-runs from the caller's hot start, then as the crossover after a capped
-Mehrotra interior point (:func:`soft_ipm_solve`) from its working set
-(:func:`auxiliary_hot`).  Each answer is certified by
-:func:`soft_kkt_residuals` on the lifted problem over (x, slacks) without
-forming it; when none passes, the status says whether the problem is
-primal or dual infeasible.  The region sweep calls the exchange loop of
-:func:`soft_qp_solve` alone.  :class:`PreparedQp`, an ADMM solver with
-batched right-hand sides, is used by no solve path.
+slacks ``eps`` stay out of the x space; this is "the soft QP" below.
+:func:`certified_solve` is the one solve entry, used by the controller and
+by :func:`solve_qp` (no soft rows).  Its one active-set method, the
+parametric homotopy (:func:`parametric_solve`), runs from the caller's hot
+start, then as the crossover after a capped Mehrotra interior point
+(:func:`soft_ipm_solve`) from its working set (:func:`auxiliary_hot`).
+Each answer is certified by :func:`soft_kkt_residuals` on the lifted
+problem over (x, slacks) without forming it; when none passes, the status
+says whether the problem is primal or dual infeasible.  Without a hot
+start, :func:`soft_qp_solve` is a primal active set on the hard rows
+alone, which only the region sweep runs.  :class:`PreparedQp`, an ADMM
+solver with batched right-hand sides, is used by no solve path.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, cho_factor, cho_solve
 from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
 from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
-
-from .exceptions import TrailerMpcError
 
 
 class QpStatus:
@@ -244,22 +243,8 @@ def _working_point(P_f, q_f, A, l, u, G, b, single_col, low_m, up_m, kink_m):
 
 def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
                   max_iter=3000, warm=None, hot=None):
-    """Primal active-set solve of a QP with one-sided soft rows,
-
-        min  0.5 x'Px + q'x + sum_i (sig1 eps_i + sig2 eps_i^2)
-        s.t. l <= Ax <= u,   Gx - eps <= b,   eps >= 0,
-
-    working in the x space only: each soft row is in one of three states --
-    slack at zero (no contribution), at the kink (Gx = b held as a hard row),
-    or eliminated (slack substituted by its violation, which folds a convex
-    quadratic penalty into the x objective).  State changes follow the usual
-    ratio test / dual sign rules, so iterates stay feasible and the cost
-    decreases monotonically.  x0 must satisfy the hard rows.
-
-    ``warm`` takes the working-set masks returned by a previous call on a
-    problem with the same constraint rows; if their equality-constrained
-    point is feasible the iteration starts there, which usually finishes in
-    a handful of exchanges when the data changed only slightly.
+    """Solve of the soft QP: by the parametric homotopy with ``hot``,
+    else by a primal active set on the hard rows alone.
 
     ``hot`` takes a :class:`HotStart`, the optimum of a problem with the
     same P, A and G (an answer, or :func:`auxiliary_hot` of a guess).  The
@@ -267,56 +252,56 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     (:func:`parametric_solve`, at most ``max_iter`` breakpoints, each counted
     as an iteration), and x0 and warm are not used.
 
+    Without ``hot`` the problem may have no soft rows (``G`` with no rows;
+    ValueError otherwise): the region sweep's solve of l <= Ax <= u, a
+    primal active set from x0, which must satisfy the rows.  Iterates stay
+    feasible and the cost decreases monotonically.  ``warm`` takes the
+    working set returned by a previous call on a problem with the same
+    rows; if its equality-constrained point is feasible the iteration
+    starts there, which usually finishes in a handful of exchanges when the
+    data changed only slightly.
+
     Returns (x, eps, mu, lam, nu, sets, iterations) -- duals of the hard,
     soft and nonnegativity rows, the final masks (act_low, act_up, soft_act,
-    nn_act) and the number of exchange-loop iterations, each one
-    equality-constrained solve (a step, an exchange, or the final optimality
-    check; the warm start's trial solve is not counted) -- or None on
-    failure.
+    nn_act) and the number of iterations -- or None on failure.  Without
+    ``hot`` the soft parts are empty and each iteration is one
+    equality-constrained solve (a step, an exchange, or the final
+    optimality check; the warm start's trial solve is not counted).
     """
     if hot is not None:
         return parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
                                 single_col, max_iter)[0]
+    if G.shape[0]:
+        raise ValueError("soft rows need a hot start: without one "
+                         "soft_qp_solve solves hard rows only")
     mh = A.shape[0]
-    ms = G.shape[0]
     if single_col is None:
         single_col = row_structure(A)
-    btol = 1e-9 * (1.0 + np.abs(b))
     fin_u = np.isfinite(u)
     fin_l = np.isfinite(l)
     su = np.where(fin_u, u, 0.0)
     sl = np.where(fin_l, l, 0.0)
     htol_u = 1e-9 * (1.0 + np.abs(su))
     htol_l = 1e-9 * (1.0 + np.abs(sl))
+    no_soft = np.zeros(0, dtype=bool)
 
-    def fold(soft_m, nn_m):
-        return _fold(P, q, G, b, sig1, sig2, soft_m & ~nn_m)
-
-    def eq_point(low_m, up_m, kink_m, P_f, q_f):
-        return _working_point(P_f, q_f, A, l, u, G, b, single_col, low_m,
-                              up_m, kink_m)
+    def eq_point(low_m, up_m):
+        return _working_point(P, q, A, l, u, G, b, single_col, low_m, up_m,
+                              no_soft)
 
     started = False
-    if warm is not None and all(len(m) == n for m, n in
-                                zip(warm, (mh, mh, ms, ms))):
-        w_low, w_up, w_soft, w_nn = (np.array(m, dtype=bool) for m in warm)
-        elim_w = w_soft & ~w_nn
-        P_w, q_w = fold(w_soft, w_nn)
-        res = eq_point(w_low, w_up, w_soft & w_nn, P_w, q_w)
+    if warm is not None and len(warm[0]) == len(warm[1]) == mh:
+        w_low, w_up = (np.array(m, dtype=bool) for m in warm[:2])
+        res = eq_point(w_low, w_up)
         if res is not None:
             x_w = res[0][0]
             vw = A @ x_w
-            gw = G @ x_w - b
             with np.errstate(invalid="ignore"):
                 feasible = not (np.any(vw > u + htol_u) or
-                                np.any(vw < l - htol_l) or
-                                np.any(elim_w & (gw < -btol)) or
-                                np.any(~w_soft & (gw > btol)))
+                                np.any(vw < l - htol_l))
             if feasible:
-                x, vh, g = x_w, vw, gw
-                act_low, act_up, soft_act, nn_act = w_low, w_up, w_soft, w_nn
-                eps = np.where(elim_w, np.maximum(gw, 0.0), 0.0)
-                P_eff, q_eff = P_w, q_w
+                x, vh = x_w, vw
+                act_low, act_up = w_low, w_up
                 started = True
     if not started:
         x = np.asarray(x0, dtype=float).copy()
@@ -327,91 +312,45 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
                 return None
         act_up = fin_u & (vh >= u - htol_u)
         act_low = fin_l & (vh <= l + htol_l) & ~act_up
-        g = G @ x - b
-        soft_act = g >= -btol
-        nn_act = g <= btol
-        eps = np.where(soft_act & ~nn_act, g, 0.0)
-        P_eff, q_eff = fold(soft_act, nn_act)
 
-    # the eliminated-slack penalty changes by one row per exchange, so the
-    # folded objective is maintained with rank-1 updates
-    def elim_add(i):
-        P_eff[:] += (2.0 * sig2) * np.outer(G[i], G[i])
-        q_eff[:] += G[i] * (sig1 - 2.0 * sig2 * b[i])
-
-    def elim_remove(i):
-        P_eff[:] -= (2.0 * sig2) * np.outer(G[i], G[i])
-        q_eff[:] -= G[i] * (sig1 - 2.0 * sig2 * b[i])
-
-    # without soft rows (the region sweep) the slack bookkeeping is skipped
     for it in range(1, max_iter + 1):
-        elim = soft_act & ~nn_act
-        kink = soft_act & nn_act
-        res = eq_point(act_low, act_up, kink, P_eff, q_eff)
+        res = eq_point(act_low, act_up)
         if res is None:
             return None
         (x_new, lam_w), rows_h = res
         px = x_new - x
-        step = np.abs(px).max(initial=0.0)
-        if ms:
-            pe = np.where(elim, G @ x_new - b, 0.0) - eps
-            step = max(step, np.abs(pe).max(initial=0.0))
-        if step <= 1e-11 * (1.0 + np.abs(x).max(initial=0.0)):
-            nh = len(rows_h)
+        if np.abs(px).max(initial=0.0) <= \
+                1e-11 * (1.0 + np.abs(x).max(initial=0.0)):
             mu = np.zeros(mh)
-            mu[rows_h] = lam_w[:nh]
+            mu[rows_h] = lam_w
             wrong_h = np.where(act_up, np.maximum(-mu, 0.0), 0.0) \
                 + np.where(act_low, np.maximum(mu, 0.0), 0.0)
-            drop_h = wrong_h > 1e-9
-            kap_full = np.zeros(ms)
-            kap_full[kink] = lam_w[nh:]
-            kink_below = kink & (kap_full < -1e-9)     # leave the soft row
-            kink_above = kink & (kap_full > sig1 + 1e-9)  # release the slack
-            if not (drop_h.any() or kink_below.any() or kink_above.any()):
-                lam = np.where(elim, sig1 + 2.0 * sig2 * eps, kap_full)
-                nu = np.where(kink, kap_full - sig1,
-                              np.where(nn_act, -sig1, 0.0))
-                return x_new, eps, mu, lam, nu, (act_low, act_up,
-                                                 soft_act, nn_act), it
+            if not (wrong_h > 1e-9).any():
+                empty = np.zeros(0)
+                return x_new, empty, mu, empty, empty, (act_low, act_up,
+                                                        no_soft, no_soft), it
             # release one row at a time (most negative dual): mass drops at
             # degenerate vertices trigger long chains of zero-length re-adds
-            j = np.argmax(np.concatenate([
-                wrong_h,
-                np.where(kink_below, -kap_full, 0.0),
-                np.where(kink_above, kap_full - sig1, 0.0)]))
-            if j < mh:
-                act_up[j] = act_low[j] = False
-            elif j < mh + ms:
-                soft_act[j - mh] = False
-            else:
-                nn_act[j - mh - ms] = False
-                elim_add(j - mh - ms)  # the kink row rejoins the penalty
+            j = np.argmax(wrong_h)
+            act_up[j] = act_low[j] = False
             continue
-        # ratio test over the inactive rows, in a fixed order of kinds
-        # (upper, lower, soft, slack) so that ties go to the earlier kind
+        # ratio test over the inactive rows, upper sides first so that ties
+        # go to them
         Ap = A @ px
-        cands = [fin_u & ~act_up & (Ap > 1e-13),
-                 fin_l & ~act_low & (Ap < -1e-13)]
-        if ms:
-            Gp = G @ px
-            cands += [~soft_act & (Gp - pe > 1e-13), ~nn_act & (pe < -1e-13)]
         alpha = 1.0
         kind = row = None
         # the small slack added to each gap lets the step pass through rows
         # that are tight only to rounding error; the next equality solve pins
         # the added row back onto its bound exactly
-        for kd, cand in enumerate(cands):
+        for kd, cand in enumerate((fin_u & ~act_up & (Ap > 1e-13),
+                                   fin_l & ~act_low & (Ap < -1e-13))):
             idx = cand.nonzero()[0]
             if not len(idx):
                 continue
             if kd == 0:
                 r = (u[idx] - vh[idx] + htol_u[idx]) / Ap[idx]
-            elif kd == 1:
-                r = (l[idx] - vh[idx] - htol_l[idx]) / Ap[idx]
-            elif kd == 2:
-                r = (-(g[idx] - eps[idx]) + btol[idx]) / (Gp[idx] - pe[idx])
             else:
-                r = (-eps[idx] - 1e-9) / pe[idx]
+                r = (l[idx] - vh[idx] - htol_l[idx]) / Ap[idx]
             j = int(r.argmin())
             if r[j] < alpha:
                 alpha = max(r[j], 0.0)
@@ -419,20 +358,12 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
                 row = idx[j]
         x = x + alpha * px
         vh = vh + alpha * Ap
-        if ms:
-            eps = eps + alpha * pe
-            g = g + alpha * Gp
         if kind == 0:
             act_up[row] = True
             act_low[row] = False
         elif kind == 1:
             act_low[row] = True
             act_up[row] = False
-        elif kind == 2:
-            soft_act[row] = True   # hits Gx - eps = b; eps is 0 here -> kink
-        elif kind == 3:
-            nn_act[row] = True     # eliminated slack reached zero -> kink
-            elim_remove(row)
     return None
 
 
@@ -487,9 +418,9 @@ def auxiliary_hot(A, G, l, u, b, sig1, x, eps, mu, lam, sets) -> HotStart:
 
 def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot, single_col=None,
                      max_iter=EXCHANGE_CAP):
-    """Hot start of the soft QP of :func:`soft_qp_solve` from the optimum of
-    a neighbouring problem, the online active-set strategy (Ferreau, Bock &
-    Diehl, Int. J. Robust Nonlinear Control 2008).
+    """Hot start of the soft QP from the optimum of a neighbouring
+    problem, the online active-set strategy (Ferreau, Bock & Diehl,
+    Int. J. Robust Nonlinear Control 2008).
 
     ``hot`` (a :class:`HotStart`) holds an optimum and its working set for
     the parameters (q0, l0, u0, b0); P, A and G are shared.  As tau goes
@@ -500,8 +431,10 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot, single_col=None,
     changes state: an inactive hard row reaches a bound, or a soft row its
     kink (primal ratio test); a working row's dual reaches zero, or a kink
     row's dual reaches sig1 (dual ratio test); an eliminated slack reaches
-    zero.  The soft rows' three states follow the rules of
-    :func:`soft_qp_solve`.
+    zero.  It works in the x space only: each soft row is in one of three
+    states -- slack at zero (no contribution), at the kink (Gx = b held as a
+    hard row), or eliminated (slack substituted by its violation, which
+    folds a convex quadratic penalty into the x objective).
 
     Returns (answer, breakpoints).  The answer is the 7-tuple of
     :func:`soft_qp_solve` at tau = 1, its iterations the breakpoints, or
@@ -681,9 +614,8 @@ def _step_to_boundary(v, dv):
 
 
 def soft_ipm_solve(P, q, A, l, u, G, b, sig1, sig2, tol):
-    """Dense primal-dual interior-point solve of the soft QP of
-    :func:`soft_qp_solve`, with Mehrotra's predictor-corrector steps
-    (Mehrotra, SIAM J. Optim. 1992).
+    """Dense primal-dual interior-point solve of the soft QP, with
+    Mehrotra's predictor-corrector steps (Mehrotra, SIAM J. Optim. 1992).
 
     Each finite side of a hard row is one inequality with a slack and a
     dual; each soft row has two, ``Gx - eps <= b`` and ``eps >= 0``.  The
@@ -838,8 +770,8 @@ def kkt_residuals(P, q, A, l, u, y, lam):
 
 
 def soft_kkt_residuals(P, q, A, l, u, G, b, sig1, sig2, x, eps, mu, lam, nu):
-    """:func:`kkt_residuals` of the soft QP of :func:`soft_qp_solve` in its
-    lifted form, over y = (x, eps) with duals (mu, lam, nu),
+    """:func:`kkt_residuals` of the soft QP in its lifted form, over
+    y = (x, eps) with duals (mu, lam, nu),
 
         min  0.5 x'Px + q'x + sig2 eps'eps + sig1 sum(eps)
         s.t. l <= Ax <= u,   Gx - eps <= b,   eps >= 0,
@@ -886,8 +818,8 @@ def _unbounded(P, q, A, G):
 
 def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, single_col=None,
                     hot=None):
-    """The package's QP solve: the soft QP of :func:`soft_qp_solve` by a
-    parametric hot start, then interior point and crossover.
+    """The package's QP solve: the soft QP by a parametric hot start,
+    then interior point and crossover.
 
     ``hot`` is a :class:`HotStart` on the same P, A and G, or None.  The
     first answer whose :func:`soft_kkt_residuals` pass ``tol`` is taken:
@@ -1173,45 +1105,3 @@ class PreparedQp:
         sup = np.where(np.isfinite(U), U, 0.0) * dp + np.where(np.isfinite(L), L, 0.0) * dn
         sup = sup.sum(axis=0)
         return at_norm & ~bad_inf & (atv <= eps * norm) & (sup < -eps * norm)
-
-
-def brute_force_active_set(P, q, A, l, u, tol=1e-9):
-    """Exhaustive active-set enumeration oracle for tiny strictly convex QPs.
-
-    Solves the equality-constrained QP for every subset of (finite) constraint
-    faces, keeps feasible candidates, and returns the best.  Exponential; only
-    for test-sized problems.
-    """
-    from itertools import combinations
-
-    m, n = A.shape
-    faces = []
-    for i in range(m):
-        if np.isfinite(u[i]):
-            faces.append((i, u[i]))
-        if np.isfinite(l[i]) and l[i] != u[i]:
-            faces.append((i, l[i]))
-    best, best_obj = None, math.inf
-    for size in range(0, min(len(faces), n) + 1):
-        for combo in combinations(range(len(faces)), size):
-            rows = [faces[j][0] for j in combo]
-            if len(set(rows)) != len(rows):
-                continue
-            Aa = A[rows]
-            ba = np.array([faces[j][1] for j in combo])
-            K = np.block([[P, Aa.T], [Aa, np.zeros((size, size))]])
-            rhs = np.concatenate([-q, ba])
-            try:
-                z = np.linalg.solve(K, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            y = z[:n]
-            Ay = A @ y
-            if np.any(Ay > u + tol) or np.any(Ay < l - tol):
-                continue
-            obj = 0.5 * y @ P @ y + q @ y
-            if obj < best_obj - 1e-15:
-                best_obj, best = obj, y
-    if best is None:
-        raise TrailerMpcError("oracle found no feasible candidate")
-    return best, best_obj

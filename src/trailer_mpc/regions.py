@@ -57,7 +57,10 @@ class RegionGrid:
 
 
 def make_axes(spacing_deg=2.0):
-    """Symmetric grid axes covering [-90, 90] degrees in both joint angles."""
+    """Symmetric grid axes covering [-90, 90] degrees in both joint angles;
+    raises ValueError for a spacing outside (0, 90] degrees."""
+    if not 0.0 < spacing_deg <= 90.0:
+        raise ValueError(f"spacing must lie in (0, 90] degrees, got {spacing_deg}")
     n = int(round(90.0 / spacing_deg))
     axis = np.arange(-n, n + 1) * math.radians(spacing_deg)
     return axis, axis.copy()
@@ -132,7 +135,6 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
     Pu = struct.P_uu
     G_empty = np.zeros((0, N))
     b_empty = np.zeros(0)
-    no_soft = np.zeros(0, dtype=bool)
 
     # simulate the half-grid with beta3 > 0, plus the beta3 = 0, beta2 >= 0 ray
     cells = [(i, j) for i, b3 in enumerate(beta3_axis)
@@ -191,10 +193,9 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
                 warm_sets[col] = None
                 u_cmd[c] = -float(K_gain @ err_a[:, c])
             else:
-                x, _, _, _, _, (act_low, act_up, _, _), _ = res
-                warm_y[:, col] = x
-                warm_sets[col] = (act_low, act_up, no_soft, no_soft)
-                u_cmd[c] = x[0]
+                warm_y[:, col] = res[0]
+                warm_sets[col] = res[5]
+                u_cmd[c] = res[0][0]
         u_cmd = np.clip(u_cmd, -u_max, u_max)
         u_cmd = np.clip(u_cmd, u_prev[a] - delta_cycle, u_prev[a] + delta_cycle)
         u_prev[a] = u_cmd

@@ -165,3 +165,43 @@ def test_qp_malformed_file(tmp_path, capsys):
     f = tmp_path / "bad.qp"
     f.write_text("2 2\n1 2 3\n")
     assert main(["qp", str(f)]) == 2
+
+
+def _with_output(argv, tmp_path):
+    """argv with its command's output option pointed into tmp_path."""
+    if argv[0] == "path":
+        return argv + ["--out", str(tmp_path / "p.csv")]
+    if argv[0] == "region":
+        return argv + ["--out-dir", str(tmp_path / "out")]
+    return argv
+
+
+@pytest.mark.parametrize("command", [["path", "--straight", "40"], ["design"],
+                                     ["region", "--sensing",
+                                      "--spacing-deg", "30"]])
+# a missing file, an unknown key and an invalid value
+@pytest.mark.parametrize("content", [None, "L1 = 4.62\nphi_deg = 140\n",
+                                     "L1 = -1\n"])
+def test_bad_params_file_is_a_config_error(tmp_path, capsys, command, content):
+    f = tmp_path / "vehicle.txt"
+    if content is not None:
+        f.write_text(content)
+    assert main(_with_output(command + ["--params", str(f)], tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+# a tiny positive spacing is valid but means a huge grid, so none is tried
+@pytest.mark.parametrize("argv", [
+    ["region", "--sensing", "--spacing-deg", "0"],
+    ["region", "--sensing", "--spacing-deg=-2"],
+    ["region", "--sensing", "--spacing-deg", "91"],
+    ["region", "--stability", "--spacing-deg", "30", "--distance", "0"],
+    ["region", "--stability", "--spacing-deg", "30", "--distance=-5"],
+    ["path", "--straight", "40", "--delta-s", "0"],
+    ["path", "--straight", "40", "--delta-s=-0.2"],
+])
+def test_bad_grid_or_step_option_is_a_config_error(tmp_path, capsys, argv):
+    assert main(_with_output(argv, tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not any(tmp_path.iterdir())

@@ -9,6 +9,23 @@ from trailer_mpc.paths import (extend_for_horizon, generate_figure_eight,
                                generate_straight)
 
 
+def fields_at(path, s):
+    """Linear interpolation of (x, y, theta3, beta3, beta2, u, kappa3) at
+    stations s on numpy values, the reference for interpolate and project.
+
+    Accepts a scalar or an array; raises OutOfDomain outside [0, s_end].
+    """
+    s_arr = np.asarray(s, dtype=float)
+    if np.any(s_arr < -1e-9) or np.any(s_arr > path.s_end + 1e-9):
+        raise OutOfDomain(f"station outside [0, {path.s_end:.3f}]")
+    pos = np.clip(s_arr / path.delta_s, 0.0, len(path.s) - 1.0)
+    i = np.minimum(pos.astype(int), len(path.s) - 2)
+    t = pos - i
+    return [(1.0 - t) * arr[i] + t * arr[i + 1]
+            for arr in (path.x, path.y, path.theta3, path.beta3, path.beta2,
+                        path.u, path.kappa3)]
+
+
 def test_straight_path_fields(straight_back):
     path = straight_back
     assert path.direction == -1.0
@@ -84,9 +101,9 @@ def test_interpolate_linear_between_samples(straight_back):
 
 def test_fields_at_out_of_domain(straight_back):
     with pytest.raises(OutOfDomain):
-        straight_back.fields_at(-0.5)
+        interpolate(straight_back, -0.5)
     with pytest.raises(OutOfDomain):
-        straight_back.fields_at(120.5)
+        interpolate(straight_back, 120.5)
 
 
 def test_project_straight(straight_back):
@@ -144,7 +161,7 @@ def test_interpolate_is_fields_at_bit_for_bit(straight_back, eight_back, kind, r
         ref = interpolate(path, s)
         got = (ref.x3r, ref.y3r, ref.theta3r, ref.beta3r, ref.beta2r, ref.ur,
                ref.kappa3r)
-        want = tuple(float(v) for v in path.fields_at(float(s)))
+        want = tuple(float(v) for v in fields_at(path, float(s)))
         # compared as bytes, which also tells a signed zero apart
         assert np.array(got).tobytes() == np.array(want).tobytes(), s
         assert ref.s == float(s) and ref.v3r_sign == path.direction
@@ -155,7 +172,7 @@ def test_interpolate_is_fields_at_bit_for_bit(straight_back, eight_back, kind, r
 
 
 def _project_oracle(path, p, s_prev, window=2.0, tol=1e-4):
-    """project's search written on path.fields_at, on numpy values."""
+    """project's search written on fields_at, on numpy values."""
     px, py = float(p[0]), float(p[1])
     lo = max(0.0, s_prev - window)
     hi = min(path.s_end, s_prev + window)
@@ -163,7 +180,7 @@ def _project_oracle(path, p, s_prev, window=2.0, tol=1e-4):
         raise ProjectionLost("window collapsed")
     grid = np.arange(math.floor(lo / path.delta_s), math.ceil(hi / path.delta_s) + 1)
     grid_s = np.clip(grid * path.delta_s, lo, hi)
-    gx, gy = path.fields_at(grid_s)[:2]
+    gx, gy = fields_at(path, grid_s)[:2]
     d2 = (gx - px) ** 2 + (gy - py) ** 2
     i_best = int(np.argmin(d2))
     if i_best == len(grid_s) - 1 and hi < path.s_end - 1e-9 and hi > s_prev + 1e-9:
@@ -172,7 +189,7 @@ def _project_oracle(path, p, s_prev, window=2.0, tol=1e-4):
     b = grid_s[min(i_best + 1, len(grid_s) - 1)]
 
     def dist2(s):
-        x, y = path.fields_at(s)[:2]
+        x, y = fields_at(path, s)[:2]
         return (x - px) ** 2 + (y - py) ** 2
 
     golden = (math.sqrt(5.0) - 1.0) / 2.0

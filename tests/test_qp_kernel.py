@@ -1,9 +1,8 @@
 """Pinned decisions of the active-set kernel on the controller's own QPs.
 
-Each case solves a QP built from a real condensed structure with
-``soft_qp_solve``: the plain straight-path structure (box and slew rows
-only, as in the region sweep) and the default-polytope one (400 soft
-joint-angle rows, as in the paper runs).
+Each case solves a QP built from the plain straight-path condensed
+structure (box and slew rows only, as in the region sweep) with
+``soft_qp_solve`` without a hot start, the region sweep's solve.
 A cold solve from a clipped random plan is followed by a warm solve of a
 nearby problem.  ``data/qp_kernel_pins.json`` holds each case's iteration
 count and solution.  The kernel's arithmetic is meant to stay fixed, so
@@ -45,11 +44,6 @@ def _controllers():
             MpcController(params, path, cfg))
 
 
-def _structures():
-    cfg, plain, soft = _controllers()
-    return cfg, plain._structure(0), soft._structure(0)
-
-
 def _bounds(cfg, struct, x0, u_prev):
     """(q, l, u, b) of one control cycle's QP: the linear cost, the hard
     rows' bounds and the soft rows' bounds, as MpcController.step builds
@@ -71,39 +65,32 @@ def _draw(seed, n_inputs):
 
 def _problem(cfg, struct, x0, u_prev, guess):
     """The reduced QP of one control cycle, as MpcController builds it."""
-    ns = struct.n_slack
     q, l, u, b = _bounds(cfg, struct, x0, u_prev)
     ut = _feasible_inputs(struct, l, u, guess)
+    # without soft rows the penalties are unused; the region sweep passes
+    # (0, 1)
     return dict(P=struct.P_uu, q=q, A=struct.A_in, l=l, u=u, G=struct.G, b=b,
-                # the region sweep passes (0, 1) when there is no soft row
-                sig1=cfg.slack_linear if ns else 0.0,
-                sig2=cfg.slack_quad if ns else 1.0,
-                x0=ut, single_col=struct.single_col)
+                sig1=0.0, sig2=1.0, x0=ut, single_col=struct.single_col)
 
 
 def cases():
     """(name, problem, warm_from) for every pinned case; warm_from names
     the case whose final working set starts this one."""
-    cfg, plain, soft = _structures()
+    cfg, plain, _ = _controllers()
+    struct = plain._structure(0)
     out = []
-    for label, struct, seeds in (("plain", plain, range(6)),
-                                 ("soft", soft, range(4))):
-        for seed in seeds:
-            x0, u_prev, guess, rng = _draw(seed, struct.n_inputs)
-            cold = f"{label}{seed}"
-            out.append((cold, _problem(cfg, struct, x0, u_prev, guess), None))
-            nudged = x0 + ERR_NUDGE * rng.uniform(-1.0, 1.0, 4)
-            out.append((cold + "w",
-                        _problem(cfg, struct, nudged, u_prev, guess), cold))
+    for seed in range(6):
+        x0, u_prev, guess, rng = _draw(seed, struct.n_inputs)
+        cold = f"plain{seed}"
+        out.append((cold, _problem(cfg, struct, x0, u_prev, guess), None))
+        nudged = x0 + ERR_NUDGE * rng.uniform(-1.0, 1.0, 4)
+        out.append((cold + "w",
+                    _problem(cfg, struct, nudged, u_prev, guess), cold))
     return out
 
 
 def solve(prob, warm=None):
     """(x, working set, iterations) of one case, or None."""
-    if warm is not None and not len(prob["b"]):
-        # the region sweep carries over only the hard-row masks
-        empty = np.zeros(0, dtype=bool)
-        warm = (warm[0], warm[1], empty, empty)
     res = soft_qp_solve(prob["P"], prob["q"], prob["A"], prob["l"], prob["u"],
                         prob["G"], prob["b"], prob["sig1"], prob["sig2"],
                         prob["x0"], prob["single_col"], warm=warm)
@@ -150,19 +137,16 @@ def test_kernel_decisions_match_pins(kernel_results):
 def test_pinned_cases_exercise_the_kernel():
     pins = json.loads(PINS.read_text())
     solved = {k: v for k, v in pins.items() if v is not None}
-    # cold starts take several exchanges, warm follow-ups few, and some
-    # soft case ends with a soft row at its kink or eliminated
+    # cold starts take several exchanges, warm follow-ups few
     assert max(v["iterations"] for v in solved.values()) >= 10
     assert min(v["iterations"] for k, v in solved.items() if k.endswith("w")) <= 3
-    assert any(v["sets"][2] for k, v in solved.items() if k.startswith("soft"))
 
 
 @pytest.mark.parametrize("name", ["soft1", "soft2"])
 def test_controller_answers_the_cold_cases_the_active_set_gives_up_on(name):
-    # soft_qp_solve alone runs these two to its 3000-exchange cap (their
-    # pins are None); the controller's chain, without a hot start, answers
-    # them by the IPM and its crossover
-    assert json.loads(PINS.read_text())[name] is None
+    # two cold starts on the default-polytope structure (400 soft
+    # joint-angle rows), which need many exchanges: the controller's chain,
+    # without a hot start, answers them by the IPM and its crossover
     cfg, _, controller = _controllers()
     struct = controller._structure(0)
     x0, u_prev, _, _ = _draw(int(name[-1]), struct.n_inputs)
