@@ -9,6 +9,7 @@ region, --expect mismatch), 2 usage or config errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -29,6 +30,9 @@ from .sim import ExperimentSpec, paper_suite, run_suite
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
+# the keys a run config and each of its experiments may hold
+CONFIG_KEYS = {"experiments", "params", "params_file", "mpc", "out_dir"}
+EXPERIMENT_KEYS = {f.name for f in dataclasses.fields(ExperimentSpec)}
 
 
 class _ConfigError(Exception):
@@ -53,8 +57,10 @@ def cmd_path(args) -> int:
     direction = -1.0 if args.reverse else 1.0
     try:
         if args.straight is not None:
+            _require_positive("--straight", args.straight)
             path = generate_straight(args.straight, direction, args.delta_s)
         else:
+            _require_positive("--eight", args.eight)
             path = generate_figure_eight(args.eight, direction, args.delta_s,
                                          params=params)
     except (InfeasiblePath, ValueError) as exc:
@@ -81,11 +87,19 @@ def cmd_design(args) -> int:
     return 0
 
 
+def _reject_unknown(keys, known, where):
+    unknown = set(keys) - known
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {sorted(unknown)}")
+
+
 def _specs_from_config(cfg_dict):
+    _reject_unknown(cfg_dict, CONFIG_KEYS, "config")
     specs = []
     for entry in cfg_dict.get("experiments", []):
         if "name" not in entry or "controller" not in entry:
             raise ValueError("each experiment needs at least 'name' and 'controller'")
+        _reject_unknown(entry, EXPERIMENT_KEYS, "experiment")
         spec = ExperimentSpec(
             name=str(entry["name"]),
             path_kind=str(entry.get("path_kind", "straight")),
@@ -153,6 +167,8 @@ def cmd_region(args) -> int:
               file=sys.stderr)
         return USAGE_ERROR
     _require_positive("--distance", args.distance)
+    if not (math.isfinite(args.margin) and args.margin >= 0.0):
+        raise _ConfigError(f"--margin must be a non-negative number, got {args.margin}")
     params = _load_params(args.params)
     try:
         b3_axis, b2_axis = make_axes(args.spacing_deg)

@@ -34,7 +34,7 @@ class NominalOutsidePolytope(TrailerMpcError):
 
 
 class RiccatiDiverged(TrailerMpcError):
-    """The Riccati fixed-point iteration failed to converge."""
+    """The Riccati equation has no stabilizing solution."""
 
 
 class PathExhausted(TrailerMpcError):

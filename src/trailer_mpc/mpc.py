@@ -17,8 +17,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import LinAlgError, solve_discrete_are
 
-from .error_model import PathError, compute_error, linearize
+from .error_model import (PathError, analytic_straight_model, compute_error,
+                          linearize)
 from .exceptions import (InfeasiblePath, NominalOutsidePolytope, PathExhausted,
                          RiccatiDiverged, SingularConfiguration)
 from .model import SINGULAR_TOL, VehicleState, speed_ratio
@@ -163,22 +165,11 @@ def design_cost(params, cfg: MpcConfig, straight_model) -> CostMatrices:
     Q = M.T @ np.diag(cfg.qbar) @ M
     Q = 0.5 * (Q + Q.T)
     F, G = straight_model.F, straight_model.G
-    P = Q.copy()
-    max_iter = 100000
-    for _ in range(max_iter):
-        PG = P @ G
-        denom = 1.0 + G @ PG
-        K = (PG @ F) / denom
-        P_next = Q + F.T @ P @ F - np.outer(F.T @ PG, K)
-        P_next = 0.5 * (P_next + P_next.T)
-        if not np.all(np.isfinite(P_next)) or np.max(np.abs(P_next)) > 1e12:
-            raise RiccatiDiverged("Riccati iteration diverged")
-        if np.max(np.abs(P_next - P)) < 1e-13 * max(1.0, np.max(np.abs(P_next))):
-            P = P_next
-            break
-        P = P_next
-    else:
-        raise RiccatiDiverged(f"no fixed point within {max_iter} iterations")
+    try:
+        P = solve_discrete_are(F, G[:, None], Q, np.eye(1))
+    except (LinAlgError, ValueError) as exc:
+        raise RiccatiDiverged(f"no stabilizing Riccati solution: {exc}") from exc
+    P = 0.5 * (P + P.T)
     PG = P @ G
     K = (PG @ F) / (1.0 + G @ PG)
     residual = np.max(np.abs(F.T @ P @ F - P - np.outer(F.T @ PG, K) + Q))
@@ -307,8 +298,6 @@ class MpcController:
 
     def __init__(self, params, path: NominalPath, cfg: MpcConfig = None,
                  polytope: JointAnglePolytope = None, use_polytope=True):
-        from .error_model import analytic_straight_model
-
         self.params = params
         self.cfg = cfg or MpcConfig()
         if self.cfg.delta_s != path.delta_s:
@@ -553,8 +542,6 @@ class LqController:
     pure saturation and no slew or joint-angle constraint handling."""
 
     def __init__(self, params, path: NominalPath, cfg: MpcConfig = None):
-        from .error_model import analytic_straight_model
-
         self.params = params
         self.cfg = cfg or MpcConfig()
         self.cost = design_cost(

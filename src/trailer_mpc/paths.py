@@ -15,12 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import InfeasiblePath, OutOfDomain, ProjectionLost
-from .model import VehicleState, chain_terms
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from .model import chain_terms
 
 
 @dataclass(frozen=True)
@@ -34,9 +31,6 @@ class PathSample:
     ur: float
     v3r_sign: float
     kappa3r: float
-
-    def state(self) -> VehicleState:
-        return VehicleState(self.x3r, self.y3r, self.theta3r, self.beta3r, self.beta2r)
 
 
 @dataclass
@@ -83,24 +77,6 @@ class NominalPath:
             self.direction, float(self.kappa3[i]),
         )
 
-    def _interp(self, s, columns):
-        """Values of the cached ``columns`` at the scalar station s, by
-        linear interpolation between the two samples around it; raises
-        OutOfDomain outside [0, s_end].
-
-        Plain Python floats round as numpy's float64 scalars do, so the
-        results are the bits of the same arithmetic on numpy arrays at a
-        fraction of numpy's per-call cost.
-        """
-        last = len(self._columns[0]) - 1
-        if s < -1e-9 or s > self._s_end + 1e-9:
-            raise OutOfDomain(f"station outside [0, {self._s_end:.3f}]")
-        # np.clip's argument order, which decides the sign of a zero
-        pos = min(float(last), max(0.0, s / self.delta_s))
-        i = min(int(pos), last - 1)
-        t = pos - i
-        return [(1.0 - t) * c[i] + t * c[i + 1] for c in columns]
-
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -136,9 +112,23 @@ class NominalPath:
 
 
 def interpolate(path: NominalPath, s) -> PathSample:
-    """PathSample at station s by linear interpolation (angles stored unwrapped)."""
+    """PathSample at station s by linear interpolation between the two
+    samples around it (angles stored unwrapped); raises OutOfDomain outside
+    [0, s_end].
+
+    Plain Python floats round as numpy's float64 scalars do, so the fields
+    are the bits of the same arithmetic on numpy arrays at a fraction of
+    numpy's per-call cost.
+    """
     s = float(s)
-    x, y, th, b3, b2, u, k3 = path._interp(s, path._columns)
+    if s < -1e-9 or s > path._s_end + 1e-9:
+        raise OutOfDomain(f"station outside [0, {path._s_end:.3f}]")
+    last = len(path._columns[0]) - 1
+    # np.clip's argument order, which decides the sign of a zero
+    pos = min(float(last), max(0.0, s / path.delta_s))
+    i = min(int(pos), last - 1)
+    t = pos - i
+    x, y, th, b3, b2, u, k3 = [(1.0 - t) * c[i] + t * c[i + 1] for c in path._columns]
     return PathSample(s, x, y, th, b3, b2, u, path.direction, k3)
 
 
@@ -318,21 +308,13 @@ def equilibrium_joint(params, beta3):
 
     At the returned (beta2, u) both joint-angle flow components vanish, so the
     chain traces a circle of semitrailer curvature tan(beta3)/L3 with all
-    joint angles constant.
+    joint angles constant: u = sin b2 / (L2 + M1 cos b2) zeroes the beta2
+    rate, and b2 solves L3 sin b2 - L2 sin b3 cos b2 = M1 sin b3.
     """
-    target = math.tan(beta3) / params.L3
-    cb3 = math.cos(beta3)
-
-    def resid(b2):
-        sb2, cb2 = math.sin(b2), math.cos(b2)
-        u = sb2 / (params.L2 + params.M1 * cb2)
-        c1, n3, _ = chain_terms(params, sb2, cb2, cb3, u)
-        return n3 / (params.L2 * c1) - target
-
-    hi = math.pi / 2.0 - 0.05
-    b2 = brentq(resid, -hi, hi, xtol=1e-14)
-    u = math.sin(b2) / (params.L2 + params.M1 * math.cos(b2))
-    return b2, u
+    sb3 = math.sin(beta3)
+    a = params.L2 * sb3
+    b2 = math.atan2(a, params.L3) + math.asin(params.M1 * sb3 / math.hypot(params.L3, a))
+    return b2, math.sin(b2) / (params.L2 + params.M1 * math.cos(b2))
 
 
 def extend_for_horizon(params, path: NominalPath, extra) -> NominalPath:
@@ -381,14 +363,15 @@ def extend_for_horizon(params, path: NominalPath, extra) -> NominalPath:
     )
 
 
-def project(path: NominalPath, p, s_prev, window=2.0, tol=1e-4) -> float:
-    """Station of the local orthogonal projection of point p onto the path.
+def project(path: NominalPath, p, s_prev, window=2.0) -> float:
+    """Station of the orthogonal projection of point p onto the polyline
+    through the samples, the path that :func:`interpolate` sees.
 
-    Local search in [s_prev - window, s_prev + window] (coarse scan on the
-    sample grid, then golden-section refinement); the returned station never
-    decreases below s_prev.  Raises ProjectionLost when the squared distance
-    keeps decreasing at the forward window edge, i.e. no local projection
-    exists inside the window.
+    The nearest point in [s_prev - window, s_prev + window] is the foot of
+    the perpendicular on a chord, clipped to the chord and the window (on a
+    tie the first wins); the returned station never decreases below s_prev.
+    Raises ProjectionLost when that point is the forward window edge inside
+    the path, i.e. no local projection exists inside the window.
     """
     px, py = float(p[0]), float(p[1])
     lo = max(0.0, s_prev - window)
@@ -396,41 +379,23 @@ def project(path: NominalPath, p, s_prev, window=2.0, tol=1e-4) -> float:
     if hi <= lo:
         raise ProjectionLost("projection window collapsed at the path end")
 
-    # Python floats throughout, with the rounding of the numpy expressions
-    # this replaced: ``dx * dx`` where an array was squared (numpy squares
-    # by multiplying) and ``** 2`` where a scalar was (both call pow)
     ds = path.delta_s
-    xy = path._columns[:2]
-    grid_s = [min(hi, max(lo, k * ds))
-              for k in range(math.floor(lo / ds), math.ceil(hi / ds) + 1)]
-    d2 = []
-    for s in grid_s:
-        dx, dy = path._interp(s, xy)
-        dx -= px
-        dy -= py
-        d2.append(dx * dx + dy * dy)
-    i_best = d2.index(min(d2))
-    if i_best == len(grid_s) - 1 and hi < path.s_end - 1e-9 and hi > s_prev + 1e-9:
+    xs, ys = path._columns[:2]
+    last = len(xs) - 1
+    k_lo = min(math.floor(lo / ds), last - 1)
+    k_hi = max(min(math.ceil(hi / ds), last), k_lo + 1)
+    s_best, d2_best = lo, math.inf
+    for k in range(k_lo, k_hi):
+        ax, ay = xs[k], ys[k]
+        ex, ey = xs[k + 1] - ax, ys[k + 1] - ay
+        ee = ex * ex + ey * ey
+        t = ((px - ax) * ex + (py - ay) * ey) / ee if ee > 0.0 else 0.0
+        s = min(hi, max(lo, (k + min(1.0, max(0.0, t))) * ds))
+        t = s / ds - k
+        dx, dy = ax + t * ex - px, ay + t * ey - py
+        d2 = dx * dx + dy * dy
+        if d2 < d2_best:
+            s_best, d2_best = s, d2
+    if s_best >= hi and hi < path.s_end - 1e-9 and hi > s_prev + 1e-9:
         raise ProjectionLost("nearest point is at the forward edge of the search window")
-
-    a = grid_s[max(i_best - 1, 0)]
-    b = grid_s[min(i_best + 1, len(grid_s) - 1)]
-
-    def dist2(s):
-        x, y = path._interp(s, xy)
-        return (x - px) ** 2 + (y - py) ** 2
-
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = dist2(c), dist2(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = dist2(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = dist2(d)
-    s_star = 0.5 * (a + b)
-    return max(float(s_star), float(s_prev))
+    return max(s_best, float(s_prev))

@@ -57,11 +57,13 @@ class RegionGrid:
 
 
 def make_axes(spacing_deg=2.0):
-    """Symmetric grid axes covering [-90, 90] degrees in both joint angles;
+    """Symmetric grid axes at the multiples of the spacing inside [-90, 90]
+    degrees, in both joint angles (both ends when the spacing divides 90);
     raises ValueError for a spacing outside (0, 90] degrees."""
     if not 0.0 < spacing_deg <= 90.0:
         raise ValueError(f"spacing must lie in (0, 90] degrees, got {spacing_deg}")
-    n = int(round(90.0 / spacing_deg))
+    # the tolerance keeps a divisor whose quotient rounds just below an integer
+    n = math.floor(90.0 / spacing_deg + 1e-9)
     axis = np.arange(-n, n + 1) * math.radians(spacing_deg)
     return axis, axis.copy()
 

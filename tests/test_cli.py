@@ -81,6 +81,21 @@ def test_run_bad_config(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("config error:")
 
 
+# a misspelled experiment key once ran with zero perturbation
+@pytest.mark.parametrize("where, key", [("experiment", "perturbaton"),
+                                        ("config", "experiment")])
+def test_run_config_rejects_unknown_keys(tmp_path, capsys, where, key):
+    entry = {"name": "t", "controller": "lq", "path_kind": "straight",
+             "path_size": 40.0}
+    cfg = {"experiments": [entry]}
+    (entry if where == "experiment" else cfg)[key] = [3.0, 0.0, 0.0, 0.0]
+    f = tmp_path / "typo.json"
+    f.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: unknown {where} key") and repr(key) in err
+
+
 @pytest.mark.parametrize("mpc", [{"f_s": 0}, {"udot_max": -0.1},
                                  {"horizon": 2.5}, {"slack_quad": -1.0}])
 def test_run_config_rejects_a_bad_mpc_setting(tmp_path, capsys, mpc):
@@ -200,6 +215,10 @@ def test_bad_params_file_is_a_config_error(tmp_path, capsys, command, content):
     ["region", "--stability", "--spacing-deg", "30", "--distance=-5"],
     ["path", "--straight", "40", "--delta-s", "0"],
     ["path", "--straight", "40", "--delta-s=-0.2"],
+    ["path", "--straight", "inf"],
+    ["path", "--eight", "nan"],
+    ["region", "--sensing", "--fit", "--spacing-deg", "30", "--margin", "nan"],
+    ["region", "--sensing", "--fit", "--spacing-deg", "30", "--margin=-1"],
 ])
 def test_bad_grid_or_step_option_is_a_config_error(tmp_path, capsys, argv):
     assert main(_with_output(argv, tmp_path)) == 2

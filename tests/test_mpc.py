@@ -28,25 +28,17 @@ def test_output_matrix_tractor_row(params):
 
 def test_design_cost_dare_residual_and_stability(params):
     cfg = MpcConfig()
-    model = analytic_straight_model(params, -1.0, cfg.delta_s)
-    cost = design_cost(params, cfg, model)
-    F, G, Q, P, K = model.F, model.G, cost.Q, cost.P, cost.K
-    PG = P @ G
-    residual = F.T @ P @ F - P - np.outer(F.T @ PG, (PG @ F) / (1.0 + G @ PG)) + Q
-    assert np.max(np.abs(residual)) < 1e-9
-    assert cost.spectral_radius < 1.0
-    rho = np.max(np.abs(np.linalg.eigvals(F - np.outer(G, K))))
-    assert rho == pytest.approx(cost.spectral_radius, abs=1e-12)
-
-
-def test_design_cost_matches_scipy_dare(params):
-    from scipy.linalg import solve_discrete_are
-
-    cfg = MpcConfig()
-    model = analytic_straight_model(params, -1.0, cfg.delta_s)
-    cost = design_cost(params, cfg, model)
-    P_ref = solve_discrete_are(model.F, model.G[:, None], cost.Q, np.eye(1))
-    assert np.max(np.abs(cost.P - P_ref)) < 1e-7 * np.max(np.abs(P_ref))
+    for direction in (-1.0, 1.0):
+        model = analytic_straight_model(params, direction, cfg.delta_s)
+        cost = design_cost(params, cfg, model)
+        F, G, Q, P, K = model.F, model.G, cost.Q, cost.P, cost.K
+        assert np.array_equal(P, P.T)
+        PG = P @ G
+        residual = F.T @ P @ F - P - np.outer(F.T @ PG, (PG @ F) / (1.0 + G @ PG)) + Q
+        assert np.max(np.abs(residual)) < 1e-9
+        assert cost.spectral_radius < 1.0
+        rho = np.max(np.abs(np.linalg.eigvals(F - np.outer(G, K))))
+        assert rho == pytest.approx(cost.spectral_radius, abs=1e-12)
 
 
 def test_riccati_diverges_on_unstabilizable_pair(params):

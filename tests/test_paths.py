@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trailer_mpc
 from trailer_mpc import NominalPath, eq_residuals, interpolate, project, reverse_path
 from trailer_mpc.exceptions import InfeasiblePath, OutOfDomain, ProjectionLost
-from trailer_mpc.paths import (extend_for_horizon, generate_figure_eight,
-                               generate_straight)
+from trailer_mpc.model import chain_terms
+from trailer_mpc.paths import (equilibrium_joint, extend_for_horizon,
+                               generate_figure_eight, generate_straight)
 
 
 def fields_at(path, s):
@@ -107,8 +113,8 @@ def test_fields_at_out_of_domain(straight_back):
 
 
 def test_project_straight(straight_back):
-    s = project(straight_back, (-3.0, 0.4), s_prev=2.8)
-    assert s == pytest.approx(3.0, abs=1e-3)
+    s = project(straight_back, (-3.07, 0.4), s_prev=2.8)
+    assert s == pytest.approx(3.07, abs=1e-12)  # the exact foot of the perpendicular
 
 
 def test_project_never_decreases(straight_back):
@@ -171,46 +177,27 @@ def test_interpolate_is_fields_at_bit_for_bit(straight_back, eight_back, kind, r
         interpolate(path, -0.01)
 
 
-def _project_oracle(path, p, s_prev, window=2.0, tol=1e-4):
-    """project's search written on fields_at, on numpy values."""
-    px, py = float(p[0]), float(p[1])
+def _project_oracle(path, p, s_prev, window=2.0):
+    """project's nearest chord point, on numpy arrays over every chord at
+    once, with the distance measured at fields_at of the clipped station."""
     lo = max(0.0, s_prev - window)
     hi = min(path.s_end, s_prev + window)
     if hi <= lo:
         raise ProjectionLost("window collapsed")
-    grid = np.arange(math.floor(lo / path.delta_s), math.ceil(hi / path.delta_s) + 1)
-    grid_s = np.clip(grid * path.delta_s, lo, hi)
-    gx, gy = fields_at(path, grid_s)[:2]
-    d2 = (gx - px) ** 2 + (gy - py) ** 2
-    i_best = int(np.argmin(d2))
-    if i_best == len(grid_s) - 1 and hi < path.s_end - 1e-9 and hi > s_prev + 1e-9:
+    a = np.column_stack([path.x[:-1], path.y[:-1]])
+    e = np.column_stack([np.diff(path.x), np.diff(path.y)])
+    t = np.clip(np.einsum("ij,ij->i", np.asarray(p) - a, e)
+                / np.einsum("ij,ij->i", e, e), 0.0, 1.0)
+    s = np.clip((np.arange(len(t)) + t) * path.delta_s, lo, hi)
+    x, y = fields_at(path, s)[:2]
+    s_best = s[np.argmin((x - p[0]) ** 2 + (y - p[1]) ** 2)]
+    if s_best >= hi and hi < path.s_end - 1e-9 and hi > s_prev + 1e-9:
         raise ProjectionLost("forward edge")
-    a = grid_s[max(i_best - 1, 0)]
-    b = grid_s[min(i_best + 1, len(grid_s) - 1)]
-
-    def dist2(s):
-        x, y = fields_at(path, s)[:2]
-        return (x - px) ** 2 + (y - py) ** 2
-
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - golden * (b - a)
-    d = a + golden * (b - a)
-    fc, fd = dist2(c), dist2(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = dist2(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = dist2(d)
-    return max(float(0.5 * (a + b)), float(s_prev))
+    return max(float(s_best), float(s_prev))
 
 
 @pytest.mark.parametrize("kind", ["straight", "eight"])
-def test_project_matches_a_fields_at_oracle_bit_for_bit(straight_back, eight_back,
-                                                        kind, rng):
+def test_project_matches_an_exact_chord_oracle(straight_back, eight_back, kind, rng):
     path = straight_back if kind == "straight" else eight_back
     stations = _stations(path, rng)
     lost = 0
@@ -229,5 +216,28 @@ def test_project_matches_a_fields_at_oracle_bit_for_bit(straight_back, eight_bac
             with pytest.raises(ProjectionLost):
                 project(path, p, s_prev)
             continue
-        assert project(path, p, s_prev) == want, (s, p, s_prev)
+        assert project(path, p, s_prev) == pytest.approx(want, abs=1e-9), (s, p, s_prev)
     assert lost < len(stations) // 10
+
+
+def test_equilibrium_joint_zeroes_both_joint_angle_rates(params):
+    for beta3 in np.linspace(-1.2, 1.2, 49):
+        beta2, u = equilibrium_joint(params, beta3)
+        c1, n3, n2 = chain_terms(params, math.sin(beta2), math.cos(beta2),
+                                 math.cos(beta3), u)
+        # per unit of semitrailer travel, as in eq_residuals
+        assert abs(n3 / (params.L2 * c1) - math.tan(beta3) / params.L3) < 1e-12
+        assert abs(n2 / c1) < 1e-12
+    assert equilibrium_joint(params, 0.0) == (0.0, 0.0)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(trailer_mpc.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, trailer_mpc; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

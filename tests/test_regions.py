@@ -17,6 +17,17 @@ def test_make_axes():
     assert np.allclose(np.diff(b3), math.radians(5.0))
 
 
+# 90 / (90 / 169) rounds to just below 169
+@pytest.mark.parametrize("spacing, n_side", [
+    (2.0, 45), (15.0, 6), (0.3, 300), (90.0 / 169.0, 169), (7.0, 12), (50.0, 1),
+    (60.0, 1), (90.0, 1)])
+def test_make_axes_stays_inside_a_quarter_turn(spacing, n_side):
+    b3, b2 = make_axes(spacing)
+    assert len(b3) == 2 * n_side + 1 and np.array_equal(b3, b2)
+    assert np.array_equal(b3, np.arange(-n_side, n_side + 1) * math.radians(spacing))
+    assert np.all(np.abs(b3) <= math.pi / 2.0 + 1e-12)
+
+
 def test_sensing_region_origin_and_symmetry(params):
     b3, b2 = make_axes(5.0)
     grid = sensing_region(params, b3, b2)
