@@ -23,7 +23,7 @@ from .error_model import (PathError, analytic_straight_model, compute_error,
                           linearize)
 from .exceptions import (InfeasiblePath, NominalOutsidePolytope, PathExhausted,
                          RiccatiDiverged, SingularConfiguration)
-from .model import SINGULAR_TOL, VehicleState, speed_ratio
+from .model import SINGULAR_TOL, VehicleState, chain_terms
 from .paths import NominalPath, PathSample, extend_for_horizon, interpolate
 from .qp import HotStart, auxiliary_hot, certified_solve, row_structure
 
@@ -179,12 +179,25 @@ def design_cost(params, cfg: MpcConfig, straight_model) -> CostMatrices:
     return CostMatrices(Q=Q, P=P, M=M, K=K, spectral_radius=rho)
 
 
+def _polytope_rhs(poly: JointAnglePolytope, beta3r, beta2r) -> np.ndarray:
+    """Right-hand side ``h - H (beta3r, beta2r)'`` of the polytope recentered
+    on nominal joint angles: (m,) for one station, (n, m) for arrays of n."""
+    return poly.h - np.stack([beta3r, beta2r], axis=-1) @ poly.H.T
+
+
+def _require_inside(hbar, s):
+    """Raise NominalOutsidePolytope at the first station (row of ``hbar``,
+    at stations ``s``) whose recentered right-hand side is not positive."""
+    outside = np.flatnonzero(np.any(hbar <= 0.0, axis=-1))
+    if len(outside):
+        raise NominalOutsidePolytope(
+            f"nominal joint angles at s={s[outside[0]]:.2f} outside the polytope")
+
+
 def shift_joint_polytope(poly: JointAnglePolytope, sample: PathSample):
     """Polytope right-hand side recentered on the nominal joint angles."""
-    hbar = poly.h - poly.H @ np.array([sample.beta3r, sample.beta2r])
-    if np.any(hbar <= 0.0):
-        raise NominalOutsidePolytope(
-            f"nominal joint angles at s={sample.s:.2f} outside the polytope")
+    hbar = _polytope_rhs(poly, sample.beta3r, sample.beta2r)
+    _require_inside(hbar[None], [sample.s])
     return poly.H, hbar
 
 
@@ -194,14 +207,33 @@ def actuator_limits(params, cfg: MpcConfig):
     return min(params.u_max, cfg.u_max), min(params.udot_max, cfg.udot_max)
 
 
+def _slew_widths(params, udot_max, beta3r, beta2r, ur):
+    """(C1, udot_max / C1) at nominal stations, floats or arrays: the speed
+    ratio and the curvature-rate bound per meter of semitrailer travel.
+    The bound means nothing where C1 <= SINGULAR_TOL; callers check C1
+    with :func:`_require_regular`."""
+    c1 = chain_terms(params, np.sin(beta2r), np.cos(beta2r), np.cos(beta3r), ur)[0]
+    with np.errstate(divide="ignore"):
+        return c1, udot_max / c1
+
+
+def _require_regular(c1, s):
+    """Raise SingularConfiguration at the first station (``c1`` at
+    stations ``s``) whose speed ratio is at most SINGULAR_TOL."""
+    singular = np.flatnonzero(c1 <= SINGULAR_TOL)
+    if len(singular):
+        i = singular[0]
+        raise SingularConfiguration(f"nominal C1 = {c1[i]:.3e} at s={s[i]:.2f}")
+
+
 def slew_bound(sample: PathSample, params, udot_max) -> float:
     """Curvature-rate bound per meter of semitrailer travel at this sample,
     for the curvature-rate limit ``udot_max`` (the controllers pass the one
     from :func:`actuator_limits`)."""
-    c1 = speed_ratio(params, sample.beta2r, sample.beta3r, sample.ur)
-    if c1 <= SINGULAR_TOL:
-        raise SingularConfiguration(f"nominal C1 = {c1:.3e} at s={sample.s:.2f}")
-    return udot_max / c1
+    c1, bound = _slew_widths(params, udot_max, sample.beta3r, sample.beta2r,
+                            sample.ur)
+    _require_regular(np.atleast_1d(c1), [sample.s])
+    return float(bound)
 
 
 @dataclass
@@ -257,15 +289,18 @@ class _QpStructure:
     per-cycle slew row ``row_slew0`` and the N - 1 rows of the slew chain);
     soft rows ``G x - eps <= hbar - HsPhi x0`` (the joint-angle polytope at
     stages 1..N, ``n_slack`` of them, none without a polytope) and eps >= 0.
+    ``A_in`` and its ``single_col`` depend on no grid base: every structure
+    of one controller shares the same arrays.
     """
 
     __slots__ = ("P_uu", "A_in", "single_col", "G", "W", "HsPhi", "hbar",
                  "l", "u", "ur0", "n_inputs", "n_slack", "row_slew0")
 
-    def __init__(self, P_uu, A_in, G, W, HsPhi, hbar, l, u, ur0, row_slew0):
+    def __init__(self, P_uu, A_in, single_col, G, W, HsPhi, hbar, l, u, ur0,
+                 row_slew0):
         self.P_uu = P_uu
         self.A_in = A_in
-        self.single_col = row_structure(A_in)
+        self.single_col = single_col
         self.G = G
         self.W = W
         self.HsPhi = HsPhi
@@ -276,6 +311,18 @@ class _QpStructure:
         self.n_inputs = A_in.shape[1]
         self.n_slack = G.shape[0]
         self.row_slew0 = row_slew0
+
+
+def _hard_rows(N) -> np.ndarray:
+    """The hard-row matrix A_in over N inputs: N curvature box rows, the
+    per-cycle slew row on the first input, then the N - 1 rows of the slew
+    chain, input k minus input k - 1."""
+    A = np.zeros((2 * N, N))
+    A[np.arange(N), np.arange(N)] = 1.0
+    A[N, 0] = 1.0
+    A[np.arange(N + 1, 2 * N), np.arange(1, N)] = 1.0
+    A[np.arange(N + 1, 2 * N), np.arange(N - 1)] = -1.0
+    return A
 
 
 def _remember(cache, key, value, size=4):
@@ -313,10 +360,25 @@ class MpcController:
             raise InfeasiblePath(
                 f"nominal curvature {np.max(np.abs(self.path.u)):.3f} exceeds "
                 f"the curvature limit {self.u_max}")
+        # per-station tables over the extended path, read by every build:
+        # the polytope rows recentered on the nominal joint angles, and the
+        # speed ratio with the slew chain's half-width udot_max / C1 * ds.
+        # Structures hold views of _hbar and share A_in whole, so these are
+        # read-only.
+        ext = self.path
         if self.polytope is not None:
             # every nominal sample must sit strictly inside the polytope
-            for i in range(len(self.path)):
-                shift_joint_polytope(self.polytope, self.path.sample(i))
+            self._hbar = _polytope_rhs(self.polytope, ext.beta3, ext.beta2)
+            _require_inside(self._hbar, ext.s)
+            self._hbar.flags.writeable = False
+            self._Hs = np.zeros((self.polytope.m, 4))
+            self._Hs[:, 2:] = self.polytope.H
+        self._c1, slew = _slew_widths(params, self.udot_max, ext.beta3,
+                                      ext.beta2, ext.u)
+        self._slew_width = slew * self.cfg.delta_s
+        self._A_in = _hard_rows(self.cfg.horizon)
+        self._single_col = row_structure(self._A_in)
+        self._A_in.flags.writeable = self._single_col.flags.writeable = False
         # per grid index and per grid base, then by content (see _model_at
         # and _structure)
         self._station_models = {}
@@ -369,75 +431,58 @@ class MpcController:
         return struct
 
     def _build_structure(self, base, models) -> _QpStructure:
-        cfg, params = self.cfg, self.params
-        N = cfg.horizon
-        m_poly = self.polytope.m if self.polytope is not None else 0
-        ds = cfg.delta_s
+        N = self.cfg.horizon
+        path = self.path
+        # the slew chain reads stations base+1 .. base+N-1
+        chain = slice(base + 1, base + N)
+        _require_regular(self._c1[chain], path.s[chain])
 
-        F = np.empty((N, 4, 4))
-        G = np.empty((N, 4))
-        for k, mdl in enumerate(models):
-            F[k] = mdl.F
-            G[k] = mdl.G
-        # condensing: x_k = Phi[k-1] x0 + Gam[(k-1) block] u for k = 1..N
-        Phi = np.empty((N, 4, 4))
-        Gam = np.zeros((4 * N, N))
-        acc = np.eye(4)
-        for k in range(N):
-            rows = slice(4 * k, 4 * k + 4)
-            if k > 0:
-                Gam[rows, :k] = F[k] @ Gam[4 * (k - 1):4 * k, :k]
-            Gam[rows, k] = G[k]
-            acc = F[k] @ acc
-            Phi[k] = acc
-
-        Qt = np.zeros((4 * N, 4 * N))
-        for k in range(N - 1):
-            Qt[4 * k:4 * k + 4, 4 * k:4 * k + 4] = self.cost.Q
-        Qt[4 * (N - 1):, 4 * (N - 1):] = self.cost.P
-        QG = Qt @ Gam
-        P_uu = 2.0 * (Gam.T @ QG + np.eye(N))
+        F = np.array([mdl.F for mdl in models])
+        G = np.array([mdl.G for mdl in models])
+        # condensing, one stage block at a time: x_{k+1} = Phi[k] x0 +
+        # Gam[k] u for k = 0..N-1, the blocks side by side in [Phi | Gam]
+        PG = np.zeros((N, 4, 4 + N))
+        PG[0, :, :4] = F[0]
+        stage = np.arange(N)
+        PG[stage, :, 4 + stage] = G
+        for k in range(1, N):
+            np.matmul(F[k], PG[k - 1, :, :4 + k], out=PG[k, :, :4 + k])
+        Phi = PG[:, :, :4]
+        Gam = np.ascontiguousarray(PG[:, :, 4:])
+        # the block-diagonal weight: Q on stages 1..N-1, P on stage N
+        QG = np.empty((N, 4, N))
+        QG[:-1] = self.cost.Q @ Gam[:-1]
+        QG[-1] = self.cost.P @ Gam[-1]
+        Gam2, QG2 = Gam.reshape(4 * N, N), QG.reshape(4 * N, N)
+        P_uu = 2.0 * (Gam2.T @ QG2 + np.eye(N))
         P_uu = 0.5 * (P_uu + P_uu.T)
-        W = 2.0 * QG.T @ Phi.reshape(4 * N, 4)
+        W = 2.0 * QG2.T @ Phi.reshape(4 * N, 4)
 
-        ur = np.array([self.path.u[base + k] for k in range(N + 1)])
-        samples = [self.path.sample(base + k) for k in range(N + 1)]
-
-        A = np.zeros((2 * N, N))
-        l = np.full(2 * N, -np.inf)
-        u = np.full(2 * N, np.inf)
+        ur = path.u[base:base + N + 1]
+        l = np.empty(2 * N)
+        u = np.empty(2 * N)
         # curvature box rows
-        A[np.arange(N), np.arange(N)] = 1.0
         l[:N] = -self.u_max - ur[:N]
         u[:N] = self.u_max - ur[:N]
-        # slew rows: row N is the per-cycle bound on the first command
-        # (filled in per cycle from u_prev); rows N+1..2N-1 chain the
-        # predicted inputs with the distance-based bound
-        row_slew0 = N
-        A[row_slew0, 0] = 1.0
-        for k in range(1, N):
-            A[N + k, k] = 1.0
-            A[N + k, k - 1] = -1.0
-            c_k = slew_bound(samples[k], params, self.udot_max) * ds
-            dur = ur[k] - ur[k - 1]
-            l[N + k] = -dur - c_k
-            u[N + k] = -dur + c_k
+        # row N, the per-cycle bound on the first command, is filled in per
+        # cycle from u_prev; rows N+1..2N-1 chain the predicted inputs with
+        # the distance-based bound
+        l[N], u[N] = -np.inf, np.inf
+        dur = np.diff(ur[:N])
+        c = self._slew_width[chain]
+        l[N + 1:] = -dur - c
+        u[N + 1:] = -dur + c
         # soft joint-angle rows, stages 1..N
-        G_soft = np.zeros((N * m_poly, N))
-        HsPhi = np.zeros((N * m_poly, 4))
-        hbar = np.zeros(N * m_poly)
-        if m_poly:
-            Hs = np.zeros((m_poly, 4))
-            Hs[:, 2] = self.polytope.H[:, 0]
-            Hs[:, 3] = self.polytope.H[:, 1]
-            for k in range(1, N + 1):
-                rows = slice((k - 1) * m_poly, k * m_poly)
-                G_soft[rows] = Hs @ Gam[4 * (k - 1):4 * k, :]
-                HsPhi[rows] = Hs @ Phi[k - 1]
-                hbar[rows] = shift_joint_polytope(self.polytope, samples[k])[1]
+        if self.polytope is not None:
+            m = self.polytope.m
+            G_soft = (self._Hs @ Gam).reshape(N * m, N)
+            HsPhi = (self._Hs @ Phi).reshape(N * m, 4)
+            hbar = self._hbar[base + 1:base + N + 1].reshape(N * m)
+        else:
+            G_soft, HsPhi, hbar = np.zeros((0, N)), np.zeros((0, 4)), np.zeros(0)
 
-        return _QpStructure(P_uu, A, G_soft, W, HsPhi, hbar, l, u,
-                            float(ur[0]), row_slew0)
+        return _QpStructure(P_uu, self._A_in, self._single_col, G_soft, W,
+                            HsPhi, hbar, l, u, float(ur[0]), N)
 
     # -- control cycle ----------------------------------------------------
 

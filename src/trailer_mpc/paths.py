@@ -147,11 +147,28 @@ def eq_residuals(params, path: NominalPath) -> np.ndarray:
     return res
 
 
+# the most samples a generated path may hold: 2000 km at 0.2 m spacing
+MAX_PATH_SAMPLES = 10 ** 7
+
+
+def _sample_count(length, delta_s) -> int:
+    """Samples of a path of ``length`` meters at spacing ``delta_s``, both
+    ends included; raises ValueError when that is not a finite number or
+    exceeds MAX_PATH_SAMPLES."""
+    intervals = length / delta_s
+    if not (math.isfinite(intervals) and round(intervals) < MAX_PATH_SAMPLES):
+        raise ValueError(f"a path of {length} m at {delta_s} m spacing would "
+                         f"exceed {MAX_PATH_SAMPLES} samples")
+    return round(intervals) + 1
+
+
 def generate_straight(length, direction, delta_s=0.2) -> NominalPath:
-    """Straight path along the x-axis with all angles and curvatures zero."""
+    """Straight path along the x-axis with all angles and curvatures zero.
+    Raises ValueError unless the length is positive and gives at most
+    MAX_PATH_SAMPLES samples."""
     if length <= 0.0:
         raise ValueError("length must be positive")
-    n = int(round(length / delta_s)) + 1
+    n = _sample_count(length, delta_s)
     s = np.arange(n) * delta_s
     zeros = np.zeros(n)
     return NominalPath(
@@ -209,7 +226,9 @@ def generate_figure_eight(radius, direction, delta_s=0.2,
     curvature is solved algebraically from the beta3 flow equation and
     beta2r is integrated; the result satisfies the path flow equation by
     construction.  Raises InfeasiblePath if the implied tractor curvature or
-    curvature rate exceeds the actuator limits.
+    curvature rate exceeds the actuator limits, and ValueError unless the
+    radius is positive and the path, 4 pi radius + 36 m long, gives at most
+    MAX_PATH_SAMPLES samples.
     """
     if params is None:
         from .params import VehicleParams
@@ -245,7 +264,7 @@ def generate_figure_eight(radius, direction, delta_s=0.2,
         db2 = vbar * n2 / c1
         return (vbar * math.cos(th), vbar * math.sin(th), vbar * math.tan(b3) / L3, db2)
 
-    n = int(round(total / delta_s)) + 1
+    n = _sample_count(total, delta_s)
     sub = 5  # RK4 substeps per sample interval
     h = delta_s / sub
     state = (0.0, 0.0, 0.0, 0.0)

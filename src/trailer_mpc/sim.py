@@ -130,6 +130,8 @@ class RunLog:
             "n_lq_fallback": self.solver_path.count("lq_fallback"),
             # cycles that built a condensed structure rather than reusing one
             "n_structure_builds": int(np.count_nonzero(self.structure_built)),
+            # time spent linearizing and condensing horizons, all cycles
+            "structure_ms": float(self.t_structure_ms.sum()),
             # cycles whose command took longer than the control period
             "deadline_misses": int(np.count_nonzero(self.solve_ms > self.period_ms)),
         }

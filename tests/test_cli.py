@@ -29,6 +29,15 @@ def test_path_eight_infeasible_radius(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--straight", "--eight"])
+def test_path_beyond_the_sample_bound_is_an_error(tmp_path, capsys, option):
+    out = tmp_path / "p.csv"
+    assert main(["path", option, "1e308", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "samples" in err
+    assert not out.exists()
+
+
 def test_design_prints_stable_gain(capsys):
     assert main(["design"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -12,7 +12,8 @@ from trailer_mpc import (ControllerState, JointAnglePolytope, LqController,
                          default_joint_polytope, design_cost, linearize,
                          shift_joint_polytope, slew_bound)
 from trailer_mpc.exceptions import (NominalOutsidePolytope, PathExhausted,
-                                    RiccatiDiverged)
+                                    RiccatiDiverged, SingularConfiguration)
+from trailer_mpc.model import SINGULAR_TOL, speed_ratio
 from trailer_mpc.paths import NominalPath, generate_straight, interpolate
 from trailer_mpc.qp import IPM_MAX_ITER
 
@@ -122,38 +123,167 @@ def test_zero_error_fixed_point(params, straight_back):
     assert diag.slack_max < 1e-10
 
 
-def test_condensing_equivalence_small_horizon(params):
-    # the condensed QP cost must equal the explicit stacked-state cost
+def test_condensing_equivalence_small_horizon(params, eight_back):
+    # the condensed QP cost must equal the explicit stacked-state cost of a
+    # rollout through the horizon's own per-stage models, on a straight
+    # line and inside the figure-eight's first blend (s = 10 m), where
+    # every stage has its own F_k and G_k
     cfg = MpcConfig(horizon=5)
-    path = generate_straight(30.0, -1.0, cfg.delta_s)
-    controller = MpcController(params, path, cfg, use_polytope=False)
-    struct = controller._structure(0)
     N = cfg.horizon
-    model = analytic_straight_model(params, -1.0, cfg.delta_s)
-    F, G = model.F, model.G
-    Q, P = controller.cost.Q, controller.cost.P
+    straight = generate_straight(30.0, -1.0, cfg.delta_s)
+    for path, base in ((straight, 0), (eight_back, 50)):
+        controller = MpcController(params, path, cfg, use_polytope=False)
+        struct = controller._structure(base)
+        models = [controller._model_at(base + k) for k in range(N)]
+        if path is straight:
+            model = analytic_straight_model(params, -1.0, cfg.delta_s)
+            assert np.allclose(models[0].F, model.F, atol=1e-9)
+            assert np.allclose(models[0].G, model.G, atol=1e-9)
+        else:
+            assert len({mdl.F.tobytes() for mdl in models}) == N
+            assert len({mdl.G.tobytes() for mdl in models}) == N
+        Q, P = controller.cost.Q, controller.cost.P
 
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        x0 = rng.normal(scale=0.1, size=4)
-        ut = rng.normal(scale=0.05, size=N)
-        # explicit rollout cost
-        x = x0.copy()
-        cost_ref = 0.0
-        for k in range(N):
-            x = F @ x + G * ut[k]
-            Wk = P if k == N - 1 else Q
-            cost_ref += x @ Wk @ x
-        cost_ref += ut @ ut
-        q = struct.W @ x0
-        cost_qp = 0.5 * ut @ struct.P_uu @ ut + q @ ut
-        offset = cost_ref - cost_qp  # constant term dropped by condensing
-        x = x0.copy()
-        cost0 = sum((np.linalg.matrix_power(F, k + 1) @ x0) @
-                    ((P if k == N - 1 else Q) @
-                     (np.linalg.matrix_power(F, k + 1) @ x0))
-                    for k in range(N))
-        assert offset == pytest.approx(cost0, rel=1e-9)
+        def rollout_cost(x0, ut):
+            x, cost = x0, 0.0
+            for k, mdl in enumerate(models):
+                x = mdl.F @ x + mdl.G * ut[k]
+                cost += x @ (P if k == N - 1 else Q) @ x
+            return cost + ut @ ut
+
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            x0 = rng.normal(scale=0.1, size=4)
+            ut = rng.normal(scale=0.05, size=N)
+            cost_qp = 0.5 * ut @ struct.P_uu @ ut + (struct.W @ x0) @ ut
+            # condensing drops the constant term, the free response's cost
+            offset = rollout_cost(x0, ut) - cost_qp
+            assert offset == pytest.approx(rollout_cost(x0, np.zeros(N)),
+                                           rel=1e-9)
+
+
+def test_a_sample_outside_the_polytope_fails_the_constructor(params,
+                                                              straight_back):
+    import dataclasses
+
+    beta3 = straight_back.beta3.copy()
+    beta3[[30, 40]] = 2.0
+    path = dataclasses.replace(straight_back, beta3=beta3)
+    # the message names the first station outside
+    with pytest.raises(NominalOutsidePolytope, match=r"s=6\.00 "):
+        MpcController(params, path, MpcConfig())
+    MpcController(params, path, MpcConfig(), use_polytope=False)
+
+
+def test_a_build_over_a_singular_station_raises(params, straight_back):
+    import dataclasses
+
+    beta2 = straight_back.beta2.copy()
+    beta2[30] = 0.5 * math.pi   # C1 = cos(beta2) = 6e-17 there
+    path = dataclasses.replace(straight_back, beta2=beta2)
+    controller = MpcController(params, path, MpcConfig(), use_polytope=False)
+    with pytest.raises(SingularConfiguration):
+        controller._structure(0)
+    # the slew chain alone, on regular models, finds the station
+    regular = [controller._model_at(100)] * controller.cfg.horizon
+    with pytest.raises(SingularConfiguration, match=r"s=6\.00"):
+        controller._build_structure(0, regular)
+    # the chain from base 30 reads stations 31 and on
+    controller._build_structure(30, regular)
+
+
+def loop_structure(controller, base):
+    """The condensed structure of the horizon from ``base``, built station
+    by station: a PathSample, a polytope shift and a slew bound per station,
+    a block-row recursion for Gamma and the dense block-diagonal weight.
+    The reference for MpcController._build_structure's tables and batched
+    products; returns its fields by name."""
+    cfg, params, path = controller.cfg, controller.params, controller.path
+    N = cfg.horizon
+    models = [controller._model_at(base + k) for k in range(N)]
+    Phi = np.empty((N, 4, 4))
+    Gam = np.zeros((4 * N, N))
+    acc = np.eye(4)
+    for k in range(N):
+        rows = slice(4 * k, 4 * k + 4)
+        if k > 0:
+            Gam[rows, :k] = models[k].F @ Gam[4 * (k - 1):4 * k, :k]
+        Gam[rows, k] = models[k].G
+        acc = models[k].F @ acc
+        Phi[k] = acc
+    Qt = np.zeros((4 * N, 4 * N))
+    for k in range(N - 1):
+        Qt[4 * k:4 * k + 4, 4 * k:4 * k + 4] = controller.cost.Q
+    Qt[4 * (N - 1):, 4 * (N - 1):] = controller.cost.P
+    QG = Qt @ Gam
+    P_uu = 2.0 * (Gam.T @ QG + np.eye(N))
+    P_uu = 0.5 * (P_uu + P_uu.T)
+    W = 2.0 * QG.T @ Phi.reshape(4 * N, 4)
+
+    samples = [path.sample(base + k) for k in range(N + 1)]
+    ur = np.array([smp.ur for smp in samples])
+    l = np.full(2 * N, -np.inf)
+    u = np.full(2 * N, np.inf)
+    l[:N] = -controller.u_max - ur[:N]
+    u[:N] = controller.u_max - ur[:N]
+    for k in range(1, N):
+        smp = samples[k]
+        c1 = speed_ratio(params, smp.beta2r, smp.beta3r, smp.ur)
+        assert c1 > SINGULAR_TOL
+        c_k = controller.udot_max / c1 * cfg.delta_s
+        dur = ur[k] - ur[k - 1]
+        l[N + k] = -dur - c_k
+        u[N + k] = -dur + c_k
+    poly = controller.polytope
+    m = poly.m if poly is not None else 0
+    G_soft = np.zeros((N * m, N))
+    HsPhi = np.zeros((N * m, 4))
+    hbar = np.zeros(N * m)
+    if m:
+        Hs = np.zeros((m, 4))
+        Hs[:, 2] = poly.H[:, 0]
+        Hs[:, 3] = poly.H[:, 1]
+        for k in range(1, N + 1):
+            rows = slice((k - 1) * m, k * m)
+            G_soft[rows] = Hs @ Gam[4 * (k - 1):4 * k, :]
+            HsPhi[rows] = Hs @ Phi[k - 1]
+            hbar[rows] = poly.h - poly.H @ np.array([samples[k].beta3r,
+                                                     samples[k].beta2r])
+    return dict(P_uu=P_uu, W=W, G=G_soft, HsPhi=HsPhi, hbar=hbar, l=l, u=u)
+
+
+@pytest.mark.parametrize("direction", [-1.0, 1.0])
+@pytest.mark.parametrize("use_polytope", [True, False])
+def test_straight_structure_is_the_loop_build_bit_for_bit(params, direction,
+                                                          use_polytope):
+    cfg = MpcConfig()
+    controller = MpcController(params, generate_straight(30.0, direction),
+                               cfg, use_polytope=use_polytope)
+    for base in (0, 40):   # the second horizon reaches into the tail
+        struct = controller._structure(base)
+        for name, want in loop_structure(controller, base).items():
+            got = getattr(struct, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    A = struct.A_in
+    N = cfg.horizon
+    assert np.array_equal(A[:N], np.eye(N)) and np.array_equal(A[N], np.eye(N)[0])
+    assert np.array_equal(A[N + 1:], np.eye(N)[1:] - np.eye(N)[:-1])
+
+
+def test_figure_eight_structure_matches_the_loop_build(params, eight_back):
+    controller = MpcController(params, eight_back, MpcConfig())
+    last = len(controller.path) - controller.cfg.horizon - 1
+    shared = controller._structure(0).A_in
+    for base in range(0, last + 1, 7):
+        struct = controller._structure(base)
+        assert struct.A_in is shared
+        for name, want in loop_structure(controller, base).items():
+            got = getattr(struct, name)
+            # the slew row's open bounds, +-inf, sit in the same places
+            finite = np.isfinite(want)
+            assert np.array_equal(got[~finite], want[~finite]), name
+            err = np.max(np.abs(got[finite] - want[finite]))
+            assert err <= 1e-12 * np.max(np.abs(want[finite])), (name, base)
 
 
 def test_constraint_row_counts(params, straight_back):

@@ -11,8 +11,9 @@ import trailer_mpc
 from trailer_mpc import NominalPath, eq_residuals, interpolate, project, reverse_path
 from trailer_mpc.exceptions import InfeasiblePath, OutOfDomain, ProjectionLost
 from trailer_mpc.model import chain_terms
-from trailer_mpc.paths import (equilibrium_joint, extend_for_horizon,
-                               generate_figure_eight, generate_straight)
+from trailer_mpc.paths import (MAX_PATH_SAMPLES, equilibrium_joint,
+                               extend_for_horizon, generate_figure_eight,
+                               generate_straight)
 
 
 def fields_at(path, s):
@@ -49,6 +50,34 @@ def test_straight_path_flow_residual_zero(params, straight_back):
 def test_straight_rejects_nonpositive_length():
     with pytest.raises(ValueError):
         generate_straight(0.0, -1.0)
+
+
+@pytest.mark.parametrize("length, delta_s", [
+    (1e308, 0.2),                         # 5e308 intervals: not finite
+    (0.2 * MAX_PATH_SAMPLES, 0.2),        # one sample too many
+    (1.0, 1e-300),
+    (math.nan, 0.2),
+])
+def test_straight_rejects_a_sample_count_beyond_the_bound(length, delta_s):
+    with pytest.raises(ValueError, match="samples"):
+        generate_straight(length, -1.0, delta_s)
+
+
+def test_straight_takes_the_largest_sample_count(monkeypatch):
+    import trailer_mpc.paths as paths_mod
+
+    monkeypatch.setattr(paths_mod, "MAX_PATH_SAMPLES", 11)
+    assert len(generate_straight(2.0, -1.0, 0.2)) == 11
+    with pytest.raises(ValueError, match="samples"):
+        generate_straight(2.2, -1.0, 0.2)
+
+
+@pytest.mark.parametrize("radius", [1e308, 1e200, 1e6])
+def test_eight_rejects_a_sample_count_beyond_the_bound(params, radius):
+    # 1e308: the hold 2 pi r overflows; 1e200 and 1e6: too many samples,
+    # rejected before any of them is integrated
+    with pytest.raises(ValueError, match="samples"):
+        generate_figure_eight(radius, -1.0, 0.2, params=params)
 
 
 def test_eight_flow_residual(params, eight_back):

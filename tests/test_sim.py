@@ -87,8 +87,14 @@ def test_run_suite_summary(tmp_path, params):
     summaries = run_suite(specs, params, MpcConfig(), out_dir=str(tmp_path))
     assert [s["name"] for s in summaries] == ["a", "b"]
     assert all(s["status"] == "Converged" for s in summaries)
-    assert (tmp_path / "summary.csv").exists()
     assert (tmp_path / "a_lq.csv").exists()
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # one row per run with every summary key, the structure phase's total
+    # among them
+    assert [r["name"] for r in rows] == ["a", "b"]
+    assert list(rows[0]) == list(summaries[0])
+    assert [float(r["structure_ms"]) for r in rows] == [0.0, 0.0]
 
 
 def test_timeout_status(params):
@@ -173,7 +179,10 @@ def test_run_log_phase_timings_and_deadline_misses(tmp_path, params, controller)
         assert not np.any(log.t_structure_ms) and not np.any(log.t_solve_ms)
         assert not np.any(log.structure_built)
     assert log.period_ms == 50.0
-    assert log.summary()["deadline_misses"] == int(np.sum(log.solve_ms > 50.0))
+    summary = log.summary()
+    assert summary["deadline_misses"] == int(np.sum(log.solve_ms > 50.0))
+    assert summary["structure_ms"] == float(np.sum(log.t_structure_ms))
+    assert (summary["structure_ms"] > 0.0) == (controller == "mpc")
     f = tmp_path / "log.csv"
     log.write_csv(f)
     header = f.read_text().splitlines()[0].split(",")
