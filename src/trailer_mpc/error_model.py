@@ -82,86 +82,93 @@ def _check_validity(z3t, theta3t, kappa3r):
         raise ValidityViolated(f"|theta3t| = {abs(theta3t):.3f} too close to pi/2")
 
 
-def _rates_per_v3(params, nominal, e, u_tilde):
-    """Error rates divided by the semitrailer speed v3, plus ds/dt per v3."""
-    b3r, b2r, ur = nominal.beta3r, nominal.beta2r, nominal.ur
+def _dynamics(params, nominal, e, u_tilde):
+    """d(error)/ds at the station whose (beta3r, beta2r, ur, v3r_sign) is
+    ``nominal``, with the perturbed and nominal speed ratios C1.
+
+    The station's fields, ``e``'s four components and ``u_tilde`` are floats
+    or numpy arrays that broadcast together; a float gets the bits of its
+    array entry.  Nothing is checked; the result means nothing where
+    |beta3| >= pi/2 or either C1 <= SINGULAR_TOL.
+    """
+    b3r, b2r, ur, sign = nominal
     # derive the nominal curvature from beta3r (identical at the samples) so
     # that the origin stays an exact equilibrium at interpolated stations too
-    k3r = math.tan(b3r) / params.L3
+    k3r = np.tan(b3r) / params.L3
     z, th = e[0], e[1]
     b3 = b3r + e[2]
     b2 = b2r + e[3]
     u = ur + u_tilde
-    if abs(b3) >= _HALF_PI:
-        raise SingularConfiguration(f"|beta3| = {abs(b3):.4f} >= pi/2")
-    c1p, n3p, n2p = chain_terms(params, math.sin(b2), math.cos(b2), math.cos(b3), u)
-    c1r, n3r, n2r = chain_terms(params, math.sin(b2r), math.cos(b2r), math.cos(b3r), ur)
-    if c1p <= SINGULAR_TOL or c1r <= SINGULAR_TOL:
-        raise SingularConfiguration("C1 not strictly positive")
-    one_minus = 1.0 - k3r * z
-    proj = math.cos(th) / one_minus
-
-    L2, L3 = params.L2, params.L3
-    t3 = math.tan(b3) / L3
-    rates = (
-        math.sin(th),
-        t3 - k3r * proj,
-        n3p / (L2 * c1p) - t3 - proj * (n3r / (L2 * c1r) - k3r),
-        n2p / c1p - proj * (n2r / c1r),
-    )
-    ds_per_v3 = nominal.v3r_sign * proj
-    return rates, ds_per_v3
+    c1p, n3p, n2p = chain_terms(params, np.sin(b2), np.cos(b2), np.cos(b3), u)
+    c1r, n3r, n2r = chain_terms(params, np.sin(b2r), np.cos(b2r), np.cos(b3r), ur)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        proj = np.cos(th) / (1.0 - k3r * z)
+        L2, L3 = params.L2, params.L3
+        t3 = np.tan(b3) / L3
+        # the rates per unit of semitrailer speed v3, over ds/dt per v3; the
+        # beta3 rate reads every input, so it has the full shape
+        rate_b3 = n3p / (L2 * c1p) - t3 - proj * (n3r / (L2 * c1r) - k3r)
+        rates = np.empty((4,) + np.shape(rate_b3))
+        rates[0], rates[1], rates[2], rates[3] = (
+            np.sin(th), t3 - k3r * proj, rate_b3, n2p / c1p - proj * (n2r / c1r))
+        return rates / (sign * proj), c1p, c1r
 
 
 def error_dynamics_s(params, path: NominalPath, s, e, u_tilde) -> np.ndarray:
     """Distance-based error dynamics d(error)/ds at station s.
 
     ``e`` is a PathError or a length-4 array.  The origin (e, u_tilde) = (0, 0)
-    is an equilibrium for every station of every consistent path.
+    is an equilibrium for every station of every consistent path.  Raises
+    ValidityViolated outside the Frenet transform's validity margins and
+    SingularConfiguration where |beta3| >= pi/2 or C1 <= SINGULAR_TOL.
     """
-    e_arr = e.as_array() if isinstance(e, PathError) else np.asarray(e, dtype=float)
-    return _dynamics_at(params, interpolate(path, s), e_arr, u_tilde)
+    e = (e.as_array() if isinstance(e, PathError) else np.asarray(e, dtype=float)).tolist()
+    nom = interpolate(path, s)
+    _check_validity(e[0], e[1], nom.kappa3r)
+    if abs(nom.beta3r + e[2]) >= _HALF_PI:
+        raise SingularConfiguration(f"|beta3| = {abs(nom.beta3r + e[2]):.4f} >= pi/2")
+    de_ds, c1p, c1r = _dynamics(params, (nom.beta3r, nom.beta2r, nom.ur, nom.v3r_sign),
+                                e, u_tilde)
+    if c1p <= SINGULAR_TOL or c1r <= SINGULAR_TOL:
+        raise SingularConfiguration("C1 not strictly positive")
+    return de_ds
 
 
-def _dynamics_at(params, nominal: PathSample, e, u_tilde) -> np.ndarray:
-    """:func:`error_dynamics_s` at the interpolated station ``nominal``."""
-    e = e.tolist()   # the scalar arithmetic is cheaper on Python floats
-    _check_validity(e[0], e[1], nominal.kappa3r)
-    rates, ds_per_v3 = _rates_per_v3(params, nominal, e, u_tilde)
-    return np.array(rates) / ds_per_v3
+# linearize's 20 difference points (e, u_tilde), one per column: for each of
+# e's components and u_tilde, +-h/2 and +-h; u_tilde's leave e at +0.0
+_H = 2e-5
+_STEPS = np.tile([_H / 2.0, _H], 5)
+_POINTS = np.repeat(np.eye(5), 4, axis=1) * np.tile([1.0, -1.0], 10) * \
+    np.repeat(_STEPS, 2)
+_POINTS[:4, 16:] = 0.0
+_E, _U = _POINTS[:4], _POINTS[4]
 
 
-def linearize(params, path: NominalPath, s, delta_s) -> LinearizedModel:
-    """Jacobians A(s), B(s) of the error dynamics at the origin, plus the
-    Euler-forward discretization F = I + delta_s*A, G = delta_s*B.
+def linearize(params, nominal: PathSample, delta_s) -> LinearizedModel:
+    """Jacobians A, B of the error dynamics at the origin of station
+    ``nominal``, plus the Euler-forward discretization F = I + delta_s*A,
+    G = delta_s*B.
 
     Richardson-refined central differences; the nonlinear dynamics are the
     single source of truth so the linearization can never drift from them.
+    The station's fields are floats, or arrays over n stations, which give
+    A (n, 4, 4), B (n, 4), F and G stacked, each station with the bits of
+    its own float call.  Nothing is checked: a station with |beta3r| near
+    pi/2 or C1 <= SINGULAR_TOL gives a meaningless model, and callers
+    check C1 before they use one.
     """
-    h = 2e-5
-    nominal = interpolate(path, s)
-
-    def f(e, ut):
-        return _dynamics_at(params, nominal, e, ut)
-
-    A = np.zeros((4, 4))
-    for j in range(4):
-        ej = np.zeros(4)
-        ej[j] = 1.0
-
-        def diff(step):
-            return (f(ej * step, 0.0) - f(-ej * step, 0.0)) / (2.0 * step)
-
-        A[:, j] = (4.0 * diff(h / 2.0) - diff(h)) / 3.0
-
-    def diff_u(step):
-        z = np.zeros(4)
-        return (f(z, step) - f(z, -step)) / (2.0 * step)
-
-    B = (4.0 * diff_u(h / 2.0) - diff_u(h)) / 3.0
-    F = np.eye(4) + delta_s * A
-    G = delta_s * B
-    return LinearizedModel(A=A, B=B, F=F, G=G, delta_s=float(delta_s))
+    # stations on the leading axes, the difference points on the last
+    station = [np.asarray(v)[..., None] for v in (
+        nominal.beta3r, nominal.beta2r, nominal.ur, nominal.v3r_sign)]
+    f = _dynamics(params, station, _E, _U)[0]
+    with np.errstate(invalid="ignore"):
+        diff = (f[..., 0::2] - f[..., 1::2]) / (2.0 * _STEPS)
+        # A's four columns, then B, each with the stations leading
+        rich = (4.0 * diff[..., 0::2] - diff[..., 1::2]) / 3.0
+    A = rich[..., :4].swapaxes(0, -2)
+    B = rich[..., 4].swapaxes(0, -1)
+    return LinearizedModel(A=A, B=B, F=np.eye(4) + delta_s * A, G=delta_s * B,
+                           delta_s=float(delta_s))
 
 
 def analytic_straight_model(params, direction, delta_s) -> LinearizedModel:

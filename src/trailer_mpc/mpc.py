@@ -1,7 +1,7 @@
 """Receding-horizon path-following controller (and the saturated-LQ baseline).
 
-Each control cycle the 4-state path error is measured, the error dynamics are
-linearized along the prediction horizon, predicted states are condensed out,
+Each control cycle the 4-state path error is measured, the error dynamics,
+linearized once per path station, are condensed along the prediction horizon,
 and a dense QP over (curvature deviations, joint-angle slack variables) is
 solved.  Curvature box and slew-rate rows are hard; the joint-angle polytope
 rows are softened with linearly+quadratically penalized slacks.
@@ -271,8 +271,8 @@ class StepDiagnostics:
     # one with the same content served it; the LQ baseline builds none)
     structure_built: bool
     # phases of solve_time_ms: projection and error (compute_error and the
-    # reference curvature), the condensed structure (linearizing and
-    # condensing the horizon, cached by content), and the QP with its
+    # reference curvature), the condensed structure (condensing the
+    # horizon's station models, cached by content), and the QP with its
     # certificate; the LQ baseline has no structure or QP
     t_project_ms: float
     t_structure_ms: float
@@ -334,13 +334,14 @@ def _remember(cache, key, value, size=4):
 
 
 class MpcController:
-    """Closed-loop MPC: project, linearize along the horizon, condense, solve.
+    """Closed-loop MPC: project, condense the horizon's station models, solve.
 
-    The prediction grid is snapped to the path's sample grid so that the QP
-    matrices are reused across the several control cycles spent between two
-    grid stations.  Station models and condensed structures are also cached
-    by content, the exact bits of the path data they read, so that every
-    grid base of a straight stretch shares one structure.
+    The constructor linearizes the error dynamics once at every distinct
+    station of the path, distinct in the bits of the path data the models
+    and the QP rows read.  The prediction grid is snapped to the path's
+    sample grid, and a condensed structure is cached under the ids of its
+    horizon's stations, so that the control cycles between two grid
+    stations, and every grid base of a straight stretch, share one.
     """
 
     def __init__(self, params, path: NominalPath, cfg: MpcConfig = None,
@@ -361,10 +362,10 @@ class MpcController:
                 f"nominal curvature {np.max(np.abs(self.path.u)):.3f} exceeds "
                 f"the curvature limit {self.u_max}")
         # per-station tables over the extended path, read by every build:
-        # the polytope rows recentered on the nominal joint angles, and the
-        # speed ratio with the slew chain's half-width udot_max / C1 * ds.
-        # Structures hold views of _hbar and share A_in whole, so these are
-        # read-only.
+        # the polytope rows recentered on the nominal joint angles, the
+        # speed ratio with the slew chain's half-width udot_max / C1 * ds,
+        # and the station models.  Structures hold views of _hbar and share
+        # A_in whole, so these are read-only.
         ext = self.path
         if self.polytope is not None:
             # every nominal sample must sit strictly inside the polytope
@@ -379,66 +380,42 @@ class MpcController:
         self._A_in = _hard_rows(self.cfg.horizon)
         self._single_col = row_structure(self._A_in)
         self._A_in.flags.writeable = self._single_col.flags.writeable = False
-        # per grid index and per grid base, then by content (see _model_at
-        # and _structure)
-        self._station_models = {}
-        self._models_by_content = {}
-        self._structs = {}
+        # every station's id names its distinct (beta3, beta2, u, kappa3),
+        # the fields the error dynamics and the rows read, compared as bits,
+        # not floats, since 0.0 == -0.0 would merge stations the arithmetic
+        # tells apart; the distinct stations are linearized in one call
+        rows = np.column_stack([ext.beta3, ext.beta2, ext.u, ext.kappa3])
+        _, first, self._ids = np.unique(
+            rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel(),
+            return_index=True, return_inverse=True)
+        models = linearize(params, ext.sample(first), self.cfg.delta_s)
+        self._F, self._G = models.F, models.G
+        # condensed structures by the ids of their horizon's stations
         self._structs_by_content = {}
         self.n_structure_builds = 0
 
     # -- building blocks -------------------------------------------------
 
-    def _model_at(self, idx):
-        """The linearization at grid index ``idx``.  Stations whose
-        interpolated fields that the error dynamics read have the same bits
-        share one model; the key is bits, not float equality, since
-        0.0 == -0.0 would merge stations the arithmetic tells apart."""
-        model = self._station_models.get(idx)
-        if model is None:
-            s = idx * self.cfg.delta_s
-            nom = interpolate(self.path, s)
-            key = np.array([nom.beta3r, nom.beta2r, nom.ur, nom.kappa3r,
-                            nom.v3r_sign]).tobytes()
-            model = self._models_by_content.get(key)
-            if model is None:
-                model = linearize(self.params, self.path, s, self.cfg.delta_s)
-                self._models_by_content[key] = model
-            self._station_models[idx] = model
-        return model
-
     def _structure(self, base) -> _QpStructure:
-        """The condensed structure of the horizon from grid base ``base``.
-
-        Keyed by content: the identities of the N station models (one
-        object per distinct model, kept for the controller's life) and the
-        bits of the path samples that the box, slew and polytope rows read.
-        """
-        struct = self._structs.get(base)
+        """The condensed structure of the horizon from grid base ``base``,
+        shared by every base whose stations base .. base+N have the same
+        ids, the last few kept."""
+        key = self._ids[base:base + self.cfg.horizon + 1].tobytes()
+        struct = self._structs_by_content.get(key)
         if struct is None:
-            N = self.cfg.horizon
-            models = [self._model_at(base + k) for k in range(N)]
-            path = self.path
-            key = (tuple(map(id, models)), path.u[base:base + N + 1].tobytes(),
-                   path.beta3[base + 1:base + N + 1].tobytes(),
-                   path.beta2[base + 1:base + N + 1].tobytes())
-            struct = self._structs_by_content.get(key)
-            if struct is None:
-                struct = self._build_structure(base, models)
-                self.n_structure_builds += 1
-                _remember(self._structs_by_content, key, struct)
-            _remember(self._structs, base, struct)
+            struct = self._build_structure(base)
+            self.n_structure_builds += 1
+            _remember(self._structs_by_content, key, struct)
         return struct
 
-    def _build_structure(self, base, models) -> _QpStructure:
+    def _build_structure(self, base) -> _QpStructure:
         N = self.cfg.horizon
         path = self.path
-        # the slew chain reads stations base+1 .. base+N-1
-        chain = slice(base + 1, base + N)
-        _require_regular(self._c1[chain], path.s[chain])
-
-        F = np.array([mdl.F for mdl in models])
-        G = np.array([mdl.G for mdl in models])
+        # the models of stations base .. base+N-1, and the slew chain's
+        # stations base+1 .. base+N-1, mean nothing where C1 is singular
+        ids = self._ids[base:base + N]
+        _require_regular(self._c1[base:base + N], path.s[base:base + N])
+        F, G = self._F[ids], self._G[ids]
         # condensing, one stage block at a time: x_{k+1} = Phi[k] x0 +
         # Gam[k] u for k = 0..N-1, the blocks side by side in [Phi | Gam]
         PG = np.zeros((N, 4, 4 + N))
@@ -469,7 +446,7 @@ class MpcController:
         # the distance-based bound
         l[N], u[N] = -np.inf, np.inf
         dur = np.diff(ur[:N])
-        c = self._slew_width[chain]
+        c = self._slew_width[base + 1:base + N]
         l[N + 1:] = -dur - c
         u[N + 1:] = -dur + c
         # soft joint-angle rows, stages 1..N

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InfeasiblePath, OutOfDomain, ProjectionLost
-from .model import chain_terms
+from .model import chain_terms, derivatives_batch
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,13 @@ class NominalPath:
         return len(self.s)
 
     def sample(self, i) -> PathSample:
-        return PathSample(
-            float(self.s[i]), float(self.x[i]), float(self.y[i]), float(self.theta3[i]),
-            float(self.beta3[i]), float(self.beta2[i]), float(self.u[i]),
-            self.direction, float(self.kappa3[i]),
-        )
+        """The sample at index ``i``; an index array gives the arrays of
+        those samples' fields."""
+        field_of = float if np.ndim(i) == 0 else np.asarray
+        s, x, y, th, b3, b2, u, k3 = (field_of(a[i]) for a in (
+            self.s, self.x, self.y, self.theta3, self.beta3, self.beta2,
+            self.u, self.kappa3))
+        return PathSample(s, x, y, th, b3, b2, u, self.direction, k3)
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -136,19 +138,14 @@ def eq_residuals(params, path: NominalPath) -> np.ndarray:
     """Per-interval residual of x_{k+1} - x_k - delta_s * dir * f(x_k, u_k),
     f the flow per unit of semitrailer travel."""
     X = np.vstack([path.x, path.y, path.theta3, path.beta3, path.beta2])
-    res = np.empty(len(path) - 1)
-    for k in range(len(res)):
-        th, b3, b2 = X[2:, k]
-        c1, n3, n2 = chain_terms(params, math.sin(b2), math.cos(b2), math.cos(b3),
-                                 float(path.u[k]))
-        t3 = math.tan(b3) / params.L3
-        f = np.array([math.cos(th), math.sin(th), t3, n3 / (params.L2 * c1) - t3, n2 / c1])
-        res[k] = np.linalg.norm(X[:, k + 1] - X[:, k] - path.delta_s * path.direction * f)
-    return res
+    # the time derivatives at unit forward speed, per unit of C1 = v3 / v
+    rates, c1 = derivatives_batch(params, X[:, :-1], path.u[:-1], 1.0)
+    step = np.diff(X, axis=1) - path.delta_s * path.direction * (rates / c1)
+    return np.linalg.norm(step, axis=0)
 
 
-# the most samples a generated path may hold: 2000 km at 0.2 m spacing
-MAX_PATH_SAMPLES = 10 ** 7
+# the most samples a generated path may hold: 200 km at 0.2 m (about 330 MB)
+MAX_PATH_SAMPLES = 10 ** 6
 
 
 def _sample_count(length, delta_s) -> int:

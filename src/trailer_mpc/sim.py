@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,12 @@ def _noise_std(value) -> tuple:
     return std
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite real number (not a bool)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
 @dataclass
 class ExperimentSpec:
     """One closed-loop experiment: path, controller and initial perturbation."""
@@ -68,6 +75,15 @@ class ExperimentSpec:
             raise ValueError(f"unknown controller {self.controller!r}")
         if len(self.perturbation) != 4:
             raise ValueError("perturbation must have 4 entries")
+        for name, ok, meaning in (
+                ("v", self.v in (-1.0, 1.0), "-1 or +1"),
+                ("path_size", _finite(self.path_size) and self.path_size > 0, "positive and finite"),
+                ("start_s", _finite(self.start_s) and self.start_s >= 0, "finite and >= 0"),
+                ("max_time", self.max_time is None or _finite(self.max_time) and self.max_time > 0,
+                 "positive and finite, or null"),
+                ("seed", isinstance(self.seed, numbers.Integral) and self.seed >= 0, "an integer >= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {meaning}; got {getattr(self, name)!r}")
         if self.noise_std is not None:
             self.noise_std = _noise_std(self.noise_std)
 
@@ -130,7 +146,7 @@ class RunLog:
             "n_lq_fallback": self.solver_path.count("lq_fallback"),
             # cycles that built a condensed structure rather than reusing one
             "n_structure_builds": int(np.count_nonzero(self.structure_built)),
-            # time spent linearizing and condensing horizons, all cycles
+            # time spent condensing horizons, all cycles
             "structure_ms": float(self.t_structure_ms.sum()),
             # cycles whose command took longer than the control period
             "deadline_misses": int(np.count_nonzero(self.solve_ms > self.period_ms)),

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from trailer_mpc import VehicleParams
 from trailer_mpc.paths import generate_figure_eight, generate_straight
+
+# the same draws on every run, for CI (pytest --hypothesis-profile=ci); a
+# failing draw prints the blob that replays it
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture(scope="session")

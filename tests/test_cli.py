@@ -117,6 +117,20 @@ def test_run_config_rejects_a_bad_mpc_setting(tmp_path, capsys, mpc):
     assert err.startswith("config error:") and next(iter(mpc)) in err
 
 
+# each once crashed in the middle of the run with a traceback and exit 1
+@pytest.mark.parametrize("field, value", [("v", 0.5), ("path_size", -30),
+                                          ("max_time", "abc")])
+def test_run_config_rejects_a_bad_experiment_value(tmp_path, capsys, field,
+                                                   value):
+    f = tmp_path / "exp.json"
+    f.write_text(json.dumps({"experiments": [
+        {"name": "e", "controller": "lq", "path_kind": "straight",
+         "path_size": 40.0, field: value}]}))
+    assert main(["run", "--config", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+
+
 @pytest.mark.parametrize("noise_std", [0, [], 0.1, [-1, 0, 0, 0, 0]])
 def test_run_config_rejects_a_bad_noise_std(tmp_path, capsys, noise_std):
     f = tmp_path / "noise.json"

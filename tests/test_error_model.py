@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trailer_mpc import (PathError, VehicleState, analytic_straight_model,
-                         compute_error, error_dynamics_s, linearize)
+from trailer_mpc import (MpcConfig, MpcController, PathError, VehicleState,
+                         analytic_straight_model, compute_error,
+                         error_dynamics_s, linearize)
 from trailer_mpc.error_model import wrap_angle
 from trailer_mpc.exceptions import ValidityViolated
-from trailer_mpc.paths import generate_straight
+from trailer_mpc.paths import generate_straight, interpolate
 from trailer_mpc.sim import initial_state
 
 
@@ -39,7 +40,7 @@ def test_origin_is_equilibrium_eight(params, eight_back):
 @given(direction=st.sampled_from([-1.0, 1.0]), s=st.floats(0.0, 38.0))
 def test_linearize_matches_analytic_on_straight(params, direction, s):
     path = generate_straight(40.0, direction, 0.2)
-    num = linearize(params, path, s, 0.2)
+    num = linearize(params, interpolate(path, s), 0.2)
     ana = analytic_straight_model(params, direction, 0.2)
     assert np.max(np.abs(num.A - ana.A)) < 1e-7
     assert np.max(np.abs(num.B - ana.B)) < 1e-7
@@ -64,11 +65,56 @@ def test_jacobians_against_independent_differences(params, straight_back,
                                                    eight_back, kind, rng):
     path = straight_back if kind == "straight" else eight_back
     for s in rng.uniform(1.0, path.s_end - 12.0, 25):
-        model = linearize(params, path, float(s), 0.2)
+        model = linearize(params, interpolate(path, float(s)), 0.2)
         A_ref, B_ref = _central_diff_jacobians(params, path, float(s))
         scale = max(1.0, np.max(np.abs(A_ref)))
         assert np.max(np.abs(model.A - A_ref)) / scale < 1e-6
         assert np.max(np.abs(model.B - B_ref)) / max(1.0, np.max(np.abs(B_ref))) < 1e-6
+
+
+def richardson_model(params, path, s, delta_s):
+    """(F, G) at station s from Richardson-refined central differences of
+    error_dynamics_s, one station at a time, with linearize's steps and
+    order of operations: the reference for the controller's station
+    table."""
+    h = 2e-5
+
+    def diff(e, step):
+        return (error_dynamics_s(params, path, s, e * step, 0.0) -
+                error_dynamics_s(params, path, s, -e * step, 0.0)) / (2.0 * step)
+
+    def diff_u(step):
+        return (error_dynamics_s(params, path, s, np.zeros(4), step) -
+                error_dynamics_s(params, path, s, np.zeros(4), -step)) / (2.0 * step)
+
+    A = np.zeros((4, 4))
+    for j in range(4):
+        ej = np.zeros(4)
+        ej[j] = 1.0
+        A[:, j] = (4.0 * diff(ej, h / 2.0) - diff(ej, h)) / 3.0
+    B = (4.0 * diff_u(h / 2.0) - diff_u(h)) / 3.0
+    return np.eye(4) + delta_s * A, delta_s * B
+
+
+@pytest.mark.parametrize("kind", ["straight", "eight"])
+def test_station_table_matches_the_station_by_station_reference(
+        params, straight_back, eight_back, kind):
+    path = straight_back if kind == "straight" else eight_back
+    controller = MpcController(params, path, MpcConfig())
+    ext = controller.path
+    for i in range(len(ext)):
+        F, G = richardson_model(params, ext, float(ext.s[i]), ext.delta_s)
+        k = controller._ids[i]
+        got_F, got_G = controller._F[k], controller._G[k]
+        if kind == "straight":
+            # every station is the origin's, and the bits agree
+            assert got_F.tobytes() == F.tobytes()
+            assert got_G.tobytes() == G.tobytes()
+        else:
+            # the table linearizes at the samples, the reference at the
+            # interpolated station, which may be an ulp off
+            assert np.max(np.abs(got_F - F)) <= 1e-12
+            assert np.max(np.abs(got_G - G)) <= 1e-12
 
 
 def test_compute_error_recovers_perturbation(params, eight_back):

@@ -113,6 +113,13 @@ def test_controller_requires_matching_grid(params, straight_back):
         MpcController(params, straight_back, MpcConfig(delta_s=0.1))
 
 
+def table_models(controller, base):
+    """(F, G) of the horizon's stations from ``base``, stacked, as the
+    controller's station table gives them."""
+    ids = controller._ids[base:base + controller.cfg.horizon]
+    return controller._F[ids], controller._G[ids]
+
+
 def test_zero_error_fixed_point(params, straight_back):
     controller = MpcController(params, straight_back, MpcConfig())
     ctrl = ControllerState(s_prev=0.0)
@@ -134,20 +141,20 @@ def test_condensing_equivalence_small_horizon(params, eight_back):
     for path, base in ((straight, 0), (eight_back, 50)):
         controller = MpcController(params, path, cfg, use_polytope=False)
         struct = controller._structure(base)
-        models = [controller._model_at(base + k) for k in range(N)]
+        F, G = table_models(controller, base)
         if path is straight:
             model = analytic_straight_model(params, -1.0, cfg.delta_s)
-            assert np.allclose(models[0].F, model.F, atol=1e-9)
-            assert np.allclose(models[0].G, model.G, atol=1e-9)
+            assert np.allclose(F[0], model.F, atol=1e-9)
+            assert np.allclose(G[0], model.G, atol=1e-9)
         else:
-            assert len({mdl.F.tobytes() for mdl in models}) == N
-            assert len({mdl.G.tobytes() for mdl in models}) == N
+            assert len({Fk.tobytes() for Fk in F}) == N
+            assert len({Gk.tobytes() for Gk in G}) == N
         Q, P = controller.cost.Q, controller.cost.P
 
         def rollout_cost(x0, ut):
             x, cost = x0, 0.0
-            for k, mdl in enumerate(models):
-                x = mdl.F @ x + mdl.G * ut[k]
+            for k in range(N):
+                x = F[k] @ x + G[k] * ut[k]
                 cost += x @ (P if k == N - 1 else Q) @ x
             return cost + ut @ ut
 
@@ -181,15 +188,15 @@ def test_a_build_over_a_singular_station_raises(params, straight_back):
     beta2 = straight_back.beta2.copy()
     beta2[30] = 0.5 * math.pi   # C1 = cos(beta2) = 6e-17 there
     path = dataclasses.replace(straight_back, beta2=beta2)
+    # the constructor linearizes every station, the singular one too
     controller = MpcController(params, path, MpcConfig(), use_polytope=False)
-    with pytest.raises(SingularConfiguration):
-        controller._structure(0)
-    # the slew chain alone, on regular models, finds the station
-    regular = [controller._model_at(100)] * controller.cfg.horizon
-    with pytest.raises(SingularConfiguration, match=r"s=6\.00"):
-        controller._build_structure(0, regular)
-    # the chain from base 30 reads stations 31 and on
-    controller._build_structure(30, regular)
+    # every horizon whose models read station 30 names it
+    for base in (0, 30):
+        with pytest.raises(SingularConfiguration, match=r"s=6\.00"):
+            controller._structure(base)
+    assert controller.n_structure_builds == 0
+    # the horizon from base 31 starts past it
+    controller._structure(31)
 
 
 def loop_structure(controller, base):
@@ -197,10 +204,12 @@ def loop_structure(controller, base):
     by station: a PathSample, a polytope shift and a slew bound per station,
     a block-row recursion for Gamma and the dense block-diagonal weight.
     The reference for MpcController._build_structure's tables and batched
-    products; returns its fields by name."""
+    products, with one linearize call per station; returns its fields by
+    name."""
     cfg, params, path = controller.cfg, controller.params, controller.path
     N = cfg.horizon
-    models = [controller._model_at(base + k) for k in range(N)]
+    models = [linearize(params, path.sample(base + k), cfg.delta_s)
+              for k in range(N)]
     Phi = np.empty((N, 4, 4))
     Gam = np.zeros((4 * N, N))
     acc = np.eye(4)
@@ -476,14 +485,14 @@ def test_straight_bases_share_one_structure(params, straight_back):
     assert controller._structure(0) is controller._structure(7)
     assert controller.n_structure_builds == 1
     # one linearization serves every station of the straight line
-    assert len({id(controller._model_at(i)) for i in range(60)}) == 1
+    assert not controller._ids.any() and controller._F.shape == (1, 4, 4)
 
 
 def test_curved_bases_get_their_own_structures(params, eight_back):
     controller = MpcController(params, eight_back, MpcConfig())
     assert controller._structure(100) is not controller._structure(101)
     assert controller.n_structure_builds == 2
-    # the per-base memo answers a known base without a new build
+    # the cache answers a known base without a new build
     assert controller._structure(100) is controller._structure(100)
     assert controller.n_structure_builds == 2
 
@@ -498,6 +507,9 @@ def test_a_sample_one_ulp_off_gets_its_own_structure(params, straight_back,
     data[30] = value   # 1 ulp above +0.0, or -0.0, which equals 0.0
     path = dataclasses.replace(straight_back, **{column: data})
     controller = MpcController(params, path, MpcConfig())
+    # the sample gets its own station id and model
+    assert np.count_nonzero(controller._ids) == 1 and controller._ids[30]
+    assert len(controller._F) == 2
     # the horizon from base 0 reads sample 30; those from 60 and 61 do not
     assert controller._structure(0) is not controller._structure(60)
     assert controller._structure(60) is controller._structure(61)
@@ -506,28 +518,25 @@ def test_a_sample_one_ulp_off_gets_its_own_structure(params, straight_back,
 
 @settings(max_examples=60, deadline=None)
 @given(direction=st.sampled_from([-1.0, 1.0]),
-       key=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
-                     st.floats(-0.1, 0.1)),
-       pose=st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6),
-       t=st.floats(0.0, 1.0))
-def test_linearization_reads_only_the_cache_key_fields(params, direction, key,
-                                                       pose, t):
-    # two paths that agree in beta3, beta2, u, kappa3 and direction but not
-    # in x3, y3 or theta3 give the same bits: the station-model cache keys
-    # on the former only
-    beta3, beta2, u = (np.full(2, v) for v in key)
-    kappa3 = np.tan(beta3) / params.L3
-
-    def path(x, y, theta3):
-        return NominalPath(s=np.array([0.0, 0.2]), x=np.array(x),
-                           y=np.array(y), theta3=np.array(theta3),
-                           beta3=beta3, beta2=beta2, u=u, kappa3=kappa3,
-                           direction=direction, delta_s=0.2)
-
-    a = linearize(params, path([0.0, 0.2], [0.0, 0.0], [0.0, 0.0]), 0.2 * t, 0.2)
-    b = linearize(params, path(pose[:2], pose[2:4], pose[4:]), 0.2 * t, 0.2)
-    assert a.F.tobytes() == b.F.tobytes()
-    assert a.G.tobytes() == b.G.tobytes()
+       stations=st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+                                   st.floats(-0.1, 0.1)),
+                         min_size=2, max_size=8))
+def test_batched_linearization_equals_one_station_calls(params, direction,
+                                                        stations):
+    # the controller's station table linearizes all stations in one call
+    beta3, beta2, u = (np.array(col) for col in zip(*stations))
+    n = len(u)
+    zeros = np.zeros(n)
+    path = NominalPath(s=0.2 * np.arange(n), x=zeros, y=zeros, theta3=zeros,
+                       beta3=beta3, beta2=beta2, u=u,
+                       kappa3=np.tan(beta3) / params.L3,
+                       direction=direction, delta_s=0.2)
+    table = linearize(params, path.sample(np.arange(n)), 0.2)
+    assert table.F.shape == (n, 4, 4) and table.G.shape == (n, 4)
+    for i in range(n):
+        one = linearize(params, path.sample(i), 0.2)
+        assert np.max(np.abs(table.F[i] - one.F)) <= 1e-15
+        assert np.max(np.abs(table.G[i] - one.G)) <= 1e-15
 
 
 def test_step_hands_over_to_the_ipm(params, straight_back):

@@ -11,9 +11,9 @@ import trailer_mpc
 from trailer_mpc import NominalPath, eq_residuals, interpolate, project, reverse_path
 from trailer_mpc.exceptions import InfeasiblePath, OutOfDomain, ProjectionLost
 from trailer_mpc.model import chain_terms
-from trailer_mpc.paths import (MAX_PATH_SAMPLES, equilibrium_joint,
-                               extend_for_horizon, generate_figure_eight,
-                               generate_straight)
+from trailer_mpc.paths import (MAX_PATH_SAMPLES, _sample_count,
+                               equilibrium_joint, extend_for_horizon,
+                               generate_figure_eight, generate_straight)
 
 
 def fields_at(path, s):
@@ -61,6 +61,14 @@ def test_straight_rejects_nonpositive_length():
 def test_straight_rejects_a_sample_count_beyond_the_bound(length, delta_s):
     with pytest.raises(ValueError, match="samples"):
         generate_straight(length, -1.0, delta_s)
+
+
+def test_sample_count_bound_is_inclusive():
+    # counted, not allocated: MAX_PATH_SAMPLES samples pass, one more does not
+    assert _sample_count(MAX_PATH_SAMPLES - 1, 1.0) == MAX_PATH_SAMPLES
+    assert _sample_count(0.2 * (MAX_PATH_SAMPLES - 1), 0.2) == MAX_PATH_SAMPLES
+    with pytest.raises(ValueError, match="samples"):
+        _sample_count(MAX_PATH_SAMPLES, 1.0)
 
 
 def test_straight_takes_the_largest_sample_count(monkeypatch):

@@ -226,6 +226,24 @@ def test_noise_std_must_be_five_finite_non_negative_numbers():
             ExperimentSpec(**spec, noise_std=bad)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("v", (0.5, 0.0, 2.0, "-1")),
+    ("path_size", (-30.0, 0.0, math.inf, math.nan)),
+    ("start_s", (-0.2, math.inf, math.nan, "0")),
+    ("max_time", ("abc", 0.0, -1.0, math.inf, math.nan)),
+    ("seed", (-1, 1.5)),
+])
+def test_spec_rejects_a_bad_value_before_anything_runs(field, bad):
+    spec = dict(name="b", path_kind="straight", path_size=40.0,
+                controller="lq")
+    for value in bad:
+        with pytest.raises(ValueError, match=field):
+            ExperimentSpec(**{**spec, field: value})
+    # the edge values that are meaningful still pass
+    ExperimentSpec(**spec, v=1, start_s=0.0, max_time=None, seed=0)
+    ExperimentSpec(**spec, max_time=1e-3)
+
+
 def test_deadline_misses_count_against_the_configured_rate(params):
     # at 1 MHz every cycle overruns its 1 microsecond period
     cfg = MpcConfig(f_s=1e6)
