@@ -130,6 +130,9 @@ def cmd_run(args) -> int:
         params = VehicleParams(**cfg_dict["params"]) if "params" in cfg_dict else \
             _load_params(cfg_dict.get("params_file", args.params))
         mpc_cfg = MpcConfig(**cfg_dict.get("mpc", {}))
+        # an oversized path is a config error, found before any run starts
+        for spec in specs:
+            spec.sample_count(mpc_cfg.delta_s)
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -9,7 +9,6 @@ the direction of travel).
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass, field
@@ -150,8 +149,10 @@ MAX_PATH_SAMPLES = 10 ** 6
 
 def _sample_count(length, delta_s) -> int:
     """Samples of a path of ``length`` meters at spacing ``delta_s``, both
-    ends included; raises ValueError when that is not a finite number or
-    exceeds MAX_PATH_SAMPLES."""
+    ends included; raises ValueError unless delta_s is positive and finite
+    and the count is a finite number no larger than MAX_PATH_SAMPLES."""
+    if not (math.isfinite(delta_s) and delta_s > 0.0):
+        raise ValueError(f"delta_s must be positive and finite, got {delta_s}")
     intervals = length / delta_s
     if not (math.isfinite(intervals) and round(intervals) < MAX_PATH_SAMPLES):
         raise ValueError(f"a path of {length} m at {delta_s} m spacing would "
@@ -162,7 +163,7 @@ def _sample_count(length, delta_s) -> int:
 def generate_straight(length, direction, delta_s=0.2) -> NominalPath:
     """Straight path along the x-axis with all angles and curvatures zero.
     Raises ValueError unless the length is positive and gives at most
-    MAX_PATH_SAMPLES samples."""
+    MAX_PATH_SAMPLES samples at a positive, finite delta_s."""
     if length <= 0.0:
         raise ValueError("length must be positive")
     n = _sample_count(length, delta_s)
@@ -175,41 +176,124 @@ def generate_straight(length, direction, delta_s=0.2) -> NominalPath:
     )
 
 
-def _smoothstep_profile(breaks, levels):
-    """Piecewise profile: constant levels joined by smoothstep ramps.
+# the figure-eight's smoothstep blends and its straight leads at either end (m)
+_BLEND, _LEAD = 16.0, 2.0
+
+
+def _eight_breaks(radius) -> np.ndarray:
+    """Segment boundaries of the figure-eight's heading-rate profile: lead,
+    blend, a hold of 2 pi radius - 16 m, a double blend, hold, blend, lead."""
+    hold = 2.0 * math.pi * radius - _BLEND
+    return np.cumsum([0.0, _LEAD, _BLEND, hold, 2.0 * _BLEND, hold, _BLEND, _LEAD])
+
+
+def figure_eight_length(radius) -> float:
+    """Length in meters of the figure-eight of ``radius``, 4 pi radius + 36."""
+    return float(_eight_breaks(radius)[-1])
+
+
+def _smoothstep_profile(breaks, levels, s):
+    """Piecewise profile at the stations ``s``: constant levels joined by
+    smoothstep ramps.
 
     ``breaks`` are segment boundaries s_0 < s_1 < ... ; segment i spans
     [s_i, s_{i+1}] and ramps from levels[i] to levels[i+1] (equal levels give
-    a constant segment).  Returns (value_fn, slope_fn).
+    a constant segment).  Returns the (value, slope) arrays.
     """
-    # plain floats: the profile is evaluated point by point, where numpy's
-    # per-call cost exceeds the arithmetic
-    breaks = np.asarray(breaks, dtype=float).tolist()
-    levels = np.asarray(levels, dtype=float).tolist()
-
-    def value(s):
-        i = min(max(bisect.bisect_right(breaks, s) - 1, 0), len(levels) - 2)
-        a, b = levels[i], levels[i + 1]
-        length = breaks[i + 1] - breaks[i]
-        t = min(max((s - breaks[i]) / length, 0.0), 1.0)
-        return a + (b - a) * t * t * (3.0 - 2.0 * t)
-
-    def slope(s):
-        i = min(max(bisect.bisect_right(breaks, s) - 1, 0), len(levels) - 2)
-        a, b = levels[i], levels[i + 1]
-        length = breaks[i + 1] - breaks[i]
-        t = min(max((s - breaks[i]) / length, 0.0), 1.0)
-        return (b - a) * 6.0 * t * (1.0 - t) / length
-
-    return value, slope
+    i = np.clip(np.searchsorted(breaks, s, side="right") - 1, 0, len(levels) - 2)
+    a, b = levels[i], levels[i + 1]
+    length = breaks[i + 1] - breaks[i]
+    t = np.clip((s - breaks[i]) / length, 0.0, 1.0)
+    return a + (b - a) * t * t * (3.0 - 2.0 * t), (b - a) * 6.0 * t * (1.0 - t) / length
 
 
-def _tractor_curvature(params, beta3, beta2, w):
-    """Solve the beta3 flow equation R1(beta2, u) = w for u in closed form."""
-    sb2, cb2 = math.sin(beta2), math.cos(beta2)
-    cb3 = math.cos(beta3)
-    denom = params.M1 * (cb2 + w * params.L2 * cb3 * sb2)
-    return (sb2 - w * params.L2 * cb3 * cb2) / denom
+def _tractor_curvature(params, sb2, cb2, wl):
+    """Solve the beta3 flow equation R1(beta2, u) = w for u in closed form,
+    from sin and cos of beta2 and wl = w L2 cos(beta3).  Arithmetic only, so
+    floats and numpy arrays give the same bits."""
+    return (sb2 - wl * cb2) / (params.M1 * (cb2 + wl * sb2))
+
+
+def _math_map(fn, a) -> np.ndarray:
+    """``fn`` of the math module on every element of ``a``: numpy's arctan
+    and tan round differently from libm's."""
+    return np.fromiter(map(fn, memoryview(a)), float, len(a))
+
+
+def _rk4_sum(h, k1, k2, k3, k4) -> np.ndarray:
+    """The running sum from 0 of RK4 steps of length h, one step per set of
+    stage rates: the state at every step start and at the end."""
+    steps = h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return np.add.accumulate(np.concatenate([[0.0], steps]))
+
+
+# the travel direction a figure-eight is built in: its internal joint
+# dynamics are stable that way
+_EIGHT_VBAR = -1.0
+
+
+def _eight_stations(params, radius, h, m):
+    """beta3r, tan(beta3r), cos(beta3r) and wl = w L2 cos(beta3r), w the
+    beta3 flow target, at the m substep starts of the figure-eight of
+    ``radius`` and then at the m - 1 midpoints between them."""
+    gm = 1.0 / radius
+    levels = np.array([0.0, 0.0, gm, gm, -gm, -gm, 0.0, 0.0])
+    # substep starts, summed in the order of s += h, so s_j + h is s_{j+1}
+    steps = np.full(m, h)
+    steps[0] = 0.0
+    starts = np.add.accumulate(steps)
+    g, g_s = _smoothstep_profile(_eight_breaks(radius), levels,
+                                 np.concatenate([starts, starts[:-1] + 0.5 * h]))
+    L3, vbar = params.L3, _EIGHT_VBAR
+    b3 = _math_map(math.atan, L3 * vbar * g)
+    cb3 = np.cos(b3)
+    wl = (L3 * g_s / (1.0 + (L3 * g) ** 2) + vbar * g) * params.L2 * cb3
+    return b3, _math_map(math.tan, b3), cb3, wl
+
+
+def _eight_poses(h, rate, m):
+    """theta3, x and y at the m substep starts, from the heading rate at
+    the starts and then the midpoints.  theta3's stage rates depend on s
+    alone (k2 = k3, at the midpoint), so its RK4 steps are known before the
+    sum, and with them the stages of x and y."""
+    r_start, r_mid = rate[:m], rate[m:]
+    th = _rk4_sum(h, r_start[:-1], r_mid, r_mid, r_start[1:])
+    th0 = th[:-1]
+    stages = (th0, th0 + 0.5 * h * r_start[:-1], th0 + 0.5 * h * r_mid, th0 + h * r_mid)
+    vbar = _EIGHT_VBAR
+    return (th, _rk4_sum(h, *(vbar * np.cos(a) for a in stages)),
+            _rk4_sum(h, *(vbar * np.sin(a) for a in stages)))
+
+
+def _eight_beta2(params, h, sub, cb3, wl, m) -> np.ndarray:
+    """beta2r at every sub-th substep start from 0, stepped by RK4 on
+    cos(beta3r) and wl at the m substep starts and then the midpoints."""
+    sin, cos = math.sin, math.cos
+    M1, L2, M1_L2 = params.M1, params.L2, params.M1 / params.L2
+    vbar = _EIGHT_VBAR
+    # memoryviews index as plain floats; lists of them would add about
+    # 1 MB to the peak RSS of a radius-20 build
+    cb3_start, cb3_mid = memoryview(cb3[:m]), memoryview(cb3[m:])
+    wl_start, wl_mid = memoryview(wl[:m]), memoryview(wl[m:])
+
+    def rate(b2, cb3, wl):
+        # _tractor_curvature, then n2 / c1 of chain_terms, written out: two
+        # more calls per stage make the loop about half again as slow
+        sb2, cb2 = sin(b2), cos(b2)
+        u = (sb2 - wl * cb2) / (M1 * (cb2 + wl * sb2))
+        return vbar * (u - sb2 / L2 + M1_L2 * cb2 * u) / (cb3 * (cb2 + M1 * sb2 * u))
+
+    b2 = 0.0
+    b2s = [b2]
+    for first in range(0, m - 1, sub):
+        for j in range(first, first + sub):
+            k1 = rate(b2, cb3_start[j], wl_start[j])
+            k2 = rate(b2 + 0.5 * h * k1, cb3_mid[j], wl_mid[j])
+            k3 = rate(b2 + 0.5 * h * k2, cb3_mid[j], wl_mid[j])
+            k4 = rate(b2 + h * k3, cb3_start[j + 1], wl_start[j + 1])
+            b2 = b2 + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        b2s.append(b2)
+    return np.array(b2s)
 
 
 def generate_figure_eight(radius, direction, delta_s=0.2,
@@ -219,88 +303,54 @@ def generate_figure_eight(radius, direction, delta_s=0.2,
     The semitrailer heading-rate profile g(s) is designed directly (two
     constant-curvature lobes of one full turn each, joined by 16 m
     smoothstep blends, with 2 m of straight line at either end), beta3r
-    follows in closed form from kappa3r = tan(beta3r)/L3, the tractor
-    curvature is solved algebraically from the beta3 flow equation and
-    beta2r is integrated; the result satisfies the path flow equation by
-    construction.  Raises InfeasiblePath if the implied tractor curvature or
-    curvature rate exceeds the actuator limits, and ValueError unless the
-    radius is positive and the path, 4 pi radius + 36 m long, gives at most
-    MAX_PATH_SAMPLES samples.
+    follows in closed form from kappa3r = tan(beta3r)/L3 and the tractor
+    curvature is solved algebraically from the beta3 flow equation, so the
+    result satisfies the path flow equation by construction.
+
+    The path is integrated by RK4 with 5 substeps per sample, all on
+    arrays but for beta2.  g, its slope, beta3r and the beta3 flow target w
+    are evaluated at once at every substep start and midpoint; theta3r, x
+    and y follow as running sums of their RK4 increments, since theta3r's
+    rate depends on s alone.  beta2r is the one state stepped in a Python
+    loop, on the precomputed stage inputs.  Raises InfeasiblePath if the
+    implied tractor curvature or curvature rate exceeds the actuator limits,
+    and ValueError unless the radius is positive and the path, 4 pi radius
+    + 36 m long, gives at most MAX_PATH_SAMPLES samples at a positive,
+    finite delta_s.
     """
     if params is None:
         from .params import VehicleParams
         params = VehicleParams()
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    gm = 1.0 / radius
-    blend_length, lead = 16.0, 2.0
-    hold = 2.0 * math.pi * radius - blend_length
-    if hold <= 0.0:
+    if 2.0 * math.pi * radius <= _BLEND:  # no room for the constant-curvature hold
         raise InfeasiblePath("radius too small for the 16 m blends")
-    breaks = np.cumsum([0.0, lead, blend_length, hold, 2.0 * blend_length, hold,
-                        blend_length, lead])
-    levels = np.array([0.0, 0.0, gm, gm, -gm, -gm, 0.0, 0.0])
-    g_of, gs_of = _smoothstep_profile(breaks, levels)
-    total = float(breaks[-1])
-
-    vbar = -1.0  # internal joint dynamics are stable when built in this direction
-    L3 = params.L3
-
-    def beta3_of(s):
-        return math.atan(L3 * vbar * g_of(s))
-
-    def w_of(s):
-        g = g_of(s)
-        return L3 * gs_of(s) / (1.0 + (L3 * g) ** 2) + vbar * g
-
-    def rhs(s, state):
-        x, y, th, b2 = state
-        b3 = beta3_of(s)
-        u = _tractor_curvature(params, b3, b2, w_of(s))
-        c1, _, n2 = chain_terms(params, math.sin(b2), math.cos(b2), math.cos(b3), u)
-        db2 = vbar * n2 / c1
-        return (vbar * math.cos(th), vbar * math.sin(th), vbar * math.tan(b3) / L3, db2)
-
-    n = _sample_count(total, delta_s)
+    n = _sample_count(figure_eight_length(radius), delta_s)
     sub = 5  # RK4 substeps per sample interval
     h = delta_s / sub
-    state = (0.0, 0.0, 0.0, 0.0)
-    xs = np.zeros(n); ys = np.zeros(n); ths = np.zeros(n)
-    b3s = np.zeros(n); b2s = np.zeros(n); us = np.zeros(n); k3s = np.zeros(n)
-    s_cur = 0.0
-    for k in range(n):
-        b3s[k] = beta3_of(s_cur)
-        k3s[k] = math.tan(b3s[k]) / L3
-        b2s[k] = state[3]
-        us[k] = _tractor_curvature(params, b3s[k], state[3], w_of(s_cur))
-        xs[k], ys[k], ths[k] = state[0], state[1], state[2]
-        if k == n - 1:
-            break
-        for _ in range(sub):
-            k1 = rhs(s_cur, state)
-            m2 = tuple(state[i] + 0.5 * h * k1[i] for i in range(4))
-            k2 = rhs(s_cur + 0.5 * h, m2)
-            m3 = tuple(state[i] + 0.5 * h * k2[i] for i in range(4))
-            k3 = rhs(s_cur + 0.5 * h, m3)
-            m4 = tuple(state[i] + h * k3[i] for i in range(4))
-            k4 = rhs(s_cur + h, m4)
-            state = tuple(state[i] + h / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
-                          for i in range(4))
-            s_cur += h
+    m = sub * (n - 1) + 1  # substep starts, the last one the path end
+    # the path keeps copies at the samples, none of the substep arrays
+    keep = np.arange(0, m, sub)
 
+    b3, tan_b3, cb3, wl = _eight_stations(params, radius, h, m)
+    th, x, y = (a[keep] for a in _eight_poses(h, _EIGHT_VBAR * tan_b3 / params.L3, m))
+    b2s = _eight_beta2(params, h, sub, cb3, wl, m)
+    sb2, cb2 = np.sin(b2s), np.cos(b2s)
+    us = _tractor_curvature(params, sb2, cb2, wl[keep])
     if np.max(np.abs(us)) > params.u_max:
         raise InfeasiblePath(
             f"implied tractor curvature {np.max(np.abs(us)):.3f} exceeds {params.u_max}")
     # nominal curvature rate must leave room for the controller's slew constraint
     du_ds = np.abs(np.diff(us)) / delta_s
-    c1_nom = chain_terms(params, np.sin(b2s), np.cos(b2s), np.cos(b3s), us)[0]
+    c1_nom = chain_terms(params, sb2, cb2, cb3[keep], us)[0]
     c_max = params.udot_max / np.maximum(c1_nom[:-1], 1e-9)
     if np.any(du_ds > c_max):
         raise InfeasiblePath("implied nominal curvature rate exceeds the slew limit")
 
     path = NominalPath(
-        s=np.arange(n) * delta_s, x=xs, y=ys, theta3=ths, beta3=b3s, beta2=b2s,
-        u=us, kappa3=k3s, direction=vbar, delta_s=float(delta_s),
+        s=np.arange(n) * delta_s, x=x, y=y, theta3=th, beta3=b3[keep], beta2=b2s,
+        u=us, kappa3=tan_b3[keep] / params.L3, direction=_EIGHT_VBAR,
+        delta_s=float(delta_s),
     )
     if direction == 1 or direction == 1.0:
         path = reverse_path(path)

@@ -21,7 +21,8 @@ from .exceptions import (InvalidState, OutOfDomain, ProjectionLost,
 from .model import (CONV_TOL, JACKKNIFE_ANGLE, SINGULAR_TOL, ControlInput,
                     VehicleState, integrate_step, speed_ratio)
 from .mpc import (ControllerState, LqController, MpcConfig, MpcController)
-from .paths import NominalPath, generate_figure_eight, generate_straight, interpolate
+from .paths import (NominalPath, _sample_count, figure_eight_length,
+                    generate_figure_eight, generate_straight, interpolate)
 
 CONVERGED = "Converged"
 JACKKNIFED = "Jackknifed"
@@ -86,6 +87,14 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be {meaning}; got {getattr(self, name)!r}")
         if self.noise_std is not None:
             self.noise_std = _noise_std(self.noise_std)
+
+    def sample_count(self, delta_s=0.2) -> int:
+        """Samples of the path that build_path(delta_s) makes, counted
+        without building it; raises ValueError, as build_path does, when the
+        count exceeds MAX_PATH_SAMPLES or delta_s is not positive and finite."""
+        length = (self.path_size if self.path_kind == "straight"
+                  else figure_eight_length(self.path_size))
+        return _sample_count(length, delta_s)
 
     def build_path(self, delta_s=0.2, params=None) -> NominalPath:
         if self.path_kind == "straight":

@@ -131,6 +131,19 @@ def test_run_config_rejects_a_bad_experiment_value(tmp_path, capsys, field,
     assert err.startswith("config error:") and field in err
 
 
+# once a traceback with exit 1: the path was first counted as it was built
+@pytest.mark.parametrize("path_kind", ["straight", "eight"])
+def test_run_config_rejects_an_oversized_path(tmp_path, capsys, path_kind):
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({"experiments": [
+        {"name": "b", "controller": "lq", "path_kind": path_kind,
+         "path_size": 1e9}]}))
+    assert main(["run", "--config", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and "samples" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("noise_std", [0, [], 0.1, [-1, 0, 0, 0, 0]])
 def test_run_config_rejects_a_bad_noise_std(tmp_path, capsys, noise_std):
     f = tmp_path / "noise.json"

@@ -1,3 +1,5 @@
+import bisect
+import dataclasses
 import math
 import os
 import subprocess
@@ -14,6 +16,108 @@ from trailer_mpc.model import chain_terms
 from trailer_mpc.paths import (MAX_PATH_SAMPLES, _sample_count,
                                equilibrium_joint, extend_for_horizon,
                                generate_figure_eight, generate_straight)
+
+
+def scalar_rk4_figure_eight(radius, direction, delta_s=0.2, params=None):
+    """The figure-eight integrated as four scalar states, x, y, theta3 and
+    beta2, by RK4 with 5 substeps per sample, one station at a time in
+    plain Python: the reference that generate_figure_eight must equal bit
+    for bit, errors included."""
+    if params is None:
+        params = trailer_mpc.VehicleParams()
+    if radius <= 0.0:
+        raise ValueError("radius must be positive")
+    gm = 1.0 / radius
+    blend_length, lead = 16.0, 2.0
+    hold = 2.0 * math.pi * radius - blend_length
+    if hold <= 0.0:
+        raise InfeasiblePath("radius too small for the 16 m blends")
+    breaks = np.cumsum([0.0, lead, blend_length, hold, 2.0 * blend_length, hold,
+                        blend_length, lead]).tolist()
+    levels = [0.0, 0.0, gm, gm, -gm, -gm, 0.0, 0.0]
+    total = breaks[-1]
+
+    def segment(s):
+        i = min(max(bisect.bisect_right(breaks, s) - 1, 0), len(levels) - 2)
+        length = breaks[i + 1] - breaks[i]
+        t = min(max((s - breaks[i]) / length, 0.0), 1.0)
+        return levels[i], levels[i + 1], length, t
+
+    def g_of(s):
+        a, b, _, t = segment(s)
+        return a + (b - a) * t * t * (3.0 - 2.0 * t)
+
+    def gs_of(s):
+        a, b, length, t = segment(s)
+        return (b - a) * 6.0 * t * (1.0 - t) / length
+
+    vbar = -1.0
+    L3 = params.L3
+
+    def beta3_of(s):
+        return math.atan(L3 * vbar * g_of(s))
+
+    def w_of(s):
+        g = g_of(s)
+        return L3 * gs_of(s) / (1.0 + (L3 * g) ** 2) + vbar * g
+
+    def tractor_curvature(beta3, beta2, w):
+        sb2, cb2 = math.sin(beta2), math.cos(beta2)
+        cb3 = math.cos(beta3)
+        denom = params.M1 * (cb2 + w * params.L2 * cb3 * sb2)
+        return (sb2 - w * params.L2 * cb3 * cb2) / denom
+
+    def rhs(s, state):
+        x, y, th, b2 = state
+        b3 = beta3_of(s)
+        u = tractor_curvature(b3, b2, w_of(s))
+        c1, _, n2 = chain_terms(params, math.sin(b2), math.cos(b2), math.cos(b3), u)
+        return (vbar * math.cos(th), vbar * math.sin(th), vbar * math.tan(b3) / L3,
+                vbar * n2 / c1)
+
+    n = _sample_count(total, delta_s)
+    sub = 5
+    h = delta_s / sub
+    state = (0.0, 0.0, 0.0, 0.0)
+    xs = np.zeros(n); ys = np.zeros(n); ths = np.zeros(n)
+    b3s = np.zeros(n); b2s = np.zeros(n); us = np.zeros(n); k3s = np.zeros(n)
+    s_cur = 0.0
+    for k in range(n):
+        b3s[k] = beta3_of(s_cur)
+        k3s[k] = math.tan(b3s[k]) / L3
+        b2s[k] = state[3]
+        us[k] = tractor_curvature(b3s[k], state[3], w_of(s_cur))
+        xs[k], ys[k], ths[k] = state[0], state[1], state[2]
+        if k == n - 1:
+            break
+        for _ in range(sub):
+            k1 = rhs(s_cur, state)
+            m2 = tuple(state[i] + 0.5 * h * k1[i] for i in range(4))
+            k2 = rhs(s_cur + 0.5 * h, m2)
+            m3 = tuple(state[i] + 0.5 * h * k2[i] for i in range(4))
+            k3 = rhs(s_cur + 0.5 * h, m3)
+            m4 = tuple(state[i] + h * k3[i] for i in range(4))
+            k4 = rhs(s_cur + h, m4)
+            state = tuple(state[i] + h / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
+                          for i in range(4))
+            s_cur += h
+
+    if np.max(np.abs(us)) > params.u_max:
+        raise InfeasiblePath(
+            f"implied tractor curvature {np.max(np.abs(us)):.3f} exceeds {params.u_max}")
+    du_ds = np.abs(np.diff(us)) / delta_s
+    c1_nom = chain_terms(params, np.sin(b2s), np.cos(b2s), np.cos(b3s), us)[0]
+    c_max = params.udot_max / np.maximum(c1_nom[:-1], 1e-9)
+    if np.any(du_ds > c_max):
+        raise InfeasiblePath("implied nominal curvature rate exceeds the slew limit")
+
+    path = NominalPath(
+        s=np.arange(n) * delta_s, x=xs, y=ys, theta3=ths, beta3=b3s, beta2=b2s,
+        u=us, kappa3=k3s, direction=vbar, delta_s=float(delta_s),
+    )
+    if direction == 1 or direction == 1.0:
+        path = reverse_path(path)
+    return path
 
 
 def fields_at(path, s):
@@ -86,6 +190,54 @@ def test_eight_rejects_a_sample_count_beyond_the_bound(params, radius):
     # rejected before any of them is integrated
     with pytest.raises(ValueError, match="samples"):
         generate_figure_eight(radius, -1.0, 0.2, params=params)
+
+
+@pytest.mark.parametrize("delta_s", [0.1, 0.2])
+@pytest.mark.parametrize("direction", [-1.0, 1.0])
+@pytest.mark.parametrize("radius", [6.0, 15.0, 20.0, 30.0])
+def test_eight_equals_the_scalar_rk4_oracle(params, radius, direction, delta_s):
+    got = generate_figure_eight(radius, direction, delta_s, params=params)
+    want = scalar_rk4_figure_eight(radius, direction, delta_s, params=params)
+    for name in ("s", "x", "y", "theta3", "beta3", "beta2", "u", "kappa3"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                      err_msg=name)
+        # bytes also tell a signed zero apart
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.s_end_true == want.s_end_true
+    assert got.direction == want.direction == direction
+    assert got.delta_s == want.delta_s
+
+
+@pytest.mark.parametrize("radius, change", [
+    (2.0, {}),                     # no room for the hold
+    (5.0, {}),                     # tractor curvature beyond u_max
+    (20.0, {"udot_max": 0.02}),    # curvature rate beyond the slew limit
+])
+def test_eight_fails_as_the_scalar_rk4_oracle_does(params, radius, change):
+    params = dataclasses.replace(params, **change)
+    with pytest.raises(InfeasiblePath) as want:
+        scalar_rk4_figure_eight(radius, -1.0, 0.2, params=params)
+    with pytest.raises(InfeasiblePath) as got:
+        generate_figure_eight(radius, -1.0, 0.2, params=params)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_eight_infeasible_curvature_rate(params):
+    # the implied tractor curvature stays inside u_max; its rate does not
+    slow = dataclasses.replace(params, udot_max=0.02)
+    with pytest.raises(InfeasiblePath, match="curvature rate exceeds the slew limit"):
+        generate_figure_eight(20.0, -1.0, 0.2, params=slow)
+
+
+@pytest.mark.parametrize("delta_s", [0.0, -0.2, math.nan, math.inf])
+@pytest.mark.parametrize("kind", ["straight", "eight"])
+def test_generators_reject_a_bad_delta_s(params, kind, delta_s):
+    with pytest.raises(ValueError, match="delta_s must be positive and finite"):
+        if kind == "straight":
+            generate_straight(40.0, -1.0, delta_s)
+        else:
+            generate_figure_eight(20.0, -1.0, delta_s, params=params)
 
 
 def test_eight_flow_residual(params, eight_back):

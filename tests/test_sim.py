@@ -113,6 +113,14 @@ def test_build_path_rejects_unknown_kind():
         spec.build_path()
 
 
+@pytest.mark.parametrize("kind, size", [("straight", 40.0), ("eight", 20.0),
+                                        ("eight", 15.0)])
+@pytest.mark.parametrize("delta_s", [0.1, 0.2])
+def test_sample_count_is_the_length_of_the_built_path(params, kind, size, delta_s):
+    spec = ExperimentSpec(name="n", path_kind=kind, path_size=size, controller="lq")
+    assert spec.sample_count(delta_s) == len(spec.build_path(delta_s, params))
+
+
 def test_noise_std_needs_one_entry_per_state():
     with pytest.raises(ValueError):
         ExperimentSpec(name="n", path_kind="straight", path_size=40.0,
