@@ -25,7 +25,8 @@ from .exceptions import (InfeasiblePath, NominalOutsidePolytope, PathExhausted,
                          RiccatiDiverged, SingularConfiguration)
 from .model import SINGULAR_TOL, VehicleState, chain_terms
 from .paths import NominalPath, PathSample, extend_for_horizon, interpolate
-from .qp import HotStart, auxiliary_hot, certified_solve, row_structure
+from .qp import (FactorCache, HotStart, auxiliary_hot, certified_solve,
+                 row_structure)
 
 logger = logging.getLogger(__name__)
 
@@ -290,15 +291,18 @@ class _QpStructure:
     soft rows ``G x - eps <= hbar - HsPhi x0`` (the joint-angle polytope at
     stages 1..N, ``n_slack`` of them, none without a polytope) and eps >= 0.
     ``A_in`` and its ``single_col`` depend on no grid base: every structure
-    of one controller shares the same arrays.
+    of one controller shares the same arrays.  ``factors`` keeps the QP
+    solves' factorizations on this structure (:class:`qp.FactorCache`),
+    none of them computed before a solve needs it.
     """
 
-    __slots__ = ("P_uu", "A_in", "single_col", "G", "W", "HsPhi", "hbar",
-                 "l", "u", "ur0", "n_inputs", "n_slack", "row_slew0")
+    __slots__ = ("P_uu", "factors", "A_in", "single_col", "G", "W", "HsPhi",
+                 "hbar", "l", "u", "ur0", "n_inputs", "n_slack", "row_slew0")
 
     def __init__(self, P_uu, A_in, single_col, G, W, HsPhi, hbar, l, u, ur0,
                  row_slew0):
         self.P_uu = P_uu
+        self.factors = FactorCache(P_uu)
         self.A_in = A_in
         self.single_col = single_col
         self.G = G
@@ -499,7 +503,8 @@ class MpcController:
                 if 0 < d < N else None
         sol, path, sets = certified_solve(
             struct.P_uu, q, struct.A_in, l, u, struct.G, b, cfg.slack_linear,
-            cfg.slack_quad, QP_TOL, single_col=struct.single_col, hot=hot)
+            cfg.slack_quad, QP_TOL, single_col=struct.single_col, hot=hot,
+            factors=struct.factors)
         ctrl.hot = HotStart(l, u, b, sol, sets) if path else None
         ctrl.hot_struct, ctrl.hot_base = struct, base
         t_solve = time.perf_counter()

@@ -11,26 +11,35 @@ slacks ``eps`` stay out of the x space; this is "the soft QP" below.
 by :func:`solve_qp` (no soft rows).  Its one active-set method, the
 parametric homotopy (:func:`parametric_solve`), runs from the caller's hot
 start, then as the crossover after a capped Mehrotra interior point
-(:func:`soft_ipm_solve`) from its working set (:func:`auxiliary_hot`).
-Each answer is certified by :func:`soft_kkt_residuals` on the lifted
-problem over (x, slacks) without forming it; when none passes, the status
-says whether the problem is primal or dual infeasible.  Without a hot
-start, :func:`soft_qp_solve` is a primal active set on the hard rows
-alone, which only the region sweep runs.  :class:`PreparedQp`, an ADMM
-solver with batched right-hand sides, is used by no solve path.
+(:func:`soft_ipm_solve`) from its working set (:func:`auxiliary_hot`).  A
+homotopy keeps one factorization of its working set for its whole path
+(:class:`_WorkingFactor`: a QR of the working rows, updated by one row per
+breakpoint, and a Cholesky of the reduced Hessian).  Each answer is
+certified by :func:`soft_kkt_residuals` on the lifted problem over
+(x, slacks) without forming it; when none passes, the status says whether
+the problem is primal or dual infeasible.  Without a hot start,
+:func:`soft_qp_solve` is a primal active set on the hard rows alone, which
+only the region sweep runs; it solves each working set from scratch
+(:func:`_solve_active`).  :class:`PreparedQp`, an ADMM solver with batched
+right-hand sides, is used by no solve path.
 """
 
 from __future__ import annotations
 
+import bisect
+import inspect
 import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, cho_factor, cho_solve
+from scipy.linalg import (LinAlgWarning, cho_factor, cho_solve, qr_delete,
+                          qr_insert)
 from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
 from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
+from scipy.linalg.lapack import dgeqp3 as _geqp3, dorgqr as _orgqr
+from scipy.linalg.lapack import dtrtrs as _trtrs
 
 
 class QpStatus:
@@ -223,26 +232,8 @@ def _fold(P, q, G, b, sig1, sig2, elim):
     return P.copy(), q.copy()
 
 
-def _working_point(P_f, q_f, A, l, u, G, b, single_col, low_m, up_m, kink_m):
-    """:func:`_solve_active` on a soft QP's working set: the hard rows
-    active at their lower (``low_m``) or upper (``up_m``) side, then the
-    kink rows ``G x = b``, on the folded objective (P_f, q_f).  Returns
-    ((x, duals), active hard rows) or None."""
-    rows_h = (up_m | low_m).nonzero()[0]
-    A_w = A[rows_h]
-    b_w = np.where(up_m, u, l)[rows_h]
-    sc_w = single_col[rows_h]
-    if kink_m.any():
-        kr = kink_m.nonzero()[0]
-        A_w = np.concatenate([A_w, G[kr]])
-        b_w = np.concatenate([b_w, b[kr]])
-        sc_w = np.concatenate([sc_w, np.full(len(kr), -1, dtype=sc_w.dtype)])
-    res = _solve_active(P_f, q_f, A_w, b_w, sc_w)
-    return None if res is None else (res, rows_h)
-
-
 def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
-                  max_iter=3000, warm=None, hot=None):
+                  max_iter=3000, warm=None, hot=None, factors=None):
     """Solve of the soft QP: by the parametric homotopy with ``hot``,
     else by a primal active set on the hard rows alone.
 
@@ -250,7 +241,8 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     same P, A and G (an answer, or :func:`auxiliary_hot` of a guess).  The
     solve then follows the optimum's path from it
     (:func:`parametric_solve`, at most ``max_iter`` breakpoints, each counted
-    as an iteration), and x0 and warm are not used.
+    as an iteration, with ``factors``, a :class:`FactorCache` or None), and
+    x0 and warm are not used.
 
     Without ``hot`` the problem may have no soft rows (``G`` with no rows;
     ValueError otherwise): the region sweep's solve of l <= Ax <= u, a
@@ -270,7 +262,7 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     """
     if hot is not None:
         return parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
-                                single_col, max_iter)[0]
+                                single_col, max_iter, factors)[0]
     if G.shape[0]:
         raise ValueError("soft rows need a hot start: without one "
                          "soft_qp_solve solves hard rows only")
@@ -286,8 +278,12 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     no_soft = np.zeros(0, dtype=bool)
 
     def eq_point(low_m, up_m):
-        return _working_point(P, q, A, l, u, G, b, single_col, low_m, up_m,
-                              no_soft)
+        """:func:`_solve_active` on the hard rows active at their lower
+        (``low_m``) or upper (``up_m``) side: ((x, duals), rows) or None."""
+        rows_h = (up_m | low_m).nonzero()[0]
+        res = _solve_active(P, q, A[rows_h], np.where(up_m, u, l)[rows_h],
+                            single_col[rows_h])
+        return None if res is None else (res, rows_h)
 
     started = False
     if warm is not None and len(warm[0]) == len(warm[1]) == mh:
@@ -373,11 +369,12 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
 IPM_MAX_ITER = 30
 # Breakpoint cap of each homotopy of certified_solve: the hot start (on the
 # last answer's structure or shifted onto a new one) and the crossover after
-# the IPM.  Uncapped, at seed 0, 5 of the 5983 same-structure hot starts of
-# the six paper MPC runs and 70 of their 835 shifted ones needed more than
-# 10 breakpoints (up to 22 and 28), against 0 at the median, and no
-# crossover more than 1; each breakpoint refactors a KKT matrix.
-EXCHANGE_CAP = 10
+# the IPM.  At seed 0 the six paper MPC runs hand 14 cycles over to the IPM
+# uncapped (1/2/1/6/1/3, the first cycle of each run among them; no
+# homotopy needs more than 28 breakpoints), 23 at a cap of 20 and 88 at 10.
+# A breakpoint costs about 0.2 ms and a handover 10-20 ms, so a path that
+# runs to the cap still costs less than the handover it replaces.
+EXCHANGE_CAP = 30
 
 
 class HotStart(NamedTuple):
@@ -416,8 +413,394 @@ def auxiliary_hot(A, G, l, u, b, sig1, x, eps, mu, lam, sets) -> HotStart:
     return HotStart(l_aux, u_aux, b_aux, start, sets)
 
 
+class FactorCache:
+    """Factorizations kept across the solves of QPs that share P, A and G:
+    P's Cholesky factor, computed on first use (upper, for ``potrs``; None
+    when P is not numerically positive definite), which the homotopy's
+    equality solve is whenever no row is working, and the working-set
+    factorization the last homotopy ended on, which the next one takes
+    when it starts from the same working set.  A condensed structure keeps
+    one, so that a cycle hot-started on the last answer's structure factors
+    neither P nor that answer's working set again."""
+
+    __slots__ = ("P", "_chol", "_working")
+
+    def __init__(self, P):
+        self.P = P
+        self._chol = None
+        self._working = None
+
+    def cholesky(self):
+        if self._chol is None:
+            chol, info = _potrf(self.P, lower=False, clean=False)
+            self._chol = False if info else chol
+        return self._chol if self._chol is not False else None
+
+    def take(self, rows):
+        """The kept factorization of the working rows ``rows`` (a tuple),
+        or None; either way the cache keeps none after."""
+        kept, self._working = self._working, None
+        return kept[1] if kept is not None and kept[0] == rows else None
+
+    def keep(self, rows, factors):
+        self._working = (rows, factors)
+
+
+# a row whose part off the span of the others is below this, relative to
+# its largest entry, depends on them
+DEPENDENT_TOL = 1e-9
+# scipy's one-row QR updates without their batch wrapper, which costs more
+# than the update itself at the homotopy's sizes
+_qr_insert, _qr_delete = inspect.unwrap(qr_insert), inspect.unwrap(qr_delete)
+
+
+class _WorkingFactor:
+    """The equality-constrained problem of a soft QP's working set, kept
+    factorized while the working set changes by one row at a time, as in
+    the updated factorizations of Gill, Golub, Murray & Saunders
+    (Math. Comp. 1974) that qpOASES keeps (Ferreau et al., Math. Prog.
+    Comp. 2014).
+
+    Rows are numbered over the hard rows ``A``, then the soft rows ``G``
+    (a soft row in the working set is a kink row, G_i x = b_i).  As in
+    :func:`_solve_active`, a working hard row with a single nonzero pins its
+    variable, which is eliminated; the first such row of a column pins it
+    and any other stays at dual 0.  The other working rows, the general
+    rows W, are kept on the free variables in a full QR factorization of
+    their transpose, W_F' = Q R, which scipy's ``qr_insert`` /
+    ``qr_delete`` update when a general row enters or leaves (a column) and
+    when a variable is freed or pinned (a row).  The trailing columns Z of Q
+    span the null space of W_F, and a solve factors the reduced Hessian
+    Z' P_FF Z by Cholesky: it is 0-3 wide when the slew chain is
+    saturated, and P itself when no row is working and no soft row is
+    eliminated.  A row enters only when it is independent of the working
+    rows (:meth:`enter`, :meth:`combination`).  Of the starting working
+    set, a general row that depends on the others is left out with dual 0,
+    and taken in again once a row leaves or a variable is freed.  The
+    objective is the soft QP's with the eliminated soft rows folded in
+    (:func:`_fold`, :meth:`fold`).  A :class:`FactorCache` (``cache``) may
+    keep P's factor and hand the factorization from one homotopy to the
+    next (:meth:`keep`).
+    """
+
+    def __init__(self, P, q, A, G, b, sig1, sig2, elim, single_col, hard,
+                 kink, values, cache=None):
+        n, mh = len(q), A.shape[0]
+        self.n, self.mh, self.m = n, mh, mh + G.shape[0]
+        self.P0, self.q0 = P, q
+        self.P, self.q = _fold(P, q, G, b, sig1, sig2, elim)
+        self.n_elim = int(np.count_nonzero(elim))
+        self.A, self.G, self.single_col = A, G, single_col
+        self.gq = sig1 - 2.0 * sig2 * b   # a folded soft row's linear term
+        self.sig2 = sig2
+        self.cache = cache
+        # working row -> its right-hand side, pinned column -> its working
+        # pin rows in ascending order, the first pinning it
+        rows = np.concatenate([hard, mh + kink]).tolist()
+        self.value = dict(zip(rows, values.tolist()))
+        self.xfix = np.zeros(n)
+        kept = cache.take(tuple(rows)) if cache is not None else None
+        if kept is not None:
+            # the last homotopy's factorization of this working set
+            (self.pins, self.pin_row, self.apin, self.gen, self.dep, Q, R,
+             self.W) = kept
+        else:
+            self.pins = {}
+            self.pin_row = np.full(n, -1, dtype=np.intp)
+            self.apin = np.zeros(n)
+            pin = single_col[hard] >= 0
+            for i in hard[pin].tolist():
+                self.pins.setdefault(int(single_col[i]), []).append(i)
+        for j, pins in self.pins.items():
+            self._set_pin(j, pins[0])
+        self._refree()
+        self.wval = np.empty(n)
+        if kept is not None:
+            self._set_qr(Q, R)
+            self.wval[:len(self.gen)] = [self.value[i] for i in self.gen]
+        else:
+            self.W = np.empty((n, n))   # the general rows, R's column order
+            self._factor(np.concatenate([hard[~pin], mh + kink]))
+
+    def keep(self):
+        """Hand the factorization of the working set to the cache."""
+        if self.cache is not None:
+            self.cache.keep(tuple(sorted(self.value)),
+                            (self.pins, self.pin_row, self.apin, self.gen,
+                             self.dep, self.Q, self.R, self.W))
+
+    def _vec(self, i):
+        return self.A[i] if i < self.mh else self.G[i - self.mh]
+
+    def _is_pin(self, i):
+        return i < self.mh and self.single_col[i] >= 0
+
+    def _set_pin(self, j, i):
+        self.pin_row[j] = i
+        self.apin[j] = self.A[i, j]
+        self.xfix[j] = self.value[i] / self.apin[j]
+        self._obj = None
+
+    def _set_qr(self, Q, R):
+        """Take the factors Q and R, and R's leading square block R1 in
+        Fortran order, which the triangular solves read without a copy."""
+        self.Q, self.R = Q, R
+        self.R1 = None if R is None else np.asfortranarray(R[:R.shape[1]])
+
+    def _refree(self):
+        self.free = (self.pin_row < 0).nonzero()[0]
+        self.fixed = (self.pin_row >= 0).nonzero()[0]
+        # the objective's parts on the free and pinned variables, gathered
+        # by the next solve while the pins and the folds stay
+        self._obj = None
+
+    def _factor(self, rows):
+        """Factor the general ``rows`` (hard rows first) from scratch, by a
+        QR with column pivoting that leaves out the rows depending on the
+        others.  Thin LAPACK calls: at these sizes scipy's ``qr`` wrapper
+        costs more than the factorization."""
+        # the factorized general rows, in R's column order, and the rows
+        # left out as dependent
+        self.gen, self.dep = [], []
+        self._set_qr(None, None)
+        if not len(rows):
+            return
+        mh, nf = self.mh, len(self.free)
+        soft = rows >= mh
+        Wc = np.concatenate([self.A[rows[~soft]], self.G[rows[soft] - mh]]) \
+            if soft.any() else self.A[rows]
+        if not nf:
+            self.dep = rows.tolist()
+            return
+        a, piv, tau = _geqp3((Wc[:, self.free] if len(self.fixed)
+                              else Wc).T)[:3]
+        piv -= 1
+        d = np.abs(a.diagonal())
+        small = d <= DEPENDENT_TOL * np.abs(Wc).max(axis=1)[piv[:len(d)]]
+        r = int(small.argmax()) if small.any() else len(d)
+        self.gen, self.dep = rows[piv[:r]].tolist(), rows[piv[r:]].tolist()
+        if r:
+            Q = np.zeros((nf, nf), order="F")
+            Q[:, :r] = a[:, :r]
+            R = np.zeros((nf, r))
+            R[:r] = np.triu(a[:r, :r])
+            self._set_qr(_orgqr(Q, tau[:r], overwrite_a=True)[0], R)
+            self.W[:r] = Wc[piv[:r]]
+            self.wval[:r] = [self.value[i] for i in self.gen]
+
+    def combination(self, a, col=-1):
+        """Whether the row ``a`` (with single nonzero column ``col``, or -1)
+        is a combination of the working rows: None when it is not, else the
+        working rows and coefficients c with a = sum c_i row_i, 0 on a row
+        left out or pinning a column twice."""
+        j = self.pin_row[col] if col >= 0 else -1
+        if j >= 0:
+            return np.array([j]), np.array([a[col] / self.A[j, col]])
+        k, fj = len(self.gen), self.fixed
+        if not (k or len(fj)):
+            return None
+        # the part of the row off the working rows' span is Z'a, whose norm
+        # R would gain on its diagonal if the row entered
+        w = a[self.free] if len(fj) else a
+        if k:
+            w = self.Q.T @ w
+        off = w[k:]
+        if math.sqrt(off @ off) > DEPENDENT_TOL * np.abs(a).max():
+            return None
+        cg = _trtrs(self.R1, w[:k])[0] if k else w[:0]
+        cp = (a[fj] - self.W[:k].take(fj, 1).T @ cg) / self.apin[fj]
+        return (np.concatenate([np.array(self.gen, dtype=np.intp),
+                                self.pin_row[fj]]),
+                np.concatenate([cg, cp]))
+
+    def enter(self, i, value):
+        """Make row ``i`` working with right-hand side ``value`` when it is
+        independent of the working rows; returns whether it entered."""
+        if i in self.value:
+            self.remove(i)
+        k, nf = len(self.gen), len(self.free)
+        if self._is_pin(i):
+            j = self.single_col[i]
+            if self.pin_row[j] >= 0:
+                return False
+            pos = int(self.free.searchsorted(j))
+            if k:
+                # the pin depends on the general rows when e_j is in their
+                # span: when Q's row of the variable has no part in Z
+                z = self.Q[pos, k:]
+                if math.sqrt(z @ z) <= DEPENDENT_TOL:
+                    return False
+                self._set_qr(*_qr_delete(self.Q, self.R, pos, which="row",
+                                         check_finite=False))
+            self.value[i] = value
+            self.pins[j] = [i]
+            self._set_pin(j, i)
+            self._refree()
+            return True
+        if k >= nf:
+            return False
+        a = self._vec(i)
+        a_f = a[self.free] if len(self.fixed) else a
+        if k:
+            Q, R = _qr_insert(self.Q, self.R, a_f, k, which="col",
+                              check_finite=False)
+        else:
+            Q, R = _qr_insert(np.eye(nf), np.zeros((nf, 0)), a_f, 0,
+                              which="col", check_finite=False)
+        if abs(R[k, k]) <= DEPENDENT_TOL * np.abs(a).max():
+            return False
+        self._set_qr(Q, R)
+        self.W[k] = a
+        self.wval[k] = self.value[i] = value
+        self.gen.append(i)
+        return True
+
+    def remove(self, i):
+        """Drop row ``i`` from the working set, then take in the left-out
+        rows that no longer depend on the others."""
+        del self.value[i]
+        if i in self.dep:
+            self.dep.remove(i)
+            return
+        k = len(self.gen)
+        if self._is_pin(i):
+            j = self.single_col[i]
+            pins = self.pins[j]
+            pins.remove(i)
+            if self.pin_row[j] != i:
+                return
+            if pins:
+                self._set_pin(j, pins[0])
+                return
+            del self.pins[j]
+            self.pin_row[j] = -1
+            self._refree()
+            if k:
+                pos = int(self.free.searchsorted(j))
+                self._set_qr(*_qr_insert(self.Q, self.R, self.W[:k, j], pos,
+                                         which="row", check_finite=False))
+        else:
+            p = self.gen.index(i)
+            if k == 1:
+                self._set_qr(None, None)
+            else:
+                self._set_qr(*_qr_delete(self.Q, self.R, p, which="col",
+                                         check_finite=False))
+            self.W[p:k - 1] = self.W[p + 1:k]
+            self.wval[p:k - 1] = self.wval[p + 1:k]
+            del self.gen[p]
+        for r in self.dep[:]:
+            self.dep.remove(r)
+            v = self.value.pop(r)
+            if not self.enter(r, v):
+                self.dep.append(r)
+                self.value[r] = v
+
+    def fold(self, row, sign):
+        """Fold (sign 1) or unfold (-1) the penalty of the eliminated soft
+        row ``row`` into the objective; with no row eliminated it is the
+        unfolded one again exactly."""
+        self.n_elim += sign
+        self._obj = None
+        if self.n_elim:
+            g = self.G[row]
+            self.P += (2.0 * sign * self.sig2) * np.outer(g, g)
+            self.q += g * (sign * self.gq[row])
+        else:
+            self.P[:], self.q[:] = self.P0, self.q0
+
+    def solve(self):
+        """(x, duals of every row) at the working set's equality-constrained
+        optimum, 0 off the working set; None when the solve fails."""
+        free, k = self.free, len(self.gen)
+        P, q, W = self.P, self.q, self.W[:k]
+        fj = self.fixed
+        if self._obj is None:
+            # the objective on the free variables with the pinned ones
+            # substituted, and its gradient's rows of the pinned ones
+            xj = self.xfix[fj]
+            Pf = P.take(free, 0) if len(fj) else P
+            rf = -q[free] - Pf.take(fj, 1) @ xj if len(fj) else -q
+            self._obj = (Pf.take(free, 1) if len(fj) else P, rf,
+                         np.abs(rf).max(initial=0.0), P.take(fj, 0), q[fj],
+                         xj)
+        Pff, rf, rf_max, Pj, qj, xj = self._obj
+        lam = np.zeros(self.m)
+        lg = np.zeros(0)
+        nf = len(free)
+        x = np.zeros(self.n) if len(fj) or not nf else None
+        if len(fj):
+            x[fj] = xj
+            Wj = W.take(fj, 1)
+        if nf:
+            if len(fj):
+                WF = W.take(free, 1)
+                rk = self.wval[:k] - Wj @ xj
+            else:
+                WF, rk = W, self.wval[:k]
+            nz = nf - k
+            if k:
+                R1 = self.R1
+                Y, Z = self.Q[:, :k], self.Q[:, k:]
+            chol = None
+            if not (k or len(fj) or self.n_elim) and self.cache is not None:
+                chol = self.cache.cholesky()
+            if nz and chol is None:
+                H = Z.T @ (Pff @ Z) if k else Pff
+                chol, info = _potrf(H, lower=False, clean=False)
+                if info:
+                    # semidefinite: regularize as _solve_active does, the
+                    # refinement below is against the exact system
+                    chol, info = _potrf(H + 1e-9 * np.eye(nz), lower=False,
+                                        clean=False)
+                    if info:
+                        return None
+
+            def kkt(rf, rk):
+                """x_F and the general rows' duals for the right-hand side
+                (rf, rk), with rf - P_FF x_F."""
+                if not k:
+                    xf = _potrs(chol, rf, lower=False)[0]
+                    return xf, lg, rf - Pff @ xf
+                xf = Y @ _trtrs(R1, rk, trans=1)[0]
+                if nz:
+                    xf += Z @ _potrs(chol, Z.T @ (rf - Pff @ xf),
+                                     lower=False)[0]
+                t = rf - Pff @ xf
+                return xf, _trtrs(R1, Y.T @ t)[0], t
+
+            # iterative refinement against the unregularized system, to the
+            # tolerance of _solve_active: at most three passes
+            xf, lg, ef = kkt(rf, rk)
+            tol = 1e-13 * (1.0 + max(rf_max, np.abs(rk).max(initial=0.0)))
+            for passes in range(4):
+                if k:
+                    ef -= WF.T @ lg
+                    ek = rk - WF @ xf
+                    err = max(np.abs(ef).max(), np.abs(ek).max())
+                else:
+                    ek, err = rk, np.abs(ef).max()
+                if err <= tol or passes == 3 or not math.isfinite(err):
+                    break
+                dx, dl, _ = kkt(ef, ek)
+                xf, lg = xf + dx, lg + dl
+                ef = rf - Pff @ xf
+            if not math.isfinite(err):
+                return None
+            if len(fj):
+                x[free] = xf
+            else:
+                x = xf
+            lam[self.gen] = lg
+        if len(fj):
+            # duals of the pinning rows from stationarity
+            grad = Pj @ x + qj + Wj.T @ lg
+            lam[self.pin_row[fj]] = -grad / self.apin[fj]
+        return x, lam
+
+
 def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot, single_col=None,
-                     max_iter=EXCHANGE_CAP):
+                     max_iter=EXCHANGE_CAP, factors=None):
     """Hot start of the soft QP from the optimum of a neighbouring
     problem, the online active-set strategy (Ferreau, Bock & Diehl,
     Int. J. Robust Nonlinear Control 2008).
@@ -426,9 +809,11 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot, single_col=None,
     the parameters (q0, l0, u0, b0); P, A and G are shared.  As tau goes
     from 0 to 1 the parameters move along the segment to (q, l, u, b).  On a
     fixed working set the optimum and its duals are affine in tau, so each
-    piece of the path costs one equality solve, at tau = 1, through
-    :func:`_solve_active`.  A piece ends at a breakpoint, where one row
-    changes state: an inactive hard row reaches a bound, or a soft row its
+    piece of the path costs one equality solve at tau = 1, on a working-set
+    factorization that lives for the whole homotopy and changes by one row
+    per breakpoint (:class:`_WorkingFactor`; ``factors``, a
+    :class:`FactorCache` of P, A and G, or None).  A piece ends at a
+    breakpoint, where one row changes state: an inactive hard row reaches a bound, or a soft row its
     kink (primal ratio test); a working row's dual reaches zero, or a kink
     row's dual reaches sig1 (dual ratio test); an eliminated slack reaches
     zero.  It works in the x space only: each soft row is in one of three
@@ -445,34 +830,62 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot, single_col=None,
     """
     n, mh, ms = len(q), A.shape[0], G.shape[0]
     fin_u, fin_l = np.isfinite(u), np.isfinite(l)
-    if not (np.array_equal(fin_u, np.isfinite(hot.u))
-            and np.array_equal(fin_l, np.isfinite(hot.l))
-            and np.isfinite(b).all() and np.isfinite(hot.b).all()):
+    if (fin_u != np.isfinite(hot.u)).any() or \
+            (fin_l != np.isfinite(hot.l)).any() or \
+            not math.isfinite(b.sum() + hot.b.sum()):
         return None, 0
     if single_col is None:
         single_col = row_structure(A)
     su, sl = np.where(fin_u, u, 0.0), np.where(fin_l, l, 0.0)
-    htol_u = 1e-9 * (1.0 + np.abs(su))
-    htol_l = 1e-9 * (1.0 + np.abs(sl))
-    btol = 1e-9 * (1.0 + np.abs(b))
     act_low, act_up, soft_act, nn_act = (np.array(m, dtype=bool)
                                          for m in hot.sets)
     nn_act |= ~soft_act    # an inactive soft row's slack sits at zero
-    # the point at tau: the working rows' duals (mu, kink duals kap) and the
-    # quantities the ratio tests watch, each nonnegative while its row keeps
-    # its state: the hard rows' distances to their bounds (hu, hl) and the
-    # soft rows' violations gs
+    elim, kink = soft_act & ~nn_act, soft_act & nn_act
+    # The ratio tests watch one vector V of quantities, each nonnegative
+    # while its row keeps its state, in blocks of eight kinds in a fixed
+    # order so that ties go to the earlier kind: an inactive hard row's
+    # distance to its upper (0) and lower (1) bound, an inactive soft row's
+    # distance to its kink (2), an eliminated slack (3), a working hard
+    # row's dual at its upper (4) and lower (5) side, and a kink row's dual
+    # (6) and its distance to sig1 (7).  V holds the point at tau, the
+    # working rows' duals among it; the mask ``watched`` says which entries
+    # belong to a row in that state, and ``tol`` how far below zero an
+    # end value must fall to count.
+    off = [0]
+    for size in (mh, mh, ms, ms, mh, mh, ms, ms):
+        off.append(off[-1] + size)
+    blocks = [slice(off[i], off[i + 1]) for i in range(8)]
+    tol = np.full(off[8], 1e-9)
+    tol[:off[4]] += 1e-9 * np.abs(np.concatenate([su, sl, b, b]))
+    neg_tol = -tol
     x = hot.solution.y[:n]
     mu = np.where(act_low | act_up, hot.solution.duals[:mh], 0.0)
-    kap = np.where(soft_act & nn_act, hot.solution.duals[mh:mh + ms], 0.0)
-    vh = A @ x
-    hu = np.where(fin_u, hot.u, 0.0) - vh
-    hl = vh - np.where(fin_l, hot.l, 0.0)
-    gs = G @ x - hot.b
-    P_eff, q_eff = _fold(P, q, G, b, sig1, sig2, soft_act & ~nn_act)
+    kap = np.where(kink, hot.solution.duals[mh:mh + ms], 0.0)
+    vh, gs = A @ x, G @ x - hot.b
+    V = np.concatenate([np.where(fin_u, hot.u, 0.0) - vh,
+                        vh - np.where(fin_l, hot.l, 0.0), -gs, gs, mu, -mu,
+                        kap, sig1 - kap])
+    watched = np.concatenate([fin_u & ~act_up, fin_l & ~act_low, ~soft_act,
+                              elim, act_up, act_low, kink, kink])
+    V1 = np.empty_like(V)
+    hu1, hl1, gs_neg1, gs1, mu1, mu_neg1, kap1, kap_gap1 = \
+        (V1[s] for s in blocks)
+    hard_w = (act_low | act_up).nonzero()[0]
+    kink_w = kink.nonzero()[0]
+    work = _WorkingFactor(
+        P, q, A, G, b, sig1, sig2, elim, single_col, hard_w, kink_w,
+        np.concatenate([np.where(act_up, u, l)[hard_w], b[kink_w]]), factors)
+
+    def set_dual(row, value):
+        """Set the dual of working ``row`` (hard, then soft numbering)."""
+        if row < mh:
+            V[off[4] + row], V[off[5] + row] = value, -value
+        else:
+            V[off[6] + row - mh], V[off[7] + row - mh] = value, sig1 - value
 
     def change(kind, row):
-        """Change the state of ``row`` as the ratio test's ``kind`` says."""
+        """Change the state of ``row`` as the ratio test's ``kind`` says; an
+        entering row has entered ``work`` already."""
         if kind == 0:
             act_up[row], act_low[row] = True, False
         elif kind == 1:
@@ -481,128 +894,133 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot, single_col=None,
             soft_act[row] = True     # reaches the kink
         elif kind == 3:
             nn_act[row] = True       # eliminated slack reached zero -> kink
-            P_eff[:] -= (2.0 * sig2) * np.outer(G[row], G[row])
-            q_eff[:] -= G[row] * (sig1 - 2.0 * sig2 * b[row])
+            work.fold(row, -1)
         elif kind in (4, 5):
             act_up[row] = act_low[row] = False
-            mu[row] = 0.0
+            set_dual(row, 0.0)
+            work.remove(row)
         elif kind == 6:
             soft_act[row] = False    # leaves the soft row
-            kap[row] = 0.0
+            set_dual(mh + row, 0.0)
+            work.remove(mh + row)
         else:
             nn_act[row] = False      # releases the slack -> eliminated
-            kap[row] = 0.0
-            P_eff[:] += (2.0 * sig2) * np.outer(G[row], G[row])
-            q_eff[:] += G[row] * (sig1 - 2.0 * sig2 * b[row])
+            set_dual(mh + row, 0.0)
+            work.remove(mh + row)
+            work.fold(row, 1)
+        if kind in (0, 1, 4, 5):
+            up, low = act_up[row], act_low[row]
+            watched[row] = fin_u[row] and not up
+            watched[off[1] + row] = fin_l[row] and not low
+            watched[off[4] + row], watched[off[5] + row] = up, low
+        else:
+            act, nn = soft_act[row], nn_act[row]
+            watched[off[2] + row] = not act
+            watched[off[3] + row] = act and not nn
+            watched[off[6] + row] = watched[off[7] + row] = act and nn
 
-    for breakpoints in range(max_iter + 1):
-        elim = soft_act & ~nn_act
-        kink = soft_act & nn_act
-        res = _working_point(P_eff, q_eff, A, l, u, G, b, single_col,
-                             act_low, act_up, kink)
-        if res is None:
-            return None, breakpoints
-        (x1, lam_w), rows_h = res
-        nh = len(rows_h)
-        mu1 = np.zeros(mh)
-        mu1[rows_h] = lam_w[:nh]
-        kap1 = np.zeros(ms)
-        kap1[kink] = lam_w[nh:]
-        vh1 = A @ x1
-        hu1, hl1, gs1 = su - vh1, vh1 - sl, G @ x1 - b
-        # (rows watched, value at the piece's start, at its end, tolerance),
-        # in a fixed order of kinds so that ties go to the earlier kind
-        watch = ((fin_u & ~act_up, hu, hu1, htol_u),
-                 (fin_l & ~act_low, hl, hl1, htol_l),
-                 (~soft_act, -gs, -gs1, btol),
-                 (elim, gs, gs1, btol),
-                 (act_up, mu, mu1, 1e-9),
-                 (act_low, -mu, -mu1, 1e-9),
-                 (kink, kap, kap1, 1e-9),
-                 (kink, sig1 - kap, sig1 - kap1, 1e-9))
-        sigma, kind = 1.0, None
-        for kd, (rows, v0, v1, tol) in enumerate(watch):
-            idx = (rows & (v1 < -tol)).nonzero()[0]
-            if not len(idx):
-                continue
-            a0 = v0[idx]
-            # a value already below zero at the start changes state at once
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.where(a0 > 0.0, a0 / (a0 - v1[idx]), 0.0)
-            j = int(r.argmin())
-            if r[j] < sigma:
-                sigma, kind, row = r[j], kd, idx[j]
-        if kind is None:
-            # a working row that depends on the others, as the previous
-            # answer's working set may hold, is left out of the equality
-            # solve; an end point that violates it is no answer.  The solve
-            # holds the others to 1e-13 (1 + |rhs|), |rhs| near |Px| + |q|.
-            etol = 1e-12 * (1.0 + np.abs(P_eff @ x1).max(initial=0.0)
-                            + np.abs(q_eff).max(initial=0.0))
-            tu, tl, tb = (np.maximum(t, etol) for t in (htol_u, htol_l, btol))
-            if (gs1[kink] > tb[kink]).any() or \
-                    (hu1[act_up] < -tu[act_up]).any() or \
-                    (hl1[act_low] < -tl[act_low]).any():
+    # the working set's factorization outlives the homotopy in ``factors``
+    try:
+        for breakpoints in range(max_iter + 1):
+            res = work.solve()
+            if res is None:
                 return None, breakpoints
-            eps = np.where(elim, gs1, 0.0)
-            lam = np.where(elim, sig1 + 2.0 * sig2 * eps, kap1)
-            nu = np.where(kink, kap1 - sig1, np.where(nn_act, -sig1, 0.0))
-            return (x1, eps, mu1, lam, nu,
-                    (act_low, act_up, soft_act, nn_act), breakpoints), \
-                breakpoints
-        if breakpoints == max_iter:
-            break
-        # move to the breakpoint and change the row's state there
-        mu = mu + sigma * (mu1 - mu)
-        kap = kap + sigma * (kap1 - kap)
-        hu = hu + sigma * (hu1 - hu)
-        hl = hl + sigma * (hl1 - hl)
-        gs = gs + sigma * (gs1 - gs)
-        if kind < 4:
-            # the entering row's dual starts at 0 (sig1 for a slack that
-            # reached zero) and moves by s t, t >= 0
-            s = -1.0 if kind in (1, 3) else 1.0
-            lam_r = sig1 if kind == 3 else 0.0
-            kr = kink.nonzero()[0]
-            W = np.concatenate([A[rows_h], G[kr]])
-            a_r = A[row] if kind < 2 else G[row]
-            c = np.linalg.lstsq(W.T, a_r, rcond=None)[0]
-            if len(W) and np.abs(W.T @ c - a_r).max() <= \
-                    1e-9 * np.abs(a_r).max():
-                # The entering row's normal is a combination c of the
-                # working rows' normals, so it cannot be added as it is:
-                # along t, stationarity moves their duals by -s t c, and the
-                # first of them to reach a bound leaves for it.
-                lam_w = np.concatenate([mu[rows_h], kap[kr]])
-                up_h = act_up[rows_h]
-                lo = np.concatenate([np.where(up_h, 0.0, -np.inf),
-                                     np.zeros(len(kr))])
-                hi = np.concatenate([np.where(up_h, np.inf, 0.0),
-                                     np.full(len(kr), sig1)])
-                d = -s * c
-                dmin = 1e-12 * np.abs(d).max()
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t = np.where(d > dmin, (hi - lam_w) / d,
-                                 np.where(d < -dmin, (lo - lam_w) / d, np.inf))
-                j = int(t.argmin())
-                t_j = max(t[j], 0.0)
-                # no working dual limits t, or the entering soft row's own
-                # dual leaves [0, sig1] first
-                if not np.isfinite(t_j) or (kind >= 2 and t_j > sig1):
+            x1, dual1 = res
+            vh1 = A @ x1
+            np.subtract(su, vh1, out=hu1)
+            np.subtract(vh1, sl, out=hl1)
+            np.subtract(G @ x1, b, out=gs1)
+            np.negative(gs1, out=gs_neg1)
+            mu1[:] = dual1[:mh]
+            np.negative(mu1, out=mu_neg1)
+            kap1[:] = dual1[mh:]
+            np.subtract(sig1, kap1, out=kap_gap1)
+            idx = (watched & (V1 < neg_tol)).nonzero()[0]
+            if not len(idx):
+                # a working row that depends on the others, as the previous
+                # answer's working set may hold, is left out of the equality
+                # solve; an end point that violates it is no answer.  The solve
+                # holds the others to 1e-13 (1 + |rhs|), |rhs| near |Px| + |q|.
+                etol = 1e-12 * (1.0 + np.abs(work.P @ x1).max(initial=0.0)
+                                + np.abs(work.q).max(initial=0.0))
+                # a working hard row's distance to its bound, a kink row's to
+                # its kink
+                held = np.concatenate([act_up, act_low, soft_act & nn_act])
+                off_bound = V1[:off[3]] < -np.maximum(tol[:off[3]], etol)
+                if (held & off_bound).any():
                     return None, breakpoints
-                lam_w = lam_w + t_j * d
-                mu[rows_h], kap[kr] = lam_w[:nh], lam_w[nh:]
-                lam_r += s * t_j
-                if j < nh:
-                    change(4, rows_h[j])
-                else:
-                    change(6 if d[j] < 0.0 else 7, kr[j - nh])
-        change(kind, row)
-        if kind < 2:
-            mu[row] = lam_r
-        elif kind < 4:
-            kap[row] = lam_r
-    return None, max_iter
+                elim = soft_act & ~nn_act
+                eps = np.where(elim, gs1, 0.0)
+                lam = np.where(elim, sig1 + 2.0 * sig2 * eps, kap1)
+                # kap1 is 0 off the kink rows
+                nu = kap1 - sig1 * nn_act
+                return (x1, eps, mu1.copy(), lam, nu,
+                        (act_low, act_up, soft_act, nn_act), breakpoints), \
+                    breakpoints
+            if breakpoints == max_iter:
+                break
+            # a value already below zero at the start changes state at once
+            a0 = np.maximum(V[idx], 0.0)
+            r = a0 / (a0 - V1[idx])
+            j = int(r.argmin())
+            sigma, at = r[j], int(idx[j])
+            kind = bisect.bisect_right(off, at) - 1
+            row = at - off[kind]
+            # move to the breakpoint and change the row's state there
+            V += sigma * (V1 - V)
+            if kind < 4:
+                # the entering row's dual starts at 0 (sig1 for a slack that
+                # reached zero) and moves by s t, t >= 0
+                s = -1.0 if kind in (1, 3) else 1.0
+                lam_r = sig1 if kind == 3 else 0.0
+                rid, value = (row, (u, l)[kind][row]) if kind < 2 \
+                    else (mh + row, b[row])
+                if not work.enter(rid, value):
+                    # The entering row's normal is a combination c of the
+                    # working rows' normals, so it cannot be added as it
+                    # is: along t, stationarity moves their duals by
+                    # -s t c, and the first of them to reach a bound leaves
+                    # for it.
+                    comb = work.combination(A[row], single_col[row]) \
+                        if kind < 2 else work.combination(G[row])
+                    if comb is None:
+                        return None, breakpoints
+                    ids, c = comb
+                    # each working dual's distances to its bounds are two
+                    # entries of V (blocks 4 and 5 of a hard row, of which the
+                    # one of its side is watched, and 6 and 7 of a kink row),
+                    # moving at rates d and -d
+                    hard = ids < mh
+                    at1 = ids + np.where(hard, off[4], off[6] - mh)
+                    at = np.concatenate([at1, at1 + np.where(hard, mh, ms)])
+                    d = -s * c
+                    rate = np.concatenate([d, -d])
+                    dmin = 1e-12 * np.abs(d).max()
+                    falls = watched[at] & (rate < -dmin)
+                    t = np.full(len(at), np.inf)
+                    t[falls] = V[at[falls]] / -rate[falls]
+                    j = int(t.argmin())
+                    t_j = max(t[j], 0.0)
+                    # no working dual limits t, or the entering soft row's own
+                    # dual leaves [0, sig1] first
+                    if not np.isfinite(t_j) or (kind >= 2 and t_j > sig1):
+                        return None, breakpoints
+                    V[at] += t_j * rate
+                    lam_r += s * t_j
+                    j %= len(ids)
+                    if hard[j]:
+                        change(4, int(ids[j]))
+                    else:
+                        change(6 if d[j] < 0.0 else 7, int(ids[j]) - mh)
+                    if not work.enter(rid, value):
+                        return None, breakpoints
+                change(kind, row)
+                set_dual(rid, lam_r)
+            else:
+                change(kind, row)
+        return None, max_iter
+    finally:
+        work.keep()
 
 
 def _step_to_boundary(v, dv):
@@ -817,12 +1235,13 @@ def _unbounded(P, q, A, G):
 
 
 def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, single_col=None,
-                    hot=None):
+                    hot=None, factors=None):
     """The package's QP solve: the soft QP by a parametric hot start,
     then interior point and crossover.
 
-    ``hot`` is a :class:`HotStart` on the same P, A and G, or None.  The
-    first answer whose :func:`soft_kkt_residuals` pass ``tol`` is taken:
+    ``hot`` is a :class:`HotStart` on the same P, A and G, or None, and
+    ``factors`` a :class:`FactorCache` of them, or None.  The first answer
+    whose :func:`soft_kkt_residuals` pass ``tol`` is taken:
 
     1. with ``hot``, the parametric homotopy from it (:func:`soft_qp_solve`
        with ``hot``, capped at ``EXCHANGE_CAP`` breakpoints);
@@ -848,7 +1267,7 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, single_col=None,
     def homotopy(hot_start):
         nonlocal iterations
         res = soft_qp_solve(*soft, None, single_col, max_iter=EXCHANGE_CAP,
-                            hot=hot_start)
+                            hot=hot_start, factors=factors)
         iterations += EXCHANGE_CAP if res is None else res[6]
         return res
 

@@ -22,12 +22,12 @@ from trailer_mpc.sim import CONVERGED, JACKKNIFED, paper_suite, run_suite
 LQ_CONVERGES = {"exp3_straight"}
 # Bound on the MPC cycles handed over to the interior point (summary
 # "n_ipm"), summed over the six MPC runs.  With the hot start following the
-# condensed structure, and shifted by the base change onto a new one, they
-# number 89 (1/3/1/41/1/42, the first cycle of each run among them);
-# without the shifted hot start 178, and with no hot start 878, so a
-# regression to either fails.  The margin of 24 (27 %) covers rounding
-# that differs between BLAS builds.
-MAX_HANDOVERS = 113
+# condensed structure, shifted by the base change onto a new one, and each
+# homotopy capped at qp.EXCHANGE_CAP = 30 breakpoints, they number 14
+# (1/2/1/6/1/3, the first cycle of each run among them), as many as
+# uncapped; at a cap of 20 they number 23 and at 10, 88.  The margin of 4
+# (27 %) covers rounding that differs between BLAS builds.
+MAX_HANDOVERS = 18
 
 
 def acceptance_checks():
