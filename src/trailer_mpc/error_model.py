@@ -63,7 +63,8 @@ def wrap_angle(a):
 
 
 def compute_error(state: VehicleState, path: NominalPath, s_prev):
-    """Project the semitrailer axle onto the path and return (s, PathError)."""
+    """Project the semitrailer axle onto the path and return (s, PathError,
+    ref), ref the PathSample interpolated at s."""
     s = project(path, (state.x3, state.y3), s_prev)
     ref = interpolate(path, s)
     dx = state.x3 - ref.x3r
@@ -72,7 +73,7 @@ def compute_error(state: VehicleState, path: NominalPath, s_prev):
     theta3t = wrap_angle(state.theta3 - ref.theta3r)
     err = PathError(z3t, theta3t, state.beta3 - ref.beta3r, state.beta2 - ref.beta2r)
     _check_validity(err.z3t, err.theta3t, ref.kappa3r)
-    return s, err
+    return s, err, ref
 
 
 def _check_validity(z3t, theta3t, kappa3r):

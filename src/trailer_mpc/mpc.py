@@ -24,7 +24,7 @@ from .error_model import (PathError, analytic_straight_model, compute_error,
 from .exceptions import (InfeasiblePath, NominalOutsidePolytope, PathExhausted,
                          RiccatiDiverged, SingularConfiguration)
 from .model import SINGULAR_TOL, VehicleState, chain_terms
-from .paths import NominalPath, PathSample, extend_for_horizon, interpolate
+from .paths import NominalPath, PathSample, extend_for_horizon
 from .qp import (FactorCache, HotStart, auxiliary_hot, certified_solve,
                  row_structure)
 
@@ -53,13 +53,13 @@ class MpcConfig:
         if not isinstance(self.horizon, numbers.Integral) or self.horizon < 1:
             raise ValueError("horizon must be an integer >= 1")
         for name in ("delta_s", "f_s", "u_max", "udot_max"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("slack_linear", "slack_quad"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-        if len(self.qbar) != 8 or np.any(self.qbar < 0.0):
-            raise ValueError("qbar must be 8 nonnegative weights")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
+        if len(self.qbar) != 8 or not np.all((0.0 <= self.qbar) & (self.qbar < np.inf)):
+            raise ValueError("qbar must be 8 nonnegative, finite weights")
 
 
 @dataclass
@@ -271,8 +271,8 @@ class StepDiagnostics:
     # whether this cycle built its condensed structure (False when a cached
     # one with the same content served it; the LQ baseline builds none)
     structure_built: bool
-    # phases of solve_time_ms: projection and error (compute_error and the
-    # reference curvature), the condensed structure (condensing the
+    # phases of solve_time_ms: projection, reference sample and error
+    # (compute_error), the condensed structure (condensing the
     # horizon's station models, cached by content), and the QP with its
     # certificate; the LQ baseline has no structure or QP
     t_project_ms: float
@@ -471,11 +471,10 @@ class MpcController:
         """One control cycle; returns (u_cmd, StepDiagnostics), mutates ctrl."""
         t0 = time.perf_counter()
         cfg = self.cfg
-        s0, err = compute_error(state, self.path, ctrl.s_prev)
-        ur_exact = float(interpolate(self.path, s0).ur)
+        s0, err, ref = compute_error(state, self.path, ctrl.s_prev)
         t_project = time.perf_counter()
         if ctrl.u_prev is None:
-            ctrl.u_prev = min(max(ur_exact, -self.u_max), self.u_max)
+            ctrl.u_prev = min(max(ref.ur, -self.u_max), self.u_max)
         base = int(round(s0 / cfg.delta_s))
         if (base + cfg.horizon) * cfg.delta_s > self.path.s_end + 1e-9:
             raise PathExhausted(f"horizon from s={s0:.2f} leaves the path data")
@@ -512,9 +511,9 @@ class MpcController:
         if fallback:
             logger.warning("no certified QP answer at s = %.2f m after %d "
                            "solver iterations; LQ fallback", s0, sol.iterations)
-            u_cmd = ur_exact - float(self.cost.K @ x0)
+            u_cmd = ref.ur - float(self.cost.K @ x0)
         else:
-            u_cmd = ur_exact + float(sol.y[0])
+            u_cmd = ref.ur + float(sol.y[0])
         u_cmd = min(max(u_cmd, -self.u_max), self.u_max)
         u_cmd = min(max(u_cmd, ctrl.u_prev - delta_cycle), ctrl.u_prev + delta_cycle)
 
@@ -580,10 +579,9 @@ class LqController:
 
     def step(self, state: VehicleState, ctrl: ControllerState):
         t0 = time.perf_counter()
-        s0, err = compute_error(state, self.path, ctrl.s_prev)
-        ur = float(interpolate(self.path, s0).ur)
+        s0, err, ref = compute_error(state, self.path, ctrl.s_prev)
         t_project = time.perf_counter()
-        raw = ur - float(self.cost.K @ err.as_array())
+        raw = ref.ur - float(self.cost.K @ err.as_array())
         u_cmd = min(max(raw, -self.u_max), self.u_max)
         diag = StepDiagnostics(
             s=s0, error=err, u_cmd=u_cmd, qp_status="LQ", qp_objective=0.0,

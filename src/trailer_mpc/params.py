@@ -27,8 +27,8 @@ class VehicleParams:
 
     def __post_init__(self):
         for name in ("L1", "L2", "L3", "M1", "u_max", "udot_max", "La", "b"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.phi < 2.0 * math.pi:
             raise ValueError("phi must lie in (0, 2*pi)")
 

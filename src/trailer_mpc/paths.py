@@ -36,8 +36,9 @@ class PathSample:
 class NominalPath:
     """Uniformly sampled nominal path.
 
-    Immutable after construction: scalar station queries read plain-float
-    copies of the arrays taken once in ``__post_init__``.
+    The eight field arrays are the only store of the samples: every query,
+    :func:`interpolate` and :func:`project` included, reads them, so a
+    write to an array is seen by all of them.
     """
 
     s: np.ndarray
@@ -54,17 +55,11 @@ class NominalPath:
 
     def __post_init__(self):
         if self.s_end_true is None:
-            self.s_end_true = float(self.s[-1])
-        # (x, y, theta3, beta3, beta2, u, kappa3) as lists, the order of
-        # interpolate's fields
-        self._columns = tuple(a.tolist() for a in (
-            self.x, self.y, self.theta3, self.beta3, self.beta2, self.u,
-            self.kappa3))
-        self._s_end = float(self.s[-1])
+            self.s_end_true = self.s_end
 
     @property
     def s_end(self) -> float:
-        return self._s_end
+        return self.s.item(-1)
 
     def __len__(self):
         return len(self.s)
@@ -117,19 +112,21 @@ def interpolate(path: NominalPath, s) -> PathSample:
     samples around it (angles stored unwrapped); raises OutOfDomain outside
     [0, s_end].
 
-    Plain Python floats round as numpy's float64 scalars do, so the fields
-    are the bits of the same arithmetic on numpy arrays at a fraction of
-    numpy's per-call cost.
+    The two samples are read from the arrays as Python floats, which round
+    as numpy's float64 scalars do, so the fields are the bits of the same
+    arithmetic on the arrays at a fraction of numpy's per-call cost.
     """
     s = float(s)
-    if s < -1e-9 or s > path._s_end + 1e-9:
-        raise OutOfDomain(f"station outside [0, {path._s_end:.3f}]")
-    last = len(path._columns[0]) - 1
+    s_end = path.s_end
+    if s < -1e-9 or s > s_end + 1e-9:
+        raise OutOfDomain(f"station outside [0, {s_end:.3f}]")
+    last = len(path.s) - 1
     # np.clip's argument order, which decides the sign of a zero
     pos = min(float(last), max(0.0, s / path.delta_s))
     i = min(int(pos), last - 1)
     t = pos - i
-    x, y, th, b3, b2, u, k3 = [(1.0 - t) * c[i] + t * c[i + 1] for c in path._columns]
+    x, y, th, b3, b2, u, k3 = [(1.0 - t) * a.item(i) + t * a.item(i + 1) for a in (
+        path.x, path.y, path.theta3, path.beta3, path.beta2, path.u, path.kappa3)]
     return PathSample(s, x, y, th, b3, b2, u, path.direction, k3)
 
 
@@ -143,7 +140,8 @@ def eq_residuals(params, path: NominalPath) -> np.ndarray:
     return np.linalg.norm(step, axis=0)
 
 
-# the most samples a generated path may hold: 200 km at 0.2 m (about 330 MB)
+# the most samples a generated path may hold: 200 km at 0.2 m (eight
+# float64 arrays, 61 MiB)
 MAX_PATH_SAMPLES = 10 ** 6
 
 
@@ -446,14 +444,14 @@ def project(path: NominalPath, p, s_prev, window=2.0) -> float:
         raise ProjectionLost("projection window collapsed at the path end")
 
     ds = path.delta_s
-    xs, ys = path._columns[:2]
-    last = len(xs) - 1
+    last = len(path.s) - 1
     k_lo = min(math.floor(lo / ds), last - 1)
     k_hi = max(min(math.ceil(hi / ds), last), k_lo + 1)
+    # the samples of the window's chords k_lo .. k_hi - 1
+    xs, ys = path.x[k_lo:k_hi + 1].tolist(), path.y[k_lo:k_hi + 1].tolist()
     s_best, d2_best = lo, math.inf
-    for k in range(k_lo, k_hi):
-        ax, ay = xs[k], ys[k]
-        ex, ey = xs[k + 1] - ax, ys[k + 1] - ay
+    for k, ax, ay, bx, by in zip(range(k_lo, k_hi), xs, ys, xs[1:], ys[1:]):
+        ex, ey = bx - ax, by - ay
         ee = ex * ex + ey * ey
         t = ((px - ax) * ex + (py - ay) * ey) / ee if ee > 0.0 else 0.0
         s = min(hi, max(lo, (k + min(1.0, max(0.0, t))) * ds))

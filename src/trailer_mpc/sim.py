@@ -74,9 +74,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown path_kind {self.path_kind!r}")
         if self.controller not in ("mpc", "lq"):
             raise ValueError(f"unknown controller {self.controller!r}")
-        if len(self.perturbation) != 4:
-            raise ValueError("perturbation must have 4 entries")
         for name, ok, meaning in (
+                ("perturbation", len(self.perturbation) == 4 and
+                 all(map(_finite, self.perturbation)), "4 finite numbers"),
                 ("v", self.v in (-1.0, 1.0), "-1 or +1"),
                 ("path_size", _finite(self.path_size) and self.path_size > 0, "positive and finite"),
                 ("start_s", _finite(self.start_s) and self.start_s >= 0, "finite and >= 0"),

@@ -80,14 +80,26 @@ def test_run_bad_config(tmp_path, capsys):
     f2 = tmp_path / "empty.json"
     f2.write_text(json.dumps({"experiments": []}))
     assert main(["run", "--config", str(f2)]) == 2
+    capsys.readouterr()
     f3 = tmp_path / "unk.json"
+    # a NaN perturbation once ran every cycle on the LQ fallback, and a
+    # string one ended in a traceback
     for bad in (dict(controller="pid"), dict(path_kind="circle"),
-                dict(perturbation=[0.5, 0.0])):
+                dict(perturbation=[0.5, 0.0]),
+                dict(perturbation=[math.nan, 0.0, 0.0, 0.0]),
+                dict(perturbation=[0.0, math.inf, 0.0, 0.0]),
+                dict(perturbation=["a", 0.0, 0.0, 0.0])):
         entry = {"name": "x", "controller": "lq", "path_kind": "straight",
                  **bad}
         f3.write_text(json.dumps({"experiments": [entry]}))
         assert main(["run", "--config", str(f3)]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+    # NaN limits once ran unclipped to Converged
+    entry = {"name": "x", "controller": "lq", "path_kind": "straight"}
+    f3.write_text(json.dumps({"params": {"u_max": math.nan}, "experiments": [entry]}))
+    assert main(["run", "--config", str(f3)]) == 2
+    assert capsys.readouterr().err.startswith("config error: u_max")
 
 
 # a misspelled experiment key once ran with zero perturbation
@@ -105,8 +117,10 @@ def test_run_config_rejects_unknown_keys(tmp_path, capsys, where, key):
     assert err.startswith(f"config error: unknown {where} key") and repr(key) in err
 
 
+# an infinite f_s once looped forever with a zero period
 @pytest.mark.parametrize("mpc", [{"f_s": 0}, {"udot_max": -0.1},
-                                 {"horizon": 2.5}, {"slack_quad": -1.0}])
+                                 {"horizon": 2.5}, {"slack_quad": -1.0},
+                                 {"f_s": math.inf}, {"u_max": math.nan}])
 def test_run_config_rejects_a_bad_mpc_setting(tmp_path, capsys, mpc):
     f = tmp_path / "mpc.json"
     f.write_text(json.dumps({"mpc": mpc, "experiments": [
@@ -230,9 +244,10 @@ def _with_output(argv, tmp_path):
 @pytest.mark.parametrize("command", [["path", "--straight", "40"], ["design"],
                                      ["region", "--sensing",
                                       "--spacing-deg", "30"]])
-# a missing file, an unknown key and an invalid value
+# a missing file, an unknown key and invalid values
 @pytest.mark.parametrize("content", [None, "L1 = 4.62\nphi_deg = 140\n",
-                                     "L1 = -1\n"])
+                                     "L1 = -1\n", "u_max = nan\n",
+                                     "L3 = inf\n"])
 def test_bad_params_file_is_a_config_error(tmp_path, capsys, command, content):
     f = tmp_path / "vehicle.txt"
     if content is not None:

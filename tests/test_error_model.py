@@ -120,8 +120,10 @@ def test_station_table_matches_the_station_by_station_reference(
 def test_compute_error_recovers_perturbation(params, eight_back):
     pert = (0.8, 0.15, 0.1, -0.2)
     state = initial_state(eight_back, pert, start_s=30.0)
-    s, err = compute_error(state, eight_back, s_prev=30.0)
+    s, err, ref = compute_error(state, eight_back, s_prev=30.0)
     assert s == pytest.approx(30.0, abs=2e-3)
+    # the reference the error was taken against, for the controller's use
+    assert ref == interpolate(eight_back, s)
     assert err.z3t == pytest.approx(pert[0], abs=2e-3)
     assert err.theta3t == pytest.approx(pert[1], abs=2e-3)
     assert err.beta3t == pytest.approx(pert[2], abs=2e-3)
@@ -130,7 +132,7 @@ def test_compute_error_recovers_perturbation(params, eight_back):
 
 def test_compute_error_zero_on_path(params, straight_back):
     state = VehicleState(-7.0, 0.0, 0.0, 0.0, 0.0)
-    s, err = compute_error(state, straight_back, s_prev=6.8)
+    s, err, _ = compute_error(state, straight_back, s_prev=6.8)
     assert s == pytest.approx(7.0, abs=1e-3)
     assert err.inf_norm() < 1e-6
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trailer_mpc import (ControllerState, JointAnglePolytope, LqController,
-                         MpcConfig, MpcController, VehicleState,
+                         MpcConfig, MpcController, VehicleParams, VehicleState,
                          analytic_straight_model, build_output_matrix,
                          default_joint_polytope, design_cost, linearize,
                          shift_joint_polytope, slew_bound)
@@ -102,10 +102,18 @@ def test_config_validation():
                 dict(qbar=np.ones(5)), dict(delta_s=0.0), dict(f_s=0),
                 dict(f_s=-20.0), dict(f_s=math.nan), dict(u_max=0.0),
                 dict(udot_max=-0.1), dict(slack_linear=-1.0),
-                dict(slack_quad=-1e4)):
+                dict(slack_quad=-1e4), dict(f_s=math.inf),
+                dict(delta_s=math.inf), dict(u_max=math.nan),
+                dict(udot_max=math.inf), dict(slack_linear=math.inf),
+                dict(slack_quad=math.nan), dict(qbar=np.full(8, math.nan)),
+                dict(qbar=np.full(8, math.inf))):
         with pytest.raises(ValueError):
             MpcConfig(**bad)
     MpcConfig(slack_linear=0.0, slack_quad=0.0)   # only negative ones fail
+    for name in ("L1", "L2", "L3", "M1", "u_max", "udot_max", "La", "b"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                VehicleParams(**{name: value})
 
 
 def test_controller_requires_matching_grid(params, straight_back):

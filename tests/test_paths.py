@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,29 @@ def test_project_never_decreases(straight_back):
 def test_project_lost_outside_window(straight_back):
     with pytest.raises(ProjectionLost):
         project(straight_back, (-30.0, 0.0), s_prev=2.0, window=2.0)
+
+
+def test_path_arrays_are_the_only_store():
+    # a write to a field array reaches the station queries
+    path = generate_straight(20.0, -1.0)
+    path.x[10:20] += 1.0
+    path.u[10] = 0.05
+    assert interpolate(path, 2.0).x3r == pytest.approx(-1.0)
+    assert interpolate(path, 2.0).ur == pytest.approx(0.05)
+    assert project(path, (-2.0, 0.0), s_prev=2.6) == pytest.approx(3.0)
+
+
+def test_path_memory_is_its_arrays():
+    tracemalloc.start()
+    try:
+        path = generate_straight(2e4 - 0.2, -1.0)
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(path) == 10 ** 5
+    arrays = sum(a.nbytes for a in (path.s, path.x, path.y, path.theta3,
+                                     path.beta3, path.beta2, path.u, path.kappa3))
+    assert traced < 1.25 * arrays
 
 
 def test_reverse_path_involution(eight_back):

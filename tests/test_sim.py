@@ -13,7 +13,7 @@ from trailer_mpc.mpc import MpcConfig
 def test_initial_state_round_trips_through_error(params, straight_back):
     pert = (1.5, -0.3, 0.2, -0.1)
     state = initial_state(straight_back, pert, start_s=10.0)
-    s, err = compute_error(state, straight_back, s_prev=10.0)
+    _, err, _ = compute_error(state, straight_back, s_prev=10.0)
     assert np.allclose(err.as_array(), pert, atol=2e-3)
 
 
