@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -21,7 +20,7 @@ from . import __version__
 from .error_model import analytic_straight_model
 from .exceptions import EmptyRegion, InfeasiblePath, TrailerMpcError
 from .mpc import JointAnglePolytope, MpcConfig, design_cost
-from .params import VehicleParams
+from .params import VehicleParams, is_real
 from .paths import generate_figure_eight, generate_straight
 from .qp import QpProblem, solve_qp
 from .regions import (RegionGrid, fit_inner_polytope, make_axes, merge,
@@ -47,7 +46,7 @@ def _load_params(path):
 
 
 def _require_positive(option, value):
-    if not (math.isfinite(value) and value > 0.0):
+    if not is_real(value, 0.0):
         raise _ConfigError(f"{option} must be a positive number, got {value}")
 
 
@@ -94,24 +93,15 @@ def _reject_unknown(keys, known, where):
 
 
 def _specs_from_config(cfg_dict):
+    """The config's experiments as ExperimentSpecs, from the values as given."""
     _reject_unknown(cfg_dict, CONFIG_KEYS, "config")
     specs = []
     for entry in cfg_dict.get("experiments", []):
-        if "name" not in entry or "controller" not in entry:
-            raise ValueError("each experiment needs at least 'name' and 'controller'")
         _reject_unknown(entry, EXPERIMENT_KEYS, "experiment")
-        spec = ExperimentSpec(
-            name=str(entry["name"]),
-            path_kind=str(entry.get("path_kind", "straight")),
-            path_size=float(entry.get("path_size", 120.0)),
-            controller=str(entry["controller"]),
-            v=float(entry.get("v", -1.0)),
-            perturbation=tuple(entry.get("perturbation", (0.0, 0.0, 0.0, 0.0))),
-            start_s=float(entry.get("start_s", 0.0)),
-            max_time=entry.get("max_time"),
-            noise_std=entry.get("noise_std"),
-            seed=int(entry.get("seed", 0)),
-        )
+        spec = ExperimentSpec(**{"path_kind": "straight", "path_size": 120.0,
+                                 **entry})
+        if any((s.name, s.controller) == (spec.name, spec.controller) for s in specs):
+            raise ValueError(f"name {spec.name!r} repeats for controller {spec.controller!r}")
         specs.append(spec)
     return specs
 
@@ -170,7 +160,7 @@ def cmd_region(args) -> int:
               file=sys.stderr)
         return USAGE_ERROR
     _require_positive("--distance", args.distance)
-    if not (math.isfinite(args.margin) and args.margin >= 0.0):
+    if not is_real(args.margin, 0.0, closed=True):
         raise _ConfigError(f"--margin must be a non-negative number, got {args.margin}")
     params = _load_params(args.params)
     try:
@@ -203,8 +193,9 @@ def cmd_region(args) -> int:
 
 def cmd_qp(args) -> int:
     """Solve a QP from a whitespace text file: first line 'n m', then P
-    (n rows), q (1 row), A (m rows), l (1 row), u (1 row).  'inf'/'-inf'
-    allowed in the bound rows."""
+    (n rows), q (1 row), A (m rows), l (1 row), u (1 row).  '-inf' allowed
+    in l and 'inf' in u."""
+    _require_positive("--tol", args.tol)
     try:
         with open(args.file) as fh:
             tokens = fh.read().split()

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -24,6 +23,7 @@ from .error_model import (PathError, analytic_straight_model, compute_error,
 from .exceptions import (InfeasiblePath, NominalOutsidePolytope, PathExhausted,
                          RiccatiDiverged, SingularConfiguration)
 from .model import SINGULAR_TOL, VehicleState, chain_terms
+from .params import is_int, is_real, real_tuple
 from .paths import NominalPath, PathSample, extend_for_horizon
 from .qp import (FactorCache, HotStart, auxiliary_hot, certified_solve,
                  row_structure)
@@ -49,17 +49,18 @@ class MpcConfig:
     udot_max: float = 0.13      # curvature rate bound (1/(m s))
 
     def __post_init__(self):
-        self.qbar = np.asarray(self.qbar, dtype=float)
-        if not isinstance(self.horizon, numbers.Integral) or self.horizon < 1:
+        if not (is_int(self.horizon) and self.horizon >= 1):
             raise ValueError("horizon must be an integer >= 1")
         for name in ("delta_s", "f_s", "u_max", "udot_max"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            if not is_real(getattr(self, name), 0.0):
+                raise ValueError(f"{name} must be a positive, finite number")
         for name in ("slack_linear", "slack_quad"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite")
-        if len(self.qbar) != 8 or not np.all((0.0 <= self.qbar) & (self.qbar < np.inf)):
+            if not is_real(getattr(self, name), 0.0, closed=True):
+                raise ValueError(f"{name} must be a nonnegative, finite number")
+        qbar = real_tuple(self.qbar, 8, 0.0, closed=True)
+        if qbar is None:
             raise ValueError("qbar must be 8 nonnegative, finite weights")
+        self.qbar = np.array(qbar)
 
 
 @dataclass
@@ -249,35 +250,37 @@ class ControllerState:
     hot_base: int = None
 
 
-@dataclass
+@dataclass(slots=True)
 class StepDiagnostics:
+    """What one control cycle records, the schema of ``sim.RunLog`` and its
+    CSV; the QP fields keep their defaults on an LQ baseline cycle."""
+
     s: float
     error: PathError
     u_cmd: float
     qp_status: str
-    qp_objective: float
-    qp_iterations: int
-    primal_residual: float
-    dual_residual: float
-    comp_residual: float
-    slack_max: float
-    solve_time_ms: float
-    fallback: bool
     # which path gave the command: "parametric" (the hot start from the
     # last cycle's answer, on its condensed structure or shifted to a new
     # one), "ipm" (the interior point, or its crossover) or "lq_fallback"
     # (no certified answer); the LQ baseline reports "lq"
     solver_path: str
-    # whether this cycle built its condensed structure (False when a cached
-    # one with the same content served it; the LQ baseline builds none)
-    structure_built: bool
+    solve_time_ms: float
     # phases of solve_time_ms: projection, reference sample and error
     # (compute_error), the condensed structure (condensing the
     # horizon's station models, cached by content), and the QP with its
-    # certificate; the LQ baseline has no structure or QP
+    # certificate
     t_project_ms: float
-    t_structure_ms: float
-    t_solve_ms: float
+    t_structure_ms: float = 0.0
+    t_solve_ms: float = 0.0
+    qp_objective: float = 0.0
+    qp_iterations: int = 0
+    primal_residual: float = 0.0
+    dual_residual: float = 0.0
+    comp_residual: float = 0.0
+    slack_max: float = 0.0
+    # whether this cycle built its condensed structure (False when a cached
+    # one with the same content served it)
+    structure_built: bool = False
 
 
 class _QpStructure:
@@ -520,15 +523,15 @@ class MpcController:
         slack_max = float(np.max(sol.y[N:], initial=0.0)) if (n_slack and not fallback) else 0.0
         diag = StepDiagnostics(
             s=s0, error=err, u_cmd=u_cmd, qp_status=sol.status,
-            qp_objective=sol.objective, qp_iterations=sol.iterations,
-            primal_residual=sol.primal_residual, dual_residual=sol.dual_residual,
-            comp_residual=sol.comp_residual, slack_max=slack_max,
-            solve_time_ms=(time.perf_counter() - t0) * 1e3, fallback=fallback,
             solver_path=path or "lq_fallback",
-            structure_built=self.n_structure_builds > builds,
+            solve_time_ms=(time.perf_counter() - t0) * 1e3,
             t_project_ms=(t_project - t0) * 1e3,
             t_structure_ms=(t_structure - t_project) * 1e3,
             t_solve_ms=(t_solve - t_structure) * 1e3,
+            qp_objective=sol.objective, qp_iterations=sol.iterations,
+            primal_residual=sol.primal_residual, dual_residual=sol.dual_residual,
+            comp_residual=sol.comp_residual, slack_max=slack_max,
+            structure_built=self.n_structure_builds > builds,
         )
         ctrl.u_prev = u_cmd
         ctrl.s_prev = s0
@@ -584,14 +587,9 @@ class LqController:
         raw = ref.ur - float(self.cost.K @ err.as_array())
         u_cmd = min(max(raw, -self.u_max), self.u_max)
         diag = StepDiagnostics(
-            s=s0, error=err, u_cmd=u_cmd, qp_status="LQ", qp_objective=0.0,
-            qp_iterations=0, primal_residual=0.0, dual_residual=0.0,
-            comp_residual=0.0, slack_max=0.0,
-            solve_time_ms=(time.perf_counter() - t0) * 1e3, fallback=False,
-            solver_path="lq", structure_built=False,
-            t_project_ms=(t_project - t0) * 1e3,
-            t_structure_ms=0.0, t_solve_ms=0.0,
-        )
+            s=s0, error=err, u_cmd=u_cmd, qp_status="LQ", solver_path="lq",
+            solve_time_ms=(time.perf_counter() - t0) * 1e3,
+            t_project_ms=(t_project - t0) * 1e3)
         ctrl.u_prev = u_cmd
         ctrl.s_prev = s0
         return u_cmd, diag

@@ -3,7 +3,32 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
+
+import numpy as np
+
+
+def is_real(value, low=-math.inf, high=math.inf, closed=False) -> bool:
+    """Whether ``value`` is a real number with ``low < value < high``
+    (``low <= value`` when ``closed``); a bool, a string or NaN never is."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and (low <= value if closed else low < value) and value < high
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer; a bool never is."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def real_tuple(value, n, low=-math.inf, closed=False):
+    """``value``, a list, tuple or 1-D array of ``n`` numbers that ``is_real``
+    accepts with ``low`` and ``closed``, as a tuple of floats; else None."""
+    value = value.tolist() if isinstance(value, np.ndarray) else value
+    if isinstance(value, (list, tuple)) and len(value) == n and \
+            all(is_real(v, low, closed=closed) for v in value):
+        return tuple(float(v) for v in value)
+    return None
 
 
 @dataclass(frozen=True)
@@ -27,9 +52,9 @@ class VehicleParams:
 
     def __post_init__(self):
         for name in ("L1", "L2", "L3", "M1", "u_max", "udot_max", "La", "b"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 0.0 < self.phi < 2.0 * math.pi:
+            if not is_real(getattr(self, name), 0.0):
+                raise ValueError(f"{name} must be a positive, finite number")
+        if not is_real(self.phi, 0.0, 2.0 * math.pi):
             raise ValueError("phi must lie in (0, 2*pi)")
 
     @classmethod

@@ -66,6 +66,10 @@ class QpProblem:
         m = self.A.shape[0]
         if len(self.l) != m or len(self.u) != m:
             raise ValueError("l/u must match A row count")
+        # NaN fails every check; l may be -inf and u +inf
+        if not (all(np.isfinite(a).all() for a in (self.P, self.q, self.A)) and
+                np.all(self.l < np.inf) and np.all(self.u > -np.inf)):
+            raise ValueError("P, q and A must be finite, l below +inf and u above -inf")
         if np.max(np.abs(self.P - self.P.T)) > 1e-12 * max(1.0, np.max(np.abs(self.P))):
             raise ValueError("P must be symmetric")
         if np.any(self.l > self.u + 1e-12):

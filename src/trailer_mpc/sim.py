@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +21,7 @@ from .exceptions import (InvalidState, OutOfDomain, ProjectionLost,
 from .model import (CONV_TOL, JACKKNIFE_ANGLE, SINGULAR_TOL, ControlInput,
                     VehicleState, integrate_step, speed_ratio)
 from .mpc import (ControllerState, LqController, MpcConfig, MpcController)
+from .params import is_int, is_real, real_tuple
 from .paths import (NominalPath, _sample_count, figure_eight_length,
                     generate_figure_eight, generate_straight, interpolate)
 
@@ -33,32 +34,12 @@ TIMEOUT = "Timeout"
 CONV_SUSTAIN_M = 5.0
 
 
-def _noise_std(value) -> tuple:
-    """``value`` as the 5 per-state measurement-noise standard deviations;
-    a ValueError that names ``noise_std`` unless it is a list of 5 finite,
-    non-negative numbers."""
-    try:
-        std = () if isinstance(value, (str, bytes)) else \
-            tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        std = ()
-    if len(std) != 5 or not all(math.isfinite(v) and v >= 0.0 for v in std):
-        raise ValueError(f"noise_std must be a list of 5 finite, non-negative "
-                         f"numbers, one per state; got {value!r}")
-    return std
-
-
-def _finite(value) -> bool:
-    """Whether ``value`` is a finite real number (not a bool)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
-        and math.isfinite(value)
-
-
 @dataclass
 class ExperimentSpec:
-    """One closed-loop experiment: path, controller and initial perturbation."""
+    """One closed-loop experiment: path, controller and initial perturbation;
+    the values are checked as given, and a bool or a string is no number."""
 
-    name: str
+    name: str                 # file-safe: the run CSV is <name>_<controller>.csv
     path_kind: str            # "straight" or "eight"
     path_size: float          # straight length or figure-eight radius (m)
     controller: str           # "mpc" or "lq"
@@ -74,19 +55,24 @@ class ExperimentSpec:
             raise ValueError(f"unknown path_kind {self.path_kind!r}")
         if self.controller not in ("mpc", "lq"):
             raise ValueError(f"unknown controller {self.controller!r}")
+        perturbation = real_tuple(self.perturbation, 4)
+        noise_std = None if self.noise_std is None else \
+            real_tuple(self.noise_std, 5, 0.0, closed=True)
         for name, ok, meaning in (
-                ("perturbation", len(self.perturbation) == 4 and
-                 all(map(_finite, self.perturbation)), "4 finite numbers"),
-                ("v", self.v in (-1.0, 1.0), "-1 or +1"),
-                ("path_size", _finite(self.path_size) and self.path_size > 0, "positive and finite"),
-                ("start_s", _finite(self.start_s) and self.start_s >= 0, "finite and >= 0"),
-                ("max_time", self.max_time is None or _finite(self.max_time) and self.max_time > 0,
+                ("name", isinstance(self.name, str) and set(self.name).isdisjoint("/\\")
+                 and self.name != "", "a non-empty string without a path separator"),
+                ("perturbation", perturbation is not None, "4 finite numbers"),
+                ("noise_std", self.noise_std is None or noise_std is not None,
+                 "a list of 5 finite, non-negative numbers, one per state"),
+                ("v", is_real(self.v) and self.v in (-1, 1), "-1 or +1"),
+                ("path_size", is_real(self.path_size, 0.0), "positive and finite"),
+                ("start_s", is_real(self.start_s, 0.0, closed=True), "finite and >= 0"),
+                ("max_time", self.max_time is None or is_real(self.max_time, 0.0),
                  "positive and finite, or null"),
-                ("seed", isinstance(self.seed, numbers.Integral) and self.seed >= 0, "an integer >= 0")):
+                ("seed", is_int(self.seed) and self.seed >= 0, "an integer >= 0")):
             if not ok:
                 raise ValueError(f"{name} must be {meaning}; got {getattr(self, name)!r}")
-        if self.noise_std is not None:
-            self.noise_std = _noise_std(self.noise_std)
+        self.perturbation, self.noise_std = perturbation, noise_std
 
     def sample_count(self, delta_s=0.2) -> int:
         """Samples of the path that build_path(delta_s) makes, counted
@@ -107,26 +93,46 @@ class ExperimentSpec:
 
 @dataclass
 class RunLog:
+    """One run: its status and one column per quantity a control cycle
+    records, read as attributes (``log.u_cmd``, ``log.states`` ...)."""
+
     spec: ExperimentSpec
     status: str
-    t: np.ndarray
-    s: np.ndarray
-    states: np.ndarray    # (K, 5)
-    errors: np.ndarray    # (K, 4)
-    u_cmd: np.ndarray
-    qp_status: list
-    qp_obj: np.ndarray
-    slack_max: np.ndarray
-    solve_ms: np.ndarray
-    kkt_max: np.ndarray   # worst KKT residual per cycle (MPC only)
-    solver_path: list     # StepDiagnostics.solver_path per cycle
-    qp_iterations: np.ndarray  # exchanges + IPM iterations per cycle
-    structure_built: np.ndarray  # StepDiagnostics.structure_built per cycle
-    # phases of solve_ms per cycle (StepDiagnostics.t_*_ms)
-    t_project_ms: np.ndarray
-    t_structure_ms: np.ndarray
-    t_solve_ms: np.ndarray
     period_ms: float      # control period 1000 / MpcConfig.f_s
+    columns: dict         # by name, as from_cycles builds them
+
+    @classmethod
+    def from_cycles(cls, spec, status, period_ms, cycles) -> "RunLog":
+        """The log of ``cycles``, one (t, true state array, StepDiagnostics)
+        per control cycle."""
+        t, states, diags = zip(*cycles) if cycles else ((), (), ())
+
+        def col(name, dtype=float):
+            values = [getattr(d, name) for d in diags]
+            return values if dtype is str else np.array(values, dtype=dtype)
+
+        return cls(spec, status, period_ms, dict(
+            t=np.array(t, dtype=float), s=col("s"),
+            states=np.array(states).reshape(-1, 5),
+            errors=np.array([d.error.as_array() for d in diags]).reshape(-1, 4),
+            u_cmd=col("u_cmd"), qp_status=col("qp_status", str),
+            qp_obj=col("qp_objective"), slack_max=col("slack_max"),
+            solve_ms=col("solve_time_ms"),
+            # worst KKT residual per cycle (MPC only)
+            kkt_max=np.array([max(d.primal_residual, d.dual_residual, d.comp_residual)
+                              for d in diags], dtype=float),
+            solver_path=col("solver_path", str),
+            # exchanges + IPM iterations per cycle
+            qp_iterations=col("qp_iterations", int),
+            structure_built=col("structure_built", bool),
+            t_project_ms=col("t_project_ms"), t_structure_ms=col("t_structure_ms"),
+            t_solve_ms=col("t_solve_ms")))
+
+    def __getattr__(self, name):
+        try:
+            return self.__dict__["columns"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     def __len__(self):
         return len(self.t)
@@ -162,26 +168,35 @@ class RunLog:
         }
 
     def write_csv(self, path):
+        header, cells = [], []
+        for name, *heads in CSV_COLUMNS:
+            col = self.columns[name]
+            header += heads or [name]
+            cells += [_csv_cells(c) for c in (col.T if len(heads) > 1 else [col])]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["t_s", "s_m", "x3", "y3", "theta3", "beta3", "beta2",
-                             "z3t", "theta3t", "beta3t", "beta2t", "u_cmd",
-                             "qp_status", "qp_obj", "slack_max", "solve_ms",
-                             "solver_path", "qp_iterations", "structure_built",
-                             "t_project_ms", "t_structure_ms", "t_solve_ms"])
-            for k in range(len(self)):
-                writer.writerow([
-                    repr(float(self.t[k])), repr(float(self.s[k])),
-                    *[repr(float(v)) for v in self.states[k]],
-                    *[repr(float(v)) for v in self.errors[k]],
-                    repr(float(self.u_cmd[k])), self.qp_status[k],
-                    repr(float(self.qp_obj[k])), repr(float(self.slack_max[k])),
-                    repr(float(self.solve_ms[k])), self.solver_path[k],
-                    int(self.qp_iterations[k]), int(self.structure_built[k]),
-                    repr(float(self.t_project_ms[k])),
-                    repr(float(self.t_structure_ms[k])),
-                    repr(float(self.t_solve_ms[k])),
-                ])
+            writer.writerow(header)
+            writer.writerows(zip(*cells))
+
+
+# The run CSV's columns in order: a RunLog column, with its header where
+# that is not the column's name, or a 2-D one with a header per column
+CSV_COLUMNS = (
+    ("t", "t_s"), ("s", "s_m"),
+    ("states", "x3", "y3", "theta3", "beta3", "beta2"),
+    ("errors", "z3t", "theta3t", "beta3t", "beta2t"),
+    ("u_cmd",), ("qp_status",), ("qp_obj",), ("slack_max",), ("solve_ms",),
+    ("solver_path",), ("qp_iterations",), ("structure_built",),
+    ("t_project_ms",), ("t_structure_ms",), ("t_solve_ms",),
+)
+
+
+def _csv_cells(col) -> list:
+    """A column's CSV cells: strings as they are, ints and flags as ints, floats by repr."""
+    if isinstance(col, list):
+        return col
+    return [repr(v) for v in col.tolist()] if col.dtype == float else \
+        col.astype(int).tolist()
 
 
 def initial_state(path: NominalPath, perturbation, start_s=0.0) -> VehicleState:
@@ -225,25 +240,22 @@ def run(spec: ExperimentSpec, params, cfg: MpcConfig = None, controller=None,
         controller = make_controller(spec, params, cfg, path=path)
     path = controller.path
     dt = 1.0 / cfg.f_s
-    rng = np.random.default_rng(spec.seed) if spec.noise_std is not None else None
-    noise_std = np.asarray(spec.noise_std, dtype=float) if spec.noise_std is not None else None
+    rng = np.random.default_rng(spec.seed)
 
     state = initial_state(path, spec.perturbation, spec.start_s)
     ctrl = ControllerState(s_prev=spec.start_s)
     max_time = spec.max_time if spec.max_time is not None else \
         3.0 * (path.s_end_true - spec.start_s) + 30.0
 
-    rows = {k: [] for k in ("t", "s", "state", "err", "u", "status", "obj",
-                            "slack", "ms", "kkt", "path", "iters", "built",
-                            "t_project", "t_structure", "t_solve")}
+    cycles = []
     status = None
     conv_anchor = None
     t = 0.0
     while True:
         meas = state
-        if noise_std is not None:
+        if spec.noise_std is not None:
             meas = VehicleState.from_array(state.as_array() +
-                                           rng.normal(0.0, noise_std))
+                                           rng.normal(0.0, spec.noise_std))
         try:
             u_cmd, diag = controller.step(meas, ctrl)
         except (ProjectionLost, ValidityViolated, OutOfDomain):
@@ -253,23 +265,7 @@ def run(spec: ExperimentSpec, params, cfg: MpcConfig = None, controller=None,
             status = status or JACKKNIFED
             break
 
-        rows["t"].append(t)
-        rows["s"].append(diag.s)
-        rows["state"].append(state.as_array())
-        rows["err"].append(diag.error.as_array())
-        rows["u"].append(u_cmd)
-        rows["status"].append(diag.qp_status)
-        rows["obj"].append(diag.qp_objective)
-        rows["slack"].append(diag.slack_max)
-        rows["ms"].append(diag.solve_time_ms)
-        rows["kkt"].append(max(diag.primal_residual, diag.dual_residual,
-                               diag.comp_residual))
-        rows["path"].append(diag.solver_path)
-        rows["iters"].append(diag.qp_iterations)
-        rows["built"].append(diag.structure_built)
-        rows["t_project"].append(diag.t_project_ms)
-        rows["t_structure"].append(diag.t_structure_ms)
-        rows["t_solve"].append(diag.t_solve_ms)
+        cycles.append((t, state.as_array(), diag))
 
         # convergence bookkeeping (sustained small error over distance)
         if diag.error.inf_norm() < CONV_TOL:
@@ -304,21 +300,7 @@ def run(spec: ExperimentSpec, params, cfg: MpcConfig = None, controller=None,
             status = status or JACKKNIFED
             break
 
-    return RunLog(
-        spec=spec, status=status or TIMEOUT,
-        t=np.array(rows["t"]), s=np.array(rows["s"]),
-        states=np.array(rows["state"]).reshape(-1, 5),
-        errors=np.array(rows["err"]).reshape(-1, 4),
-        u_cmd=np.array(rows["u"]), qp_status=rows["status"],
-        qp_obj=np.array(rows["obj"]), slack_max=np.array(rows["slack"]),
-        solve_ms=np.array(rows["ms"]), kkt_max=np.array(rows["kkt"]),
-        solver_path=rows["path"],
-        qp_iterations=np.array(rows["iters"], dtype=int),
-        structure_built=np.array(rows["built"], dtype=bool),
-        t_project_ms=np.array(rows["t_project"]),
-        t_structure_ms=np.array(rows["t_structure"]),
-        t_solve_ms=np.array(rows["t_solve"]), period_ms=1e3 / cfg.f_s,
-    )
+    return RunLog.from_cycles(spec, status or TIMEOUT, 1e3 / cfg.f_s, cycles)
 
 
 def run_suite(specs, params, cfg: MpcConfig = None, out_dir=None,
@@ -339,10 +321,8 @@ def run_suite(specs, params, cfg: MpcConfig = None, out_dir=None,
                   stop_on_converged=stop_on_converged)
         summaries.append(log.summary())
         if out_dir is not None:
-            import os
             log.write_csv(os.path.join(out_dir, f"{spec.name}_{spec.controller}.csv"))
     if out_dir is not None and summaries:
-        import os
         with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(summaries[0].keys()))
             writer.writeheader()

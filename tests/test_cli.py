@@ -158,6 +158,71 @@ def test_run_config_rejects_an_oversized_path(tmp_path, capsys, path_kind):
     assert captured.out == ""
 
 
+# each once ran: a bool or a string is not a number, and a seed of 1.5
+# ran as seed 1 (u_max true meant a curvature limit of 1.0 1/m)
+@pytest.mark.parametrize("where, field, value", [
+    ("experiment", "seed", 1.5), ("experiment", "seed", "7"),
+    ("experiment", "v", True), ("experiment", "path_size", True),
+    ("experiment", "noise_std", ["0.1", "0", "0", "0", "0"]),
+    ("params", "u_max", True), ("mpc", "horizon", True)])
+def test_run_config_rejects_a_value_of_the_wrong_type(tmp_path, capsys, where,
+                                                      field, value):
+    entry = {"name": "w", "controller": "lq", "path_size": 40.0}
+    cfg = {"experiments": [entry]}
+    if where == "experiment":
+        entry[field] = value
+    else:
+        cfg[where] = {field: value}
+    f = tmp_path / "typed.json"
+    f.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(f), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and field in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_run_config_integers_run_as_their_floats(tmp_path, capsys):
+    logs = []
+    for path_size, v in ((40, -1), (40.0, -1.0)):
+        f = tmp_path / "int.json"
+        f.write_text(json.dumps({"experiments": [
+            {"name": "i", "controller": "lq", "path_size": path_size, "v": v,
+             "perturbation": [1, 0, 0, 0]}]}))
+        out = tmp_path / str(path_size)
+        assert main(["run", "--config", str(f), "--out-dir", str(out)]) == 0
+        logs.append(np.genfromtxt(out / "i_lq.csv", delimiter=",", names=True))
+    assert np.array_equal(logs[0]["u_cmd"], logs[1]["u_cmd"])
+    assert np.array_equal(logs[0]["s_m"], logs[1]["s_m"])
+
+
+# "a/b" once ran, then died writing out/a/b_lq.csv; a second "a" once
+# overwrote the first one's CSV
+@pytest.mark.parametrize("names", [["a/b"], [""], [7], ["a", "a"]])
+def test_run_config_rejects_a_bad_or_repeated_name(tmp_path, capsys, names):
+    f = tmp_path / "names.json"
+    f.write_text(json.dumps({"experiments": [
+        {"name": name, "controller": "lq", "path_size": 40.0} for name in names]}))
+    assert main(["run", "--config", str(f), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: name") and captured.out == ""
+
+
+def test_readme_run_config_passes_the_config_layer():
+    from pathlib import Path
+
+    from trailer_mpc.cli import _specs_from_config
+    from trailer_mpc.mpc import MpcConfig
+    from trailer_mpc.params import VehicleParams
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Run config (JSON)", 1)[1]
+    cfg = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    specs = _specs_from_config(cfg)
+    assert [spec.name for spec in specs] == [e["name"] for e in cfg["experiments"]]
+    MpcConfig(**cfg["mpc"])
+    VehicleParams(**cfg["params"])
+
+
 @pytest.mark.parametrize("noise_std", [0, [], 0.1, [-1, 0, 0, 0, 0]])
 def test_run_config_rejects_a_bad_noise_std(tmp_path, capsys, noise_std):
     f = tmp_path / "noise.json"
@@ -207,10 +272,8 @@ def test_region_requires_some_work(capsys):
 
 
 def test_qp_text_round_trip(tmp_path, capsys):
-    # min (y1-1)^2 + (y2-2)^2 s.t. y1 <= 0.5, y1+y2 <= 2
-    text = "2 2\n2 0\n0 2\n-2 -4\n1 0\n1 1\n-inf -inf\n0.5 2\n"
     f = tmp_path / "prob.qp"
-    f.write_text(text)
+    f.write_text(TWO_VARIABLE_QP)
     assert main(["qp", str(f)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "Optimal"
@@ -226,10 +289,21 @@ def test_qp_reports_an_unbounded_problem(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "DualInfeasible"
 
 
+# min (y1-1)^2 + (y2-2)^2 s.t. y1 <= 0.5, y1+y2 <= 2
+TWO_VARIABLE_QP = "2 2\n2 0\n0 2\n-2 -4\n1 0\n1 1\n-inf -inf\n0.5 2\n"
+
+
 def test_qp_malformed_file(tmp_path, capsys):
     f = tmp_path / "bad.qp"
-    f.write_text("2 2\n1 2 3\n")
-    assert main(["qp", str(f)]) == 2
+    # a NaN in P once ended in a LinAlgError traceback, and a NaN bound in a
+    # MaxIter answer with a NaN residual
+    for text in ("2 2\n1 2 3\n", TWO_VARIABLE_QP.replace("2 0", "nan 0"),
+                 TWO_VARIABLE_QP.replace("-inf -inf", "nan -inf"),
+                 TWO_VARIABLE_QP.replace("-2 -4", "inf -4")):
+        f.write_text(text)
+        assert main(["qp", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and captured.out == ""
 
 
 def _with_output(argv, tmp_path):
@@ -270,8 +344,16 @@ def test_bad_params_file_is_a_config_error(tmp_path, capsys, command, content):
     ["path", "--eight", "nan"],
     ["region", "--sensing", "--fit", "--spacing-deg", "30", "--margin", "nan"],
     ["region", "--sensing", "--fit", "--spacing-deg", "30", "--margin=-1"],
+    # each once reported the solvable QP as MaxIter
+    ["qp", "--tol", "nan"],
+    ["qp", "--tol=-1"],
 ])
-def test_bad_grid_or_step_option_is_a_config_error(tmp_path, capsys, argv):
+def test_bad_grid_or_step_option_is_a_config_error(tmp_path, tmp_path_factory,
+                                                   capsys, argv):
+    if argv[0] == "qp":
+        qp_file = tmp_path_factory.mktemp("qp") / "prob.qp"
+        qp_file.write_text(TWO_VARIABLE_QP)
+        argv = ["qp", str(qp_file), *argv[1:]]
     assert main(_with_output(argv, tmp_path)) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not any(tmp_path.iterdir())

@@ -106,12 +106,15 @@ def test_config_validation():
                 dict(delta_s=math.inf), dict(u_max=math.nan),
                 dict(udot_max=math.inf), dict(slack_linear=math.inf),
                 dict(slack_quad=math.nan), dict(qbar=np.full(8, math.nan)),
-                dict(qbar=np.full(8, math.inf))):
+                dict(qbar=np.full(8, math.inf)),
+                # a bool or a string is not a number
+                dict(horizon=True), dict(u_max=True), dict(f_s="20"),
+                dict(qbar=["0.1"] * 8), dict(qbar=[True] * 8)):
         with pytest.raises(ValueError):
             MpcConfig(**bad)
     MpcConfig(slack_linear=0.0, slack_quad=0.0)   # only negative ones fail
     for name in ("L1", "L2", "L3", "M1", "u_max", "udot_max", "La", "b"):
-        for value in (math.nan, math.inf, -math.inf):
+        for value in (math.nan, math.inf, -math.inf, True, "1.0"):
             with pytest.raises(ValueError, match=name):
                 VehicleParams(**{name: value})
 
@@ -557,7 +560,6 @@ def test_step_hands_over_to_the_ipm(params, straight_back):
     u_cmd, diag = controller.step(VehicleState(0.0, 5.6, 0.0, 0.0, 0.0), ctrl)
     assert diag.solver_path == "ipm"
     assert diag.qp_status == "Optimal"
-    assert not diag.fallback
     assert max(diag.primal_residual, diag.dual_residual,
                diag.comp_residual) <= mpc_mod.QP_TOL
     assert 1 <= diag.qp_iterations <= qp_mod.EXCHANGE_CAP + IPM_MAX_ITER
@@ -578,7 +580,7 @@ def test_lq_fallback_is_reported_and_logged(params, straight_back, monkeypatch,
     state = VehicleState(0.0, 0.5, 0.0, 0.0, 0.0)
     with caplog.at_level("WARNING", logger="trailer_mpc.mpc"):
         u_cmd, diag = controller.step(state, ctrl)
-    assert diag.solver_path == "lq_fallback" and diag.fallback
+    assert diag.solver_path == "lq_fallback"
     assert diag.qp_status != "Optimal"
     assert diag.primal_residual == 1.0
     assert 1 <= diag.qp_iterations <= qp_mod.EXCHANGE_CAP + IPM_MAX_ITER

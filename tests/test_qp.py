@@ -146,6 +146,16 @@ def test_validate_catches_shape_and_bound_errors():
                      np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         prob.validate()
+    # NaN or inf in the data, NaN or a bound that no row value meets
+    ok = dict(P=np.eye(2), q=np.zeros(2), A=np.eye(2), l=np.full(2, -np.inf),
+              u=np.full(2, np.inf))
+    QpProblem(**ok).validate()
+    for name, bad in (("P", np.diag([np.nan, 1.0])), ("q", np.array([np.inf, 0.0])),
+                      ("A", np.array([[1.0, -np.inf], [0.0, 1.0]])),
+                      ("l", np.array([np.nan, 0.0])), ("u", np.array([0.0, np.nan])),
+                      ("l", np.array([np.inf, 0.0])), ("u", np.array([-np.inf, 0.0]))):
+        with pytest.raises(ValueError):
+            QpProblem(**{**ok, name: bad}).validate()
 
 
 def test_row_structure():

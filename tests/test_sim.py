@@ -8,6 +8,7 @@ from trailer_mpc import ExperimentSpec, initial_state, paper_suite, run, run_sui
 from trailer_mpc.error_model import compute_error
 from trailer_mpc.exceptions import ValidityViolated
 from trailer_mpc.mpc import MpcConfig
+from trailer_mpc.sim import CSV_COLUMNS, RunLog
 
 
 def test_initial_state_round_trips_through_error(params, straight_back):
@@ -75,6 +76,19 @@ def test_run_log_csv(tmp_path, params):
                          usecols=("t_s", "s_m", "u_cmd"))
     assert len(data) == len(log)
     assert np.allclose(data["u_cmd"], log.u_cmd)
+
+
+def test_run_log_without_a_cycle(tmp_path):
+    # a run whose first cycle fails still has every column, and a CSV header
+    spec = ExperimentSpec(name="none", path_kind="straight", path_size=40.0,
+                          controller="lq")
+    log = RunLog.from_cycles(spec, "ValidityLost", 50.0, [])
+    assert len(log) == 0 and log.states.shape == (0, 5) and log.solver_path == []
+    assert log.summary()["n_structure_builds"] == 0
+    log.write_csv(tmp_path / "none.csv")
+    header = (tmp_path / "none.csv").read_text().splitlines()
+    assert header == [",".join(h for name, *heads in CSV_COLUMNS
+                               for h in heads or [name])]
 
 
 def test_run_suite_summary(tmp_path, params):
@@ -226,20 +240,26 @@ def test_run_log_counts_the_hot_started_cycles(tmp_path, params):
 def test_noise_std_must_be_five_finite_non_negative_numbers():
     spec = dict(name="n", path_kind="straight", path_size=40.0,
                 controller="mpc")
-    assert ExperimentSpec(**spec, noise_std=[0, 0.1, 0, 0, 0]).noise_std == \
-        (0.0, 0.1, 0.0, 0.0, 0.0)
+    made = ExperimentSpec(**spec, noise_std=[0, 0.1, 0, 0, 0],
+                          perturbation=np.array([1, 0, 0, 0]))
+    assert made.noise_std == (0.0, 0.1, 0.0, 0.0, 0.0)
+    # both stored as tuples of floats
+    assert made.perturbation == (1.0, 0.0, 0.0, 0.0)
+    assert all(type(v) is float for v in made.noise_std + made.perturbation)
     for bad in (0, [], 0.1, [-1, 0, 0, 0, 0], [0, 0, 0, 0, math.inf],
-                [0, 0, 0, 0], "01234"):
+                [0, 0, 0, 0], "01234", ["0.1", 0, 0, 0, 0], [False] * 5):
         with pytest.raises(ValueError, match="noise_std"):
             ExperimentSpec(**spec, noise_std=bad)
 
 
 @pytest.mark.parametrize("field, bad", [
-    ("v", (0.5, 0.0, 2.0, "-1")),
-    ("path_size", (-30.0, 0.0, math.inf, math.nan)),
-    ("start_s", (-0.2, math.inf, math.nan, "0")),
-    ("max_time", ("abc", 0.0, -1.0, math.inf, math.nan)),
-    ("seed", (-1, 1.5)),
+    ("v", (0.5, 0.0, 2.0, "-1", True)),
+    ("path_size", (-30.0, 0.0, math.inf, math.nan, True, "40")),
+    ("start_s", (-0.2, math.inf, math.nan, "0", False)),
+    ("max_time", ("abc", 0.0, -1.0, math.inf, math.nan, True)),
+    ("seed", (-1, 1.5, "7", True)),
+    ("perturbation", ([0.5, 0.0, 0.0], ["1", 0, 0, 0], [True, 0, 0, 0], 0.5)),
+    ("name", ("", "a/b", "a\\b", 7, None)),
 ])
 def test_spec_rejects_a_bad_value_before_anything_runs(field, bad):
     spec = dict(name="b", path_kind="straight", path_size=40.0,
