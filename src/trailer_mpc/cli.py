@@ -32,6 +32,11 @@ RUNTIME_ERROR = 1
 # the keys a run config and each of its experiments may hold
 CONFIG_KEYS = {"experiments", "params", "params_file", "mpc", "out_dir"}
 EXPERIMENT_KEYS = {f.name for f in dataclasses.fields(ExperimentSpec)}
+# a run config's defaults for ExperimentSpec fields that have none, and the
+# fields an experiment must give
+EXPERIMENT_DEFAULTS = {"path_kind": "straight", "path_size": 120.0}
+EXPERIMENT_REQUIRED = {f.name for f in dataclasses.fields(ExperimentSpec)
+                       if f.default is dataclasses.MISSING} - EXPERIMENT_DEFAULTS.keys()
 
 
 class _ConfigError(Exception):
@@ -94,12 +99,24 @@ def _reject_unknown(keys, known, where):
 
 def _specs_from_config(cfg_dict):
     """The config's experiments as ExperimentSpecs, from the values as given."""
+    if not isinstance(cfg_dict, dict):
+        raise ValueError("the config must be a JSON object")
     _reject_unknown(cfg_dict, CONFIG_KEYS, "config")
+    for key in ("out_dir", "params_file"):
+        if key in cfg_dict and not (isinstance(cfg_dict[key], str) and cfg_dict[key]):
+            raise ValueError(f"{key} must be a non-empty string, got {cfg_dict[key]!r}")
+    experiments = cfg_dict.get("experiments", [])
+    if not isinstance(experiments, list):
+        raise ValueError(f"experiments must be a list, got {experiments!r}")
     specs = []
-    for entry in cfg_dict.get("experiments", []):
+    for i, entry in enumerate(experiments):
+        if not isinstance(entry, dict):
+            raise ValueError(f"experiments[{i}] must be an object, got {entry!r}")
         _reject_unknown(entry, EXPERIMENT_KEYS, "experiment")
-        spec = ExperimentSpec(**{"path_kind": "straight", "path_size": 120.0,
-                                 **entry})
+        missing = sorted(EXPERIMENT_REQUIRED - entry.keys())
+        if missing:
+            raise ValueError(f"experiments[{i}] has no {', '.join(missing)}")
+        spec = ExperimentSpec(**{**EXPERIMENT_DEFAULTS, **entry})
         if any((s.name, s.controller) == (spec.name, spec.controller) for s in specs):
             raise ValueError(f"name {spec.name!r} repeats for controller {spec.controller!r}")
         specs.append(spec)
@@ -151,6 +168,21 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _sweep_progress():
+    """A ``stability_sweep`` progress callback that prints one line to
+    stderr per further tenth of the cells finished: 11 lines at most."""
+    printed = -1
+
+    def report(done, total):
+        nonlocal printed
+        tenth = 10 * done // total
+        if tenth > printed:
+            printed = tenth
+            print(f"stability sweep: {done} of {total} cells finished",
+                  file=sys.stderr, flush=True)
+    return report
+
+
 def cmd_region(args) -> int:
     # --fit alone computes both grids
     both = args.fit and not (args.sensing or args.stability)
@@ -174,7 +206,8 @@ def cmd_region(args) -> int:
         grid = sensing_region(params, b3_axis, b2_axis)
     if stability:
         stab = stability_sweep(params, MpcConfig(), b3_axis, b2_axis,
-                               distance=args.distance)
+                               distance=args.distance,
+                               progress=_sweep_progress())
         grid = merge(grid, stab) if grid is not None else stab
     grid_file = os.path.join(out_dir, "region_grid.csv")
     grid.write_csv(grid_file)

@@ -109,7 +109,7 @@ def sensing_region(params, beta3_axis, beta2_axis) -> RegionGrid:
 
 
 def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
-                    beta2_axis=None, distance=150.0) -> RegionGrid:
+                    beta2_axis=None, distance=150.0, progress=None) -> RegionGrid:
     """Closed-loop MPC stability over a grid of initial joint angles.
 
     Backward straight path, no joint-angle constraints (curvature box and
@@ -117,8 +117,15 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
     below 0.02 within the distance budget without jackknifing or leaving the
     error model's valid domain.  The straight path makes every cycle's QP
     share one (P, A) pair, so each cell's active set carries over between
-    cycles and most solves finish in one exchange.  The map is odd-symmetric
-    in (beta3, beta2); only half the grid is simulated and the rest mirrored.
+    cycles and most solves finish in one exchange, and the solves share one
+    cache of working-set factorizations (:class:`qp.FactorCache`).  The map
+    is odd-symmetric in (beta3, beta2); only half the grid is simulated and
+    the rest mirrored.
+
+    ``progress``, when given, is called as ``progress(done, total)`` after
+    every control cycle of the sweep with the number of simulated cells
+    finished so far, and once more with ``done == total`` when the sweep
+    ends.
     """
     from .qp import soft_qp_solve
 
@@ -153,6 +160,8 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
     u_prev = np.zeros(K)
     warm_y = np.zeros((N, K))
     warm_sets = [None] * K
+    # each cycle moves only the per-cycle slew row's bounds
+    chain = _chain_bounds(struct, struct.l, struct.u)
 
     # immediate jackknife / singularity at t = 0
     bad0 = (np.abs(X[3]) > JACKKNIFE_ANGLE) | (np.abs(X[4]) > JACKKNIFE_ANGLE)
@@ -185,12 +194,13 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
             u_c = struct.u.copy()
             l_c[struct.row_slew0] = u_prev[col] - delta_cycle
             u_c[struct.row_slew0] = u_prev[col] + delta_cycle
-            ut = _feasible_inputs(struct, l_c, u_c, warm_y[:, col])
+            ut = _feasible_inputs(struct, l_c, u_c, warm_y[:, col], chain)
             res = None
             if ut is not None:
                 res = soft_qp_solve(Pu, q[:, c], A_qp, l_c, u_c, G_empty,
                                     b_empty, 0.0, 1.0, ut, struct.single_col,
-                                    warm=warm_sets[col])
+                                    warm=warm_sets[col],
+                                    factors=struct.factors)
             if res is None:
                 warm_sets[col] = None
                 u_cmd[c] = -float(K_gain @ err_a[:, c])
@@ -218,7 +228,12 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
         jack = singular | (np.abs(Xa[3]) > JACKKNIFE_ANGLE) | \
             (np.abs(Xa[4]) > JACKKNIFE_ANGLE) | ~np.all(np.isfinite(Xa), axis=0)
         alive[a[jack]] = False
+        if progress is not None:
+            progress(K - int(np.count_nonzero(alive)), K)
 
+    if progress is not None:
+        # cells still running when the cycles run out are finished too
+        progress(K, K)
     stable = np.zeros((len(beta3_axis), len(beta2_axis)), dtype=bool)
     stable[idx[:, 0], idx[:, 1]] = stable_flat
     # mirror (beta3, beta2) -> (-beta3, -beta2): the straight-path closed loop
@@ -228,17 +243,26 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
                       stable, np.zeros_like(stable))
 
 
-def _feasible_inputs(struct, l_in, u_in, guess):
+def _chain_bounds(struct, l_in, u_in):
+    """(lo_box, hi_box, lo_slew, hi_slew): the bounds (l_in, u_in) of the
+    box rows and of the slew chain of the condensed structure ``struct``,
+    as lists of plain floats (the chain is sequential, and scalar numpy
+    indexing costs more than the arithmetic).  The first slew entries, the
+    per-cycle slew row's, are never read."""
+    N = struct.n_inputs
+    return (l_in[:N].tolist(), u_in[:N].tolist(), l_in[N:2 * N].tolist(),
+            u_in[N:2 * N].tolist())
+
+
+def _feasible_inputs(struct, l_in, u_in, guess, chain=None):
     """A point satisfying the box rows and the slew chain of the condensed
     structure ``struct`` under the bounds (l_in, u_in), built by clipping
     the guess forward through the chain; None if a link of the chain
-    closes."""
-    N = struct.n_inputs
+    closes.  ``chain`` takes the :func:`_chain_bounds` of bounds that agree
+    with (l_in, u_in) outside the per-cycle slew row, read once for many
+    calls; by default they are read from (l_in, u_in)."""
     r0 = struct.row_slew0
-    # plain floats: the chain is sequential, and scalar numpy indexing
-    # costs more than the arithmetic
-    lo_box, hi_box = l_in[:N].tolist(), u_in[:N].tolist()
-    lo_slew, hi_slew = l_in[N:2 * N].tolist(), u_in[N:2 * N].tolist()
+    lo_box, hi_box, lo_slew, hi_slew = chain or _chain_bounds(struct, l_in, u_in)
     g = guess.tolist()
     lo = max(lo_box[0], float(l_in[r0]))
     hi = min(hi_box[0], float(u_in[r0]))
@@ -246,12 +270,23 @@ def _feasible_inputs(struct, l_in, u_in, guess):
         return None
     prev = min(max(g[0], lo), hi)
     ut = [prev]
-    for k in range(1, N):
-        lo = max(lo_box[k], prev + lo_slew[k])
-        hi = min(hi_box[k], prev + hi_slew[k])
+    # the links spell out max(lo_box[k], prev + lo_slew[k]),
+    # min(hi_box[k], prev + hi_slew[k]) and min(max(g[k], lo), hi), which
+    # cost more as calls than the comparisons; each keeps the first operand
+    # on a tie, as max and min do
+    for lo_b, hi_b, lo_s, hi_s, g_k in zip(lo_box[1:], hi_box[1:],
+                                            lo_slew[1:], hi_slew[1:], g[1:]):
+        lo = prev + lo_s
+        if not lo > lo_b:
+            lo = lo_b
+        hi = prev + hi_s
+        if not hi < hi_b:
+            hi = hi_b
         if lo > hi:
             return None
-        prev = min(max(g[k], lo), hi)
+        prev = lo if lo > g_k else g_k
+        if hi < prev:
+            prev = hi
         ut.append(prev)
     return np.array(ut)
 

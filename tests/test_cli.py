@@ -207,6 +207,43 @@ def test_run_config_rejects_a_bad_or_repeated_name(tmp_path, capsys, names):
     assert captured.err.startswith("config error: name") and captured.out == ""
 
 
+# "params_file": 5 once opened file descriptor 5, and "out_dir": 5 ended
+# in a TypeError traceback with exit 1
+@pytest.mark.parametrize("key, value", [
+    ("out_dir", 5), ("out_dir", ""), ("out_dir", ["out"]), ("out_dir", None),
+    ("params_file", 5), ("params_file", ""), ("params_file", True)])
+def test_run_config_rejects_a_bad_file_name(tmp_path, capsys, key, value):
+    f = tmp_path / "files.json"
+    f.write_text(json.dumps({key: value, "experiments": [
+        {"name": "f", "controller": "lq", "path_size": 40.0}]}))
+    assert main(["run", "--config", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {key} must be a non-empty string")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+# each once exited 2 with Python's message ("'int' object is not
+# iterable", "ExperimentSpec.__init__() missing ...") instead of the field
+@pytest.mark.parametrize("cfg, field", [
+    ([], "the config must be a JSON object"),
+    ({"experiments": 5}, "experiments must be a list"),
+    ({"experiments": {"name": "x"}}, "experiments must be a list"),
+    ({"experiments": [5]}, "experiments[0] must be an object"),
+    ({"experiments": [{"name": "a", "controller": "lq"}, "b"]},
+     "experiments[1] must be an object"),
+    ({"experiments": [{"controller": "lq"}]}, "experiments[0] has no name"),
+    ({"experiments": [{"name": "c"}]}, "experiments[0] has no controller"),
+    ({"experiments": [{"path_size": 40.0}]},
+     "experiments[0] has no controller, name")])
+def test_run_config_names_a_malformed_experiment(tmp_path, capsys, cfg, field):
+    f = tmp_path / "shape.json"
+    f.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {field}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def test_readme_run_config_passes_the_config_layer():
     from pathlib import Path
 
@@ -265,6 +302,28 @@ def test_region_fit_alone_computes_both_grids(tmp_path, capsys):
     assert np.array_equal(data["visible"].astype(bool), visible.ravel())
     assert np.array_equal(data["stable"].astype(bool), stable.ravel())
     assert stable.any() and visible.any()
+
+
+def test_region_stability_prints_progress_to_stderr_only(tmp_path, capsys):
+    from trailer_mpc import MpcConfig, VehicleParams, make_axes, stability_sweep
+
+    grid_file = tmp_path / "region_grid.csv"
+    assert main(["region", "--stability", "--spacing-deg", "15", "--distance",
+                 "20", "--out-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {grid_file}\n"
+    lines = captured.err.splitlines()
+    # one line per further tenth of the cells finished
+    assert 2 <= len(lines) <= 11
+    done = [int(line.split()[2]) for line in lines]
+    total = int(lines[-1].split()[4])
+    assert all(line.startswith("stability sweep: ") for line in lines)
+    assert done == sorted(set(done)) and done[-1] == total
+    b3, b2 = make_axes(15.0)
+    stable = stability_sweep(VehicleParams(), MpcConfig(), b3, b2,
+                             distance=20.0).stable
+    data = np.genfromtxt(grid_file, delimiter=",", names=True)
+    assert np.array_equal(data["stable"].astype(bool), stable.ravel())
 
 
 def test_region_requires_some_work(capsys):

@@ -24,8 +24,9 @@ from hypothesis import strategies as st
 from trailer_mpc import MpcConfig, MpcController, VehicleParams
 from trailer_mpc.mpc import QP_TOL
 from trailer_mpc.paths import generate_straight
-from trailer_mpc.qp import (EXCHANGE_CAP, IPM_MAX_ITER, _solve_active,
-                            certified_solve, soft_qp_solve)
+from trailer_mpc.qp import (ACTIVE_CACHE_SIZE, EXCHANGE_CAP, IPM_MAX_ITER,
+                            FactorCache, _solve_active, certified_solve,
+                            soft_qp_solve)
 from trailer_mpc.regions import _feasible_inputs
 
 PINS = pathlib.Path(__file__).parent / "data" / "qp_kernel_pins.json"
@@ -140,6 +141,38 @@ def test_pinned_cases_exercise_the_kernel():
     # cold starts take several exchanges, warm follow-ups few
     assert max(v["iterations"] for v in solved.values()) >= 10
     assert min(v["iterations"] for k, v in solved.items() if k.endswith("w")) <= 3
+
+
+def _answer_bytes(res):
+    """x, hard-row duals, working set and iteration count of a
+    soft_qp_solve answer, as bytes."""
+    if res is None:
+        return None
+    x, _, mu, _, _, sets, iters = res
+    return (x.tobytes(), mu.tobytes(), sets[0].tobytes(), sets[1].tobytes(),
+            iters)
+
+
+def test_factor_cache_gives_the_uncached_bits():
+    # the pinned cases twice through one cache, the second pass partly from
+    # kept factorizations; the cold cases visit more working sets than the
+    # cache holds, so it evicts
+    probs = cases()
+    cache = FactorCache(probs[0][1]["P"])
+    seen = set()
+    for _ in range(2):
+        done = {}
+        for name, prob, warm_from in probs:
+            warm = done.get(warm_from)
+            args = [prob[k] for k in ("P", "q", "A", "l", "u", "G", "b",
+                                      "sig1", "sig2", "x0", "single_col")]
+            plain = soft_qp_solve(*args, warm=warm)
+            cached = soft_qp_solve(*args, warm=warm, factors=cache)
+            assert _answer_bytes(cached) == _answer_bytes(plain), name
+            assert len(cache._active) <= ACTIVE_CACHE_SIZE
+            seen.update(cache._active)
+            done[name] = None if plain is None else plain[5]
+    assert len(seen) > ACTIVE_CACHE_SIZE
 
 
 @pytest.mark.parametrize("name", ["soft1", "soft2"])

@@ -6,7 +6,9 @@ import pytest
 from trailer_mpc import (RegionGrid, fit_inner_polytope, make_axes, merge,
                          sensing_region, stability_sweep)
 from trailer_mpc.exceptions import EmptyRegion
-from trailer_mpc.mpc import MpcConfig
+from trailer_mpc.mpc import MpcConfig, MpcController
+from trailer_mpc.paths import generate_straight
+from trailer_mpc.regions import _chain_bounds, _feasible_inputs
 
 
 def test_make_axes():
@@ -55,6 +57,66 @@ def test_stability_sweep_small_grid(params):
     assert grid.stable[mid, mid]                       # origin is stable
     assert np.array_equal(grid.stable, grid.stable[::-1, ::-1])
     assert grid.stable.sum() < grid.stable.size        # the region is bounded
+
+
+def test_stability_sweep_reports_progress_without_changing_labels(params):
+    b3, b2 = make_axes(30.0)
+    reports = []
+    grid = stability_sweep(params, MpcConfig(), b3, b2, distance=60.0,
+                           progress=lambda done, total: reports.append((done, total)))
+    plain = stability_sweep(params, MpcConfig(), b3, b2, distance=60.0)
+    assert np.array_equal(grid.stable, plain.stable)
+    done = [d for d, _ in reports]
+    # the simulated half grid: beta3 > 0, and the beta3 = 0, beta2 >= 0 ray
+    total = len(b3) * (len(b2) // 2) + len(b2) // 2 + 1
+    assert {t for _, t in reports} == {total}
+    assert len(reports) > 2 and done == sorted(done) and done[-1] == total
+    assert done[0] < total
+
+
+def _feasible_inputs_reference(struct, l_in, u_in, guess):
+    """The clipped chain with max and min, as _feasible_inputs spells
+    them out."""
+    N, r0 = struct.n_inputs, struct.row_slew0
+    lo = max(l_in[0], l_in[r0])
+    hi = min(u_in[0], u_in[r0])
+    if lo > hi:
+        return None
+    ut = [min(max(guess[0], lo), hi)]
+    for k in range(1, N):
+        lo = max(l_in[k], ut[-1] + l_in[N + k])
+        hi = min(u_in[k], ut[-1] + u_in[N + k])
+        if lo > hi:
+            return None
+        ut.append(min(max(guess[k], lo), hi))
+    return np.array(ut)
+
+
+def test_feasible_inputs_equal_the_max_min_chain(params):
+    cfg = MpcConfig()
+    struct = MpcController(params, generate_straight(40.0, -1.0, cfg.delta_s),
+                           cfg, use_polytope=False)._structure(0)
+    chain = _chain_bounds(struct, struct.l, struct.u)
+    rng = np.random.default_rng(7)
+    closed = 0
+    for _ in range(300):
+        l, u = struct.l.copy(), struct.u.copy()
+        # previous commands beyond the curvature box close the first link
+        u_prev = rng.uniform(-1.5, 1.5) * cfg.u_max
+        l[struct.row_slew0] = u_prev - cfg.udot_max / cfg.f_s
+        u[struct.row_slew0] = u_prev + cfg.udot_max / cfg.f_s
+        # guesses on the box bounds and between, so that ties occur
+        guess = rng.choice([-cfg.u_max, 0.0, cfg.u_max], struct.n_inputs)
+        guess = np.where(rng.random(struct.n_inputs) < 0.5, guess,
+                         rng.uniform(-0.3, 0.3, struct.n_inputs))
+        want = _feasible_inputs_reference(struct, l, u, guess)
+        for got in (_feasible_inputs(struct, l, u, guess),
+                    _feasible_inputs(struct, l, u, guess, chain)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.tobytes() == want.tobytes()
+        closed += want is None
+    assert 0 < closed < 300
 
 
 def test_merge_requires_matching_axes(params):
