@@ -505,8 +505,7 @@ class MpcController:
                 if 0 < d < N else None
         sol, path, sets = certified_solve(
             struct.P_uu, q, struct.A_in, l, u, struct.G, b, cfg.slack_linear,
-            cfg.slack_quad, QP_TOL, single_col=struct.single_col, hot=hot,
-            factors=struct.factors)
+            cfg.slack_quad, QP_TOL, hot=hot, factors=struct.factors)
         ctrl.hot = HotStart(l, u, b, sol, sets) if path else None
         ctrl.hot_struct, ctrl.hot_base = struct, base
         t_solve = time.perf_counter()

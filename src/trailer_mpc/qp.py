@@ -13,8 +13,10 @@ parametric homotopy (:func:`parametric_solve`), runs from the caller's hot
 start, then as the crossover after a capped Mehrotra interior point
 (:func:`soft_ipm_solve`) from its working set (:func:`auxiliary_hot`).  A
 homotopy keeps one factorization of its working set for its whole path
-(:class:`_WorkingFactor`: a QR of the working rows, updated by one row per
-breakpoint, and a Cholesky of the reduced Hessian).  Each answer is
+(:class:`_WorkingFactor`: one QR of all working rows, box rows that pin an
+input among them, updated by one row per breakpoint, and a Cholesky of the
+reduced Hessian), and lets a soft row pass its kink without entering it.
+Each answer is
 certified by :func:`soft_kkt_residuals` on the lifted problem over
 (x, slacks) without forming it; when none passes, the status says whether
 the problem is primal or dual infeasible.  Without a hot start,
@@ -319,7 +321,7 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     """
     if hot is not None:
         return parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
-                                single_col, max_iter, factors)[0]
+                                max_iter, factors)[0]
     if G.shape[0]:
         raise ValueError("soft rows need a hot start: without one "
                          "soft_qp_solve solves hard rows only")
@@ -430,9 +432,9 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
 IPM_MAX_ITER = 30
 # Breakpoint cap of each homotopy of certified_solve: the hot start (on the
 # last answer's structure or shifted onto a new one) and the crossover after
-# the IPM.  At seed 0 the six paper MPC runs hand 14 cycles over to the IPM
-# uncapped (1/2/1/6/1/3, the first cycle of each run among them; no
-# homotopy needs more than 28 breakpoints), 23 at a cap of 20 and 88 at 10.
+# the IPM.  At seed 0 the six paper MPC runs hand only their first cycle over
+# to the IPM uncapped, as at this cap (no homotopy needs more than 28
+# breakpoints); at a cap of 20 they hand over 16 cycles and at 10, 86.
 # A breakpoint costs about 0.2 ms and a handover 10-20 ms, so a path that
 # runs to the cap still costs less than the handover it replaces.
 EXCHANGE_CAP = 30
@@ -486,8 +488,9 @@ class FactorCache:
     For the homotopy: P's Cholesky factor, computed on first use (upper,
     for ``potrs``; None when P is not numerically positive definite), which
     the homotopy's equality solve is whenever no row is working, and the
-    working-set factorization the last homotopy ended on, which the next
-    one takes when it starts from the same working set.  A condensed
+    working-set factorization the last homotopy ended on (its factored and
+    left-out rows, Q, R and the factored rows), which the next one takes
+    when it starts from the same working set.  A condensed
     structure keeps one, so that a cycle hot-started on the last answer's
     structure factors neither P nor that answer's working set again.
 
@@ -554,84 +557,53 @@ class _WorkingFactor:
     Comp. 2014).
 
     Rows are numbered over the hard rows ``A``, then the soft rows ``G``
-    (a soft row in the working set is a kink row, G_i x = b_i).  As in
-    :func:`_solve_active`, a working hard row with a single nonzero pins its
-    variable, which is eliminated; the first such row of a column pins it
-    and any other stays at dual 0.  The other working rows, the general
-    rows W, are kept on the free variables in a full QR factorization of
-    their transpose, W_F' = Q R, which scipy's ``qr_insert`` /
-    ``qr_delete`` update when a general row enters or leaves (a column) and
-    when a variable is freed or pinned (a row).  The trailing columns Z of Q
-    span the null space of W_F, and a solve factors the reduced Hessian
-    Z' P_FF Z by Cholesky: it is 0-3 wide when the slew chain is
-    saturated, and P itself when no row is working and no soft row is
-    eliminated.  A row enters only when it is independent of the working
-    rows (:meth:`enter`, :meth:`combination`).  Of the starting working
-    set, a general row that depends on the others is left out with dual 0,
-    and taken in again once a row leaves or a variable is freed.  The
-    objective is the soft QP's with the eliminated soft rows folded in
-    (:func:`_fold`, :meth:`fold`).  A :class:`FactorCache` (``cache``) may
-    keep P's factor and hand the factorization from one homotopy to the
-    next (:meth:`keep`).
+    (a soft row in the working set is a kink row, G_i x = b_i).  Every
+    working row, a box row that pins its variable included, is a column of
+    one full QR factorization of the working rows' transpose, W' = Q R,
+    which scipy's ``qr_insert`` / ``qr_delete`` update when a row enters
+    or leaves.  The trailing columns Z of Q span the null space
+    of W, and a solve factors the reduced Hessian Z'PZ by Cholesky: it is
+    0-3 wide when the slew chain is saturated, and P itself when no row is
+    working and no soft row is eliminated.  A row enters only when it is
+    independent of the working rows (:meth:`enter`, :meth:`combination`).
+    Of the starting working set, a row that depends on the others (a
+    second bound on a pinned variable among them) is left out with dual 0,
+    and taken in again once a row leaves.  The objective is the soft QP's
+    with the eliminated soft rows folded in (:func:`_fold`, :meth:`fold`).
+    A :class:`FactorCache` (``cache``) may keep P's factor and hand the
+    factorization from one homotopy to the next (:meth:`keep`).
     """
 
-    def __init__(self, P, q, A, G, b, sig1, sig2, elim, single_col, hard,
-                 kink, values, cache=None):
+    def __init__(self, P, q, A, G, b, sig1, sig2, elim, hard, kink, values,
+                 cache=None):
         n, mh = len(q), A.shape[0]
         self.n, self.mh, self.m = n, mh, mh + G.shape[0]
         self.P0, self.q0 = P, q
         self.P, self.q = _fold(P, q, G, b, sig1, sig2, elim)
         self.n_elim = int(np.count_nonzero(elim))
-        self.A, self.G, self.single_col = A, G, single_col
+        self.A, self.G = A, G
         self.gq = sig1 - 2.0 * sig2 * b   # a folded soft row's linear term
         self.sig2 = sig2
         self.cache = cache
-        # working row -> its right-hand side, pinned column -> its working
-        # pin rows in ascending order, the first pinning it
-        rows = np.concatenate([hard, mh + kink]).tolist()
-        self.value = dict(zip(rows, values.tolist()))
-        self.xfix = np.zeros(n)
-        kept = cache.take(tuple(rows)) if cache is not None else None
+        # working row -> its right-hand side
+        rows = np.concatenate([hard, mh + kink])
+        self.value = dict(zip(rows.tolist(), values.tolist()))
+        self.wval = np.empty(n)
+        kept = cache.take(tuple(rows.tolist())) if cache is not None else None
         if kept is not None:
             # the last homotopy's factorization of this working set
-            (self.pins, self.pin_row, self.apin, self.gen, self.dep, Q, R,
-             self.W) = kept
-        else:
-            self.pins = {}
-            self.pin_row = np.full(n, -1, dtype=np.intp)
-            self.apin = np.zeros(n)
-            pin = single_col[hard] >= 0
-            for i in hard[pin].tolist():
-                self.pins.setdefault(int(single_col[i]), []).append(i)
-        for j, pins in self.pins.items():
-            self._set_pin(j, pins[0])
-        self._refree()
-        self.wval = np.empty(n)
-        if kept is not None:
+            self.gen, self.dep, Q, R, self.W = kept
             self._set_qr(Q, R)
             self.wval[:len(self.gen)] = [self.value[i] for i in self.gen]
         else:
-            self.W = np.empty((n, n))   # the general rows, R's column order
-            self._factor(np.concatenate([hard[~pin], mh + kink]))
+            self.W = np.empty((n, n))   # the factored rows, R's column order
+            self._factor(rows)
 
     def keep(self):
         """Hand the factorization of the working set to the cache."""
         if self.cache is not None:
             self.cache.keep(tuple(sorted(self.value)),
-                            (self.pins, self.pin_row, self.apin, self.gen,
-                             self.dep, self.Q, self.R, self.W))
-
-    def _vec(self, i):
-        return self.A[i] if i < self.mh else self.G[i - self.mh]
-
-    def _is_pin(self, i):
-        return i < self.mh and self.single_col[i] >= 0
-
-    def _set_pin(self, j, i):
-        self.pin_row[j] = i
-        self.apin[j] = self.A[i, j]
-        self.xfix[j] = self.value[i] / self.apin[j]
-        self._obj = None
+                            (self.gen, self.dep, self.Q, self.R, self.W))
 
     def _set_qr(self, Q, R):
         """Take the factors Q and R, and R's leading square block R1 in
@@ -639,105 +611,65 @@ class _WorkingFactor:
         self.Q, self.R = Q, R
         self.R1 = None if R is None else np.asfortranarray(R[:R.shape[1]])
 
-    def _refree(self):
-        self.free = (self.pin_row < 0).nonzero()[0]
-        self.fixed = (self.pin_row >= 0).nonzero()[0]
-        # the objective's parts on the free and pinned variables, gathered
-        # by the next solve while the pins and the folds stay
-        self._obj = None
-
     def _factor(self, rows):
-        """Factor the general ``rows`` (hard rows first) from scratch, by a
+        """Factor the working ``rows`` (hard rows first) from scratch, by a
         QR with column pivoting that leaves out the rows depending on the
         others.  Thin LAPACK calls: at these sizes scipy's ``qr`` wrapper
         costs more than the factorization."""
-        # the factorized general rows, in R's column order, and the rows
-        # left out as dependent
+        # the factorized rows, in R's column order, and the rows left out
+        # as dependent
         self.gen, self.dep = [], []
         self._set_qr(None, None)
         if not len(rows):
             return
-        mh, nf = self.mh, len(self.free)
+        mh, n = self.mh, self.n
         soft = rows >= mh
         Wc = np.concatenate([self.A[rows[~soft]], self.G[rows[soft] - mh]]) \
             if soft.any() else self.A[rows]
-        if not nf:
-            self.dep = rows.tolist()
-            return
-        a, piv, tau = _geqp3((Wc[:, self.free] if len(self.fixed)
-                              else Wc).T)[:3]
+        a, piv, tau = _geqp3(Wc.T)[:3]
         piv -= 1
         d = np.abs(a.diagonal())
         small = d <= DEPENDENT_TOL * np.abs(Wc).max(axis=1)[piv[:len(d)]]
         r = int(small.argmax()) if small.any() else len(d)
         self.gen, self.dep = rows[piv[:r]].tolist(), rows[piv[r:]].tolist()
         if r:
-            Q = np.zeros((nf, nf), order="F")
+            Q = np.zeros((n, n), order="F")
             Q[:, :r] = a[:, :r]
-            R = np.zeros((nf, r))
+            R = np.zeros((n, r))
             R[:r] = np.triu(a[:r, :r])
             self._set_qr(_orgqr(Q, tau[:r], overwrite_a=True)[0], R)
             self.W[:r] = Wc[piv[:r]]
             self.wval[:r] = [self.value[i] for i in self.gen]
 
-    def combination(self, a, col=-1):
-        """Whether the row ``a`` (with single nonzero column ``col``, or -1)
-        is a combination of the working rows: None when it is not, else the
-        working rows and coefficients c with a = sum c_i row_i, 0 on a row
-        left out or pinning a column twice."""
-        j = self.pin_row[col] if col >= 0 else -1
-        if j >= 0:
-            return np.array([j]), np.array([a[col] / self.A[j, col]])
-        k, fj = len(self.gen), self.fixed
-        if not (k or len(fj)):
+    def combination(self, a):
+        """Whether the row ``a`` is a combination of the working rows: None
+        when it is not, else the factored working rows and coefficients c
+        with a = sum c_i row_i (a row left out has none)."""
+        k = len(self.gen)
+        if not k:
             return None
         # the part of the row off the working rows' span is Z'a, whose norm
         # R would gain on its diagonal if the row entered
-        w = a[self.free] if len(fj) else a
-        if k:
-            w = self.Q.T @ w
+        w = self.Q.T @ a
         off = w[k:]
         if math.sqrt(off @ off) > DEPENDENT_TOL * np.abs(a).max():
             return None
-        cg = _trtrs(self.R1, w[:k])[0] if k else w[:0]
-        cp = (a[fj] - self.W[:k].take(fj, 1).T @ cg) / self.apin[fj]
-        return (np.concatenate([np.array(self.gen, dtype=np.intp),
-                                self.pin_row[fj]]),
-                np.concatenate([cg, cp]))
+        return np.array(self.gen, dtype=np.intp), _trtrs(self.R1, w[:k])[0]
 
     def enter(self, i, value):
         """Make row ``i`` working with right-hand side ``value`` when it is
         independent of the working rows; returns whether it entered."""
         if i in self.value:
             self.remove(i)
-        k, nf = len(self.gen), len(self.free)
-        if self._is_pin(i):
-            j = self.single_col[i]
-            if self.pin_row[j] >= 0:
-                return False
-            pos = int(self.free.searchsorted(j))
-            if k:
-                # the pin depends on the general rows when e_j is in their
-                # span: when Q's row of the variable has no part in Z
-                z = self.Q[pos, k:]
-                if math.sqrt(z @ z) <= DEPENDENT_TOL:
-                    return False
-                self._set_qr(*_qr_delete(self.Q, self.R, pos, which="row",
-                                         check_finite=False))
-            self.value[i] = value
-            self.pins[j] = [i]
-            self._set_pin(j, i)
-            self._refree()
-            return True
-        if k >= nf:
+        k, n = len(self.gen), self.n
+        if k >= n:
             return False
-        a = self._vec(i)
-        a_f = a[self.free] if len(self.fixed) else a
+        a = self.A[i] if i < self.mh else self.G[i - self.mh]
         if k:
-            Q, R = _qr_insert(self.Q, self.R, a_f, k, which="col",
+            Q, R = _qr_insert(self.Q, self.R, a, k, which="col",
                               check_finite=False)
         else:
-            Q, R = _qr_insert(np.eye(nf), np.zeros((nf, 0)), a_f, 0,
+            Q, R = _qr_insert(np.eye(n), np.zeros((n, 0)), a, 0,
                               which="col", check_finite=False)
         if abs(R[k, k]) <= DEPENDENT_TOL * np.abs(a).max():
             return False
@@ -754,33 +686,15 @@ class _WorkingFactor:
         if i in self.dep:
             self.dep.remove(i)
             return
-        k = len(self.gen)
-        if self._is_pin(i):
-            j = self.single_col[i]
-            pins = self.pins[j]
-            pins.remove(i)
-            if self.pin_row[j] != i:
-                return
-            if pins:
-                self._set_pin(j, pins[0])
-                return
-            del self.pins[j]
-            self.pin_row[j] = -1
-            self._refree()
-            if k:
-                pos = int(self.free.searchsorted(j))
-                self._set_qr(*_qr_insert(self.Q, self.R, self.W[:k, j], pos,
-                                         which="row", check_finite=False))
+        k, p = len(self.gen), self.gen.index(i)
+        if k == 1:
+            self._set_qr(None, None)
         else:
-            p = self.gen.index(i)
-            if k == 1:
-                self._set_qr(None, None)
-            else:
-                self._set_qr(*_qr_delete(self.Q, self.R, p, which="col",
-                                         check_finite=False))
-            self.W[p:k - 1] = self.W[p + 1:k]
-            self.wval[p:k - 1] = self.wval[p + 1:k]
-            del self.gen[p]
+            self._set_qr(*_qr_delete(self.Q, self.R, p, which="col",
+                                     check_finite=False))
+        self.W[p:k - 1] = self.W[p + 1:k]
+        self.wval[p:k - 1] = self.wval[p + 1:k]
+        del self.gen[p]
         for r in self.dep[:]:
             self.dep.remove(r)
             v = self.value.pop(r)
@@ -793,7 +707,6 @@ class _WorkingFactor:
         row ``row`` into the objective; with no row eliminated it is the
         unfolded one again exactly."""
         self.n_elim += sign
-        self._obj = None
         if self.n_elim:
             g = self.G[row]
             self.P += (2.0 * sign * self.sig2) * np.outer(g, g)
@@ -804,94 +717,64 @@ class _WorkingFactor:
     def solve(self):
         """(x, duals of every row) at the working set's equality-constrained
         optimum, 0 off the working set; None when the solve fails."""
-        free, k = self.free, len(self.gen)
-        P, q, W = self.P, self.q, self.W[:k]
-        fj = self.fixed
-        if self._obj is None:
-            # the objective on the free variables with the pinned ones
-            # substituted, and its gradient's rows of the pinned ones
-            xj = self.xfix[fj]
-            Pf = P.take(free, 0) if len(fj) else P
-            rf = -q[free] - Pf.take(fj, 1) @ xj if len(fj) else -q
-            self._obj = (Pf.take(free, 1) if len(fj) else P, rf,
-                         np.abs(rf).max(initial=0.0), P.take(fj, 0), q[fj],
-                         xj)
-        Pff, rf, rf_max, Pj, qj, xj = self._obj
-        lam = np.zeros(self.m)
-        lg = np.zeros(0)
-        nf = len(free)
-        x = np.zeros(self.n) if len(fj) or not nf else None
-        if len(fj):
-            x[fj] = xj
-            Wj = W.take(fj, 1)
-        if nf:
-            if len(fj):
-                WF = W.take(free, 1)
-                rk = self.wval[:k] - Wj @ xj
-            else:
-                WF, rk = W, self.wval[:k]
-            nz = nf - k
-            if k:
-                R1 = self.R1
-                Y, Z = self.Q[:, :k], self.Q[:, k:]
-            chol = None
-            if not (k or len(fj) or self.n_elim) and self.cache is not None:
-                chol = self.cache.cholesky()
-            if nz and chol is None:
-                H = Z.T @ (Pff @ Z) if k else Pff
-                chol, info = _potrf(H, lower=False, clean=False)
+        k, n = len(self.gen), self.n
+        P, W, rk = self.P, self.W[:k], self.wval[:k]
+        rf = -self.q
+        nz = n - k
+        if k:
+            R1 = self.R1
+            Y, Z = self.Q[:, :k], self.Q[:, k:]
+        chol = None
+        if not (k or self.n_elim) and self.cache is not None:
+            chol = self.cache.cholesky()
+        if nz and chol is None:
+            H = Z.T @ (P @ Z) if k else P
+            chol, info = _potrf(H, lower=False, clean=False)
+            if info:
+                # semidefinite: regularize as _solve_active does, the
+                # refinement below is against the exact system
+                chol, info = _potrf(H + 1e-9 * np.eye(nz), lower=False,
+                                    clean=False)
                 if info:
-                    # semidefinite: regularize as _solve_active does, the
-                    # refinement below is against the exact system
-                    chol, info = _potrf(H + 1e-9 * np.eye(nz), lower=False,
-                                        clean=False)
-                    if info:
-                        return None
+                    return None
 
-            def kkt(rf, rk):
-                """x_F and the general rows' duals for the right-hand side
-                (rf, rk), with rf - P_FF x_F."""
-                if not k:
-                    xf = _potrs(chol, rf, lower=False)[0]
-                    return xf, lg, rf - Pff @ xf
-                xf = Y @ _trtrs(R1, rk, trans=1)[0]
-                if nz:
-                    xf += Z @ _potrs(chol, Z.T @ (rf - Pff @ xf),
-                                     lower=False)[0]
-                t = rf - Pff @ xf
-                return xf, _trtrs(R1, Y.T @ t)[0], t
+        def kkt(rf, rk):
+            """x and the working rows' duals for the right-hand side
+            (rf, rk), with rf - P x."""
+            if not k:
+                x = _potrs(chol, rf, lower=False)[0]
+                return x, rk, rf - P @ x
+            x = Y @ _trtrs(R1, rk, trans=1)[0]
+            if nz:
+                x += Z @ _potrs(chol, Z.T @ (rf - P @ x), lower=False)[0]
+            t = rf - P @ x
+            return x, _trtrs(R1, Y.T @ t)[0], t
 
-            # iterative refinement against the unregularized system, to the
-            # tolerance of _solve_active: at most three passes
-            xf, lg, ef = kkt(rf, rk)
-            tol = 1e-13 * (1.0 + max(rf_max, np.abs(rk).max(initial=0.0)))
-            for passes in range(4):
-                if k:
-                    ef -= WF.T @ lg
-                    ek = rk - WF @ xf
-                    err = max(np.abs(ef).max(), np.abs(ek).max())
-                else:
-                    ek, err = rk, np.abs(ef).max()
-                if err <= tol or passes == 3 or not math.isfinite(err):
-                    break
-                dx, dl, _ = kkt(ef, ek)
-                xf, lg = xf + dx, lg + dl
-                ef = rf - Pff @ xf
-            if not math.isfinite(err):
-                return None
-            if len(fj):
-                x[free] = xf
+        # iterative refinement against the unregularized system, to the
+        # tolerance of _solve_active: at most three passes
+        x, lg, ef = kkt(rf, rk)
+        tol = 1e-13 * (1.0 + max(np.abs(rf).max(initial=0.0),
+                                 np.abs(rk).max(initial=0.0)))
+        for passes in range(4):
+            if k:
+                ef -= W.T @ lg
+                ek = rk - W @ x
+                err = max(np.abs(ef).max(), np.abs(ek).max())
             else:
-                x = xf
-            lam[self.gen] = lg
-        if len(fj):
-            # duals of the pinning rows from stationarity
-            grad = Pj @ x + qj + Wj.T @ lg
-            lam[self.pin_row[fj]] = -grad / self.apin[fj]
+                ek, err = rk, np.abs(ef).max()
+            if err <= tol or passes == 3 or not math.isfinite(err):
+                break
+            dx, dl, _ = kkt(ef, ek)
+            x, lg = x + dx, lg + dl
+            ef = rf - P @ x
+        if not math.isfinite(err):
+            return None
+        lam = np.zeros(self.m)
+        lam[self.gen] = lg
         return x, lam
 
 
-def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot, single_col=None,
+def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
                      max_iter=EXCHANGE_CAP, factors=None):
     """Hot start of the soft QP from the optimum of a neighbouring
     problem, the online active-set strategy (Ferreau, Bock & Diehl,
@@ -905,13 +788,19 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot, single_col=None,
     factorization that lives for the whole homotopy and changes by one row
     per breakpoint (:class:`_WorkingFactor`; ``factors``, a
     :class:`FactorCache` of P, A and G, or None).  A piece ends at a
-    breakpoint, where one row changes state: an inactive hard row reaches a bound, or a soft row its
-    kink (primal ratio test); a working row's dual reaches zero, or a kink
-    row's dual reaches sig1 (dual ratio test); an eliminated slack reaches
-    zero.  It works in the x space only: each soft row is in one of three
-    states -- slack at zero (no contribution), at the kink (Gx = b held as a
-    hard row), or eliminated (slack substituted by its violation, which
-    folds a convex quadratic penalty into the x objective).
+    breakpoint, where one row changes state: an inactive hard row reaches a
+    bound, or a soft row its kink (primal ratio test); a working row's dual
+    reaches zero, or a kink row's dual reaches sig1 (dual ratio test); an
+    eliminated slack reaches zero.  It works in the x space only: each soft
+    row is in one of three states -- slack at zero (no contribution), at
+    the kink (Gx = b held as a hard row), or eliminated (slack substituted
+    by its violation, which folds a convex quadratic penalty into the x
+    objective).  A row that reaches its bound or kink as a combination of
+    the working rows is exchanged for the first working row whose dual
+    reaches a bound as the entering row's dual moves; when an entering soft
+    row's own dual crosses all of [0, sig1] first, the row passes its kink,
+    the exact-penalty transition of Kerrigan & Maciejowski (CDC 2000), from
+    inactive to eliminated or back, and never enters.
 
     Returns (answer, breakpoints).  The answer is the 7-tuple of
     :func:`soft_qp_solve` at tau = 1, its iterations the breakpoints, or
@@ -926,8 +815,6 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot, single_col=None,
             (fin_l != np.isfinite(hot.l)).any() or \
             not math.isfinite(b.sum() + hot.b.sum()):
         return None, 0
-    if single_col is None:
-        single_col = row_structure(A)
     su, sl = np.where(fin_u, u, 0.0), np.where(fin_l, l, 0.0)
     act_low, act_up, soft_act, nn_act = (np.array(m, dtype=bool)
                                          for m in hot.sets)
@@ -965,7 +852,7 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot, single_col=None,
     hard_w = (act_low | act_up).nonzero()[0]
     kink_w = kink.nonzero()[0]
     work = _WorkingFactor(
-        P, q, A, G, b, sig1, sig2, elim, single_col, hard_w, kink_w,
+        P, q, A, G, b, sig1, sig2, elim, hard_w, kink_w,
         np.concatenate([np.where(act_up, u, l)[hard_w], b[kink_w]]), factors)
 
     def set_dual(row, value):
@@ -974,6 +861,13 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot, single_col=None,
             V[off[4] + row], V[off[5] + row] = value, -value
         else:
             V[off[6] + row - mh], V[off[7] + row - mh] = value, sig1 - value
+
+    def watch_soft(row):
+        """Watch the entries of soft ``row`` that belong to its state."""
+        act, nn = soft_act[row], nn_act[row]
+        watched[off[2] + row] = not act
+        watched[off[3] + row] = act and not nn
+        watched[off[6] + row] = watched[off[7] + row] = act and nn
 
     def change(kind, row):
         """Change the state of ``row`` as the ratio test's ``kind`` says; an
@@ -1006,10 +900,7 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot, single_col=None,
             watched[off[1] + row] = fin_l[row] and not low
             watched[off[4] + row], watched[off[5] + row] = up, low
         else:
-            act, nn = soft_act[row], nn_act[row]
-            watched[off[2] + row] = not act
-            watched[off[3] + row] = act and not nn
-            watched[off[6] + row] = watched[off[7] + row] = act and nn
+            watch_soft(row)
 
     # the working set's factorization outlives the homotopy in ``factors``
     try:
@@ -1073,8 +964,7 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot, single_col=None,
                     # is: along t, stationarity moves their duals by
                     # -s t c, and the first of them to reach a bound leaves
                     # for it.
-                    comb = work.combination(A[row], single_col[row]) \
-                        if kind < 2 else work.combination(G[row])
+                    comb = work.combination(A[row] if kind < 2 else G[row])
                     if comb is None:
                         return None, breakpoints
                     ids, c = comb
@@ -1093,9 +983,18 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot, single_col=None,
                     t[falls] = V[at[falls]] / -rate[falls]
                     j = int(t.argmin())
                     t_j = max(t[j], 0.0)
-                    # no working dual limits t, or the entering soft row's own
-                    # dual leaves [0, sig1] first
-                    if not np.isfinite(t_j) or (kind >= 2 and t_j > sig1):
+                    if kind >= 2 and not t_j <= sig1:
+                        # the entering soft row's own dual crosses [0, sig1]
+                        # before any working dual reaches a bound: the row
+                        # passes its kink without entering, from inactive to
+                        # eliminated (kind 2) or back (kind 3)
+                        V[at] += sig1 * rate
+                        soft_act[row], nn_act[row] = kind == 2, kind == 3
+                        work.fold(row, 1 if kind == 2 else -1)
+                        watch_soft(row)
+                        continue
+                    if not np.isfinite(t_j):
+                        # no working dual limits t
                         return None, breakpoints
                     V[at] += t_j * rate
                     lam_r += s * t_j
@@ -1326,8 +1225,8 @@ def _unbounded(P, q, A, G):
     return bool(np.linalg.norm(vt[rank:] @ q) > 1e-8 * np.linalg.norm(q))
 
 
-def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, single_col=None,
-                    hot=None, factors=None):
+def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
+                    factors=None):
     """The package's QP solve: the soft QP by a parametric hot start,
     then interior point and crossover.
 
@@ -1358,7 +1257,7 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, single_col=None,
 
     def homotopy(hot_start):
         nonlocal iterations
-        res = soft_qp_solve(*soft, None, single_col, max_iter=EXCHANGE_CAP,
+        res = soft_qp_solve(*soft, None, max_iter=EXCHANGE_CAP,
                             hot=hot_start, factors=factors)
         iterations += EXCHANGE_CAP if res is None else res[6]
         return res

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trailer_mpc import QpProblem, QpStatus, solve_qp
-from trailer_mpc.qp import (EXCHANGE_CAP, HotStart, PreparedQp,
+from trailer_mpc.qp import (EXCHANGE_CAP, HotStart, PreparedQp, QpSolution,
                             auxiliary_hot, certified_solve, kkt_residuals,
                             parametric_solve, row_structure, soft_ipm_solve,
                             soft_kkt_residuals, soft_qp_solve)
@@ -443,6 +443,75 @@ def test_parametric_hot_start_exchanges_a_dependent_row():
     np.testing.assert_allclose(x, [2.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(mu, [0.0, 8.0], atol=1e-9)
     assert act_up.tolist() == [False, True] and not act_low.any()
+
+
+@pytest.mark.parametrize("b0, b1, elim", [(2.0, 0.0, True),
+                                          (0.0, 2.0, False)])
+def test_parametric_soft_row_passes_its_kink(b0, b1, elim):
+    # min 0.5 x^2 - 10 x with x <= 1, held at the bound by the dual 9, and
+    # the soft row x - eps <= b with (sig1, sig2) = (2, 1).  As b goes from
+    # 2 to 0 the row reaches its kink at x = 1 (b = 1), where it depends on
+    # the bound: its dual would rise from 0 as the bound's falls, and it
+    # crosses [0, sig1] before the bound's dual reaches 0, so the row
+    # passes its kink to eliminated, and the bound's dual falls by sig1.
+    # From b = 0 to 2 the eliminated slack reaches zero at b = 1 and the
+    # row passes back to inactive.
+    P, q, A = np.eye(1), np.array([-10.0]), np.eye(1)
+    l, u = np.full(1, -np.inf), np.ones(1)
+    G = np.eye(1)
+    s1, s2 = 2.0, 1.0
+    b0, b1 = np.array([b0]), np.array([b1])
+    sol, path, sets = certified_solve(P, q, A, l, u, G, b0, s1, s2, 1e-9)
+    assert path is not None and sets[1].tolist() == [True]
+    assert sets[2].tolist() == [elim is False]
+    soft = (P, q, A, l, u, G, b1, s1, s2)
+    res, breakpoints = parametric_solve(*soft, HotStart(l, u, b0, sol, sets))
+    assert res is not None and breakpoints == 1
+    x, eps, mu, lam, nu, (_, act_up, soft_act, nn_act), _ = res
+    assert act_up.tolist() == [True]
+    assert (soft_act & ~nn_act).tolist() == [elim]
+    assert max(soft_kkt_residuals(*soft, x, eps, mu, lam, nu)) <= 1e-12
+    y_ref, _ = brute_force_active_set(*_lifted(*soft))
+    np.testing.assert_allclose(np.concatenate([x, eps]), y_ref, atol=1e-12)
+    # the bound's dual: 9, less the eliminated row's sig1 + 2 sig2 eps
+    np.testing.assert_allclose(mu, [5.0 if elim else 9.0], atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       ms=st.integers(1, 2),
+       sig=st.sampled_from([(0.5, 0.01), (10.0, 50.0), (1e3, 1e4)]))
+def test_parametric_soft_rows_enter_a_full_vertex(seed, n, ms, sig):
+    # from a vertex of the box [-1, 1]^n, where every input is at a bound,
+    # the soft rows' bounds move from inactive to violated there: each
+    # entering soft row depends on the working rows, and is exchanged for a
+    # bound or passes its kink
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(n, n))
+    P = M @ M.T + np.eye(n)
+    side = rng.choice([-1.0, 1.0], n)
+    x_v = side
+    # the bounds' duals side * m hold the vertex: P x + q + mu = 0
+    m = rng.uniform(0.5, 20.0, n)
+    q = -P @ x_v - side * m
+    A, l, u = np.eye(n), -np.ones(n), np.ones(n)
+    G = rng.normal(size=(ms, n))
+    b0 = G @ x_v + rng.uniform(0.5, 1.5, ms)
+    b1 = G @ x_v - rng.uniform(0.1, 2.0, ms)
+    s1, s2 = sig
+    none = np.zeros(ms, dtype=bool)
+    start = QpSolution(np.concatenate([x_v, np.zeros(ms)]),
+                       np.concatenate([side * m, np.zeros(ms)]),
+                       QpStatus.OPTIMAL, 0, 0.0, 0.0, 0.0, 0.0)
+    hot = HotStart(l, u, b0, start, (side < 0, side > 0, none, none))
+    soft = (P, q, A, l, u, G, b1, s1, s2)
+    res, breakpoints = parametric_solve(*soft, hot)
+    assert res is not None
+    assert max(soft_kkt_residuals(*soft, *res[:5])) <= 1e-9
+    x, eps = res[:2]
+    obj = 0.5 * x @ P @ x + q @ x + s1 * eps.sum() + s2 * (eps @ eps)
+    _, obj_ref = brute_force_active_set(*_lifted(*soft))
+    assert abs(obj - obj_ref) <= 1e-9 * (1.0 + abs(obj_ref))
 
 
 def test_status_dual_infeasible():

@@ -1,12 +1,13 @@
 """The homotopy's working-set factorization against solves from scratch.
 
-``qp._WorkingFactor`` keeps a QR of the working general rows on the free
-variables and changes it by one row per breakpoint.  These tests apply
-random sequences of row insertions and deletions (pin rows, general rows,
-kink rows) and rank-1 folds of eliminated soft rows, and after every step
-compare the updated factorization's point and duals with
-``qp._solve_active`` on the same working set, and its dependence verdicts
-and combinations with an SVD rank test.
+``qp._WorkingFactor`` keeps one QR of the transpose of all its working
+rows, box rows that pin a variable among them, and changes it by one row
+per breakpoint.  These tests apply random sequences of row insertions and
+deletions (box rows, general rows, kink rows) and rank-1 folds of
+eliminated soft rows, and after every step compare the updated
+factorization's point and duals with ``qp._solve_active`` (which
+eliminates the pinned variables instead) on the same working set, and its
+dependence verdicts and combinations with an SVD rank test.
 """
 
 import numpy as np
@@ -44,7 +45,7 @@ def _rank(M):
     return int(np.count_nonzero(s > 1e-8 * s.max()))
 
 
-def _check_solve(work, P, q, A, G, single_col, elim, sig1, sig2, b):
+def _check_solve(work, P, q, A, G, elim, sig1, sig2, b):
     """The factorization's point and duals against _solve_active on the
     same working set and freshly folded objective."""
     mh = A.shape[0]
@@ -53,6 +54,7 @@ def _check_solve(work, P, q, A, G, single_col, elim, sig1, sig2, b):
     np.testing.assert_allclose(work.P, P_f, rtol=1e-12, atol=1e-9)
     W = np.array([A[i] if i < mh else G[i - mh] for i in rows]).reshape(-1, N)
     values = np.array([work.value[i] for i in rows])
+    single_col = row_structure(A)
     sc = np.array([single_col[i] if i < mh else -1 for i in rows],
                   dtype=np.intp)
     got = work.solve()
@@ -67,8 +69,9 @@ def _check_solve(work, P, q, A, G, single_col, elim, sig1, sig2, b):
     assert np.abs(P_f @ x + q_f + W.T @ duals).max() <= 1e-9 * scale
     ref = _solve_active(P_f, q_f, W, values, sc)
     if ref is None:
-        # every variable pinned, where _solve_active gives up
-        assert len(work.free) == 0
+        # every variable pinned, where _solve_active gives up; the working
+        # rows then have full rank
+        assert _rank(W) == N
         return
     K = np.block([[P_f, W.T], [W, np.zeros((len(rows), len(rows)))]])
     if np.linalg.cond(K) > 1e6:
@@ -92,14 +95,13 @@ def test_updated_factorization_matches_solves_from_scratch(seed, ops):
     rng = np.random.default_rng(seed)
     P, q, A, G, b = _problem(rng)
     mh, ms = A.shape[0], G.shape[0]
-    single_col = row_structure(A)
     sig1, sig2 = 10.0, 50.0
     values = np.concatenate([rng.normal(size=mh), b])
     elim = np.zeros(ms, dtype=bool)
-    work = _WorkingFactor(P, q, A, G, b, sig1, sig2, elim, single_col,
+    work = _WorkingFactor(P, q, A, G, b, sig1, sig2, elim,
                           np.zeros(0, dtype=np.intp),
                           np.zeros(0, dtype=np.intp), np.zeros(0))
-    _check_solve(work, P, q, A, G, single_col, elim, sig1, sig2, b)
+    _check_solve(work, P, q, A, G, elim, sig1, sig2, b)
     for action, pick in ops:
         working = sorted(work.value)
         if action <= 1:
@@ -113,7 +115,7 @@ def test_updated_factorization_matches_solves_from_scratch(seed, ops):
             W = np.array([A[r] if r < mh else G[r - mh]
                           for r in working]).reshape(-1, N)
             dependent = _rank(np.vstack([W, a])) == _rank(W)
-            comb = work.combination(a, single_col[i] if i < mh else -1)
+            comb = work.combination(a)
             assert (comb is not None) == dependent
             if dependent:
                 ids, c = comb
@@ -137,27 +139,27 @@ def test_updated_factorization_matches_solves_from_scratch(seed, ops):
             r = soft[pick % len(soft)]
             work.fold(r, -1 if elim[r] else 1)
             elim[r] = not elim[r]
-        _check_solve(work, P, q, A, G, single_col, elim, sig1, sig2, b)
+        _check_solve(work, P, q, A, G, elim, sig1, sig2, b)
 
 
 def test_starting_factorization_leaves_out_dependent_rows():
-    # x0 - x1 = 0 and x1 - x2 = 0 imply x0 - x2 = 0; with x2 also pinned,
-    # the general rows x0 - x1 and x1 - x2 pin the rest
+    # x0 - x1 = 0 and x1 - x2 = 0 imply x0 - x2 = 0, so of these three
+    # rows one is left out; with x2 pinned by a box row, a column of the
+    # QR like any other row, the rest pin x0 and x1
     P, q = np.eye(3), np.array([1.0, -2.0, 0.5])
     A = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0],
                   [0.0, 0.0, 1.0]])
     G = np.zeros((0, 3))
     work = _WorkingFactor(P, q, A, G, np.zeros(0), 0.0, 0.0,
-                          np.zeros(0, dtype=bool), row_structure(A),
-                          np.arange(4), np.zeros(0, dtype=np.intp),
+                          np.zeros(0, dtype=bool), np.arange(4), np.zeros(0, dtype=np.intp),
                           np.array([0.0, 0.0, 0.0, 0.7]))
-    assert len(work.gen) == 2 and len(work.dep) == 1
+    assert len(work.gen) == 3 and len(work.dep) == 1
     x, lam = work.solve()
     np.testing.assert_allclose(x, [0.7, 0.7, 0.7], atol=1e-12)
     # the left-out row keeps dual 0 and is taken in once a row leaves
     assert lam[work.dep[0]] == 0.0
     work.remove(work.gen[0])
-    assert len(work.gen) == 2 and not work.dep
+    assert len(work.gen) == 3 and not work.dep
 
 
 def test_homotopy_reaches_an_all_pinned_vertex():
@@ -176,7 +178,7 @@ def test_homotopy_reaches_an_all_pinned_vertex():
     assert res is not None and breakpoints == 2
     x, eps, mu, lam, nu, (act_low, act_up, _, _), _ = res
     np.testing.assert_allclose(x, [1.0, -1.0], atol=1e-12)
-    # the pin rows' duals from stationarity: mu = -(P x + q)
+    # the box rows' duals: mu = -(P x + q)
     np.testing.assert_allclose(mu, [9.0, -9.0], atol=1e-12)
     assert act_up.tolist() == [True, False]
     assert act_low.tolist() == [False, True]

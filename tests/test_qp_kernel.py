@@ -186,7 +186,7 @@ def test_controller_answers_the_cold_cases_the_active_set_gives_up_on(name):
     q, l, u, b = _bounds(cfg, struct, x0, u_prev)
     sol, path, sets = certified_solve(
         struct.P_uu, q, struct.A_in, l, u, struct.G, b, cfg.slack_linear,
-        cfg.slack_quad, QP_TOL, single_col=struct.single_col)
+        cfg.slack_quad, QP_TOL)
     assert path == "ipm"
     assert sol.status == "Optimal"
     assert max(sol.primal_residual, sol.dual_residual,

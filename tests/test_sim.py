@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -64,6 +65,21 @@ def test_noise_seed_determinism(params):
     assert log1.status == log2.status
     assert np.array_equal(log1.u_cmd, log2.u_cmd)
     assert np.array_equal(log1.states, log2.states)
+
+
+def test_noisy_run_hands_over_only_its_first_cycle(params):
+    # exp1_straight under measurement noise: soft rows keep reaching their
+    # kinks as combinations of the working rows, and each cycle's hot start
+    # answers only when such a row can pass its kink; the first cycle has
+    # no hot start
+    spec = next(s for s in paper_suite()
+                if s.name == "exp1_straight" and s.controller == "mpc")
+    spec = dataclasses.replace(
+        spec, noise_std=(0.01, 0.01, 0.002, 0.002, 0.002), seed=1)
+    summary = run(spec, params, MpcConfig()).summary()
+    assert summary["status"] == "Converged"
+    assert summary["n_lq_fallback"] == 0
+    assert summary["n_ipm"] <= 2
 
 
 def test_run_log_csv(tmp_path, params):
