@@ -25,8 +25,7 @@ from .exceptions import (InfeasiblePath, NominalOutsidePolytope, PathExhausted,
 from .model import SINGULAR_TOL, VehicleState, chain_terms
 from .params import is_int, is_real, real_tuple
 from .paths import NominalPath, PathSample, extend_for_horizon
-from .qp import (FactorCache, HotStart, auxiliary_hot, certified_solve,
-                 row_structure)
+from .qp import FactorCache, HotStart, auxiliary_hot, certified_solve
 
 logger = logging.getLogger(__name__)
 
@@ -242,9 +241,9 @@ def slew_bound(sample: PathSample, params, udot_max) -> float:
 class ControllerState:
     u_prev: float = None
     s_prev: float = 0.0
-    # the last certified QP answer with its parameters, on the condensed
-    # structure hot_struct at grid base hot_base: the next cycle starts
-    # from it, shifted to its own base when its structure is another
+    # the last certified QP answer (certified_solve's HotStart), on the
+    # condensed structure hot_struct at grid base hot_base: the next cycle
+    # starts from it, shifted to its own base when its structure is another
     hot: HotStart = None
     hot_struct: object = None
     hot_base: int = None
@@ -293,21 +292,19 @@ class _QpStructure:
     per-cycle slew row ``row_slew0`` and the N - 1 rows of the slew chain);
     soft rows ``G x - eps <= hbar - HsPhi x0`` (the joint-angle polytope at
     stages 1..N, ``n_slack`` of them, none without a polytope) and eps >= 0.
-    ``A_in`` and its ``single_col`` depend on no grid base: every structure
-    of one controller shares the same arrays.  ``factors`` keeps the QP
+    ``A_in`` depends on no grid base: every structure of one controller
+    shares the same array.  ``factors`` keeps the QP
     solves' factorizations on this structure (:class:`qp.FactorCache`),
     none of them computed before a solve needs it.
     """
 
-    __slots__ = ("P_uu", "factors", "A_in", "single_col", "G", "W", "HsPhi",
-                 "hbar", "l", "u", "ur0", "n_inputs", "n_slack", "row_slew0")
+    __slots__ = ("P_uu", "factors", "A_in", "G", "W", "HsPhi", "hbar", "l",
+                 "u", "ur0", "n_inputs", "n_slack", "row_slew0")
 
-    def __init__(self, P_uu, A_in, single_col, G, W, HsPhi, hbar, l, u, ur0,
-                 row_slew0):
+    def __init__(self, P_uu, A_in, G, W, HsPhi, hbar, l, u, ur0, row_slew0):
         self.P_uu = P_uu
         self.factors = FactorCache(P_uu)
         self.A_in = A_in
-        self.single_col = single_col
         self.G = G
         self.W = W
         self.HsPhi = HsPhi
@@ -385,8 +382,7 @@ class MpcController:
                                       ext.beta2, ext.u)
         self._slew_width = slew * self.cfg.delta_s
         self._A_in = _hard_rows(self.cfg.horizon)
-        self._single_col = row_structure(self._A_in)
-        self._A_in.flags.writeable = self._single_col.flags.writeable = False
+        self._A_in.flags.writeable = False
         # every station's id names its distinct (beta3, beta2, u, kappa3),
         # the fields the error dynamics and the rows read, compared as bits,
         # not floats, since 0.0 == -0.0 would merge stations the arithmetic
@@ -465,8 +461,8 @@ class MpcController:
         else:
             G_soft, HsPhi, hbar = np.zeros((0, N)), np.zeros((0, 4)), np.zeros(0)
 
-        return _QpStructure(P_uu, self._A_in, self._single_col, G_soft, W,
-                            HsPhi, hbar, l, u, float(ur[0]), N)
+        return _QpStructure(P_uu, self._A_in, G_soft, W, HsPhi, hbar, l, u,
+                            float(ur[0]), N)
 
     # -- control cycle ----------------------------------------------------
 
@@ -503,10 +499,9 @@ class MpcController:
             d = base - ctrl.hot_base
             hot = self._shifted_hot(hot, d, struct, l, u, b) \
                 if 0 < d < N else None
-        sol, path, sets = certified_solve(
+        sol, path, ctrl.hot = certified_solve(
             struct.P_uu, q, struct.A_in, l, u, struct.G, b, cfg.slack_linear,
             cfg.slack_quad, QP_TOL, hot=hot, factors=struct.factors)
-        ctrl.hot = HotStart(l, u, b, sol, sets) if path else None
         ctrl.hot_struct, ctrl.hot_base = struct, base
         t_solve = time.perf_counter()
         fallback = path is None
@@ -555,14 +550,12 @@ class MpcController:
         def moved(v, rows):
             return np.where(rows >= 0, v[rows], v.dtype.type(0))
 
-        y, duals = hot.solution.y, hot.solution.duals
-        low, up, soft_act, nn_act = hot.sets
+        sides, states = hot.sets
         return auxiliary_hot(
             struct.A_in, struct.G, l, u, b, self.cfg.slack_linear,
-            y[np.minimum(np.arange(N) + d, N - 1)], moved(y[N:], soft),
-            moved(duals[:2 * N], hard), moved(duals[2 * N:2 * N + ms], soft),
-            (moved(low, hard), moved(up, hard), moved(soft_act, soft),
-             moved(nn_act, soft)))
+            hot.x[np.minimum(np.arange(N) + d, N - 1)], moved(hot.eps, soft),
+            moved(hot.mu, hard), moved(hot.lam, soft),
+            (moved(sides, hard), moved(states, soft)))
 
 
 class LqController:

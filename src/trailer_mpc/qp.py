@@ -16,15 +16,16 @@ homotopy keeps one factorization of its working set for its whole path
 (:class:`_WorkingFactor`: one QR of all working rows, box rows that pin an
 input among them, updated by one row per breakpoint, and a Cholesky of the
 reduced Hessian), and lets a soft row pass its kink without entering it.
-Each answer is
-certified by :func:`soft_kkt_residuals` on the lifted problem over
-(x, slacks) without forming it; when none passes, the status says whether
-the problem is primal or dual infeasible.  Without a hot start,
-:func:`soft_qp_solve` is a primal active set on the hard rows alone, which
-only the region sweep runs; it solves a working set again only after it
-changes, and splits each solve (:func:`_solve_active`) into a factorization
-of the working rows, which a :class:`FactorCache` keeps for the working
-sets used last, and a solve for the right-hand sides.
+Each answer is certified by :func:`soft_kkt_residuals` on the lifted
+problem over (x, slacks) without forming it; when none passes, the status
+says whether the problem is primal or dual infeasible.  A certified answer
+is the next solve's hot start, in the one working-set format of
+:class:`HotStart`.  Without a hot start, :func:`soft_qp_solve` is a primal
+active set on the hard rows alone, which only the region sweep runs; it
+solves a working set again only after it changes, and splits each solve
+(:func:`_solve_active`) into a factorization of the working rows, which a
+:class:`FactorCache` keeps for the working sets used last, and a solve for
+the right-hand sides.
 :class:`PreparedQp`, an ADMM solver with batched right-hand sides, is used
 by no solve path.
 """
@@ -313,11 +314,12 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     either way.
 
     Returns (x, eps, mu, lam, nu, sets, iterations) -- duals of the hard,
-    soft and nonnegativity rows, the final masks (act_low, act_up, soft_act,
-    nn_act) and the number of iterations -- or None on failure.  Without
-    ``hot`` the soft parts are empty and each iteration is one
-    equality-constrained solve (a step, an exchange, or the final
-    optimality check; the warm start's trial solve is not counted).
+    soft and nonnegativity rows, the final working set (sides, states) in
+    the format of :class:`HotStart` and the number of iterations -- or
+    None on failure.  Without ``hot`` the soft parts are empty and each
+    iteration is one equality-constrained solve (a step, an exchange, or
+    the final optimality check; the warm start's trial solve is not
+    counted).
     """
     if hot is not None:
         return parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
@@ -334,27 +336,26 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     sl = np.where(fin_l, l, 0.0)
     htol_u = 1e-9 * (1.0 + np.abs(su))
     htol_l = 1e-9 * (1.0 + np.abs(sl))
-    no_soft = np.zeros(0, dtype=bool)
 
-    def eq_point(low_m, up_m):
-        """:func:`_solve_active` on the hard rows active at their lower
-        (``low_m``) or upper (``up_m``) side: ((x, duals), rows) or None."""
-        rows_h = (up_m | low_m).nonzero()[0]
+    def eq_point(sides):
+        """:func:`_solve_active` on the hard rows at their side ``sides``:
+        ((x, duals), rows) or None."""
+        rows_h = sides.nonzero()[0]
         if factors is None:
             fac = _factor_active(P, A[rows_h], single_col[rows_h])
         else:
             fac = factors.active(rows_h, A, single_col)
         if fac is None:
             return None
-        res = _solve_factored(P, q, np.where(up_m, u, l)[rows_h], fac)
+        res = _solve_factored(P, q, np.where(sides > 0, u, l)[rows_h], fac)
         return None if res is None else (res, rows_h)
 
     # the equality solve of the current working set, once it has one: a
     # solve depends on nothing else, so it is redone only after a change
     res = None
-    if warm is not None and len(warm[0]) == len(warm[1]) == mh:
-        w_low, w_up = (np.array(m, dtype=bool) for m in warm[:2])
-        res = eq_point(w_low, w_up)
+    if warm is not None and len(warm[0]) == mh:
+        w_sides = np.array(warm[0], dtype=np.int8)
+        res = eq_point(w_sides)
         if res is not None:
             x_w = res[0][0]
             vw = A @ x_w
@@ -362,19 +363,20 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
                 res = None
             else:
                 x, vh = x_w, vw
-                act_low, act_up = w_low, w_up
+                sides = w_sides
     if res is None:
         x = np.asarray(x0, dtype=float).copy()
         vh = A @ x
         if np.any(vh > u + 1e-7 * (1.0 + np.abs(su))) or \
            np.any(vh < l - 1e-7 * (1.0 + np.abs(sl))):
             return None
-        act_up = fin_u & (vh >= u - htol_u)
-        act_low = fin_l & (vh <= l + htol_l) & ~act_up
+        sides = np.zeros(mh, dtype=np.int8)
+        sides[fin_l & (vh <= l + htol_l)] = -1
+        sides[fin_u & (vh >= u - htol_u)] = 1
 
     for it in range(1, max_iter + 1):
         if res is None:
-            res = eq_point(act_low, act_up)
+            res = eq_point(sides)
             if res is None:
                 return None
         (x_new, lam_w), rows_h = res
@@ -383,16 +385,15 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
                 1e-11 * (1.0 + np.abs(x).max(initial=0.0)):
             mu = np.zeros(mh)
             mu[rows_h] = lam_w
-            wrong_h = np.where(act_up, np.maximum(-mu, 0.0), 0.0) \
-                + np.where(act_low, np.maximum(mu, 0.0), 0.0)
+            # a dual of the wrong sign for its row's side
+            wrong_h = np.maximum(-sides * mu, 0.0)
             if not (wrong_h > 1e-9).any():
                 empty = np.zeros(0)
-                return x_new, empty, mu, empty, empty, (act_low, act_up,
-                                                        no_soft, no_soft), it
+                return x_new, empty, mu, empty, empty, \
+                    (sides, np.zeros(0, dtype=np.int8)), it
             # release one row at a time (most negative dual): mass drops at
             # degenerate vertices trigger long chains of zero-length re-adds
-            j = np.argmax(wrong_h)
-            act_up[j] = act_low[j] = False
+            sides[np.argmax(wrong_h)] = 0
             res = None
             continue
         # ratio test over the inactive rows, upper sides first so that ties
@@ -403,8 +404,8 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
         # the small slack added to each gap lets the step pass through rows
         # that are tight only to rounding error; the next equality solve pins
         # the added row back onto its bound exactly
-        for kd, cand in enumerate((fin_u & ~act_up & (Ap > 1e-13),
-                                   fin_l & ~act_low & (Ap < -1e-13))):
+        for kd, cand in enumerate((fin_u & (sides != 1) & (Ap > 1e-13),
+                                   fin_l & (sides != -1) & (Ap < -1e-13))):
             idx = cand.nonzero()[0]
             if not len(idx):
                 continue
@@ -420,8 +421,7 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
         x = x + alpha * px
         vh = vh + alpha * Ap
         if kind is not None:
-            act_up[row] = kind == 0
-            act_low[row] = kind == 1
+            sides[row] = 1 if kind == 0 else -1
             res = None
     return None
 
@@ -446,40 +446,53 @@ EXCHANGE_CAP = 30
 ACTIVE_CACHE_SIZE = 8
 
 
+# the states of a soft row in a working set besides 0 (see HotStart)
+KINK, ELIM = 1, 2
+
+
 class HotStart(NamedTuple):
     """The start of :func:`parametric_solve`: the hard-row bounds ``l``/``u``
     and soft-row bounds ``b`` of a problem with the same P, A and G as the
-    one it hot-starts, its optimum (:class:`QpSolution`) and working set; a
-    certified answer, or :func:`auxiliary_hot` of a guess."""
+    one it hot-starts, its optimum -- x, slacks ``eps`` and the duals
+    ``mu`` of the hard rows and ``lam`` of the soft rows -- and its working
+    set; a certified answer (:func:`certified_solve`), or
+    :func:`auxiliary_hot` of a guess.
+
+    The working set ``sets`` is the pair (sides, states) of int8 arrays,
+    the one format of every solver here: ``sides[i]`` is 1 when hard row i
+    is working at its upper bound, -1 at its lower bound and 0 off the
+    working set; ``states[j]`` is 0 when soft row j's slack sits at zero,
+    ``KINK`` when the row is held at its kink, and ``ELIM`` when its slack
+    is eliminated (substituted by the row's violation)."""
 
     l: np.ndarray
     u: np.ndarray
     b: np.ndarray
-    solution: QpSolution
+    x: np.ndarray
+    eps: np.ndarray
+    mu: np.ndarray
+    lam: np.ndarray
     sets: tuple
 
 
 def auxiliary_hot(A, G, l, u, b, sig1, x, eps, mu, lam, sets) -> HotStart:
     """A :class:`HotStart` that makes a guess -- x, slacks eps, duals mu and
-    lam, and working set ``sets`` as :func:`soft_qp_solve` returns them --
+    lam, and working set ``sets`` in the format of :class:`HotStart` --
     the optimum of an auxiliary problem near (l, u, b), as in the hot start
     with varying matrices (Ferreau et al., Math. Prog. Comp. 2014).  Working
     rows are made tight at x (Ax, Gx on a kink row, Gx - eps on an
     eliminated one), every other bound widens to x, and the duals are
     clipped to their rows' signs (a kink row's to [0, sig1])."""
-    act_low, act_up, soft_act, nn_act = sets
+    sides, states = sets
     vh, gx = A @ x, G @ x
-    kink, elim = soft_act & nn_act, soft_act & ~nn_act
-    l_aux = np.where(act_low, vh, np.minimum(l, vh))
-    u_aux = np.where(act_up, vh, np.maximum(u, vh))
+    kink, elim = states == KINK, states == ELIM
+    l_aux = np.where(sides < 0, vh, np.minimum(l, vh))
+    u_aux = np.where(sides > 0, vh, np.maximum(u, vh))
     b_aux = np.where(kink, gx, np.where(elim, gx - eps, np.maximum(b, gx)))
-    mu = np.where(act_up, np.maximum(mu, 0.0),
-                  np.where(act_low, np.minimum(mu, 0.0), 0.0))
+    mu = np.where(sides > 0, np.maximum(mu, 0.0),
+                  np.where(sides < 0, np.minimum(mu, 0.0), 0.0))
     lam = np.where(kink, np.clip(lam, 0.0, sig1), 0.0)
-    # parametric_solve reads only y and the duals; the cost is left unset
-    start = QpSolution(np.concatenate([x, eps]), np.concatenate([mu, lam]),
-                       QpStatus.OPTIMAL, 0, math.nan, 0.0, 0.0, 0.0)
-    return HotStart(l_aux, u_aux, b_aux, start, sets)
+    return HotStart(l_aux, u_aux, b_aux, x, eps, mu, lam, sets)
 
 
 class FactorCache:
@@ -809,17 +822,14 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
     when l, u and b do not keep their finite entries; breakpoints counts
     those passed either way.
     """
-    n, mh, ms = len(q), A.shape[0], G.shape[0]
+    mh, ms = A.shape[0], G.shape[0]
     fin_u, fin_l = np.isfinite(u), np.isfinite(l)
     if (fin_u != np.isfinite(hot.u)).any() or \
             (fin_l != np.isfinite(hot.l)).any() or \
             not math.isfinite(b.sum() + hot.b.sum()):
         return None, 0
     su, sl = np.where(fin_u, u, 0.0), np.where(fin_l, l, 0.0)
-    act_low, act_up, soft_act, nn_act = (np.array(m, dtype=bool)
-                                         for m in hot.sets)
-    nn_act |= ~soft_act    # an inactive soft row's slack sits at zero
-    elim, kink = soft_act & ~nn_act, soft_act & nn_act
+    sides, states = (np.array(s, dtype=np.int8) for s in hot.sets)
     # The ratio tests watch one vector V of quantities, each nonnegative
     # while its row keeps its state, in blocks of eight kinds in a fixed
     # order so that ties go to the earlier kind: an inactive hard row's
@@ -827,7 +837,7 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
     # distance to its kink (2), an eliminated slack (3), a working hard
     # row's dual at its upper (4) and lower (5) side, and a kink row's dual
     # (6) and its distance to sig1 (7).  V holds the point at tau, the
-    # working rows' duals among it; the mask ``watched`` says which entries
+    # working rows' duals among it; ``watch()`` says which entries
     # belong to a row in that state, and ``tol`` how far below zero an
     # end value must fall to count.
     off = [0]
@@ -837,23 +847,29 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
     tol = np.full(off[8], 1e-9)
     tol[:off[4]] += 1e-9 * np.abs(np.concatenate([su, sl, b, b]))
     neg_tol = -tol
-    x = hot.solution.y[:n]
-    mu = np.where(act_low | act_up, hot.solution.duals[:mh], 0.0)
-    kap = np.where(kink, hot.solution.duals[mh:mh + ms], 0.0)
-    vh, gs = A @ x, G @ x - hot.b
+    kink = states == KINK
+    mu = np.where(sides != 0, hot.mu, 0.0)
+    kap = np.where(kink, hot.lam, 0.0)
+    vh, gs = A @ hot.x, G @ hot.x - hot.b
     V = np.concatenate([np.where(fin_u, hot.u, 0.0) - vh,
                         vh - np.where(fin_l, hot.l, 0.0), -gs, gs, mu, -mu,
                         kap, sig1 - kap])
-    watched = np.concatenate([fin_u & ~act_up, fin_l & ~act_low, ~soft_act,
-                              elim, act_up, act_low, kink, kink])
     V1 = np.empty_like(V)
     hu1, hl1, gs_neg1, gs1, mu1, mu_neg1, kap1, kap_gap1 = \
         (V1[s] for s in blocks)
-    hard_w = (act_low | act_up).nonzero()[0]
+    hard_w = sides.nonzero()[0]
     kink_w = kink.nonzero()[0]
     work = _WorkingFactor(
-        P, q, A, G, b, sig1, sig2, elim, hard_w, kink_w,
-        np.concatenate([np.where(act_up, u, l)[hard_w], b[kink_w]]), factors)
+        P, q, A, G, b, sig1, sig2, states == ELIM, hard_w, kink_w,
+        np.concatenate([np.where(sides > 0, u, l)[hard_w], b[kink_w]]),
+        factors)
+
+    def watch():
+        """Which entries of V belong to a row in its current state."""
+        kink = states == KINK
+        return np.concatenate([fin_u & (sides != 1), fin_l & (sides != -1),
+                               states == 0, states == ELIM, sides == 1,
+                               sides == -1, kink, kink])
 
     def set_dual(row, value):
         """Set the dual of working ``row`` (hard, then soft numbering)."""
@@ -862,45 +878,21 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
         else:
             V[off[6] + row - mh], V[off[7] + row - mh] = value, sig1 - value
 
-    def watch_soft(row):
-        """Watch the entries of soft ``row`` that belong to its state."""
-        act, nn = soft_act[row], nn_act[row]
-        watched[off[2] + row] = not act
-        watched[off[3] + row] = act and not nn
-        watched[off[6] + row] = watched[off[7] + row] = act and nn
+    # the side or state each kind of breakpoint leaves its row in
+    new_state = (1, -1, KINK, KINK, 0, 0, 0, ELIM)
 
     def change(kind, row):
         """Change the state of ``row`` as the ratio test's ``kind`` says; an
         entering row has entered ``work`` already."""
-        if kind == 0:
-            act_up[row], act_low[row] = True, False
-        elif kind == 1:
-            act_low[row], act_up[row] = True, False
-        elif kind == 2:
-            soft_act[row] = True     # reaches the kink
-        elif kind == 3:
-            nn_act[row] = True       # eliminated slack reached zero -> kink
-            work.fold(row, -1)
-        elif kind in (4, 5):
-            act_up[row] = act_low[row] = False
-            set_dual(row, 0.0)
-            work.remove(row)
-        elif kind == 6:
-            soft_act[row] = False    # leaves the soft row
-            set_dual(mh + row, 0.0)
-            work.remove(mh + row)
-        else:
-            nn_act[row] = False      # releases the slack -> eliminated
-            set_dual(mh + row, 0.0)
-            work.remove(mh + row)
-            work.fold(row, 1)
-        if kind in (0, 1, 4, 5):
-            up, low = act_up[row], act_low[row]
-            watched[row] = fin_u[row] and not up
-            watched[off[1] + row] = fin_l[row] and not low
-            watched[off[4] + row], watched[off[5] + row] = up, low
-        else:
-            watch_soft(row)
+        (sides if kind in (0, 1, 4, 5) else states)[row] = new_state[kind]
+        if kind >= 4:
+            # a working row leaves: its dual is 0 from here on
+            rid = row if kind < 6 else mh + row
+            set_dual(rid, 0.0)
+            work.remove(rid)
+        if kind in (3, 7):
+            # an eliminated slack reached zero, or a kink row's released
+            work.fold(row, -1 if kind == 3 else 1)
 
     # the working set's factorization outlives the homotopy in ``factors``
     try:
@@ -918,6 +910,7 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
             np.negative(mu1, out=mu_neg1)
             kap1[:] = dual1[mh:]
             np.subtract(sig1, kap1, out=kap_gap1)
+            watched = watch()
             idx = (watched & (V1 < neg_tol)).nonzero()[0]
             if not len(idx):
                 # a working row that depends on the others, as the previous
@@ -928,18 +921,18 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
                                 + np.abs(work.q).max(initial=0.0))
                 # a working hard row's distance to its bound, a kink row's to
                 # its kink
-                held = np.concatenate([act_up, act_low, soft_act & nn_act])
+                held = np.concatenate([sides == 1, sides == -1,
+                                       states == KINK])
                 off_bound = V1[:off[3]] < -np.maximum(tol[:off[3]], etol)
                 if (held & off_bound).any():
                     return None, breakpoints
-                elim = soft_act & ~nn_act
+                elim = states == ELIM
                 eps = np.where(elim, gs1, 0.0)
                 lam = np.where(elim, sig1 + 2.0 * sig2 * eps, kap1)
                 # kap1 is 0 off the kink rows
-                nu = kap1 - sig1 * nn_act
-                return (x1, eps, mu1.copy(), lam, nu,
-                        (act_low, act_up, soft_act, nn_act), breakpoints), \
-                    breakpoints
+                nu = kap1 - sig1 * ~elim
+                return (x1, eps, mu1.copy(), lam, nu, (sides, states),
+                        breakpoints), breakpoints
             if breakpoints == max_iter:
                 break
             # a value already below zero at the start changes state at once
@@ -972,9 +965,9 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
                     # entries of V (blocks 4 and 5 of a hard row, of which the
                     # one of its side is watched, and 6 and 7 of a kink row),
                     # moving at rates d and -d
-                    hard = ids < mh
-                    at1 = ids + np.where(hard, off[4], off[6] - mh)
-                    at = np.concatenate([at1, at1 + np.where(hard, mh, ms)])
+                    is_hard = ids < mh
+                    at1 = ids + np.where(is_hard, off[4], off[6] - mh)
+                    at = np.concatenate([at1, at1 + np.where(is_hard, mh, ms)])
                     d = -s * c
                     rate = np.concatenate([d, -d])
                     dmin = 1e-12 * np.abs(d).max()
@@ -989,9 +982,8 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
                         # passes its kink without entering, from inactive to
                         # eliminated (kind 2) or back (kind 3)
                         V[at] += sig1 * rate
-                        soft_act[row], nn_act[row] = kind == 2, kind == 3
+                        states[row] = ELIM if kind == 2 else 0
                         work.fold(row, 1 if kind == 2 else -1)
-                        watch_soft(row)
                         continue
                     if not np.isfinite(t_j):
                         # no working dual limits t
@@ -999,7 +991,7 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
                     V[at] += t_j * rate
                     lam_r += s * t_j
                     j %= len(ids)
-                    if hard[j]:
+                    if is_hard[j]:
                         change(4, int(ids[j]))
                     else:
                         change(6 if d[j] < 0.0 else 7, int(ids[j]) - mh)
@@ -1142,15 +1134,13 @@ def soft_ipm_solve(P, q, A, l, u, G, b, sig1, sig2, tol):
         x = x + alpha * dx
         y = y + alpha * dy
         lam = lam + alpha * dlam
-    act_up = np.zeros(mh, dtype=bool)
-    act_low = np.zeros(mh, dtype=bool)
-    act_up[iu] = z[:nu] > s[:nu]
-    act_low[il] = z[nu:] > s[nu:]
-    act_low &= ~act_up
-    soft_act = w > t
-    nn_act = ~soft_act | (v > eps)
+    # the upper side wins a row whose both sides look active
+    sides = np.zeros(mh, dtype=np.int8)
+    sides[il[z[nu:] > s[nu:]]] = -1
+    sides[iu[z[:nu] > s[:nu]]] = 1
+    states = np.where(w > t, np.where(v > eps, KINK, ELIM), 0).astype(np.int8)
     mu_h = np.bincount(rows, sign * z, minlength=mh)
-    return x, eps, mu_h, w, -v, (act_low, act_up, soft_act, nn_act), it
+    return x, eps, mu_h, w, -v, (sides, states), it
 
 
 def _row_residuals(Ay, l, u, lam):
@@ -1242,12 +1232,14 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
        which lands on the vertex;
     3. else the interior point itself.
 
-    Returns (QpSolution, solver path "parametric" or "ipm", working set).
+    Returns (QpSolution, solver path "parametric" or "ipm", HotStart).
     The solution's ``y`` is (x, slacks) and its duals those of the hard,
     soft and slack rows.  Its iterations count the breakpoints and the IPM's
     iterations; a homotopy that gives up counts its full cap, also when it
-    stopped earlier, since None does not say how far it got.  When nothing
-    passes, the solution is the interior point, the path and working set
+    stopped earlier, since None does not say how far it got.  The
+    :class:`HotStart` is the certified answer with (l, u, b) and its
+    working set, the next solve's hot start.  When nothing
+    passes, the solution is the interior point, the path and hot start
     are None, and the status is PrimalInfeasible when its duals are a
     Farkas certificate, else DualInfeasible when a direction of unbounded
     descent exists (:func:`_unbounded`), else MaxIter.
@@ -1281,7 +1273,7 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
         rp, rd, rc = soft_kkt_residuals(*soft, x, eps, mu, lam_soft, nu)
         if max(rp, rd, rc) <= tol:
             status = QpStatus.OPTIMAL
-            sets = res[5]
+            hot_next = HotStart(l, u, b, x, eps, mu, lam_soft, res[5])
             break
     else:
         # the interior point failed the check as well
@@ -1291,11 +1283,11 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
             status = QpStatus.DUAL_INFEASIBLE
         else:
             status = QpStatus.MAX_ITER
-        path = sets = None
+        path = hot_next = None
     obj = float(0.5 * x @ P @ x + q @ x + sig2 * (eps @ eps) + sig1 * eps.sum())
     return QpSolution(np.concatenate([x, eps]),
                       np.concatenate([mu, lam_soft, nu]), status,
-                      iterations, obj, rp, rd, rc), path, sets
+                      iterations, obj, rp, rd, rc), path, hot_next
 
 
 def solve_qp(prob: QpProblem, tol=1e-6) -> QpSolution:

@@ -127,7 +127,7 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
     finished so far, and once more with ``done == total`` when the sweep
     ends.
     """
-    from .qp import soft_qp_solve
+    from .qp import row_structure, soft_qp_solve
 
     cfg = cfg or MpcConfig()
     if beta3_axis is None or beta2_axis is None:
@@ -141,6 +141,7 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
     delta_cycle = controller.udot_max / cfg.f_s
     u_max = controller.u_max
     A_qp = struct.A_in
+    single_col = row_structure(A_qp)
     Pu = struct.P_uu
     G_empty = np.zeros((0, N))
     b_empty = np.zeros(0)
@@ -198,7 +199,7 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
             res = None
             if ut is not None:
                 res = soft_qp_solve(Pu, q[:, c], A_qp, l_c, u_c, G_empty,
-                                    b_empty, 0.0, 1.0, ut, struct.single_col,
+                                    b_empty, 0.0, 1.0, ut, single_col,
                                     warm=warm_sets[col],
                                     factors=struct.factors)
             if res is None:

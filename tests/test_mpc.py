@@ -447,7 +447,7 @@ def test_cycle_after_a_base_change_hot_starts(params, eight_back):
 
 
 def test_shifted_hot_start_moves_rows_by_the_base_change(params, eight_back):
-    from trailer_mpc.qp import HotStart, QpSolution
+    from trailer_mpc.qp import KINK, HotStart
 
     cfg = MpcConfig()
     controller = MpcController(params, eight_back, cfg)
@@ -458,32 +458,29 @@ def test_shifted_hot_start_moves_rows_by_the_base_change(params, eight_back):
     # every soft row at its kink; distinct values show where each row went
     y = np.arange(1.0, N + ms + 1)
     duals = np.concatenate([np.arange(1.0, 2 * N + 1),
-                            np.linspace(1.0, 900.0, ms), np.zeros(ms)])
-    every = (np.zeros(2 * N, bool), np.ones(2 * N, bool), np.ones(ms, bool),
-             np.ones(ms, bool))
-    hot = HotStart(struct.l, struct.u, struct.hbar,
-                   QpSolution(y, duals, "Optimal", 0, 0.0, 0.0, 0.0, 0.0),
-                   every)
+                            np.linspace(1.0, 900.0, ms)])
+    every = (np.ones(2 * N, np.int8), np.full(ms, KINK, np.int8))
+    hot = HotStart(struct.l, struct.u, struct.hbar, y[:N], y[N:],
+                   duals[:2 * N], duals[2 * N:], every)
     l, u = struct.l.copy(), struct.u.copy()
     l[N], u[N] = -0.01, 0.01
     got = controller._shifted_hot(hot, 1, struct, l, u, struct.hbar)
     # rows of base 101 and the rows of base 100 they continue (-1: new)
     hard = np.r_[1:N, -1, -1, N + 2:2 * N, -1]
     soft = np.r_[m:ms, np.full(m, -1)]
-    low, up, soft_act, nn_act = got.sets
-    assert not low.any() and np.array_equal(up, hard >= 0)
-    assert np.array_equal(soft_act, soft >= 0)
-    assert np.array_equal(nn_act, soft >= 0)
-    x, eps = got.solution.y[:N], got.solution.y[N:]
+    sides, states = got.sets
+    assert np.array_equal(sides, hard >= 0)
+    assert np.array_equal(states, np.where(soft >= 0, KINK, 0))
+    x, eps, mu, lam = got.x, got.eps, got.mu, got.lam
     np.testing.assert_array_equal(x, np.r_[y[1:N], y[N - 1]])
     np.testing.assert_array_equal(eps, np.where(soft >= 0, y[N:][soft], 0.0))
-    mu, lam = got.solution.duals[:2 * N], got.solution.duals[2 * N:]
     np.testing.assert_array_equal(mu, np.where(hard >= 0, duals[hard], 0.0))
     np.testing.assert_array_equal(lam, np.where(soft >= 0,
                                                 duals[2 * N:][soft], 0.0))
     # the working rows are tight at the shifted inputs and the others,
     # the slew row among them, hold them
     Ax, Gx = struct.A_in @ x, struct.G @ x
+    up = sides > 0
     np.testing.assert_array_equal(got.u[up], Ax[up])
     np.testing.assert_array_equal(got.l, np.minimum(l, Ax))
     assert got.u[N] == max(u[N], Ax[N])

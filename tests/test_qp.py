@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trailer_mpc import QpProblem, QpStatus, solve_qp
-from trailer_mpc.qp import (EXCHANGE_CAP, HotStart, PreparedQp, QpSolution,
+from trailer_mpc.qp import (ELIM, EXCHANGE_CAP, KINK, HotStart, PreparedQp,
                             auxiliary_hot, certified_solve, kkt_residuals,
                             parametric_solve, row_structure, soft_ipm_solve,
                             soft_kkt_residuals, soft_qp_solve)
@@ -307,7 +307,10 @@ def test_soft_ipm_matches_lifted_oracle(seed, ms, sig):
     x, eps, mu, lam, nu, sets, iters = res
     assert iters >= 1
     assert np.all(eps > 0.0)
-    assert not np.any(sets[0] & sets[1])
+    sides, states = sets
+    assert sides.dtype == states.dtype == np.int8
+    assert set(sides.tolist()) <= {-1, 0, 1}
+    assert set(states.tolist()) <= {0, KINK, ELIM}
     Pl, ql, Al, ll, ul = _lifted(P, q, A, l, u, G, b, s1, s2)
     y_ref, obj_ref = brute_force_active_set(Pl, ql, Al, ll, ul)
     y = np.concatenate([x, eps])
@@ -357,7 +360,7 @@ def test_parametric_hot_start_reaches_the_optimum_or_gives_up(seed, ms, sig,
     P, q, A, l, u, G, b = _random_soft_qp(rng)
     G, b = G[:ms], b[:ms]
     s1, s2 = sig
-    sol, path, sets = certified_solve(P, q, A, l, u, G, b, s1, s2, 1e-6)
+    _, path, hot = certified_solve(P, q, A, l, u, G, b, s1, s2, 1e-6)
     assume(path is not None)
     # the next problem: q, b and the bounds of one hard row move
     q2 = q + scale * rng.normal(size=len(q))
@@ -368,7 +371,6 @@ def test_parametric_hot_start_reaches_the_optimum_or_gives_up(seed, ms, sig,
     l2[i] += shift
     u2[i] += shift
     soft2 = (P, q2, A, l2, u2, G, b2, s1, s2)
-    hot = HotStart(l, u, b, sol, sets)
     res, breakpoints = parametric_solve(*soft2, hot)
     assert 0 <= breakpoints <= EXCHANGE_CAP
     certified = res is not None and \
@@ -398,8 +400,8 @@ def test_auxiliary_hot_start_reaches_the_optimum_or_gives_up(seed, ms, sig):
     _, obj_ref = brute_force_active_set(*_lifted(*soft))
     # any guess: a point, slacks, duals of either sign and a working set
     mh, n = A.shape
-    act, up = rng.random(mh) < 0.5, rng.random(mh) < 0.5
-    sets = (act & ~up, act & up, rng.random(ms) < 0.5, rng.random(ms) < 0.5)
+    sets = (rng.integers(-1, 2, mh).astype(np.int8),
+            rng.choice(np.array([0, KINK, ELIM], dtype=np.int8), ms))
     guess = (rng.normal(size=n), rng.uniform(0.0, 1.0, ms),
              10.0 * rng.normal(size=mh), rng.uniform(-s1, 2.0 * s1, ms))
     res, breakpoints = parametric_solve(
@@ -410,19 +412,17 @@ def test_auxiliary_hot_start_reaches_the_optimum_or_gives_up(seed, ms, sig):
         obj = 0.5 * x @ P @ x + q @ x + s1 * eps.sum() + s2 * (eps @ eps)
         assert abs(obj - obj_ref) <= 1e-6 * (1.0 + abs(obj_ref))
     # from an optimum and its working set the path has no breakpoint
-    sol, path, sets = certified_solve(*soft, 1e-6)
+    _, path, hot = certified_solve(*soft, 1e-6)
     assume(path is not None)
-    x, eps = sol.y[:n], sol.y[n:]
-    mu, lam = sol.duals[:mh], sol.duals[mh:mh + ms]
     res, breakpoints = parametric_solve(
-        *soft, auxiliary_hot(A, G, l, u, b, s1, x, eps, mu, lam, sets))
+        *soft, auxiliary_hot(A, G, l, u, b, s1, *hot[3:]))
     assert breakpoints == 0
     # the same working set's point; only an interior-point answer, whose
     # crossover failed its certificate, sits off that point: on 2000 draws
     # at sig2 = 1e4, 305 of the 743 interior-point answers moved by more
     # than 1e-9, at most 1.5e-7, and none of the 1254 crossover answers,
     # which passed through the same rank-1 folds, moved at all
-    np.testing.assert_allclose(res[0], x, rtol=0.0, atol=1e-10 * s2)
+    np.testing.assert_allclose(res[0], hot.x, rtol=0.0, atol=1e-10 * s2)
 
 
 def test_parametric_hot_start_exchanges_a_dependent_row():
@@ -434,15 +434,14 @@ def test_parametric_hot_start_exchanges_a_dependent_row():
     l = np.full(2, -np.inf)
     G, b = np.zeros((0, 2)), np.zeros(0)
     u0, u1 = np.array([1.0, 2.0]), np.array([3.0, 2.0])
-    sol, path, sets = certified_solve(P, q, A, l, u0, G, b, 0.0, 0.0, 1e-9)
-    assert path == "ipm" and sets[1].tolist() == [True, False]
-    res, breakpoints = parametric_solve(P, q, A, l, u1, G, b, 0.0, 0.0,
-                                        HotStart(l, u0, b, sol, sets))
+    _, path, hot = certified_solve(P, q, A, l, u0, G, b, 0.0, 0.0, 1e-9)
+    assert path == "ipm" and hot.sets[0].tolist() == [1, 0]
+    res, breakpoints = parametric_solve(P, q, A, l, u1, G, b, 0.0, 0.0, hot)
     assert breakpoints == 1
-    x, _, mu, _, _, (act_low, act_up, _, _), _ = res
+    x, _, mu, _, _, (sides, _), _ = res
     np.testing.assert_allclose(x, [2.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(mu, [0.0, 8.0], atol=1e-9)
-    assert act_up.tolist() == [False, True] and not act_low.any()
+    assert sides.tolist() == [0, 1]
 
 
 @pytest.mark.parametrize("b0, b1, elim", [(2.0, 0.0, True),
@@ -461,15 +460,15 @@ def test_parametric_soft_row_passes_its_kink(b0, b1, elim):
     G = np.eye(1)
     s1, s2 = 2.0, 1.0
     b0, b1 = np.array([b0]), np.array([b1])
-    sol, path, sets = certified_solve(P, q, A, l, u, G, b0, s1, s2, 1e-9)
-    assert path is not None and sets[1].tolist() == [True]
-    assert sets[2].tolist() == [elim is False]
+    _, path, hot = certified_solve(P, q, A, l, u, G, b0, s1, s2, 1e-9)
+    assert path is not None and hot.sets[0].tolist() == [1]
+    assert hot.sets[1].tolist() == [0 if elim else ELIM]
     soft = (P, q, A, l, u, G, b1, s1, s2)
-    res, breakpoints = parametric_solve(*soft, HotStart(l, u, b0, sol, sets))
+    res, breakpoints = parametric_solve(*soft, hot)
     assert res is not None and breakpoints == 1
-    x, eps, mu, lam, nu, (_, act_up, soft_act, nn_act), _ = res
-    assert act_up.tolist() == [True]
-    assert (soft_act & ~nn_act).tolist() == [elim]
+    x, eps, mu, lam, nu, (sides, states), _ = res
+    assert sides.tolist() == [1]
+    assert states.tolist() == [ELIM if elim else 0]
     assert max(soft_kkt_residuals(*soft, x, eps, mu, lam, nu)) <= 1e-12
     y_ref, _ = brute_force_active_set(*_lifted(*soft))
     np.testing.assert_allclose(np.concatenate([x, eps]), y_ref, atol=1e-12)
@@ -499,11 +498,8 @@ def test_parametric_soft_rows_enter_a_full_vertex(seed, n, ms, sig):
     b0 = G @ x_v + rng.uniform(0.5, 1.5, ms)
     b1 = G @ x_v - rng.uniform(0.1, 2.0, ms)
     s1, s2 = sig
-    none = np.zeros(ms, dtype=bool)
-    start = QpSolution(np.concatenate([x_v, np.zeros(ms)]),
-                       np.concatenate([side * m, np.zeros(ms)]),
-                       QpStatus.OPTIMAL, 0, 0.0, 0.0, 0.0, 0.0)
-    hot = HotStart(l, u, b0, start, (side < 0, side > 0, none, none))
+    hot = HotStart(l, u, b0, x_v, np.zeros(ms), side * m, np.zeros(ms),
+                   (side.astype(np.int8), np.zeros(ms, dtype=np.int8)))
     soft = (P, q, A, l, u, G, b1, s1, s2)
     res, breakpoints = parametric_solve(*soft, hot)
     assert res is not None

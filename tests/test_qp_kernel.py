@@ -26,7 +26,7 @@ from trailer_mpc.mpc import QP_TOL
 from trailer_mpc.paths import generate_straight
 from trailer_mpc.qp import (ACTIVE_CACHE_SIZE, EXCHANGE_CAP, IPM_MAX_ITER,
                             FactorCache, _solve_active, certified_solve,
-                            soft_qp_solve)
+                            row_structure, soft_qp_solve)
 from trailer_mpc.regions import _feasible_inputs
 
 PINS = pathlib.Path(__file__).parent / "data" / "qp_kernel_pins.json"
@@ -71,7 +71,8 @@ def _problem(cfg, struct, x0, u_prev, guess):
     # without soft rows the penalties are unused; the region sweep passes
     # (0, 1)
     return dict(P=struct.P_uu, q=q, A=struct.A_in, l=l, u=u, G=struct.G, b=b,
-                sig1=0.0, sig2=1.0, x0=ut, single_col=struct.single_col)
+                sig1=0.0, sig2=1.0, x0=ut,
+                single_col=row_structure(struct.A_in))
 
 
 def cases():
@@ -101,9 +102,12 @@ def solve(prob, warm=None):
 def record(result):
     if result is None:
         return None
-    x, sets, iters = result
+    x, (sides, _), iters = result
+    # the pins' layout: rows at their lower and upper side, then the two
+    # soft masks the kernel leaves empty
     return {"iterations": int(iters), "x": [float(v) for v in x],
-            "sets": [np.flatnonzero(m).tolist() for m in sets]}
+            "sets": [np.flatnonzero(sides < 0).tolist(),
+                     np.flatnonzero(sides > 0).tolist(), [], []]}
 
 
 def run_cases():
@@ -148,9 +152,8 @@ def _answer_bytes(res):
     soft_qp_solve answer, as bytes."""
     if res is None:
         return None
-    x, _, mu, _, _, sets, iters = res
-    return (x.tobytes(), mu.tobytes(), sets[0].tobytes(), sets[1].tobytes(),
-            iters)
+    x, _, mu, _, _, (sides, _), iters = res
+    return x.tobytes(), mu.tobytes(), sides.tobytes(), iters
 
 
 def test_factor_cache_gives_the_uncached_bits():
@@ -184,7 +187,7 @@ def test_controller_answers_the_cold_cases_the_active_set_gives_up_on(name):
     struct = controller._structure(0)
     x0, u_prev, _, _ = _draw(int(name[-1]), struct.n_inputs)
     q, l, u, b = _bounds(cfg, struct, x0, u_prev)
-    sol, path, sets = certified_solve(
+    sol, path, hot = certified_solve(
         struct.P_uu, q, struct.A_in, l, u, struct.G, b, cfg.slack_linear,
         cfg.slack_quad, QP_TOL)
     assert path == "ipm"
@@ -192,7 +195,7 @@ def test_controller_answers_the_cold_cases_the_active_set_gives_up_on(name):
     assert max(sol.primal_residual, sol.dual_residual,
                sol.comp_residual) <= QP_TOL
     assert sol.iterations <= EXCHANGE_CAP + IPM_MAX_ITER
-    assert sets is not None
+    assert hot is not None
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from trailer_mpc import ExperimentSpec, initial_state, paper_suite, run, run_suite
+from trailer_mpc import (ExperimentSpec, initial_state, paper_suite, qp, run,
+                         run_suite)
 from trailer_mpc.error_model import compute_error
 from trailer_mpc.exceptions import ValidityViolated
 from trailer_mpc.mpc import MpcConfig
@@ -80,6 +81,36 @@ def test_noisy_run_hands_over_only_its_first_cycle(params):
     assert summary["status"] == "Converged"
     assert summary["n_lq_fallback"] == 0
     assert summary["n_ipm"] <= 2
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND: qp.parametric_solve can cycle at a degenerate point: in "
+    "exp2_eight with measurement noise seed 1, three hot starts that hit "
+    "the 30-breakpoint cap never finish uncapped, because the path repeats "
+    "the same 8-20 state changes, every breakpoint of zero length; an "
+    "anti-cycling tie rule is needed (CHANGES.md)"))
+def test_noisy_hot_starts_that_give_up_finish_uncapped(params, monkeypatch):
+    # exp2_eight under measurement noise: 4 homotopies give up at the
+    # breakpoint cap.  Run again with a larger cap, one finishes in 34
+    # breakpoints; the other three cycle among the same state changes.
+    spec = next(s for s in paper_suite()
+                if s.name == "exp2_eight" and s.controller == "mpc")
+    spec = dataclasses.replace(
+        spec, noise_std=(0.01, 0.01, 0.002, 0.002, 0.002), seed=1)
+    solve = qp.parametric_solve
+    gave_up = []
+
+    def capture(*args):
+        res, breakpoints = solve(*args)
+        if res is None and breakpoints == qp.EXCHANGE_CAP:
+            # the problem and its hot start, without the cap and the cache
+            gave_up.append(args[:10])
+        return res, breakpoints
+
+    monkeypatch.setattr(qp, "parametric_solve", capture)
+    run(spec, params, MpcConfig())
+    for args in gave_up:
+        assert solve(*args, max_iter=200)[0] is not None
 
 
 def test_run_log_csv(tmp_path, params):
