@@ -266,8 +266,9 @@ class StepDiagnostics:
     solve_time_ms: float
     # phases of solve_time_ms: projection, reference sample and error
     # (compute_error), the condensed structure (condensing the
-    # horizon's station models, cached by content), and the QP with its
-    # certificate
+    # horizon's station models, cached by content), and the QP: this
+    # cycle's QP data (q, l, u, b), the hot start (shifted by _shifted_hot
+    # on a new structure) and the solve with its certificate
     t_project_ms: float
     t_structure_ms: float = 0.0
     t_solve_ms: float = 0.0

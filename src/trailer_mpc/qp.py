@@ -584,7 +584,9 @@ class _WorkingFactor:
     and taken in again once a row leaves.  The objective is the soft QP's
     with the eliminated soft rows folded in (:func:`_fold`, :meth:`fold`).
     A :class:`FactorCache` (``cache``) may keep P's factor and hand the
-    factorization from one homotopy to the next (:meth:`keep`).
+    factorization from one homotopy to the next (:meth:`keep`).  With no
+    soft row eliminated the objective is (P, q) itself, copied only when a
+    row is folded in.
     """
 
     def __init__(self, P, q, A, G, b, sig1, sig2, elim, hard, kink, values,
@@ -592,11 +594,11 @@ class _WorkingFactor:
         n, mh = len(q), A.shape[0]
         self.n, self.mh, self.m = n, mh, mh + G.shape[0]
         self.P0, self.q0 = P, q
-        self.P, self.q = _fold(P, q, G, b, sig1, sig2, elim)
         self.n_elim = int(np.count_nonzero(elim))
+        self.P, self.q = _fold(P, q, G, b, sig1, sig2, elim) \
+            if self.n_elim else (P, q)
         self.A, self.G = A, G
-        self.gq = sig1 - 2.0 * sig2 * b   # a folded soft row's linear term
-        self.sig2 = sig2
+        self.b, self.sig1, self.sig2 = b, sig1, sig2
         self.cache = cache
         # working row -> its right-hand side
         rows = np.concatenate([hard, mh + kink])
@@ -720,12 +722,16 @@ class _WorkingFactor:
         row ``row`` into the objective; with no row eliminated it is the
         unfolded one again exactly."""
         self.n_elim += sign
-        if self.n_elim:
-            g = self.G[row]
-            self.P += (2.0 * sign * self.sig2) * np.outer(g, g)
-            self.q += g * (sign * self.gq[row])
-        else:
-            self.P[:], self.q[:] = self.P0, self.q0
+        if not self.n_elim:
+            self.P, self.q = self.P0, self.q0
+            return
+        g = self.G[row]
+        # the folded row's linear term
+        gq = self.sig1 - 2.0 * self.sig2 * self.b[row]
+        if self.P is self.P0:
+            self.P, self.q = self.P0.copy(), self.q0.copy()
+        self.P += (2.0 * sign * self.sig2) * np.outer(g, g)
+        self.q += g * (sign * gq)
 
     def solve(self):
         """(x, duals of every row) at the working set's equality-constrained
@@ -815,12 +821,19 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
     the exact-penalty transition of Kerrigan & Maciejowski (CDC 2000), from
     inactive to eliminated or back, and never enters.
 
+    The first piece is solved before anything else: when its end point
+    stays in its region (every row keeps its state, the test of the ratio
+    tests' tolerances, made row block by row block), it is the answer, and
+    the ratio tests' state is built only when it leaves, at the first
+    breakpoint, from that same solve.
+
     Returns (answer, breakpoints).  The answer is the 7-tuple of
     :func:`soft_qp_solve` at tau = 1, its iterations the breakpoints, or
     None when the path needs more than ``max_iter`` breakpoints, when an
-    equality solve fails, when the end point violates a working row, or
-    when l, u and b do not keep their finite entries; breakpoints counts
-    those passed either way.
+    equality solve fails, when the end point violates a working row, when
+    an entry of l or u is finite where that of ``hot.l`` or ``hot.u`` is
+    not or the other way round, or when b or ``hot.b`` has an entry that
+    is not finite; breakpoints counts those passed either way.
     """
     mh, ms = A.shape[0], G.shape[0]
     fin_u, fin_l = np.isfinite(u), np.isfinite(l)
@@ -828,8 +841,15 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
             (fin_l != np.isfinite(hot.l)).any() or \
             not math.isfinite(b.sum() + hot.b.sum()):
         return None, 0
-    su, sl = np.where(fin_u, u, 0.0), np.where(fin_l, l, 0.0)
     sides, states = (np.array(s, dtype=np.int8) for s in hot.sets)
+    kink = states == KINK
+    elim = states == ELIM
+    hard_w, kink_w, elim_w = (w.nonzero()[0] for w in (sides, kink, elim))
+    work = _WorkingFactor(
+        P, q, A, G, b, sig1, sig2, elim, hard_w, kink_w,
+        np.concatenate([np.where(sides > 0, u, l)[hard_w], b[kink_w]]),
+        factors)
+
     # The ratio tests watch one vector V of quantities, each nonnegative
     # while its row keeps its state, in blocks of eight kinds in a fixed
     # order so that ties go to the earlier kind: an inactive hard row's
@@ -837,32 +857,36 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
     # distance to its kink (2), an eliminated slack (3), a working hard
     # row's dual at its upper (4) and lower (5) side, and a kink row's dual
     # (6) and its distance to sig1 (7).  V holds the point at tau, the
-    # working rows' duals among it; ``watch()`` says which entries
-    # belong to a row in that state, and ``tol`` how far below zero an
-    # end value must fall to count.
-    off = [0]
-    for size in (mh, mh, ms, ms, mh, mh, ms, ms):
-        off.append(off[-1] + size)
-    blocks = [slice(off[i], off[i + 1]) for i in range(8)]
-    tol = np.full(off[8], 1e-9)
-    tol[:off[4]] += 1e-9 * np.abs(np.concatenate([su, sl, b, b]))
-    neg_tol = -tol
-    kink = states == KINK
-    mu = np.where(sides != 0, hot.mu, 0.0)
-    kap = np.where(kink, hot.lam, 0.0)
-    vh, gs = A @ hot.x, G @ hot.x - hot.b
-    V = np.concatenate([np.where(fin_u, hot.u, 0.0) - vh,
-                        vh - np.where(fin_l, hot.l, 0.0), -gs, gs, mu, -mu,
-                        kap, sig1 - kap])
-    V1 = np.empty_like(V)
-    hu1, hl1, gs_neg1, gs1, mu1, mu_neg1, kap1, kap_gap1 = \
-        (V1[s] for s in blocks)
-    hard_w = sides.nonzero()[0]
-    kink_w = kink.nonzero()[0]
-    work = _WorkingFactor(
-        P, q, A, G, b, sig1, sig2, states == ELIM, hard_w, kink_w,
-        np.concatenate([np.where(sides > 0, u, l)[hard_w], b[kink_w]]),
-        factors)
+    # working rows' duals among it, and V1 the end point of the piece;
+    # ``watch()`` says which entries belong to a row in its current state,
+    # and ``tol`` how far below zero an end value must fall to count: 1e-9,
+    # relative to the bound in blocks 0-3.  V is built only at the first
+    # breakpoint: most paths have none.
+
+    def first_leaves(vh1, gs1, mu1, kap1):
+        """Whether the first piece's end point has a watched entry below its
+        tolerance, tested row block by row block without V: only where the
+        point crosses a row's bound or kink, or a working dual its bound.
+        An infinite bound leaves no finite excess, as its row is not
+        watched."""
+        c = ((vh1 > u) | (vh1 < l)).nonzero()[0]
+        if len(c):
+            vc, uc, lc, sc = vh1[c], u[c], l[c], sides[c]
+            if ((sc != 1) & (vc - uc > 1e-9 * np.abs(uc) + 1e-9)).any() or \
+                    ((sc != -1) & (lc - vc > 1e-9 * np.abs(lc) + 1e-9)).any():
+                return True
+        c = (gs1 > 0.0).nonzero()[0]
+        if len(c) and ((states[c] == 0)
+                       & (gs1[c] > 1e-9 * np.abs(b[c]) + 1e-9)).any():
+            return True
+        if len(elim_w) and \
+                (gs1[elim_w] < -(1e-9 * np.abs(b[elim_w]) + 1e-9)).any():
+            return True
+        if len(hard_w) and (sides[hard_w] * mu1[hard_w] < -1e-9).any():
+            return True
+        kap = kap1[kink_w]
+        return len(kap) > 0 and bool(((kap < -1e-9)
+                                      | (sig1 - kap < -1e-9)).any())
 
     def watch():
         """Which entries of V belong to a row in its current state."""
@@ -870,6 +894,38 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
         return np.concatenate([fin_u & (sides != 1), fin_l & (sides != -1),
                                states == 0, states == ELIM, sides == 1,
                                sides == -1, kink, kink])
+
+    def answer(x1, vh1, gs1, mu1, kap1, breakpoints):
+        """The 7-tuple at the end point (x1, A x1, G x1 - b, duals), or None
+        when it violates a working row.  A working row that depends on the
+        others, as the previous answer's working set may hold, is left out
+        of the equality solve; an end point that violates it is no answer.
+        The solve holds the others to 1e-13 (1 + |rhs|), |rhs| near
+        |Px| + |q|."""
+        if work.value:
+            hw, kw = sides.nonzero()[0], (states == KINK).nonzero()[0]
+            etol = 1e-12 * (1.0 + np.abs(work.P @ x1).max(initial=0.0)
+                            + np.abs(work.q).max(initial=0.0))
+            # a working hard row's distance to its bound (an infinite one
+            # counts as 0), a kink row's to its kink, as in V
+            sw = sides[hw]
+            bound = np.where(sw > 0, u[hw], l[hw])
+            bound = np.where(np.isfinite(bound), bound, 0.0)
+            if (sw * (bound - vh1[hw]) < -np.maximum(
+                    1e-9 * np.abs(bound) + 1e-9, etol)).any() or \
+                    (-gs1[kw] < -np.maximum(1e-9 * np.abs(b[kw]) + 1e-9,
+                                            etol)).any():
+                return None
+        # kap1 is 0 off the kink rows
+        if work.n_elim:
+            elim = states == ELIM
+            eps = np.where(elim, gs1, 0.0)
+            lam = np.where(elim, sig1 + 2.0 * sig2 * eps, kap1)
+            nu = kap1 - sig1 * ~elim
+        else:
+            # the same values without an eliminated row
+            eps, lam, nu = np.zeros(ms), kap1, kap1 - sig1
+        return x1, eps, mu1, lam, nu, (sides, states), breakpoints
 
     def set_dual(row, value):
         """Set the dual of working ``row`` (hard, then soft numbering)."""
@@ -894,6 +950,7 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
             # an eliminated slack reached zero, or a kink row's released
             work.fold(row, -1 if kind == 3 else 1)
 
+    V = None
     # the working set's factorization outlives the homotopy in ``factors``
     try:
         for breakpoints in range(max_iter + 1):
@@ -901,38 +958,32 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
             if res is None:
                 return None, breakpoints
             x1, dual1 = res
-            vh1 = A @ x1
-            np.subtract(su, vh1, out=hu1)
-            np.subtract(vh1, sl, out=hl1)
-            np.subtract(G @ x1, b, out=gs1)
-            np.negative(gs1, out=gs_neg1)
-            mu1[:] = dual1[:mh]
-            np.negative(mu1, out=mu_neg1)
-            kap1[:] = dual1[mh:]
-            np.subtract(sig1, kap1, out=kap_gap1)
+            vh1, gs1 = A @ x1, G @ x1 - b
+            mu1, kap1 = dual1[:mh], dual1[mh:]
+            if V is None:
+                if not first_leaves(vh1, gs1, mu1, kap1):
+                    return answer(x1, vh1, gs1, mu1, kap1, 0), 0
+                su, sl = np.where(fin_u, u, 0.0), np.where(fin_l, l, 0.0)
+                off = [0]
+                for size in (mh, mh, ms, ms, mh, mh, ms, ms):
+                    off.append(off[-1] + size)
+                tol = np.full(off[8], 1e-9)
+                tol[:off[4]] += 1e-9 * np.abs(np.concatenate([su, sl, b, b]))
+                neg_tol = -tol
+                # the start, tau = 0, from the hot start's point and duals
+                mu = np.where(sides != 0, hot.mu, 0.0)
+                kap = np.where(kink, hot.lam, 0.0)
+                vh, gs = A @ hot.x, G @ hot.x - hot.b
+                V = np.concatenate([np.where(fin_u, hot.u, 0.0) - vh,
+                                    vh - np.where(fin_l, hot.l, 0.0), -gs, gs,
+                                    mu, -mu, kap, sig1 - kap])
+            V1 = np.concatenate([su - vh1, vh1 - sl, -gs1, gs1, mu1, -mu1,
+                                 kap1, sig1 - kap1])
             watched = watch()
             idx = (watched & (V1 < neg_tol)).nonzero()[0]
             if not len(idx):
-                # a working row that depends on the others, as the previous
-                # answer's working set may hold, is left out of the equality
-                # solve; an end point that violates it is no answer.  The solve
-                # holds the others to 1e-13 (1 + |rhs|), |rhs| near |Px| + |q|.
-                etol = 1e-12 * (1.0 + np.abs(work.P @ x1).max(initial=0.0)
-                                + np.abs(work.q).max(initial=0.0))
-                # a working hard row's distance to its bound, a kink row's to
-                # its kink
-                held = np.concatenate([sides == 1, sides == -1,
-                                       states == KINK])
-                off_bound = V1[:off[3]] < -np.maximum(tol[:off[3]], etol)
-                if (held & off_bound).any():
-                    return None, breakpoints
-                elim = states == ELIM
-                eps = np.where(elim, gs1, 0.0)
-                lam = np.where(elim, sig1 + 2.0 * sig2 * eps, kap1)
-                # kap1 is 0 off the kink rows
-                nu = kap1 - sig1 * ~elim
-                return (x1, eps, mu1.copy(), lam, nu, (sides, states),
-                        breakpoints), breakpoints
+                return answer(x1, vh1, gs1, mu1, kap1, breakpoints), \
+                    breakpoints
             if breakpoints == max_iter:
                 break
             # a value already below zero at the start changes state at once
@@ -1143,9 +1194,9 @@ def soft_ipm_solve(P, q, A, l, u, G, b, sig1, sig2, tol):
     return x, eps, mu_h, w, -v, (sides, states), it
 
 
-def _row_residuals(Ay, l, u, lam):
-    """(primal, complementarity) residuals of the rows l <= Ay <= u with
-    duals lam, the row part of :func:`kkt_residuals`."""
+def kkt_residuals(P, q, A, l, u, y, lam):
+    """(primal, dual, complementarity) infinity-norm KKT residuals."""
+    Ay = A @ y
     prim = float(np.max(np.maximum(Ay - u, 0.0) + np.maximum(l - Ay, 0.0),
                         initial=0.0))
     lam_pos = np.maximum(lam, 0.0)
@@ -1158,14 +1209,24 @@ def _row_residuals(Ay, l, u, lam):
     gap_u = np.where(fin_u, np.abs(np.where(fin_u, u, 0.0) - Ay), 1.0)
     gap_l = np.where(fin_l, np.abs(Ay - np.where(fin_l, l, 0.0)), 1.0)
     comp = float(np.max(lam_pos * gap_u - lam_neg * gap_l, initial=0.0))
-    return prim, comp
-
-
-def kkt_residuals(P, q, A, l, u, y, lam):
-    """(primal, dual, complementarity) infinity-norm KKT residuals."""
-    prim, comp = _row_residuals(A @ y, l, u, lam)
     dual = float(np.max(np.abs(P @ y + q + A.T @ lam), initial=0.0))
     return prim, dual, comp
+
+
+def _dual_gaps(dual, side, value):
+    """The largest complementarity product of rows with nonzero duals
+    ``dual``: |dual| times the distance from ``value`` to ``side``, the
+    bound that the dual's sign selects, or |dual| alone where that side is
+    infinite, as in :func:`kkt_residuals`."""
+    fin = np.isfinite(side)
+    gap = np.abs(np.where(fin, side, value) - value)
+    return (np.abs(dual) * np.where(fin, gap, 1.0)).max()
+
+
+def _worst(*parts):
+    """The largest of the residual parts, or inf when one is NaN: Python's
+    max(0.0, nan) is 0.0, and no comparison with a tolerance may pass."""
+    return math.inf if any(map(math.isnan, parts)) else float(max(parts))
 
 
 def soft_kkt_residuals(P, q, A, l, u, G, b, sig1, sig2, x, eps, mu, lam, nu):
@@ -1175,20 +1236,36 @@ def soft_kkt_residuals(P, q, A, l, u, G, b, sig1, sig2, x, eps, mu, lam, nu):
         min  0.5 x'Px + q'x + sig2 eps'eps + sig1 sum(eps)
         s.t. l <= Ax <= u,   Gx - eps <= b,   eps >= 0,
 
-    computed block by block: the lifted matrices, mostly the slack identity
-    blocks and zeros, are never formed.  The three row blocks follow the
-    finite/infinite-side rules of :func:`kkt_residuals`, and stationarity
-    covers the x rows and the slack rows.
+    computed row block by row block: the lifted matrices, mostly the slack
+    identity blocks and zeros, are never formed, and neither are the lifted
+    vectors.  Each block keeps the finite/infinite-side rules of
+    :func:`kkt_residuals` with its own sides: a hard row's are l and u, a
+    soft row's only b (finite or not) and a slack's only 0.  A hard or soft
+    row enters the complementarity and the stationarity of x only where its
+    dual is nonzero, which is on the working set of an answer.  A NaN
+    anywhere makes its residual inf, so that it fails every tolerance.
     """
-    ms = len(b)
-    prim, comp = _row_residuals(
-        np.concatenate([A @ x, G @ x - eps, eps]),
-        np.concatenate([l, np.full(ms, -np.inf), np.zeros(ms)]),
-        np.concatenate([u, b, np.full(ms, np.inf)]),
-        np.concatenate([mu, lam, nu]))
-    dual = np.concatenate([P @ x + q + A.T @ mu + G.T @ lam,
-                           2.0 * sig2 * eps + sig1 - lam + nu])
-    return prim, float(np.max(np.abs(dual), initial=0.0)), comp
+    vh = A @ x
+    vs = G @ x - eps
+    prim = _worst((np.maximum(vh - u, 0.0) + np.maximum(l - vh, 0.0)).max(
+        initial=0.0), (vs - b).max(initial=0.0), (-eps).max(initial=0.0))
+    # a slack's dual: positive on its infinite upper side, negative paired
+    # with eps itself
+    comp = [np.maximum(nu, -nu * np.abs(eps)).max(initial=0.0)]
+    dual_x = P @ x + q
+    i = mu.nonzero()[0]
+    if len(i):
+        m = mu[i]
+        comp.append(_dual_gaps(m, np.where(m > 0.0, u[i], l[i]), vh[i]))
+        dual_x += A[i].T @ m
+    i = lam.nonzero()[0]
+    if len(i):
+        m = lam[i]
+        comp.append(_dual_gaps(m, np.where(m > 0.0, b[i], -np.inf), vs[i]))
+        dual_x += G[i].T @ m
+    dual = _worst(np.abs(dual_x).max(initial=0.0), np.abs(
+        2.0 * sig2 * eps + sig1 - lam + nu).max(initial=0.0))
+    return prim, dual, _worst(*comp)
 
 
 def _farkas(A, l, u, mu):

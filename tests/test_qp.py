@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from trailer_mpc import QpProblem, QpStatus, solve_qp
+from trailer_mpc import QpProblem, QpStatus, qp, solve_qp
 from trailer_mpc.qp import (ELIM, EXCHANGE_CAP, KINK, HotStart, PreparedQp,
                             auxiliary_hot, certified_solve, kkt_residuals,
                             parametric_solve, row_structure, soft_ipm_solve,
@@ -289,6 +289,95 @@ def test_soft_kkt_residuals_match_the_lifted_problem(seed, ms, infinite):
                     np.abs(bounds[np.isfinite(bounds)]).max(initial=0.0))
     # the products summed differ only in rounding order
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * mag ** 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ms=st.integers(0, 3),
+       sig=st.sampled_from([(10.0, 50.0), (1e3, 1e4)]),
+       infinite=st.booleans())
+def test_soft_kkt_residuals_match_the_lifted_problem_at_answers(seed, ms, sig,
+                                                                infinite):
+    # the solver's answers: exact-zero duals off the working set, kink and
+    # eliminated soft rows, and interior points where a crossover fails
+    rng = np.random.default_rng(seed)
+    P, q, A, l, u, G, b = _random_soft_qp(rng)
+    G, b = G[:ms], b[:ms]
+    if infinite:
+        # one-sided and free hard rows
+        l[rng.random(len(l)) < 0.5] = -np.inf
+        u[rng.random(len(u)) < 0.5] = np.inf
+    s1, s2 = sig
+    sol, _, _ = certified_solve(P, q, A, l, u, G, b, s1, s2, 1e-6)
+    if infinite:
+        # and a soft row that never binds, checked at the answer with the
+        # row bound (the interior point takes no infinite b)
+        b[rng.random(ms) < 0.3] = np.inf
+    soft = (P, q, A, l, u, G, b, s1, s2)
+    n, mh = len(q), len(l)
+    x, eps = sol.y[:n], sol.y[n:]
+    mu, lam, nu = np.split(sol.duals, [mh, mh + ms])
+    got = soft_kkt_residuals(*soft, x, eps, mu, lam, nu)
+    Pl, ql, Al, ll, ul = _lifted(*soft)
+    want = kkt_residuals(Pl, ql, Al, ll, ul, sol.y, sol.duals)
+    bounds = np.concatenate([ll, ul])
+    mag = 1.0 + max(np.abs(sol.y).max(), np.abs(sol.duals).max(initial=0.0),
+                    np.abs(Pl).max(), np.abs(Al).max(), np.abs(ql).max(),
+                    np.abs(bounds[np.isfinite(bounds)]).max(initial=0.0))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * mag ** 3)
+    # one NaN or infinite entry anywhere fails the certificate, also when
+    # the residuals are reduced with Python's max, whose max(0.0, nan) is 0.0
+    for vec in (x, eps, mu, lam, nu):
+        if not len(vec):
+            continue
+        i = rng.integers(len(vec))
+        keep = vec[i]
+        for bad in (np.nan, np.inf, -np.inf):
+            vec[i] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                res = soft_kkt_residuals(*soft, x, eps, mu, lam, nu)
+            assert not max(res) <= 1e-6, (bad, res)
+        vec[i] = keep
+
+
+def test_first_piece_is_solved_once(monkeypatch):
+    # a hot start whose working set still holds takes one equality solve;
+    # one whose first piece leaves its region goes on from that same solve
+    # to the ratio test, one solve per piece, and reaches the crossover's
+    # vertex
+    solves = []
+    solve = qp._WorkingFactor.solve
+
+    def counted(self):
+        solves.append(self)
+        return solve(self)
+
+    monkeypatch.setattr(qp._WorkingFactor, "solve", counted)
+    rng = np.random.default_rng(7)
+    s1, s2 = 10.0, 50.0
+    moved = 0
+    for trial in range(20):
+        P, q, A, l, u, G, b = _random_soft_qp(rng)
+        soft = (P, q, A, l, u, G, b, s1, s2)
+        _, path, hot = certified_solve(*soft, 1e-6)
+        assert path is not None
+        solves.clear()
+        res, breakpoints = parametric_solve(*soft, hot)
+        assert breakpoints == 0 and len(solves) == 1
+        assert max(soft_kkt_residuals(*soft, *res[:5])) <= 1e-6
+        q2 = q + 100.0 * rng.normal(size=len(q))
+        soft2 = (P, q2, A, l, u, G, b, s1, s2)
+        solves.clear()
+        res, breakpoints = parametric_solve(*soft2, hot)
+        assert res is not None
+        assert len(solves) == breakpoints + 1
+        moved += breakpoints >= 1
+        ipm = soft_ipm_solve(*soft2, 1e-6)
+        cross = parametric_solve(*soft2, auxiliary_hot(
+            A, G, l, u, b, s1, *ipm[:4], ipm[5]))[0]
+        np.testing.assert_allclose(np.concatenate(res[:2]),
+                                   np.concatenate(cross[:2]), rtol=0.0,
+                                   atol=1e-8)
+    assert moved >= 15, moved
 
 
 @settings(max_examples=40, deadline=None)
