@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidState, SingularConfiguration
+from .params import is_int, is_real
 
 # C1 values at or below this are treated as singular.
 SINGULAR_TOL = 1e-6
@@ -47,8 +48,8 @@ class ControlInput:
     v: float  # -1.0 or +1.0
 
     def __post_init__(self):
-        if self.v not in (-1.0, 1.0, -1, 1):
-            raise ValueError("direction v must be -1 or +1")
+        if not is_real(self.u) or self.v not in (-1.0, 1.0, -1, 1):
+            raise ValueError("curvature u must be finite and direction v -1 or +1")
 
 
 @dataclass(frozen=True)
@@ -82,22 +83,17 @@ def speed_ratio(params, beta2, beta3, u):
     return chain_terms(params, math.sin(beta2), math.cos(beta2), math.cos(beta3), u)[0]
 
 
-def _derivatives_checked(params, x, inp_u, inp_v):
-    theta3, beta3, beta2 = x[2], x[3], x[4]
+def _derivatives_checked(params, theta3, beta3, beta2, u, v):
     if abs(beta3) >= _HALF_PI:
         raise InvalidState(f"|beta3| = {abs(beta3):.4f} >= pi/2")
     c1, n3, n2 = chain_terms(params, math.sin(beta2), math.cos(beta2),
-                             math.cos(beta3), inp_u)
+                             math.cos(beta3), u)
     if c1 <= SINGULAR_TOL:
         raise SingularConfiguration(f"C1 = {c1:.3e} <= {SINGULAR_TOL}")
-    v3 = inp_v * c1
+    v3 = v * c1
     tb3 = math.tan(beta3)
-    dx3 = v3 * math.cos(theta3)
-    dy3 = v3 * math.sin(theta3)
-    dtheta3 = v3 * tb3 / params.L3
-    dbeta3 = v3 * (n3 / (params.L2 * c1) - tb3 / params.L3)
-    dbeta2 = v3 * n2 / c1
-    return (dx3, dy3, dtheta3, dbeta3, dbeta2)
+    return (v3 * math.cos(theta3), v3 * math.sin(theta3), v3 * tb3 / params.L3,
+            v3 * (n3 / (params.L2 * c1) - tb3 / params.L3), v3 * n2 / c1)
 
 
 def derivatives(params, state: VehicleState, inp: ControlInput) -> np.ndarray:
@@ -106,8 +102,8 @@ def derivatives(params, state: VehicleState, inp: ControlInput) -> np.ndarray:
     Raises InvalidState if |beta3| >= pi/2 and SingularConfiguration if the
     speed ratio C1 is not strictly positive.
     """
-    x = (state.x3, state.y3, state.theta3, state.beta3, state.beta2)
-    return np.array(_derivatives_checked(params, x, inp.u, float(inp.v)))
+    return np.array(_derivatives_checked(params, state.theta3, state.beta3,
+                                         state.beta2, inp.u, float(inp.v)))
 
 
 def derivatives_batch(params, x, u, v):
@@ -133,24 +129,28 @@ def derivatives_batch(params, x, u, v):
 
 
 def integrate_step(params, state: VehicleState, inp: ControlInput, dt, substeps=1) -> VehicleState:
-    """Propagate the state over dt with fixed-step RK4 under constant input."""
-    if dt < 0.0:
-        raise ValueError("dt must be non-negative")
+    """Propagate the state over dt with fixed-step RK4 under constant input.
+    Raises ValueError unless dt is finite and >= 0 and substeps an integer
+    >= 1, else what :func:`derivatives` raises at the first stage point with
+    |beta3| >= pi/2 or C1 <= SINGULAR_TOL."""
+    if not (is_real(dt, 0.0, closed=True) and is_int(substeps) and substeps >= 1):
+        raise ValueError("dt must be finite and >= 0, substeps an integer >= 1")
+    x3, y3, th, b3, b2 = state.x3, state.y3, state.theta3, state.beta3, state.beta2
     if dt == 0.0:
-        return VehicleState(state.x3, state.y3, state.theta3, state.beta3, state.beta2)
-    u, v = inp.u, float(inp.v)
-    h = dt / substeps
-    x = [state.x3, state.y3, state.theta3, state.beta3, state.beta2]
+        return VehicleState(x3, y3, th, b3, b2)
+    u, v, h = inp.u, float(inp.v), dt / substeps
+    h2, h6 = 0.5 * h, h / 6.0  # 0.5 * h * k parses as (0.5 * h) * k
     for _ in range(substeps):
-        k1 = _derivatives_checked(params, x, u, v)
-        x2 = [x[i] + 0.5 * h * k1[i] for i in range(5)]
-        k2 = _derivatives_checked(params, x2, u, v)
-        x3 = [x[i] + 0.5 * h * k2[i] for i in range(5)]
-        k3 = _derivatives_checked(params, x3, u, v)
-        x4 = [x[i] + h * k3[i] for i in range(5)]
-        k4 = _derivatives_checked(params, x4, u, v)
-        x = [x[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(5)]
-    return VehicleState(*x)
+        a = _derivatives_checked(params, th, b3, b2, u, v)
+        b = _derivatives_checked(params, th + h2 * a[2], b3 + h2 * a[3], b2 + h2 * a[4], u, v)
+        c = _derivatives_checked(params, th + h2 * b[2], b3 + h2 * b[3], b2 + h2 * b[4], u, v)
+        d = _derivatives_checked(params, th + h * c[2], b3 + h * c[3], b2 + h * c[4], u, v)
+        x3 += h6 * (a[0] + 2.0 * b[0] + 2.0 * c[0] + d[0])
+        y3 += h6 * (a[1] + 2.0 * b[1] + 2.0 * c[1] + d[1])
+        th += h6 * (a[2] + 2.0 * b[2] + 2.0 * c[2] + d[2])
+        b3 += h6 * (a[3] + 2.0 * b[3] + 2.0 * c[3] + d[3])
+        b2 += h6 * (a[4] + 2.0 * b[4] + 2.0 * c[4] + d[4])
+    return VehicleState(x3, y3, th, b3, b2)
 
 
 def segment_poses(params, state: VehicleState) -> SegmentPoses:

@@ -397,6 +397,9 @@ class MpcController:
         # condensed structures by the ids of their horizon's stations
         self._structs_by_content = {}
         self.n_structure_builds = 0
+        # _shifted_hot's row maps by base change d: they depend only on the
+        # horizon and the polytope's row count
+        self._shift_maps = {}
 
     # -- building blocks -------------------------------------------------
 
@@ -539,24 +542,29 @@ class MpcController:
         rows and the polytope's stage blocks move by d, and the last input
         repeats.  The per-cycle slew row and the d new stages at the
         horizon's end start inactive, their duals and slacks at 0."""
-        N, ms = struct.n_inputs, struct.n_slack
-        m = ms // N   # soft rows per stage
-        # for each row of struct, the answer's row it continues, or -1
-        hard = np.full(2 * N, -1)
-        hard[:N - d] = np.arange(d, N)
-        hard[N + 1:2 * N - d] = np.arange(N + 1 + d, 2 * N)
-        soft = np.full(ms, -1)
-        soft[:ms - d * m] = np.arange(d * m, ms)
+        maps = self._shift_maps.get(d)
+        if maps is None:
+            N, ms = struct.n_inputs, struct.n_slack
+            m = ms // N   # soft rows per stage
+            # for each row of struct, the answer's row it continues, or -1
+            hard = np.full(2 * N, -1)
+            hard[:N - d] = np.arange(d, N)
+            hard[N + 1:2 * N - d] = np.arange(N + 1 + d, 2 * N)
+            soft = np.full(ms, -1)
+            soft[:ms - d * m] = np.arange(d * m, ms)
+            maps = self._shift_maps[d] = (np.minimum(np.arange(N) + d, N - 1),
+                                          (hard, hard >= 0), (soft, soft >= 0))
+        inputs, hard, soft = maps
 
         def moved(v, rows):
-            return np.where(rows >= 0, v[rows], v.dtype.type(0))
+            source, kept = rows
+            return np.where(kept, v[source], v.dtype.type(0))
 
         sides, states = hot.sets
         return auxiliary_hot(
             struct.A_in, struct.G, l, u, b, self.cfg.slack_linear,
-            hot.x[np.minimum(np.arange(N) + d, N - 1)], moved(hot.eps, soft),
-            moved(hot.mu, hard), moved(hot.lam, soft),
-            (moved(sides, hard), moved(states, soft)))
+            hot.x[inputs], moved(hot.eps, soft), moved(hot.mu, hard),
+            moved(hot.lam, soft), (moved(sides, hard), moved(states, soft)))
 
 
 class LqController:

@@ -11,14 +11,18 @@ import numpy as np
 
 def is_real(value, low=-math.inf, high=math.inf, closed=False) -> bool:
     """Whether ``value`` is a real number with ``low < value < high``
-    (``low <= value`` when ``closed``); a bool, a string or NaN never is."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+    (``low <= value`` when ``closed``); a bool, a string or NaN never is.
+    A float skips the ABC check (about 0.3 µs), as the plant step tests
+    its inputs at every call."""
+    return (type(value) is float or isinstance(value, numbers.Real)
+            and not isinstance(value, bool)) \
         and (low <= value if closed else low < value) and value < high
 
 
 def is_int(value) -> bool:
     """Whether ``value`` is an integer; a bool never is."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or \
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def real_tuple(value, n, low=-math.inf, closed=False):

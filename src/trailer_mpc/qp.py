@@ -1084,7 +1084,11 @@ def soft_ipm_solve(P, q, A, l, u, G, b, sig1, sig2, tol):
     numerically positive definite.  Callers certify the point themselves.  Returns the 7-tuple of
     :func:`soft_qp_solve`: the working set is read off the interior point
     (rows whose dual exceeds their slack), the iterations are Newton steps.
+    Raises ValueError when an entry of b is not finite.
     """
+    bad = np.flatnonzero(~np.isfinite(b))
+    if len(bad):
+        raise ValueError(f"soft bound b[{bad[0]}] = {b[bad[0]]} is not finite")
     n, mh, ms = len(q), A.shape[0], G.shape[0]
     iu = np.isfinite(u).nonzero()[0]
     il = np.isfinite(l).nonzero()[0]
@@ -1298,7 +1302,9 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
     then interior point and crossover.
 
     ``hot`` is a :class:`HotStart` on the same P, A and G, or None, and
-    ``factors`` a :class:`FactorCache` of them, or None.  The first answer
+    ``factors`` a :class:`FactorCache` of them, or None.  Every entry of b
+    must be finite: the homotopy declines one that is not, and
+    :func:`soft_ipm_solve` raises ValueError for it.  The first answer
     whose :func:`soft_kkt_residuals` pass ``tol`` is taken:
 
     1. with ``hot``, the parametric homotopy from it (:func:`soft_qp_solve`

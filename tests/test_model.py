@@ -1,3 +1,5 @@
+import dataclasses
+import fractions
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from trailer_mpc import (ControlInput, VehicleState, derivatives,
                          integrate_step, segment_poses, speed_ratio)
 from trailer_mpc.exceptions import InvalidState, SingularConfiguration
 from trailer_mpc.model import chain_terms, derivatives_batch
+from trailer_mpc.params import is_int, is_real
 
 # M = diag(1, -1, -1, -1, -1): the chain mirrored about the path's x axis
 MIRROR = np.array([1.0, -1.0, -1.0, -1.0, -1.0])
@@ -94,6 +97,85 @@ def test_integrate_step_zero_dt_identity(params):
     assert np.allclose(out.as_array(), state.as_array())
     with pytest.raises(ValueError):
         integrate_step(params, state, ControlInput(0.1, 1.0), -0.1)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, True, "0.1"])
+def test_integrate_step_rejects_a_bad_dt(params, dt):
+    state = VehicleState(1.0, 2.0, 0.3, 0.1, -0.2)
+    with pytest.raises(ValueError, match="dt"):
+        integrate_step(params, state, ControlInput(0.1, 1.0), dt)
+
+
+@pytest.mark.parametrize("substeps", [-1, 0, 1.0, 2.5, True, None])
+def test_integrate_step_rejects_a_bad_substep_count(params, substeps):
+    # a bool is not a count, and neither is a float that happens to be whole
+    state = VehicleState(1.0, 2.0, 0.3, 0.1, -0.2)
+    for dt in (0.05, 0.0):
+        with pytest.raises(ValueError, match="substeps"):
+            integrate_step(params, state, ControlInput(0.1, 1.0), dt,
+                           substeps=substeps)
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf, True, "0.1"])
+def test_control_input_rejects_a_curvature_that_is_no_finite_number(u):
+    with pytest.raises(ValueError, match="curvature"):
+        ControlInput(u, -1)
+
+
+def test_is_real_and_is_int_take_numbers_of_every_type_alike():
+    # the fast path for float and int answers as the ABC checks do
+    reals = [0.5, np.float64(0.5), np.float32(0.5), 2, np.int64(2),
+             fractions.Fraction(1, 2)]
+    for value in reals:
+        assert is_real(value) and is_real(value, 0.0, 3.0, closed=True)
+        assert not is_real(value, 3.0)
+    for value in (True, False, np.bool_(True), "0.5", None, math.nan,
+                  math.inf, -math.inf, np.float64(math.nan), 1j):
+        assert not is_real(value)
+    assert all(is_int(v) for v in (0, -3, np.int64(7), np.int8(-1)))
+    assert not any(is_int(v) for v in (True, 1.0, np.float64(1.0), "1", None))
+
+
+def _reference_step(params, state, inp, dt, substeps):
+    """Stage-by-stage RK4 over :func:`derivatives` on lists of five, which
+    the float plant step must equal bit for bit."""
+    h = dt / substeps
+    x = [state.x3, state.y3, state.theta3, state.beta3, state.beta2]
+    for _ in range(substeps):
+        k1 = derivatives(params, VehicleState(*x), inp)
+        x2 = [float(x[i] + 0.5 * h * k1[i]) for i in range(5)]
+        k2 = derivatives(params, VehicleState(*x2), inp)
+        x3 = [float(x[i] + 0.5 * h * k2[i]) for i in range(5)]
+        k3 = derivatives(params, VehicleState(*x3), inp)
+        x4 = [float(x[i] + h * k3[i]) for i in range(5)]
+        k4 = derivatives(params, VehicleState(*x4), inp)
+        x = [float(x[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]))
+             for i in range(5)]
+    return VehicleState(*x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=2),
+       theta3=st.floats(-7.0, 7.0), beta3=st.floats(-1.6, 1.6),
+       beta2=st.floats(-2.0, 2.0), u=st.floats(-0.4, 0.4),
+       v=st.sampled_from([-1, 1]),
+       dt=st.floats(0.0, 2.0, exclude_min=True), substeps=st.integers(1, 12))
+def test_integrate_step_equals_the_stage_by_stage_rk4(params, x, theta3, beta3,
+                                                      beta2, u, v, dt, substeps):
+    # the float plant keeps every bit of the list form, and fails at the
+    # same stage: |beta3| >= pi/2 raises InvalidState, C1 <= SINGULAR_TOL
+    # SingularConfiguration
+    state, inp = VehicleState(*x, theta3, beta3, beta2), ControlInput(u, v)
+    try:
+        want = _reference_step(params, state, inp, dt, substeps)
+    except (InvalidState, SingularConfiguration) as exc:
+        with pytest.raises((InvalidState, SingularConfiguration)) as got:
+            integrate_step(params, state, inp, dt, substeps)
+        assert type(got.value) is type(exc)
+        return
+    got = integrate_step(params, state, inp, dt, substeps)
+    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+    assert all(type(value) is float for value in dataclasses.astuple(got))
 
 
 def test_segment_poses_aligned_chain(params):

@@ -488,6 +488,56 @@ def test_shifted_hot_start_moves_rows_by_the_base_change(params, eight_back):
                                                   np.maximum(struct.hbar, Gx)))
 
 
+def _reference_shifted_hot(cfg, hot, d, struct, l, u, b):
+    """MpcController._shifted_hot with its row maps built on every call."""
+    from trailer_mpc.qp import auxiliary_hot
+
+    N, ms = struct.n_inputs, struct.n_slack
+    m = ms // N
+    hard = np.full(2 * N, -1)
+    hard[:N - d] = np.arange(d, N)
+    hard[N + 1:2 * N - d] = np.arange(N + 1 + d, 2 * N)
+    soft = np.full(ms, -1)
+    soft[:ms - d * m] = np.arange(d * m, ms)
+
+    def moved(v, rows):
+        return np.where(rows >= 0, v[rows], v.dtype.type(0))
+
+    sides, states = hot.sets
+    return auxiliary_hot(
+        struct.A_in, struct.G, l, u, b, cfg.slack_linear,
+        hot.x[np.minimum(np.arange(N) + d, N - 1)], moved(hot.eps, soft),
+        moved(hot.mu, hard), moved(hot.lam, soft),
+        (moved(sides, hard), moved(states, soft)))
+
+
+def test_shifted_hot_start_keeps_its_bits_with_maps_kept_per_shift(
+        params, eight_back):
+    from trailer_mpc.qp import HotStart
+
+    cfg = MpcConfig()
+    controller = MpcController(params, eight_back, cfg)
+    struct = controller._structure(120)
+    N, ms = cfg.horizon, struct.n_slack
+    rng = np.random.default_rng(3)
+    l, u = struct.l.copy(), struct.u.copy()
+    l[N], u[N] = -0.01, 0.01
+    b = struct.hbar - rng.uniform(0.0, 0.1, ms)
+    # every side and state, and values of either sign
+    sets = (rng.integers(-1, 2, 2 * N).astype(np.int8),
+            rng.integers(0, 3, ms).astype(np.int8))
+    hot = HotStart(struct.l, struct.u, struct.hbar, rng.normal(size=N),
+                   rng.uniform(0.0, 1.0, ms), rng.normal(size=2 * N),
+                   rng.normal(size=ms), sets)
+    for _ in range(2):   # the maps are built on the first pass, then kept
+        for d in range(1, N):
+            got = controller._shifted_hot(hot, d, struct, l, u, b)
+            want = _reference_shifted_hot(cfg, hot, d, struct, l, u, b)
+            for g, w in zip(got[:7] + got.sets, want[:7] + want.sets):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert sorted(controller._shift_maps) == list(range(1, N))
+
+
 def test_straight_bases_share_one_structure(params, straight_back):
     controller = MpcController(params, straight_back, MpcConfig())
     assert controller._structure(0) is controller._structure(7)

@@ -422,6 +422,24 @@ def test_soft_ipm_matches_lifted_oracle(seed, ms, sig):
                                atol=1e-6)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_soft_bound_that_is_not_finite_raises(bad):
+    # G x - eps <= inf would leave inf - inf in the interior point's
+    # residuals and a NaN point; the homotopy declines such a b, so with or
+    # without a hot start the solve raises
+    P, q, A, l, u, G, b = _random_soft_qp(np.random.default_rng(7))
+    _, path, hot = certified_solve(P, q, A, l, u, G, b, 10.0, 50.0, 1e-6)
+    assert path is not None
+    b = b.copy()
+    b[0] = bad
+    soft = (P, q, A, l, u, G, b, 10.0, 50.0)
+    with pytest.raises(ValueError, match=r"b\[0\]"):
+        soft_ipm_solve(*soft, 1e-6)
+    for hot_start in (None, hot):
+        with pytest.raises(ValueError, match=r"b\[0\]"):
+            certified_solve(*soft, 1e-6, hot=hot_start)
+
+
 def test_soft_qp_warm_start_consistent(rng):
     s1, s2 = 10.0, 50.0
     for trial in range(20):
