@@ -13,12 +13,11 @@ from .exceptions import (EmptyRegion, InfeasiblePath, InvalidState,
                          NominalOutsidePolytope, OutOfDomain, PathExhausted,
                          ProjectionLost, RiccatiDiverged, SingularConfiguration,
                          TrailerMpcError, ValidityViolated)
-from .model import (ControlInput, SegmentPoses, VehicleState, derivatives,
-                    integrate_step, segment_poses, speed_ratio)
+from .model import (ControlInput, VehicleState, derivatives, integrate_step,
+                    speed_ratio)
 from .mpc import (ControllerState, CostMatrices, JointAnglePolytope,
                   LqController, MpcConfig, MpcController, actuator_limits,
-                  build_output_matrix, default_joint_polytope, design_cost,
-                  shift_joint_polytope, slew_bound)
+                  build_output_matrix, default_joint_polytope, design_cost)
 from .params import VehicleParams
 from .paths import (NominalPath, PathSample, eq_residuals, generate_figure_eight,
                     generate_straight, interpolate, project, reverse_path)

@@ -52,15 +52,6 @@ class ControlInput:
             raise ValueError("curvature u must be finite and direction v -1 or +1")
 
 
-@dataclass(frozen=True)
-class SegmentPoses:
-    """Planar poses (x, y, heading) of all three vehicle segments."""
-
-    tractor: tuple
-    dolly: tuple
-    semitrailer: tuple
-
-
 def chain_terms(params, sb2, cb2, cb3, u):
     """(C1, n3, n2) of the chain kinematics from sin/cos of beta2, cos of
     beta3 and the tractor curvature u.
@@ -151,27 +142,3 @@ def integrate_step(params, state: VehicleState, inp: ControlInput, dt, substeps=
         b3 += h6 * (a[3] + 2.0 * b[3] + 2.0 * c[3] + d[3])
         b2 += h6 * (a[4] + 2.0 * b[4] + 2.0 * c[4] + d[4])
     return VehicleState(x3, y3, th, b3, b2)
-
-
-def segment_poses(params, state: VehicleState) -> SegmentPoses:
-    """Poses of semitrailer, dolly and tractor from the holonomic chain.
-
-    The dolly axle carries the semitrailer kingpin (on-axle hitch) and sits
-    L3 ahead of the semitrailer axle along theta3.  The tractor's hitch
-    point sits L2 ahead of the dolly axle along theta2 and M1 behind the
-    tractor's rear axle along theta1.
-    """
-    theta2 = state.theta3 + state.beta3
-    theta1 = theta2 + state.beta2
-    x2 = state.x3 + params.L3 * math.cos(state.theta3)
-    y2 = state.y3 + params.L3 * math.sin(state.theta3)
-    xh = x2 + params.L2 * math.cos(theta2)
-    yh = y2 + params.L2 * math.sin(theta2)
-    x1 = xh + params.M1 * math.cos(theta1)
-    y1 = yh + params.M1 * math.sin(theta1)
-    return SegmentPoses(
-        tractor=(x1, y1, theta1),
-        dolly=(x2, y2, theta2),
-        semitrailer=(state.x3, state.y3, state.theta3),
-    )
-

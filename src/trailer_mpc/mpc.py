@@ -24,7 +24,7 @@ from .exceptions import (InfeasiblePath, NominalOutsidePolytope, PathExhausted,
                          RiccatiDiverged, SingularConfiguration)
 from .model import SINGULAR_TOL, VehicleState, chain_terms
 from .params import is_int, is_real, real_tuple
-from .paths import NominalPath, PathSample, extend_for_horizon
+from .paths import NominalPath, extend_for_horizon
 from .qp import FactorCache, HotStart, auxiliary_hot, certified_solve
 
 logger = logging.getLogger(__name__)
@@ -74,6 +74,8 @@ class JointAnglePolytope:
         self.h = np.asarray(self.h, dtype=float)
         if self.H.shape[1] != 2 or len(self.h) != self.H.shape[0]:
             raise ValueError("H must be (m, 2) with matching h")
+        if not (np.isfinite(self.H).all() and np.isfinite(self.h).all()):
+            raise ValueError("polytope rows H and h must be finite")
         if np.any(self.h <= 0.0):
             raise ValueError("polytope must contain the origin strictly (h > 0)")
 
@@ -195,13 +197,6 @@ def _require_inside(hbar, s):
             f"nominal joint angles at s={s[outside[0]]:.2f} outside the polytope")
 
 
-def shift_joint_polytope(poly: JointAnglePolytope, sample: PathSample):
-    """Polytope right-hand side recentered on the nominal joint angles."""
-    hbar = _polytope_rhs(poly, sample.beta3r, sample.beta2r)
-    _require_inside(hbar[None], [sample.s])
-    return poly.H, hbar
-
-
 def actuator_limits(params, cfg: MpcConfig):
     """(u_max, udot_max) the controllers enforce: the tighter of the
     vehicle's limits and the controller configuration's."""
@@ -225,16 +220,6 @@ def _require_regular(c1, s):
     if len(singular):
         i = singular[0]
         raise SingularConfiguration(f"nominal C1 = {c1[i]:.3e} at s={s[i]:.2f}")
-
-
-def slew_bound(sample: PathSample, params, udot_max) -> float:
-    """Curvature-rate bound per meter of semitrailer travel at this sample,
-    for the curvature-rate limit ``udot_max`` (the controllers pass the one
-    from :func:`actuator_limits`)."""
-    c1, bound = _slew_widths(params, udot_max, sample.beta3r, sample.beta2r,
-                            sample.ur)
-    _require_regular(np.atleast_1d(c1), [sample.s])
-    return float(bound)
 
 
 @dataclass
@@ -292,7 +277,7 @@ class _QpStructure:
     configuration; hard rows ``l <= A_in x <= u`` (N box rows, then the
     per-cycle slew row ``row_slew0`` and the N - 1 rows of the slew chain);
     soft rows ``G x - eps <= hbar - HsPhi x0`` (the joint-angle polytope at
-    stages 1..N, ``n_slack`` of them, none without a polytope) and eps >= 0.
+    stages 1..N, ``n_slack`` of them, none for a rowless polytope) and eps >= 0.
     ``A_in`` depends on no grid base: every structure of one controller
     shares the same array.  ``factors`` keeps the QP
     solves' factorizations on this structure (:class:`qp.FactorCache`),
@@ -347,16 +332,18 @@ class MpcController:
     sample grid, and a condensed structure is cached under the ids of its
     horizon's stations, so that the control cycles between two grid
     stations, and every grid base of a straight stretch, share one.
+    ``polytope`` None is :func:`default_joint_polytope`; a polytope with no
+    rows, ``JointAnglePolytope(np.zeros((0, 2)), np.zeros(0))``, adds none.
     """
 
     def __init__(self, params, path: NominalPath, cfg: MpcConfig = None,
-                 polytope: JointAnglePolytope = None, use_polytope=True):
+                 polytope: JointAnglePolytope = None):
         self.params = params
         self.cfg = cfg or MpcConfig()
         if self.cfg.delta_s != path.delta_s:
             raise ValueError("prediction grid spacing must equal the path spacing")
         self.u_max, self.udot_max = actuator_limits(params, self.cfg)
-        self.polytope = (polytope or default_joint_polytope()) if use_polytope else None
+        self.polytope = polytope if polytope is not None else default_joint_polytope()
         self.cost = design_cost(
             params, self.cfg, analytic_straight_model(params, path.direction,
                                                       self.cfg.delta_s))
@@ -372,13 +359,12 @@ class MpcController:
         # and the station models.  Structures hold views of _hbar and share
         # A_in whole, so these are read-only.
         ext = self.path
-        if self.polytope is not None:
-            # every nominal sample must sit strictly inside the polytope
-            self._hbar = _polytope_rhs(self.polytope, ext.beta3, ext.beta2)
-            _require_inside(self._hbar, ext.s)
-            self._hbar.flags.writeable = False
-            self._Hs = np.zeros((self.polytope.m, 4))
-            self._Hs[:, 2:] = self.polytope.H
+        # every nominal sample must sit strictly inside the polytope
+        self._hbar = _polytope_rhs(self.polytope, ext.beta3, ext.beta2)
+        _require_inside(self._hbar, ext.s)
+        self._hbar.flags.writeable = False
+        self._Hs = np.zeros((self.polytope.m, 4))
+        self._Hs[:, 2:] = self.polytope.H
         self._c1, slew = _slew_widths(params, self.udot_max, ext.beta3,
                                       ext.beta2, ext.u)
         self._slew_width = slew * self.cfg.delta_s
@@ -457,13 +443,10 @@ class MpcController:
         l[N + 1:] = -dur - c
         u[N + 1:] = -dur + c
         # soft joint-angle rows, stages 1..N
-        if self.polytope is not None:
-            m = self.polytope.m
-            G_soft = (self._Hs @ Gam).reshape(N * m, N)
-            HsPhi = (self._Hs @ Phi).reshape(N * m, 4)
-            hbar = self._hbar[base + 1:base + N + 1].reshape(N * m)
-        else:
-            G_soft, HsPhi, hbar = np.zeros((0, N)), np.zeros((0, 4)), np.zeros(0)
+        m = self.polytope.m
+        G_soft = (self._Hs @ Gam).reshape(N * m, N)
+        HsPhi = (self._Hs @ Phi).reshape(N * m, 4)
+        hbar = self._hbar[base + 1:base + N + 1].reshape(N * m)
 
         return _QpStructure(P_uu, self._A_in, G_soft, W, HsPhi, hbar, l, u,
                             float(ur[0]), N)

@@ -82,6 +82,3 @@ class VehicleParams:
                     raise ValueError(f"{path}:{lineno}: unknown parameter {key!r}")
                 overrides[key] = float(value)
         return cls(**overrides)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -26,8 +26,11 @@ solves a working set again only after it changes, and splits each solve
 (:func:`_solve_active`) into a factorization of the working rows, which a
 :class:`FactorCache` keeps for the working sets used last, and a solve for
 the right-hand sides.
-:class:`PreparedQp`, an ADMM solver with batched right-hand sides, is used
-by no solve path.
+:class:`PreparedQp`, an ADMM solver with batched right-hand sides and no
+polish, is used by no solve path.  It stays, with its ``cho_factor`` /
+``cho_solve`` calls, because the benchmark's span tracer
+(``perfbench/spans.py``) resolves ``PreparedQp.solve``, ``cho_factor``,
+``cho_solve``, ``lu_factor`` and :func:`kkt_residuals` here by name.
 """
 
 from __future__ import annotations
@@ -252,30 +255,6 @@ def _solve_factored(P, q, b_w, fac):
     return x, lam
 
 
-def polish_solution(P, q, A, l, u, y, lam, z, tol, single_col=None):
-    """Active-set refinement of an approximate solution; the active set is
-    read off the (exactly clipped) auxiliary variable z.  Returns
-    (y, lam, residuals) on success, None when the refined point fails the
-    KKT check."""
-    with np.errstate(invalid="ignore"):
-        low = np.isfinite(l) & (z <= l + 1e-9 * (1.0 + np.abs(l)))
-        up = np.isfinite(u) & (z >= u - 1e-9 * (1.0 + np.abs(u)))
-    act = (low | up).nonzero()[0]
-    b_act = np.where(up, u, l)
-    if single_col is None:
-        single_col = row_structure(A)
-    res = _solve_active(P, q, A[act], b_act[act], single_col[act])
-    if res is None:
-        return None
-    x, lam_act = res
-    lam_new = np.zeros(A.shape[0])
-    lam_new[act] = lam_act
-    kkt = kkt_residuals(P, q, A, l, u, x, lam_new)
-    if max(kkt) <= tol:
-        return x, lam_new, kkt
-    return None
-
-
 def _fold(P, q, G, b, sig1, sig2, elim):
     """(P, q) with the penalty of the eliminated soft rows ``elim`` folded
     in: each such slack is substituted by its violation G_i x - b_i.
@@ -309,9 +288,9 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     data changed only slightly.  A working set is solved once until it
     changes: the warm start's trial solve serves the first iteration, and
     a full step that adds no row reuses its solve.  ``factors``, a
-    :class:`FactorCache` of P and A or None, keeps the factorizations of
-    the working sets used last across calls; the answers are the same bits
-    either way.
+    :class:`FactorCache` of P and A, keeps the factorizations of the
+    working sets used last across calls; None makes a cache for this call
+    alone, with the same bits.
 
     Returns (x, eps, mu, lam, nu, sets, iterations) -- duals of the hard,
     soft and nonnegativity rows, the final working set (sides, states) in
@@ -330,6 +309,8 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     mh = A.shape[0]
     if single_col is None:
         single_col = row_structure(A)
+    if factors is None:
+        factors = FactorCache(P)
     fin_u = np.isfinite(u)
     fin_l = np.isfinite(l)
     su = np.where(fin_u, u, 0.0)
@@ -341,10 +322,7 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
         """:func:`_solve_active` on the hard rows at their side ``sides``:
         ((x, duals), rows) or None."""
         rows_h = sides.nonzero()[0]
-        if factors is None:
-            fac = _factor_active(P, A[rows_h], single_col[rows_h])
-        else:
-            fac = factors.active(rows_h, A, single_col)
+        fac = factors.active(rows_h, A, single_col)
         if fac is None:
             return None
         res = _solve_factored(P, q, np.where(sides > 0, u, l)[rows_h], fac)
@@ -1431,7 +1409,6 @@ class PreparedQp:
         if eq_mask is None:
             eq_mask = np.zeros(self.m, dtype=bool)
         self.rho_vec = np.where(eq_mask, rho * 1e3, rho)
-        self.single_col = row_structure(self.A)
         self._factor()
 
     def _factor(self):
@@ -1440,14 +1417,9 @@ class PreparedQp:
             K = K + (self.As * self.rho_vec[:, None]).T @ self.As
         self.chol = cho_factor(K, lower=True, check_finite=False)
 
-    def solve(self, q, l, u, y0=None, lam0=None, tol=None, max_iter=None,
-              polish=False):
+    def solve(self, q, l, u, y0=None, lam0=None, tol=None, max_iter=None):
         """Solve for one or many (q, l, u) columns; returns a QpSolution for
-        1-D inputs, or (Y, Lam, iters, status) arrays for batched inputs.
-
-        With ``polish`` (single-column only), an active-set refinement is
-        attempted at every residual check; on success the refined
-        machine-precision KKT point is returned immediately."""
+        1-D inputs, or (Y, Lam, iters, status) arrays for batched inputs."""
         tol = self.tol if tol is None else tol
         max_iter = self.max_iter if max_iter is None else max_iter
         q = np.asarray(q, dtype=float)
@@ -1510,16 +1482,6 @@ class PreparedQp:
                 else:
                     r_prim = np.zeros(K)
                     r_comp = np.zeros(K)
-                if polish and not batched and self.m:
-                    refined = polish_solution(self.P, Q[:, 0], self.A, L[:, 0],
-                                              U[:, 0], Xo[:, 0], Yo[:, 0],
-                                              Z[:, 0] / self.e, tol,
-                                              single_col=self.single_col)
-                    if refined is not None:
-                        x_p, lam_p, (rp, rd, rc) = refined
-                        obj = float(0.5 * x_p @ self.P @ x_p + Q[:, 0] @ x_p)
-                        return QpSolution(x_p, lam_p, QpStatus.OPTIMAL, it, obj,
-                                          rp, rd, rc)
                 ok = (r_prim <= tol) & (r_dual <= tol) & (r_comp <= tol)
                 newly = ok & (iters_done < 0)
                 iters_done[newly] = it

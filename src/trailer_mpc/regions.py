@@ -19,6 +19,7 @@ from .error_model import VALIDITY_MARGIN
 from .exceptions import EmptyRegion
 from .model import CONV_TOL, JACKKNIFE_ANGLE, SINGULAR_TOL, derivatives_batch
 from .mpc import JointAnglePolytope, MpcConfig, MpcController
+from .params import is_real
 from .paths import generate_straight
 
 
@@ -129,11 +130,14 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
     """
     from .qp import row_structure, soft_qp_solve
 
+    if not is_real(distance, 0.0):
+        raise ValueError(f"distance must be a positive, finite number, got {distance}")
     cfg = cfg or MpcConfig()
     if beta3_axis is None or beta2_axis is None:
         beta3_axis, beta2_axis = make_axes()
     path = generate_straight(distance + 20.0, -1.0, cfg.delta_s)
-    controller = MpcController(params, path, cfg, use_polytope=False)
+    controller = MpcController(params, path, cfg,
+                               JointAnglePolytope(np.zeros((0, 2)), np.zeros(0)))
     struct = controller._structure(0)
     N = struct.n_inputs
     K_gain = controller.cost.K
@@ -312,8 +316,10 @@ def fit_inner_polytope(grid: RegionGrid, margin=0.05) -> JointAnglePolytope:
     every cell within that radius is good); supports along the four +/-
     direction pairs start at the eroded region's extent and shrink greedily
     until no bad cell remains inside.  Raises EmptyRegion when nothing is
-    left.
+    left.  ``margin`` must be finite and >= 0 (ValueError otherwise).
     """
+    if not is_real(margin, 0.0, closed=True):
+        raise ValueError(f"margin must be a finite number >= 0, got {margin}")
     good = grid.stable & grid.visible
     B3, B2 = np.meshgrid(grid.beta3_axis, grid.beta2_axis, indexing="ij")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .error_model import VALIDITY_MARGIN, compute_error
+from .error_model import _check_validity, compute_error
 from .exceptions import (InvalidState, OutOfDomain, ProjectionLost,
                          SingularConfiguration, ValidityViolated)
 from .model import (CONV_TOL, JACKKNIFE_ANGLE, SINGULAR_TOL, ControlInput,
@@ -204,9 +204,7 @@ def initial_state(path: NominalPath, perturbation, start_s=0.0) -> VehicleState:
     given station, rejecting starts that violate the error-model validity."""
     z3t, theta3t, beta3t, beta2t = perturbation
     ref = interpolate(path, start_s)
-    if 1.0 - ref.kappa3r * z3t <= VALIDITY_MARGIN or \
-            abs(theta3t) >= math.pi / 2.0 - VALIDITY_MARGIN:
-        raise ValidityViolated("initial perturbation outside the valid domain")
+    _check_validity(z3t, theta3t, ref.kappa3r)
     nx, ny = -math.sin(ref.theta3r), math.cos(ref.theta3r)
     return VehicleState(
         x3=ref.x3r + z3t * nx,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trailer_mpc import (ControlInput, VehicleState, derivatives,
-                         integrate_step, segment_poses, speed_ratio)
+                         integrate_step, speed_ratio)
 from trailer_mpc.exceptions import InvalidState, SingularConfiguration
 from trailer_mpc.model import chain_terms, derivatives_batch
 from trailer_mpc.params import is_int, is_real
@@ -176,22 +176,6 @@ def test_integrate_step_equals_the_stage_by_stage_rk4(params, x, theta3, beta3,
     got = integrate_step(params, state, inp, dt, substeps)
     assert dataclasses.astuple(got) == dataclasses.astuple(want)
     assert all(type(value) is float for value in dataclasses.astuple(got))
-
-
-def test_segment_poses_aligned_chain(params):
-    state = VehicleState(0.0, 0.0, 0.0, 0.0, 0.0)
-    poses = segment_poses(params, state)
-    assert poses.semitrailer == (0.0, 0.0, 0.0)
-    assert poses.dolly[0] == pytest.approx(params.L3)
-    assert poses.tractor[0] == pytest.approx(params.L3 + params.L2 + params.M1)
-    assert poses.tractor[1] == pytest.approx(0.0)
-
-
-def test_segment_poses_heading_composition(params):
-    state = VehicleState(0.0, 0.0, 0.2, 0.3, -0.1)
-    poses = segment_poses(params, state)
-    assert poses.dolly[2] == pytest.approx(0.5)
-    assert poses.tractor[2] == pytest.approx(0.4)
 
 
 def test_derivatives_batch_matches_scalar(params, rng):

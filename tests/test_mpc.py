@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 from trailer_mpc import (ControllerState, JointAnglePolytope, LqController,
                          MpcConfig, MpcController, VehicleParams, VehicleState,
                          analytic_straight_model, build_output_matrix,
-                         default_joint_polytope, design_cost, linearize,
-                         shift_joint_polytope, slew_bound)
+                         default_joint_polytope, design_cost, linearize)
 from trailer_mpc.exceptions import (NominalOutsidePolytope, PathExhausted,
                                     RiccatiDiverged, SingularConfiguration)
 from trailer_mpc.model import SINGULAR_TOL, speed_ratio
-from trailer_mpc.paths import NominalPath, generate_straight, interpolate
+from trailer_mpc.paths import NominalPath, generate_straight
 from trailer_mpc.qp import IPM_MAX_ITER
+
+# the polytope with no rows: a controller without joint-angle rows
+NO_JOINT_ROWS = JointAnglePolytope(np.zeros((0, 2)), np.zeros(0))
 
 
 def test_output_matrix_tractor_row(params):
@@ -72,29 +74,32 @@ def test_polytope_csv_round_trip(tmp_path):
     assert np.array_equal(back.h, poly.h)
 
 
+def test_a_polytope_with_a_non_finite_row_fails_at_construction():
+    for field, index, value in (("h", 0, math.nan), ("H", (3, 1), math.inf)):
+        poly = default_joint_polytope()
+        getattr(poly, field)[index] = value
+        with pytest.raises(ValueError, match="finite"):
+            JointAnglePolytope(poly.H, poly.h)
+    # no rows at all is the polytope without joint-angle rows
+    assert NO_JOINT_ROWS.m == 0 and NO_JOINT_ROWS.contains(5.0, -5.0)
+
+
+def test_a_polytope_file_with_nan_fails_to_read(tmp_path):
+    f = tmp_path / "poly.csv"
+    default_joint_polytope().write_csv(f)
+    lines = f.read_text().splitlines()
+    lines[2] = "0.0,1.0,nan"
+    f.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        JointAnglePolytope.read_csv(f)
+
+
 def test_default_polytope_symmetric_origin_inside():
     poly = default_joint_polytope()
     assert poly.contains(0.0, 0.0)
     # facets come in +/- pairs with equal support
     assert np.allclose(poly.H[0::2], -poly.H[1::2])
     assert np.allclose(poly.h[0::2], poly.h[1::2])
-
-
-def test_shift_joint_polytope(straight_back):
-    poly = default_joint_polytope()
-    H, hbar = shift_joint_polytope(poly, straight_back.sample(0))
-    assert np.allclose(hbar, poly.h)  # zero nominal angles: unshifted
-    bad = interpolate(straight_back, 0.0)
-    bad = type(bad)(bad.s, bad.x3r, bad.y3r, bad.theta3r, 2.0, 0.0,
-                    bad.ur, bad.v3r_sign, bad.kappa3r)
-    with pytest.raises(NominalOutsidePolytope):
-        shift_joint_polytope(poly, bad)
-
-
-def test_slew_bound_zero_angles(params, straight_back):
-    # C1 = 1 on the straight nominal: the bound is udot_max per meter
-    assert slew_bound(straight_back.sample(0), params,
-                      params.udot_max) == pytest.approx(0.13)
 
 
 def test_config_validation():
@@ -150,7 +155,7 @@ def test_condensing_equivalence_small_horizon(params, eight_back):
     N = cfg.horizon
     straight = generate_straight(30.0, -1.0, cfg.delta_s)
     for path, base in ((straight, 0), (eight_back, 50)):
-        controller = MpcController(params, path, cfg, use_polytope=False)
+        controller = MpcController(params, path, cfg, NO_JOINT_ROWS)
         struct = controller._structure(base)
         F, G = table_models(controller, base)
         if path is straight:
@@ -190,7 +195,7 @@ def test_a_sample_outside_the_polytope_fails_the_constructor(params,
     # the message names the first station outside
     with pytest.raises(NominalOutsidePolytope, match=r"s=6\.00 "):
         MpcController(params, path, MpcConfig())
-    MpcController(params, path, MpcConfig(), use_polytope=False)
+    MpcController(params, path, MpcConfig(), NO_JOINT_ROWS)
 
 
 def test_a_build_over_a_singular_station_raises(params, straight_back):
@@ -200,7 +205,7 @@ def test_a_build_over_a_singular_station_raises(params, straight_back):
     beta2[30] = 0.5 * math.pi   # C1 = cos(beta2) = 6e-17 there
     path = dataclasses.replace(straight_back, beta2=beta2)
     # the constructor linearizes every station, the singular one too
-    controller = MpcController(params, path, MpcConfig(), use_polytope=False)
+    controller = MpcController(params, path, MpcConfig(), NO_JOINT_ROWS)
     # every horizon whose models read station 30 names it
     for base in (0, 30):
         with pytest.raises(SingularConfiguration, match=r"s=6\.00"):
@@ -255,7 +260,7 @@ def loop_structure(controller, base):
         l[N + k] = -dur - c_k
         u[N + k] = -dur + c_k
     poly = controller.polytope
-    m = poly.m if poly is not None else 0
+    m = poly.m
     G_soft = np.zeros((N * m, N))
     HsPhi = np.zeros((N * m, 4))
     hbar = np.zeros(N * m)
@@ -273,12 +278,12 @@ def loop_structure(controller, base):
 
 
 @pytest.mark.parametrize("direction", [-1.0, 1.0])
-@pytest.mark.parametrize("use_polytope", [True, False])
+@pytest.mark.parametrize("octagon", [True, False])
 def test_straight_structure_is_the_loop_build_bit_for_bit(params, direction,
-                                                          use_polytope):
+                                                          octagon):
     cfg = MpcConfig()
     controller = MpcController(params, generate_straight(30.0, direction),
-                               cfg, use_polytope=use_polytope)
+                               cfg, None if octagon else NO_JOINT_ROWS)
     for base in (0, 40):   # the second horizon reaches into the tail
         struct = controller._structure(base)
         for name, want in loop_structure(controller, base).items():
@@ -322,9 +327,11 @@ def test_constraint_row_counts(params, straight_back):
     # box rows then slew rows
     assert np.allclose(struct.u[:N], cfg.u_max)
     assert np.allclose(struct.l[:N], -cfg.u_max)
-    c = slew_bound(straight_back.sample(1), params,
-                   controller.udot_max) * cfg.delta_s
+    # C1 = 1 on the straight nominal: the chain's half-width is udot_max
+    # per meter of travel
+    c = controller.udot_max * cfg.delta_s
     assert np.allclose(struct.u[N + 1:2 * N], c)
+    assert np.allclose(struct.l[N + 1:2 * N], -c)
     # soft rows: the polytope at stages 1..N around the zero nominal angles
     assert np.array_equal(struct.hbar, np.tile(controller.polytope.h, N))
 
@@ -379,9 +386,9 @@ def test_mpc_command_within_limits_under_large_error(params, straight_back):
                    diag.comp_residual) < 1e-6
 
 
-@pytest.mark.parametrize("use_polytope", [True, False])
+@pytest.mark.parametrize("octagon", [True, False])
 def test_step_reports_the_active_set_iterations(params, straight_back,
-                                                monkeypatch, use_polytope):
+                                                monkeypatch, octagon):
     import trailer_mpc.qp as qp_mod
 
     # per step: breakpoints of each homotopy (its cap when it gives up,
@@ -397,7 +404,7 @@ def test_step_reports_the_active_set_iterations(params, straight_back,
 
         monkeypatch.setattr(qp_mod, name, counted)
     controller = MpcController(params, straight_back, MpcConfig(),
-                               use_polytope=use_polytope)
+                               None if octagon else NO_JOINT_ROWS)
     ctrl = ControllerState(s_prev=0.0)
     state = VehicleState(0.0, 1.5, 0.0, 0.0, 0.0)
     iters = []

@@ -169,12 +169,12 @@ def test_prepared_qp_matches_one_shot(rng):
     n, m = 8, 12
     P, q, A, l, u = _random_qp(rng, n, m)
     prep = PreparedQp(P, A, tol=1e-8)
-    sol1 = prep.solve(q, l, u, polish=True)
+    sol1 = prep.solve(q, l, u)
     assert sol1.status == QpStatus.OPTIMAL
     sol = solve_qp(QpProblem(P, q, A, l, u), tol=1e-8)
     assert sol1.objective == pytest.approx(sol.objective, abs=1e-6)
     # warm start from the solution: same answer
-    sol2 = prep.solve(q, l, u, y0=sol1.y, lam0=sol1.duals, polish=True)
+    sol2 = prep.solve(q, l, u, y0=sol1.y, lam0=sol1.duals)
     assert sol2.status == QpStatus.OPTIMAL
     assert np.allclose(sol2.y, sol1.y, atol=1e-6)
 

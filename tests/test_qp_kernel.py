@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trailer_mpc import MpcConfig, MpcController, VehicleParams
+from trailer_mpc import (JointAnglePolytope, MpcConfig, MpcController,
+                         VehicleParams)
 from trailer_mpc.mpc import QP_TOL
 from trailer_mpc.paths import generate_straight
 from trailer_mpc.qp import (ACTIVE_CACHE_SIZE, EXCHANGE_CAP, IPM_MAX_ITER,
@@ -30,6 +31,9 @@ from trailer_mpc.qp import (ACTIVE_CACHE_SIZE, EXCHANGE_CAP, IPM_MAX_ITER,
 from trailer_mpc.regions import _feasible_inputs
 
 PINS = pathlib.Path(__file__).parent / "data" / "qp_kernel_pins.json"
+
+# the polytope with no rows: a controller without joint-angle rows
+NO_JOINT_ROWS = JointAnglePolytope(np.zeros((0, 2)), np.zeros(0))
 
 # error-state draws (lateral offset m, heading, beta3, beta2 in rad)
 ERR_LO = np.array([-2.0, -0.2, -0.3, -0.3])
@@ -41,7 +45,7 @@ ERR_NUDGE = np.array([0.05, 0.01, 0.01, 0.01])
 def _controllers():
     params, cfg = VehicleParams(), MpcConfig()
     path = generate_straight(40.0, -1.0, cfg.delta_s)
-    return (cfg, MpcController(params, path, cfg, use_polytope=False),
+    return (cfg, MpcController(params, path, cfg, NO_JOINT_ROWS),
             MpcController(params, path, cfg))
 
 

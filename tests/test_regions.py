@@ -6,9 +6,12 @@ import pytest
 from trailer_mpc import (RegionGrid, fit_inner_polytope, make_axes, merge,
                          sensing_region, stability_sweep)
 from trailer_mpc.exceptions import EmptyRegion
-from trailer_mpc.mpc import MpcConfig, MpcController
+from trailer_mpc.mpc import JointAnglePolytope, MpcConfig, MpcController
 from trailer_mpc.paths import generate_straight
 from trailer_mpc.regions import _chain_bounds, _feasible_inputs
+
+# the polytope with no rows: a controller without joint-angle rows
+NO_JOINT_ROWS = JointAnglePolytope(np.zeros((0, 2)), np.zeros(0))
 
 
 def test_make_axes():
@@ -37,6 +40,26 @@ def test_sensing_region_origin_and_symmetry(params):
     assert grid.visible[i0, i0]          # aligned chain is visible
     assert not grid.visible[i0, -1]      # beta2 near +pi/2: front leaves the cone
     assert np.array_equal(grid.visible, grid.visible[::-1, ::-1])
+
+
+def test_the_2_degree_sensing_map_has_5361_visible_cells(params):
+    # the baseline figure of the default vehicle's sensing region
+    grid = sensing_region(params, *make_axes(2.0))
+    assert grid.visible.shape == (91, 91)
+    assert int(grid.visible.sum()) == 5361
+
+
+@pytest.mark.parametrize("distance", [0.0, -10.0, math.nan, math.inf])
+def test_stability_sweep_rejects_a_bad_distance(params, distance):
+    with pytest.raises(ValueError, match="distance"):
+        stability_sweep(params, MpcConfig(), *make_axes(45.0),
+                        distance=distance)
+
+
+@pytest.mark.parametrize("margin", [-1.0, math.nan, math.inf])
+def test_fit_inner_polytope_rejects_a_bad_margin(margin):
+    with pytest.raises(ValueError, match="margin"):
+        fit_inner_polytope(_disc_grid(0.5), margin=margin)
 
 
 def test_sensing_region_narrow_fov_shrinks(params):
@@ -95,7 +118,7 @@ def _feasible_inputs_reference(struct, l_in, u_in, guess):
 def test_feasible_inputs_equal_the_max_min_chain(params):
     cfg = MpcConfig()
     struct = MpcController(params, generate_straight(40.0, -1.0, cfg.delta_s),
-                           cfg, use_polytope=False)._structure(0)
+                           cfg, NO_JOINT_ROWS)._structure(0)
     chain = _chain_bounds(struct, struct.l, struct.u)
     rng = np.random.default_rng(7)
     closed = 0
