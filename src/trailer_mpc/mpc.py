@@ -383,9 +383,6 @@ class MpcController:
         # condensed structures by the ids of their horizon's stations
         self._structs_by_content = {}
         self.n_structure_builds = 0
-        # _shifted_hot's row maps by base change d: they depend only on the
-        # horizon and the polytope's row count
-        self._shift_maps = {}
 
     # -- building blocks -------------------------------------------------
 
@@ -525,29 +522,25 @@ class MpcController:
         rows and the polytope's stage blocks move by d, and the last input
         repeats.  The per-cycle slew row and the d new stages at the
         horizon's end start inactive, their duals and slacks at 0."""
-        maps = self._shift_maps.get(d)
-        if maps is None:
-            N, ms = struct.n_inputs, struct.n_slack
-            m = ms // N   # soft rows per stage
-            # for each row of struct, the answer's row it continues, or -1
-            hard = np.full(2 * N, -1)
-            hard[:N - d] = np.arange(d, N)
-            hard[N + 1:2 * N - d] = np.arange(N + 1 + d, 2 * N)
-            soft = np.full(ms, -1)
-            soft[:ms - d * m] = np.arange(d * m, ms)
-            maps = self._shift_maps[d] = (np.minimum(np.arange(N) + d, N - 1),
-                                          (hard, hard >= 0), (soft, soft >= 0))
-        inputs, hard, soft = maps
+        N, ms = struct.n_inputs, struct.n_slack
+        kept = ms - d * (ms // N)   # soft rows of the stages that remain
 
-        def moved(v, rows):
-            source, kept = rows
-            return np.where(kept, v[source], v.dtype.type(0))
+        def hard(v):
+            # the box rows, then the chain rows after the slew row N
+            out = np.zeros_like(v)
+            out[:N - d], out[N + 1:2 * N - d] = v[d:N], v[N + 1 + d:]
+            return out
+
+        def soft(v):
+            out = np.zeros_like(v)
+            out[:kept] = v[ms - kept:]
+            return out
 
         sides, states = hot.sets
         return auxiliary_hot(
             struct.A_in, struct.G, l, u, b, self.cfg.slack_linear,
-            hot.x[inputs], moved(hot.eps, soft), moved(hot.mu, hard),
-            moved(hot.lam, soft), (moved(sides, hard), moved(states, soft)))
+            np.append(hot.x[d:], np.full(d, hot.x[N - 1])), soft(hot.eps),
+            hard(hot.mu), soft(hot.lam), (hard(sides), soft(states)))
 
 
 class LqController:

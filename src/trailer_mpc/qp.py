@@ -462,7 +462,7 @@ def auxiliary_hot(A, G, l, u, b, sig1, x, eps, mu, lam, sets) -> HotStart:
     eliminated one), every other bound widens to x, and the duals are
     clipped to their rows' signs (a kink row's to [0, sig1])."""
     sides, states = sets
-    vh, gx = A @ x, G @ x
+    vh, gx = A.dot(x), G.dot(x)
     kink, elim = states == KINK, states == ELIM
     l_aux = np.where(sides < 0, vh, np.minimum(l, vh))
     u_aux = np.where(sides > 0, vh, np.maximum(u, vh))
@@ -479,8 +479,8 @@ class FactorCache:
     For the homotopy: P's Cholesky factor, computed on first use (upper,
     for ``potrs``; None when P is not numerically positive definite), which
     the homotopy's equality solve is whenever no row is working, and the
-    working-set factorization the last homotopy ended on (its factored and
-    left-out rows, Q, R and the factored rows), which the next one takes
+    working-set factorization the last homotopy ended on (all of
+    :class:`_WorkingFactor`'s factors and buffers), which the next one takes
     when it starts from the same working set.  A condensed
     structure keeps one, so that a cycle hot-started on the last answer's
     structure factors neither P nor that answer's working set again.
@@ -560,62 +560,71 @@ class _WorkingFactor:
     Of the starting working set, a row that depends on the others (a
     second bound on a pinned variable among them) is left out with dual 0,
     and taken in again once a row leaves.  The objective is the soft QP's
-    with the eliminated soft rows folded in (:func:`_fold`, :meth:`fold`).
+    with the eliminated soft rows (indices ``elim``) folded in
+    (:func:`_fold`, :meth:`fold`).  Beside ``gen``, the factored rows in R's
+    column order, each change keeps ``idx`` (the same as an array, by which
+    a solve writes the duals), ``W`` (the rows) and ``wval`` (their
+    right-hand sides); the triangular solves read R's leading block in
+    place (R is in Fortran order).
     A :class:`FactorCache` (``cache``) may keep P's factor and hand the
     factorization from one homotopy to the next (:meth:`keep`).  With no
     soft row eliminated the objective is (P, q) itself, copied only when a
     row is folded in.
     """
 
-    def __init__(self, P, q, A, G, b, sig1, sig2, elim, hard, kink, values,
+    def __init__(self, P, q, A, G, b, sig1, sig2, elim, rows, values,
                  cache=None):
         n, mh = len(q), A.shape[0]
         self.n, self.mh, self.m = n, mh, mh + G.shape[0]
         self.P0, self.q0 = P, q
-        self.n_elim = int(np.count_nonzero(elim))
-        self.P, self.q = _fold(P, q, G, b, sig1, sig2, elim) \
-            if self.n_elim else (P, q)
+        self.n_elim = len(elim)
+        self._objective(*(_fold(P, q, G, b, sig1, sig2, elim)
+                          if self.n_elim else (P, q)))
         self.A, self.G = A, G
         self.b, self.sig1, self.sig2 = b, sig1, sig2
         self.cache = cache
-        # working row -> its right-hand side
-        rows = np.concatenate([hard, mh + kink])
+        # working row (increasing ``rows``, hard ones first) -> right-hand
+        # side, and the working rows as the cache's key until they change
         self.value = dict(zip(rows.tolist(), values.tolist()))
-        self.wval = np.empty(n)
-        kept = cache.take(tuple(rows.tolist())) if cache is not None else None
-        if kept is not None:
-            # the last homotopy's factorization of this working set
-            self.gen, self.dep, Q, R, self.W = kept
-            self._set_qr(Q, R)
-            self.wval[:len(self.gen)] = [self.value[i] for i in self.gen]
+        self.key = tuple(self.value)
+        kept = cache.take(self.key) if cache is not None else None
+        if kept is None:
+            self._factor(rows, values)
         else:
-            self.W = np.empty((n, n))   # the factored rows, R's column order
-            self._factor(rows)
+            # the last homotopy's factorization of this working set
+            self.gen, self.dep, self.idx, self.Q, self.R, self.W, self.wval \
+                = kept
+            k = len(self.gen)
+            if k:
+                self.wval[:k] = values[np.searchsorted(rows, self.idx[:k])]
 
     def keep(self):
         """Hand the factorization of the working set to the cache."""
         if self.cache is not None:
-            self.cache.keep(tuple(sorted(self.value)),
-                            (self.gen, self.dep, self.Q, self.R, self.W))
+            self.cache.keep(self.key or tuple(sorted(self.value)),
+                            (self.gen, self.dep, self.idx, self.Q, self.R,
+                             self.W, self.wval))
 
-    def _set_qr(self, Q, R):
-        """Take the factors Q and R, and R's leading square block R1 in
-        Fortran order, which the triangular solves read without a copy."""
-        self.Q, self.R = Q, R
-        self.R1 = None if R is None else np.asfortranarray(R[:R.shape[1]])
+    def _objective(self, P, q):
+        """Take (P, q), with the solves' right-hand side -q and its size."""
+        self.P, self.q = P, q
+        self.rf = -q
+        self.rf_max = np.abs(self.rf).max(initial=0.0)
 
-    def _factor(self, rows):
-        """Factor the working ``rows`` (hard rows first) from scratch, by a
-        QR with column pivoting that leaves out the rows depending on the
-        others.  Thin LAPACK calls: at these sizes scipy's ``qr`` wrapper
-        costs more than the factorization."""
+    def _factor(self, rows, values):
+        """Factor the working ``rows`` (hard rows first; right-hand sides
+        ``values``) from scratch, by a QR with column pivoting that leaves
+        out the rows depending on the others.  Thin LAPACK calls: at these
+        sizes scipy's ``qr`` wrapper costs more than the factorization."""
+        mh, n = self.mh, self.n
         # the factorized rows, in R's column order, and the rows left out
         # as dependent
         self.gen, self.dep = [], []
-        self._set_qr(None, None)
+        self.Q = self.R = None
+        self.W, self.wval, self.idx = \
+            np.empty((n, n)), np.empty(n), np.empty(n, dtype=np.intp)
         if not len(rows):
             return
-        mh, n = self.mh, self.n
         soft = rows >= mh
         Wc = np.concatenate([self.A[rows[~soft]], self.G[rows[soft] - mh]]) \
             if soft.any() else self.A[rows]
@@ -624,15 +633,16 @@ class _WorkingFactor:
         d = np.abs(a.diagonal())
         small = d <= DEPENDENT_TOL * np.abs(Wc).max(axis=1)[piv[:len(d)]]
         r = int(small.argmax()) if small.any() else len(d)
-        self.gen, self.dep = rows[piv[:r]].tolist(), rows[piv[r:]].tolist()
+        gen = piv[:r]
+        self.gen, self.dep = rows[gen].tolist(), rows[piv[r:]].tolist()
         if r:
             Q = np.zeros((n, n), order="F")
             Q[:, :r] = a[:, :r]
-            R = np.zeros((n, r))
-            R[:r] = np.triu(a[:r, :r])
-            self._set_qr(_orgqr(Q, tau[:r], overwrite_a=True)[0], R)
-            self.W[:r] = Wc[piv[:r]]
-            self.wval[:r] = [self.value[i] for i in self.gen]
+            self.R = np.zeros((n, r), order="F")
+            self.R[:r] = np.triu(a[:r, :r])
+            self.Q = _orgqr(Q, tau[:r], overwrite_a=True)[0]
+            self.W[:r], self.wval[:r], self.idx[:r] = \
+                Wc[gen], values[gen], rows[gen]
 
     def combination(self, a):
         """Whether the row ``a`` is a combination of the working rows: None
@@ -643,17 +653,18 @@ class _WorkingFactor:
             return None
         # the part of the row off the working rows' span is Z'a, whose norm
         # R would gain on its diagonal if the row entered
-        w = self.Q.T @ a
+        w = self.Q.T.dot(a)
         off = w[k:]
-        if math.sqrt(off @ off) > DEPENDENT_TOL * np.abs(a).max():
+        if math.sqrt(off.dot(off)) > DEPENDENT_TOL * np.abs(a).max():
             return None
-        return np.array(self.gen, dtype=np.intp), _trtrs(self.R1, w[:k])[0]
+        return self.idx[:k].copy(), _trtrs(self.R, w[:k])[0]
 
     def enter(self, i, value):
         """Make row ``i`` working with right-hand side ``value`` when it is
         independent of the working rows; returns whether it entered."""
         if i in self.value:
             self.remove(i)
+        self.key = None
         k, n = len(self.gen), self.n
         if k >= n:
             return False
@@ -666,8 +677,8 @@ class _WorkingFactor:
                               which="col", check_finite=False)
         if abs(R[k, k]) <= DEPENDENT_TOL * np.abs(a).max():
             return False
-        self._set_qr(Q, R)
-        self.W[k] = a
+        self.Q, self.R = Q, R
+        self.W[k], self.idx[k] = a, i
         self.wval[k] = self.value[i] = value
         self.gen.append(i)
         return True
@@ -676,17 +687,18 @@ class _WorkingFactor:
         """Drop row ``i`` from the working set, then take in the left-out
         rows that no longer depend on the others."""
         del self.value[i]
+        self.key = None
         if i in self.dep:
             self.dep.remove(i)
             return
         k, p = len(self.gen), self.gen.index(i)
         if k == 1:
-            self._set_qr(None, None)
+            self.Q = self.R = None
         else:
-            self._set_qr(*_qr_delete(self.Q, self.R, p, which="col",
-                                     check_finite=False))
-        self.W[p:k - 1] = self.W[p + 1:k]
-        self.wval[p:k - 1] = self.wval[p + 1:k]
+            self.Q, self.R = _qr_delete(self.Q, self.R, p, which="col",
+                                        overwrite_qr=True, check_finite=False)
+        for buf in (self.W, self.wval, self.idx):
+            buf[p:k - 1] = buf[p + 1:k]
         del self.gen[p]
         for r in self.dep[:]:
             self.dep.remove(r)
@@ -701,7 +713,7 @@ class _WorkingFactor:
         unfolded one again exactly."""
         self.n_elim += sign
         if not self.n_elim:
-            self.P, self.q = self.P0, self.q0
+            self._objective(self.P0, self.q0)
             return
         g = self.G[row]
         # the folded row's linear term
@@ -710,22 +722,22 @@ class _WorkingFactor:
             self.P, self.q = self.P0.copy(), self.q0.copy()
         self.P += (2.0 * sign * self.sig2) * np.outer(g, g)
         self.q += g * (sign * gq)
+        self._objective(self.P, self.q)
 
     def solve(self):
         """(x, duals of every row) at the working set's equality-constrained
         optimum, 0 off the working set; None when the solve fails."""
         k, n = len(self.gen), self.n
-        P, W, rk = self.P, self.W[:k], self.wval[:k]
-        rf = -self.q
+        P, W, rk, rf = self.P, self.W[:k], self.wval[:k], self.rf
         nz = n - k
-        if k:
-            R1 = self.R1
-            Y, Z = self.Q[:, :k], self.Q[:, k:]
         chol = None
-        if not (k or self.n_elim) and self.cache is not None:
+        if k:
+            R = self.R
+            Y, Z = self.Q[:, :k], self.Q[:, k:]
+        elif not self.n_elim and self.cache is not None:
             chol = self.cache.cholesky()
         if nz and chol is None:
-            H = Z.T @ (P @ Z) if k else P
+            H = Z.T.dot(P.dot(Z)) if k else P
             chol, info = _potrf(H, lower=False, clean=False)
             if info:
                 # semidefinite: regularize as _solve_active does, the
@@ -735,39 +747,42 @@ class _WorkingFactor:
                 if info:
                     return None
 
+        # ``dot``, not ``@``: the same BLAS products with less overhead
         def kkt(rf, rk):
             """x and the working rows' duals for the right-hand side
             (rf, rk), with rf - P x."""
             if not k:
-                x = _potrs(chol, rf, lower=False)[0]
-                return x, rk, rf - P @ x
-            x = Y @ _trtrs(R1, rk, trans=1)[0]
+                x = _potrs(chol, rf)[0]
+                return x, rk, rf - P.dot(x)
+            x = Y.dot(_trtrs(R, rk, trans=1)[0])
             if nz:
-                x += Z @ _potrs(chol, Z.T @ (rf - P @ x), lower=False)[0]
-            t = rf - P @ x
-            return x, _trtrs(R1, Y.T @ t)[0], t
+                x += Z.dot(_potrs(chol, Z.T.dot(rf - P.dot(x)))[0])
+            t = rf - P.dot(x)
+            return x, _trtrs(R, Y.T.dot(t))[0], t
 
         # iterative refinement against the unregularized system, to the
         # tolerance of _solve_active: at most three passes
         x, lg, ef = kkt(rf, rk)
-        tol = 1e-13 * (1.0 + max(np.abs(rf).max(initial=0.0),
-                                 np.abs(rk).max(initial=0.0)))
+        tol = 1e-13 * (1.0 + max(self.rf_max,
+                                 np.abs(rk).max() if k else 0.0))
+        e = np.empty(n + k)   # stationarity, then the working rows
         for passes in range(4):
             if k:
-                ef -= W.T @ lg
-                ek = rk - W @ x
-                err = max(np.abs(ef).max(), np.abs(ek).max())
+                np.subtract(ef, W.T.dot(lg), out=e[:n])
+                np.subtract(rk, W.dot(x), out=e[n:])
+                ef, ek = e[:n], e[n:]
+                err = np.abs(e).max()
             else:
                 ek, err = rk, np.abs(ef).max()
             if err <= tol or passes == 3 or not math.isfinite(err):
                 break
             dx, dl, _ = kkt(ef, ek)
             x, lg = x + dx, lg + dl
-            ef = rf - P @ x
+            ef = rf - P.dot(x)
         if not math.isfinite(err):
             return None
         lam = np.zeros(self.m)
-        lam[self.gen] = lg
+        lam[self.idx[:k]] = lg
         return x, lam
 
 
@@ -803,7 +818,8 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
     stays in its region (every row keeps its state, the test of the ratio
     tests' tolerances, made row block by row block), it is the answer, and
     the ratio tests' state is built only when it leaves, at the first
-    breakpoint, from that same solve.
+    breakpoint, from that same solve.  From there a breakpoint changes that
+    state entry by entry and pays for its algebra and a few array passes.
 
     Returns (answer, breakpoints).  The answer is the 7-tuple of
     :func:`soft_qp_solve` at tau = 1, its iterations the breakpoints, or
@@ -815,18 +831,21 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
     """
     mh, ms = A.shape[0], G.shape[0]
     fin_u, fin_l = np.isfinite(u), np.isfinite(l)
-    if (fin_u != np.isfinite(hot.u)).any() or \
-            (fin_l != np.isfinite(hot.l)).any() or \
+    # the finite sides compared as bytes, which costs less at these sizes
+    if fin_u.tobytes() != np.isfinite(hot.u).tobytes() or \
+            fin_l.tobytes() != np.isfinite(hot.l).tobytes() or \
             not math.isfinite(b.sum() + hot.b.sum()):
         return None, 0
     sides, states = (np.array(s, dtype=np.int8) for s in hot.sets)
     kink = states == KINK
-    elim = states == ELIM
-    hard_w, kink_w, elim_w = (w.nonzero()[0] for w in (sides, kink, elim))
-    work = _WorkingFactor(
-        P, q, A, G, b, sig1, sig2, elim, hard_w, kink_w,
-        np.concatenate([np.where(sides > 0, u, l)[hard_w], b[kink_w]]),
-        factors)
+    hard_w, kink_w, elim_w = (w.nonzero()[0]
+                              for w in (sides, kink, states == ELIM))
+    # the starting working rows, hard ones first, and their bounds
+    rows0 = np.concatenate([hard_w, mh + kink_w])
+    values0 = np.concatenate([np.where(sides > 0, u, l)[hard_w], b[kink_w]]) \
+        if len(rows0) else b[:0]
+    work = _WorkingFactor(P, q, A, G, b, sig1, sig2, elim_w, rows0, values0,
+                          factors)
 
     # The ratio tests watch one vector V of quantities, each nonnegative
     # while its row keeps its state, in blocks of eight kinds in a fixed
@@ -834,12 +853,15 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
     # distance to its upper (0) and lower (1) bound, an inactive soft row's
     # distance to its kink (2), an eliminated slack (3), a working hard
     # row's dual at its upper (4) and lower (5) side, and a kink row's dual
-    # (6) and its distance to sig1 (7).  V holds the point at tau, the
-    # working rows' duals among it, and V1 the end point of the piece;
-    # ``watch()`` says which entries belong to a row in its current state,
-    # and ``tol`` how far below zero an end value must fall to count: 1e-9,
-    # relative to the bound in blocks 0-3.  V is built only at the first
-    # breakpoint: most paths have none.
+    # (6) and its distance to sig1 (7), from the offsets ``off``; ``dual_at``
+    # holds each row's two entries of blocks 4-7 (hard, then soft).  V holds
+    # the point at tau, the working rows' duals among it, and V1 the end of
+    # the piece; ``watched`` says which entries belong to a row in its
+    # current state (blocks 4-6 the working rows, whose distances to their
+    # bounds are blocks 0-2), and ``neg_tol`` how far below zero an end value
+    # must fall to count: -1e-9, relative to the bound in blocks 0-3.
+    off = (0, mh, 2 * mh, 2 * mh + ms, 2 * mh + 2 * ms, 3 * mh + 2 * ms,
+           4 * mh + 2 * ms, 4 * mh + 3 * ms, 4 * mh + 4 * ms)
 
     def first_leaves(vh1, gs1, mu1, kap1):
         """Whether the first piece's end point has a watched entry below its
@@ -866,33 +888,15 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
         return len(kap) > 0 and bool(((kap < -1e-9)
                                       | (sig1 - kap < -1e-9)).any())
 
-    def watch():
-        """Which entries of V belong to a row in its current state."""
-        kink = states == KINK
-        return np.concatenate([fin_u & (sides != 1), fin_l & (sides != -1),
-                               states == 0, states == ELIM, sides == 1,
-                               sides == -1, kink, kink])
-
-    def answer(x1, vh1, gs1, mu1, kap1, breakpoints):
-        """The 7-tuple at the end point (x1, A x1, G x1 - b, duals), or None
-        when it violates a working row.  A working row that depends on the
-        others, as the previous answer's working set may hold, is left out
-        of the equality solve; an end point that violates it is no answer.
-        The solve holds the others to 1e-13 (1 + |rhs|), |rhs| near
-        |Px| + |q|."""
-        if work.value:
-            hw, kw = sides.nonzero()[0], (states == KINK).nonzero()[0]
-            etol = 1e-12 * (1.0 + np.abs(work.P @ x1).max(initial=0.0)
-                            + np.abs(work.q).max(initial=0.0))
-            # a working hard row's distance to its bound (an infinite one
-            # counts as 0), a kink row's to its kink, as in V
-            sw = sides[hw]
-            bound = np.where(sw > 0, u[hw], l[hw])
-            bound = np.where(np.isfinite(bound), bound, 0.0)
-            if (sw * (bound - vh1[hw]) < -np.maximum(
-                    1e-9 * np.abs(bound) + 1e-9, etol)).any() or \
-                    (-gs1[kw] < -np.maximum(1e-9 * np.abs(b[kw]) + 1e-9,
-                                            etol)).any():
+    def answer(x1, gs1, mu1, kap1, past, tol, breakpoints):
+        """The 7-tuple at the end point (x1, G x1 - b, duals), or None when
+        a working row's distance ``past`` its bound or kink exceeds ``tol``
+        and 1e-12 (1 + |Px| + |q|), ten times what the solve holds the rows
+        to: a row left out of the solve as dependent may not hold."""
+        if len(past):
+            etol = 1e-12 * (1.0 + np.abs(work.P.dot(x1)).max(initial=0.0)
+                            + work.rf_max)
+            if (past > np.maximum(tol, etol)).any():
                 return None
         # kap1 is 0 off the kink rows
         if work.n_elim:
@@ -907,26 +911,35 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
 
     def set_dual(row, value):
         """Set the dual of working ``row`` (hard, then soft numbering)."""
+        V[dual_at[0, row]], V[dual_at[1, row]] = \
+            value, -value if row < mh else sig1 - value
+
+    def change(row, new):
+        """Put ``row`` (hard, then soft numbering) in side or state ``new``,
+        the one place where they change, keeping ``watched``: a row leaving
+        the working set leaves ``work`` with dual 0 (one entering has entered
+        it already), and an eliminated slack's penalty is folded in or out."""
+        lo, hi = dual_at[0, row], dual_at[1, row]
         if row < mh:
-            V[off[4] + row], V[off[5] + row] = value, -value
+            leaves = sides[row] and not new
+            sides[row] = new
+            watched[row] = fin_u[row] and new != 1
+            watched[off[1] + row] = fin_l[row] and new != -1
+            watched[lo], watched[hi] = new == 1, new == -1
         else:
-            V[off[6] + row - mh], V[off[7] + row - mh] = value, sig1 - value
+            j = row - mh
+            old, states[j] = states[j], new
+            leaves = old == KINK and new != KINK
+            watched[off[2] + j], watched[off[3] + j] = new == 0, new == ELIM
+            watched[lo] = watched[hi] = new == KINK
+            if (old == ELIM) != (new == ELIM):
+                work.fold(j, 1 if new == ELIM else -1)
+        if leaves:
+            set_dual(row, 0.0)
+            work.remove(row)
 
     # the side or state each kind of breakpoint leaves its row in
     new_state = (1, -1, KINK, KINK, 0, 0, 0, ELIM)
-
-    def change(kind, row):
-        """Change the state of ``row`` as the ratio test's ``kind`` says; an
-        entering row has entered ``work`` already."""
-        (sides if kind in (0, 1, 4, 5) else states)[row] = new_state[kind]
-        if kind >= 4:
-            # a working row leaves: its dual is 0 from here on
-            rid = row if kind < 6 else mh + row
-            set_dual(rid, 0.0)
-            work.remove(rid)
-        if kind in (3, 7):
-            # an eliminated slack reached zero, or a kink row's released
-            work.fold(row, -1 if kind == 3 else 1)
 
     V = None
     # the working set's factorization outlives the homotopy in ``factors``
@@ -936,31 +949,56 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
             if res is None:
                 return None, breakpoints
             x1, dual1 = res
-            vh1, gs1 = A @ x1, G @ x1 - b
+            vh1, gx1 = A.dot(x1), G.dot(x1)
             mu1, kap1 = dual1[:mh], dual1[mh:]
             if V is None:
+                gs1 = gx1 - b
                 if not first_leaves(vh1, gs1, mu1, kap1):
-                    return answer(x1, vh1, gs1, mu1, kap1, 0), 0
+                    # the start's working rows: a hard row's distance past
+                    # its bound (an infinite one counts as 0), a kink row's
+                    # past its kink
+                    past = tol = rows0
+                    if len(rows0):
+                        bound = np.where(np.isfinite(values0), values0, 0.0)
+                        past = np.concatenate([vh1[hard_w], gx1[kink_w]]) \
+                            - bound
+                        past[:len(hard_w)] *= sides[hard_w]
+                        tol = 1e-9 * np.abs(bound) + 1e-9
+                    return answer(x1, gs1, mu1, kap1, past, tol, 0), 0
                 su, sl = np.where(fin_u, u, 0.0), np.where(fin_l, l, 0.0)
-                off = [0]
-                for size in (mh, mh, ms, ms, mh, mh, ms, ms):
-                    off.append(off[-1] + size)
-                tol = np.full(off[8], 1e-9)
-                tol[:off[4]] += 1e-9 * np.abs(np.concatenate([su, sl, b, b]))
-                neg_tol = -tol
+                neg_tol = np.full(off[8], -1e-9)
+                neg_tol[:off[4]] -= 1e-9 * np.abs(np.concatenate([su, sl, b,
+                                                                 b]))
                 # the start, tau = 0, from the hot start's point and duals
                 mu = np.where(sides != 0, hot.mu, 0.0)
                 kap = np.where(kink, hot.lam, 0.0)
-                vh, gs = A @ hot.x, G @ hot.x - hot.b
+                vh, gs = A.dot(hot.x), G.dot(hot.x) - hot.b
                 V = np.concatenate([np.where(fin_u, hot.u, 0.0) - vh,
                                     vh - np.where(fin_l, hot.l, 0.0), -gs, gs,
                                     mu, -mu, kap, sig1 - kap])
-            V1 = np.concatenate([su - vh1, vh1 - sl, -gs1, gs1, mu1, -mu1,
-                                 kap1, sig1 - kap1])
-            watched = watch()
+                V1 = np.empty(off[8])
+                V1_blocks = [V1[a:z] for a, z in zip(off, off[1:])]
+                watched = np.concatenate([
+                    fin_u & (sides != 1), fin_l & (sides != -1), states == 0,
+                    states == ELIM, sides == 1, sides == -1, kink, kink])
+                dual_at = np.concatenate(
+                    [np.arange(off[4], off[6]).reshape(2, mh),
+                     np.arange(off[6], off[8]).reshape(2, ms)], 1)
+            # V1, block by block into its views; gs1 = G x1 - b is block 3
+            v0, v1, v2, gs1, v4, v5, v6, v7 = V1_blocks
+            np.subtract(su, vh1, out=v0)
+            np.subtract(vh1, sl, out=v1)
+            np.subtract(gx1, b, out=gs1)
+            np.negative(gs1, out=v2)
+            v4[:] = mu1
+            np.negative(mu1, out=v5)
+            v6[:] = kap1
+            np.subtract(sig1, kap1, out=v7)
             idx = (watched & (V1 < neg_tol)).nonzero()[0]
             if not len(idx):
-                return answer(x1, vh1, gs1, mu1, kap1, breakpoints), \
+                working = watched[off[4]:off[7]]
+                return answer(x1, gs1, mu1, kap1, -V1[:off[3]][working],
+                              -neg_tol[:off[3]][working], breakpoints), \
                     breakpoints
             if breakpoints == max_iter:
                 break
@@ -971,65 +1009,62 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
             sigma, at = r[j], int(idx[j])
             kind = bisect.bisect_right(off, at) - 1
             row = at - off[kind]
-            # move to the breakpoint and change the row's state there
-            V += sigma * (V1 - V)
-            if kind < 4:
-                # the entering row's dual starts at 0 (sig1 for a slack that
-                # reached zero) and moves by s t, t >= 0
-                s = -1.0 if kind in (1, 3) else 1.0
-                lam_r = sig1 if kind == 3 else 0.0
-                rid, value = (row, (u, l)[kind][row]) if kind < 2 \
-                    else (mh + row, b[row])
+            # move to the breakpoint, in V1's storage, which the next piece
+            # writes anew, and change the row's state there
+            V1 -= V
+            V1 *= sigma
+            V += V1
+            if kind >= 4:
+                change(row if kind < 6 else mh + row, new_state[kind])
+                continue
+            # the entering row's dual starts at 0 (sig1 for a slack that
+            # reached zero) and moves by s t, t >= 0
+            s = -1.0 if kind in (1, 3) else 1.0
+            lam_r = sig1 if kind == 3 else 0.0
+            rid, value = (row, (u, l)[kind][row]) if kind < 2 \
+                else (mh + row, b[row])
+            if not work.enter(rid, value):
+                # The entering row's normal is a combination c of the
+                # working rows' normals, so it cannot be added as it is:
+                # along t, stationarity moves their duals by -s t c, and
+                # the first of them to reach a bound leaves for it.
+                comb = work.combination(A[row] if kind < 2 else G[row])
+                if comb is None:
+                    return None, breakpoints
+                ids, c = comb
+                # each working dual's distances to its bounds are two
+                # entries of V (blocks 4 and 5 of a hard row, of which the
+                # one of its side is watched, and 6 and 7 of a kink row),
+                # falling at rates s c and -s c
+                at = dual_at.take(ids, axis=1).ravel()
+                sc = s * c
+                fall = np.concatenate([sc, -sc])
+                falls = watched[at] & (fall > 1e-12 * np.abs(c).max())
+                V_at = V[at]
+                t = np.divide(V_at, fall, out=np.full(len(at), np.inf),
+                              where=falls)
+                j = int(t.argmin())
+                t_j = max(t[j], 0.0)
+                if kind >= 2 and not t_j <= sig1:
+                    # the entering soft row's own dual crosses [0, sig1]
+                    # before any working dual reaches a bound: the row
+                    # passes its kink without entering, from inactive to
+                    # eliminated (kind 2) or back (kind 3)
+                    V[at] = V_at - sig1 * fall
+                    change(rid, ELIM if kind == 2 else 0)
+                    continue
+                if not math.isfinite(t_j):
+                    # no working dual limits t
+                    return None, breakpoints
+                V[at] = V_at - t_j * fall
+                lam_r += s * t_j
+                j %= len(ids)
+                leave = int(ids[j])
+                change(leave, 0 if leave < mh or sc[j] > 0.0 else ELIM)
                 if not work.enter(rid, value):
-                    # The entering row's normal is a combination c of the
-                    # working rows' normals, so it cannot be added as it
-                    # is: along t, stationarity moves their duals by
-                    # -s t c, and the first of them to reach a bound leaves
-                    # for it.
-                    comb = work.combination(A[row] if kind < 2 else G[row])
-                    if comb is None:
-                        return None, breakpoints
-                    ids, c = comb
-                    # each working dual's distances to its bounds are two
-                    # entries of V (blocks 4 and 5 of a hard row, of which the
-                    # one of its side is watched, and 6 and 7 of a kink row),
-                    # moving at rates d and -d
-                    is_hard = ids < mh
-                    at1 = ids + np.where(is_hard, off[4], off[6] - mh)
-                    at = np.concatenate([at1, at1 + np.where(is_hard, mh, ms)])
-                    d = -s * c
-                    rate = np.concatenate([d, -d])
-                    dmin = 1e-12 * np.abs(d).max()
-                    falls = watched[at] & (rate < -dmin)
-                    t = np.full(len(at), np.inf)
-                    t[falls] = V[at[falls]] / -rate[falls]
-                    j = int(t.argmin())
-                    t_j = max(t[j], 0.0)
-                    if kind >= 2 and not t_j <= sig1:
-                        # the entering soft row's own dual crosses [0, sig1]
-                        # before any working dual reaches a bound: the row
-                        # passes its kink without entering, from inactive to
-                        # eliminated (kind 2) or back (kind 3)
-                        V[at] += sig1 * rate
-                        states[row] = ELIM if kind == 2 else 0
-                        work.fold(row, 1 if kind == 2 else -1)
-                        continue
-                    if not np.isfinite(t_j):
-                        # no working dual limits t
-                        return None, breakpoints
-                    V[at] += t_j * rate
-                    lam_r += s * t_j
-                    j %= len(ids)
-                    if is_hard[j]:
-                        change(4, int(ids[j]))
-                    else:
-                        change(6 if d[j] < 0.0 else 7, int(ids[j]) - mh)
-                    if not work.enter(rid, value):
-                        return None, breakpoints
-                change(kind, row)
-                set_dual(rid, lam_r)
-            else:
-                change(kind, row)
+                    return None, breakpoints
+            change(rid, new_state[kind])
+            set_dual(rid, lam_r)
         return None, max_iter
     finally:
         work.keep()
@@ -1287,10 +1322,10 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
 
     1. with ``hot``, the parametric homotopy from it (:func:`soft_qp_solve`
        with ``hot``, capped at ``EXCHANGE_CAP`` breakpoints);
-    2. else :func:`soft_ipm_solve` (at most ``IPM_MAX_ITER`` Newton steps)
-       and a crossover, the same capped homotopy from
-       :func:`auxiliary_hot` of the interior point and its working set,
-       which lands on the vertex;
+    2. else :func:`soft_ipm_solve` (at most ``IPM_MAX_ITER`` Newton steps,
+       on the cost divided by max(1, max|q|), its duals scaled back) and a
+       crossover, the same capped homotopy from :func:`auxiliary_hot` of the
+       interior point and its working set, which lands on the vertex;
     3. else the interior point itself.
 
     Returns (QpSolution, solver path "parametric" or "ipm", HotStart).
@@ -1322,7 +1357,11 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
             res = homotopy(hot)
             if res is not None:
                 yield "parametric", res
-        ipm = soft_ipm_solve(*soft, tol)
+        # scaled, the multipliers and their rounding floor stay near 1
+        s = max(1.0, float(np.abs(q).max(initial=0.0)))
+        ipm = soft_ipm_solve(P / s, q / s, A, l, u, G, b, sig1 / s, sig2 / s,
+                             tol / s)
+        ipm = ipm[:2] + tuple(s * d for d in ipm[2:5]) + ipm[5:]
         iterations += ipm[6]
         cross = homotopy(auxiliary_hot(A, G, l, u, b, sig1, *ipm[:4], ipm[5]))
         if cross is not None:

@@ -159,6 +159,8 @@ class RunLog:
             "n_parametric": self.solver_path.count("parametric"),
             "n_ipm": self.solver_path.count("ipm"),
             "n_lq_fallback": self.solver_path.count("lq_fallback"),
+            # the QP work of the worst cycle: breakpoints and IPM iterations
+            "max_qp_iterations": int(self.qp_iterations.max()) if len(self) else 0,
             # cycles that built a condensed structure rather than reusing one
             "n_structure_builds": int(np.count_nonzero(self.structure_built)),
             # time spent condensing horizons, all cycles

@@ -496,7 +496,8 @@ def test_shifted_hot_start_moves_rows_by_the_base_change(params, eight_back):
 
 
 def _reference_shifted_hot(cfg, hot, d, struct, l, u, b):
-    """MpcController._shifted_hot with its row maps built on every call."""
+    """MpcController._shifted_hot by row maps: for each row of struct, the
+    answer's row it continues, or -1."""
     from trailer_mpc.qp import auxiliary_hot
 
     N, ms = struct.n_inputs, struct.n_slack
@@ -518,7 +519,7 @@ def _reference_shifted_hot(cfg, hot, d, struct, l, u, b):
         (moved(sides, hard), moved(states, soft)))
 
 
-def test_shifted_hot_start_keeps_its_bits_with_maps_kept_per_shift(
+def test_shifted_hot_start_by_slices_keeps_the_bits_of_row_maps(
         params, eight_back):
     from trailer_mpc.qp import HotStart
 
@@ -536,13 +537,11 @@ def test_shifted_hot_start_keeps_its_bits_with_maps_kept_per_shift(
     hot = HotStart(struct.l, struct.u, struct.hbar, rng.normal(size=N),
                    rng.uniform(0.0, 1.0, ms), rng.normal(size=2 * N),
                    rng.normal(size=ms), sets)
-    for _ in range(2):   # the maps are built on the first pass, then kept
-        for d in range(1, N):
-            got = controller._shifted_hot(hot, d, struct, l, u, b)
-            want = _reference_shifted_hot(cfg, hot, d, struct, l, u, b)
-            for g, w in zip(got[:7] + got.sets, want[:7] + want.sets):
-                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-    assert sorted(controller._shift_maps) == list(range(1, N))
+    for d in range(1, N):
+        got = controller._shifted_hot(hot, d, struct, l, u, b)
+        want = _reference_shifted_hot(cfg, hot, d, struct, l, u, b)
+        for g, w in zip(got[:7] + got.sets, want[:7] + want.sets):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def test_straight_bases_share_one_structure(params, straight_back):
@@ -619,6 +618,38 @@ def test_step_hands_over_to_the_ipm(params, straight_back):
     assert 1 <= diag.qp_iterations <= qp_mod.EXCHANGE_CAP + IPM_MAX_ITER
     # the certified answer carries over: the next cycle hot-starts from it
     assert ctrl.hot is not None and ctrl.hot_base == round(diag.s / 0.2)
+
+
+def test_a_large_error_first_cycle_gets_a_certified_answer(
+        params, straight_back, monkeypatch):
+    # Joint angles (-30, 15) degrees on the straight line without
+    # joint-angle rows, a start of the 15-degree region grid: the first
+    # cycle's gradient reaches 6.2e3.  On the unscaled cost the interior
+    # point's multipliers grow with it, its residuals stall above the
+    # tolerance, neither it nor its crossover passed, and the cycle fell
+    # back to LQ; on the cost divided by max|q| it converges and the
+    # crossover certifies the vertex.
+    import trailer_mpc.mpc as mpc_mod
+
+    solved = []
+    solve = mpc_mod.certified_solve
+
+    def spy(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        solved.append((args, out[1]))
+        return out
+
+    monkeypatch.setattr(mpc_mod, "certified_solve", spy)
+    controller = MpcController(params, straight_back, MpcConfig(),
+                               NO_JOINT_ROWS)
+    _, diag = controller.step(
+        VehicleState(0.0, 0.0, 0.0, math.radians(-30.0), math.radians(15.0)),
+        ControllerState(s_prev=0.0))
+    (args, path), = solved
+    assert np.abs(args[1]).max() > 6e3
+    assert path == diag.solver_path == "ipm" and diag.qp_status == "Optimal"
+    assert max(diag.primal_residual, diag.dual_residual,
+               diag.comp_residual) <= mpc_mod.QP_TOL
 
 
 def test_lq_fallback_is_reported_and_logged(params, straight_back, monkeypatch,

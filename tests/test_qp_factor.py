@@ -108,8 +108,7 @@ def test_updated_factorization_matches_solves_from_scratch(seed, ops):
     sig1, sig2 = 10.0, 50.0
     values = np.concatenate([rng.normal(size=mh), b])
     elim = np.zeros(ms, dtype=bool)
-    work = _WorkingFactor(P, q, A, G, b, sig1, sig2, elim,
-                          np.zeros(0, dtype=np.intp),
+    work = _WorkingFactor(P, q, A, G, b, sig1, sig2, np.flatnonzero(elim),
                           np.zeros(0, dtype=np.intp), np.zeros(0))
     _check_solve(work, P, q, A, G, elim, sig1, sig2, b)
     for action, pick in ops:
@@ -163,7 +162,7 @@ def test_starting_factorization_leaves_out_dependent_rows():
                   [0.0, 0.0, 1.0]])
     G = np.zeros((0, 3))
     work = _WorkingFactor(P, q, A, G, np.zeros(0), 0.0, 0.0,
-                          np.zeros(0, dtype=bool), np.arange(4), np.zeros(0, dtype=np.intp),
+                          np.zeros(0, dtype=np.intp), np.arange(4),
                           np.array([0.0, 0.0, 0.0, 0.7]))
     assert len(work.gen) == 3 and len(work.dep) == 1
     x, lam = work.solve()
@@ -239,3 +238,53 @@ def test_factor_cache_hands_the_factorization_on(seed, sig):
         hot = HotStart(l, u, b, x, eps, mu, lam, sets)
     # every homotopy but the first took the last one's factorization
     assert taken == 3
+
+
+def test_cold_homotopy_walks_the_paper_first_cycles(params, monkeypatch):
+    # The first-cycle QP of each paper MPC run (N = 50 inputs, 100 hard
+    # and 400 soft rows), solved by the homotopy cold: from x = 0 with no
+    # working set.  The walk passes tens to hundreds of breakpoints through
+    # nearly full working sets, exchanges and soft rows passing their kinks,
+    # which the small random problems above never reach; each breakpoint
+    # costs one equality solve on the updated factorization.
+    from trailer_mpc import mpc, qp, sim
+
+    cfg = mpc.MpcConfig()
+    first = []
+    solve_qp = mpc.certified_solve
+
+    def spy(*args, **kwargs):
+        first.append(args[:9])
+        return solve_qp(*args, **kwargs)
+
+    monkeypatch.setattr(mpc, "certified_solve", spy)
+    for spec in sim.paper_suite():
+        if spec.controller == "mpc":
+            controller = sim.make_controller(spec, params, cfg)
+            state = sim.initial_state(controller.path, spec.perturbation,
+                                      spec.start_s)
+            controller.step(state, mpc.ControllerState(s_prev=spec.start_s))
+    assert len(first) == 6
+    solves = []
+    solve = qp._WorkingFactor.solve
+
+    def counted(self):
+        solves.append(self)
+        return solve(self)
+
+    monkeypatch.setattr(qp._WorkingFactor, "solve", counted)
+    walks = []
+    for P, q, A, l, u, G, b, sig1, sig2 in first:
+        n, mh, ms = len(q), A.shape[0], G.shape[0]
+        cold = qp.auxiliary_hot(
+            A, G, l, u, b, sig1, np.zeros(n), np.zeros(ms), np.zeros(mh),
+            np.zeros(ms), (np.zeros(mh, np.int8), np.zeros(ms, np.int8)))
+        solves.clear()
+        res, breakpoints = parametric_solve(P, q, A, l, u, G, b, sig1, sig2,
+                                            cold, max_iter=2000)
+        assert res is not None
+        assert len(solves) == breakpoints + 1
+        assert max(soft_kkt_residuals(P, q, A, l, u, G, b, sig1, sig2,
+                                      *res[:5])) <= mpc.QP_TOL
+        walks.append(breakpoints)
+    assert max(walks) >= 50, walks

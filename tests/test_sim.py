@@ -132,6 +132,7 @@ def test_run_log_without_a_cycle(tmp_path):
     log = RunLog.from_cycles(spec, "ValidityLost", 50.0, [])
     assert len(log) == 0 and log.states.shape == (0, 5) and log.solver_path == []
     assert log.summary()["n_structure_builds"] == 0
+    assert log.summary()["max_qp_iterations"] == 0
     log.write_csv(tmp_path / "none.csv")
     header = (tmp_path / "none.csv").read_text().splitlines()
     assert header == [",".join(h for name, *heads in CSV_COLUMNS
@@ -156,6 +157,25 @@ def test_run_suite_summary(tmp_path, params):
     assert [r["name"] for r in rows] == ["a", "b"]
     assert list(rows[0]) == list(summaries[0])
     assert [float(r["structure_ms"]) for r in rows] == [0.0, 0.0]
+
+
+def test_summary_reports_the_worst_cycles_qp_work(tmp_path, params):
+    # the first cycle has no hot start: the interior point's iterations and
+    # its crossover's breakpoints make it the run's largest QP effort, and
+    # summary.csv carries it; an LQ run solves no QP
+    spec = ExperimentSpec(name="work", path_kind="straight", path_size=40.0,
+                          controller="mpc", perturbation=(1.0, 0.0, 0.0, 0.0),
+                          max_time=3.0)
+    log = run(spec, params, MpcConfig())
+    worst = log.summary()["max_qp_iterations"]
+    assert worst == log.qp_iterations.max() == log.qp_iterations[0] > 0
+    assert log.solver_path[0] == "ipm"
+    summaries = run_suite([spec, dataclasses.replace(spec, controller="lq")],
+                          params, MpcConfig(), out_dir=str(tmp_path))
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["max_qp_iterations"]) for r in rows] == \
+        [s["max_qp_iterations"] for s in summaries] == [worst, 0]
 
 
 def test_timeout_status(params):
