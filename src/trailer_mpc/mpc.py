@@ -467,13 +467,13 @@ class MpcController:
 
         x0 = err.as_array()
         N, n_slack = struct.n_inputs, struct.n_slack
-        q = struct.W @ x0
+        q = struct.W.dot(x0)
         l = struct.l.copy()
         u = struct.u.copy()
         delta_cycle = self.udot_max / cfg.f_s
         l[struct.row_slew0] = ctrl.u_prev - delta_cycle - struct.ur0
         u[struct.row_slew0] = ctrl.u_prev + delta_cycle - struct.ur0
-        b = struct.hbar - struct.HsPhi @ x0
+        b = struct.hbar - struct.HsPhi.dot(x0)
 
         # on the structure of the last certified answer the rows are the
         # same, and only q, b and the row_slew0 bounds moved; on another
@@ -498,7 +498,7 @@ class MpcController:
         u_cmd = min(max(u_cmd, -self.u_max), self.u_max)
         u_cmd = min(max(u_cmd, ctrl.u_prev - delta_cycle), ctrl.u_prev + delta_cycle)
 
-        slack_max = float(np.max(sol.y[N:], initial=0.0)) if (n_slack and not fallback) else 0.0
+        slack_max = float(sol.y[N:].max(initial=0.0)) if (n_slack and not fallback) else 0.0
         diag = StepDiagnostics(
             s=s0, error=err, u_cmd=u_cmd, qp_status=sol.status,
             solver_path=path or "lq_fallback",
@@ -527,19 +527,19 @@ class MpcController:
 
         def hard(v):
             # the box rows, then the chain rows after the slew row N
-            out = np.zeros_like(v)
+            out = np.zeros(2 * N, v.dtype)
             out[:N - d], out[N + 1:2 * N - d] = v[d:N], v[N + 1 + d:]
             return out
 
         def soft(v):
-            out = np.zeros_like(v)
+            out = np.zeros(ms, v.dtype)
             out[:kept] = v[ms - kept:]
             return out
 
         sides, states = hot.sets
         return auxiliary_hot(
             struct.A_in, struct.G, l, u, b, self.cfg.slack_linear,
-            np.append(hot.x[d:], np.full(d, hot.x[N - 1])), soft(hot.eps),
+            np.concatenate((hot.x[d:], hot.x[N - 1:].repeat(d))), soft(hot.eps),
             hard(hot.mu), soft(hot.lam), (hard(sides), soft(states)))
 
 

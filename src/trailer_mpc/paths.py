@@ -435,7 +435,9 @@ def project(path: NominalPath, p, s_prev, window=2.0) -> float:
     the perpendicular on a chord, clipped to the chord and the window (on a
     tie the first wins); the returned station never decreases below s_prev.
     Raises ProjectionLost when that point is the forward window edge inside
-    the path, i.e. no local projection exists inside the window.
+    the path, i.e. no local projection exists inside the window.  The chord
+    loop clamps by comparisons, with the bits of the builtin min and max at
+    half their cost.
     """
     px, py = float(p[0]), float(p[1])
     lo = max(0.0, s_prev - window)
@@ -454,7 +456,12 @@ def project(path: NominalPath, p, s_prev, window=2.0) -> float:
         ex, ey = bx - ax, by - ay
         ee = ex * ex + ey * ey
         t = ((px - ax) * ex + (py - ay) * ey) / ee if ee > 0.0 else 0.0
-        s = min(hi, max(lo, (k + min(1.0, max(0.0, t))) * ds))
+        # min(hi, max(lo, (k + min(1.0, max(0.0, t))) * ds)): each clamp
+        # keeps its bound on a tie or NaN, as min/max keep their first
+        # argument (lo < hi)
+        t = (t if t < 1.0 else 1.0) if t > 0.0 else 0.0
+        s = (k + t) * ds
+        s = (s if s < hi else hi) if s > lo else lo
         t = s / ds - k
         dx, dy = ax + t * ex - px, ay + t * ey - py
         d2 = dx * dx + dy * dy

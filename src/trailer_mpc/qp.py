@@ -463,14 +463,19 @@ def auxiliary_hot(A, G, l, u, b, sig1, x, eps, mu, lam, sets) -> HotStart:
     clipped to their rows' signs (a kink row's to [0, sig1])."""
     sides, states = sets
     vh, gx = A.dot(x), G.dot(x)
-    kink, elim = states == KINK, states == ELIM
-    l_aux = np.where(sides < 0, vh, np.minimum(l, vh))
-    u_aux = np.where(sides > 0, vh, np.maximum(u, vh))
-    b_aux = np.where(kink, gx, np.where(elim, gx - eps, np.maximum(b, gx)))
-    mu = np.where(sides > 0, np.maximum(mu, 0.0),
-                  np.where(sides < 0, np.minimum(mu, 0.0), 0.0))
-    lam = np.where(kink, np.clip(lam, 0.0, sig1), 0.0)
-    return HotStart(l_aux, u_aux, b_aux, x, eps, mu, lam, sets)
+    up, low, kink = sides > 0, sides < 0, states == KINK
+    # each bound or dual in one pass, the working rows' values copied over
+    l_aux, u_aux = np.minimum(l, vh), np.maximum(u, vh)
+    np.copyto(l_aux, vh, where=low)
+    np.copyto(u_aux, vh, where=up)
+    b_aux = np.maximum(b, gx)
+    np.copyto(b_aux, gx - eps, where=states == ELIM)
+    np.copyto(b_aux, gx, where=kink)
+    mu_aux, lam_aux = np.zeros(len(mu)), np.zeros(len(lam))
+    np.copyto(mu_aux, np.maximum(mu, 0.0), where=up)
+    np.copyto(mu_aux, np.minimum(mu, 0.0), where=low)
+    np.copyto(lam_aux, lam.clip(0.0, sig1), where=kink)
+    return HotStart(l_aux, u_aux, b_aux, x, eps, mu_aux, lam_aux, sets)
 
 
 class FactorCache:
@@ -567,9 +572,10 @@ class _WorkingFactor:
     right-hand sides); the triangular solves read R's leading block in
     place (R is in Fortran order).
     A :class:`FactorCache` (``cache``) may keep P's factor and hand the
-    factorization from one homotopy to the next (:meth:`keep`).  With no
-    soft row eliminated the objective is (P, q) itself, copied only when a
-    row is folded in.
+    factorization from one homotopy to the next (:meth:`keep`), with
+    ``chol``, the reduced Hessian's factor, which lives until a change.
+    With no soft row eliminated the objective is (P, q) itself, copied only
+    when a row is folded in.
     """
 
     def __init__(self, P, q, A, G, b, sig1, sig2, elim, rows, values,
@@ -590,20 +596,25 @@ class _WorkingFactor:
         kept = cache.take(self.key) if cache is not None else None
         if kept is None:
             self._factor(rows, values)
+            self.chol = None
         else:
-            # the last homotopy's factorization of this working set
-            self.gen, self.dep, self.idx, self.Q, self.R, self.W, self.wval \
-                = kept
+            # the last homotopy's factorization of this working set, and
+            # its reduced Hessian's Cholesky factor when P is the same
+            self.gen, self.dep, self.idx, self.Q, self.R, self.W, self.wval, \
+                chol = kept
+            self.chol = None if self.n_elim else chol
             k = len(self.gen)
             if k:
                 self.wval[:k] = values[np.searchsorted(rows, self.idx[:k])]
 
     def keep(self):
-        """Hand the factorization of the working set to the cache."""
+        """Hand the factorization of the working set to the cache, and the
+        reduced Hessian's factor when P is the cache's (no row eliminated)."""
         if self.cache is not None:
             self.cache.keep(self.key or tuple(sorted(self.value)),
                             (self.gen, self.dep, self.idx, self.Q, self.R,
-                             self.W, self.wval))
+                             self.W, self.wval,
+                             None if self.n_elim else self.chol))
 
     def _objective(self, P, q):
         """Take (P, q), with the solves' right-hand side -q and its size."""
@@ -664,7 +675,7 @@ class _WorkingFactor:
         independent of the working rows; returns whether it entered."""
         if i in self.value:
             self.remove(i)
-        self.key = None
+        self.key = self.chol = None
         k, n = len(self.gen), self.n
         if k >= n:
             return False
@@ -687,7 +698,7 @@ class _WorkingFactor:
         """Drop row ``i`` from the working set, then take in the left-out
         rows that no longer depend on the others."""
         del self.value[i]
-        self.key = None
+        self.key = self.chol = None
         if i in self.dep:
             self.dep.remove(i)
             return
@@ -712,6 +723,7 @@ class _WorkingFactor:
         row ``row`` into the objective; with no row eliminated it is the
         unfolded one again exactly."""
         self.n_elim += sign
+        self.chol = None
         if not self.n_elim:
             self._objective(self.P0, self.q0)
             return
@@ -730,11 +742,11 @@ class _WorkingFactor:
         k, n = len(self.gen), self.n
         P, W, rk, rf = self.P, self.W[:k], self.wval[:k], self.rf
         nz = n - k
-        chol = None
+        chol = self.chol
         if k:
             R = self.R
             Y, Z = self.Q[:, :k], self.Q[:, k:]
-        elif not self.n_elim and self.cache is not None:
+        elif chol is None and not self.n_elim and self.cache is not None:
             chol = self.cache.cholesky()
         if nz and chol is None:
             H = Z.T.dot(P.dot(Z)) if k else P
@@ -746,6 +758,7 @@ class _WorkingFactor:
                                     clean=False)
                 if info:
                     return None
+        self.chol = chol
 
         # ``dot``, not ``@``: the same BLAS products with less overhead
         def kkt(rf, rk):
@@ -836,10 +849,11 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
             fin_l.tobytes() != np.isfinite(hot.l).tobytes() or \
             not math.isfinite(b.sum() + hot.b.sum()):
         return None, 0
-    sides, states = (np.array(s, dtype=np.int8) for s in hot.sets)
+    sides, states = hot.sets
+    sides, states = np.asarray(sides, np.int8), np.asarray(states, np.int8)
     kink = states == KINK
-    hard_w, kink_w, elim_w = (w.nonzero()[0]
-                              for w in (sides, kink, states == ELIM))
+    hard_w, kink_w = sides.nonzero()[0], kink.nonzero()[0]
+    elim_w = (states == ELIM).nonzero()[0]
     # the starting working rows, hard ones first, and their bounds
     rows0 = np.concatenate([hard_w, mh + kink_w])
     values0 = np.concatenate([np.where(sides > 0, u, l)[hard_w], b[kink_w]]) \
@@ -965,6 +979,8 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
                         past[:len(hard_w)] *= sides[hard_w]
                         tol = 1e-9 * np.abs(bound) + 1e-9
                     return answer(x1, gs1, mu1, kap1, past, tol, 0), 0
+                # the hot start's working set, copied at its first change
+                sides, states = sides.copy(), states.copy()
                 su, sl = np.where(fin_u, u, 0.0), np.where(fin_l, l, 0.0)
                 neg_tol = np.full(off[8], -1e-9)
                 neg_tol[:off[4]] -= 1e-9 * np.abs(np.concatenate([su, sl, b,
@@ -1262,24 +1278,25 @@ def soft_kkt_residuals(P, q, A, l, u, G, b, sig1, sig2, x, eps, mu, lam, nu):
     dual is nonzero, which is on the working set of an answer.  A NaN
     anywhere makes its residual inf, so that it fails every tolerance.
     """
-    vh = A @ x
-    vs = G @ x - eps
-    prim = _worst((np.maximum(vh - u, 0.0) + np.maximum(l - vh, 0.0)).max(
-        initial=0.0), (vs - b).max(initial=0.0), (-eps).max(initial=0.0))
+    vh = A.dot(x)
+    vs = G.dot(x) - eps
+    # a row can pass one side of l <= u only; slack j is soft row j's
+    prim = _worst(np.maximum(vh - u, l - vh).max(initial=0.0),
+                  np.maximum(vs - b, -eps).max(initial=0.0))
     # a slack's dual: positive on its infinite upper side, negative paired
     # with eps itself
     comp = [np.maximum(nu, -nu * np.abs(eps)).max(initial=0.0)]
-    dual_x = P @ x + q
+    dual_x = P.dot(x) + q
     i = mu.nonzero()[0]
     if len(i):
         m = mu[i]
         comp.append(_dual_gaps(m, np.where(m > 0.0, u[i], l[i]), vh[i]))
-        dual_x += A[i].T @ m
+        dual_x += A[i].T.dot(m)
     i = lam.nonzero()[0]
     if len(i):
         m = lam[i]
         comp.append(_dual_gaps(m, np.where(m > 0.0, b[i], -np.inf), vs[i]))
-        dual_x += G[i].T @ m
+        dual_x += G[i].T.dot(m)
     dual = _worst(np.abs(dual_x).max(initial=0.0), np.abs(
         2.0 * sig2 * eps + sig1 - lam + nu).max(initial=0.0))
     return prim, dual, _worst(*comp)
@@ -1321,7 +1338,7 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
     whose :func:`soft_kkt_residuals` pass ``tol`` is taken:
 
     1. with ``hot``, the parametric homotopy from it (:func:`soft_qp_solve`
-       with ``hot``, capped at ``EXCHANGE_CAP`` breakpoints);
+       with ``hot``, capped at ``EXCHANGE_CAP`` breakpoints), certified alone;
     2. else :func:`soft_ipm_solve` (at most ``IPM_MAX_ITER`` Newton steps,
        on the cost divided by max(1, max|q|), its duals scaled back) and a
        crossover, the same capped homotopy from :func:`auxiliary_hot` of the
@@ -1341,40 +1358,32 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
     descent exists (:func:`_unbounded`), else MaxIter.
     """
     soft = (P, q, A, l, u, G, b, sig1, sig2)
-    iterations = 0
-
-    def homotopy(hot_start):
-        nonlocal iterations
-        res = soft_qp_solve(*soft, None, max_iter=EXCHANGE_CAP,
-                            hot=hot_start, factors=factors)
-        iterations += EXCHANGE_CAP if res is None else res[6]
-        return res
-
-    def answers():
-        """(solver path, answer) in order of preference, solved lazily."""
-        nonlocal iterations
-        if hot is not None:
-            res = homotopy(hot)
-            if res is not None:
-                yield "parametric", res
+    path, iterations = None, 0
+    if hot is not None:
+        res, iterations = _homotopy(soft, hot, factors)
+        if res is not None:
+            resid = soft_kkt_residuals(*soft, *res[:5])
+            if max(resid) <= tol:
+                path = "parametric"
+    if path is None:
         # scaled, the multipliers and their rounding floor stay near 1
         s = max(1.0, float(np.abs(q).max(initial=0.0)))
         ipm = soft_ipm_solve(P / s, q / s, A, l, u, G, b, sig1 / s, sig2 / s,
                              tol / s)
         ipm = ipm[:2] + tuple(s * d for d in ipm[2:5]) + ipm[5:]
-        iterations += ipm[6]
-        cross = homotopy(auxiliary_hot(A, G, l, u, b, sig1, *ipm[:4], ipm[5]))
-        if cross is not None:
-            yield "ipm", cross
-        yield "ipm", ipm
-
-    for path, res in answers():
-        x, eps, mu, lam_soft, nu = res[:5]
-        rp, rd, rc = soft_kkt_residuals(*soft, x, eps, mu, lam_soft, nu)
-        if max(rp, rd, rc) <= tol:
-            status = QpStatus.OPTIMAL
-            hot_next = HotStart(l, u, b, x, eps, mu, lam_soft, res[5])
-            break
+        cross, its = _homotopy(
+            soft, auxiliary_hot(A, G, l, u, b, sig1, *ipm[:4], ipm[5]), factors)
+        iterations += ipm[6] + its
+        for res in (cross, ipm):
+            if res is not None:
+                resid = soft_kkt_residuals(*soft, *res[:5])
+                if max(resid) <= tol:
+                    path = "ipm"
+                    break
+    x, eps, mu, lam_soft, nu = res[:5]
+    if path is not None:
+        status = QpStatus.OPTIMAL
+        hot_next = HotStart(l, u, b, x, eps, mu, lam_soft, res[5])
     else:
         # the interior point failed the check as well
         if _farkas(A, l, u, mu):
@@ -1383,11 +1392,20 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
             status = QpStatus.DUAL_INFEASIBLE
         else:
             status = QpStatus.MAX_ITER
-        path = hot_next = None
-    obj = float(0.5 * x @ P @ x + q @ x + sig2 * (eps @ eps) + sig1 * eps.sum())
+        hot_next = None
+    obj = float((0.5 * x).dot(P).dot(x) + q.dot(x) + sig2 * eps.dot(eps)
+                + sig1 * eps.sum())
     return QpSolution(np.concatenate([x, eps]),
                       np.concatenate([mu, lam_soft, nu]), status,
-                      iterations, obj, rp, rd, rc), path, hot_next
+                      iterations, obj, *resid), path, hot_next
+
+
+def _homotopy(soft, start, factors):
+    """:func:`soft_qp_solve` of ``soft`` from ``start``, capped: (answer or
+    None, its breakpoints or the full cap)."""
+    res = soft_qp_solve(*soft, None, max_iter=EXCHANGE_CAP, hot=start,
+                        factors=factors)
+    return res, EXCHANGE_CAP if res is None else res[6]
 
 
 def solve_qp(prob: QpProblem, tol=1e-6) -> QpSolution:

@@ -151,7 +151,11 @@ class RunLog:
             "max_abs_u": float(np.abs(self.u_cmd).max()) if len(self) else math.nan,
             "max_cycle_slew": float(du.max()) if len(du) else 0.0,
             "max_slack": float(self.slack_max.max()) if len(self) else 0.0,
+            # the per-cycle latency: mean, median, 99th percentile (numpy's
+            # linear interpolation) and worst
             "mean_solve_ms": float(self.solve_ms.mean()) if len(self) else 0.0,
+            "p50_solve_ms": float(np.percentile(self.solve_ms, 50)) if len(self) else 0.0,
+            "p99_solve_ms": float(np.percentile(self.solve_ms, 99)) if len(self) else 0.0,
             "max_solve_ms": float(self.solve_ms.max()) if len(self) else 0.0,
             "max_kkt": float(self.kkt_max.max()) if len(self) else 0.0,
             # cycles answered by the hot start from the last cycle's answer,

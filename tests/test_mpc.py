@@ -438,6 +438,45 @@ def test_second_cycle_at_the_same_base_hot_starts(params, straight_back):
                                                           abs=1e-9)
 
 
+def test_a_held_working_set_factors_nothing_and_solves_once(params,
+                                                            monkeypatch):
+    import trailer_mpc.qp as qp_mod
+    from trailer_mpc.sim import paper_suite, run
+
+    # calls of the working-set factorization, its solve and every Cholesky
+    # factorization of the QP layer, counted per control cycle
+    calls = []
+    for owner, name, key in ((qp_mod._WorkingFactor, "_factor", "factor"),
+                             (qp_mod._WorkingFactor, "solve", "solve"),
+                             (qp_mod, "_potrf", "potrf")):
+        def counted(*args, _f=getattr(owner, name), _key=key, **kwargs):
+            calls[-1][_key] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    step = MpcController.step
+
+    def counted_step(self, state, ctrl):
+        calls.append(dict(factor=0, solve=0, potrf=0))
+        return step(self, state, ctrl)
+
+    monkeypatch.setattr(MpcController, "step", counted_step)
+    spec = next(s for s in paper_suite()
+                if s.name == "exp3_straight" and s.controller == "mpc")
+    log = run(spec, params, MpcConfig())
+    assert len(calls) == len(log)
+    # a cycle whose hot start passes no breakpoint on the structure of the
+    # last answer reuses the last factorization, the reduced Hessian's
+    # Cholesky factor included, and pays for one equality solve
+    held = (log.qp_iterations == 0) & ~log.structure_built
+    assert held.sum() > 0.9 * len(log)
+    for k in np.flatnonzero(held):
+        assert log.solver_path[k] == "parametric"
+        assert calls[k] == dict(factor=0, solve=1, potrf=0), k
+    # the first cycle builds the structure and factors
+    assert calls[0]["potrf"] > 0
+
+
 def test_cycle_after_a_base_change_hot_starts(params, eight_back):
     from trailer_mpc.sim import ExperimentSpec, run
 

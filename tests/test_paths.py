@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trailer_mpc
 from trailer_mpc import NominalPath, eq_residuals, interpolate, project, reverse_path
@@ -431,6 +433,87 @@ def test_project_matches_an_exact_chord_oracle(straight_back, eight_back, kind, 
             continue
         assert project(path, p, s_prev) == pytest.approx(want, abs=1e-9), (s, p, s_prev)
     assert lost < len(stations) // 10
+
+
+def _project_min_max(path, p, s_prev, window=2.0):
+    """project's chord loop written with the builtin min and max: the
+    reference that project's comparisons must equal bit for bit."""
+    px, py = float(p[0]), float(p[1])
+    lo = max(0.0, s_prev - window)
+    hi = min(path.s_end, s_prev + window)
+    if hi <= lo:
+        raise ProjectionLost("window collapsed")
+    ds = path.delta_s
+    last = len(path.s) - 1
+    k_lo = min(math.floor(lo / ds), last - 1)
+    k_hi = max(min(math.ceil(hi / ds), last), k_lo + 1)
+    xs, ys = path.x[k_lo:k_hi + 1].tolist(), path.y[k_lo:k_hi + 1].tolist()
+    s_best, d2_best = lo, math.inf
+    for k, ax, ay, bx, by in zip(range(k_lo, k_hi), xs, ys, xs[1:], ys[1:]):
+        ex, ey = bx - ax, by - ay
+        ee = ex * ex + ey * ey
+        t = ((px - ax) * ex + (py - ay) * ey) / ee if ee > 0.0 else 0.0
+        s = min(hi, max(lo, (k + min(1.0, max(0.0, t))) * ds))
+        t = s / ds - k
+        dx, dy = ax + t * ex - px, ay + t * ey - py
+        d2 = dx * dx + dy * dy
+        if d2 < d2_best:
+            s_best, d2_best = s, d2
+    if s_best >= hi and hi < path.s_end - 1e-9 and hi > s_prev + 1e-9:
+        raise ProjectionLost("forward edge")
+    return max(s_best, float(s_prev))
+
+
+@pytest.fixture(scope="module")
+def tie_paths(eight_back):
+    """A 12 m straight path, the same turned by 90 degrees at its middle
+    sample with samples 10 and 40 repeated (chords of zero length), and the
+    figure-eight."""
+    straight = generate_straight(12.0, -1.0)
+    x, y = straight.x.copy(), straight.y.copy()
+    mid = len(x) // 2
+    y[mid:] += x[mid:] - x[mid]
+    x[mid:] = x[mid]
+    x[11], y[11] = x[10], y[10]
+    x[41], y[41] = x[40], y[40]
+    return {"straight": straight, "bent": dataclasses.replace(straight, x=x, y=y),
+            "eight": eight_back}
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["straight", "bent", "eight"]),
+       i=st.integers(0, 60), where=st.sampled_from(["vertex", "normal", "free"]),
+       offset=st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 3.0, math.nan]),
+                        st.floats(-3.0, 3.0)),
+       j=st.integers(-2, 62), edge=st.sampled_from([0.0, -2.0, 2.0, None]),
+       jitter=st.floats(-0.3, 0.3))
+def test_project_equals_its_min_max_loop_bit_for_bit(tie_paths, kind, i, where,
+                                                      offset, j, edge, jitter):
+    # points on a vertex (a chord's t exactly 0 or 1), off it along the
+    # normal (t = -0.0 on the straight line) or anywhere; windows whose
+    # edges sit on a sample (s exactly at lo or hi), at the path's ends or
+    # anywhere
+    path = tie_paths[kind]
+    ds = path.delta_s
+    i = min(i, len(path.s) - 1)
+    ax, ay = float(path.x[i]), float(path.y[i])
+    th = float(path.theta3[i])
+    if where == "vertex":
+        p = (ax, ay)
+    elif where == "normal":
+        p = (ax - offset * math.sin(th), ay + offset * math.cos(th))
+    else:
+        p = (ax + offset, ay + jitter)
+    s_prev = max(0.0, j * ds + (jitter if edge is None else edge))
+    try:
+        want = _project_min_max(path, p, s_prev)
+    except ProjectionLost:
+        with pytest.raises(ProjectionLost):
+            project(path, p, s_prev)
+        return
+    got = project(path, p, s_prev)
+    # compared as bytes, which also tells a signed zero apart
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (p, s_prev)
 
 
 def test_equilibrium_joint_zeroes_both_joint_angle_rates(params):

@@ -133,6 +133,8 @@ def test_run_log_without_a_cycle(tmp_path):
     assert len(log) == 0 and log.states.shape == (0, 5) and log.solver_path == []
     assert log.summary()["n_structure_builds"] == 0
     assert log.summary()["max_qp_iterations"] == 0
+    assert all(log.summary()[f"{k}_solve_ms"] == 0.0
+               for k in ("mean", "p50", "p99", "max"))
     log.write_csv(tmp_path / "none.csv")
     header = (tmp_path / "none.csv").read_text().splitlines()
     assert header == [",".join(h for name, *heads in CSV_COLUMNS
@@ -157,6 +159,31 @@ def test_run_suite_summary(tmp_path, params):
     assert [r["name"] for r in rows] == ["a", "b"]
     assert list(rows[0]) == list(summaries[0])
     assert [float(r["structure_ms"]) for r in rows] == [0.0, 0.0]
+
+
+def test_summary_reports_the_latency_distribution(tmp_path, params):
+    # the median and the 99th percentile of the per-cycle time (numpy's
+    # linearly interpolated percentiles) sit between the mean and the worst
+    # cycle; summary.csv carries them by name
+    spec = ExperimentSpec(name="lat", path_kind="straight", path_size=40.0,
+                          controller="mpc", perturbation=(1.0, 0.0, 0.0, 0.0),
+                          max_time=3.0)
+    log = run(spec, params, MpcConfig())
+    summary = log.summary()
+    ms = np.sort(log.solve_ms)
+    assert summary["p50_solve_ms"] == float(np.median(ms))
+    assert summary["p99_solve_ms"] == float(np.percentile(ms, 99))
+    assert ms[0] <= summary["p50_solve_ms"] <= summary["p99_solve_ms"] \
+        <= summary["max_solve_ms"] == ms[-1]
+    keys = list(summary)
+    at = keys.index("mean_solve_ms")
+    assert keys[at:at + 4] == ["mean_solve_ms", "p50_solve_ms",
+                               "p99_solve_ms", "max_solve_ms"]
+    run_suite([spec], params, MpcConfig(), out_dir=str(tmp_path))
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert 0.0 < float(row["p50_solve_ms"]) <= float(row["p99_solve_ms"]) \
+        <= float(row["max_solve_ms"])
 
 
 def test_summary_reports_the_worst_cycles_qp_work(tmp_path, params):
