@@ -163,11 +163,21 @@ class CostMatrices:
 
 def design_cost(params, cfg: MpcConfig, straight_model) -> CostMatrices:
     """Stage cost, Riccati terminal cost and LQ gain for the straight-path
-    discretized model (F, G)."""
+    discretized model (F, G).
+
+    The last few designs are kept by the bits of all a design reads (the
+    output matrix of ``params``, ``cfg.qbar``, F and G), whose deterministic
+    function it is: the MPC and LQ controllers of one vehicle, weights and
+    model share one read-only design.  A design that raises is not kept."""
     M = build_output_matrix(params)
-    Q = M.T @ np.diag(cfg.qbar) @ M
-    Q = 0.5 * (Q + Q.T)
+    qbar = np.array(cfg.qbar, dtype=float)
     F, G = straight_model.F, straight_model.G
+    key = tuple((a.dtype.str, a.shape, a.tobytes()) for a in (M, qbar, F, G))
+    cost = _designs.get(key)
+    if cost is not None:
+        return cost
+    Q = M.T @ np.diag(qbar) @ M
+    Q = 0.5 * (Q + Q.T)
     try:
         P = solve_discrete_are(F, G[:, None], Q, np.eye(1))
     except (LinAlgError, ValueError) as exc:
@@ -179,7 +189,14 @@ def design_cost(params, cfg: MpcConfig, straight_model) -> CostMatrices:
     if residual > 1e-9:
         raise RiccatiDiverged(f"Riccati residual {residual:.2e} > 1e-9")
     rho = float(np.max(np.abs(np.linalg.eigvals(F - np.outer(G, K)))))
-    return CostMatrices(Q=Q, P=P, M=M, K=K, spectral_radius=rho)
+    for a in (Q, P, M, K):
+        a.flags.writeable = False
+    cost = CostMatrices(Q=Q, P=P, M=M, K=K, spectral_radius=rho)
+    _remember(_designs, key, cost)
+    return cost
+
+
+_designs = {}   # design_cost's last designs, by the bits they read
 
 
 def _polytope_rhs(poly: JointAnglePolytope, beta3r, beta2r) -> np.ndarray:

@@ -292,10 +292,11 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     working sets used last across calls; None makes a cache for this call
     alone, with the same bits.
 
-    Returns (x, eps, mu, lam, nu, sets, iterations) -- duals of the hard,
-    soft and nonnegativity rows, the final working set (sides, states) in
-    the format of :class:`HotStart` and the number of iterations -- or
-    None on failure.  Without ``hot`` the soft parts are empty and each
+    Returns (x, eps, mu, lam, nu, sets, iterations, products) -- duals of
+    the hard, soft and nonnegativity rows, the final working set (sides,
+    states) in the format of :class:`HotStart`, the number of iterations
+    and (A x, G x) as the solve formed them, or None -- or None on failure.
+    Without ``hot`` the soft parts are empty, the products None, and each
     iteration is one equality-constrained solve (a step, an exchange, or
     the final optimality check; the warm start's trial solve is not
     counted).
@@ -368,7 +369,7 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
             if not (wrong_h > 1e-9).any():
                 empty = np.zeros(0)
                 return x_new, empty, mu, empty, empty, \
-                    (sides, np.zeros(0, dtype=np.int8)), it
+                    (sides, np.zeros(0, dtype=np.int8)), it, None
             # release one row at a time (most negative dual): mass drops at
             # degenerate vertices trigger long chains of zero-length re-adds
             sides[np.argmax(wrong_h)] = 0
@@ -834,7 +835,7 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
     breakpoint, from that same solve.  From there a breakpoint changes that
     state entry by entry and pays for its algebra and a few array passes.
 
-    Returns (answer, breakpoints).  The answer is the 7-tuple of
+    Returns (answer, breakpoints).  The answer is the 8-tuple of
     :func:`soft_qp_solve` at tau = 1, its iterations the breakpoints, or
     None when the path needs more than ``max_iter`` breakpoints, when an
     equality solve fails, when the end point violates a working row, when
@@ -902,9 +903,9 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
         return len(kap) > 0 and bool(((kap < -1e-9)
                                       | (sig1 - kap < -1e-9)).any())
 
-    def answer(x1, gs1, mu1, kap1, past, tol, breakpoints):
-        """The 7-tuple at the end point (x1, G x1 - b, duals), or None when
-        a working row's distance ``past`` its bound or kink exceeds ``tol``
+    def answer(x1, vh1, gx1, gs1, mu1, kap1, past, tol, breakpoints):
+        """The 8-tuple at the end point (x1, A x1, G x1, G x1 - b, duals),
+        or None when a working row's distance ``past`` its bound or kink exceeds ``tol``
         and 1e-12 (1 + |Px| + |q|), ten times what the solve holds the rows
         to: a row left out of the solve as dependent may not hold."""
         if len(past):
@@ -921,7 +922,7 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
         else:
             # the same values without an eliminated row
             eps, lam, nu = np.zeros(ms), kap1, kap1 - sig1
-        return x1, eps, mu1, lam, nu, (sides, states), breakpoints
+        return x1, eps, mu1, lam, nu, (sides, states), breakpoints, (vh1, gx1)
 
     def set_dual(row, value):
         """Set the dual of working ``row`` (hard, then soft numbering)."""
@@ -978,7 +979,7 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
                             - bound
                         past[:len(hard_w)] *= sides[hard_w]
                         tol = 1e-9 * np.abs(bound) + 1e-9
-                    return answer(x1, gs1, mu1, kap1, past, tol, 0), 0
+                    return answer(x1, vh1, gx1, gs1, mu1, kap1, past, tol, 0), 0
                 # the hot start's working set, copied at its first change
                 sides, states = sides.copy(), states.copy()
                 su, sl = np.where(fin_u, u, 0.0), np.where(fin_l, l, 0.0)
@@ -1013,7 +1014,7 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
             idx = (watched & (V1 < neg_tol)).nonzero()[0]
             if not len(idx):
                 working = watched[off[4]:off[7]]
-                return answer(x1, gs1, mu1, kap1, -V1[:off[3]][working],
+                return answer(x1, vh1, gx1, gs1, mu1, kap1, -V1[:off[3]][working],
                               -neg_tol[:off[3]][working], breakpoints), \
                     breakpoints
             if breakpoints == max_iter:
@@ -1110,9 +1111,10 @@ def soft_ipm_solve(P, q, A, l, u, G, b, sig1, sig2, tol):
     lifted problem; also when the residuals stop falling once complementarity
     has converged (their rounding floor grows with the multipliers' size),
     after ``IPM_MAX_ITER`` iterations, or when the reduced matrix is not
-    numerically positive definite.  Callers certify the point themselves.  Returns the 7-tuple of
-    :func:`soft_qp_solve`: the working set is read off the interior point
-    (rows whose dual exceeds their slack), the iterations are Newton steps.
+    numerically positive definite.  Callers certify the point themselves.
+    Returns the 8-tuple of :func:`soft_qp_solve`: the working set is read
+    off the interior point (rows whose dual exceeds their slack), the
+    iterations are Newton steps, and it forms no products.
     Raises ValueError when an entry of b is not finite.
     """
     bad = np.flatnonzero(~np.isfinite(b))
@@ -1224,7 +1226,7 @@ def soft_ipm_solve(P, q, A, l, u, G, b, sig1, sig2, tol):
     sides[iu[z[:nu] > s[:nu]]] = 1
     states = np.where(w > t, np.where(v > eps, KINK, ELIM), 0).astype(np.int8)
     mu_h = np.bincount(rows, sign * z, minlength=mh)
-    return x, eps, mu_h, w, -v, (sides, states), it
+    return x, eps, mu_h, w, -v, (sides, states), it, None
 
 
 def kkt_residuals(P, q, A, l, u, y, lam):
@@ -1262,7 +1264,8 @@ def _worst(*parts):
     return math.inf if any(map(math.isnan, parts)) else float(max(parts))
 
 
-def soft_kkt_residuals(P, q, A, l, u, G, b, sig1, sig2, x, eps, mu, lam, nu):
+def soft_kkt_residuals(P, q, A, l, u, G, b, sig1, sig2, x, eps, mu, lam, nu,
+                       products=None):
     """:func:`kkt_residuals` of the soft QP in its lifted form, over
     y = (x, eps) with duals (mu, lam, nu),
 
@@ -1277,9 +1280,10 @@ def soft_kkt_residuals(P, q, A, l, u, G, b, sig1, sig2, x, eps, mu, lam, nu):
     row enters the complementarity and the stationarity of x only where its
     dual is nonzero, which is on the working set of an answer.  A NaN
     anywhere makes its residual inf, so that it fails every tolerance.
+    ``products``, an answer's (A x, G x), spares forming them again.
     """
-    vh = A.dot(x)
-    vs = G.dot(x) - eps
+    vh, gx = (A.dot(x), G.dot(x)) if products is None else products
+    vs = gx - eps
     # a row can pass one side of l <= u only; slack j is soft row j's
     prim = _worst(np.maximum(vh - u, l - vh).max(initial=0.0),
                   np.maximum(vs - b, -eps).max(initial=0.0))
@@ -1338,7 +1342,8 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
     whose :func:`soft_kkt_residuals` pass ``tol`` is taken:
 
     1. with ``hot``, the parametric homotopy from it (:func:`soft_qp_solve`
-       with ``hot``, capped at ``EXCHANGE_CAP`` breakpoints), certified alone;
+       with ``hot``, capped at ``EXCHANGE_CAP`` breakpoints), certified alone
+       on the A x and G x of its end-point test;
     2. else :func:`soft_ipm_solve` (at most ``IPM_MAX_ITER`` Newton steps,
        on the cost divided by max(1, max|q|), its duals scaled back) and a
        crossover, the same capped homotopy from :func:`auxiliary_hot` of the
@@ -1362,7 +1367,7 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
     if hot is not None:
         res, iterations = _homotopy(soft, hot, factors)
         if res is not None:
-            resid = soft_kkt_residuals(*soft, *res[:5])
+            resid = soft_kkt_residuals(*soft, *res[:5], res[7])
             if max(resid) <= tol:
                 path = "parametric"
     if path is None:
@@ -1376,7 +1381,7 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
         iterations += ipm[6] + its
         for res in (cross, ipm):
             if res is not None:
-                resid = soft_kkt_residuals(*soft, *res[:5])
+                resid = soft_kkt_residuals(*soft, *res[:5], res[7])
                 if max(resid) <= tol:
                     path = "ipm"
                     break

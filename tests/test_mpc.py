@@ -55,6 +55,110 @@ def test_riccati_diverges_on_unstabilizable_pair(params):
         design_cost(params, cfg, broken)
 
 
+def _design_bytes(cost):
+    return (cost.Q.tobytes(), cost.P.tobytes(), cost.M.tobytes(),
+            cost.K.tobytes(), cost.spectral_radius)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """An empty design memo, and the Riccati solves made from here on."""
+    import trailer_mpc.mpc as mpc_mod
+
+    calls = []
+    solve = mpc_mod.solve_discrete_are
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(mpc_mod, "_designs", {})
+    monkeypatch.setattr(mpc_mod, "solve_discrete_are", counted)
+    return calls
+
+
+def test_controllers_of_one_design_share_one_riccati_solve(params, eight_back,
+                                                           solves):
+    cfg = MpcConfig()
+    controllers = [MpcController(params, eight_back, cfg),
+                   LqController(params, eight_back, cfg),
+                   LqController(params, eight_back, MpcConfig())]
+    assert len(solves) == 1
+    cost = controllers[0].cost
+    assert all(c.cost is cost for c in controllers)
+    for a in (cost.Q, cost.P, cost.M, cost.K):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def _fresh_design(params, cfg, model):
+    """design_cost of a memo that holds nothing."""
+    import trailer_mpc.mpc as mpc_mod
+
+    kept = dict(mpc_mod._designs)
+    mpc_mod._designs.clear()
+    try:
+        return design_cost(params, cfg, model)
+    finally:
+        mpc_mod._designs.clear()
+        mpc_mod._designs.update(kept)
+
+
+def test_each_design_input_gives_the_bits_of_a_fresh_solve(params, solves):
+    import dataclasses
+
+    cfg = MpcConfig()
+    weights = MpcConfig(qbar=cfg.qbar * 2.0)
+    fine = MpcConfig(delta_s=0.1)
+    longer = dataclasses.replace(params, L2=4.2)
+    cases = [(params, cfg, -1.0), (params, weights, -1.0), (longer, cfg, -1.0),
+             (params, cfg, 1.0), (params, fine, -1.0)]
+    costs = [design_cost(p, c, analytic_straight_model(p, d, c.delta_s))
+             for p, c, d in cases]
+    assert len(solves) == len(cases)
+    # all distinct designs, each with a fresh solve's bits
+    assert len({_design_bytes(c) for c in costs}) == len(cases)
+    for (p, c, d), cost in zip(cases, costs):
+        model = analytic_straight_model(p, d, c.delta_s)
+        assert _design_bytes(_fresh_design(p, c, model)) == _design_bytes(cost)
+    # the last four again come from the memo, which keeps four
+    again = [design_cost(p, c, analytic_straight_model(p, d, c.delta_s))
+             for p, c, d in cases[1:]]
+    assert all(a is b for a, b in zip(again, costs[1:]))
+    assert len(solves) == 2 * len(cases)   # only the fresh solves above
+
+
+def test_a_qbar_changed_in_place_gives_the_new_design(params, solves):
+    cfg = MpcConfig()
+    model = analytic_straight_model(params, -1.0, cfg.delta_s)
+    before = design_cost(params, cfg, model)
+    cfg.qbar[4] = 8.0 / 35.0
+    after = design_cost(params, cfg, model)
+    assert after is not before and len(solves) == 2
+    assert _design_bytes(after) == _design_bytes(_fresh_design(params, cfg, model))
+    assert before.Q.tobytes() != after.Q.tobytes()
+
+
+def test_a_diverged_design_is_not_kept_and_the_memo_stays_bounded(params,
+                                                                  solves):
+    import trailer_mpc.mpc as mpc_mod
+    from trailer_mpc.error_model import LinearizedModel
+
+    cfg = MpcConfig()
+    model = analytic_straight_model(params, -1.0, cfg.delta_s)
+    broken = LinearizedModel(A=model.A, B=np.zeros(4), F=model.F,
+                             G=np.zeros(4), delta_s=model.delta_s)
+    for attempt in (1, 2):
+        with pytest.raises(RiccatiDiverged):
+            design_cost(params, cfg, broken)
+        assert mpc_mod._designs == {}
+        assert len(solves) == attempt
+    for k in range(10):
+        design_cost(params, MpcConfig(qbar=cfg.qbar * (k + 1)), model)
+        assert len(mpc_mod._designs) == min(k + 1, 4)
+
+
 def test_polytope_contains_and_box():
     poly = JointAnglePolytope.box(0.5, 0.3)
     assert poly.m == 4
@@ -399,7 +503,7 @@ def test_step_reports_the_active_set_iterations(params, straight_back,
 
         def counted(*args, _solver=solver, **kwargs):
             res = _solver(*args, **kwargs)
-            counts[-1] += qp_mod.EXCHANGE_CAP if res is None else res[-1]
+            counts[-1] += qp_mod.EXCHANGE_CAP if res is None else res[6]
             return res
 
         monkeypatch.setattr(qp_mod, name, counted)

@@ -9,14 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trailer_mpc
 from trailer_mpc import NominalPath, eq_residuals, interpolate, project, reverse_path
 from trailer_mpc.exceptions import InfeasiblePath, OutOfDomain, ProjectionLost
 from trailer_mpc.model import chain_terms
-from trailer_mpc.paths import (MAX_PATH_SAMPLES, _sample_count,
+from trailer_mpc.paths import (MAX_PATH_SAMPLES, _math_map, _sample_count,
                                equilibrium_joint, extend_for_horizon,
                                generate_figure_eight, generate_straight)
 
@@ -209,6 +209,82 @@ def test_eight_equals_the_scalar_rk4_oracle(params, radius, direction, delta_s):
     assert got.s_end_true == want.s_end_true
     assert got.direction == want.direction == direction
     assert got.delta_s == want.delta_s
+
+
+def _outcome(fn, *args, **kwargs):
+    """The path ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (InfeasiblePath, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=6, deadline=None)
+@given(radius=st.floats(6.0, 60.0), delta_s=st.floats(0.05, 0.4),
+       direction=st.sampled_from([-1.0, 1.0]))
+# the pow of (L3 g) ** 2 rounds otherwise than x * x at two midpoints
+@example(radius=6.0, delta_s=0.05, direction=-1.0)
+# one sample, no step
+@example(radius=20.0, delta_s=1000.0, direction=1.0)
+def test_eight_equals_the_scalar_rk4_oracle_on_drawn_sizes(params, radius,
+                                                           delta_s, direction):
+    # beyond the grid: other lengths of the leads, blends and holds in
+    # substeps, so other runs of equal stage inputs and other steps at
+    # which beta2 reaches its fixed point
+    got = _outcome(generate_figure_eight, radius, direction, delta_s,
+                   params=params)
+    want = _outcome(scalar_rk4_figure_eight, radius, direction, delta_s,
+                    params=params)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    for name in ("s", "x", "y", "theta3", "beta3", "beta2", "u", "kappa3"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.direction, got.delta_s, got.s_end_true) == \
+        (want.direction, want.delta_s, want.s_end_true)
+
+
+# runs of equal values, both zeros side by side, NaN and both infinities
+_MAP_VALUES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-300, 2.5, math.nan,
+                               math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.lists(st.tuples(_MAP_VALUES, st.integers(1, 4)), max_size=12),
+       fn=st.sampled_from([math.atan, math.tan, (2.0).__rpow__]))
+def test_math_map_equals_the_element_by_element_map(runs, fn):
+    a = np.array([v for v, count in runs for _ in range(count)], dtype=float)
+    try:
+        want = np.array([fn(v) for v in a.tolist()], dtype=float)
+    except ValueError:
+        # math.tan of an infinity: the map raises as libm's caller does
+        with pytest.raises(ValueError):
+            _math_map(fn, a)
+        return
+    got = _math_map(fn, a)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("direction", [2.0, 0.0, -0.5, "a", True, None,
+                                       math.nan, math.inf])
+@pytest.mark.parametrize("kind", ["straight", "eight"])
+def test_generators_reject_a_direction_other_than_plus_or_minus_one(
+        params, kind, direction):
+    with pytest.raises(ValueError, match="direction must be -1 or \\+1"):
+        if kind == "straight":
+            generate_straight(1.0, direction)
+        else:
+            generate_figure_eight(20.0, direction, params=params)
+
+
+@pytest.mark.parametrize("direction", [-1, 1, -1.0, 1.0, np.float64(1.0)])
+def test_generators_take_either_direction_as_int_or_float(params, direction):
+    straight = generate_straight(1.0, direction)
+    assert straight.direction == direction
+    assert straight.x.tobytes() == (float(direction) * straight.s).tobytes()
+    assert generate_figure_eight(20.0, direction, params=params).direction \
+        == direction
 
 
 @pytest.mark.parametrize("radius, change", [

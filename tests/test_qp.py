@@ -222,7 +222,7 @@ def test_primal_active_set_matches_oracle(rng):
         res = soft_qp_solve(P, q, A, l, u, np.zeros((0, n)), np.zeros(0),
                             0.0, 1.0, xf)
         assert res is not None, trial
-        x, _, lam, _, _, _, iters = res
+        x, _, lam, _, _, _, iters, _ = res
         assert max(kkt_residuals(P, q, A, l, u, x, lam)) < 1e-8
         assert iters >= 1
         ref, obj_ref = brute_force_active_set(P, q, A, l, u)
@@ -380,6 +380,29 @@ def test_first_piece_is_solved_once(monkeypatch):
     assert moved >= 15, moved
 
 
+def test_the_certificate_reads_the_homotopys_products():
+    # a homotopy answer carries the A x and G x of its end-point test, the
+    # bits of the products formed again, so the certificate's residuals
+    # from them are those it computes alone; the interior point forms none
+    rng = np.random.default_rng(11)
+    s1, s2 = 10.0, 50.0
+    for trial in range(20):
+        P, q, A, l, u, G, b = _random_soft_qp(rng)
+        soft = (P, q, A, l, u, G, b, s1, s2)
+        _, path, hot = certified_solve(*soft, 1e-6)
+        assert path is not None
+        q2 = q + 100.0 * rng.normal(size=len(q))
+        for problem in (soft, (P, q2) + soft[2:]):
+            res, _ = parametric_solve(*problem, hot)
+            x, (vh, gx) = res[0], res[7]
+            assert vh.tobytes() == A.dot(x).tobytes(), trial
+            assert gx.tobytes() == G.dot(x).tobytes(), trial
+            assert np.array(soft_kkt_residuals(*problem, *res[:5], res[7])
+                            ).tobytes() == \
+                np.array(soft_kkt_residuals(*problem, *res[:5])).tobytes()
+        assert soft_ipm_solve(P, q2, A, l, u, G, b, s1, s2, 1e-6)[7] is None
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), ms=st.integers(0, 4),
        sig=st.sampled_from([(10.0, 50.0), (1e3, 1e4), (0.5, 0.01)]))
@@ -393,8 +416,8 @@ def test_soft_ipm_matches_lifted_oracle(seed, ms, sig):
     s1, s2 = sig
     res = soft_ipm_solve(P, q, A, l, u, G, b, s1, s2, 1e-6)
     assert res is not None
-    x, eps, mu, lam, nu, sets, iters = res
-    assert iters >= 1
+    x, eps, mu, lam, nu, sets, iters, products = res
+    assert iters >= 1 and products is None
     assert np.all(eps > 0.0)
     sides, states = sets
     assert sides.dtype == states.dtype == np.int8
@@ -545,7 +568,7 @@ def test_parametric_hot_start_exchanges_a_dependent_row():
     assert path == "ipm" and hot.sets[0].tolist() == [1, 0]
     res, breakpoints = parametric_solve(P, q, A, l, u1, G, b, 0.0, 0.0, hot)
     assert breakpoints == 1
-    x, _, mu, _, _, (sides, _), _ = res
+    x, _, mu, _, _, (sides, _), _, _ = res
     np.testing.assert_allclose(x, [2.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(mu, [0.0, 8.0], atol=1e-9)
     assert sides.tolist() == [0, 1]
@@ -573,7 +596,7 @@ def test_parametric_soft_row_passes_its_kink(b0, b1, elim):
     soft = (P, q, A, l, u, G, b1, s1, s2)
     res, breakpoints = parametric_solve(*soft, hot)
     assert res is not None and breakpoints == 1
-    x, eps, mu, lam, nu, (sides, states), _ = res
+    x, eps, mu, lam, nu, (sides, states), _, _ = res
     assert sides.tolist() == [1]
     assert states.tolist() == [ELIM if elim else 0]
     assert max(soft_kkt_residuals(*soft, x, eps, mu, lam, nu)) <= 1e-12

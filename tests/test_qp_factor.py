@@ -186,7 +186,7 @@ def test_homotopy_reaches_an_all_pinned_vertex():
                    (np.zeros(2, np.int8), np.zeros(0, np.int8)))
     res, breakpoints = parametric_solve(P, q, A, l, u, G, b, 0.0, 1.0, hot)
     assert res is not None and breakpoints == 2
-    x, eps, mu, lam, nu, (sides, _), _ = res
+    x, eps, mu, lam, nu, (sides, _), _, _ = res
     np.testing.assert_allclose(x, [1.0, -1.0], atol=1e-12)
     # the box rows' duals: mu = -(P x + q)
     np.testing.assert_allclose(mu, [9.0, -9.0], atol=1e-12)
@@ -234,7 +234,7 @@ def test_factor_cache_hands_the_factorization_on(seed, sig):
                                        atol=1e-9 * (1.0 + np.abs(r).max(
                                            initial=0.0)))
         assert all(np.array_equal(a, r) for a, r in zip(got[5], ref[5]))
-        x, eps, mu, lam, _, sets, _ = got
+        x, eps, mu, lam, _, sets, _, _ = got
         hot = HotStart(l, u, b, x, eps, mu, lam, sets)
     # every homotopy but the first took the last one's factorization
     assert taken == 3

@@ -156,7 +156,7 @@ def _answer_bytes(res):
     soft_qp_solve answer, as bytes."""
     if res is None:
         return None
-    x, _, mu, _, _, (sides, _), iters = res
+    x, _, mu, _, _, (sides, _), iters, _ = res
     return x.tobytes(), mu.tobytes(), sides.tobytes(), iters
 
 
