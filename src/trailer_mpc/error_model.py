@@ -64,7 +64,9 @@ def wrap_angle(a):
 
 def compute_error(state: VehicleState, path: NominalPath, s_prev):
     """Project the semitrailer axle onto the path and return (s, PathError,
-    ref), ref the PathSample interpolated at s."""
+    ref), ref the PathSample interpolated at s.  Raises ValidityViolated
+    outside the validity margins or when an error is not finite, so a NaN
+    measurement ends a run as ValidityLost."""
     s = project(path, (state.x3, state.y3), s_prev)
     ref = interpolate(path, s)
     dx = state.x3 - ref.x3r
@@ -73,13 +75,18 @@ def compute_error(state: VehicleState, path: NominalPath, s_prev):
     theta3t = wrap_angle(state.theta3 - ref.theta3r)
     err = PathError(z3t, theta3t, state.beta3 - ref.beta3r, state.beta2 - ref.beta2r)
     _check_validity(err.z3t, err.theta3t, ref.kappa3r)
+    if not (math.isfinite(err.z3t) and math.isfinite(err.beta3t)
+            and math.isfinite(err.beta2t)):
+        raise ValidityViolated(f"path error {err} not finite")
     return s, err, ref
 
 
 def _check_validity(z3t, theta3t, kappa3r):
-    if 1.0 - kappa3r * z3t <= VALIDITY_MARGIN:
+    """Raise ValidityViolated outside the Frenet transform's validity
+    margins, a NaN offset or heading error included."""
+    if not (1.0 - kappa3r * z3t > VALIDITY_MARGIN):
         raise ValidityViolated(f"1 - kappa3r*z3t = {1.0 - kappa3r * z3t:.3f} too small")
-    if abs(theta3t) >= _HALF_PI - VALIDITY_MARGIN:
+    if not (abs(theta3t) < _HALF_PI - VALIDITY_MARGIN):
         raise ValidityViolated(f"|theta3t| = {abs(theta3t):.3f} too close to pi/2")
 
 

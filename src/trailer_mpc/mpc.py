@@ -24,7 +24,7 @@ from .exceptions import (InfeasiblePath, NominalOutsidePolytope, PathExhausted,
                          RiccatiDiverged, SingularConfiguration)
 from .model import SINGULAR_TOL, VehicleState, chain_terms
 from .params import is_int, is_real, real_tuple
-from .paths import NominalPath, extend_for_horizon
+from .paths import NominalPath, _remember, extend_for_horizon
 from .qp import FactorCache, HotStart, auxiliary_hot, certified_solve
 
 logger = logging.getLogger(__name__)
@@ -330,14 +330,6 @@ def _hard_rows(N) -> np.ndarray:
     A[np.arange(N + 1, 2 * N), np.arange(1, N)] = 1.0
     A[np.arange(N + 1, 2 * N), np.arange(N - 1)] = -1.0
     return A
-
-
-def _remember(cache, key, value, size=4):
-    """Put ``value`` in the insertion-ordered ``cache``, dropping the
-    oldest entry beyond ``size``."""
-    cache[key] = value
-    if len(cache) > size:
-        cache.pop(next(iter(cache)))
 
 
 class MpcController:

@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .exceptions import InfeasiblePath, OutOfDomain, ProjectionLost
 from .model import chain_terms, derivatives_batch
-from .params import is_real
+from .params import VehicleParams, is_real
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,16 @@ class NominalPath:
             self.u, self.kappa3))
         return PathSample(s, x, y, th, b3, b2, u, self.direction, k3)
 
+    def copy(self) -> "NominalPath":
+        """The same path in new arrays."""
+        return NominalPath(
+            s=self.s.copy(), x=self.x.copy(), y=self.y.copy(),
+            theta3=self.theta3.copy(), beta3=self.beta3.copy(),
+            beta2=self.beta2.copy(), u=self.u.copy(), kappa3=self.kappa3.copy(),
+            direction=self.direction, delta_s=self.delta_s,
+            s_end_true=self.s_end_true,
+        )
+
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -112,7 +122,7 @@ class NominalPath:
 def interpolate(path: NominalPath, s) -> PathSample:
     """PathSample at station s by linear interpolation between the two
     samples around it (angles stored unwrapped); raises OutOfDomain outside
-    [0, s_end].
+    [0, s_end], NaN included.
 
     The two samples are read from the arrays as Python floats, which round
     as numpy's float64 scalars do, so the fields are the bits of the same
@@ -120,8 +130,8 @@ def interpolate(path: NominalPath, s) -> PathSample:
     """
     s = float(s)
     s_end = path.s_end
-    if s < -1e-9 or s > s_end + 1e-9:
-        raise OutOfDomain(f"station outside [0, {s_end:.3f}]")
+    if not (-1e-9 <= s <= s_end + 1e-9):
+        raise OutOfDomain(f"station {s} outside [0, {s_end:.3f}]")
     last = len(path.s) - 1
     # np.clip's argument order, which decides the sign of a zero
     pos = min(float(last), max(0.0, s / path.delta_s))
@@ -327,6 +337,17 @@ def _eight_beta2(params, h, sub, cb3, wl, m) -> np.ndarray:
     return b2s[::sub].copy()
 
 
+def _remember(cache, key, value, size=4):
+    """Put ``value`` in the insertion-ordered ``cache``, dropping the
+    oldest entry beyond ``size``."""
+    cache[key] = value
+    if len(cache) > size:
+        cache.pop(next(iter(cache)))
+
+
+_eights = {}   # generate_figure_eight's last backward builds
+
+
 def generate_figure_eight(radius, direction, delta_s=0.2,
                           params=None) -> NominalPath:
     """Closed figure-eight nominal path with peak semitrailer curvature 1/radius.
@@ -351,17 +372,38 @@ def generate_figure_eight(radius, direction, delta_s=0.2,
     exceeds the actuator limits, and ValueError unless the direction is -1
     or +1, the radius is positive and the path, 4 pi radius + 36 m long,
     gives at most MAX_PATH_SAMPLES samples at a positive, finite delta_s.
+
+    The path is always integrated backward, and a process keeps its last
+    four backward builds by (radius, delta_s, params) and their number
+    types, so it builds each distinct eight once.  Every call gets new
+    arrays, a copy of the kept build or its reversal for direction +1, so
+    a write to one call's path reaches no other.  A build that raises
+    keeps nothing.
     """
     if not (is_real(direction) and direction in (-1, 1)):
         raise ValueError(f"direction must be -1 or +1, got {direction!r}")
     if params is None:
-        from .params import VehicleParams
         params = VehicleParams()
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     if 2.0 * math.pi * radius <= _BLEND:  # no room for the constant-curvature hold
         raise InfeasiblePath("radius too small for the 16 m blends")
     n = _sample_count(figure_eight_length(radius), delta_s)
+    # equal numbers of other types round otherwise (np.float32 fields).
+    # getattr, not vars(): a materialized __dict__ slows every later
+    # attribute read of params (3 % of paper_eight's wall_s, CPython 3.11)
+    key = (radius, delta_s, params, type(radius), type(delta_s),
+           *(type(getattr(params, f.name)) for f in fields(params)))
+    back = _eights.get(key)
+    if back is None:
+        back = _backward_eight(params, radius, delta_s, n)
+        _remember(_eights, key, back)
+    return reverse_path(back) if direction == 1 else back.copy()
+
+
+def _backward_eight(params, radius, delta_s, n) -> NominalPath:
+    """The backward figure-eight of :func:`generate_figure_eight`, n samples
+    at spacing delta_s; raises InfeasiblePath as it does."""
     sub = 5  # RK4 substeps per sample interval
     h = delta_s / sub
     m = sub * (n - 1) + 1  # substep starts, the last one the path end
@@ -383,14 +425,11 @@ def generate_figure_eight(radius, direction, delta_s=0.2,
     if np.any(du_ds > c_max):
         raise InfeasiblePath("implied nominal curvature rate exceeds the slew limit")
 
-    path = NominalPath(
+    return NominalPath(
         s=np.arange(n) * delta_s, x=x, y=y, theta3=th, beta3=b3[keep], beta2=b2s,
         u=us, kappa3=tan_b3[keep] / params.L3, direction=_EIGHT_VBAR,
         delta_s=float(delta_s),
     )
-    if direction == 1:
-        path = reverse_path(path)
-    return path
 
 
 def reverse_path(path: NominalPath) -> NominalPath:

@@ -33,6 +33,11 @@ class RegionGrid:
     def __post_init__(self):
         if np.any(np.diff(self.beta3_axis) <= 0) or np.any(np.diff(self.beta2_axis) <= 0):
             raise ValueError("grid axes must be strictly increasing")
+        shape = (len(self.beta3_axis), len(self.beta2_axis))
+        for name, mask in (("stable", self.stable), ("visible", self.visible)):
+            if np.shape(mask) != shape:
+                raise ValueError(f"{name} mask has shape {np.shape(mask)}, "
+                                 f"not the axes' {shape}")
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -71,6 +76,7 @@ def make_axes(spacing_deg=2.0):
 
 def merge(a: RegionGrid, b: RegionGrid) -> RegionGrid:
     if len(a.beta3_axis) != len(b.beta3_axis) or \
+            len(a.beta2_axis) != len(b.beta2_axis) or \
             np.max(np.abs(a.beta3_axis - b.beta3_axis)) > 1e-12 or \
             np.max(np.abs(a.beta2_axis - b.beta2_axis)) > 1e-12:
         raise ValueError("grids must share axes")

@@ -311,18 +311,15 @@ def run_suite(specs, params, cfg: MpcConfig = None, out_dir=None,
               stop_on_converged=True) -> list:
     """Run all specs sequentially; returns a list of summary dicts.
 
-    Paths and controllers are rebuilt per spec; when out_dir is given, one
-    RunLog CSV per spec plus a summary.csv are written there.
+    Each spec gets its own path and controller; a figure-eight that an
+    earlier spec built comes from :func:`generate_figure_eight`'s memo.
+    When out_dir is given, one RunLog CSV per spec plus a summary.csv are
+    written there.
     """
     cfg = cfg or MpcConfig()
     summaries = []
-    path_cache = {}
     for spec in specs:
-        key = (spec.path_kind, spec.path_size, spec.v)
-        if key not in path_cache:
-            path_cache[key] = spec.build_path(cfg.delta_s, params)
-        log = run(spec, params, cfg, path=path_cache[key],
-                  stop_on_converged=stop_on_converged)
+        log = run(spec, params, cfg, stop_on_converged=stop_on_converged)
         summaries.append(log.summary())
         if out_dir is not None:
             log.write_csv(os.path.join(out_dir, f"{spec.name}_{spec.controller}.csv"))

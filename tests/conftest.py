@@ -28,3 +28,21 @@ def eight_back(params):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def eight_builds(monkeypatch):
+    """An empty figure-eight memo, and the step size of every beta2
+    integration, one per figure-eight build, run from here on."""
+    import trailer_mpc.paths as paths_mod
+
+    calls = []
+    beta2 = paths_mod._eight_beta2
+
+    def counted(params, h, *args):
+        calls.append(h)
+        return beta2(params, h, *args)
+
+    monkeypatch.setattr(paths_mod, "_eights", {})
+    monkeypatch.setattr(paths_mod, "_eight_beta2", counted)
+    return calls

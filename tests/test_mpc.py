@@ -11,7 +11,8 @@ from trailer_mpc import (ControllerState, JointAnglePolytope, LqController,
                          analytic_straight_model, build_output_matrix,
                          default_joint_polytope, design_cost, linearize)
 from trailer_mpc.exceptions import (NominalOutsidePolytope, PathExhausted,
-                                    RiccatiDiverged, SingularConfiguration)
+                                    RiccatiDiverged, SingularConfiguration,
+                                    ValidityViolated)
 from trailer_mpc.model import SINGULAR_TOL, speed_ratio
 from trailer_mpc.paths import NominalPath, generate_straight
 from trailer_mpc.qp import IPM_MAX_ITER
@@ -841,3 +842,19 @@ def test_controller_rejects_a_nominal_path_beyond_its_curvature_limit(
     MpcController(params, eight_back, MpcConfig(u_max=0.08))
     with pytest.raises(InfeasiblePath):
         MpcController(params, eight_back, MpcConfig(u_max=0.06))
+
+
+@pytest.mark.parametrize("field", ["x3", "y3", "theta3", "beta3", "beta2"])
+@pytest.mark.parametrize("controller", [MpcController, LqController])
+def test_a_nan_measurement_is_a_validity_violation(params, straight_back,
+                                                   controller, field):
+    import dataclasses
+
+    ctrl = controller(params, straight_back, MpcConfig())
+    state = dataclasses.replace(VehicleState(-10.0, 0.3, 0.01, 0.02, -0.01),
+                                **{field: math.nan})
+    cycle = ControllerState(s_prev=10.0)
+    with pytest.raises(ValidityViolated):
+        ctrl.step(state, cycle)
+    # the state it keeps between cycles is untouched
+    assert cycle.s_prev == 10.0 and cycle.u_prev is None

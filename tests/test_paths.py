@@ -302,6 +302,109 @@ def test_eight_fails_as_the_scalar_rk4_oracle_does(params, radius, change):
     assert str(got.value) == str(want.value)
 
 
+_FIELDS = ("s", "x", "y", "theta3", "beta3", "beta2", "u", "kappa3")
+
+
+def _path_bytes(path):
+    return (tuple(getattr(path, name).tobytes() for name in _FIELDS),
+            path.direction, path.delta_s, path.s_end_true)
+
+
+def test_a_kept_eight_equals_the_scalar_rk4_oracle_in_both_directions(
+        params, eight_builds):
+    want = {d: _path_bytes(scalar_rk4_figure_eight(20.0, d, 0.2, params=params))
+            for d in (-1.0, 1.0)}
+    for direction in (-1.0, 1.0, -1.0, 1.0):
+        got = generate_figure_eight(20.0, direction, 0.2, params=params)
+        assert _path_bytes(got) == want[direction]
+    assert len(eight_builds) == 1
+
+
+@pytest.mark.parametrize("direction", [-1.0, 1.0])
+def test_a_write_into_one_eight_reaches_no_later_one(params, eight_builds,
+                                                     direction):
+    before = [generate_figure_eight(20.0, d, 0.2, params=params)
+              for d in (-1.0, 1.0)]
+    want = [_path_bytes(p) for p in before]
+    written = generate_figure_eight(20.0, direction, 0.2, params=params)
+    for name in _FIELDS:
+        getattr(written, name)[::7] += 1.0
+    after = [generate_figure_eight(20.0, d, 0.2, params=params)
+             for d in (-1.0, 1.0)]
+    assert [_path_bytes(p) for p in before] == want
+    assert [_path_bytes(p) for p in after] == want
+    assert len(eight_builds) == 1
+    # no two calls, and no call and the memo, share an array
+    for a, b in [(a, b) for a in before + after + [written]
+                 for b in before + after + [written] if a is not b]:
+        for name in _FIELDS:
+            assert not np.shares_memory(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("radius, change", [
+    (5.0, {}),                     # tractor curvature beyond u_max
+    (20.0, {"udot_max": 0.02}),    # curvature rate beyond the slew limit
+])
+def test_an_infeasible_eight_is_built_and_raised_on_every_call(
+        params, eight_builds, radius, change):
+    import trailer_mpc.paths as paths_mod
+
+    params = dataclasses.replace(params, **change)
+    messages = set()
+    for attempt in (1, 2, 3):
+        with pytest.raises(InfeasiblePath) as exc:
+            generate_figure_eight(radius, -1.0 if attempt % 2 else 1.0, 0.2,
+                                  params=params)
+        messages.add(str(exc.value))
+        assert paths_mod._eights == {}
+        assert len(eight_builds) == attempt
+    assert len(messages) == 1
+
+
+def test_each_eight_input_gives_its_own_path(params, eight_builds):
+    import trailer_mpc.paths as paths_mod
+
+    longer = dataclasses.replace(params, L2=4.2)
+    # equal values whose float32 arithmetic rounds otherwise
+    thirds = dataclasses.replace(params, M1=1.0, L2=3.0)
+    thirds32 = dataclasses.replace(params, M1=np.float32(1.0), L2=np.float32(3.0))
+    assert thirds32 == thirds
+    cases = [(20.0, -1.0, 0.2, params), (15.0, -1.0, 0.2, params),
+             (20.0, -1.0, 0.1, params), (20.0, -1.0, 0.2, longer),
+             (20.0, 1.0, 0.2, params), (np.float32(20.0), -1.0, 0.2, params),
+             (20.0, -1.0, 0.2, thirds), (20.0, -1.0, 0.2, thirds32)]
+    got = [_path_bytes(generate_figure_eight(r, d, ds, params=p))
+           for r, d, ds, p in cases]
+    # the direction +1 case reverses the first case's build
+    assert len(eight_builds) == len(cases) - 1
+    assert len(set(got)) == len(cases)
+    for (r, d, ds, p), path in zip(cases, got):
+        paths_mod._eights.clear()
+        assert _path_bytes(generate_figure_eight(r, d, ds, params=p)) == path
+    # an int radius is a key of its own with the bits of the float one, and
+    # the default params are VehicleParams()
+    paths_mod._eights.clear()
+    del eight_builds[:]
+    assert _path_bytes(generate_figure_eight(20, -1)) == got[0]
+    assert _path_bytes(generate_figure_eight(20.0, -1)) == got[0]
+    assert _path_bytes(generate_figure_eight(20.0, -1.0, 0.2, params=params)) \
+        == got[0]
+    assert len(eight_builds) == 2
+
+
+def test_the_eight_memo_keeps_its_last_four_builds(params, eight_builds):
+    import trailer_mpc.paths as paths_mod
+
+    radii = [15.0, 16.0, 17.0, 18.0, 19.0, 20.0]
+    for k, radius in enumerate(radii):
+        generate_figure_eight(radius, -1.0, 0.4, params=params)
+        assert len(paths_mod._eights) == min(k + 1, 4)
+    assert [key[0] for key in paths_mod._eights] == radii[-4:]
+    generate_figure_eight(radii[-1], 1.0, 0.4, params=params)
+    generate_figure_eight(radii[0], 1.0, 0.4, params=params)
+    assert len(eight_builds) == len(radii) + 1
+
+
 def test_eight_infeasible_curvature_rate(params):
     # the implied tractor curvature stays inside u_max; its rate does not
     slow = dataclasses.replace(params, udot_max=0.02)
@@ -378,6 +481,8 @@ def test_fields_at_out_of_domain(straight_back):
         interpolate(straight_back, -0.5)
     with pytest.raises(OutOfDomain):
         interpolate(straight_back, 120.5)
+    with pytest.raises(OutOfDomain):
+        interpolate(straight_back, math.nan)
 
 
 def test_project_straight(straight_back):

@@ -151,6 +151,29 @@ def test_merge_requires_matching_axes(params):
         merge(ga, gb)
 
 
+def test_merge_requires_matching_beta2_axes():
+    b3, b2 = make_axes(15.0)
+    full = np.zeros((len(b3), len(b2)), dtype=bool)
+    ga = RegionGrid(b3, b2, full, full.copy())
+    gb = RegionGrid(b3, b2[1:-1], full[:, 1:-1], full[:, 1:-1].copy())
+    for a, b in ((ga, gb), (gb, ga)):
+        with pytest.raises(ValueError, match="grids must share axes"):
+            merge(a, b)
+
+
+@pytest.mark.parametrize("mask", ["stable", "visible"])
+@pytest.mark.parametrize("shape", [(3, 3), (13, 12), (12, 13), (13,), (169,),
+                                   (13, 13, 1)])
+def test_region_grid_rejects_a_mask_of_another_shape(mask, shape):
+    b3, b2 = make_axes(15.0)
+    masks = {"stable": np.zeros((13, 13), dtype=bool),
+             "visible": np.zeros((13, 13), dtype=bool)}
+    RegionGrid(b3, b2, **masks)
+    masks[mask] = np.zeros(shape, dtype=bool)
+    with pytest.raises(ValueError, match=f"{mask} mask has shape"):
+        RegionGrid(b3, b2, **masks)
+
+
 def _disc_grid(radius=0.5, spacing_deg=5.0):
     b3, b2 = make_axes(spacing_deg)
     B3, B2 = np.meshgrid(b3, b2, indexing="ij")

@@ -229,6 +229,54 @@ def test_sample_count_is_the_length_of_the_built_path(params, kind, size, delta_
     assert spec.sample_count(delta_s) == len(spec.build_path(delta_s, params))
 
 
+def test_five_builds_of_one_eight_integrate_it_once(params, eight_builds):
+    specs = [s for s in paper_suite() if s.path_kind == "eight"][:5]
+    assert {(s.path_size, s.v) for s in specs} == {(20.0, -1.0)}
+    paths = [spec.build_path(0.2, params) for spec in specs]
+    assert len(eight_builds) == 1
+    for path in paths[1:]:
+        assert path.beta2.tobytes() == paths[0].beta2.tobytes()
+        assert not np.shares_memory(path.beta2, paths[0].beta2)
+
+
+def test_run_suite_integrates_the_paper_eight_once(params, eight_builds):
+    # two cycles a run: the paths and controllers, not the runs, are tested
+    specs = [dataclasses.replace(s, max_time=0.05) for s in paper_suite()]
+    summaries = run_suite(specs, params, MpcConfig())
+    assert len(summaries) == 12
+    assert len(eight_builds) == 1
+
+
+class _MeasuresNanAfter:
+    """A controller whose measured ``field`` is NaN from cycle ``after`` on."""
+
+    def __init__(self, inner, field, after):
+        self.inner, self.path = inner, inner.path
+        self.field, self.after, self.cycles = field, after, 0
+
+    def step(self, state, ctrl):
+        if self.cycles >= self.after:
+            state = dataclasses.replace(state, **{self.field: math.nan})
+        self.cycles += 1
+        return self.inner.step(state, ctrl)
+
+
+@pytest.mark.parametrize("field", ["x3", "theta3", "beta3", "beta2"])
+@pytest.mark.parametrize("controller", ["mpc", "lq"])
+def test_a_nan_measurement_ends_the_run_as_validity_lost(params, controller,
+                                                         field):
+    from trailer_mpc.sim import VALIDITY_LOST, make_controller
+
+    cfg = MpcConfig()
+    spec = ExperimentSpec(name="nan", path_kind="straight", path_size=40.0,
+                          controller=controller,
+                          perturbation=(0.5, 0.0, 0.0, 0.0))
+    nan = _MeasuresNanAfter(make_controller(spec, params, cfg), field, 3)
+    log = run(spec, params, cfg, controller=nan)
+    assert log.status == VALIDITY_LOST
+    assert len(log.u_cmd) == 3 and np.all(np.isfinite(log.u_cmd))
+
+
 def test_noise_std_needs_one_entry_per_state():
     with pytest.raises(ValueError):
         ExperimentSpec(name="n", path_kind="straight", path_size=40.0,
