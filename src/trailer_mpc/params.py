@@ -60,6 +60,11 @@ class VehicleParams:
                 raise ValueError(f"{name} must be a positive, finite number")
         if not is_real(self.phi, 0.0, 2.0 * math.pi):
             raise ValueError("phi must lie in (0, 2*pi)")
+        # every field a Python float: NumPy 2 compares an np.float32 with a
+        # float at float32 precision, so equal params could otherwise hash
+        # differently and round differently in the path they build
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
     @classmethod
     def from_file(cls, path) -> "VehicleParams":

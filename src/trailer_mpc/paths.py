@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -374,11 +374,11 @@ def generate_figure_eight(radius, direction, delta_s=0.2,
     gives at most MAX_PATH_SAMPLES samples at a positive, finite delta_s.
 
     The path is always integrated backward, and a process keeps its last
-    four backward builds by (radius, delta_s, params) and their number
-    types, so it builds each distinct eight once.  Every call gets new
-    arrays, a copy of the kept build or its reversal for direction +1, so
-    a write to one call's path reaches no other.  A build that raises
-    keeps nothing.
+    four backward builds by (radius, delta_s, params) and the number types
+    of radius and delta_s, so it builds each distinct eight once.  Every
+    call gets new arrays, a copy of the kept build or its reversal for
+    direction +1, so a write to one call's path reaches no other.  A build
+    that raises keeps nothing.
     """
     if not (is_real(direction) and direction in (-1, 1)):
         raise ValueError(f"direction must be -1 or +1, got {direction!r}")
@@ -389,11 +389,9 @@ def generate_figure_eight(radius, direction, delta_s=0.2,
     if 2.0 * math.pi * radius <= _BLEND:  # no room for the constant-curvature hold
         raise InfeasiblePath("radius too small for the 16 m blends")
     n = _sample_count(figure_eight_length(radius), delta_s)
-    # equal numbers of other types round otherwise (np.float32 fields).
-    # getattr, not vars(): a materialized __dict__ slows every later
-    # attribute read of params (3 % of paper_eight's wall_s, CPython 3.11)
-    key = (radius, delta_s, params, type(radius), type(delta_s),
-           *(type(getattr(params, f.name)) for f in fields(params)))
+    # equal numbers of other types round otherwise (np.float32 radius);
+    # the params' fields are Python floats
+    key = (radius, delta_s, params, type(radius), type(delta_s))
     back = _eights.get(key)
     if back is None:
         back = _backward_eight(params, radius, delta_s, n)

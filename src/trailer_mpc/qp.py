@@ -26,11 +26,13 @@ solves a working set again only after it changes, and splits each solve
 (:func:`_solve_active`) into a factorization of the working rows, which a
 :class:`FactorCache` keeps for the working sets used last, and a solve for
 the right-hand sides.
-:class:`PreparedQp`, an ADMM solver with batched right-hand sides and no
-polish, is used by no solve path.  It stays, with its ``cho_factor`` /
-``cho_solve`` calls, because the benchmark's span tracer
-(``perfbench/spans.py``) resolves ``PreparedQp.solve``, ``cho_factor``,
-``cho_solve``, ``lu_factor`` and :func:`kkt_residuals` here by name.
+:class:`PreparedQp` is the chain's front end for repeated solves of QPs
+without soft rows that share P and A: it validates each problem and
+hot-starts each solve from the last certified answer, with one
+:class:`FactorCache`; :func:`solve_qp` is its one-shot form.  The
+benchmark's span tracer (``perfbench/spans.py``) resolves
+``PreparedQp.solve``, ``cho_factor``, ``cho_solve``, ``lu_factor`` and
+:func:`kkt_residuals` here by name.
 """
 
 from __future__ import annotations
@@ -43,8 +45,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import (LinAlgWarning, cho_factor, cho_solve, qr_delete,
-                          qr_insert)
+# No solver here calls cho_factor or cho_solve.  They are imported because
+# the benchmark's span tracer (perfbench/spans.py) resolves them in this
+# module by name; ROADMAP item 1b retargets those spans, and then they go.
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgWarning, qr_delete, qr_insert
 from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
 from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 from scipy.linalg.lapack import dgeqp3 as _geqp3, dorgqr as _orgqr
@@ -67,13 +72,13 @@ class QpProblem:
     u: np.ndarray
 
     def validate(self):
-        n = len(self.q)
-        if self.P.shape != (n, n):
+        n = np.size(self.q)
+        if np.shape(self.q) != (n,) or np.shape(self.P) != (n, n):
             raise ValueError("P/q dimension mismatch")
-        if self.A.shape[1] != n:
+        if np.ndim(self.A) != 2 or np.shape(self.A)[1] != n:
             raise ValueError("A column count must match len(q)")
-        m = self.A.shape[0]
-        if len(self.l) != m or len(self.u) != m:
+        m = np.shape(self.A)[0]
+        if np.shape(self.l) != (m,) or np.shape(self.u) != (m,):
             raise ValueError("l/u must match A row count")
         # NaN fails every check; l may be -inf and u +inf
         if not (all(np.isfinite(a).all() for a in (self.P, self.q, self.A)) and
@@ -295,7 +300,7 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     Returns (x, eps, mu, lam, nu, sets, iterations, products) -- duals of
     the hard, soft and nonnegativity rows, the final working set (sides,
     states) in the format of :class:`HotStart`, the number of iterations
-    and (A x, G x) as the solve formed them, or None -- or None on failure.
+    and (A x, G x) as the solve formed them; None on failure.
     Without ``hot`` the soft parts are empty, the products None, and each
     iteration is one equality-constrained solve (a step, an exchange, or
     the final optimality check; the warm start's trial solve is not
@@ -1230,7 +1235,10 @@ def soft_ipm_solve(P, q, A, l, u, G, b, sig1, sig2, tol):
 
 
 def kkt_residuals(P, q, A, l, u, y, lam):
-    """(primal, dual, complementarity) infinity-norm KKT residuals."""
+    """(primal, dual, complementarity) infinity-norm KKT residuals of
+    l <= A y <= u with duals ``lam``: the plain certificate of hard rows,
+    the reference that the tests of :func:`soft_kkt_residuals` compare its
+    lifted form against."""
     Ay = A @ y
     prim = float(np.max(np.maximum(Ay - u, 0.0) + np.maximum(l - Ay, 0.0),
                         initial=0.0))
@@ -1414,203 +1422,32 @@ def _homotopy(soft, start, factors):
 
 
 def solve_qp(prob: QpProblem, tol=1e-6) -> QpSolution:
-    """One-shot solve of ``prob`` by :func:`certified_solve`, without soft
-    rows or a hot start: the interior point, its crossover, and the interior
-    point itself, the first that passes the KKT check at ``tol``."""
-    prob.validate()
-    n = len(prob.q)
-    return certified_solve(prob.P, prob.q, prob.A, prob.l, prob.u,
-                           np.zeros((0, n)), np.zeros(0), 0.0, 0.0, tol)[0]
+    """One-shot solve of ``prob``: :meth:`PreparedQp.solve` on a new front
+    end, so without a hot start -- the interior point, its crossover, and
+    the interior point itself, the first that passes the KKT check at
+    ``tol``."""
+    return PreparedQp(prob.P, prob.A, tol).solve(prob.q, prob.l, prob.u)
 
 
 class PreparedQp:
-    """Equilibrated + factorized ADMM workspace for a fixed (P, A) pair.
+    """The repeated-solve front end of :func:`certified_solve` for QPs
+    without soft rows that share P and A and move q, l and u: one
+    :class:`FactorCache` of P for every solve, each hot-started from the
+    last certified answer, or cold after a solve that certified none."""
 
-    Repeated solves with new (q, l, u) reuse the factorization; inputs may be
-    batched as (n, K) / (m, K) arrays, in which case every column is solved
-    simultaneously (columns that have converged keep iterating but their
-    iteration counts are recorded at first convergence).
-    """
-
-    def __init__(self, P, A, eq_mask=None, rho=0.1, sigma=1e-6, alpha=1.6,
-                 scaling_iters=10, tol=1e-6, max_iter=4000, check_every=10):
-        self.n = P.shape[0]
-        self.m = A.shape[0]
-        self.tol = tol
-        self.max_iter = max_iter
-        self.alpha = alpha
-        self.sigma = sigma
-        self.check_every = check_every
+    def __init__(self, P, A, tol=1e-6):
         self.P = np.asarray(P, dtype=float)
         self.A = np.asarray(A, dtype=float)
+        self.tol = tol
+        self._factors = FactorCache(self.P)
+        self._hot = None
 
-        # Ruiz equilibration of [[P, A'], [A, 0]]
-        d = np.ones(self.n)
-        e = np.ones(self.m)
-        Ps = self.P.copy()
-        As = self.A.copy()
-        for _ in range(scaling_iters):
-            col_p = np.abs(Ps).max(axis=0) if self.n else np.zeros(0)
-            col_a = np.abs(As).max(axis=0) if self.m else np.zeros(self.n)
-            dn = np.sqrt(np.maximum(np.maximum(col_p, col_a), 1e-12))
-            row_a = np.abs(As).max(axis=1) if self.m else np.zeros(0)
-            en = np.sqrt(np.maximum(row_a, 1e-12))
-            Ps /= dn[None, :] * dn[:, None]
-            if self.m:
-                As = As / en[:, None] / dn[None, :]
-            d /= dn
-            e /= en
-        col_norm = np.abs(Ps).max(axis=0).mean() if self.n else 1.0
-        self.c = 1.0 / max(col_norm, 1e-6)
-        Ps *= self.c
-        self.d = d
-        self.e = e
-        self.Ps = Ps
-        self.As = As
-
-        if eq_mask is None:
-            eq_mask = np.zeros(self.m, dtype=bool)
-        self.rho_vec = np.where(eq_mask, rho * 1e3, rho)
-        self._factor()
-
-    def _factor(self):
-        K = self.Ps + self.sigma * np.eye(self.n)
-        if self.m:
-            K = K + (self.As * self.rho_vec[:, None]).T @ self.As
-        self.chol = cho_factor(K, lower=True, check_finite=False)
-
-    def solve(self, q, l, u, y0=None, lam0=None, tol=None, max_iter=None):
-        """Solve for one or many (q, l, u) columns; returns a QpSolution for
-        1-D inputs, or (Y, Lam, iters, status) arrays for batched inputs."""
-        tol = self.tol if tol is None else tol
-        max_iter = self.max_iter if max_iter is None else max_iter
-        q = np.asarray(q, dtype=float)
-        batched = q.ndim == 2
-        Q = q if batched else q[:, None]
-        K = Q.shape[1]
-        L = np.asarray(l, dtype=float).reshape(self.m, -1) * np.ones((1, K))
-        U = np.asarray(u, dtype=float).reshape(self.m, -1) * np.ones((1, K))
-
-        # scale into equilibrated space
-        Qs = self.c * (self.d[:, None] * Q)
-        Ls = self.e[:, None] * L
-        Us = self.e[:, None] * U
-
-        X = np.zeros((self.n, K)) if y0 is None else (np.asarray(y0, float).reshape(self.n, -1) / self.d[:, None]) * np.ones((1, K))
-        if lam0 is None:
-            Y = np.zeros((self.m, K))
-        else:
-            Y = (self.c * np.asarray(lam0, float).reshape(self.m, -1) / self.e[:, None]) * np.ones((1, K))
-        Z = np.clip(self.As @ X, Ls, Us) if self.m else np.zeros((0, K))
-
-        rho = self.rho_vec[:, None]
-        sigma, alpha = self.sigma, self.alpha
-        iters_done = np.full(K, -1, dtype=int)
-        status = np.full(K, QpStatus.MAX_ITER, dtype=object)
-        prim = np.zeros(K)
-        dual = np.zeros(K)
-        comp = np.zeros(K)
-        Y_prev_check = Y.copy()
-        last_adapt = 0
-
-        it = 0
-        while it < max_iter:
-            it += 1
-            rhs = sigma * X - Qs
-            if self.m:
-                rhs = rhs + self.As.T @ (rho * Z - Y)
-            Xt = cho_solve(self.chol, rhs, check_finite=False)
-            Xn = alpha * Xt + (1.0 - alpha) * X
-            if self.m:
-                Zhat = self.As @ Xt
-                Zt = alpha * Zhat + (1.0 - alpha) * Z
-                Zn = np.clip(Zt + Y / rho, Ls, Us)
-                Y = Y + rho * (Zt - Zn)
-                Z = Zn
-            X = Xn
-
-            if it % self.check_every == 0 or it == max_iter:
-                Xo = self.d[:, None] * X
-                Yo = (self.e[:, None] * Y) / self.c
-                r_dual = np.abs(self.P @ Xo + Q + (self.A.T @ Yo if self.m else 0.0)).max(axis=0)
-                if self.m:
-                    AX = self.A @ Xo
-                    r_prim = (np.maximum(AX - U, 0.0) + np.maximum(L - AX, 0.0)).max(axis=0)
-                    yp = np.maximum(Yo, 0.0)
-                    yn = np.minimum(Yo, 0.0)
-                    gap_u = np.where(np.isfinite(U), np.abs(U - AX), 0.0)
-                    gap_l = np.where(np.isfinite(L), np.abs(AX - L), 0.0)
-                    r_comp = np.maximum(yp * gap_u - yn * gap_l, 0.0).max(axis=0)
-                else:
-                    r_prim = np.zeros(K)
-                    r_comp = np.zeros(K)
-                ok = (r_prim <= tol) & (r_dual <= tol) & (r_comp <= tol)
-                newly = ok & (iters_done < 0)
-                iters_done[newly] = it
-                status[newly] = QpStatus.OPTIMAL
-                prim[newly] = r_prim[newly]
-                dual[newly] = r_dual[newly]
-                comp[newly] = r_comp[newly]
-                if np.all(iters_done >= 0):
-                    break
-
-                if self.m:
-                    bad = self._infeasibility_certificate(Y - Y_prev_check, L, U)
-                    fresh_bad = bad & (iters_done < 0)
-                    if np.any(fresh_bad):
-                        iters_done[fresh_bad] = it
-                        status[fresh_bad] = QpStatus.PRIMAL_INFEASIBLE
-                        if np.all(iters_done >= 0):
-                            break
-                    Y_prev_check = Y.copy()
-
-                    # penalty adaptation on the scaled residual balance
-                    if it - last_adapt >= 50:
-                        AsX = self.As @ X
-                        rp = np.abs(AsX - Z).max() / max(
-                            np.abs(AsX).max(initial=0.0), np.abs(Z).max(initial=0.0), 1e-10)
-                        PsX = self.Ps @ X
-                        AtY = self.As.T @ Y
-                        rd = np.abs(PsX + Qs + AtY).max() / max(
-                            np.abs(PsX).max(initial=0.0), np.abs(Qs).max(initial=0.0),
-                            np.abs(AtY).max(initial=0.0), 1e-10)
-                        ratio = rp / max(rd, 1e-16)
-                        if ratio > 5.0 or ratio < 0.2:
-                            factor = np.clip(math.sqrt(ratio), 1e-3, 1e3)
-                            self.rho_vec = np.clip(self.rho_vec * factor, 1e-6, 1e6)
-                            self._factor()
-                            rho = self.rho_vec[:, None]
-                            last_adapt = it
-
-        unfinished = iters_done < 0
-        iters_done[unfinished] = it
-        prim[unfinished] = r_prim[unfinished] if it % self.check_every == 0 else np.inf
-        Xo = self.d[:, None] * X
-        Yo = (self.e[:, None] * Y) / self.c
-
-        if not batched:
-            obj = float(0.5 * Xo[:, 0] @ self.P @ Xo[:, 0] + Q[:, 0] @ Xo[:, 0])
-            p, dl, cm = kkt_residuals(self.P, Q[:, 0], self.A, L[:, 0], U[:, 0],
-                                      Xo[:, 0], Yo[:, 0])
-            return QpSolution(Xo[:, 0], Yo[:, 0], str(status[0]), int(iters_done[0]),
-                              obj, p, dl, cm)
-        return Xo, Yo, iters_done, status
-
-    def _infeasibility_certificate(self, dY, L, U):
-        """Columnwise OSQP-style primal infeasibility test on dual increments."""
-        dYo = (self.e[:, None] * dY) / self.c
-        norm = np.abs(dYo).max(axis=0)
-        eps = 1e-8
-        with np.errstate(invalid="ignore"):
-            at_norm = norm > 1e-10
-        if not np.any(at_norm):
-            return np.zeros(dY.shape[1], dtype=bool)
-        atv = np.abs(self.A.T @ dYo).max(axis=0) if self.n else np.zeros(dY.shape[1])
-        dp = np.maximum(dYo, 0.0)
-        dn = np.minimum(dYo, 0.0)
-        # rows with infinite bounds must not contribute to the certificate
-        bad_inf = ((~np.isfinite(U)) & (dp > eps * norm[None, :])).any(axis=0)
-        bad_inf |= ((~np.isfinite(L)) & (dn < -eps * norm[None, :])).any(axis=0)
-        sup = np.where(np.isfinite(U), U, 0.0) * dp + np.where(np.isfinite(L), L, 0.0) * dn
-        sup = sup.sum(axis=0)
-        return at_norm & ~bad_inf & (atv <= eps * norm) & (sup < -eps * norm)
+    def solve(self, q, l, u) -> QpSolution:
+        """The answer of (P, q, A, l, u), as :func:`certified_solve` gives
+        it; raises ValueError where :meth:`QpProblem.validate` does."""
+        q, l, u = (np.asarray(v, dtype=float) for v in (q, l, u))
+        QpProblem(self.P, q, self.A, l, u).validate()
+        sol, _, self._hot = certified_solve(
+            self.P, q, self.A, l, u, np.zeros((0, len(q))), np.zeros(0),
+            0.0, 0.0, self.tol, self._hot, self._factors)
+        return sol

@@ -340,12 +340,17 @@ def test_qp_text_round_trip(tmp_path, capsys):
     assert max(out["kkt"]) < 1e-6
 
 
-def test_qp_reports_an_unbounded_problem(tmp_path, capsys):
+@pytest.mark.parametrize("text, status", [
     # min x1 s.t. -1 <= x2 <= 1: P = 0 and nothing bounds x1
-    f = tmp_path / "unbounded.qp"
-    f.write_text("2 1\n0 0\n0 0\n1 0\n0 1\n-1\n1\n")
+    ("2 1\n0 0\n0 0\n1 0\n0 1\n-1\n1\n", "DualInfeasible"),
+    # x >= 1 and x <= 0
+    ("1 2\n1\n0\n1\n1\n1 -inf\ninf 0\n", "PrimalInfeasible"),
+], ids=["unbounded", "infeasible"])
+def test_qp_reports_an_unsolvable_problem(tmp_path, capsys, text, status):
+    f = tmp_path / "unsolvable.qp"
+    f.write_text(text)
     assert main(["qp", str(f)]) == 1
-    assert json.loads(capsys.readouterr().out)["status"] == "DualInfeasible"
+    assert json.loads(capsys.readouterr().out)["status"] == status
 
 
 # min (y1-1)^2 + (y2-2)^2 s.t. y1 <= 0.5, y1+y2 <= 2

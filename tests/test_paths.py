@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trailer_mpc
-from trailer_mpc import NominalPath, eq_residuals, interpolate, project, reverse_path
+from trailer_mpc import (NominalPath, VehicleParams, eq_residuals, interpolate,
+                         project, reverse_path)
 from trailer_mpc.exceptions import InfeasiblePath, OutOfDomain, ProjectionLost
 from trailer_mpc.model import chain_terms
 from trailer_mpc.paths import (MAX_PATH_SAMPLES, _math_map, _sample_count,
@@ -365,19 +366,23 @@ def test_each_eight_input_gives_its_own_path(params, eight_builds):
     import trailer_mpc.paths as paths_mod
 
     longer = dataclasses.replace(params, L2=4.2)
-    # equal values whose float32 arithmetic rounds otherwise
+    # params store Python floats, so float32 fields of equal value are
+    # equal params with equal hashes and build the float ones' path, and a
+    # float32 field of another value makes other params
     thirds = dataclasses.replace(params, M1=1.0, L2=3.0)
     thirds32 = dataclasses.replace(params, M1=np.float32(1.0), L2=np.float32(3.0))
-    assert thirds32 == thirds
+    assert thirds32 == thirds and hash(thirds32) == hash(thirds)
+    assert VehicleParams(L2=np.float32(3.87)) != VehicleParams()
     cases = [(20.0, -1.0, 0.2, params), (15.0, -1.0, 0.2, params),
              (20.0, -1.0, 0.1, params), (20.0, -1.0, 0.2, longer),
              (20.0, 1.0, 0.2, params), (np.float32(20.0), -1.0, 0.2, params),
              (20.0, -1.0, 0.2, thirds), (20.0, -1.0, 0.2, thirds32)]
     got = [_path_bytes(generate_figure_eight(r, d, ds, params=p))
            for r, d, ds, p in cases]
-    # the direction +1 case reverses the first case's build
-    assert len(eight_builds) == len(cases) - 1
-    assert len(set(got)) == len(cases)
+    # the direction +1 case reverses the first case's build, and the
+    # thirds32 case takes the thirds build
+    assert len(eight_builds) == len(cases) - 2
+    assert len(set(got)) == len(cases) - 1 and got[-1] == got[-2]
     for (r, d, ds, p), path in zip(cases, got):
         paths_mod._eights.clear()
         assert _path_bytes(generate_figure_eight(r, d, ds, params=p)) == path

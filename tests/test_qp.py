@@ -173,26 +173,71 @@ def test_prepared_qp_matches_one_shot(rng):
     assert sol1.status == QpStatus.OPTIMAL
     sol = solve_qp(QpProblem(P, q, A, l, u), tol=1e-8)
     assert sol1.objective == pytest.approx(sol.objective, abs=1e-6)
-    # warm start from the solution: same answer
-    sol2 = prep.solve(q, l, u, y0=sol1.y, lam0=sol1.duals)
+    # hot-started on the first answer, the second solve passes no breakpoint
+    sol2 = prep.solve(q, l, u)
     assert sol2.status == QpStatus.OPTIMAL
+    assert sol2.iterations == 0
     assert np.allclose(sol2.y, sol1.y, atol=1e-6)
 
 
-def test_prepared_qp_batch_matches_columnwise(rng):
-    n, m, K = 6, 9, 7
-    P, q0, A, l0, u0 = _random_qp(rng, n, m)
-    Q = np.column_stack([q0 + rng.normal(scale=0.3, size=n) for _ in range(K)])
-    L = np.repeat(l0[:, None], K, axis=1)
-    U = np.repeat(u0[:, None], K, axis=1)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_prepared_qp_follows_a_moving_sequence(seed):
+    # QPs that share (P, A) while q and the bounds move; the bounds move
+    # with A d, so x = x0 + d keeps every member feasible
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(n, 11))
+    P, q, A, l, u = _random_qp(rng, n, m)
     prep = PreparedQp(P, A, tol=1e-8)
-    Y, _, _, statuses = prep.solve(Q, L, U)
-    for k in range(K):
-        if statuses[k] != QpStatus.OPTIMAL:
-            continue
-        sol = solve_qp(QpProblem(P, Q[:, k], A, l0, u0), tol=1e-8)
-        objk = 0.5 * Y[:, k] @ P @ Y[:, k] + Q[:, k] @ Y[:, k]
-        assert objk == pytest.approx(sol.objective, abs=1e-5)
+    for _ in range(6):
+        sol = prep.solve(q, l, u)
+        assert sol.status == QpStatus.OPTIMAL
+        assert max(kkt_residuals(P, q, A, l, u, sol.y, sol.duals)) <= 1e-8
+        ref = solve_qp(QpProblem(P, q, A, l, u), tol=1e-8)
+        np.testing.assert_allclose(sol.y, ref.y, rtol=0.0, atol=1e-6)
+        q = q + rng.normal(scale=0.5, size=n)
+        shift = A @ rng.normal(scale=0.2, size=n)
+        l, u = l + shift, u + shift
+
+
+def test_prepared_qp_starts_cold_after_an_infeasible_problem(rng, monkeypatch):
+    n, m = 3, 5
+    M = rng.normal(size=(n, n))
+    P = M @ M.T + np.eye(n)
+    A = rng.normal(size=(m, n))
+    A[1] = A[0]
+    l, u = -np.ones(m), np.ones(m)
+    # rows 0 and 1 are one row, which cannot lie in both [-1, 1] and [2, 3]
+    l_bad, u_bad = l.copy(), u.copy()
+    l_bad[1], u_bad[1] = 2.0, 3.0
+    starts = []
+
+    def spy(*args):
+        starts.append(args[-2])
+        return certified_solve(*args)
+
+    monkeypatch.setattr(qp, "certified_solve", spy)
+    prep = PreparedQp(P, A)
+    statuses = [prep.solve(q, lo, up).status for q, lo, up in (
+        (rng.normal(size=n), l, u), (rng.normal(size=n), l_bad, u_bad),
+        (rng.normal(size=n), l, u), (rng.normal(size=n), l, u))]
+    assert statuses == [QpStatus.OPTIMAL, QpStatus.PRIMAL_INFEASIBLE,
+                        QpStatus.OPTIMAL, QpStatus.OPTIMAL]
+    assert [s is None for s in starts] == [True, False, True, False]
+
+
+def test_prepared_qp_rejects_bad_shapes():
+    prep = PreparedQp(np.eye(2), np.ones((1, 2)))
+    assert prep.solve(np.zeros(2), [0.0], [1.0]).status == QpStatus.OPTIMAL
+    for q, l, u in ((np.zeros(3), [0.0], [1.0]), (np.zeros((2, 1)), [0.0], [1.0]),
+                    (np.zeros(2), [0.0, 0.0], [1.0, 1.0]),
+                    (np.zeros(2), [[0.0]], [[1.0]])):
+        with pytest.raises(ValueError):
+            prep.solve(q, l, u)
+    for P, A in ((np.ones((2, 3)), np.ones((1, 2))), (np.eye(2), np.ones(2))):
+        with pytest.raises(ValueError):
+            PreparedQp(P, A).solve(np.zeros(2), [0.0], [1.0])
 
 
 def test_scaling_invariance(rng):
