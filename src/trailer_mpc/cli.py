@@ -208,6 +208,9 @@ def cmd_region(args) -> int:
         stab = stability_sweep(params, MpcConfig(), b3_axis, b2_axis,
                                distance=args.distance,
                                progress=_sweep_progress())
+        print("stability sweep work: {0.cells} cells, {0.cell_cycles} cell-cycles, "
+              "{0.qp_answers} QP answers, {0.lq_fallbacks} LQ fallbacks, "
+              "{0.exchanges} exchanges".format(stab.work), file=sys.stderr)
         grid = merge(grid, stab) if grid is not None else stab
     grid_file = os.path.join(out_dir, "region_grid.csv")
     grid.write_csv(grid_file)

@@ -83,12 +83,12 @@ class JointAnglePolytope:
     def m(self) -> int:
         return self.H.shape[0]
 
-    def contains(self, beta3, beta2, slack=0.0):
+    def contains(self, beta3, beta2):
         b3 = np.asarray(beta3, dtype=float)
         b2 = np.asarray(beta2, dtype=float)
         vals = (np.multiply.outer(self.H[:, 0], b3) +
                 np.multiply.outer(self.H[:, 1], b2))
-        bound = (self.h + slack).reshape((-1,) + (1,) * b3.ndim)
+        bound = self.h.reshape((-1,) + (1,) * b3.ndim)
         return np.all(vals <= bound, axis=0)
 
     @classmethod
@@ -160,6 +160,10 @@ class CostMatrices:
     K: np.ndarray      # 4-vector LQ gain
     spectral_radius: float
 
+    def lq_command(self, ur, e):
+        """The LQ law: nominal curvature ``ur`` less the gain times error ``e``."""
+        return ur - float(self.K @ e)
+
 
 def design_cost(params, cfg: MpcConfig, straight_model) -> CostMatrices:
     """Stage cost, Riccati terminal cost and LQ gain for the straight-path
@@ -218,6 +222,16 @@ def actuator_limits(params, cfg: MpcConfig):
     """(u_max, udot_max) the controllers enforce: the tighter of the
     vehicle's limits and the controller configuration's."""
     return min(params.u_max, cfg.u_max), min(params.udot_max, cfg.udot_max)
+
+
+def clamp_box(u, u_max):
+    """The command ``u`` clamped to [-u_max, u_max], ``u`` on a tie."""
+    return min(max(u, -u_max), u_max)
+
+
+def clamp_slew(u, u_prev, width):
+    """The command ``u`` clamped to ``width`` around ``u_prev``, ``u`` on a tie."""
+    return min(max(u, u_prev - width), u_prev + width)
 
 
 def _slew_widths(params, udot_max, beta3r, beta2r, ur):
@@ -292,19 +306,20 @@ class _QpStructure:
     The QP over the N inputs x and the soft rows' slacks eps is kept in its
     blocks: cost ``0.5 x'P_uu x + (W x0)'x`` plus the slack penalties of the
     configuration; hard rows ``l <= A_in x <= u`` (N box rows, then the
-    per-cycle slew row ``row_slew0`` and the N - 1 rows of the slew chain);
+    per-cycle slew row N and the N - 1 rows of the slew chain);
     soft rows ``G x - eps <= hbar - HsPhi x0`` (the joint-angle polytope at
     stages 1..N, ``n_slack`` of them, none for a rowless polytope) and eps >= 0.
     ``A_in`` depends on no grid base: every structure of one controller
     shares the same array.  ``factors`` keeps the QP
     solves' factorizations on this structure (:class:`qp.FactorCache`),
-    none of them computed before a solve needs it.
+    none of them computed before a solve needs it.  ``chain`` is (l, u) of
+    the box rows, then of the slew rows, as lists of floats to walk.
     """
 
     __slots__ = ("P_uu", "factors", "A_in", "G", "W", "HsPhi", "hbar", "l",
-                 "u", "ur0", "n_inputs", "n_slack", "row_slew0")
+                 "u", "ur0", "n_inputs", "n_slack", "chain")
 
-    def __init__(self, P_uu, A_in, G, W, HsPhi, hbar, l, u, ur0, row_slew0):
+    def __init__(self, P_uu, A_in, G, W, HsPhi, hbar, l, u, ur0):
         self.P_uu = P_uu
         self.factors = FactorCache(P_uu)
         self.A_in = A_in
@@ -317,7 +332,16 @@ class _QpStructure:
         self.ur0 = ur0
         self.n_inputs = A_in.shape[1]
         self.n_slack = G.shape[0]
-        self.row_slew0 = row_slew0
+        N = self.n_inputs
+        self.chain = tuple(v.tolist() for v in (l[:N], u[:N], l[N:], u[N:]))
+
+    def cycle_bounds(self, u_prev, width):
+        """(l, u, lo, hi): copies of l and u whose per-cycle slew row is
+        [lo, hi] = [u_prev - width - ur0, u_prev + width - ur0]."""
+        l, u = self.l.copy(), self.u.copy()
+        l[self.n_inputs] = lo = u_prev - width - self.ur0
+        u[self.n_inputs] = hi = u_prev + width - self.ur0
+        return l, u, lo, hi
 
 
 def _hard_rows(N) -> np.ndarray:
@@ -352,6 +376,7 @@ class MpcController:
         if self.cfg.delta_s != path.delta_s:
             raise ValueError("prediction grid spacing must equal the path spacing")
         self.u_max, self.udot_max = actuator_limits(params, self.cfg)
+        self.slew_per_cycle = self.udot_max / self.cfg.f_s   # slew half-width
         self.polytope = polytope if polytope is not None else default_joint_polytope()
         self.cost = design_cost(
             params, self.cfg, analytic_straight_model(params, path.direction,
@@ -455,7 +480,7 @@ class MpcController:
         hbar = self._hbar[base + 1:base + N + 1].reshape(N * m)
 
         return _QpStructure(P_uu, self._A_in, G_soft, W, HsPhi, hbar, l, u,
-                            float(ur[0]), N)
+                            float(ur[0]))
 
     # -- control cycle ----------------------------------------------------
 
@@ -466,7 +491,7 @@ class MpcController:
         s0, err, ref = compute_error(state, self.path, ctrl.s_prev)
         t_project = time.perf_counter()
         if ctrl.u_prev is None:
-            ctrl.u_prev = min(max(ref.ur, -self.u_max), self.u_max)
+            ctrl.u_prev = clamp_box(ref.ur, self.u_max)
         base = int(round(s0 / cfg.delta_s))
         if (base + cfg.horizon) * cfg.delta_s > self.path.s_end + 1e-9:
             raise PathExhausted(f"horizon from s={s0:.2f} leaves the path data")
@@ -477,16 +502,12 @@ class MpcController:
         x0 = err.as_array()
         N, n_slack = struct.n_inputs, struct.n_slack
         q = struct.W.dot(x0)
-        l = struct.l.copy()
-        u = struct.u.copy()
-        delta_cycle = self.udot_max / cfg.f_s
-        l[struct.row_slew0] = ctrl.u_prev - delta_cycle - struct.ur0
-        u[struct.row_slew0] = ctrl.u_prev + delta_cycle - struct.ur0
+        l, u, _, _ = struct.cycle_bounds(ctrl.u_prev, self.slew_per_cycle)
         b = struct.hbar - struct.HsPhi.dot(x0)
 
         # on the structure of the last certified answer the rows are the
-        # same, and only q, b and the row_slew0 bounds moved; on another
-        # one the answer moves with the grid base
+        # same, and only q, b and the per-cycle slew row's bounds moved; on
+        # another one the answer moves with the grid base
         hot = ctrl.hot
         if hot is not None and ctrl.hot_struct is not struct:
             d = base - ctrl.hot_base
@@ -501,11 +522,11 @@ class MpcController:
         if fallback:
             logger.warning("no certified QP answer at s = %.2f m after %d "
                            "solver iterations; LQ fallback", s0, sol.iterations)
-            u_cmd = ref.ur - float(self.cost.K @ x0)
+            u_cmd = self.cost.lq_command(ref.ur, x0)
         else:
             u_cmd = ref.ur + float(sol.y[0])
-        u_cmd = min(max(u_cmd, -self.u_max), self.u_max)
-        u_cmd = min(max(u_cmd, ctrl.u_prev - delta_cycle), ctrl.u_prev + delta_cycle)
+        u_cmd = clamp_slew(clamp_box(u_cmd, self.u_max), ctrl.u_prev,
+                           self.slew_per_cycle)
 
         slack_max = float(sol.y[N:].max(initial=0.0)) if (n_slack and not fallback) else 0.0
         diag = StepDiagnostics(
@@ -570,8 +591,7 @@ class LqController:
         t0 = time.perf_counter()
         s0, err, ref = compute_error(state, self.path, ctrl.s_prev)
         t_project = time.perf_counter()
-        raw = ref.ur - float(self.cost.K @ err.as_array())
-        u_cmd = min(max(raw, -self.u_max), self.u_max)
+        u_cmd = clamp_box(self.cost.lq_command(ref.ur, err.as_array()), self.u_max)
         diag = StepDiagnostics(
             s=s0, error=err, u_cmd=u_cmd, qp_status="LQ", solver_path="lq",
             solve_time_ms=(time.perf_counter() - t0) * 1e3,

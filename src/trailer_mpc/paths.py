@@ -502,11 +502,14 @@ def extend_for_horizon(params, path: NominalPath, extra) -> NominalPath:
     )
 
 
-def project(path: NominalPath, p, s_prev, window=2.0) -> float:
+PROJECT_WINDOW_M = 2.0   # half-width (m) of project's search window
+
+
+def project(path: NominalPath, p, s_prev) -> float:
     """Station of the orthogonal projection of point p onto the polyline
     through the samples, the path that :func:`interpolate` sees.
 
-    The nearest point in [s_prev - window, s_prev + window] is the foot of
+    The nearest point within PROJECT_WINDOW_M of s_prev is the foot of
     the perpendicular on a chord, clipped to the chord and the window (on a
     tie the first wins); the returned station never decreases below s_prev.
     Raises ProjectionLost when that point is the forward window edge inside
@@ -515,8 +518,8 @@ def project(path: NominalPath, p, s_prev, window=2.0) -> float:
     half their cost.
     """
     px, py = float(p[0]), float(p[1])
-    lo = max(0.0, s_prev - window)
-    hi = min(path.s_end, s_prev + window)
+    lo = max(0.0, s_prev - PROJECT_WINDOW_M)
+    hi = min(path.s_end, s_prev + PROJECT_WINDOW_M)
     if hi <= lo:
         raise ProjectionLost("projection window collapsed at the path end")
 

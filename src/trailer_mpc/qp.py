@@ -291,7 +291,8 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     rows; if its equality-constrained point is feasible the iteration
     starts there, which usually finishes in a handful of exchanges when the
     data changed only slightly.  A working set is solved once until it
-    changes: the warm start's trial solve serves the first iteration, and
+    changes: the warm start's trial solve serves the first iteration, also
+    when its point is infeasible and x0 lands on the same working set, and
     a full step that adds no row reuses its solve.  ``factors``, a
     :class:`FactorCache` of P and A, keeps the factorizations of the
     working sets used last across calls; None makes a cache for this call
@@ -336,7 +337,7 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
 
     # the equality solve of the current working set, once it has one: a
     # solve depends on nothing else, so it is redone only after a change
-    res = None
+    res = trial = None
     if warm is not None and len(warm[0]) == mh:
         w_sides = np.array(warm[0], dtype=np.int8)
         res = eq_point(w_sides)
@@ -344,7 +345,7 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
             x_w = res[0][0]
             vw = A @ x_w
             if np.any(vw > u + htol_u) or np.any(vw < l - htol_l):
-                res = None
+                trial, res = res, None
             else:
                 x, vh = x_w, vw
                 sides = w_sides
@@ -357,6 +358,8 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
         sides = np.zeros(mh, dtype=np.int8)
         sides[fin_l & (vh <= l + htol_l)] = -1
         sides[fin_u & (vh >= u - htol_u)] = 1
+        if trial is not None and np.array_equal(sides, w_sides):
+            res = trial
 
     for it in range(1, max_iter + 1):
         if res is None:

@@ -18,9 +18,22 @@ import numpy as np
 from .error_model import VALIDITY_MARGIN
 from .exceptions import EmptyRegion
 from .model import CONV_TOL, JACKKNIFE_ANGLE, SINGULAR_TOL, derivatives_batch
-from .mpc import JointAnglePolytope, MpcConfig, MpcController
+from .mpc import (JointAnglePolytope, MpcConfig, MpcController, clamp_box,
+                  clamp_slew)
 from .params import is_real
 from .paths import generate_straight
+
+
+@dataclass(frozen=True)
+class SweepWork:
+    """A stability sweep's work: its cells and cell-cycles, the cycles the QP
+    answered or left to the LQ law, and the answered solves' exchanges."""
+
+    cells: int
+    cell_cycles: int
+    qp_answers: int
+    lq_fallbacks: int
+    exchanges: int
 
 
 @dataclass
@@ -29,6 +42,7 @@ class RegionGrid:
     beta2_axis: np.ndarray
     stable: np.ndarray   # bool, shape (len(beta3_axis), len(beta2_axis))
     visible: np.ndarray  # bool, same shape
+    work: SweepWork = None   # the stability sweep's, when it made the grid
 
     def __post_init__(self):
         if np.any(np.diff(self.beta3_axis) <= 0) or np.any(np.diff(self.beta2_axis) <= 0):
@@ -81,7 +95,8 @@ def merge(a: RegionGrid, b: RegionGrid) -> RegionGrid:
             np.max(np.abs(a.beta2_axis - b.beta2_axis)) > 1e-12:
         raise ValueError("grids must share axes")
     return RegionGrid(a.beta3_axis.copy(), a.beta2_axis.copy(),
-                      a.stable | b.stable, a.visible | b.visible)
+                      a.stable | b.stable, a.visible | b.visible,
+                      a.work if a.work is not None else b.work)
 
 
 def sensing_region(params, beta3_axis, beta2_axis) -> RegionGrid:
@@ -115,8 +130,8 @@ def sensing_region(params, beta3_axis, beta2_axis) -> RegionGrid:
     return grid
 
 
-def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
-                    beta2_axis=None, distance=150.0, progress=None) -> RegionGrid:
+def stability_sweep(params, cfg: MpcConfig, beta3_axis, beta2_axis,
+                    distance=150.0, progress=None) -> RegionGrid:
     """Closed-loop MPC stability over a grid of initial joint angles.
 
     Backward straight path, no joint-angle constraints (curvature box and
@@ -127,7 +142,8 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
     cycles and most solves finish in one exchange, and the solves share one
     cache of working-set factorizations (:class:`qp.FactorCache`).  The map
     is odd-symmetric in (beta3, beta2); only half the grid is simulated and
-    the rest mirrored.
+    the rest mirrored.  The cycle rules are the controller's (:mod:`mpc`).
+    The grid's ``work`` is a :class:`SweepWork`.
 
     ``progress``, when given, is called as ``progress(done, total)`` after
     every control cycle of the sweep with the number of simulated cells
@@ -138,23 +154,14 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
 
     if not is_real(distance, 0.0):
         raise ValueError(f"distance must be a positive, finite number, got {distance}")
-    cfg = cfg or MpcConfig()
-    if beta3_axis is None or beta2_axis is None:
-        beta3_axis, beta2_axis = make_axes()
     path = generate_straight(distance + 20.0, -1.0, cfg.delta_s)
     controller = MpcController(params, path, cfg,
                                JointAnglePolytope(np.zeros((0, 2)), np.zeros(0)))
     struct = controller._structure(0)
     N = struct.n_inputs
-    K_gain = controller.cost.K
     dt = 1.0 / cfg.f_s
-    delta_cycle = controller.udot_max / cfg.f_s
-    u_max = controller.u_max
-    A_qp = struct.A_in
-    single_col = row_structure(A_qp)
-    Pu = struct.P_uu
-    G_empty = np.zeros((0, N))
-    b_empty = np.zeros(0)
+    width = controller.slew_per_cycle
+    single_col = row_structure(struct.A_in)
 
     # simulate the half-grid with beta3 > 0, plus the beta3 = 0, beta2 >= 0 ray
     cells = [(i, j) for i, b3 in enumerate(beta3_axis)
@@ -168,11 +175,10 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
 
     alive = np.ones(K, dtype=bool)
     stable_flat = np.zeros(K, dtype=bool)
-    u_prev = np.zeros(K)
+    u_prev = [0.0] * K
     warm_y = np.zeros((N, K))
     warm_sets = [None] * K
-    # each cycle moves only the per-cycle slew row's bounds
-    chain = _chain_bounds(struct, struct.l, struct.u)
+    cycles = answers = exchanges = 0
 
     # immediate jackknife / singularity at t = 0
     bad0 = (np.abs(X[3]) > JACKKNIFE_ANGLE) | (np.abs(X[4]) > JACKKNIFE_ANGLE)
@@ -201,27 +207,26 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
         q = struct.W @ err_a
         u_cmd = np.empty(len(a))
         for c, col in enumerate(a):
-            l_c = struct.l.copy()
-            u_c = struct.u.copy()
-            l_c[struct.row_slew0] = u_prev[col] - delta_cycle
-            u_c[struct.row_slew0] = u_prev[col] + delta_cycle
-            ut = _feasible_inputs(struct, l_c, u_c, warm_y[:, col], chain)
+            l_c, u_c, lo, hi = struct.cycle_bounds(u_prev[col], width)
+            ut = _feasible_inputs(struct, lo, hi, warm_y[:, col])
             res = None
             if ut is not None:
-                res = soft_qp_solve(Pu, q[:, c], A_qp, l_c, u_c, G_empty,
-                                    b_empty, 0.0, 1.0, ut, single_col,
-                                    warm=warm_sets[col],
+                res = soft_qp_solve(struct.P_uu, q[:, c], struct.A_in, l_c, u_c,
+                                    struct.G, struct.hbar, 0.0, 1.0, ut,
+                                    single_col, warm=warm_sets[col],
                                     factors=struct.factors)
             if res is None:
                 warm_sets[col] = None
-                u_cmd[c] = -float(K_gain @ err_a[:, c])
+                u = controller.cost.lq_command(struct.ur0, err_a[:, c])
             else:
                 warm_y[:, col] = res[0]
                 warm_sets[col] = res[5]
-                u_cmd[c] = res[0][0]
-        u_cmd = np.clip(u_cmd, -u_max, u_max)
-        u_cmd = np.clip(u_cmd, u_prev[a] - delta_cycle, u_prev[a] + delta_cycle)
-        u_prev[a] = u_cmd
+                answers += 1
+                exchanges += res[6]
+                u = float(res[0][0])
+            u_prev[col] = u_cmd[c] = clamp_slew(clamp_box(u, controller.u_max),
+                                                u_prev[col], width)
+        cycles += len(a)
 
         # plant: RK4 with substeps under zero-order-held commands
         sub = 5
@@ -251,42 +256,23 @@ def stability_sweep(params, cfg: MpcConfig = None, beta3_axis=None,
     # is exactly odd-symmetric, so labels transfer unchanged
     stable |= stable[::-1, ::-1]
     return RegionGrid(np.asarray(beta3_axis, float), np.asarray(beta2_axis, float),
-                      stable, np.zeros_like(stable))
+                      stable, np.zeros_like(stable),
+                      SweepWork(K, cycles, answers, cycles - answers, exchanges))
 
 
-def _chain_bounds(struct, l_in, u_in):
-    """(lo_box, hi_box, lo_slew, hi_slew): the bounds (l_in, u_in) of the
-    box rows and of the slew chain of the condensed structure ``struct``,
-    as lists of plain floats (the chain is sequential, and scalar numpy
-    indexing costs more than the arithmetic).  The first slew entries, the
-    per-cycle slew row's, are never read."""
-    N = struct.n_inputs
-    return (l_in[:N].tolist(), u_in[:N].tolist(), l_in[N:2 * N].tolist(),
-            u_in[N:2 * N].tolist())
-
-
-def _feasible_inputs(struct, l_in, u_in, guess, chain=None):
+def _feasible_inputs(struct, lo, hi, guess):
     """A point satisfying the box rows and the slew chain of the condensed
-    structure ``struct`` under the bounds (l_in, u_in), built by clipping
-    the guess forward through the chain; None if a link of the chain
-    closes.  ``chain`` takes the :func:`_chain_bounds` of bounds that agree
-    with (l_in, u_in) outside the per-cycle slew row, read once for many
-    calls; by default they are read from (l_in, u_in)."""
-    r0 = struct.row_slew0
-    lo_box, hi_box, lo_slew, hi_slew = chain or _chain_bounds(struct, l_in, u_in)
-    g = guess.tolist()
-    lo = max(lo_box[0], float(l_in[r0]))
-    hi = min(hi_box[0], float(u_in[r0]))
-    if lo > hi:
-        return None
-    prev = min(max(g[0], lo), hi)
-    ut = [prev]
-    # the links spell out max(lo_box[k], prev + lo_slew[k]),
+    structure ``struct`` (its ``chain``), with the per-cycle slew row's
+    bounds [lo, hi], built by clipping the guess forward through the chain;
+    None if a link of the chain closes."""
+    lo_box, hi_box, lo_slew, hi_slew = struct.chain
+    prev, ut = 0.0, []
+    # link k spells out max(lo_box[k], prev + lo_slew[k]),
     # min(hi_box[k], prev + hi_slew[k]) and min(max(g[k], lo), hi), which
     # cost more as calls than the comparisons; each keeps the first operand
-    # on a tie, as max and min do
-    for lo_b, hi_b, lo_s, hi_s, g_k in zip(lo_box[1:], hi_box[1:],
-                                            lo_slew[1:], hi_slew[1:], g[1:]):
+    # on a tie, as max and min do.  Link 0 is the per-cycle row, from 0.0
+    for lo_b, hi_b, lo_s, hi_s, g_k in zip(lo_box, hi_box, [lo] + lo_slew[1:],
+                                            [hi] + hi_slew[1:], guess.tolist()):
         lo = prev + lo_s
         if not lo > lo_b:
             lo = lo_b

@@ -9,8 +9,10 @@ cycle diagnostics to CSV.
 from __future__ import annotations
 
 import csv
+import gc
 import math
 import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +105,9 @@ class RunLog:
 
     @classmethod
     def from_cycles(cls, spec, status, period_ms, cycles) -> "RunLog":
-        """The log of ``cycles``, one (t, true state array, StepDiagnostics)
-        per control cycle."""
-        t, states, diags = zip(*cycles) if cycles else ((), (), ())
+        """The log of ``cycles``, one (t, true state array, StepDiagnostics,
+        collector ms inside the step) per control cycle."""
+        t, states, diags, gc_ms = zip(*cycles) if cycles else ((), (), (), ())
 
         def col(name, dtype=float):
             values = [getattr(d, name) for d in diags]
@@ -126,7 +128,7 @@ class RunLog:
             qp_iterations=col("qp_iterations", int),
             structure_built=col("structure_built", bool),
             t_project_ms=col("t_project_ms"), t_structure_ms=col("t_structure_ms"),
-            t_solve_ms=col("t_solve_ms")))
+            t_solve_ms=col("t_solve_ms"), gc_ms=np.array(gc_ms, dtype=float)))
 
     def __getattr__(self, name):
         try:
@@ -171,6 +173,7 @@ class RunLog:
             "structure_ms": float(self.t_structure_ms.sum()),
             # cycles whose command took longer than the control period
             "deadline_misses": int(np.count_nonzero(self.solve_ms > self.period_ms)),
+            "max_gc_ms": float(self.gc_ms.max()) if len(self) else 0.0,
         }
 
     def write_csv(self, path):
@@ -192,7 +195,7 @@ CSV_COLUMNS = (
     ("states", "x3", "y3", "theta3", "beta3", "beta2"),
     ("errors", "z3t", "theta3t", "beta3t", "beta2t"),
     ("u_cmd",), ("qp_status",), ("qp_obj",), ("slack_max",), ("solve_ms",),
-    ("solver_path",), ("qp_iterations",), ("structure_built",),
+    ("gc_ms",), ("solver_path",), ("qp_iterations",), ("structure_built",),
     ("t_project_ms",), ("t_structure_ms",), ("t_solve_ms",),
 )
 
@@ -238,6 +241,10 @@ def run(spec: ExperimentSpec, params, cfg: MpcConfig = None, controller=None,
     All failures become terminal statuses; the first triggering condition
     wins.  When ``stop_on_converged`` is false the run continues to the path
     end (the status, once Converged, is kept).
+
+    Automatic collection is off until the run ends, and between steps the
+    youngest generation is collected once its count reaches the first
+    threshold, if collection was on; ``gc_ms`` is collector time in a step.
     """
     cfg = cfg or MpcConfig()
     if controller is None:
@@ -255,54 +262,70 @@ def run(spec: ExperimentSpec, params, cfg: MpcConfig = None, controller=None,
     status = None
     conv_anchor = None
     t = 0.0
-    while True:
-        meas = state
-        if spec.noise_std is not None:
-            meas = VehicleState.from_array(state.as_array() +
-                                           rng.normal(0.0, spec.noise_std))
-        try:
-            u_cmd, diag = controller.step(meas, ctrl)
-        except (ProjectionLost, ValidityViolated, OutOfDomain):
-            status = status or VALIDITY_LOST
-            break
-        except (InvalidState, SingularConfiguration):
-            status = status or JACKKNIFED
-            break
+    enabled = gc.isenabled()
+    collect_at = gc.get_threshold()[0] if enabled else 0
+    gc_s = [0.0]   # collector seconds: each collection adds stop less start
 
-        cycles.append((t, state.as_array(), diag))
+    def on_gc(phase, info):
+        gc_s[0] += time.perf_counter() if phase == "stop" else -time.perf_counter()
+    gc.disable()
+    gc.callbacks.append(on_gc)
+    try:
+        while True:
+            if collect_at and gc.get_count()[0] >= collect_at:
+                gc.collect(0)
+            meas = state
+            if spec.noise_std is not None:
+                meas = VehicleState.from_array(state.as_array() +
+                                               rng.normal(0.0, spec.noise_std))
+            gc0 = gc_s[0]
+            try:
+                u_cmd, diag = controller.step(meas, ctrl)
+            except (ProjectionLost, ValidityViolated, OutOfDomain):
+                status = status or VALIDITY_LOST
+                break
+            except (InvalidState, SingularConfiguration):
+                status = status or JACKKNIFED
+                break
 
-        # convergence bookkeeping (sustained small error over distance)
-        if diag.error.inf_norm() < CONV_TOL:
-            if conv_anchor is None:
-                conv_anchor = diag.s
-            if status is None and diag.s - conv_anchor >= CONV_SUSTAIN_M:
-                status = CONVERGED
-                if stop_on_converged:
-                    break
-        else:
-            conv_anchor = None
+            cycles.append((t, state.as_array(), diag, (gc_s[0] - gc0) * 1e3))
 
-        if diag.s >= path.s_end_true - cfg.delta_s:
-            # reached the end of the real path data
-            if status is None:
-                status = CONVERGED if (conv_anchor is not None and
-                                       diag.error.inf_norm() < CONV_TOL) else TIMEOUT
-            break
-        if t >= max_time:
-            status = status or TIMEOUT
-            break
+            # convergence bookkeeping (sustained small error over distance)
+            if diag.error.inf_norm() < CONV_TOL:
+                if conv_anchor is None:
+                    conv_anchor = diag.s
+                if status is None and diag.s - conv_anchor >= CONV_SUSTAIN_M:
+                    status = CONVERGED
+                    if stop_on_converged:
+                        break
+            else:
+                conv_anchor = None
 
-        try:
-            state = integrate_step(params, state, ControlInput(u_cmd, spec.v),
-                                   dt, substeps=10)
-        except (InvalidState, SingularConfiguration):
-            status = status or JACKKNIFED
-            break
-        t += dt
-        if abs(state.beta3) > JACKKNIFE_ANGLE or abs(state.beta2) > JACKKNIFE_ANGLE \
-                or speed_ratio(params, state.beta2, state.beta3, u_cmd) <= SINGULAR_TOL:
-            status = status or JACKKNIFED
-            break
+            if diag.s >= path.s_end_true - cfg.delta_s:
+                # reached the end of the real path data
+                if status is None:
+                    status = CONVERGED if (conv_anchor is not None and
+                                           diag.error.inf_norm() < CONV_TOL) else TIMEOUT
+                break
+            if t >= max_time:
+                status = status or TIMEOUT
+                break
+
+            try:
+                state = integrate_step(params, state, ControlInput(u_cmd, spec.v),
+                                       dt, substeps=10)
+            except (InvalidState, SingularConfiguration):
+                status = status or JACKKNIFED
+                break
+            t += dt
+            if abs(state.beta3) > JACKKNIFE_ANGLE or abs(state.beta2) > JACKKNIFE_ANGLE \
+                    or speed_ratio(params, state.beta2, state.beta3, u_cmd) <= SINGULAR_TOL:
+                status = status or JACKKNIFED
+                break
+    finally:
+        gc.callbacks.remove(on_gc)
+        if enabled:
+            gc.enable()
 
     return RunLog.from_cycles(spec, status or TIMEOUT, 1e3 / cfg.f_s, cycles)
 
@@ -353,13 +376,13 @@ EIGHT_PERTURBATIONS = {
 }
 
 
-def paper_suite(straight_length=120.0, eight_radius=20.0) -> list:
-    """The 12-run replication suite: 3 perturbations x 2 paths x 2 controllers."""
+def paper_suite() -> list:
+    """The 12-run replication suite: 3 perturbations x 2 paths (the 120 m
+    straight line, the radius-20 m figure-eight) x 2 controllers."""
     specs = []
     for num in (1, 2, 3):
-        for kind, size, perts in (
-                ("straight", straight_length, EXPERIMENT_PERTURBATIONS),
-                ("eight", eight_radius, EIGHT_PERTURBATIONS)):
+        for kind, size, perts in (("straight", 120.0, EXPERIMENT_PERTURBATIONS),
+                                  ("eight", 20.0, EIGHT_PERTURBATIONS)):
             for controller in ("mpc", "lq"):
                 specs.append(ExperimentSpec(
                     name=f"exp{num}_{kind}", path_kind=kind, path_size=size,

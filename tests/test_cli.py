@@ -312,7 +312,7 @@ def test_region_stability_prints_progress_to_stderr_only(tmp_path, capsys):
                  "20", "--out-dir", str(tmp_path)]) == 0
     captured = capsys.readouterr()
     assert captured.out == f"wrote {grid_file}\n"
-    lines = captured.err.splitlines()
+    *lines, work_line = captured.err.splitlines()
     # one line per further tenth of the cells finished
     assert 2 <= len(lines) <= 11
     done = [int(line.split()[2]) for line in lines]
@@ -320,10 +320,16 @@ def test_region_stability_prints_progress_to_stderr_only(tmp_path, capsys):
     assert all(line.startswith("stability sweep: ") for line in lines)
     assert done == sorted(set(done)) and done[-1] == total
     b3, b2 = make_axes(15.0)
-    stable = stability_sweep(VehicleParams(), MpcConfig(), b3, b2,
-                             distance=20.0).stable
+    grid = stability_sweep(VehicleParams(), MpcConfig(), b3, b2, distance=20.0)
     data = np.genfromtxt(grid_file, delimiter=",", names=True)
-    assert np.array_equal(data["stable"].astype(bool), stable.ravel())
+    assert np.array_equal(data["stable"].astype(bool), grid.stable.ravel())
+    # then the sweep's work, in one line
+    w = grid.work
+    assert w.cells == total
+    assert work_line == (
+        f"stability sweep work: {total} cells, {w.cell_cycles} cell-cycles, "
+        f"{w.qp_answers} QP answers, {w.lq_fallbacks} LQ fallbacks, "
+        f"{w.exchanges} exchanges")
 
 
 def test_region_requires_some_work(capsys):

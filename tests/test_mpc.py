@@ -165,7 +165,8 @@ def test_polytope_contains_and_box():
     assert poly.m == 4
     assert poly.contains(0.4, -0.2)
     assert not poly.contains(0.6, 0.0)
-    assert poly.contains(0.55, 0.0, slack=0.1)
+    # a point on the boundary is inside
+    assert poly.contains(0.5, -0.3)
     with pytest.raises(ValueError):
         JointAnglePolytope(np.array([[1.0, 0.0]]), np.array([0.0]))
 

@@ -502,7 +502,7 @@ def test_project_never_decreases(straight_back):
 
 def test_project_lost_outside_window(straight_back):
     with pytest.raises(ProjectionLost):
-        project(straight_back, (-30.0, 0.0), s_prev=2.0, window=2.0)
+        project(straight_back, (-30.0, 0.0), s_prev=2.0)
 
 
 def test_path_arrays_are_the_only_store():

@@ -53,11 +53,7 @@ def _bounds(cfg, struct, x0, u_prev):
     """(q, l, u, b) of one control cycle's QP: the linear cost, the hard
     rows' bounds and the soft rows' bounds, as MpcController.step builds
     them."""
-    delta = cfg.udot_max / cfg.f_s
-    l = struct.l.copy()
-    u = struct.u.copy()
-    l[struct.row_slew0] = u_prev - delta - struct.ur0
-    u[struct.row_slew0] = u_prev + delta - struct.ur0
+    l, u, _, _ = struct.cycle_bounds(u_prev, cfg.udot_max / cfg.f_s)
     return struct.W @ x0, l, u, struct.hbar - struct.HsPhi @ x0
 
 
@@ -71,7 +67,8 @@ def _draw(seed, n_inputs):
 def _problem(cfg, struct, x0, u_prev, guess):
     """The reduced QP of one control cycle, as MpcController builds it."""
     q, l, u, b = _bounds(cfg, struct, x0, u_prev)
-    ut = _feasible_inputs(struct, l, u, guess)
+    N = struct.n_inputs
+    ut = _feasible_inputs(struct, l[N], u[N], guess)
     # without soft rows the penalties are unused; the region sweep passes
     # (0, 1)
     return dict(P=struct.P_uu, q=q, A=struct.A_in, l=l, u=u, G=struct.G, b=b,

@@ -8,7 +8,7 @@ from trailer_mpc import (RegionGrid, fit_inner_polytope, make_axes, merge,
 from trailer_mpc.exceptions import EmptyRegion
 from trailer_mpc.mpc import JointAnglePolytope, MpcConfig, MpcController
 from trailer_mpc.paths import generate_straight
-from trailer_mpc.regions import _chain_bounds, _feasible_inputs
+from trailer_mpc.regions import SweepWork, _feasible_inputs
 
 # the polytope with no rows: a controller without joint-angle rows
 NO_JOINT_ROWS = JointAnglePolytope(np.zeros((0, 2)), np.zeros(0))
@@ -100,7 +100,7 @@ def test_stability_sweep_reports_progress_without_changing_labels(params):
 def _feasible_inputs_reference(struct, l_in, u_in, guess):
     """The clipped chain with max and min, as _feasible_inputs spells
     them out."""
-    N, r0 = struct.n_inputs, struct.row_slew0
+    N = r0 = struct.n_inputs   # the per-cycle slew row
     lo = max(l_in[0], l_in[r0])
     hi = min(u_in[0], u_in[r0])
     if lo > hi:
@@ -117,29 +117,44 @@ def _feasible_inputs_reference(struct, l_in, u_in, guess):
 
 def test_feasible_inputs_equal_the_max_min_chain(params):
     cfg = MpcConfig()
-    struct = MpcController(params, generate_straight(40.0, -1.0, cfg.delta_s),
-                           cfg, NO_JOINT_ROWS)._structure(0)
-    chain = _chain_bounds(struct, struct.l, struct.u)
+    controller = MpcController(params, generate_straight(40.0, -1.0, cfg.delta_s),
+                               cfg, NO_JOINT_ROWS)
+    struct = controller._structure(0)
     rng = np.random.default_rng(7)
     closed = 0
     for _ in range(300):
-        l, u = struct.l.copy(), struct.u.copy()
         # previous commands beyond the curvature box close the first link
         u_prev = rng.uniform(-1.5, 1.5) * cfg.u_max
-        l[struct.row_slew0] = u_prev - cfg.udot_max / cfg.f_s
-        u[struct.row_slew0] = u_prev + cfg.udot_max / cfg.f_s
+        l, u, lo, hi = struct.cycle_bounds(u_prev, controller.slew_per_cycle)
+        assert (lo, hi) == (l[struct.n_inputs], u[struct.n_inputs])
         # guesses on the box bounds and between, so that ties occur
         guess = rng.choice([-cfg.u_max, 0.0, cfg.u_max], struct.n_inputs)
         guess = np.where(rng.random(struct.n_inputs) < 0.5, guess,
                          rng.uniform(-0.3, 0.3, struct.n_inputs))
         want = _feasible_inputs_reference(struct, l, u, guess)
-        for got in (_feasible_inputs(struct, l, u, guess),
-                    _feasible_inputs(struct, l, u, guess, chain)):
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert got.tobytes() == want.tobytes()
+        got = _feasible_inputs(struct, lo, hi, guess)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.tobytes() == want.tobytes()
         closed += want is None
     assert 0 < closed < 300
+
+
+def test_stability_sweep_reports_its_work(params):
+    # the 15-degree, 60 m grid of the benchmark: 85 simulated cells, and
+    # the QP gives no answer on 2960 of their cycles (the exchange loop's
+    # all-pinned defect, ROADMAP item 2)
+    b3, b2 = make_axes(15.0)
+    grid = stability_sweep(params, MpcConfig(), b3, b2, distance=60.0)
+    work = grid.work
+    assert (work.cells, work.cell_cycles, work.lq_fallbacks) == (85, 11985, 2960)
+    assert work.qp_answers + work.lq_fallbacks == work.cell_cycles
+    assert work.exchanges >= work.qp_answers
+    assert int(grid.stable.sum()) == 19
+    # merging with the sensing grid, either way round, keeps the work
+    sensing = sensing_region(params, b3, b2)
+    assert merge(sensing, grid).work == merge(grid, sensing).work == work
+    assert sensing.work is None and isinstance(work, SweepWork)
 
 
 def test_merge_requires_matching_axes(params):
@@ -220,3 +235,21 @@ def test_region_grid_csv_round_trip(tmp_path, params):
     assert np.allclose(back.beta3_axis, grid.beta3_axis)
     assert np.array_equal(back.visible, grid.visible)
     assert np.array_equal(back.stable, grid.stable)
+
+
+def test_the_sweep_solves_no_working_set_twice_in_a_row(params, monkeypatch):
+    # a warm set whose point is infeasible, with x0 on the same rows, starts
+    # the exchange loop from the trial's solve instead of solving it again
+    # (253 such repeats on this grid before)
+    from trailer_mpc import qp
+
+    real, calls = qp._solve_factored, []
+
+    def spy(P, q, b_w, fac):
+        calls.append((q.tobytes(), b_w.tobytes(), fac.A_w.tobytes()))
+        return real(P, q, b_w, fac)
+
+    monkeypatch.setattr(qp, "_solve_factored", spy)
+    grid = stability_sweep(params, MpcConfig(), *make_axes(30.0), distance=60.0)
+    assert grid.work.qp_answers > 0 and len(calls) > grid.work.qp_answers
+    assert not any(a == b for a, b in zip(calls, calls[1:]))

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from trailer_mpc import (ExperimentSpec, initial_state, paper_suite, qp, run,
 from trailer_mpc.error_model import compute_error
 from trailer_mpc.exceptions import ValidityViolated
 from trailer_mpc.mpc import MpcConfig
-from trailer_mpc.sim import CSV_COLUMNS, RunLog
+from trailer_mpc.sim import CSV_COLUMNS, RunLog, make_controller
 
 
 def test_initial_state_round_trips_through_error(params, straight_back):
@@ -423,3 +424,91 @@ def test_deadline_misses_count_against_the_configured_rate(params):
     log = run(spec, params, cfg)
     assert log.period_ms == pytest.approx(1e-3)
     assert log.summary()["deadline_misses"] == len(log) > 1
+
+
+class _Flagged:
+    """A controller whose ``inside`` is True while its ``step`` runs, and
+    that runs ``before(cycle)`` first inside each step."""
+
+    def __init__(self, inner, before=lambda cycle: None):
+        self.inner, self.path, self.before = inner, inner.path, before
+        self.inside, self.cycle = False, 0
+
+    def step(self, state, ctrl):
+        self.inside = True
+        try:
+            self.before(self.cycle)
+            return self.inner.step(state, ctrl)
+        finally:
+            self.inside = False
+            self.cycle += 1
+
+
+def _paper_mpc_run(params):
+    spec = next(s for s in paper_suite()
+                if s.name == "exp1_straight" and s.controller == "mpc")
+    return spec, make_controller(spec, params, MpcConfig())
+
+
+def test_no_collection_starts_inside_a_control_step(params):
+    spec, controller = _paper_mpc_run(params)
+    flagged = _Flagged(controller)
+    starts = []   # for each collection: whether a step was running
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(flagged.inside)
+
+    gc.callbacks.append(hook)
+    try:
+        log = run(spec, params, MpcConfig(), controller=flagged)
+    finally:
+        gc.callbacks.remove(hook)
+    assert log.status == "Converged" and gc.isenabled()
+    # the run collects between its cycles, never inside one
+    assert starts and not any(starts)
+    assert not np.any(log.gc_ms) and log.summary()["max_gc_ms"] == 0.0
+
+
+def test_gc_ms_is_the_collector_time_inside_a_step(tmp_path, params):
+    spec = ExperimentSpec(name="gc", path_kind="straight", path_size=40.0,
+                          controller="lq", perturbation=(1.0, 0.0, 0.0, 0.0),
+                          max_time=1.0)
+    controller = make_controller(spec, params, MpcConfig())
+    log = run(spec, params, MpcConfig(), controller=_Flagged(
+        controller, lambda cycle: cycle == 3 and gc.collect()))
+    assert np.flatnonzero(log.gc_ms).tolist() == [3]
+    assert log.summary()["max_gc_ms"] == log.gc_ms[3] > 0.0
+    log.write_csv(tmp_path / "gc.csv")
+    data = np.genfromtxt(tmp_path / "gc.csv", delimiter=",", names=True)
+    assert np.array_equal(data["gc_ms"], log.gc_ms)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_callers_collector_setting(params, enabled):
+    spec, controller = _paper_mpc_run(params)
+
+    def fail(cycle):
+        if cycle == 5:
+            raise RuntimeError("step failed")
+
+    starts = []
+
+    def hook(phase, info):
+        starts.append(phase)
+
+    callbacks = list(gc.callbacks)
+    try:
+        (gc.enable if enabled else gc.disable)()
+        gc.callbacks.append(hook)
+        run(spec, params, MpcConfig(), controller=controller)
+        assert gc.isenabled() == enabled
+        # with collection off, the run collects nothing either
+        assert enabled or starts == []
+        with pytest.raises(RuntimeError, match="step failed"):
+            run(spec, params, MpcConfig(), controller=_Flagged(controller, fail))
+        assert gc.isenabled() == enabled
+    finally:
+        gc.callbacks.remove(hook)
+        gc.enable()
+    assert gc.callbacks == callbacks
