@@ -25,7 +25,7 @@ from .paths import generate_figure_eight, generate_straight
 from .qp import QpProblem, solve_qp
 from .regions import (RegionGrid, fit_inner_polytope, make_axes, merge,
                       sensing_region, stability_sweep)
-from .sim import ExperimentSpec, paper_suite, run_suite
+from .sim import STATUSES, ExperimentSpec, paper_suite, run_suite
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -125,6 +125,14 @@ def _specs_from_config(cfg_dict):
 
 def cmd_run(args) -> int:
     try:
+        # --expect's entries by controller, in lower case, checked before any run
+        expected = {}
+        for item in args.expect.split(",") if args.expect else []:
+            key, _, value = (part.strip().lower() for part in item.partition("="))
+            if key not in ("mpc", "lq") or value not in [s.lower() for s in STATUSES]:
+                raise ValueError(f"--expect entry {item!r} is not mpc=STATUS or lq=STATUS "
+                                 f"with STATUS one of {', '.join(STATUSES)}")
+            expected[key] = value
         if args.preset == "paper":
             cfg_dict = {}
             specs = paper_suite()
@@ -150,21 +158,12 @@ def cmd_run(args) -> int:
     summaries = run_suite(specs, params, mpc_cfg, out_dir=out_dir,
                           stop_on_converged=not args.full_length)
     print(json.dumps(summaries, indent=2))
-
-    if args.expect:
-        expected = {}
-        for item in args.expect.split(","):
-            if "=" not in item:
-                print(f"bad --expect entry {item!r}", file=sys.stderr)
-                return USAGE_ERROR
-            key, value = item.split("=", 1)
-            expected[key.strip().lower()] = value.strip().lower()
-        for summary in summaries:
-            want = expected.get(summary["controller"].lower())
-            if want is not None and summary["status"].lower() != want:
-                print(f"expect mismatch: {summary['name']} ({summary['controller']}) "
-                      f"finished {summary['status']}, wanted {want}", file=sys.stderr)
-                return RUNTIME_ERROR
+    for summary in summaries:
+        want = expected.get(summary["controller"])
+        if want is not None and summary["status"].lower() != want:
+            print(f"expect mismatch: {summary['name']} ({summary['controller']}) "
+                  f"finished {summary['status']}, wanted {want}", file=sys.stderr)
+            return RUNTIME_ERROR
     return 0
 
 

@@ -9,7 +9,6 @@ rows are softened with linearly+quadratically penalized slacks.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import time
@@ -26,6 +25,7 @@ from .model import SINGULAR_TOL, VehicleState, chain_terms
 from .params import is_int, is_real, real_tuple
 from .paths import NominalPath, _remember, extend_for_horizon
 from .qp import FactorCache, HotStart, auxiliary_hot, certified_solve
+from .table import read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -97,18 +97,12 @@ class JointAnglePolytope:
         return cls(H, np.array([beta3_max, beta3_max, beta2_max, beta2_max]))
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["H_beta3", "H_beta2", "h"])
-            for i in range(self.m):
-                writer.writerow([repr(float(self.H[i, 0])), repr(float(self.H[i, 1])),
-                                 repr(float(self.h[i]))])
+        write_table(path, {"H_beta3": self.H[:, 0], "H_beta2": self.H[:, 1], "h": self.h})
 
     @classmethod
     def read_csv(cls, path) -> "JointAnglePolytope":
-        data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
-        return cls(np.column_stack([data["H_beta3"], data["H_beta2"]]),
-                   np.asarray(data["h"], dtype=float))
+        data = read_table(path)
+        return cls(np.column_stack([data["H_beta3"], data["H_beta2"]]), data["h"])
 
 
 # Symmetric octagon meant to lie inside the intersection of the simulated

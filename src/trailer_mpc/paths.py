@@ -9,16 +9,16 @@ the direction of travel).
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .exceptions import InfeasiblePath, OutOfDomain, ProjectionLost
 from .model import chain_terms, derivatives_batch
 from .params import VehicleParams, is_real
+from .table import read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,10 @@ class PathSample:
     ur: float
     v3r_sign: float
     kappa3r: float
+
+
+# PathSample's fields but v3r_sign (the path's direction): NominalPath.arrays()
+_ARRAY_FIELDS = tuple(f.name for f in fields(PathSample) if f.name != "v3r_sign")
 
 
 @dataclass
@@ -66,57 +70,47 @@ class NominalPath:
     def __len__(self):
         return len(self.s)
 
+    def arrays(self) -> tuple:
+        """The eight sample arrays, in PathSample's field order less v3r_sign."""
+        return (self.s, self.x, self.y, self.theta3, self.beta3, self.beta2,
+                self.u, self.kappa3)
+
     def sample(self, i) -> PathSample:
         """The sample at index ``i``; an index array gives the arrays of
         those samples' fields."""
         field_of = float if np.ndim(i) == 0 else np.asarray
-        s, x, y, th, b3, b2, u, k3 = (field_of(a[i]) for a in (
-            self.s, self.x, self.y, self.theta3, self.beta3, self.beta2,
-            self.u, self.kappa3))
+        s, x, y, th, b3, b2, u, k3 = (field_of(a[i]) for a in self.arrays())
         return PathSample(s, x, y, th, b3, b2, u, self.direction, k3)
 
     def copy(self) -> "NominalPath":
         """The same path in new arrays."""
-        return NominalPath(
-            s=self.s.copy(), x=self.x.copy(), y=self.y.copy(),
-            theta3=self.theta3.copy(), beta3=self.beta3.copy(),
-            beta2=self.beta2.copy(), u=self.u.copy(), kappa3=self.kappa3.copy(),
-            direction=self.direction, delta_s=self.delta_s,
-            s_end_true=self.s_end_true,
-        )
+        return NominalPath(*(a.copy() for a in self.arrays()),
+                           direction=self.direction, delta_s=self.delta_s,
+                           s_end_true=self.s_end_true)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["s", "x3r", "y3r", "theta3r", "beta3r", "beta2r",
-                             "ur", "v3r_sign", "kappa3r"])
-            for i in range(len(self.s)):
-                writer.writerow([repr(float(v)) for v in (
-                    self.s[i], self.x[i], self.y[i], self.theta3[i], self.beta3[i],
-                    self.beta2[i], self.u[i], self.direction, self.kappa3[i])])
+        """Write one row per sample under :class:`PathSample`'s field names."""
+        columns = vars(self.sample(np.arange(len(self))))
+        write_table(path, {**columns, "v3r_sign": np.full(len(self), float(self.direction))})
 
     @classmethod
     def read_csv(cls, path) -> "NominalPath":
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        data = np.atleast_1d(data)
-        s = data["s"]
+        """The path of a CSV from :meth:`write_csv`; raises InfeasiblePath
+        unless it holds at least two finite samples, uniformly spaced in s,
+        with one v3r_sign of -1 or +1 on every row."""
+        data = read_table(path)
+        s, sign = data["s"], data["v3r_sign"]
         if len(s) < 2:
             raise InfeasiblePath("path CSV must contain at least two samples")
+        if not all(np.isfinite(data[name]).all() for name in _ARRAY_FIELDS):
+            raise InfeasiblePath("path CSV samples must be finite")
+        if not (sign[0] in (-1.0, 1.0) and np.all(sign == sign[0])):
+            raise InfeasiblePath("path CSV must have one v3r_sign, -1 or +1, on every row")
         delta_s = float(s[1] - s[0])
         if not np.allclose(np.diff(s), delta_s, atol=1e-9):
             raise InfeasiblePath("path CSV must be uniformly sampled in s")
-        return cls(
-            s=np.asarray(s, dtype=float),
-            x=np.asarray(data["x3r"], dtype=float),
-            y=np.asarray(data["y3r"], dtype=float),
-            theta3=np.asarray(data["theta3r"], dtype=float),
-            beta3=np.asarray(data["beta3r"], dtype=float),
-            beta2=np.asarray(data["beta2r"], dtype=float),
-            u=np.asarray(data["ur"], dtype=float),
-            kappa3=np.asarray(data["kappa3r"], dtype=float),
-            direction=float(data["v3r_sign"][0]),
-            delta_s=delta_s,
-        )
+        return cls(*(data[name] for name in _ARRAY_FIELDS),
+                   direction=float(sign[0]), delta_s=delta_s)
 
 
 def interpolate(path: NominalPath, s) -> PathSample:
@@ -137,8 +131,8 @@ def interpolate(path: NominalPath, s) -> PathSample:
     pos = min(float(last), max(0.0, s / path.delta_s))
     i = min(int(pos), last - 1)
     t = pos - i
-    x, y, th, b3, b2, u, k3 = [(1.0 - t) * a.item(i) + t * a.item(i + 1) for a in (
-        path.x, path.y, path.theta3, path.beta3, path.beta2, path.u, path.kappa3)]
+    x, y, th, b3, b2, u, k3 = [(1.0 - t) * a.item(i) + t * a.item(i + 1)
+                               for a in path.arrays()[1:]]
     return PathSample(s, x, y, th, b3, b2, u, path.direction, k3)
 
 
@@ -181,12 +175,8 @@ def generate_straight(length, direction, delta_s=0.2) -> NominalPath:
         raise ValueError("length must be positive")
     n = _sample_count(length, delta_s)
     s = np.arange(n) * delta_s
-    zeros = np.zeros(n)
-    return NominalPath(
-        s=s, x=direction * s, y=zeros.copy(), theta3=zeros.copy(),
-        beta3=zeros.copy(), beta2=zeros.copy(), u=zeros.copy(), kappa3=zeros.copy(),
-        direction=float(direction), delta_s=float(delta_s),
-    )
+    return NominalPath(s, direction * s, *(np.zeros(n) for _ in range(6)),
+                       direction=float(direction), delta_s=float(delta_s))
 
 
 # the figure-eight's smoothstep blends and its straight leads at either end (m)
@@ -432,14 +422,10 @@ def _backward_eight(params, radius, delta_s, n) -> NominalPath:
 
 def reverse_path(path: NominalPath) -> NominalPath:
     """Same geometry traversed in the opposite direction (sample order flipped)."""
-    return NominalPath(
-        s=path.s.copy(),
-        x=path.x[::-1].copy(), y=path.y[::-1].copy(), theta3=path.theta3[::-1].copy(),
-        beta3=path.beta3[::-1].copy(), beta2=path.beta2[::-1].copy(),
-        u=path.u[::-1].copy(), kappa3=path.kappa3[::-1].copy(),
-        direction=-path.direction, delta_s=path.delta_s,
-        s_end_true=path.s_end_true,
-    )
+    s, *rest = path.arrays()
+    return NominalPath(s.copy(), *(a[::-1].copy() for a in rest),
+                       direction=-path.direction, delta_s=path.delta_s,
+                       s_end_true=path.s_end_true)
 
 
 def equilibrium_joint(params, beta3):
@@ -487,19 +473,13 @@ def extend_for_horizon(params, path: NominalPath, extra) -> NominalPath:
     else:
         xs = x0 + np.cos(th0) * ds
         ys = y0 + np.sin(th0) * ds
-    n_old = len(path)
-    return NominalPath(
-        s=np.arange(n_old + n_extra) * path.delta_s,
-        x=np.concatenate([path.x, xs]),
-        y=np.concatenate([path.y, ys]),
-        theta3=np.concatenate([path.theta3, th]),
-        beta3=np.concatenate([path.beta3, np.full(n_extra, b3)]),
-        beta2=np.concatenate([path.beta2, np.full(n_extra, b2)]),
-        u=np.concatenate([path.u, np.full(n_extra, u_eq)]),
-        kappa3=np.concatenate([path.kappa3, np.full(n_extra, kappa)]),
-        direction=path.direction, delta_s=path.delta_s,
-        s_end_true=path.s_end_true,
-    )
+    # the tail of each of the arrays after s
+    tail = (xs, ys, th, b3, b2, u_eq, kappa)
+    return NominalPath(np.arange(len(path) + n_extra) * path.delta_s,
+                       *(np.concatenate([a, np.full(n_extra, t)])
+                         for a, t in zip(path.arrays()[1:], tail)),
+                       direction=path.direction, delta_s=path.delta_s,
+                       s_end_true=path.s_end_true)
 
 
 PROJECT_WINDOW_M = 2.0   # half-width (m) of project's search window

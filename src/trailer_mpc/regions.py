@@ -9,7 +9,6 @@ the controller's joint-angle constraint set.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ from .mpc import (JointAnglePolytope, MpcConfig, MpcController, clamp_box,
                   clamp_slew)
 from .params import is_real
 from .paths import generate_straight
+from .table import read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -54,23 +54,24 @@ class RegionGrid:
                                  f"not the axes' {shape}")
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["beta3", "beta2", "stable", "visible"])
-            for i, b3 in enumerate(self.beta3_axis):
-                for j, b2 in enumerate(self.beta2_axis):
-                    writer.writerow([repr(float(b3)), repr(float(b2)),
-                                     int(self.stable[i, j]), int(self.visible[i, j])])
+        n3, n2 = self.stable.shape
+        write_table(path, {"beta3": np.repeat(self.beta3_axis, n2),
+                           "beta2": np.tile(self.beta2_axis, n3),
+                           "stable": self.stable.ravel(), "visible": self.visible.ravel()})
 
     @classmethod
     def read_csv(cls, path) -> "RegionGrid":
-        data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+        """The grid of a CSV from :meth:`write_csv`, in any row order; raises
+        ValueError unless it holds each (beta3, beta2) pair exactly once."""
+        data = read_table(path)
         b3 = np.unique(data["beta3"])
         b2 = np.unique(data["beta2"])
         stable = np.zeros((len(b3), len(b2)), dtype=bool)
         visible = np.zeros_like(stable)
         i = np.searchsorted(b3, data["beta3"])
         j = np.searchsorted(b2, data["beta2"])
+        if len(data) != stable.size or np.unique(i * len(b2) + j).size != stable.size:
+            raise ValueError("grid CSV must hold each (beta3, beta2) pair exactly once")
         stable[i, j] = data["stable"] > 0.5
         visible[i, j] = data["visible"] > 0.5
         return cls(b3, b2, stable, visible)

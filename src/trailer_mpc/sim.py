@@ -8,7 +8,6 @@ cycle diagnostics to CSV.
 
 from __future__ import annotations
 
-import csv
 import gc
 import math
 import os
@@ -26,11 +25,13 @@ from .mpc import (ControllerState, LqController, MpcConfig, MpcController)
 from .params import is_int, is_real, real_tuple
 from .paths import (NominalPath, _sample_count, figure_eight_length,
                     generate_figure_eight, generate_straight, interpolate)
+from .table import write_table
 
 CONVERGED = "Converged"
 JACKKNIFED = "Jackknifed"
 VALIDITY_LOST = "ValidityLost"
 TIMEOUT = "Timeout"
+STATUSES = (CONVERGED, JACKKNIFED, VALIDITY_LOST, TIMEOUT)
 
 # convergence: error infinity norm below CONV_TOL, sustained over 5 m of travel
 CONV_SUSTAIN_M = 5.0
@@ -74,15 +75,22 @@ class ExperimentSpec:
                 ("seed", is_int(self.seed) and self.seed >= 0, "an integer >= 0")):
             if not ok:
                 raise ValueError(f"{name} must be {meaning}; got {getattr(self, name)!r}")
+        if self.start_s >= self.path_length:
+            raise ValueError(f"start_s must be below the path length {self.path_length}; "
+                             f"got {self.start_s!r}")
         self.perturbation, self.noise_std = perturbation, noise_std
+
+    @property
+    def path_length(self) -> float:
+        """Length (m) of the nominal path."""
+        size = self.path_size
+        return size if self.path_kind == "straight" else figure_eight_length(size)
 
     def sample_count(self, delta_s=0.2) -> int:
         """Samples of the path that build_path(delta_s) makes, counted
         without building it; raises ValueError, as build_path does, when the
         count exceeds MAX_PATH_SAMPLES or delta_s is not positive and finite."""
-        length = (self.path_size if self.path_kind == "straight"
-                  else figure_eight_length(self.path_size))
-        return _sample_count(length, delta_s)
+        return _sample_count(self.path_length, delta_s)
 
     def build_path(self, delta_s=0.2, params=None) -> NominalPath:
         if self.path_kind == "straight":
@@ -177,15 +185,11 @@ class RunLog:
         }
 
     def write_csv(self, path):
-        header, cells = [], []
+        table = {}
         for name, *heads in CSV_COLUMNS:
             col = self.columns[name]
-            header += heads or [name]
-            cells += [_csv_cells(c) for c in (col.T if len(heads) > 1 else [col])]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(zip(*cells))
+            table.update(zip(heads or [name], col.T if np.ndim(col) > 1 else [col]))
+        write_table(path, table)
 
 
 # The run CSV's columns in order: a RunLog column, with its header where
@@ -198,14 +202,6 @@ CSV_COLUMNS = (
     ("gc_ms",), ("solver_path",), ("qp_iterations",), ("structure_built",),
     ("t_project_ms",), ("t_structure_ms",), ("t_solve_ms",),
 )
-
-
-def _csv_cells(col) -> list:
-    """A column's CSV cells: strings as they are, ints and flags as ints, floats by repr."""
-    if isinstance(col, list):
-        return col
-    return [repr(v) for v in col.tolist()] if col.dtype == float else \
-        col.astype(int).tolist()
 
 
 def initial_state(path: NominalPath, perturbation, start_s=0.0) -> VehicleState:
@@ -347,10 +343,8 @@ def run_suite(specs, params, cfg: MpcConfig = None, out_dir=None,
         if out_dir is not None:
             log.write_csv(os.path.join(out_dir, f"{spec.name}_{spec.controller}.csv"))
     if out_dir is not None and summaries:
-        with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(summaries[0].keys()))
-            writer.writeheader()
-            writer.writerows(summaries)
+        write_table(os.path.join(out_dir, "summary.csv"),
+                    {key: [s[key] for s in summaries] for key in summaries[0]})
     return summaries
 
 

@@ -73,6 +73,38 @@ def test_run_expect_mismatch(tmp_path, capsys):
     assert main(["run", "--config", str(f), "--expect", "lq=jackknifed"]) == 1
 
 
+# a misspelled controller once checked nothing and exited 0, and a
+# misspelled status was an expect mismatch (exit 1) after every run
+@pytest.mark.parametrize("expect", ["mcp=jackknifed", "lq=convergd", "lq",
+                                    "mpc=converged,", "=converged"])
+def test_run_bad_expect_is_a_config_error_before_any_run(tmp_path, capsys, expect):
+    cfg = {"experiments": [{"name": "t", "path_size": 40.0, "controller": "lq"}]}
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(f), "--out-dir", str(out),
+                 "--expect", expect]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("config error: --expect") and captured.err.count("\n") == 1
+
+
+# at start_s 30 both controllers once "converged" after 0 m; past the end
+# the run died on the horizon or on a station of the extended path
+@pytest.mark.parametrize("kind, size, start_s", [
+    ("straight", 30.0, 30.0), ("straight", 30.0, 35.0), ("straight", 30.0, 500.0),
+    ("eight", 20.0, 288.0)])
+def test_run_start_at_or_past_the_path_end_is_a_config_error(
+        tmp_path, capsys, kind, size, start_s):
+    cfg = {"experiments": [{"name": "s", "path_kind": kind, "path_size": size,
+                            "controller": "mpc", "start_s": start_s}]}
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: start_s") and err.count("\n") == 1
+
+
 def test_run_bad_config(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text("{not json")

@@ -178,6 +178,8 @@ def test_polytope_csv_round_trip(tmp_path):
     back = JointAnglePolytope.read_csv(f)
     assert np.array_equal(back.H, poly.H)
     assert np.array_equal(back.h, poly.h)
+    back.write_csv(tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == f.read_bytes()
 
 
 def test_a_polytope_with_a_non_finite_row_fails_at_construction():

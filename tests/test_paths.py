@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trailer_mpc
-from trailer_mpc import (NominalPath, VehicleParams, eq_residuals, interpolate,
-                         project, reverse_path)
+from trailer_mpc import (NominalPath, PathSample, VehicleParams, eq_residuals,
+                         interpolate, project, reverse_path)
 from trailer_mpc.exceptions import InfeasiblePath, OutOfDomain, ProjectionLost
 from trailer_mpc.model import chain_terms
 from trailer_mpc.paths import (MAX_PATH_SAMPLES, _math_map, _sample_count,
@@ -471,6 +471,12 @@ def test_csv_round_trip(tmp_path, eight_back):
         assert np.array_equal(getattr(back, name), getattr(eight_back, name))
     assert back.direction == eight_back.direction
     assert back.delta_s == eight_back.delta_s
+    # the header is PathSample's fields, and writing the read-back path
+    # again gives the same bytes
+    assert f.read_text().splitlines()[0] == \
+        ",".join(field.name for field in dataclasses.fields(PathSample))
+    back.write_csv(tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == f.read_bytes()
 
 
 def test_interpolate_linear_between_samples(straight_back):
@@ -552,6 +558,27 @@ def test_read_csv_rejects_nonuniform(tmp_path):
                  "0.2,0,0,0,0,0,0,-1.0,0\n"
                  "0.5,0,0,0,0,0,0,-1.0,0\n")
     with pytest.raises(InfeasiblePath):
+        NominalPath.read_csv(f)
+
+
+# a NaN sample once read as it was, and the direction came from the first
+# row's v3r_sign, whatever its value and the later rows' values
+@pytest.mark.parametrize("column, rows, value, message", [
+    ("x3r", [3], "nan", "finite"),
+    ("kappa3r", [-1], "inf", "finite"),
+    ("v3r_sign", range(11), "5.0", "v3r_sign"),
+    ("v3r_sign", [-1], "1.0", "v3r_sign"),
+])
+def test_read_csv_rejects_a_path_that_is_not_finite_or_not_one_direction(
+        tmp_path, column, rows, value, message):
+    f = tmp_path / "bad.csv"
+    generate_straight(2.0, -1.0).write_csv(f)
+    header, *lines = f.read_text().splitlines()
+    cells = [line.split(",") for line in lines]
+    for i in rows:
+        cells[i][header.split(",").index(column)] = value
+    f.write_text("\n".join([header] + [",".join(c) for c in cells]) + "\n")
+    with pytest.raises(InfeasiblePath, match=message):
         NominalPath.read_csv(f)
 
 

@@ -235,6 +235,25 @@ def test_region_grid_csv_round_trip(tmp_path, params):
     assert np.allclose(back.beta3_axis, grid.beta3_axis)
     assert np.array_equal(back.visible, grid.visible)
     assert np.array_equal(back.stable, grid.stable)
+    back.write_csv(tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == f.read_bytes()
+
+
+def test_region_grid_csv_must_hold_each_cell_once(tmp_path, params):
+    # the 30-degree grid without its last 5 rows once read as a grid whose
+    # lost cells are not visible (27 of 29 visible cells), and a repeated
+    # row passed too; the rows may come in any order
+    b3, b2 = make_axes(30.0)
+    grid = sensing_region(params, b3, b2)
+    f = tmp_path / "grid.csv"
+    grid.write_csv(f)
+    header, *rows = f.read_text().splitlines()
+    for bad in (rows[:-5], rows + rows[7:8], rows[:-1] + rows[:1]):
+        f.write_text("\n".join([header] + bad) + "\n")
+        with pytest.raises(ValueError, match="exactly once"):
+            RegionGrid.read_csv(f)
+    f.write_text("\n".join([header] + rows[::-1]) + "\n")
+    assert np.array_equal(RegionGrid.read_csv(f).visible, grid.visible)
 
 
 def test_the_sweep_solves_no_working_set_twice_in_a_row(params, monkeypatch):

@@ -12,6 +12,7 @@ from trailer_mpc.error_model import compute_error
 from trailer_mpc.exceptions import ValidityViolated
 from trailer_mpc.mpc import MpcConfig
 from trailer_mpc.sim import CSV_COLUMNS, RunLog, make_controller
+from trailer_mpc.table import read_table
 
 
 def test_initial_state_round_trips_through_error(params, straight_back):
@@ -120,10 +121,12 @@ def test_run_log_csv(tmp_path, params):
     log = run(spec, params, MpcConfig())
     f = tmp_path / "log.csv"
     log.write_csv(f)
-    data = np.genfromtxt(f, delimiter=",", names=True,
-                         usecols=("t_s", "s_m", "u_cmd"))
+    data = read_table(f)
+    assert list(data.dtype.names) == [h for name, *heads in CSV_COLUMNS
+                                      for h in heads or [name]]
     assert len(data) == len(log)
-    assert np.allclose(data["u_cmd"], log.u_cmd)
+    # floats by repr read back bit for bit
+    assert np.array_equal(data["u_cmd"], log.u_cmd)
 
 
 def test_run_log_without_a_cycle(tmp_path):
@@ -398,7 +401,8 @@ def test_noise_std_must_be_five_finite_non_negative_numbers():
 @pytest.mark.parametrize("field, bad", [
     ("v", (0.5, 0.0, 2.0, "-1", True)),
     ("path_size", (-30.0, 0.0, math.inf, math.nan, True, "40")),
-    ("start_s", (-0.2, math.inf, math.nan, "0", False)),
+    # a start at or past the end of the 40 m path once ran
+    ("start_s", (-0.2, math.inf, math.nan, "0", False, 40.0, 45.0, 500.0)),
     ("max_time", ("abc", 0.0, -1.0, math.inf, math.nan, True)),
     ("seed", (-1, 1.5, "7", True)),
     ("perturbation", ([0.5, 0.0, 0.0], ["1", 0, 0, 0], [True, 0, 0, 0], 0.5)),
