@@ -55,11 +55,8 @@ class LinearizedModel:
 
 
 def wrap_angle(a):
-    """Wrap to (-pi, pi]."""
-    w = math.fmod(a + math.pi, 2.0 * math.pi)
-    if w <= 0.0:
-        w += 2.0 * math.pi
-    return w - math.pi
+    """Wrap to [-pi, pi): a float, or an array elementwise."""
+    return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def compute_error(state: VehicleState, path: NominalPath, s_prev):

@@ -91,38 +91,41 @@ class JointAnglePolytope:
         bound = self.h.reshape((-1,) + (1,) * b3.ndim)
         return np.all(vals <= bound, axis=0)
 
-    @classmethod
-    def box(cls, beta3_max, beta2_max) -> "JointAnglePolytope":
-        H = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        return cls(H, np.array([beta3_max, beta3_max, beta2_max, beta2_max]))
-
     def write_csv(self, path):
         write_table(path, {"H_beta3": self.H[:, 0], "H_beta2": self.H[:, 1], "h": self.h})
 
     @classmethod
     def read_csv(cls, path) -> "JointAnglePolytope":
+        """The polytope of a CSV from :meth:`write_csv`; raises ValueError
+        for a file with no rows, which no fit writes."""
         data = read_table(path)
+        if len(data) == 0:
+            raise ValueError("polytope CSV holds no rows")
         return cls(np.column_stack([data["H_beta3"], data["H_beta2"]]), data["h"])
 
 
-# Symmetric octagon meant to lie inside the intersection of the simulated
-# closed-loop stability region and the LIDAR sensing region for the default
-# vehicle.  regions.fit_inner_polytope (0.05 rad margin, 2-degree grid, 150 m
-# recovery budget) does not reproduce it: its beta3 support is 0.663 and its
-# diagonal one 0.4196, so this set is larger than the fitted safe set.
-_SQ2 = math.sqrt(2.0)
-_DEFAULT_H = np.array([
-    [1.0, 0.0], [-1.0, 0.0],
-    [0.0, 1.0], [0.0, -1.0],
-    [1.0 / _SQ2, 1.0 / _SQ2], [-1.0 / _SQ2, -1.0 / _SQ2],
-    [1.0 / _SQ2, -1.0 / _SQ2], [-1.0 / _SQ2, 1.0 / _SQ2],
-])
-_DEFAULT_SUPPORT = np.array([0.7679, 0.7679, 0.6283, 0.6283,
-                             0.8886, 0.8886, 0.4443, 0.4443])
+# The symmetric octagon's four support directions: beta3, beta2 and the two
+# unit diagonals.
+OCTAGON_DIRECTIONS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+OCTAGON_DIRECTIONS[2:] /= math.sqrt(2.0)
+OCTAGON_DIRECTIONS.flags.writeable = False
+
+
+def octagon(support) -> JointAnglePolytope:
+    """The symmetric octagon with the four supports along OCTAGON_DIRECTIONS:
+    each direction's row, then its negative's (0.0 - d, so no -0.0)."""
+    D = OCTAGON_DIRECTIONS
+    return JointAnglePolytope(np.stack([D, 0.0 - D], axis=1).reshape(8, 2),
+                              np.repeat(support, 2))
 
 
 def default_joint_polytope() -> JointAnglePolytope:
-    return JointAnglePolytope(_DEFAULT_H.copy(), _DEFAULT_SUPPORT.copy())
+    """Symmetric octagon meant to lie inside the intersection of the simulated
+    closed-loop stability region and the LIDAR sensing region for the default
+    vehicle.  regions.fit_inner_polytope (0.05 rad margin, 2-degree grid, 150 m
+    recovery budget) does not reproduce it: its beta3 support is 0.663 and its
+    diagonal one 0.4196, so this set is larger than the fitted safe set."""
+    return octagon([0.7679, 0.6283, 0.8886, 0.4443])
 
 
 def build_output_matrix(params) -> np.ndarray:
@@ -273,8 +276,8 @@ class StepDiagnostics:
     # one), "ipm" (the interior point, or its crossover) or "lq_fallback"
     # (no certified answer); the LQ baseline reports "lq"
     solver_path: str
-    solve_time_ms: float
-    # phases of solve_time_ms: projection, reference sample and error
+    solve_ms: float
+    # phases of solve_ms: projection, reference sample and error
     # (compute_error), the condensed structure (condensing the
     # horizon's station models, cached by content), and the QP: this
     # cycle's QP data (q, l, u, b), the hot start (shifted by _shifted_hot
@@ -282,11 +285,11 @@ class StepDiagnostics:
     t_project_ms: float
     t_structure_ms: float = 0.0
     t_solve_ms: float = 0.0
-    qp_objective: float = 0.0
+    qp_obj: float = 0.0
+    # exchanges + IPM iterations
     qp_iterations: int = 0
-    primal_residual: float = 0.0
-    dual_residual: float = 0.0
-    comp_residual: float = 0.0
+    # the answer's worst KKT residual: primal, dual or complementarity
+    kkt_max: float = 0.0
     slack_max: float = 0.0
     # whether this cycle built its condensed structure (False when a cached
     # one with the same content served it)
@@ -526,13 +529,13 @@ class MpcController:
         diag = StepDiagnostics(
             s=s0, error=err, u_cmd=u_cmd, qp_status=sol.status,
             solver_path=path or "lq_fallback",
-            solve_time_ms=(time.perf_counter() - t0) * 1e3,
+            solve_ms=(time.perf_counter() - t0) * 1e3,
             t_project_ms=(t_project - t0) * 1e3,
             t_structure_ms=(t_structure - t_project) * 1e3,
             t_solve_ms=(t_solve - t_structure) * 1e3,
-            qp_objective=sol.objective, qp_iterations=sol.iterations,
-            primal_residual=sol.primal_residual, dual_residual=sol.dual_residual,
-            comp_residual=sol.comp_residual, slack_max=slack_max,
+            qp_obj=sol.objective, qp_iterations=sol.iterations,
+            kkt_max=max(sol.primal_residual, sol.dual_residual, sol.comp_residual),
+            slack_max=slack_max,
             structure_built=self.n_structure_builds > builds,
         )
         ctrl.u_prev = u_cmd
@@ -588,7 +591,7 @@ class LqController:
         u_cmd = clamp_box(self.cost.lq_command(ref.ur, err.as_array()), self.u_max)
         diag = StepDiagnostics(
             s=s0, error=err, u_cmd=u_cmd, qp_status="LQ", solver_path="lq",
-            solve_time_ms=(time.perf_counter() - t0) * 1e3,
+            solve_ms=(time.perf_counter() - t0) * 1e3,
             t_project_ms=(t_project - t0) * 1e3)
         ctrl.u_prev = u_cmd
         ctrl.s_prev = s0

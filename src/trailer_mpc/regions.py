@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .error_model import VALIDITY_MARGIN
+from .error_model import VALIDITY_MARGIN, wrap_angle
 from .exceptions import EmptyRegion
 from .model import CONV_TOL, JACKKNIFE_ANGLE, SINGULAR_TOL, derivatives_batch
-from .mpc import (JointAnglePolytope, MpcConfig, MpcController, clamp_box,
-                  clamp_slew)
+from .mpc import (OCTAGON_DIRECTIONS, JointAnglePolytope, MpcConfig,
+                  MpcController, clamp_box, clamp_slew, octagon)
 from .params import is_real
 from .paths import generate_straight
 from .table import read_table, write_table
@@ -62,7 +62,8 @@ class RegionGrid:
     @classmethod
     def read_csv(cls, path) -> "RegionGrid":
         """The grid of a CSV from :meth:`write_csv`, in any row order; raises
-        ValueError unless it holds each (beta3, beta2) pair exactly once."""
+        ValueError unless it holds each (beta3, beta2) pair exactly once and
+        each flag is exactly 0 or 1."""
         data = read_table(path)
         b3 = np.unique(data["beta3"])
         b2 = np.unique(data["beta2"])
@@ -72,8 +73,10 @@ class RegionGrid:
         j = np.searchsorted(b2, data["beta2"])
         if len(data) != stable.size or np.unique(i * len(b2) + j).size != stable.size:
             raise ValueError("grid CSV must hold each (beta3, beta2) pair exactly once")
-        stable[i, j] = data["stable"] > 0.5
-        visible[i, j] = data["visible"] > 0.5
+        for name, mask in (("stable", stable), ("visible", visible)):
+            if not np.isin(data[name], (0.0, 1.0)).all():
+                raise ValueError(f"grid CSV's {name} flags must be 0 or 1")
+            mask[i, j] = data[name] == 1.0
         return cls(b3, b2, stable, visible)
 
 
@@ -191,7 +194,7 @@ def stability_sweep(params, cfg: MpcConfig, beta3_axis, beta2_axis,
             break
         a = np.where(alive)[0]
         # straight backward path: station s = -x3, reference heading 0
-        err = np.vstack([X[1, a], _wrap(X[2, a]), X[3, a], X[4, a]])
+        err = np.vstack([X[1, a], wrap_angle(X[2, a]), X[3, a], X[4, a]])
 
         conv = np.abs(err).max(axis=0) < CONV_TOL
         stable_flat[a[conv]] = True
@@ -204,7 +207,7 @@ def stability_sweep(params, cfg: MpcConfig, beta3_axis, beta2_axis,
         if len(a) == 0:
             break
 
-        err_a = np.vstack([X[1, a], _wrap(X[2, a]), X[3, a], X[4, a]])
+        err_a = np.vstack([X[1, a], wrap_angle(X[2, a]), X[3, a], X[4, a]])
         q = struct.W @ err_a
         u_cmd = np.empty(len(a))
         for c, col in enumerate(a):
@@ -289,19 +292,6 @@ def _feasible_inputs(struct, lo, hi, guess):
     return np.array(ut)
 
 
-def _wrap(a):
-    return np.mod(a + math.pi, 2.0 * math.pi) - math.pi
-
-
-# support directions of the fitted symmetric octagon (4 +/- pairs)
-_OCT_DIRS = np.array([
-    [1.0, 0.0],
-    [0.0, 1.0],
-    [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)],
-    [1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)],
-])
-
-
 def fit_inner_polytope(grid: RegionGrid, margin=0.05) -> JointAnglePolytope:
     """Largest symmetric octagon whose grid cells are all Stable and Visible.
 
@@ -336,7 +326,7 @@ def fit_inner_polytope(grid: RegionGrid, margin=0.05) -> JointAnglePolytope:
 
     pts = np.column_stack([B3.ravel(), B2.ravel()])
     safe = eroded.ravel()
-    proj = np.abs(pts @ _OCT_DIRS.T)  # symmetric pairs share a support
+    proj = np.abs(pts @ OCTAGON_DIRECTIONS.T)  # symmetric pairs share a support
     support = proj[safe].max(axis=0)
     if np.any(support <= 0.0):
         raise EmptyRegion("eroded region has no extent along a support direction")
@@ -355,6 +345,4 @@ def fit_inner_polytope(grid: RegionGrid, margin=0.05) -> JointAnglePolytope:
         if support[j] <= 1e-9:
             raise EmptyRegion("supports collapsed while excluding unsafe cells")
 
-    H = np.vstack([_OCT_DIRS, -_OCT_DIRS])
-    h = np.concatenate([support, support])
-    return JointAnglePolytope(H, h)
+    return octagon(support)

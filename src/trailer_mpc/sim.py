@@ -13,15 +13,20 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
+# Nothing here calls compute_error.  It is imported because the benchmark's
+# span tracer (perfbench/spans.py) wraps it in every module that binds it, and
+# perfbench/tests checks this binding; ROADMAP item 1b drops that check.
 from .error_model import _check_validity, compute_error
 from .exceptions import (InvalidState, OutOfDomain, ProjectionLost,
                          SingularConfiguration, ValidityViolated)
 from .model import (CONV_TOL, JACKKNIFE_ANGLE, SINGULAR_TOL, ControlInput,
                     VehicleState, integrate_step, speed_ratio)
-from .mpc import (ControllerState, LqController, MpcConfig, MpcController)
+from .mpc import (ControllerState, LqController, MpcConfig, MpcController,
+                  StepDiagnostics)
 from .params import is_int, is_real, real_tuple
 from .paths import (NominalPath, _sample_count, figure_eight_length,
                     generate_figure_eight, generate_straight, interpolate)
@@ -114,29 +119,18 @@ class RunLog:
     @classmethod
     def from_cycles(cls, spec, status, period_ms, cycles) -> "RunLog":
         """The log of ``cycles``, one (t, true state array, StepDiagnostics,
-        collector ms inside the step) per control cycle."""
+        collector ms inside the step) per control cycle: a column per
+        StepDiagnostics field, ``error`` as the array ``errors``."""
         t, states, diags, gc_ms = zip(*cycles) if cycles else ((), (), (), ())
-
-        def col(name, dtype=float):
-            values = [getattr(d, name) for d in diags]
-            return values if dtype is str else np.array(values, dtype=dtype)
-
-        return cls(spec, status, period_ms, dict(
-            t=np.array(t, dtype=float), s=col("s"),
-            states=np.array(states).reshape(-1, 5),
-            errors=np.array([d.error.as_array() for d in diags]).reshape(-1, 4),
-            u_cmd=col("u_cmd"), qp_status=col("qp_status", str),
-            qp_obj=col("qp_objective"), slack_max=col("slack_max"),
-            solve_ms=col("solve_time_ms"),
-            # worst KKT residual per cycle (MPC only)
-            kkt_max=np.array([max(d.primal_residual, d.dual_residual, d.comp_residual)
-                              for d in diags], dtype=float),
-            solver_path=col("solver_path", str),
-            # exchanges + IPM iterations per cycle
-            qp_iterations=col("qp_iterations", int),
-            structure_built=col("structure_built", bool),
-            t_project_ms=col("t_project_ms"), t_structure_ms=col("t_structure_ms"),
-            t_solve_ms=col("t_solve_ms"), gc_ms=np.array(gc_ms, dtype=float)))
+        columns = dict(t=np.array(t, dtype=float),
+                       states=np.array(states).reshape(-1, 5),
+                       errors=np.array([d.error.as_array() for d in diags]).reshape(-1, 4),
+                       gc_ms=np.array(gc_ms, dtype=float))
+        for name, kind in get_type_hints(StepDiagnostics).items():
+            if name != "error":
+                values = [getattr(d, name) for d in diags]
+                columns[name] = values if kind is str else np.array(values, dtype=kind)
+        return cls(spec, status, period_ms, columns)
 
     def __getattr__(self, name):
         try:
@@ -231,7 +225,7 @@ def make_controller(spec: ExperimentSpec, params, cfg, path=None, polytope=None)
 
 
 def run(spec: ExperimentSpec, params, cfg: MpcConfig = None, controller=None,
-        path=None, stop_on_converged=True) -> RunLog:
+        stop_on_converged=True) -> RunLog:
     """Simulate one experiment and return its log.
 
     All failures become terminal statuses; the first triggering condition
@@ -244,7 +238,7 @@ def run(spec: ExperimentSpec, params, cfg: MpcConfig = None, controller=None,
     """
     cfg = cfg or MpcConfig()
     if controller is None:
-        controller = make_controller(spec, params, cfg, path=path)
+        controller = make_controller(spec, params, cfg)
     path = controller.path
     dt = 1.0 / cfg.f_s
     rng = np.random.default_rng(spec.seed)

@@ -15,11 +15,23 @@ from trailer_mpc.sim import initial_state
 
 
 def test_wrap_angle():
+    # the range is [-pi, pi): an odd multiple of pi wraps to -pi
     assert wrap_angle(0.0) == 0.0
-    assert wrap_angle(math.pi) == pytest.approx(math.pi)
-    assert wrap_angle(-math.pi) == pytest.approx(math.pi)
+    assert wrap_angle(math.pi) == pytest.approx(-math.pi)
+    assert wrap_angle(-math.pi) == pytest.approx(-math.pi)
     assert wrap_angle(3.0 * math.pi / 2.0) == pytest.approx(-math.pi / 2.0)
-    assert wrap_angle(7.0 * math.pi) == pytest.approx(math.pi)
+    assert wrap_angle(7.0 * math.pi) == pytest.approx(-math.pi)
+
+
+def test_wrap_angle_of_an_array_is_that_of_each_float():
+    a = np.random.default_rng(0).uniform(-20.0, 20.0, 1000)
+    a[:3] = (-math.pi, math.pi, 0.0)
+    assert np.array_equal(wrap_angle(a), [wrap_angle(float(x)) for x in a])
+
+
+def test_an_infinite_heading_is_no_valid_error(straight_back):
+    with pytest.raises(ValidityViolated):
+        compute_error(VehicleState(0.0, 0.0, math.inf, 0.0, 0.0), straight_back, 0.0)
 
 
 def test_origin_is_equilibrium_straight(params, straight_back):

@@ -161,7 +161,8 @@ def test_a_diverged_design_is_not_kept_and_the_memo_stays_bounded(params,
 
 
 def test_polytope_contains_and_box():
-    poly = JointAnglePolytope.box(0.5, 0.3)
+    poly = JointAnglePolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                              [0.5, 0.5, 0.3, 0.3])
     assert poly.m == 4
     assert poly.contains(0.4, -0.2)
     assert not poly.contains(0.6, 0.0)
@@ -180,6 +181,29 @@ def test_polytope_csv_round_trip(tmp_path):
     assert np.array_equal(back.h, poly.h)
     back.write_csv(tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == f.read_bytes()
+
+
+def test_a_polytope_file_with_no_rows_fails_to_read(tmp_path):
+    # a header alone once read as the rowless polytope, which drops the
+    # joint-angle rows from the controller; in code it stays a value
+    f = tmp_path / "poly.csv"
+    f.write_text("H_beta3,H_beta2,h\n")
+    with pytest.raises(ValueError, match="no rows"):
+        JointAnglePolytope.read_csv(f)
+    assert JointAnglePolytope(np.zeros((0, 2)), np.zeros(0)).m == 0
+
+
+def test_the_shipped_octagon_is_built_from_the_four_directions():
+    from trailer_mpc.mpc import OCTAGON_DIRECTIONS, octagon
+
+    poly = default_joint_polytope()
+    assert poly.H.tobytes() == octagon(poly.h[0::2]).H.tobytes()
+    assert np.array_equal(poly.H[0::2], OCTAGON_DIRECTIONS)
+    assert np.array_equal(poly.H[1::2], -OCTAGON_DIRECTIONS)
+    # no -0.0 in the negated rows
+    assert not np.signbit(poly.H[poly.H == 0.0]).any()
+    assert poly.h.tolist() == [0.7679, 0.7679, 0.6283, 0.6283,
+                               0.8886, 0.8886, 0.4443, 0.4443]
 
 
 def test_a_polytope_with_a_non_finite_row_fails_at_construction():
@@ -490,8 +514,7 @@ def test_mpc_command_within_limits_under_large_error(params, straight_back):
         if u_prev is not None:
             assert abs(u_cmd - u_prev) <= cfg.udot_max / cfg.f_s + 1e-9
         u_prev = u_cmd
-        assert max(diag.primal_residual, diag.dual_residual,
-                   diag.comp_residual) < 1e-6
+        assert diag.kkt_max < 1e-6
 
 
 @pytest.mark.parametrize("octagon", [True, False])
@@ -537,8 +560,7 @@ def test_second_cycle_at_the_same_base_hot_starts(params, straight_back):
     assert diags[0].solver_path != "parametric"
     assert diags[1].solver_path == "parametric"
     assert diags[1].qp_status == "Optimal"
-    assert max(diags[1].primal_residual, diags[1].dual_residual,
-               diags[1].comp_residual) <= mpc_mod.QP_TOL
+    assert diags[1].kkt_max <= mpc_mod.QP_TOL
     # the hot start's answer is this cycle's optimum: a cold solve agrees
     cold = MpcController(params, straight_back, MpcConfig())
     cold_ctrl = ControllerState(s_prev=0.0, u_prev=diags[0].u_cmd)
@@ -586,12 +608,14 @@ def test_a_held_working_set_factors_nothing_and_solves_once(params,
 
 
 def test_cycle_after_a_base_change_hot_starts(params, eight_back):
-    from trailer_mpc.sim import ExperimentSpec, run
+    from trailer_mpc.sim import ExperimentSpec, make_controller, run
 
     spec = ExperimentSpec(name="shift", path_kind="eight", path_size=20.0,
                           controller="mpc", perturbation=(0.5, 0.0, 0.0, 0.0),
                           max_time=2.0)
-    log = run(spec, params, MpcConfig(), path=eight_back)
+    cfg = MpcConfig()
+    log = run(spec, params, cfg,
+              controller=make_controller(spec, params, cfg, path=eight_back))
     bases = np.round(log.s / 0.2).astype(int)
     moved = np.flatnonzero(np.diff(bases)) + 1
     # every base of the figure-eight has its own structure; the cycle on
@@ -760,8 +784,7 @@ def test_step_hands_over_to_the_ipm(params, straight_back):
     u_cmd, diag = controller.step(VehicleState(0.0, 5.6, 0.0, 0.0, 0.0), ctrl)
     assert diag.solver_path == "ipm"
     assert diag.qp_status == "Optimal"
-    assert max(diag.primal_residual, diag.dual_residual,
-               diag.comp_residual) <= mpc_mod.QP_TOL
+    assert diag.kkt_max <= mpc_mod.QP_TOL
     assert 1 <= diag.qp_iterations <= qp_mod.EXCHANGE_CAP + IPM_MAX_ITER
     # the certified answer carries over: the next cycle hot-starts from it
     assert ctrl.hot is not None and ctrl.hot_base == round(diag.s / 0.2)
@@ -795,8 +818,7 @@ def test_a_large_error_first_cycle_gets_a_certified_answer(
     (args, path), = solved
     assert np.abs(args[1]).max() > 6e3
     assert path == diag.solver_path == "ipm" and diag.qp_status == "Optimal"
-    assert max(diag.primal_residual, diag.dual_residual,
-               diag.comp_residual) <= mpc_mod.QP_TOL
+    assert diag.kkt_max <= mpc_mod.QP_TOL
 
 
 def test_lq_fallback_is_reported_and_logged(params, straight_back, monkeypatch,
@@ -814,7 +836,7 @@ def test_lq_fallback_is_reported_and_logged(params, straight_back, monkeypatch,
         u_cmd, diag = controller.step(state, ctrl)
     assert diag.solver_path == "lq_fallback"
     assert diag.qp_status != "Optimal"
-    assert diag.primal_residual == 1.0
+    assert diag.kkt_max == 1.0
     assert 1 <= diag.qp_iterations <= qp_mod.EXCHANGE_CAP + IPM_MAX_ITER
     assert ctrl.hot is None
     assert "LQ fallback" in caplog.text

@@ -6,7 +6,8 @@ import pytest
 from trailer_mpc import (RegionGrid, fit_inner_polytope, make_axes, merge,
                          sensing_region, stability_sweep)
 from trailer_mpc.exceptions import EmptyRegion
-from trailer_mpc.mpc import JointAnglePolytope, MpcConfig, MpcController
+from trailer_mpc.mpc import (JointAnglePolytope, MpcConfig, MpcController,
+                             octagon)
 from trailer_mpc.paths import generate_straight
 from trailer_mpc.regions import SweepWork, _feasible_inputs
 
@@ -254,6 +255,30 @@ def test_region_grid_csv_must_hold_each_cell_once(tmp_path, params):
             RegionGrid.read_csv(f)
     f.write_text("\n".join([header] + rows[::-1]) + "\n")
     assert np.array_equal(RegionGrid.read_csv(f).visible, grid.visible)
+
+
+@pytest.mark.parametrize("column, value", [("visible", "7"), ("stable", "0.7"),
+                                           ("stable", "-3"), ("visible", "nan")])
+def test_region_grid_csv_flags_must_be_0_or_1(tmp_path, params, column, value):
+    # a flag above 0.5 once read as set and any other as clear
+    b3, b2 = make_axes(30.0)
+    f = tmp_path / "grid.csv"
+    sensing_region(params, b3, b2).write_csv(f)
+    header, *rows = f.read_text().splitlines()
+    k = header.split(",").index(column)
+    cells = rows[3].split(",")
+    cells[k] = value
+    rows[3] = ",".join(cells)
+    f.write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(ValueError, match="0 or 1"):
+        RegionGrid.read_csv(f)
+
+
+def test_fit_returns_the_octagon_of_its_supports():
+    poly = fit_inner_polytope(_disc_grid(0.5), margin=0.05)
+    again = octagon(poly.h[0::2])
+    assert poly.H.tobytes() == again.H.tobytes()
+    assert poly.h.tobytes() == again.h.tobytes()
 
 
 def test_the_sweep_solves_no_working_set_twice_in_a_row(params, monkeypatch):
