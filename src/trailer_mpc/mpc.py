@@ -270,6 +270,10 @@ class StepDiagnostics:
     s: float
     error: PathError
     u_cmd: float
+    # "Optimal" when a certified answer backs the command, else "MaxIter"
+    # with the LQ fallback: the cycle never asks why no answer passed, as
+    # its QPs are strictly convex and the fallback is the same; the LQ
+    # baseline reports "LQ"
     qp_status: str
     # which path gave the command: "parametric" (the hot start from the
     # last cycle's answer, on its condensed structure or shifted to a new

@@ -18,18 +18,18 @@ input among them, updated by one row per breakpoint, and a Cholesky of the
 reduced Hessian), and lets a soft row pass its kink without entering it.
 Each answer is certified by :func:`soft_kkt_residuals` on the lifted
 problem over (x, slacks) without forming it; when none passes, the status
-says whether the problem is primal or dual infeasible.  A certified answer
-is the next solve's hot start, in the one working-set format of
-:class:`HotStart`.  Without a hot start, :func:`soft_qp_solve` is a primal
-active set on the hard rows alone, which only the region sweep runs; it
-solves a working set again only after it changes, and splits each solve
-(:func:`_solve_active`) into a factorization of the working rows, which a
-:class:`FactorCache` keeps for the working sets used last, and a solve for
-the right-hand sides.
+is MaxIter.  A certified answer is the next solve's hot start, in the one
+working-set format of :class:`HotStart`.  Without a hot start,
+:func:`soft_qp_solve` is a primal active set on the hard rows alone, which
+only the region sweep runs; it solves a working set again only after it
+changes, and splits each solve (:func:`_solve_active`) into a
+factorization of the working rows, which a :class:`FactorCache` keeps for
+the working sets used last, and a solve for the right-hand sides.
 :class:`PreparedQp` is the chain's front end for repeated solves of QPs
-without soft rows that share P and A: it validates each problem and
+without soft rows that share P and A: it validates each problem,
 hot-starts each solve from the last certified answer, with one
-:class:`FactorCache`; :func:`solve_qp` is its one-shot form.  The
+:class:`FactorCache`, and labels a failure primal or dual infeasible;
+:func:`solve_qp` is its one-shot form.  The
 benchmark's span tracer (``perfbench/spans.py``) resolves
 ``PreparedQp.solve``, ``cho_factor``, ``cho_solve``, ``lu_factor`` and
 :func:`kkt_residuals` here by name.
@@ -1331,12 +1331,12 @@ def _farkas(A, l, u, mu):
                 and not np.any(~fin_u & (y > rel) | ~fin_l & (y < -rel)))
 
 
-def _unbounded(P, q, A, G):
-    """Whether a direction d with P d = 0, A d = 0, G d = 0 and q'd < 0
-    exists, to 1e-8 relative: the cost then falls without bound along d from
-    any feasible point, which certifies dual infeasibility.  d = -N N'q
-    over the null space N of the stacked rows, from one SVD."""
-    _, s, vt = np.linalg.svd(np.vstack([P, A, G]))
+def _unbounded(P, q, A):
+    """Whether a direction d with P d = 0, A d = 0 and q'd < 0 exists, to
+    1e-8 relative: the cost then falls without bound along d from any
+    feasible point, which certifies dual infeasibility.  d = -N N'q over the
+    null space N of the stacked rows, from one SVD (reduced: V' is square)."""
+    _, s, vt = np.linalg.svd(np.vstack([P, A]), full_matrices=False)
     rank = int(np.count_nonzero(s > 1e-8 * s.max(initial=0.0)))
     return bool(np.linalg.norm(vt[rank:] @ q) > 1e-8 * np.linalg.norm(q))
 
@@ -1367,11 +1367,10 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
     iterations; a homotopy that gives up counts its full cap, also when it
     stopped earlier, since None does not say how far it got.  The
     :class:`HotStart` is the certified answer with (l, u, b) and its
-    working set, the next solve's hot start.  When nothing
-    passes, the solution is the interior point, the path and hot start
-    are None, and the status is PrimalInfeasible when its duals are a
-    Farkas certificate, else DualInfeasible when a direction of unbounded
-    descent exists (:func:`_unbounded`), else MaxIter.
+    working set, the next solve's hot start.  When nothing passes, the
+    solution is the interior point, its status MaxIter, and the path and
+    hot start None: the controller's fallback is the same whatever the
+    cause, so only :meth:`PreparedQp.solve` diagnoses a failure.
     """
     soft = (P, q, A, l, u, G, b, sig1, sig2)
     path, iterations = None, 0
@@ -1397,18 +1396,10 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
                     path = "ipm"
                     break
     x, eps, mu, lam_soft, nu = res[:5]
+    status, hot_next = QpStatus.MAX_ITER, None
     if path is not None:
         status = QpStatus.OPTIMAL
         hot_next = HotStart(l, u, b, x, eps, mu, lam_soft, res[5])
-    else:
-        # the interior point failed the check as well
-        if _farkas(A, l, u, mu):
-            status = QpStatus.PRIMAL_INFEASIBLE
-        elif _unbounded(P, q, A, G):
-            status = QpStatus.DUAL_INFEASIBLE
-        else:
-            status = QpStatus.MAX_ITER
-        hot_next = None
     obj = float((0.5 * x).dot(P).dot(x) + q.dot(x) + sig2 * eps.dot(eps)
                 + sig1 * eps.sum())
     return QpSolution(np.concatenate([x, eps]),
@@ -1447,10 +1438,19 @@ class PreparedQp:
 
     def solve(self, q, l, u) -> QpSolution:
         """The answer of (P, q, A, l, u), as :func:`certified_solve` gives
-        it; raises ValueError where :meth:`QpProblem.validate` does."""
+        it, a MaxIter one labelled PrimalInfeasible when its duals, the hard
+        rows' alone, are a Farkas certificate (:func:`_farkas`), else
+        DualInfeasible when the cost has a direction of unbounded descent
+        (:func:`_unbounded`); raises ValueError where
+        :meth:`QpProblem.validate` does."""
         q, l, u = (np.asarray(v, dtype=float) for v in (q, l, u))
         QpProblem(self.P, q, self.A, l, u).validate()
         sol, _, self._hot = certified_solve(
             self.P, q, self.A, l, u, np.zeros((0, len(q))), np.zeros(0),
             0.0, 0.0, self.tol, self._hot, self._factors)
+        if sol.status == QpStatus.MAX_ITER:
+            if _farkas(self.A, l, u, sol.duals):
+                sol.status = QpStatus.PRIMAL_INFEASIBLE
+            elif _unbounded(self.P, q, self.A):
+                sol.status = QpStatus.DUAL_INFEASIBLE
         return sol

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trailer_mpc
-from trailer_mpc import (NominalPath, PathSample, VehicleParams, eq_residuals,
-                         interpolate, project, reverse_path)
+from trailer_mpc import (MpcConfig, NominalPath, PathSample, VehicleParams,
+                         eq_residuals, interpolate, project, reverse_path)
 from trailer_mpc.exceptions import InfeasiblePath, OutOfDomain, ProjectionLost
 from trailer_mpc.model import chain_terms
 from trailer_mpc.paths import (MAX_PATH_SAMPLES, _math_map, _sample_count,
@@ -549,6 +549,23 @@ def test_extend_for_horizon(params, straight_back):
     assert ext.s_end_true == straight_back.s_end
     assert ext.s_end >= straight_back.s_end + 10.0 - 1e-9
     assert np.max(eq_residuals(params, ext)) < 1e-10  # straight stays exact
+
+
+@pytest.mark.parametrize("direction", [
+    1.0,
+    pytest.param(-1.0, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 10: extend_for_horizon jumps beta2 and the tractor "
+        "curvature to their steady values at s_end_true on the backward "
+        "eight, 0.0205 on the junction interval against 1.13e-3 elsewhere"))),
+])
+def test_the_horizon_extension_joins_the_eight_smoothly(params, direction):
+    # extended as MpcController extends it, by 1.2 N delta_s
+    cfg = MpcConfig()
+    path = generate_figure_eight(20.0, direction, cfg.delta_s, params=params)
+    res = eq_residuals(params, extend_for_horizon(
+        params, path, 1.2 * cfg.horizon * cfg.delta_s))
+    junction = len(path.s) - 1
+    assert res[junction] <= 2.0 * np.delete(res, junction).max()
 
 
 def test_read_csv_rejects_nonuniform(tmp_path):
