@@ -21,10 +21,10 @@ problem over (x, slacks) without forming it; when none passes, the status
 is MaxIter.  A certified answer is the next solve's hot start, in the one
 working-set format of :class:`HotStart`.  Without a hot start,
 :func:`soft_qp_solve` is a primal active set on the hard rows alone, which
-only the region sweep runs; it solves a working set again only after it
-changes, and splits each solve (:func:`_solve_active`) into a
-factorization of the working rows, which a :class:`FactorCache` keeps for
-the working sets used last, and a solve for the right-hand sides.
+only the region sweep runs; it keeps the same one factorization of its
+working set, changed by one row per exchange, and solves a working set
+again only after it changes.  :class:`_WorkingFactor` is the package's
+one equality solve on a working set.
 :class:`PreparedQp` is the chain's front end for repeated solves of QPs
 without soft rows that share P and A: it validates each problem,
 hot-starts each solve from the last certified answer, with one
@@ -40,17 +40,16 @@ from __future__ import annotations
 import bisect
 import inspect
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-# No solver here calls cho_factor or cho_solve.  They are imported because
-# the benchmark's span tracer (perfbench/spans.py) resolves them in this
-# module by name; ROADMAP item 1b retargets those spans, and then they go.
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg import LinAlgWarning, qr_delete, qr_insert
-from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
+# No solver here calls cho_factor, cho_solve or lu_factor.  They are
+# imported because the benchmark's span tracer (perfbench/spans.py) resolves
+# them in this module by name; ROADMAP item 1b retargets those spans, and
+# then they go.
+from scipy.linalg import cho_factor, cho_solve, lu_factor
+from scipy.linalg import qr_delete, qr_insert
 from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 from scipy.linalg.lapack import dgeqp3 as _geqp3, dorgqr as _orgqr
 from scipy.linalg.lapack import dtrtrs as _trtrs
@@ -110,156 +109,6 @@ def row_structure(A):
     return np.where(counts == 1, cols, -1)
 
 
-def lu_factor(K):
-    """LU factorization of the square KKT matrix ``K``: (lu, piv) for
-    ``getrs``.  A thin ``getrf`` call: at the active-set method's sizes
-    scipy's ``lu_factor`` wrapper costs more than the factorization itself.
-    ``K`` is overwritten when it is Fortran-ordered."""
-    lu, piv, info = _getrf(K, overwrite_a=True)
-    if info > 0:
-        warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
-                      LinAlgWarning, stacklevel=2)
-    return lu, piv
-
-
-def _solve_active(P, q, A_w, b_w, sc_w):
-    """Equality-constrained solve on a working set.
-
-    ``A_w`` holds the working rows (C-ordered), ``b_w`` their right-hand
-    sides and ``sc_w`` their single nonzero column (-1 for a general row, as
-    in :func:`row_structure`).  Variables pinned by single-entry rows are
-    eliminated, which keeps the KKT system small even when many simple
-    bounds are active.  Redundant bounds on an already-pinned variable and
-    rows touching only pinned variables are left inactive (dual 0).
-    Returns (x, lam) with the working rows' duals, or None.  The work is
-    split in two: :func:`_factor_active` depends on the rows alone and
-    :func:`_solve_factored` on q and b_w, so a factorization serves every
-    solve on the same rows with the same bits.
-    """
-    fac = _factor_active(P, A_w, sc_w)
-    return None if fac is None else _solve_factored(P, q, b_w, fac)
-
-
-class _ActiveFactor(NamedTuple):
-    """The part of :func:`_solve_active` that depends on the working rows
-    alone: the rows, the pinned columns ``fj`` with their pinning rows
-    ``fr`` and entries ``a_fix``, the free columns, the general rows
-    ``other`` kept in the KKT system (``A_O``, and ``A_R`` over the free
-    columns), the gathers of P and the LU factors of the KKT matrix."""
-
-    A_w: np.ndarray
-    fj: np.ndarray
-    fr: np.ndarray
-    a_fix: np.ndarray
-    free: np.ndarray
-    other: np.ndarray
-    A_O: np.ndarray
-    A_R: np.ndarray
-    Pff: np.ndarray
-    P_fj: np.ndarray
-    lu: np.ndarray
-    piv: np.ndarray
-
-
-def _factor_active(P, A_w, sc_w):
-    """The :class:`_ActiveFactor` of the working rows ``A_w`` (single
-    columns ``sc_w``), or None when they pin every variable."""
-    # Called once per working set not kept factored, on small systems where
-    # numpy's per-call overhead rivals the arithmetic: index sets come from
-    # nonzero() and the KKT diagonal is a strided view.  Every product keeps
-    # its operands and layout, so the rounding, and with it the exchange
-    # sequence, stays fixed.
-    n = P.shape[0]
-    pin_rows = (sc_w >= 0).nonzero()[0][::-1]
-    fix_row = np.full(n, -1, dtype=np.intp)
-    # reversed assignment so the first pinning row of a column wins
-    fix_row[sc_w[pin_rows]] = pin_rows
-    fixed = fix_row >= 0
-    fj = fixed.nonzero()[0]
-    fr = fix_row[fj]
-    free = (~fixed).nonzero()[0]
-    nf = len(free)
-    if nf == 0:
-        # Every variable is pinned, so no KKT system is left.  This returns
-        # None, as the solve always has (it used to fail on the max of an
-        # empty right-hand side); see the FOUND line on the all-pinned KKT
-        # in CHANGES.md.
-        return None
-    a_fix = A_w[fr, fj]
-    other = (sc_w < 0).nonzero()[0]
-    A_O = A_R = None
-    if len(other):
-        A_O = A_w[other]
-        # A_R stays Fortran-ordered as this gather makes it: BLAS rounds a
-        # matvec differently for another layout
-        A_R = A_O[:, free]
-        keep = (A_R != 0.0).any(axis=1)
-        if not keep.all():
-            other = other[keep]
-            A_O = A_O[keep]
-            A_R = A_O[:, free]
-    k = len(other)
-
-    reg = 1e-9
-    nk = nf + k
-    free_col = free[:, None]
-    Pff = P[free_col, free]
-    Kmat = np.zeros((nk, nk), order="F")
-    Kmat[:nf, :nf] = Pff
-    diag = Kmat.reshape(-1, order="F")[::nk + 1]   # a view
-    diag[:nf] += reg
-    if k:
-        Kmat[:nf, nf:] = A_R.T
-        Kmat[nf:, :nf] = A_R
-        diag[nf:] -= reg
-    lu, piv = lu_factor(Kmat)
-    return _ActiveFactor(A_w, fj, fr, a_fix, free, other, A_O, A_R, Pff,
-                         P[free_col, fj], lu, piv)
-
-
-def _solve_factored(P, q, b_w, fac):
-    """:func:`_solve_active` of the working rows factored in ``fac`` (an
-    :class:`_ActiveFactor`) with right-hand sides ``b_w``: (x, lam) or
-    None."""
-    # the refinement writes into preallocated slices; see _factor_active on
-    # the operands
-    A_w, fj, fr, a_fix, free, other, A_O, A_R, Pff, P_fj, lu, piv = fac
-    nf, k = len(free), len(other)
-    nk = nf + k
-    x = np.zeros(len(q))
-    x[fj] = b_w[fr] / a_fix
-    rhs = np.empty(nk)
-    rhs_f, rhs_k = rhs[:nf], rhs[nf:]
-    np.subtract(-q[free], P_fj @ x[fj], out=rhs_f)
-    if k:
-        np.subtract(b_w[other], A_O @ x, out=rhs_k)
-    sol = _getrs(lu, piv, rhs)[0]
-    # iterative refinement against the unregularized system; the extra
-    # passes matter when large soft-penalty folds make Pff ill-conditioned
-    # and active rows carry duals of ~1e3
-    tol = 1e-13 * (1.0 + np.abs(rhs).max())
-    resid = np.empty(nk)
-    resid_f, resid_k = resid[:nf], resid[nf:]
-    for _ in range(3):
-        np.subtract(rhs_f, Pff @ sol[:nf], out=resid_f)
-        if k:
-            resid_f -= A_R.T @ sol[nf:]
-            np.subtract(rhs_k, A_R @ sol[:nf], out=resid_k)
-        if np.abs(resid).max() <= tol:
-            break
-        sol = sol + _getrs(lu, piv, resid)[0]
-    if not np.isfinite(sol).all():
-        return None
-    x[free] = sol[:nf]
-    lam = np.zeros(len(A_w))
-    lam[other] = sol[nf:]
-    # duals of the pinning bound rows from stationarity
-    grad = P @ x + q + A_w.T @ lam
-    if len(fj):
-        lam[fr] = -grad[fj] / a_fix
-    return x, lam
-
-
 def _fold(P, q, G, b, sig1, sig2, elim):
     """(P, q) with the penalty of the eliminated soft rows ``elim`` folded
     in: each such slack is substituted by its violation G_i x - b_i.
@@ -281,22 +130,29 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     solve then follows the optimum's path from it
     (:func:`parametric_solve`, at most ``max_iter`` breakpoints, each counted
     as an iteration, with ``factors``, a :class:`FactorCache` or None), and
-    x0 and warm are not used.
+    x0, single_col and warm are not used.
 
     Without ``hot`` the problem may have no soft rows (``G`` with no rows;
     ValueError otherwise): the region sweep's solve of l <= Ax <= u, a
-    primal active set from x0, which must satisfy the rows.  Iterates stay
+    primal active set from x0, which must satisfy the rows, with no use of
+    ``factors``.  Iterates stay
     feasible and the cost decreases monotonically.  ``warm`` takes the
     working set returned by a previous call on a problem with the same
     rows; if its equality-constrained point is feasible the iteration
     starts there, which usually finishes in a handful of exchanges when the
-    data changed only slightly.  A working set is solved once until it
-    changes: the warm start's trial solve serves the first iteration, also
-    when its point is infeasible and x0 lands on the same working set, and
-    a full step that adds no row reuses its solve.  ``factors``, a
-    :class:`FactorCache` of P and A, keeps the factorizations of the
-    working sets used last across calls; None makes a cache for this call
-    alone, with the same bits.
+    data changed only slightly.  The call keeps one factorization of its
+    working set, the homotopy's (:class:`_WorkingFactor`): built from the
+    warm set, or from x0's tight rows when they differ from it by more than
+    one row, and then changed by one row update per exchange; a row that
+    enters as a combination of the working rows is held at dual 0.  A
+    working set is solved once until it changes: the warm start's trial
+    solve serves the first iteration, also when its point is infeasible and
+    x0 lands on the same working set, and a full step that adds no row
+    reuses its solve.  A working set whose single-column rows
+    (``single_col``, as :func:`row_structure` gives it, computed when None)
+    pin every input returns None before any solve, although its point may
+    be the optimum: the all-pinned FOUND line in CHANGES.md, which ROADMAP
+    item 2 ends by deleting this loop.
 
     Returns (x, eps, mu, lam, nu, sets, iterations, products) -- duals of
     the hard, soft and nonnegativity rows, the final working set (sides,
@@ -313,11 +169,9 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     if G.shape[0]:
         raise ValueError("soft rows need a hot start: without one "
                          "soft_qp_solve solves hard rows only")
-    mh = A.shape[0]
+    mh, n = A.shape[0], len(q)
     if single_col is None:
         single_col = row_structure(A)
-    if factors is None:
-        factors = FactorCache(P)
     fin_u = np.isfinite(u)
     fin_l = np.isfinite(l)
     su = np.where(fin_u, u, 0.0)
@@ -325,24 +179,38 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     htol_u = 1e-9 * (1.0 + np.abs(su))
     htol_l = 1e-9 * (1.0 + np.abs(sl))
 
-    def eq_point(sides):
-        """:func:`_solve_active` on the hard rows at their side ``sides``:
-        ((x, duals), rows) or None."""
-        rows_h = sides.nonzero()[0]
-        fac = factors.active(rows_h, A, single_col)
-        if fac is None:
-            return None
-        res = _solve_factored(P, q, np.where(sides > 0, u, l)[rows_h], fac)
-        return None if res is None else (res, rows_h)
+    def pins_every_input(sides):
+        """Whether the single-column rows working at ``sides`` pin every
+        input, where the loop gives up."""
+        cols = single_col[sides != 0]
+        return len(cols) >= n and \
+            np.count_nonzero(np.bincount(cols + 1, minlength=n + 1)[1:]) == n
 
-    # the equality solve of the current working set, once it has one: a
-    # solve depends on nothing else, so it is redone only after a change
-    res = trial = None
+    def factor(sides):
+        """The factorization of the hard rows working at ``sides``."""
+        rows = sides.nonzero()[0]
+        return _WorkingFactor(P, q, A, G, b, sig1, sig2, rows[:0], rows,
+                              np.where(sides > 0, u, l)[rows])
+
+    def set_side(row, side):
+        """Put hard ``row`` at ``side`` in ``sides`` and ``work``."""
+        sides[row] = side
+        if side:
+            work.hold(row, u[row] if side > 0 else l[row])
+        else:
+            work.remove(row)
+
+    # the working set's factorization, and the equality solve of the
+    # current working set once it has one: a solve depends on nothing else,
+    # so it is redone only after a change
+    work = res = trial = None
     if warm is not None and len(warm[0]) == mh:
         w_sides = np.array(warm[0], dtype=np.int8)
-        res = eq_point(w_sides)
+        if not pins_every_input(w_sides):
+            work = factor(w_sides)
+            res = work.solve()
         if res is not None:
-            x_w = res[0][0]
+            x_w = res[0]
             vw = A @ x_w
             if np.any(vw > u + htol_u) or np.any(vw < l - htol_l):
                 trial, res = res, None
@@ -358,20 +226,29 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
         sides = np.zeros(mh, dtype=np.int8)
         sides[fin_l & (vh <= l + htol_l)] = -1
         sides[fin_u & (vh >= u - htol_u)] = 1
-        if trial is not None and np.array_equal(sides, w_sides):
+        # the warm set's factorization serves x0's rows when they differ
+        # from it by at most one row; without it, the loop factors them
+        changed = () if work is None else (sides != w_sides).nonzero()[0]
+        if len(changed) > 1:
+            work = None
+        elif len(changed):
+            set_side(changed[0], sides[changed[0]])
+        else:
             res = trial
 
     for it in range(1, max_iter + 1):
         if res is None:
-            res = eq_point(sides)
+            if pins_every_input(sides):
+                return None
+            if work is None:
+                work = factor(sides)
+            res = work.solve()
             if res is None:
                 return None
-        (x_new, lam_w), rows_h = res
+        x_new, mu = res
         px = x_new - x
         if np.abs(px).max(initial=0.0) <= \
                 1e-11 * (1.0 + np.abs(x).max(initial=0.0)):
-            mu = np.zeros(mh)
-            mu[rows_h] = lam_w
             # a dual of the wrong sign for its row's side
             wrong_h = np.maximum(-sides * mu, 0.0)
             if not (wrong_h > 1e-9).any():
@@ -380,7 +257,7 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
                     (sides, np.zeros(0, dtype=np.int8)), it, None
             # release one row at a time (most negative dual): mass drops at
             # degenerate vertices trigger long chains of zero-length re-adds
-            sides[np.argmax(wrong_h)] = 0
+            set_side(np.argmax(wrong_h), 0)
             res = None
             continue
         # ratio test over the inactive rows, upper sides first so that ties
@@ -408,7 +285,7 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
         x = x + alpha * px
         vh = vh + alpha * Ap
         if kind is not None:
-            sides[row] = 1 if kind == 0 else -1
+            set_side(row, 1 if kind == 0 else -1)
             res = None
     return None
 
@@ -425,12 +302,6 @@ IPM_MAX_ITER = 30
 # A breakpoint costs about 0.2 ms and a handover 10-20 ms, so a path that
 # runs to the cap still costs less than the handover it replaces.
 EXCHANGE_CAP = 30
-# Working sets whose factor halves a FactorCache keeps for the active set
-# without a hot start.  An entry of the default 50-input structure holds up
-# to about 0.1 MB.  On the 15-degree, 60 m region sweep 8 entries cut the
-# LU factorizations from 45 250 to 19 338; 32 and 128 entries cut them to
-# 16 484 and 13 207 but the sweep's time by only 3 % and 6 % more.
-ACTIVE_CACHE_SIZE = 8
 
 
 # the states of a soft row in a working set besides 0 (see HotStart)
@@ -488,47 +359,24 @@ def auxiliary_hot(A, G, l, u, b, sig1, x, eps, mu, lam, sets) -> HotStart:
 
 
 class FactorCache:
-    """Factorizations kept across the solves of QPs that share P, A and G.
-
-    For the homotopy: P's Cholesky factor, computed on first use (upper,
-    for ``potrs``; None when P is not numerically positive definite), which
-    the homotopy's equality solve is whenever no row is working, and the
+    """Factorizations kept across the homotopies of QPs that share P, A
+    and G: P's Cholesky factor, computed on first use (upper, for
+    ``potrs``; None when P is not numerically positive definite), which the
+    homotopy's equality solve is whenever no row is working, and the
     working-set factorization the last homotopy ended on (all of
     :class:`_WorkingFactor`'s factors and buffers), which the next one takes
-    when it starts from the same working set.  A condensed
-    structure keeps one, so that a cycle hot-started on the last answer's
-    structure factors neither P nor that answer's working set again.
+    when it starts from the same working set.  A condensed structure keeps
+    one, so that a cycle hot-started on the last answer's structure factors
+    neither P nor that answer's working set again.  The primal active set
+    of :func:`soft_qp_solve` without a hot start keeps none: it updates one
+    factorization for its whole call."""
 
-    For the primal active set of :func:`soft_qp_solve` without a hot start:
-    the factor halves (:func:`_factor_active`) of the ``ACTIVE_CACHE_SIZE``
-    working sets of hard rows used last, least recently used first out, so
-    that the region sweep's cells and cycles, which share P and A, factor a
-    working set they return to only once."""
-
-    __slots__ = ("P", "_chol", "_working", "_active")
+    __slots__ = ("P", "_chol", "_working")
 
     def __init__(self, P):
         self.P = P
         self._chol = None
         self._working = None
-        self._active = {}   # working rows (bytes) -> _ActiveFactor or None
-
-    def active(self, rows, A, single_col):
-        """The :func:`_factor_active` of the rows ``rows`` (indices, in
-        increasing order) of A, whose single columns are ``single_col``:
-        kept, or computed and kept; None when the rows pin every
-        variable."""
-        key = rows.tobytes()
-        if key in self._active:
-            fac = self._active.pop(key)
-        else:
-            fac = _factor_active(self.P, A[rows], single_col[rows])
-            if len(self._active) >= ACTIVE_CACHE_SIZE:
-                # dicts keep insertion order, so the first key is the one
-                # used longest ago
-                del self._active[next(iter(self._active))]
-        self._active[key] = fac
-        return fac
 
     def cholesky(self):
         if self._chol is None:
@@ -571,9 +419,12 @@ class _WorkingFactor:
     0-3 wide when the slew chain is saturated, and P itself when no row is
     working and no soft row is eliminated.  A row enters only when it is
     independent of the working rows (:meth:`enter`, :meth:`combination`).
-    Of the starting working set, a row that depends on the others (a
-    second bound on a pinned variable among them) is left out with dual 0,
-    and taken in again once a row leaves.  The objective is the soft QP's
+    Of the starting working set, and of the rows that :meth:`hold` makes
+    working, a row that depends on the others (a second bound on a pinned
+    variable among them) is left out with dual 0, and taken in again once a
+    row leaves.  The homotopy keeps one for its whole path, and so does the
+    primal active set of :func:`soft_qp_solve` without a hot start, on hard
+    rows alone.  The objective is the soft QP's
     with the eliminated soft rows (indices ``elim``) folded in
     (:func:`_fold`, :meth:`fold`).  Beside ``gen``, the factored rows in R's
     column order, each change keeps ``idx`` (the same as an array, by which
@@ -703,6 +554,14 @@ class _WorkingFactor:
         self.gen.append(i)
         return True
 
+    def hold(self, i, value):
+        """Make row ``i`` working with right-hand side ``value``: entered
+        when independent of the working rows, else left out with dual 0, as
+        :meth:`_factor` leaves out a dependent row, until a row leaves."""
+        if not self.enter(i, value):
+            self.dep.append(i)
+            self.value[i] = value
+
     def remove(self, i):
         """Drop row ``i`` from the working set, then take in the left-out
         rows that no longer depend on the others."""
@@ -761,8 +620,8 @@ class _WorkingFactor:
             H = Z.T.dot(P.dot(Z)) if k else P
             chol, info = _potrf(H, lower=False, clean=False)
             if info:
-                # semidefinite: regularize as _solve_active does, the
-                # refinement below is against the exact system
+                # semidefinite: regularize, the refinement below is
+                # against the exact system
                 chol, info = _potrf(H + 1e-9 * np.eye(nz), lower=False,
                                     clean=False)
                 if info:
@@ -782,8 +641,8 @@ class _WorkingFactor:
             t = rf - P.dot(x)
             return x, _trtrs(R, Y.T.dot(t))[0], t
 
-        # iterative refinement against the unregularized system, to the
-        # tolerance of _solve_active: at most three passes
+        # iterative refinement against the unregularized system: at most
+        # three passes
         x, lg, ef = kkt(rf, rk)
         tol = 1e-13 * (1.0 + max(self.rf_max,
                                  np.abs(rk).max() if k else 0.0))

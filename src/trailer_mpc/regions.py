@@ -143,8 +143,8 @@ def stability_sweep(params, cfg: MpcConfig, beta3_axis, beta2_axis,
     below 0.02 within the distance budget without jackknifing or leaving the
     error model's valid domain.  The straight path makes every cycle's QP
     share one (P, A) pair, so each cell's active set carries over between
-    cycles and most solves finish in one exchange, and the solves share one
-    cache of working-set factorizations (:class:`qp.FactorCache`).  The map
+    cycles and most solves finish in one exchange, each on one working-set
+    factorization that it updates by one row per exchange.  The map
     is odd-symmetric in (beta3, beta2); only half the grid is simulated and
     the rest mirrored.  The cycle rules are the controller's (:mod:`mpc`).
     The grid's ``work`` is a :class:`SweepWork`.
@@ -217,8 +217,7 @@ def stability_sweep(params, cfg: MpcConfig, beta3_axis, beta2_axis,
             if ut is not None:
                 res = soft_qp_solve(struct.P_uu, q[:, c], struct.A_in, l_c, u_c,
                                     struct.G, struct.hbar, 0.0, 1.0, ut,
-                                    single_col, warm=warm_sets[col],
-                                    factors=struct.factors)
+                                    single_col, warm=warm_sets[col])
             if res is None:
                 warm_sets[col] = None
                 u = controller.cost.lq_command(struct.ur0, err_a[:, c])

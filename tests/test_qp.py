@@ -711,17 +711,32 @@ def test_soft_qp_without_a_hot_start_rejects_soft_rows(rng):
         soft_qp_solve(P, q, A, l, u, G, b, 1.0, 1.0, x0)
 
 
-@pytest.mark.xfail(strict=True, reason="the equality solve gives up when every "
-                   "variable is pinned, so an optimum at a vertex of the box "
-                   "returns None (FOUND line in CHANGES.md)")
+def _all_pinned_qp():
+    """min 0.5 |x|^2 + q'x in the box [-1, 1]^2 with the unconstrained
+    optimum (10, -10) outside it: the optimum (1, -1) pins every input."""
+    P, q = np.eye(2), np.array([-10.0, 10.0])
+    A, l, u = np.eye(2), -np.ones(2), np.ones(2)
+    return P, q, A, l, u, np.zeros((0, 2)), np.zeros(0)
+
+
+@pytest.mark.xfail(strict=True, reason="soft_qp_solve without a hot start "
+                   "returns None on a working set whose single-column rows "
+                   "pin every input (its docstring states the rule; FOUND "
+                   "line in CHANGES.md), so an optimum at a vertex of the "
+                   "box is not found")
 def test_soft_qp_all_inputs_at_box_bounds():
-    P = np.eye(2)
-    q = np.array([-10.0, 10.0])   # unconstrained optimum (10, -10)
-    A = np.eye(2)
-    l = -np.ones(2)
-    u = np.ones(2)
-    G = np.zeros((0, 2))
-    b = np.zeros(0)
-    res = soft_qp_solve(P, q, A, l, u, G, b, 0.0, 1.0, np.zeros(2))
+    res = soft_qp_solve(*_all_pinned_qp(), 0.0, 1.0, np.zeros(2))
     assert res is not None
     np.testing.assert_allclose(res[0], [1.0, -1.0], atol=1e-12)
+
+
+def test_certified_solve_answers_the_all_pinned_qp():
+    # the controller's chain without a hot start (interior point and
+    # crossover) certifies the QP that the exchange loop gives up on
+    P, q, A, l, u, G, b = _all_pinned_qp()
+    sol, path, hot = certified_solve(P, q, A, l, u, G, b, 0.0, 1.0, 1e-6)
+    assert path is not None and sol.status == QpStatus.OPTIMAL
+    np.testing.assert_allclose(sol.y, [1.0, -1.0], atol=1e-6)
+    assert max(sol.primal_residual, sol.dual_residual,
+               sol.comp_residual) <= 1e-6
+    assert hot.sets[0].tolist() == [1, -1]

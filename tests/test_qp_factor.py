@@ -5,9 +5,9 @@ rows, box rows that pin a variable among them, and changes it by one row
 per breakpoint.  These tests apply random sequences of row insertions and
 deletions (box rows, general rows, kink rows) and rank-1 folds of
 eliminated soft rows, and after every step compare the updated
-factorization's point and duals with ``qp._solve_active`` (which
-eliminates the pinned variables instead) on the same working set, and its
-dependence verdicts and combinations with an SVD rank test.
+factorization's point and duals with a dense solve of the KKT system of
+the same working set, and its dependence verdicts and combinations with an
+SVD rank test.
 """
 
 import numpy as np
@@ -15,9 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trailer_mpc.qp import (KINK, FactorCache, HotStart, _fold,
-                            _solve_active, _WorkingFactor, certified_solve,
-                            parametric_solve, row_structure,
-                            soft_kkt_residuals)
+                            _WorkingFactor, certified_solve,
+                            parametric_solve, soft_kkt_residuals)
 
 N = 4
 
@@ -46,17 +45,14 @@ def _rank(M):
 
 
 def _check_solve(work, P, q, A, G, elim, sig1, sig2, b):
-    """The factorization's point and duals against _solve_active on the
-    same working set and freshly folded objective."""
+    """The factorization's point and duals against a dense solve of the
+    KKT system of the same working set and freshly folded objective."""
     mh = A.shape[0]
     rows = sorted(work.value)
     P_f, q_f = _fold(P, q, G, b, sig1, sig2, elim)
     np.testing.assert_allclose(work.P, P_f, rtol=1e-12, atol=1e-9)
     W = np.array([A[i] if i < mh else G[i - mh] for i in rows]).reshape(-1, N)
     values = np.array([work.value[i] for i in rows])
-    single_col = row_structure(A)
-    sc = np.array([single_col[i] if i < mh else -1 for i in rows],
-                  dtype=np.intp)
     got = work.solve()
     assert got is not None
     x, lam = got
@@ -67,19 +63,14 @@ def _check_solve(work, P, q, A, G, elim, sig1, sig2, b):
                                    initial=0.0)))
     scale = 1.0 + np.abs(P_f @ x).max() + np.abs(q_f).max()
     assert np.abs(P_f @ x + q_f + W.T @ duals).max() <= 1e-9 * scale
-    ref = _solve_active(P_f, q_f, W, values, sc)
-    if ref is None:
-        # every variable pinned, where _solve_active gives up; the working
-        # rows then have full rank
-        assert _rank(W) == N
-        return
     K = np.block([[P_f, W.T], [W, np.zeros((len(rows), len(rows)))]])
     if np.linalg.cond(K) > 1e6:
-        # _solve_active's regularized solve and three refinement passes
-        # lose digits here (seen: 2e-5 off a point the factorization held
-        # to 7e-13); the residual checks above still apply
+        # singular when a working row depends on the others, and a dense
+        # solve loses digits when K is near it; the residual checks above
+        # still apply
         return
-    x_ref, lam_ref = ref
+    ref = np.linalg.solve(K, np.concatenate([-q_f, values]))
+    x_ref, lam_ref = ref[:N], ref[N:]
     np.testing.assert_allclose(x, x_ref, rtol=0.0,
                                atol=1e-9 * (1.0 + np.abs(x_ref).max()))
     np.testing.assert_allclose(duals, lam_ref, rtol=0.0,

@@ -25,9 +25,8 @@ from trailer_mpc import (JointAnglePolytope, MpcConfig, MpcController,
                          VehicleParams)
 from trailer_mpc.mpc import QP_TOL
 from trailer_mpc.paths import generate_straight
-from trailer_mpc.qp import (ACTIVE_CACHE_SIZE, EXCHANGE_CAP, IPM_MAX_ITER,
-                            FactorCache, _solve_active, certified_solve,
-                            row_structure, soft_qp_solve)
+from trailer_mpc.qp import (EXCHANGE_CAP, IPM_MAX_ITER, _WorkingFactor,
+                            certified_solve, row_structure, soft_qp_solve)
 from trailer_mpc.regions import _feasible_inputs
 
 PINS = pathlib.Path(__file__).parent / "data" / "qp_kernel_pins.json"
@@ -148,37 +147,6 @@ def test_pinned_cases_exercise_the_kernel():
     assert min(v["iterations"] for k, v in solved.items() if k.endswith("w")) <= 3
 
 
-def _answer_bytes(res):
-    """x, hard-row duals, working set and iteration count of a
-    soft_qp_solve answer, as bytes."""
-    if res is None:
-        return None
-    x, _, mu, _, _, (sides, _), iters, _ = res
-    return x.tobytes(), mu.tobytes(), sides.tobytes(), iters
-
-
-def test_factor_cache_gives_the_uncached_bits():
-    # the pinned cases twice through one cache, the second pass partly from
-    # kept factorizations; the cold cases visit more working sets than the
-    # cache holds, so it evicts
-    probs = cases()
-    cache = FactorCache(probs[0][1]["P"])
-    seen = set()
-    for _ in range(2):
-        done = {}
-        for name, prob, warm_from in probs:
-            warm = done.get(warm_from)
-            args = [prob[k] for k in ("P", "q", "A", "l", "u", "G", "b",
-                                      "sig1", "sig2", "x0", "single_col")]
-            plain = soft_qp_solve(*args, warm=warm)
-            cached = soft_qp_solve(*args, warm=warm, factors=cache)
-            assert _answer_bytes(cached) == _answer_bytes(plain), name
-            assert len(cache._active) <= ACTIVE_CACHE_SIZE
-            seen.update(cache._active)
-            done[name] = None if plain is None else plain[5]
-    assert len(seen) > ACTIVE_CACHE_SIZE
-
-
 @pytest.mark.parametrize("name", ["soft1", "soft2"])
 def test_controller_answers_the_cold_cases_the_active_set_gives_up_on(name):
     # two cold starts on the default-polytope structure (400 soft
@@ -202,7 +170,10 @@ def test_controller_answers_the_cold_cases_the_active_set_gives_up_on(name):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
        n_rows=st.integers(0, 10))
-def test_solve_active_satisfies_active_rows_and_stationarity(seed, n, n_rows):
+def test_working_factor_satisfies_active_rows_and_stationarity(seed, n,
+                                                                n_rows):
+    # the working-set factorization on hard rows alone, as the active set
+    # without a hot start builds it
     rng = np.random.default_rng(seed)
     M = rng.normal(size=(n, n))
     P = M @ M.T + 0.5 * np.eye(n)
@@ -214,7 +185,6 @@ def test_solve_active_satisfies_active_rows_and_stationarity(seed, n, n_rows):
     A[bound] = 0.0
     A[bound, cols[bound]] = rng.choice([-1.0, 1.0, 2.0], bound.sum())
     b = rng.normal(size=n_rows)
-    single_col = np.where(bound, cols, -1)
     act = np.flatnonzero(rng.random(n_rows) < 0.6)
     # a working set must be linearly independent: keep one bound row per
     # column and at most n - (pinned columns) general rows
@@ -226,14 +196,17 @@ def test_solve_active_satisfies_active_rows_and_stationarity(seed, n, n_rows):
                 keep.append(i)
     general = [i for i in act if not bound[i]][:max(n - len(pinned) - 1, 0)]
     act = np.array(sorted(keep + general), dtype=int)
-    res = _solve_active(P, q, A[act], b[act], single_col[act])
-    if len(pinned) == n:
-        return   # every variable pinned: see the xfail test in test_qp.py
+    # every variable pinned is solved too: the factorization has no
+    # all-pinned give-up
+    work = _WorkingFactor(P, q, A, np.zeros((0, n)), np.zeros(0), 0.0, 1.0,
+                          act[:0], act, b[act])
+    res = work.solve()
     assert res is not None
     x, lam = res
-    assert lam.shape == (len(act),)
+    assert lam.shape == (n_rows,)
+    assert not lam[np.setdiff1d(np.arange(n_rows), act)].any()
     np.testing.assert_allclose(A[act] @ x, b[act], rtol=0.0, atol=1e-9)
-    stationarity = P @ x + q + A[act].T @ lam
+    stationarity = P @ x + q + A[act].T @ lam[act]
     assert np.max(np.abs(stationarity), initial=0.0) <= 1e-9
 
 

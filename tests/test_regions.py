@@ -144,18 +144,26 @@ def test_feasible_inputs_equal_the_max_min_chain(params):
 def test_stability_sweep_reports_its_work(params):
     # the 15-degree, 60 m grid of the benchmark: 85 simulated cells, and
     # the QP gives no answer on 2960 of their cycles (the exchange loop's
-    # all-pinned defect, ROADMAP item 2)
+    # all-pinned defect, ROADMAP item 2).  A golden fit: the stable cells,
+    # the answer count and the fitted octagon's supports are pinned
+    # exactly; the exchanges follow the kernel's rounding and are not
     b3, b2 = make_axes(15.0)
     grid = stability_sweep(params, MpcConfig(), b3, b2, distance=60.0)
     work = grid.work
-    assert (work.cells, work.cell_cycles, work.lq_fallbacks) == (85, 11985, 2960)
+    assert (work.cells, work.cell_cycles, work.qp_answers,
+            work.lq_fallbacks) == (85, 11985, 9025, 2960)
     assert work.qp_answers + work.lq_fallbacks == work.cell_cycles
     assert work.exchanges >= work.qp_answers
-    assert int(grid.stable.sum()) == 19
+    assert np.flatnonzero(grid.stable).tolist() == [
+        56, 57, 58, 69, 70, 71, 72, 82, 83, 84, 85, 86, 96, 97, 98, 99, 110,
+        111, 112]
     # merging with the sensing grid, either way round, keeps the work
     sensing = sensing_region(params, b3, b2)
     assert merge(sensing, grid).work == merge(grid, sensing).work == work
     assert sensing.work is None and isinstance(work, SweepWork)
+    poly = fit_inner_polytope(merge(sensing, grid))
+    assert poly.h[0::2].tolist() == [0.5235987755982988, 0.5235987755982988,
+                                     0.7404804896930609, 0.37024024484653045]
 
 
 def test_merge_requires_matching_axes(params):
@@ -284,16 +292,31 @@ def test_fit_returns_the_octagon_of_its_supports():
 def test_the_sweep_solves_no_working_set_twice_in_a_row(params, monkeypatch):
     # a warm set whose point is infeasible, with x0 on the same rows, starts
     # the exchange loop from the trial's solve instead of solving it again
-    # (253 such repeats on this grid before)
+    # (253 such repeats on this grid before); and each solve factors its
+    # working set at most twice, from the warm set and then from x0's rows,
+    # so that every exchange is a row update
     from trailer_mpc import qp
 
-    real, calls = qp._solve_factored, []
+    solve, factor, qp_solve = (qp._WorkingFactor.solve,
+                               qp._WorkingFactor._factor, qp.soft_qp_solve)
+    calls, factored = [], []
 
-    def spy(P, q, b_w, fac):
-        calls.append((q.tobytes(), b_w.tobytes(), fac.A_w.tobytes()))
-        return real(P, q, b_w, fac)
+    def solve_spy(self):
+        calls.append((self.q.tobytes(), sorted(self.value.items())))
+        return solve(self)
 
-    monkeypatch.setattr(qp, "_solve_factored", spy)
+    def factor_spy(self, rows, values):
+        factored[-1] += 1
+        return factor(self, rows, values)
+
+    def qp_solve_spy(*args, **kwargs):
+        factored.append(0)
+        return qp_solve(*args, **kwargs)
+
+    monkeypatch.setattr(qp._WorkingFactor, "solve", solve_spy)
+    monkeypatch.setattr(qp._WorkingFactor, "_factor", factor_spy)
+    monkeypatch.setattr(qp, "soft_qp_solve", qp_solve_spy)
     grid = stability_sweep(params, MpcConfig(), *make_axes(30.0), distance=60.0)
     assert grid.work.qp_answers > 0 and len(calls) > grid.work.qp_answers
     assert not any(a == b for a, b in zip(calls, calls[1:]))
+    assert len(factored) >= grid.work.qp_answers and max(factored) <= 2
