@@ -9,7 +9,6 @@ rows are softened with linearly+quadratically penalized slacks.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -26,8 +25,6 @@ from .params import is_int, is_real, real_tuple
 from .paths import NominalPath, _remember, extend_for_horizon
 from .qp import FactorCache, HotStart, auxiliary_hot, certified_solve
 from .table import read_table, write_table
-
-logger = logging.getLogger(__name__)
 
 # KKT tolerance every QP answer the controller uses must meet.
 QP_TOL = 1e-6
@@ -265,20 +262,18 @@ class ControllerState:
 @dataclass(slots=True)
 class StepDiagnostics:
     """What one control cycle records, the schema of ``sim.RunLog`` and its
-    CSV; the QP fields keep their defaults on an LQ baseline cycle."""
+    CSV, which add the ``qp_status`` that ``solver_path`` implies; the QP
+    fields keep their defaults on an LQ baseline cycle."""
 
     s: float
     error: PathError
     u_cmd: float
-    # "Optimal" when a certified answer backs the command, else "MaxIter"
-    # with the LQ fallback: the cycle never asks why no answer passed, as
-    # its QPs are strictly convex and the fallback is the same; the LQ
-    # baseline reports "LQ"
-    qp_status: str
     # which path gave the command: "parametric" (the hot start from the
     # last cycle's answer, on its condensed structure or shifted to a new
     # one), "ipm" (the interior point, or its crossover) or "lq_fallback"
-    # (no certified answer); the LQ baseline reports "lq"
+    # (no certified answer: the cycle never asks why, as its QPs are
+    # strictly convex and the fallback is the same); the LQ baseline
+    # reports "lq".  The run log derives its qp_status column from it
     solver_path: str
     solve_ms: float
     # phases of solve_ms: projection, reference sample and error
@@ -290,7 +285,8 @@ class StepDiagnostics:
     t_structure_ms: float = 0.0
     t_solve_ms: float = 0.0
     qp_obj: float = 0.0
-    # exchanges + IPM iterations
+    # what the solvers did: the breakpoints of each homotopy, also one that
+    # gave up, plus the IPM's iterations
     qp_iterations: int = 0
     # the answer's worst KKT residual: primal, dual or complementarity
     kkt_max: float = 0.0
@@ -521,8 +517,6 @@ class MpcController:
         t_solve = time.perf_counter()
         fallback = path is None
         if fallback:
-            logger.warning("no certified QP answer at s = %.2f m after %d "
-                           "solver iterations; LQ fallback", s0, sol.iterations)
             u_cmd = self.cost.lq_command(ref.ur, x0)
         else:
             u_cmd = ref.ur + float(sol.y[0])
@@ -531,8 +525,7 @@ class MpcController:
 
         slack_max = float(sol.y[N:].max(initial=0.0)) if (n_slack and not fallback) else 0.0
         diag = StepDiagnostics(
-            s=s0, error=err, u_cmd=u_cmd, qp_status=sol.status,
-            solver_path=path or "lq_fallback",
+            s=s0, error=err, u_cmd=u_cmd, solver_path=path or "lq_fallback",
             solve_ms=(time.perf_counter() - t0) * 1e3,
             t_project_ms=(t_project - t0) * 1e3,
             t_structure_ms=(t_structure - t_project) * 1e3,
@@ -594,7 +587,7 @@ class LqController:
         t_project = time.perf_counter()
         u_cmd = clamp_box(self.cost.lq_command(ref.ur, err.as_array()), self.u_max)
         diag = StepDiagnostics(
-            s=s0, error=err, u_cmd=u_cmd, qp_status="LQ", solver_path="lq",
+            s=s0, error=err, u_cmd=u_cmd, solver_path="lq",
             solve_ms=(time.perf_counter() - t0) * 1e3,
             t_project_ms=(t_project - t0) * 1e3)
         ctrl.u_prev = u_cmd

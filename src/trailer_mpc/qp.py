@@ -128,9 +128,9 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     ``hot`` takes a :class:`HotStart`, the optimum of a problem with the
     same P, A and G (an answer, or :func:`auxiliary_hot` of a guess).  The
     solve then follows the optimum's path from it
-    (:func:`parametric_solve`, at most ``max_iter`` breakpoints, each counted
-    as an iteration, with ``factors``, a :class:`FactorCache` or None), and
-    x0, single_col and warm are not used.
+    (:func:`parametric_solve`, at most ``max_iter`` breakpoints, with
+    ``factors``, a :class:`FactorCache` or None), and x0, single_col and
+    warm are not used.
 
     Without ``hot`` the problem may have no soft rows (``G`` with no rows;
     ValueError otherwise): the region sweep's solve of l <= Ax <= u, a
@@ -154,18 +154,24 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     be the optimum: the all-pinned FOUND line in CHANGES.md, which ROADMAP
     item 2 ends by deleting this loop.
 
-    Returns (x, eps, mu, lam, nu, sets, iterations, products) -- duals of
-    the hard, soft and nonnegativity rows, the final working set (sides,
+    With ``hot`` it returns :func:`parametric_solve`'s pair (answer or
+    None, breakpoints), so a homotopy that gives up still says how far it
+    got.  :func:`certified_solve` runs its homotopies through this call,
+    not :func:`parametric_solve`, because the benchmark counts its calls:
+    one per control cycle, and a second when a hot start hands over.
+
+    Without ``hot`` it returns the answer, or None on failure.  An answer
+    is (x, eps, mu, lam, nu, sets, iterations, products) -- duals of the
+    hard, soft and nonnegativity rows, the final working set (sides,
     states) in the format of :class:`HotStart`, the number of iterations
-    and (A x, G x) as the solve formed them; None on failure.
-    Without ``hot`` the soft parts are empty, the products None, and each
-    iteration is one equality-constrained solve (a step, an exchange, or
-    the final optimality check; the warm start's trial solve is not
-    counted).
+    and (A x, G x) as the solve formed them.  Here the soft parts are
+    empty, the products None, and each iteration is one
+    equality-constrained solve (a step, an exchange, or the final
+    optimality check; the warm start's trial solve is not counted).
     """
     if hot is not None:
         return parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
-                                max_iter, factors)[0]
+                                max_iter, factors)
     if G.shape[0]:
         raise ValueError("soft rows need a hot start: without one "
                          "soft_qp_solve solves hard rows only")
@@ -290,17 +296,20 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     return None
 
 
-# Iteration cap of soft_ipm_solve.  On the 878 handovers of the six paper
-# MPC runs at seed 0 the IPM took 15.5 iterations at the median, 18 at the
-# 90th percentile and 22 at most.
+# Iteration cap of soft_ipm_solve.  At seed 0 the six paper MPC runs hand
+# over only their first cycle, and the IPM takes 10-14 iterations on each of
+# these 6 handovers; the known cold cycles that reach the cap, two of which
+# fall back to LQ there, are the recipes of tests/test_cold_cycles.py.
 IPM_MAX_ITER = 30
 # Breakpoint cap of each homotopy of certified_solve: the hot start (on the
 # last answer's structure or shifted onto a new one) and the crossover after
 # the IPM.  At seed 0 the six paper MPC runs hand only their first cycle over
 # to the IPM uncapped, as at this cap (no homotopy needs more than 28
 # breakpoints); at a cap of 20 they hand over 16 cycles and at 10, 86.
-# A breakpoint costs about 0.2 ms and a handover 10-20 ms, so a path that
-# runs to the cap still costs less than the handover it replaces.
+# A breakpoint costs at most 0.22 ms and an IPM iteration 0.44 ms (README's
+# unit costs, timed on the recipes of tests/test_cold_cycles.py), so a path
+# that runs to the cap (6.6 ms) costs about what a paper handover's 10-14
+# IPM iterations (4.4-6.2 ms) cost before their crossover.
 EXCHANGE_CAP = 30
 
 
@@ -1222,9 +1231,8 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
 
     Returns (QpSolution, solver path "parametric" or "ipm", HotStart).
     The solution's ``y`` is (x, slacks) and its duals those of the hard,
-    soft and slack rows.  Its iterations count the breakpoints and the IPM's
-    iterations; a homotopy that gives up counts its full cap, also when it
-    stopped earlier, since None does not say how far it got.  The
+    soft and slack rows.  Its iterations count the breakpoints each
+    homotopy passed, also one that gave up, and the IPM's iterations.  The
     :class:`HotStart` is the certified answer with (l, u, b) and its
     working set, the next solve's hot start.  When nothing passes, the
     solution is the interior point, its status MaxIter, and the path and
@@ -1234,7 +1242,8 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
     soft = (P, q, A, l, u, G, b, sig1, sig2)
     path, iterations = None, 0
     if hot is not None:
-        res, iterations = _homotopy(soft, hot, factors)
+        res, iterations = soft_qp_solve(*soft, None, max_iter=EXCHANGE_CAP,
+                                        hot=hot, factors=factors)
         if res is not None:
             resid = soft_kkt_residuals(*soft, *res[:5], res[7])
             if max(resid) <= tol:
@@ -1245,8 +1254,9 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
         ipm = soft_ipm_solve(P / s, q / s, A, l, u, G, b, sig1 / s, sig2 / s,
                              tol / s)
         ipm = ipm[:2] + tuple(s * d for d in ipm[2:5]) + ipm[5:]
-        cross, its = _homotopy(
-            soft, auxiliary_hot(A, G, l, u, b, sig1, *ipm[:4], ipm[5]), factors)
+        cross, its = soft_qp_solve(
+            *soft, None, max_iter=EXCHANGE_CAP, factors=factors,
+            hot=auxiliary_hot(A, G, l, u, b, sig1, *ipm[:4], ipm[5]))
         iterations += ipm[6] + its
         for res in (cross, ipm):
             if res is not None:
@@ -1264,14 +1274,6 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
     return QpSolution(np.concatenate([x, eps]),
                       np.concatenate([mu, lam_soft, nu]), status,
                       iterations, obj, *resid), path, hot_next
-
-
-def _homotopy(soft, start, factors):
-    """:func:`soft_qp_solve` of ``soft`` from ``start``, capped: (answer or
-    None, its breakpoints or the full cap)."""
-    res = soft_qp_solve(*soft, None, max_iter=EXCHANGE_CAP, hot=start,
-                        factors=factors)
-    return res, EXCHANGE_CAP if res is None else res[6]
 
 
 def solve_qp(prob: QpProblem, tol=1e-6) -> QpSolution:

@@ -30,6 +30,7 @@ from .mpc import (ControllerState, LqController, MpcConfig, MpcController,
 from .params import is_int, is_real, real_tuple
 from .paths import (NominalPath, _sample_count, figure_eight_length,
                     generate_figure_eight, generate_straight, interpolate)
+from .qp import QpStatus
 from .table import write_table
 
 CONVERGED = "Converged"
@@ -40,6 +41,11 @@ STATUSES = (CONVERGED, JACKKNIFED, VALIDITY_LOST, TIMEOUT)
 
 # convergence: error infinity norm below CONV_TOL, sustained over 5 m of travel
 CONV_SUSTAIN_M = 5.0
+
+# the run log's qp_status of each solver path: a certified answer, none
+# (the LQ fallback), or the LQ baseline, which solves no QP
+QP_STATUS = {"parametric": QpStatus.OPTIMAL, "ipm": QpStatus.OPTIMAL,
+             "lq_fallback": QpStatus.MAX_ITER, "lq": "LQ"}
 
 
 @dataclass
@@ -120,7 +126,9 @@ class RunLog:
     def from_cycles(cls, spec, status, period_ms, cycles) -> "RunLog":
         """The log of ``cycles``, one (t, true state array, StepDiagnostics,
         collector ms inside the step) per control cycle: a column per
-        StepDiagnostics field, ``error`` as the array ``errors``."""
+        StepDiagnostics field, ``error`` as the array ``errors``, and
+        ``qp_status``, the QP outcome each ``solver_path`` implies
+        (``QP_STATUS``)."""
         t, states, diags, gc_ms = zip(*cycles) if cycles else ((), (), (), ())
         columns = dict(t=np.array(t, dtype=float),
                        states=np.array(states).reshape(-1, 5),
@@ -130,6 +138,7 @@ class RunLog:
             if name != "error":
                 values = [getattr(d, name) for d in diags]
                 columns[name] = values if kind is str else np.array(values, dtype=kind)
+        columns["qp_status"] = [QP_STATUS[p] for p in columns["solver_path"]]
         return cls(spec, status, period_ms, columns)
 
     def __getattr__(self, name):

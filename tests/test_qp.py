@@ -600,6 +600,22 @@ def test_auxiliary_hot_start_reaches_the_optimum_or_gives_up(seed, ms, sig):
     np.testing.assert_allclose(res[0], hot.x, rtol=0.0, atol=1e-10 * s2)
 
 
+def test_a_declined_hot_start_adds_no_iteration():
+    # a hot start whose finite sides differ from the problem's is declined
+    # before its first breakpoint, so the solve's iterations are the
+    # interior point's and its crossover's alone, as without a hot start
+    P, q, A, l, u, G, b = _random_soft_qp(np.random.default_rng(3))
+    soft = (P, q, A, l, u, G, b, 10.0, 50.0)
+    cold, path, hot = certified_solve(*soft, 1e-6)
+    assert path == "ipm" and cold.iterations > 0
+    declined = hot._replace(u=np.where(np.arange(len(u)) == 0, np.inf, u))
+    res, breakpoints = parametric_solve(*soft, declined)
+    assert res is None and breakpoints == 0
+    sol, path, _ = certified_solve(*soft, 1e-6, hot=declined)
+    assert path == "ipm"
+    assert sol.iterations == cold.iterations
+
+
 def test_parametric_hot_start_exchanges_a_dependent_row():
     # min 0.5 |x|^2 - 10 x1 with x1 <= u_0 and x1 <= u_1: as u_0 goes from 1
     # to 3, x1 follows it up to the second bound, which depends on the first

@@ -209,6 +209,24 @@ def test_summary_reports_the_worst_cycles_qp_work(tmp_path, params):
         [s["max_qp_iterations"] for s in summaries] == [worst, 0]
 
 
+def test_the_qp_status_column_is_the_solver_paths_outcome(tmp_path, params):
+    # the run log derives qp_status from solver_path: a certified answer is
+    # Optimal, the LQ fallback MaxIter, and the LQ baseline's cycle LQ; the
+    # run CSV carries the same column
+    outcome = {"parametric": "Optimal", "ipm": "Optimal",
+               "lq_fallback": "MaxIter", "lq": "LQ"}
+    for spec in paper_suite()[:2]:
+        log = run(spec, params, MpcConfig())
+        paths = set(log.solver_path)
+        assert paths == ({"ipm", "parametric"} if spec.controller == "mpc"
+                         else {"lq"})
+        assert log.qp_status == [outcome[p] for p in log.solver_path]
+        log.write_csv(tmp_path / "run.csv")
+        with open(tmp_path / "run.csv", newline="") as fh:
+            assert [r["qp_status"] for r in csv.DictReader(fh)] == \
+                log.qp_status
+
+
 def test_timeout_status(params):
     # a drastic cap forces a Timeout before convergence can be sustained
     spec = ExperimentSpec(name="short", path_kind="straight", path_size=60.0,
