@@ -1,5 +1,5 @@
 """Command-line interface: path generation, controller design, closed-loop
-experiment runs, region analysis and a standalone QP debug solver.
+experiment runs and region analysis.
 
 All outputs are CSV/JSON; run configs are JSON files (see README for the
 schema).  Exit codes: 0 success, 1 runtime failure (infeasible path, empty
@@ -14,15 +14,12 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .error_model import analytic_straight_model
 from .exceptions import EmptyRegion, InfeasiblePath, TrailerMpcError
 from .mpc import JointAnglePolytope, MpcConfig, design_cost
 from .params import VehicleParams, is_real
 from .paths import generate_figure_eight, generate_straight
-from .qp import QpProblem, solve_qp
 from .regions import (RegionGrid, fit_inner_polytope, make_axes, merge,
                       sensing_region, stability_sweep)
 from .sim import STATUSES, ExperimentSpec, paper_suite, run_suite
@@ -226,44 +223,6 @@ def cmd_region(args) -> int:
     return 0
 
 
-def cmd_qp(args) -> int:
-    """Solve a QP from a whitespace text file: first line 'n m', then P
-    (n rows), q (1 row), A (m rows), l (1 row), u (1 row).  '-inf' allowed
-    in l and 'inf' in u."""
-    _require_positive("--tol", args.tol)
-    try:
-        with open(args.file) as fh:
-            tokens = fh.read().split()
-        it = iter(tokens)
-        n, m = int(next(it)), int(next(it))
-        vals = [float(tok) for tok in it]
-        need = n * n + n + m * n + 2 * m
-        if len(vals) != need:
-            raise ValueError(f"expected {need} numbers after 'n m', got {len(vals)}")
-        vals = np.array(vals)
-        pos = 0
-        P = vals[pos:pos + n * n].reshape(n, n); pos += n * n
-        q = vals[pos:pos + n]; pos += n
-        A = vals[pos:pos + m * n].reshape(m, n); pos += m * n
-        l = vals[pos:pos + m]; pos += m
-        u = vals[pos:pos + m]
-        prob = QpProblem(P=P, q=q, A=A, l=l, u=u)
-        prob.validate()
-    except (OSError, ValueError, StopIteration) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    sol = solve_qp(prob, tol=args.tol)
-    print(json.dumps({
-        "status": sol.status,
-        "y": sol.y.tolist(),
-        "duals": sol.duals.tolist(),
-        "objective": sol.objective,
-        "iterations": sol.iterations,
-        "kkt": [sol.primal_residual, sol.dual_residual, sol.comp_residual],
-    }, indent=2))
-    return 0 if sol.status == "Optimal" else RUNTIME_ERROR
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trailer-mpc",
@@ -308,11 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params")
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_region)
-
-    p = sub.add_parser("qp", help="solve a QP from a text file (debug)")
-    p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(func=cmd_qp)
     return parser
 
 

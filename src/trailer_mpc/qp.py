@@ -1,4 +1,4 @@
-"""Dense convex QP solvers.
+"""The controller's dense convex QP solver.
 
 Solves problems of the form
 
@@ -7,11 +7,12 @@ Solves problems of the form
 
 with P symmetric positive semidefinite and one-sided soft rows ``G`` whose
 slacks ``eps`` stay out of the x space; this is "the soft QP" below.
-:func:`certified_solve` is the one solve entry, used by the controller and
-by :func:`solve_qp` (no soft rows).  Its one active-set method, the
-parametric homotopy (:func:`parametric_solve`), runs from the caller's hot
-start, then as the crossover after a capped Mehrotra interior point
-(:func:`soft_ipm_solve`) from its working set (:func:`auxiliary_hot`).  A
+:func:`certified_solve` is the one solve entry, run by the controller on
+every cycle; a failed solve is MaxIter, with no further label.  Its one
+active-set method, the parametric homotopy (:func:`parametric_solve`),
+runs from the caller's hot start, then as the crossover after a capped
+Mehrotra interior point (:func:`soft_ipm_solve`) from its working set
+(:func:`auxiliary_hot`).  A
 homotopy keeps one factorization of its working set for its whole path
 (:class:`_WorkingFactor`: one QR of all working rows, box rows that pin an
 input among them, updated by one row per breakpoint, and a Cholesky of the
@@ -25,14 +26,10 @@ only the region sweep runs; it keeps the same one factorization of its
 working set, changed by one row per exchange, and solves a working set
 again only after it changes.  :class:`_WorkingFactor` is the package's
 one equality solve on a working set.
-:class:`PreparedQp` is the chain's front end for repeated solves of QPs
-without soft rows that share P and A: it validates each problem,
-hot-starts each solve from the last certified answer, with one
-:class:`FactorCache`, and labels a failure primal or dual infeasible;
-:func:`solve_qp` is its one-shot form.  The
-benchmark's span tracer (``perfbench/spans.py``) resolves
-``PreparedQp.solve``, ``cho_factor``, ``cho_solve``, ``lu_factor`` and
-:func:`kkt_residuals` here by name.
+No control cycle runs :class:`PreparedQp`, :func:`kkt_residuals` or the
+``cho_factor`` / ``cho_solve`` / ``lu_factor`` imports: the benchmark's
+span tracer (``perfbench/spans.py``) resolves these names here, and they
+stay until ROADMAP item 1b retargets its spans.
 """
 
 from __future__ import annotations
@@ -45,9 +42,9 @@ from typing import NamedTuple
 
 import numpy as np
 # No solver here calls cho_factor, cho_solve or lu_factor.  They are
-# imported because the benchmark's span tracer (perfbench/spans.py) resolves
-# them in this module by name; ROADMAP item 1b retargets those spans, and
-# then they go.
+# imported only because the benchmark's span tracer (perfbench/spans.py)
+# resolves them in this module by name; ROADMAP item 1b retargets those
+# spans, and then they go.
 from scipy.linalg import cho_factor, cho_solve, lu_factor
 from scipy.linalg import qr_delete, qr_insert
 from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
@@ -58,35 +55,6 @@ from scipy.linalg.lapack import dtrtrs as _trtrs
 class QpStatus:
     OPTIMAL = "Optimal"
     MAX_ITER = "MaxIter"
-    PRIMAL_INFEASIBLE = "PrimalInfeasible"
-    DUAL_INFEASIBLE = "DualInfeasible"
-
-
-@dataclass
-class QpProblem:
-    P: np.ndarray
-    q: np.ndarray
-    A: np.ndarray
-    l: np.ndarray
-    u: np.ndarray
-
-    def validate(self):
-        n = np.size(self.q)
-        if np.shape(self.q) != (n,) or np.shape(self.P) != (n, n):
-            raise ValueError("P/q dimension mismatch")
-        if np.ndim(self.A) != 2 or np.shape(self.A)[1] != n:
-            raise ValueError("A column count must match len(q)")
-        m = np.shape(self.A)[0]
-        if np.shape(self.l) != (m,) or np.shape(self.u) != (m,):
-            raise ValueError("l/u must match A row count")
-        # NaN fails every check; l may be -inf and u +inf
-        if not (all(np.isfinite(a).all() for a in (self.P, self.q, self.A)) and
-                np.all(self.l < np.inf) and np.all(self.u > -np.inf)):
-            raise ValueError("P, q and A must be finite, l below +inf and u above -inf")
-        if np.max(np.abs(self.P - self.P.T)) > 1e-12 * max(1.0, np.max(np.abs(self.P))):
-            raise ValueError("P must be symmetric")
-        if np.any(self.l > self.u + 1e-12):
-            raise ValueError("l <= u must hold componentwise")
 
 
 @dataclass
@@ -1109,7 +1077,7 @@ def kkt_residuals(P, q, A, l, u, y, lam):
     """(primal, dual, complementarity) infinity-norm KKT residuals of
     l <= A y <= u with duals ``lam``: the plain certificate of hard rows,
     the reference that the tests of :func:`soft_kkt_residuals` compare its
-    lifted form against."""
+    lifted form against, and a benchmark span target (ROADMAP item 1b)."""
     Ay = A @ y
     prim = float(np.max(np.maximum(Ay - u, 0.0) + np.maximum(l - Ay, 0.0),
                         initial=0.0))
@@ -1185,34 +1153,10 @@ def soft_kkt_residuals(P, q, A, l, u, G, b, sig1, sig2, x, eps, mu, lam, nu,
     return prim, dual, _worst(*comp)
 
 
-def _farkas(A, l, u, mu):
-    """Whether the hard-row duals ``mu`` certify that no x satisfies
-    l <= Ax <= u: moved onto the null space of A' (the interior point stops
-    with A'mu ~ 1 beside |mu| ~ 1e3), they must have a negative support
-    u'max(y, 0) + l'min(y, 0) and no weight on an infinite side."""
-    y = mu - np.linalg.lstsq(A.T, A.T @ mu, rcond=None)[0]
-    rel = 1e-8 * np.abs(y).max(initial=0.0)
-    fin_u, fin_l = np.isfinite(u), np.isfinite(l)
-    sup = np.where(fin_u, u, 0.0) @ np.maximum(y, 0.0) \
-        + np.where(fin_l, l, 0.0) @ np.minimum(y, 0.0)
-    return bool(np.abs(A.T @ y).max(initial=0.0) <= rel and sup < -rel
-                and not np.any(~fin_u & (y > rel) | ~fin_l & (y < -rel)))
-
-
-def _unbounded(P, q, A):
-    """Whether a direction d with P d = 0, A d = 0 and q'd < 0 exists, to
-    1e-8 relative: the cost then falls without bound along d from any
-    feasible point, which certifies dual infeasibility.  d = -N N'q over the
-    null space N of the stacked rows, from one SVD (reduced: V' is square)."""
-    _, s, vt = np.linalg.svd(np.vstack([P, A]), full_matrices=False)
-    rank = int(np.count_nonzero(s > 1e-8 * s.max(initial=0.0)))
-    return bool(np.linalg.norm(vt[rank:] @ q) > 1e-8 * np.linalg.norm(q))
-
-
 def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
                     factors=None):
-    """The package's QP solve: the soft QP by a parametric hot start,
-    then interior point and crossover.
+    """The package's one QP solve, run by the controller: the soft QP by a
+    parametric hot start, then interior point and crossover.
 
     ``hot`` is a :class:`HotStart` on the same P, A and G, or None, and
     ``factors`` a :class:`FactorCache` of them, or None.  Every entry of b
@@ -1237,7 +1181,7 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
     working set, the next solve's hot start.  When nothing passes, the
     solution is the interior point, its status MaxIter, and the path and
     hot start None: the controller's fallback is the same whatever the
-    cause, so only :meth:`PreparedQp.solve` diagnoses a failure.
+    cause, so nothing diagnoses a failure further.
     """
     soft = (P, q, A, l, u, G, b, sig1, sig2)
     path, iterations = None, 0
@@ -1276,19 +1220,13 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
                       iterations, obj, *resid), path, hot_next
 
 
-def solve_qp(prob: QpProblem, tol=1e-6) -> QpSolution:
-    """One-shot solve of ``prob``: :meth:`PreparedQp.solve` on a new front
-    end, so without a hot start -- the interior point, its crossover, and
-    the interior point itself, the first that passes the KKT check at
-    ``tol``."""
-    return PreparedQp(prob.P, prob.A, tol).solve(prob.q, prob.l, prob.u)
-
-
 class PreparedQp:
-    """The repeated-solve front end of :func:`certified_solve` for QPs
-    without soft rows that share P and A and move q, l and u: one
-    :class:`FactorCache` of P for every solve, each hot-started from the
-    last certified answer, or cold after a solve that certified none."""
+    """Repeated :func:`certified_solve` of QPs without soft rows that share
+    P and A and move q, l and u: one :class:`FactorCache` of P for every
+    solve, each hot-started from the last certified answer, or cold after
+    a solve that certified none.  No control cycle runs it: it stays only
+    because the benchmark's ``qp.admm`` span resolves ``PreparedQp.solve``
+    by name, until ROADMAP item 1b retargets that span."""
 
     def __init__(self, P, A, tol=1e-6):
         self.P = np.asarray(P, dtype=float)
@@ -1299,19 +1237,9 @@ class PreparedQp:
 
     def solve(self, q, l, u) -> QpSolution:
         """The answer of (P, q, A, l, u), as :func:`certified_solve` gives
-        it, a MaxIter one labelled PrimalInfeasible when its duals, the hard
-        rows' alone, are a Farkas certificate (:func:`_farkas`), else
-        DualInfeasible when the cost has a direction of unbounded descent
-        (:func:`_unbounded`); raises ValueError where
-        :meth:`QpProblem.validate` does."""
+        it, with no validation and no relabelling."""
         q, l, u = (np.asarray(v, dtype=float) for v in (q, l, u))
-        QpProblem(self.P, q, self.A, l, u).validate()
         sol, _, self._hot = certified_solve(
             self.P, q, self.A, l, u, np.zeros((0, len(q))), np.zeros(0),
             0.0, 0.0, self.tol, self._hot, self._factors)
-        if sol.status == QpStatus.MAX_ITER:
-            if _farkas(self.A, l, u, sol.duals):
-                sol.status = QpStatus.PRIMAL_INFEASIBLE
-            elif _unbounded(self.P, q, self.A):
-                sol.status = QpStatus.DUAL_INFEASIBLE
         return sol

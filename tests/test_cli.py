@@ -368,44 +368,12 @@ def test_region_requires_some_work(capsys):
     assert main(["region"]) == 2
 
 
-def test_qp_text_round_trip(tmp_path, capsys):
-    f = tmp_path / "prob.qp"
-    f.write_text(TWO_VARIABLE_QP)
-    assert main(["qp", str(f)]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["status"] == "Optimal"
-    assert np.allclose(out["y"], [0.5, 1.5], atol=1e-6)
-    assert max(out["kkt"]) < 1e-6
-
-
-@pytest.mark.parametrize("text, status", [
-    # min x1 s.t. -1 <= x2 <= 1: P = 0 and nothing bounds x1
-    ("2 1\n0 0\n0 0\n1 0\n0 1\n-1\n1\n", "DualInfeasible"),
-    # x >= 1 and x <= 0
-    ("1 2\n1\n0\n1\n1\n1 -inf\ninf 0\n", "PrimalInfeasible"),
-], ids=["unbounded", "infeasible"])
-def test_qp_reports_an_unsolvable_problem(tmp_path, capsys, text, status):
-    f = tmp_path / "unsolvable.qp"
-    f.write_text(text)
-    assert main(["qp", str(f)]) == 1
-    assert json.loads(capsys.readouterr().out)["status"] == status
-
-
-# min (y1-1)^2 + (y2-2)^2 s.t. y1 <= 0.5, y1+y2 <= 2
-TWO_VARIABLE_QP = "2 2\n2 0\n0 2\n-2 -4\n1 0\n1 1\n-inf -inf\n0.5 2\n"
-
-
-def test_qp_malformed_file(tmp_path, capsys):
-    f = tmp_path / "bad.qp"
-    # a NaN in P once ended in a LinAlgError traceback, and a NaN bound in a
-    # MaxIter answer with a NaN residual
-    for text in ("2 2\n1 2 3\n", TWO_VARIABLE_QP.replace("2 0", "nan 0"),
-                 TWO_VARIABLE_QP.replace("-inf -inf", "nan -inf"),
-                 TWO_VARIABLE_QP.replace("-2 -4", "inf -4")):
-        f.write_text(text)
-        assert main(["qp", str(f)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("config error:") and captured.out == ""
+def test_qp_is_an_unknown_command(capsys):
+    # the package is the controller: it has no general-QP debug command
+    with pytest.raises(SystemExit) as exc:
+        main(["qp", "prob.qp"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'qp'" in capsys.readouterr().err
 
 
 def _with_output(argv, tmp_path):
@@ -446,16 +414,8 @@ def test_bad_params_file_is_a_config_error(tmp_path, capsys, command, content):
     ["path", "--eight", "nan"],
     ["region", "--sensing", "--fit", "--spacing-deg", "30", "--margin", "nan"],
     ["region", "--sensing", "--fit", "--spacing-deg", "30", "--margin=-1"],
-    # each once reported the solvable QP as MaxIter
-    ["qp", "--tol", "nan"],
-    ["qp", "--tol=-1"],
 ])
-def test_bad_grid_or_step_option_is_a_config_error(tmp_path, tmp_path_factory,
-                                                   capsys, argv):
-    if argv[0] == "qp":
-        qp_file = tmp_path_factory.mktemp("qp") / "prob.qp"
-        qp_file.write_text(TWO_VARIABLE_QP)
-        argv = ["qp", str(qp_file), *argv[1:]]
+def test_bad_grid_or_step_option_is_a_config_error(tmp_path, capsys, argv):
     assert main(_with_output(argv, tmp_path)) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not any(tmp_path.iterdir())

@@ -242,11 +242,11 @@ def test_cold_homotopy_walks_the_paper_first_cycles(params, monkeypatch):
 
     cfg = mpc.MpcConfig()
     first = []
-    solve_qp = mpc.certified_solve
+    certified = mpc.certified_solve
 
     def spy(*args, **kwargs):
         first.append(args[:9])
-        return solve_qp(*args, **kwargs)
+        return certified(*args, **kwargs)
 
     monkeypatch.setattr(mpc, "certified_solve", spy)
     for spec in sim.paper_suite():
