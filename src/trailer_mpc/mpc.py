@@ -23,7 +23,7 @@ from .exceptions import (InfeasiblePath, NominalOutsidePolytope, PathExhausted,
 from .model import SINGULAR_TOL, VehicleState, chain_terms
 from .params import is_int, is_real, real_tuple
 from .paths import NominalPath, _remember, extend_for_horizon
-from .qp import FactorCache, HotStart, auxiliary_hot, certified_solve
+from .qp import Answer, FactorCache, auxiliary_hot, certified_solve
 from .table import read_table, write_table
 
 # KKT tolerance every QP answer the controller uses must meet.
@@ -251,10 +251,10 @@ def _require_regular(c1, s):
 class ControllerState:
     u_prev: float = None
     s_prev: float = 0.0
-    # the last certified QP answer (certified_solve's HotStart), on the
+    # the last certified QP answer (certified_solve's Answer), on the
     # condensed structure hot_struct at grid base hot_base: the next cycle
     # starts from it, shifted to its own base when its structure is another
-    hot: HotStart = None
+    hot: Answer = None
     hot_struct: object = None
     hot_base: int = None
 
@@ -284,11 +284,13 @@ class StepDiagnostics:
     t_project_ms: float
     t_structure_ms: float = 0.0
     t_solve_ms: float = 0.0
+    # certified_solve's answer (qp.Answer; on an "lq_fallback" cycle the
+    # interior point): its objective; its iterations, what the solvers did
+    # (the breakpoints of each homotopy, also one that gave up, plus the
+    # IPM's iterations); its worst KKT residual (primal, dual or
+    # complementarity); and its largest slack, 0 on a fallback
     qp_obj: float = 0.0
-    # what the solvers did: the breakpoints of each homotopy, also one that
-    # gave up, plus the IPM's iterations
     qp_iterations: int = 0
-    # the answer's worst KKT residual: primal, dual or complementarity
     kkt_max: float = 0.0
     slack_max: float = 0.0
     # whether this cycle built its condensed structure (False when a cached
@@ -497,7 +499,7 @@ class MpcController:
         t_structure = time.perf_counter()
 
         x0 = err.as_array()
-        N, n_slack = struct.n_inputs, struct.n_slack
+        N = struct.n_inputs
         q = struct.W.dot(x0)
         l, u, _, _ = struct.cycle_bounds(ctrl.u_prev, self.slew_per_cycle)
         b = struct.hbar - struct.HsPhi.dot(x0)
@@ -510,28 +512,28 @@ class MpcController:
             d = base - ctrl.hot_base
             hot = self._shifted_hot(hot, d, struct, l, u, b) \
                 if 0 < d < N else None
-        sol, path, ctrl.hot = certified_solve(
+        answer, path, resid, obj = certified_solve(
             struct.P_uu, q, struct.A_in, l, u, struct.G, b, cfg.slack_linear,
             cfg.slack_quad, QP_TOL, hot=hot, factors=struct.factors)
+        fallback = path is None
+        ctrl.hot = None if fallback else answer
         ctrl.hot_struct, ctrl.hot_base = struct, base
         t_solve = time.perf_counter()
-        fallback = path is None
         if fallback:
             u_cmd = self.cost.lq_command(ref.ur, x0)
         else:
-            u_cmd = ref.ur + float(sol.y[0])
+            u_cmd = ref.ur + float(answer.x[0])
         u_cmd = clamp_slew(clamp_box(u_cmd, self.u_max), ctrl.u_prev,
                            self.slew_per_cycle)
 
-        slack_max = float(sol.y[N:].max(initial=0.0)) if (n_slack and not fallback) else 0.0
+        slack_max = 0.0 if fallback else float(answer.eps.max(initial=0.0))
         diag = StepDiagnostics(
             s=s0, error=err, u_cmd=u_cmd, solver_path=path or "lq_fallback",
             solve_ms=(time.perf_counter() - t0) * 1e3,
             t_project_ms=(t_project - t0) * 1e3,
             t_structure_ms=(t_structure - t_project) * 1e3,
             t_solve_ms=(t_solve - t_structure) * 1e3,
-            qp_obj=sol.objective, qp_iterations=sol.iterations,
-            kkt_max=max(sol.primal_residual, sol.dual_residual, sol.comp_residual),
+            qp_obj=obj, qp_iterations=answer.iterations, kkt_max=max(resid),
             slack_max=slack_max,
             structure_built=self.n_structure_builds > builds,
         )
@@ -539,7 +541,7 @@ class MpcController:
         ctrl.s_prev = s0
         return u_cmd, diag
 
-    def _shifted_hot(self, hot, d, struct, l, u, b) -> HotStart:
+    def _shifted_hot(self, hot, d, struct, l, u, b) -> Answer:
         """The hot start ``hot``, a certified answer at grid base base - d
         (0 < d < N), moved onto ``struct`` at base by :func:`auxiliary_hot`
         for this cycle's bounds (l, u, b).  The inputs, the box and chain

@@ -18,9 +18,10 @@ homotopy keeps one factorization of its working set for its whole path
 input among them, updated by one row per breakpoint, and a Cholesky of the
 reduced Hessian), and lets a soft row pass its kink without entering it.
 Each answer is certified by :func:`soft_kkt_residuals` on the lifted
-problem over (x, slacks) without forming it; when none passes, the status
-is MaxIter.  A certified answer is the next solve's hot start, in the one
-working-set format of :class:`HotStart`.  Without a hot start,
+problem over (x, slacks) without forming it; when none passes, the answer
+is the interior point, with no solver path.  Every solver returns one
+record, :class:`Answer`, and a certified one is the next solve's hot
+start.  Without a hot start,
 :func:`soft_qp_solve` is a primal active set on the hard rows alone, which
 only the region sweep runs; it keeps the same one factorization of its
 working set, changed by one row per exchange, and solves a working set
@@ -37,7 +38,6 @@ from __future__ import annotations
 import bisect
 import inspect
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,21 +52,44 @@ from scipy.linalg.lapack import dgeqp3 as _geqp3, dorgqr as _orgqr
 from scipy.linalg.lapack import dtrtrs as _trtrs
 
 
-class QpStatus:
-    OPTIMAL = "Optimal"
-    MAX_ITER = "MaxIter"
+# the states of a soft row in a working set besides 0 (see Answer)
+KINK, ELIM = 1, 2
 
 
-@dataclass
-class QpSolution:
-    y: np.ndarray
-    duals: np.ndarray
-    status: str
-    iterations: int
-    objective: float
-    primal_residual: float
-    dual_residual: float
-    comp_residual: float
+class Answer(NamedTuple):
+    """One answer of the soft QP: what every solver here returns, what
+    :func:`certified_solve` returns, and the next solve's hot start.
+
+    ``l``, ``u`` and ``b`` are the hard-row and soft-row bounds of the
+    problem it answers, whose P, A and G the caller keeps; ``x`` is the
+    point, ``eps`` the slacks, and ``mu``, ``lam`` and ``nu`` the duals of
+    the hard rows, the soft rows and the slacks' rows eps >= 0.  The
+    working set ``sets`` is the pair (sides, states) of int8 arrays, the
+    one format of every solver here: ``sides[i]`` is 1 when hard row i is
+    working at its upper bound, -1 at its lower bound and 0 off the working
+    set; ``states[j]`` is 0 when soft row j's slack sits at zero, ``KINK``
+    when the row is held at its kink, and ``ELIM`` when its slack is
+    eliminated (substituted by the row's violation).  ``iterations`` is the
+    solver's work: a homotopy's breakpoints, the interior point's Newton
+    steps, the primal active set's equality solves, or a whole chain's in
+    :func:`certified_solve`.  ``products`` is (A x, G x) where the solver
+    formed them, else None.
+
+    :func:`parametric_solve` starts from the first eight fields: a
+    certified answer, or :func:`auxiliary_hot` of a guess, whose ``nu`` is
+    None."""
+
+    l: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
+    x: np.ndarray
+    eps: np.ndarray
+    mu: np.ndarray
+    lam: np.ndarray
+    sets: tuple
+    nu: np.ndarray = None
+    iterations: int = 0
+    products: tuple = None
 
 
 def row_structure(A):
@@ -93,7 +116,7 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     """Solve of the soft QP: by the parametric homotopy with ``hot``,
     else by a primal active set on the hard rows alone.
 
-    ``hot`` takes a :class:`HotStart`, the optimum of a problem with the
+    ``hot`` takes an :class:`Answer`, the optimum of a problem with the
     same P, A and G (an answer, or :func:`auxiliary_hot` of a guess).  The
     solve then follows the optimum's path from it
     (:func:`parametric_solve`, at most ``max_iter`` breakpoints, with
@@ -128,12 +151,8 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
     not :func:`parametric_solve`, because the benchmark counts its calls:
     one per control cycle, and a second when a hot start hands over.
 
-    Without ``hot`` it returns the answer, or None on failure.  An answer
-    is (x, eps, mu, lam, nu, sets, iterations, products) -- duals of the
-    hard, soft and nonnegativity rows, the final working set (sides,
-    states) in the format of :class:`HotStart`, the number of iterations
-    and (A x, G x) as the solve formed them.  Here the soft parts are
-    empty, the products None, and each iteration is one
+    Without ``hot`` it returns an :class:`Answer`, or None on failure.
+    Its soft parts are empty, its products None, and each iteration is one
     equality-constrained solve (a step, an exchange, or the final
     optimality check; the warm start's trial solve is not counted).
     """
@@ -184,7 +203,7 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
             work = factor(w_sides)
             res = work.solve()
         if res is not None:
-            x_w = res[0]
+            x_w, _ = res
             vw = A @ x_w
             if np.any(vw > u + htol_u) or np.any(vw < l - htol_l):
                 trial, res = res, None
@@ -227,8 +246,8 @@ def soft_qp_solve(P, q, A, l, u, G, b, sig1, sig2, x0, single_col=None,
             wrong_h = np.maximum(-sides * mu, 0.0)
             if not (wrong_h > 1e-9).any():
                 empty = np.zeros(0)
-                return x_new, empty, mu, empty, empty, \
-                    (sides, np.zeros(0, dtype=np.int8)), it, None
+                return Answer(l, u, b, x_new, empty, mu, empty,
+                              (sides, np.zeros(0, dtype=np.int8)), empty, it)
             # release one row at a time (most negative dual): mass drops at
             # degenerate vertices trigger long chains of zero-length re-adds
             set_side(np.argmax(wrong_h), 0)
@@ -281,38 +300,9 @@ IPM_MAX_ITER = 30
 EXCHANGE_CAP = 30
 
 
-# the states of a soft row in a working set besides 0 (see HotStart)
-KINK, ELIM = 1, 2
-
-
-class HotStart(NamedTuple):
-    """The start of :func:`parametric_solve`: the hard-row bounds ``l``/``u``
-    and soft-row bounds ``b`` of a problem with the same P, A and G as the
-    one it hot-starts, its optimum -- x, slacks ``eps`` and the duals
-    ``mu`` of the hard rows and ``lam`` of the soft rows -- and its working
-    set; a certified answer (:func:`certified_solve`), or
-    :func:`auxiliary_hot` of a guess.
-
-    The working set ``sets`` is the pair (sides, states) of int8 arrays,
-    the one format of every solver here: ``sides[i]`` is 1 when hard row i
-    is working at its upper bound, -1 at its lower bound and 0 off the
-    working set; ``states[j]`` is 0 when soft row j's slack sits at zero,
-    ``KINK`` when the row is held at its kink, and ``ELIM`` when its slack
-    is eliminated (substituted by the row's violation)."""
-
-    l: np.ndarray
-    u: np.ndarray
-    b: np.ndarray
-    x: np.ndarray
-    eps: np.ndarray
-    mu: np.ndarray
-    lam: np.ndarray
-    sets: tuple
-
-
-def auxiliary_hot(A, G, l, u, b, sig1, x, eps, mu, lam, sets) -> HotStart:
-    """A :class:`HotStart` that makes a guess -- x, slacks eps, duals mu and
-    lam, and working set ``sets`` in the format of :class:`HotStart` --
+def auxiliary_hot(A, G, l, u, b, sig1, x, eps, mu, lam, sets) -> Answer:
+    """An :class:`Answer` that makes a guess -- x, slacks eps, duals mu and
+    lam, and working set ``sets`` in the format of :class:`Answer` --
     the optimum of an auxiliary problem near (l, u, b), as in the hot start
     with varying matrices (Ferreau et al., Math. Prog. Comp. 2014).  Working
     rows are made tight at x (Ax, Gx on a kink row, Gx - eps on an
@@ -332,7 +322,7 @@ def auxiliary_hot(A, G, l, u, b, sig1, x, eps, mu, lam, sets) -> HotStart:
     np.copyto(mu_aux, np.maximum(mu, 0.0), where=up)
     np.copyto(mu_aux, np.minimum(mu, 0.0), where=low)
     np.copyto(lam_aux, lam.clip(0.0, sig1), where=kink)
-    return HotStart(l_aux, u_aux, b_aux, x, eps, mu_aux, lam_aux, sets)
+    return Answer(l_aux, u_aux, b_aux, x, eps, mu_aux, lam_aux, sets)
 
 
 class FactorCache:
@@ -650,7 +640,7 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
     problem, the online active-set strategy (Ferreau, Bock & Diehl,
     Int. J. Robust Nonlinear Control 2008).
 
-    ``hot`` (a :class:`HotStart`) holds an optimum and its working set for
+    ``hot`` (an :class:`Answer`) holds an optimum and its working set for
     the parameters (q0, l0, u0, b0); P, A and G are shared.  As tau goes
     from 0 to 1 the parameters move along the segment to (q, l, u, b).  On a
     fixed working set the optimum and its duals are affine in tau, so each
@@ -679,13 +669,14 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
     breakpoint, from that same solve.  From there a breakpoint changes that
     state entry by entry and pays for its algebra and a few array passes.
 
-    Returns (answer, breakpoints).  The answer is the 8-tuple of
-    :func:`soft_qp_solve` at tau = 1, its iterations the breakpoints, or
-    None when the path needs more than ``max_iter`` breakpoints, when an
-    equality solve fails, when the end point violates a working row, when
-    an entry of l or u is finite where that of ``hot.l`` or ``hot.u`` is
-    not or the other way round, or when b or ``hot.b`` has an entry that
-    is not finite; breakpoints counts those passed either way.
+    Returns (answer, breakpoints).  The answer is the :class:`Answer` at
+    tau = 1, its iterations the breakpoints and its products the A x and
+    G x of the end-point test, or None when the path needs more than
+    ``max_iter`` breakpoints, when an equality solve fails, when the end
+    point violates a working row, when an entry of l or u is finite where
+    that of ``hot.l`` or ``hot.u`` is not or the other way round, or when b
+    or ``hot.b`` has an entry that is not finite; breakpoints counts those
+    passed either way.
     """
     mh, ms = A.shape[0], G.shape[0]
     fin_u, fin_l = np.isfinite(u), np.isfinite(l)
@@ -748,10 +739,11 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
                                       | (sig1 - kap < -1e-9)).any())
 
     def answer(x1, vh1, gx1, gs1, mu1, kap1, past, tol, breakpoints):
-        """The 8-tuple at the end point (x1, A x1, G x1, G x1 - b, duals),
-        or None when a working row's distance ``past`` its bound or kink exceeds ``tol``
-        and 1e-12 (1 + |Px| + |q|), ten times what the solve holds the rows
-        to: a row left out of the solve as dependent may not hold."""
+        """The :class:`Answer` at the end point (x1, A x1, G x1, G x1 - b,
+        duals), or None when a working row's distance ``past`` its bound or
+        kink exceeds ``tol`` and 1e-12 (1 + |Px| + |q|), ten times what the
+        solve holds the rows to: a row left out of the solve as dependent
+        may not hold."""
         if len(past):
             etol = 1e-12 * (1.0 + np.abs(work.P.dot(x1)).max(initial=0.0)
                             + work.rf_max)
@@ -766,7 +758,8 @@ def parametric_solve(P, q, A, l, u, G, b, sig1, sig2, hot,
         else:
             # the same values without an eliminated row
             eps, lam, nu = np.zeros(ms), kap1, kap1 - sig1
-        return x1, eps, mu1, lam, nu, (sides, states), breakpoints, (vh1, gx1)
+        return Answer(l, u, b, x1, eps, mu1, lam, (sides, states), nu,
+                      breakpoints, (vh1, gx1))
 
     def set_dual(row, value):
         """Set the dual of working ``row`` (hard, then soft numbering)."""
@@ -956,9 +949,9 @@ def soft_ipm_solve(P, q, A, l, u, G, b, sig1, sig2, tol):
     has converged (their rounding floor grows with the multipliers' size),
     after ``IPM_MAX_ITER`` iterations, or when the reduced matrix is not
     numerically positive definite.  Callers certify the point themselves.
-    Returns the 8-tuple of :func:`soft_qp_solve`: the working set is read
-    off the interior point (rows whose dual exceeds their slack), the
-    iterations are Newton steps, and it forms no products.
+    Returns an :class:`Answer`: the working set is read off the interior
+    point (rows whose dual exceeds their slack), the iterations are Newton
+    steps, and it forms no products.
     Raises ValueError when an entry of b is not finite.
     """
     bad = np.flatnonzero(~np.isfinite(b))
@@ -1070,7 +1063,7 @@ def soft_ipm_solve(P, q, A, l, u, G, b, sig1, sig2, tol):
     sides[iu[z[:nu] > s[:nu]]] = 1
     states = np.where(w > t, np.where(v > eps, KINK, ELIM), 0).astype(np.int8)
     mu_h = np.bincount(rows, sign * z, minlength=mh)
-    return x, eps, mu_h, w, -v, (sides, states), it, None
+    return Answer(l, u, b, x, eps, mu_h, w, (sides, states), -v, it)
 
 
 def kkt_residuals(P, q, A, l, u, y, lam):
@@ -1158,7 +1151,7 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
     """The package's one QP solve, run by the controller: the soft QP by a
     parametric hot start, then interior point and crossover.
 
-    ``hot`` is a :class:`HotStart` on the same P, A and G, or None, and
+    ``hot`` is an :class:`Answer` on the same P, A and G, or None, and
     ``factors`` a :class:`FactorCache` of them, or None.  Every entry of b
     must be finite: the homotopy declines one that is not, and
     :func:`soft_ipm_solve` raises ValueError for it.  The first answer
@@ -1173,23 +1166,27 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
        interior point and its working set, which lands on the vertex;
     3. else the interior point itself.
 
-    Returns (QpSolution, solver path "parametric" or "ipm", HotStart).
-    The solution's ``y`` is (x, slacks) and its duals those of the hard,
-    soft and slack rows.  Its iterations count the breakpoints each
-    homotopy passed, also one that gave up, and the IPM's iterations.  The
-    :class:`HotStart` is the certified answer with (l, u, b) and its
-    working set, the next solve's hot start.  When nothing passes, the
-    solution is the interior point, its status MaxIter, and the path and
-    hot start None: the controller's fallback is the same whatever the
-    cause, so nothing diagnoses a failure further.
+    Returns (answer, path, residuals, objective): the :class:`Answer`
+    taken, the solver path "parametric" or "ipm", its
+    :func:`soft_kkt_residuals` and its objective.  The answer's iterations
+    count the breakpoints each homotopy passed, also one that gave up, and
+    the IPM's iterations.  A certified answer is the next solve's hot
+    start.  When nothing passes, the answer is the interior point and the
+    path None: the controller's fallback is the same whatever the cause,
+    so nothing diagnoses a failure further.
     """
     soft = (P, q, A, l, u, G, b, sig1, sig2)
+
+    def residuals(res):
+        return soft_kkt_residuals(*soft, res.x, res.eps, res.mu, res.lam,
+                                  res.nu, res.products)
+
     path, iterations = None, 0
     if hot is not None:
         res, iterations = soft_qp_solve(*soft, None, max_iter=EXCHANGE_CAP,
                                         hot=hot, factors=factors)
         if res is not None:
-            resid = soft_kkt_residuals(*soft, *res[:5], res[7])
+            resid = residuals(res)
             if max(resid) <= tol:
                 path = "parametric"
     if path is None:
@@ -1197,27 +1194,23 @@ def certified_solve(P, q, A, l, u, G, b, sig1, sig2, tol, hot=None,
         s = max(1.0, float(np.abs(q).max(initial=0.0)))
         ipm = soft_ipm_solve(P / s, q / s, A, l, u, G, b, sig1 / s, sig2 / s,
                              tol / s)
-        ipm = ipm[:2] + tuple(s * d for d in ipm[2:5]) + ipm[5:]
+        ipm = ipm._replace(mu=s * ipm.mu, lam=s * ipm.lam, nu=s * ipm.nu)
         cross, its = soft_qp_solve(
             *soft, None, max_iter=EXCHANGE_CAP, factors=factors,
-            hot=auxiliary_hot(A, G, l, u, b, sig1, *ipm[:4], ipm[5]))
-        iterations += ipm[6] + its
+            hot=auxiliary_hot(A, G, l, u, b, sig1, ipm.x, ipm.eps, ipm.mu,
+                              ipm.lam, ipm.sets))
+        iterations += ipm.iterations + its
         for res in (cross, ipm):
             if res is not None:
-                resid = soft_kkt_residuals(*soft, *res[:5], res[7])
+                resid = residuals(res)
                 if max(resid) <= tol:
                     path = "ipm"
                     break
-    x, eps, mu, lam_soft, nu = res[:5]
-    status, hot_next = QpStatus.MAX_ITER, None
-    if path is not None:
-        status = QpStatus.OPTIMAL
-        hot_next = HotStart(l, u, b, x, eps, mu, lam_soft, res[5])
+        res = res._replace(iterations=iterations)
+    x, eps = res.x, res.eps
     obj = float((0.5 * x).dot(P).dot(x) + q.dot(x) + sig2 * eps.dot(eps)
                 + sig1 * eps.sum())
-    return QpSolution(np.concatenate([x, eps]),
-                      np.concatenate([mu, lam_soft, nu]), status,
-                      iterations, obj, *resid), path, hot_next
+    return res, path, resid, obj
 
 
 class PreparedQp:
@@ -1235,11 +1228,12 @@ class PreparedQp:
         self._factors = FactorCache(self.P)
         self._hot = None
 
-    def solve(self, q, l, u) -> QpSolution:
-        """The answer of (P, q, A, l, u), as :func:`certified_solve` gives
-        it, with no validation and no relabelling."""
+    def solve(self, q, l, u):
+        """:func:`certified_solve`'s (answer, path, residuals, objective)
+        for (P, q, A, l, u), with no validation and no relabelling."""
         q, l, u = (np.asarray(v, dtype=float) for v in (q, l, u))
-        sol, _, self._hot = certified_solve(
+        answer, path, resid, obj = certified_solve(
             self.P, q, self.A, l, u, np.zeros((0, len(q))), np.zeros(0),
             0.0, 0.0, self.tol, self._hot, self._factors)
-        return sol
+        self._hot = answer if path is not None else None
+        return answer, path, resid, obj

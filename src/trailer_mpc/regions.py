@@ -222,11 +222,11 @@ def stability_sweep(params, cfg: MpcConfig, beta3_axis, beta2_axis,
                 warm_sets[col] = None
                 u = controller.cost.lq_command(struct.ur0, err_a[:, c])
             else:
-                warm_y[:, col] = res[0]
-                warm_sets[col] = res[5]
+                warm_y[:, col] = res.x
+                warm_sets[col] = res.sets
                 answers += 1
-                exchanges += res[6]
-                u = float(res[0][0])
+                exchanges += res.iterations
+                u = float(res.x[0])
             u_prev[col] = u_cmd[c] = clamp_slew(clamp_box(u, controller.u_max),
                                                 u_prev[col], width)
         cycles += len(a)

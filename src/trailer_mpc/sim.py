@@ -30,7 +30,6 @@ from .mpc import (ControllerState, LqController, MpcConfig, MpcController,
 from .params import is_int, is_real, real_tuple
 from .paths import (NominalPath, _sample_count, figure_eight_length,
                     generate_figure_eight, generate_straight, interpolate)
-from .qp import QpStatus
 from .table import write_table
 
 CONVERGED = "Converged"
@@ -42,10 +41,11 @@ STATUSES = (CONVERGED, JACKKNIFED, VALIDITY_LOST, TIMEOUT)
 # convergence: error infinity norm below CONV_TOL, sustained over 5 m of travel
 CONV_SUSTAIN_M = 5.0
 
-# the run log's qp_status of each solver path: a certified answer, none
-# (the LQ fallback), or the LQ baseline, which solves no QP
-QP_STATUS = {"parametric": QpStatus.OPTIMAL, "ipm": QpStatus.OPTIMAL,
-             "lq_fallback": QpStatus.MAX_ITER, "lq": "LQ"}
+# the run log's qp_status of each solver path: "Optimal" for a certified
+# answer, "MaxIter" for none (the LQ fallback), and "LQ" for the LQ
+# baseline, which solves no QP
+QP_STATUS = {"parametric": "Optimal", "ipm": "Optimal",
+             "lq_fallback": "MaxIter", "lq": "LQ"}
 
 
 @dataclass

@@ -59,3 +59,39 @@ def test_a_cold_cycle_at_the_cap_needs_no_failure_label(
     assert diag.qp_iterations == IPM_MAX_ITER + breakpoints
     if path == "ipm":
         assert diag.kkt_max <= QP_TOL
+
+
+FALLBACKS = [cycle for cycle in COLD_CYCLES if cycle[3] == "lq_fallback"]
+
+
+@pytest.mark.parametrize("s, error, u_prev, path, breakpoints", FALLBACKS,
+                         ids=[f"s{s:.1f}" for s, *_ in FALLBACKS])
+def test_a_failed_cycle_returns_the_interior_point(
+        params, eight_back, monkeypatch, s, error, u_prev, path, breakpoints):
+    # what certified_solve returns when nothing certifies: no path, and the
+    # interior point at the cap (strictly positive slacks, no products, as
+    # soft_ipm_solve forms none) with the whole chain's iterations and its
+    # own residuals, which the cycle records; the record that ROADMAP item
+    # 14 step 1 applies
+    from trailer_mpc import mpc
+
+    solved = []
+    solve = mpc.certified_solve
+
+    def spy(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(mpc, "certified_solve", spy)
+    controller = MpcController(params, eight_back, MpcConfig())
+    state = initial_state(controller.path, error, s)
+    ctrl = ControllerState(u_prev=u_prev, s_prev=s)
+    _, diag = controller.step(state, ctrl)
+    (answer, got, resid, _), = solved
+    assert got is None and diag.solver_path == path
+    for v in (answer.x, answer.eps, answer.mu, answer.lam, answer.nu):
+        assert np.isfinite(v).all()
+    assert (answer.eps > 0.0).all() and answer.products is None
+    assert answer.iterations == IPM_MAX_ITER + breakpoints
+    assert max(resid) == diag.kkt_max > QP_TOL
+    assert ctrl.hot is None

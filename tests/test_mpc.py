@@ -522,15 +522,17 @@ def test_step_reports_the_active_set_iterations(params, straight_back,
                                                 monkeypatch, octagon):
     import trailer_mpc.qp as qp_mod
 
-    # per step: breakpoints of each homotopy, also one that gives up, plus
-    # the IPM's iterations
+    # per step: breakpoints of each homotopy, also one that gives up (the
+    # second of soft_qp_solve's pair with a hot start), plus the IPM's
+    # iterations
     counts = []
-    for name, at in (("soft_qp_solve", 1), ("soft_ipm_solve", 6)):
+    for name, work in (("soft_qp_solve", lambda pair: pair[1]),
+                       ("soft_ipm_solve", lambda res: res.iterations)):
         solver = getattr(qp_mod, name)
 
-        def counted(*args, _solver=solver, _at=at, **kwargs):
+        def counted(*args, _solver=solver, _work=work, **kwargs):
             res = _solver(*args, **kwargs)
-            counts[-1] += res[_at]
+            counts[-1] += _work(res)
             return res
 
         monkeypatch.setattr(qp_mod, name, counted)
@@ -624,7 +626,7 @@ def test_cycle_after_a_base_change_hot_starts(params, eight_back):
 
 
 def test_shifted_hot_start_moves_rows_by_the_base_change(params, eight_back):
-    from trailer_mpc.qp import KINK, HotStart
+    from trailer_mpc.qp import KINK, Answer
 
     cfg = MpcConfig()
     controller = MpcController(params, eight_back, cfg)
@@ -637,8 +639,8 @@ def test_shifted_hot_start_moves_rows_by_the_base_change(params, eight_back):
     duals = np.concatenate([np.arange(1.0, 2 * N + 1),
                             np.linspace(1.0, 900.0, ms)])
     every = (np.ones(2 * N, np.int8), np.full(ms, KINK, np.int8))
-    hot = HotStart(struct.l, struct.u, struct.hbar, y[:N], y[N:],
-                   duals[:2 * N], duals[2 * N:], every)
+    hot = Answer(struct.l, struct.u, struct.hbar, y[:N], y[N:],
+                 duals[:2 * N], duals[2 * N:], every)
     l, u = struct.l.copy(), struct.u.copy()
     l[N], u[N] = -0.01, 0.01
     got = controller._shifted_hot(hot, 1, struct, l, u, struct.hbar)
@@ -691,7 +693,7 @@ def _reference_shifted_hot(cfg, hot, d, struct, l, u, b):
 
 def test_shifted_hot_start_by_slices_keeps_the_bits_of_row_maps(
         params, eight_back):
-    from trailer_mpc.qp import HotStart
+    from trailer_mpc.qp import Answer
 
     cfg = MpcConfig()
     controller = MpcController(params, eight_back, cfg)
@@ -704,13 +706,15 @@ def test_shifted_hot_start_by_slices_keeps_the_bits_of_row_maps(
     # every side and state, and values of either sign
     sets = (rng.integers(-1, 2, 2 * N).astype(np.int8),
             rng.integers(0, 3, ms).astype(np.int8))
-    hot = HotStart(struct.l, struct.u, struct.hbar, rng.normal(size=N),
-                   rng.uniform(0.0, 1.0, ms), rng.normal(size=2 * N),
-                   rng.normal(size=ms), sets)
+    hot = Answer(struct.l, struct.u, struct.hbar, rng.normal(size=N),
+                 rng.uniform(0.0, 1.0, ms), rng.normal(size=2 * N),
+                 rng.normal(size=ms), sets)
+    fields = ("l", "u", "b", "x", "eps", "mu", "lam")
     for d in range(1, N):
         got = controller._shifted_hot(hot, d, struct, l, u, b)
         want = _reference_shifted_hot(cfg, hot, d, struct, l, u, b)
-        for g, w in zip(got[:7] + got.sets, want[:7] + want.sets):
+        for g, w in zip([getattr(got, f) for f in fields] + list(got.sets),
+                        [getattr(want, f) for f in fields] + list(want.sets)):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 

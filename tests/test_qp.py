@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from trailer_mpc import QpStatus, qp
-from trailer_mpc.qp import (ELIM, EXCHANGE_CAP, KINK, HotStart, PreparedQp,
+from trailer_mpc import qp
+from trailer_mpc.qp import (ELIM, EXCHANGE_CAP, KINK, Answer, PreparedQp,
                             auxiliary_hot, certified_solve, kkt_residuals,
                             parametric_solve, row_structure, soft_ipm_solve,
                             soft_kkt_residuals, soft_qp_solve)
@@ -73,9 +73,16 @@ def _random_qp(rng, n, m):
 def _hard_solve(P, q, A, l, u, tol=1e-6):
     """:func:`certified_solve` of the QP with no soft rows and no hot
     start: the interior point, its crossover and the interior point
-    itself, the first that passes the KKT check at ``tol``."""
+    itself, the first that passes the KKT check at ``tol``; (answer, path,
+    residuals, objective)."""
     return certified_solve(P, q, A, l, u, np.zeros((0, len(q))), np.zeros(0),
-                           0.0, 0.0, tol)[0]
+                           0.0, 0.0, tol)
+
+
+def _certificate(soft, res):
+    """:func:`soft_kkt_residuals` of the answer ``res`` to the soft QP
+    ``soft`` = (P, q, A, l, u, G, b, sig1, sig2), forming A x and G x."""
+    return soft_kkt_residuals(*soft, res.x, res.eps, res.mu, res.lam, res.nu)
 
 
 def test_oracle_agreement_200_random_qps(rng):
@@ -83,12 +90,12 @@ def test_oracle_agreement_200_random_qps(rng):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(n, 11))
         P, q, A, l, u = _random_qp(rng, n, m)
-        sol = _hard_solve(P, q, A, l, u, tol=1e-8)
-        if sol.status != QpStatus.OPTIMAL:
+        _, path, _, obj = _hard_solve(P, q, A, l, u, tol=1e-8)
+        if path is None:
             continue  # rare: genuinely infeasible random instances
         _, obj_ref = brute_force_active_set(P, q, A, l, u)
-        assert sol.objective <= obj_ref + 1e-6 * (1.0 + abs(obj_ref)), trial
-        assert abs(sol.objective - obj_ref) <= 1e-6 * (1.0 + abs(obj_ref)), trial
+        assert obj <= obj_ref + 1e-6 * (1.0 + abs(obj_ref)), trial
+        assert abs(obj - obj_ref) <= 1e-6 * (1.0 + abs(obj_ref)), trial
 
 
 def test_kkt_residuals_at_optimum():
@@ -122,15 +129,17 @@ def test_kkt_residuals_at_optimum():
 def test_an_unsolvable_qp_is_max_iter_with_no_path_or_hot_start(
         qp_data, neighbour, x1):
     # infeasible or unbounded, the solve labels nothing and raises nothing:
-    # the controller's fallback is the same whatever the cause
-    sol, path, hot = certified_solve(*qp_data, np.zeros((0, len(qp_data[1]))),
-                                     np.zeros(0), 0.0, 0.0, 1e-6)
-    assert (sol.status, path, hot) == (QpStatus.MAX_ITER, None, None)
+    # the controller's fallback is the same whatever the cause (the run
+    # log's MaxIter), and the answer is the interior point, which no
+    # caller keeps as a hot start
+    answer, path, _, _ = certified_solve(
+        *qp_data, np.zeros((0, len(qp_data[1]))), np.zeros(0), 0.0, 0.0, 1e-6)
+    assert path is None and isinstance(answer, Answer)
     if neighbour is not None:
-        sol = _hard_solve(*neighbour(*qp_data))
-        assert sol.status == QpStatus.OPTIMAL
+        answer, path, _, _ = _hard_solve(*neighbour(*qp_data))
+        assert path is not None
         if x1 is not None:
-            np.testing.assert_allclose(sol.y[0], x1, atol=1e-6)
+            np.testing.assert_allclose(answer.x[0], x1, atol=1e-6)
 
 
 @pytest.mark.parametrize("m", [0, 2])
@@ -144,9 +153,10 @@ def test_no_finite_row_side_gives_the_unconstrained_minimum(rng, m):
     A = rng.normal(size=(m, n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = _hard_solve(P, q, A, np.full(m, -np.inf), np.full(m, np.inf))
-    assert sol.status == QpStatus.OPTIMAL
-    np.testing.assert_allclose(sol.y, -np.linalg.solve(P, q), rtol=0.0,
+        answer, path, _, _ = _hard_solve(P, q, A, np.full(m, -np.inf),
+                                         np.full(m, np.inf))
+    assert path is not None
+    np.testing.assert_allclose(answer.x, -np.linalg.solve(P, q), rtol=0.0,
                                atol=1e-9)
 
 
@@ -161,15 +171,15 @@ def test_prepared_qp_matches_one_shot(rng):
     n, m = 8, 12
     P, q, A, l, u = _random_qp(rng, n, m)
     prep = PreparedQp(P, A, tol=1e-8)
-    sol1 = prep.solve(q, l, u)
-    assert sol1.status == QpStatus.OPTIMAL
-    sol = _hard_solve(P, q, A, l, u, tol=1e-8)
-    assert sol1.objective == pytest.approx(sol.objective, abs=1e-6)
+    answer1, path1, _, obj1 = prep.solve(q, l, u)
+    assert path1 is not None
+    obj = _hard_solve(P, q, A, l, u, tol=1e-8)[3]
+    assert obj1 == pytest.approx(obj, abs=1e-6)
     # hot-started on the first answer, the second solve passes no breakpoint
-    sol2 = prep.solve(q, l, u)
-    assert sol2.status == QpStatus.OPTIMAL
-    assert sol2.iterations == 0
-    assert np.allclose(sol2.y, sol1.y, atol=1e-6)
+    answer2, path2, _, _ = prep.solve(q, l, u)
+    assert path2 is not None
+    assert answer2.iterations == 0
+    assert np.allclose(answer2.x, answer1.x, atol=1e-6)
 
 
 @settings(max_examples=30, deadline=None)
@@ -183,11 +193,11 @@ def test_prepared_qp_follows_a_moving_sequence(seed):
     P, q, A, l, u = _random_qp(rng, n, m)
     prep = PreparedQp(P, A, tol=1e-8)
     for _ in range(6):
-        sol = prep.solve(q, l, u)
-        assert sol.status == QpStatus.OPTIMAL
-        assert max(kkt_residuals(P, q, A, l, u, sol.y, sol.duals)) <= 1e-8
-        ref = _hard_solve(P, q, A, l, u, tol=1e-8)
-        np.testing.assert_allclose(sol.y, ref.y, rtol=0.0, atol=1e-6)
+        answer, path, _, _ = prep.solve(q, l, u)
+        assert path is not None
+        assert max(kkt_residuals(P, q, A, l, u, answer.x, answer.mu)) <= 1e-8
+        ref = _hard_solve(P, q, A, l, u, tol=1e-8)[0]
+        np.testing.assert_allclose(answer.x, ref.x, rtol=0.0, atol=1e-6)
         q = q + rng.normal(scale=0.5, size=n)
         shift = A @ rng.normal(scale=0.2, size=n)
         l, u = l + shift, u + shift
@@ -211,24 +221,23 @@ def test_prepared_qp_starts_cold_after_an_infeasible_problem(rng, monkeypatch):
 
     monkeypatch.setattr(qp, "certified_solve", spy)
     prep = PreparedQp(P, A)
-    statuses = [prep.solve(q, lo, up).status for q, lo, up in (
+    paths = [prep.solve(q, lo, up)[1] for q, lo, up in (
         (rng.normal(size=n), l, u), (rng.normal(size=n), l_bad, u_bad),
         (rng.normal(size=n), l, u), (rng.normal(size=n), l, u))]
-    assert statuses == [QpStatus.OPTIMAL, QpStatus.MAX_ITER,
-                        QpStatus.OPTIMAL, QpStatus.OPTIMAL]
+    assert [path is not None for path in paths] == [True, False, True, True]
     assert [s is None for s in starts] == [True, False, True, False]
 
 
 def test_scaling_invariance(rng):
     n, m = 5, 8
     P, q, A, l, u = _random_qp(rng, n, m)
-    sol = _hard_solve(P, q, A, l, u, tol=1e-9)
+    answer, path, _, _ = _hard_solve(P, q, A, l, u, tol=1e-9)
     scale = rng.uniform(0.1, 10.0, m)
-    sol2 = _hard_solve(P, q, scale[:, None] * A, scale * l, scale * u,
-                       tol=1e-9)
-    assert sol.status == sol2.status
-    if sol.status == QpStatus.OPTIMAL:
-        assert np.allclose(sol.y, sol2.y, atol=1e-5)
+    answer2, path2, _, _ = _hard_solve(P, q, scale[:, None] * A, scale * l,
+                                       scale * u, tol=1e-9)
+    assert (path is None) == (path2 is None)
+    if path is not None:
+        assert np.allclose(answer.x, answer2.x, atol=1e-5)
 
 
 def test_primal_active_set_matches_oracle(rng):
@@ -246,9 +255,9 @@ def test_primal_active_set_matches_oracle(rng):
         res = soft_qp_solve(P, q, A, l, u, np.zeros((0, n)), np.zeros(0),
                             0.0, 1.0, xf)
         assert res is not None, trial
-        x, _, lam, _, _, _, iters, _ = res
-        assert max(kkt_residuals(P, q, A, l, u, x, lam)) < 1e-8
-        assert iters >= 1
+        x = res.x
+        assert max(kkt_residuals(P, q, A, l, u, x, res.mu)) < 1e-8
+        assert res.iterations >= 1
         ref, obj_ref = brute_force_active_set(P, q, A, l, u)
         assert np.allclose(x, ref, atol=1e-6), trial
 
@@ -331,20 +340,20 @@ def test_soft_kkt_residuals_match_the_lifted_problem_at_answers(seed, ms, sig,
         l[rng.random(len(l)) < 0.5] = -np.inf
         u[rng.random(len(u)) < 0.5] = np.inf
     s1, s2 = sig
-    sol, _, _ = certified_solve(P, q, A, l, u, G, b, s1, s2, 1e-6)
+    answer = certified_solve(P, q, A, l, u, G, b, s1, s2, 1e-6)[0]
     if infinite:
         # and a soft row that never binds, checked at the answer with the
         # row bound (the interior point takes no infinite b)
         b[rng.random(ms) < 0.3] = np.inf
     soft = (P, q, A, l, u, G, b, s1, s2)
-    n, mh = len(q), len(l)
-    x, eps = sol.y[:n], sol.y[n:]
-    mu, lam, nu = np.split(sol.duals, [mh, mh + ms])
+    x, eps, mu, lam, nu = answer.x, answer.eps, answer.mu, answer.lam, \
+        answer.nu
     got = soft_kkt_residuals(*soft, x, eps, mu, lam, nu)
     Pl, ql, Al, ll, ul = _lifted(*soft)
-    want = kkt_residuals(Pl, ql, Al, ll, ul, sol.y, sol.duals)
+    y, duals = np.concatenate([x, eps]), np.concatenate([mu, lam, nu])
+    want = kkt_residuals(Pl, ql, Al, ll, ul, y, duals)
     bounds = np.concatenate([ll, ul])
-    mag = 1.0 + max(np.abs(sol.y).max(), np.abs(sol.duals).max(initial=0.0),
+    mag = 1.0 + max(np.abs(y).max(), np.abs(duals).max(initial=0.0),
                     np.abs(Pl).max(), np.abs(Al).max(), np.abs(ql).max(),
                     np.abs(bounds[np.isfinite(bounds)]).max(initial=0.0))
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * mag ** 3)
@@ -382,12 +391,12 @@ def test_first_piece_is_solved_once(monkeypatch):
     for trial in range(20):
         P, q, A, l, u, G, b = _random_soft_qp(rng)
         soft = (P, q, A, l, u, G, b, s1, s2)
-        _, path, hot = certified_solve(*soft, 1e-6)
+        hot, path, _, _ = certified_solve(*soft, 1e-6)
         assert path is not None
         solves.clear()
         res, breakpoints = parametric_solve(*soft, hot)
         assert breakpoints == 0 and len(solves) == 1
-        assert max(soft_kkt_residuals(*soft, *res[:5])) <= 1e-6
+        assert max(_certificate(soft, res)) <= 1e-6
         q2 = q + 100.0 * rng.normal(size=len(q))
         soft2 = (P, q2, A, l, u, G, b, s1, s2)
         solves.clear()
@@ -397,10 +406,10 @@ def test_first_piece_is_solved_once(monkeypatch):
         moved += breakpoints >= 1
         ipm = soft_ipm_solve(*soft2, 1e-6)
         cross = parametric_solve(*soft2, auxiliary_hot(
-            A, G, l, u, b, s1, *ipm[:4], ipm[5]))[0]
-        np.testing.assert_allclose(np.concatenate(res[:2]),
-                                   np.concatenate(cross[:2]), rtol=0.0,
-                                   atol=1e-8)
+            A, G, l, u, b, s1, ipm.x, ipm.eps, ipm.mu, ipm.lam, ipm.sets))[0]
+        np.testing.assert_allclose(np.concatenate([res.x, res.eps]),
+                                   np.concatenate([cross.x, cross.eps]),
+                                   rtol=0.0, atol=1e-8)
     assert moved >= 15, moved
 
 
@@ -413,18 +422,19 @@ def test_the_certificate_reads_the_homotopys_products():
     for trial in range(20):
         P, q, A, l, u, G, b = _random_soft_qp(rng)
         soft = (P, q, A, l, u, G, b, s1, s2)
-        _, path, hot = certified_solve(*soft, 1e-6)
+        hot, path, _, _ = certified_solve(*soft, 1e-6)
         assert path is not None
         q2 = q + 100.0 * rng.normal(size=len(q))
         for problem in (soft, (P, q2) + soft[2:]):
             res, _ = parametric_solve(*problem, hot)
-            x, (vh, gx) = res[0], res[7]
+            x, (vh, gx) = res.x, res.products
             assert vh.tobytes() == A.dot(x).tobytes(), trial
             assert gx.tobytes() == G.dot(x).tobytes(), trial
-            assert np.array(soft_kkt_residuals(*problem, *res[:5], res[7])
-                            ).tobytes() == \
-                np.array(soft_kkt_residuals(*problem, *res[:5])).tobytes()
-        assert soft_ipm_solve(P, q2, A, l, u, G, b, s1, s2, 1e-6)[7] is None
+            assert np.array(soft_kkt_residuals(
+                *problem, x, res.eps, res.mu, res.lam, res.nu, res.products)
+            ).tobytes() == np.array(_certificate(problem, res)).tobytes()
+        assert soft_ipm_solve(P, q2, A, l, u, G, b, s1, s2,
+                              1e-6).products is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -440,8 +450,9 @@ def test_soft_ipm_matches_lifted_oracle(seed, ms, sig):
     s1, s2 = sig
     res = soft_ipm_solve(P, q, A, l, u, G, b, s1, s2, 1e-6)
     assert res is not None
-    x, eps, mu, lam, nu, sets, iters, products = res
-    assert iters >= 1 and products is None
+    x, eps, mu, lam, nu, sets = res.x, res.eps, res.mu, res.lam, res.nu, \
+        res.sets
+    assert res.iterations >= 1 and res.products is None
     assert np.all(eps > 0.0)
     sides, states = sets
     assert sides.dtype == states.dtype == np.int8
@@ -465,8 +476,8 @@ def test_soft_ipm_matches_lifted_oracle(seed, ms, sig):
                              auxiliary_hot(A, G, l, u, b, s1, x, eps, mu, lam,
                                            sets))[0]
     assert cross is not None
-    np.testing.assert_allclose(np.concatenate(cross[:2]), y_ref, rtol=0.0,
-                               atol=1e-6)
+    np.testing.assert_allclose(np.concatenate([cross.x, cross.eps]), y_ref,
+                               rtol=0.0, atol=1e-6)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -475,7 +486,7 @@ def test_a_soft_bound_that_is_not_finite_raises(bad):
     # residuals and a NaN point; the homotopy declines such a b, so with or
     # without a hot start the solve raises
     P, q, A, l, u, G, b = _random_soft_qp(np.random.default_rng(7))
-    _, path, hot = certified_solve(P, q, A, l, u, G, b, 10.0, 50.0, 1e-6)
+    hot, path, _, _ = certified_solve(P, q, A, l, u, G, b, 10.0, 50.0, 1e-6)
     assert path is not None
     b = b.copy()
     b[0] = bad
@@ -498,10 +509,10 @@ def test_soft_qp_warm_start_consistent(rng):
         assert res is not None
         q2 = q + 0.05 * rng.normal(size=len(q))
         warm = soft_qp_solve(P, q2, A, l, u, G, b, s1, s2, x0,
-                             warm=res[5])
+                             warm=res.sets)
         cold = soft_qp_solve(P, q2, A, l, u, G, b, s1, s2, x0)
         assert warm is not None and cold is not None
-        assert np.allclose(warm[0], cold[0], atol=1e-6), trial
+        assert np.allclose(warm.x, cold.x, atol=1e-6), trial
 
 
 @settings(max_examples=60, deadline=None)
@@ -514,7 +525,7 @@ def test_parametric_hot_start_reaches_the_optimum_or_gives_up(seed, ms, sig,
     P, q, A, l, u, G, b = _random_soft_qp(rng)
     G, b = G[:ms], b[:ms]
     s1, s2 = sig
-    _, path, hot = certified_solve(P, q, A, l, u, G, b, s1, s2, 1e-6)
+    hot, path, _, _ = certified_solve(P, q, A, l, u, G, b, s1, s2, 1e-6)
     assume(path is not None)
     # the next problem: q, b and the bounds of one hard row move
     q2 = q + scale * rng.normal(size=len(q))
@@ -527,19 +538,17 @@ def test_parametric_hot_start_reaches_the_optimum_or_gives_up(seed, ms, sig,
     soft2 = (P, q2, A, l2, u2, G, b2, s1, s2)
     res, breakpoints = parametric_solve(*soft2, hot)
     assert 0 <= breakpoints <= EXCHANGE_CAP
-    certified = res is not None and \
-        max(soft_kkt_residuals(*soft2, *res[:5])) <= 1e-6
+    certified = res is not None and max(_certificate(soft2, res)) <= 1e-6
     # certified_solve takes the hot start's answer exactly when it passes the
     # certificate, and never returns an uncertified point as "parametric"
-    sol2, path2, _ = certified_solve(*soft2, 1e-6, hot=hot)
+    answer2, path2, resid2, obj2 = certified_solve(*soft2, 1e-6, hot=hot)
     assert (path2 == "parametric") == certified
     if not certified:
         return
-    assert res[6] == breakpoints == sol2.iterations
-    assert max(sol2.primal_residual, sol2.dual_residual,
-               sol2.comp_residual) <= 1e-6
+    assert res.iterations == breakpoints == answer2.iterations
+    assert max(resid2) <= 1e-6
     _, obj_ref = brute_force_active_set(*_lifted(*soft2))
-    assert abs(sol2.objective - obj_ref) <= 1e-6 * (1.0 + abs(obj_ref))
+    assert abs(obj2 - obj_ref) <= 1e-6 * (1.0 + abs(obj_ref))
 
 
 @settings(max_examples=60, deadline=None)
@@ -562,21 +571,21 @@ def test_auxiliary_hot_start_reaches_the_optimum_or_gives_up(seed, ms, sig):
         *soft, auxiliary_hot(A, G, l, u, b, s1, *guess, sets))
     assert 0 <= breakpoints <= EXCHANGE_CAP
     if res is not None:
-        x, eps = res[:2]
+        x, eps = res.x, res.eps
         obj = 0.5 * x @ P @ x + q @ x + s1 * eps.sum() + s2 * (eps @ eps)
         assert abs(obj - obj_ref) <= 1e-6 * (1.0 + abs(obj_ref))
     # from an optimum and its working set the path has no breakpoint
-    _, path, hot = certified_solve(*soft, 1e-6)
+    hot, path, _, _ = certified_solve(*soft, 1e-6)
     assume(path is not None)
-    res, breakpoints = parametric_solve(
-        *soft, auxiliary_hot(A, G, l, u, b, s1, *hot[3:]))
+    res, breakpoints = parametric_solve(*soft, auxiliary_hot(
+        A, G, l, u, b, s1, hot.x, hot.eps, hot.mu, hot.lam, hot.sets))
     assert breakpoints == 0
     # the same working set's point; only an interior-point answer, whose
     # crossover failed its certificate, sits off that point: on 2000 draws
     # at sig2 = 1e4, 305 of the 743 interior-point answers moved by more
     # than 1e-9, at most 1.5e-7, and none of the 1254 crossover answers,
     # which passed through the same rank-1 folds, moved at all
-    np.testing.assert_allclose(res[0], hot.x, rtol=0.0, atol=1e-10 * s2)
+    np.testing.assert_allclose(res.x, hot.x, rtol=0.0, atol=1e-10 * s2)
 
 
 def test_a_declined_hot_start_adds_no_iteration():
@@ -585,14 +594,14 @@ def test_a_declined_hot_start_adds_no_iteration():
     # interior point's and its crossover's alone, as without a hot start
     P, q, A, l, u, G, b = _random_soft_qp(np.random.default_rng(3))
     soft = (P, q, A, l, u, G, b, 10.0, 50.0)
-    cold, path, hot = certified_solve(*soft, 1e-6)
+    cold, path, _, _ = certified_solve(*soft, 1e-6)
     assert path == "ipm" and cold.iterations > 0
-    declined = hot._replace(u=np.where(np.arange(len(u)) == 0, np.inf, u))
+    declined = cold._replace(u=np.where(np.arange(len(u)) == 0, np.inf, u))
     res, breakpoints = parametric_solve(*soft, declined)
     assert res is None and breakpoints == 0
-    sol, path, _ = certified_solve(*soft, 1e-6, hot=declined)
+    answer, path, _, _ = certified_solve(*soft, 1e-6, hot=declined)
     assert path == "ipm"
-    assert sol.iterations == cold.iterations
+    assert answer.iterations == cold.iterations
 
 
 def test_parametric_hot_start_exchanges_a_dependent_row():
@@ -604,11 +613,11 @@ def test_parametric_hot_start_exchanges_a_dependent_row():
     l = np.full(2, -np.inf)
     G, b = np.zeros((0, 2)), np.zeros(0)
     u0, u1 = np.array([1.0, 2.0]), np.array([3.0, 2.0])
-    _, path, hot = certified_solve(P, q, A, l, u0, G, b, 0.0, 0.0, 1e-9)
+    hot, path, _, _ = certified_solve(P, q, A, l, u0, G, b, 0.0, 0.0, 1e-9)
     assert path == "ipm" and hot.sets[0].tolist() == [1, 0]
     res, breakpoints = parametric_solve(P, q, A, l, u1, G, b, 0.0, 0.0, hot)
     assert breakpoints == 1
-    x, _, mu, _, _, (sides, _), _, _ = res
+    x, mu, (sides, _) = res.x, res.mu, res.sets
     np.testing.assert_allclose(x, [2.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(mu, [0.0, 8.0], atol=1e-9)
     assert sides.tolist() == [0, 1]
@@ -630,13 +639,14 @@ def test_parametric_soft_row_passes_its_kink(b0, b1, elim):
     G = np.eye(1)
     s1, s2 = 2.0, 1.0
     b0, b1 = np.array([b0]), np.array([b1])
-    _, path, hot = certified_solve(P, q, A, l, u, G, b0, s1, s2, 1e-9)
+    hot, path, _, _ = certified_solve(P, q, A, l, u, G, b0, s1, s2, 1e-9)
     assert path is not None and hot.sets[0].tolist() == [1]
     assert hot.sets[1].tolist() == [0 if elim else ELIM]
     soft = (P, q, A, l, u, G, b1, s1, s2)
     res, breakpoints = parametric_solve(*soft, hot)
     assert res is not None and breakpoints == 1
-    x, eps, mu, lam, nu, (sides, states), _, _ = res
+    x, eps, mu, lam, nu = res.x, res.eps, res.mu, res.lam, res.nu
+    sides, states = res.sets
     assert sides.tolist() == [1]
     assert states.tolist() == [ELIM if elim else 0]
     assert max(soft_kkt_residuals(*soft, x, eps, mu, lam, nu)) <= 1e-12
@@ -668,13 +678,13 @@ def test_parametric_soft_rows_enter_a_full_vertex(seed, n, ms, sig):
     b0 = G @ x_v + rng.uniform(0.5, 1.5, ms)
     b1 = G @ x_v - rng.uniform(0.1, 2.0, ms)
     s1, s2 = sig
-    hot = HotStart(l, u, b0, x_v, np.zeros(ms), side * m, np.zeros(ms),
-                   (side.astype(np.int8), np.zeros(ms, dtype=np.int8)))
+    hot = Answer(l, u, b0, x_v, np.zeros(ms), side * m, np.zeros(ms),
+                 (side.astype(np.int8), np.zeros(ms, dtype=np.int8)))
     soft = (P, q, A, l, u, G, b1, s1, s2)
     res, breakpoints = parametric_solve(*soft, hot)
     assert res is not None
-    assert max(soft_kkt_residuals(*soft, *res[:5])) <= 1e-9
-    x, eps = res[:2]
+    assert max(_certificate(soft, res)) <= 1e-9
+    x, eps = res.x, res.eps
     obj = 0.5 * x @ P @ x + q @ x + s1 * eps.sum() + s2 * (eps @ eps)
     _, obj_ref = brute_force_active_set(*_lifted(*soft))
     assert abs(obj - obj_ref) <= 1e-9 * (1.0 + abs(obj_ref))
@@ -709,16 +719,16 @@ def _all_pinned_qp():
 def test_soft_qp_all_inputs_at_box_bounds():
     res = soft_qp_solve(*_all_pinned_qp(), 0.0, 1.0, np.zeros(2))
     assert res is not None
-    np.testing.assert_allclose(res[0], [1.0, -1.0], atol=1e-12)
+    np.testing.assert_allclose(res.x, [1.0, -1.0], atol=1e-12)
 
 
 def test_certified_solve_answers_the_all_pinned_qp():
     # the controller's chain without a hot start (interior point and
     # crossover) certifies the QP that the exchange loop gives up on
     P, q, A, l, u, G, b = _all_pinned_qp()
-    sol, path, hot = certified_solve(P, q, A, l, u, G, b, 0.0, 1.0, 1e-6)
-    assert path is not None and sol.status == QpStatus.OPTIMAL
-    np.testing.assert_allclose(sol.y, [1.0, -1.0], atol=1e-6)
-    assert max(sol.primal_residual, sol.dual_residual,
-               sol.comp_residual) <= 1e-6
-    assert hot.sets[0].tolist() == [1, -1]
+    answer, path, resid, _ = certified_solve(P, q, A, l, u, G, b, 0.0, 1.0,
+                                             1e-6)
+    assert path is not None
+    np.testing.assert_allclose(answer.x, [1.0, -1.0], atol=1e-6)
+    assert max(resid) <= 1e-6
+    assert answer.sets[0].tolist() == [1, -1]

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trailer_mpc.qp import (KINK, FactorCache, HotStart, _fold,
+from trailer_mpc.qp import (KINK, Answer, FactorCache, _fold,
                             _WorkingFactor, certified_solve,
                             parametric_solve, soft_kkt_residuals)
 
@@ -173,11 +173,12 @@ def test_homotopy_reaches_an_all_pinned_vertex():
     G, b = np.zeros((0, 2)), np.zeros(0)
     q = np.array([-10.0, 10.0])
     zero = np.zeros(0)
-    hot = HotStart(l, u, b, np.zeros(2), zero, np.zeros(2), zero,
-                   (np.zeros(2, np.int8), np.zeros(0, np.int8)))
+    hot = Answer(l, u, b, np.zeros(2), zero, np.zeros(2), zero,
+                 (np.zeros(2, np.int8), np.zeros(0, np.int8)))
     res, breakpoints = parametric_solve(P, q, A, l, u, G, b, 0.0, 1.0, hot)
     assert res is not None and breakpoints == 2
-    x, eps, mu, lam, nu, (sides, _), _, _ = res
+    x, eps, mu, lam, nu = res.x, res.eps, res.mu, res.lam, res.nu
+    sides = res.sets[0]
     np.testing.assert_allclose(x, [1.0, -1.0], atol=1e-12)
     # the box rows' duals: mu = -(P x + q)
     np.testing.assert_allclose(mu, [9.0, -9.0], atol=1e-12)
@@ -202,7 +203,7 @@ def test_factor_cache_hands_the_factorization_on(seed, sig):
     s1, s2 = sig
     factors = FactorCache(P)
     q = rng.normal(size=N)
-    _, path, hot = certified_solve(P, q, A, l, u, G, b, s1, s2, 1e-6)
+    hot, path, _, _ = certified_solve(P, q, A, l, u, G, b, s1, s2, 1e-6)
     if path is None:
         return
     taken = 0
@@ -220,13 +221,14 @@ def test_factor_cache_hands_the_factorization_on(seed, sig):
         assert bp == bp_ref and (got is None) == (ref is None)
         if got is None:
             return
-        for a, r in zip(got[:5], ref[:5]):
-            np.testing.assert_allclose(a, r, rtol=0.0,
+        for name in ("x", "eps", "mu", "lam", "nu"):
+            r = getattr(ref, name)
+            np.testing.assert_allclose(getattr(got, name), r, rtol=0.0,
                                        atol=1e-9 * (1.0 + np.abs(r).max(
                                            initial=0.0)))
-        assert all(np.array_equal(a, r) for a, r in zip(got[5], ref[5]))
-        x, eps, mu, lam, _, sets, _, _ = got
-        hot = HotStart(l, u, b, x, eps, mu, lam, sets)
+        assert all(np.array_equal(a, r) for a, r in zip(got.sets, ref.sets))
+        # the answer, with this problem's bounds, is the next hot start
+        hot = got
     # every homotopy but the first took the last one's factorization
     assert taken == 3
 
@@ -275,7 +277,8 @@ def test_cold_homotopy_walks_the_paper_first_cycles(params, monkeypatch):
                                             cold, max_iter=2000)
         assert res is not None
         assert len(solves) == breakpoints + 1
-        assert max(soft_kkt_residuals(P, q, A, l, u, G, b, sig1, sig2,
-                                      *res[:5])) <= mpc.QP_TOL
+        assert max(soft_kkt_residuals(P, q, A, l, u, G, b, sig1, sig2, res.x,
+                                      res.eps, res.mu, res.lam,
+                                      res.nu)) <= mpc.QP_TOL
         walks.append(breakpoints)
     assert max(walks) >= 50, walks
